@@ -38,6 +38,16 @@
 use crate::sync::RoundGate;
 use parking_lot::Mutex;
 
+/// The worker count the networked drivers use when the caller does not
+/// choose one: a thread per shard up to the host's parallelism, never
+/// more — workers beyond the core count only take turns sweeping the
+/// same slots and yielding to one another. Results do not depend on the
+/// choice (any `workers >= 1` yields the identical report).
+pub fn default_workers(shards: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    shards.min(cores)
+}
+
 /// Drives `slots.len()` shards through `rounds` lockstep rounds using
 /// `workers` cooperating threads (clamped to at least 1).
 ///
@@ -148,6 +158,13 @@ mod tests {
         let slots: Vec<Mutex<u64>> = (0..2).map(|_| Mutex::new(0)).collect();
         run_lockstep(&gate, &slots, 50, 7, |count, _, _| *count += 1);
         assert!(slots.iter().all(|s| *s.lock() == 50));
+    }
+
+    #[test]
+    fn default_workers_is_bounded_by_shards_and_cores() {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        assert_eq!(default_workers(1), 1);
+        assert_eq!(default_workers(4096), cores.min(4096));
     }
 
     #[test]

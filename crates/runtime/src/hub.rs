@@ -1,5 +1,5 @@
-//! The threaded message plane: `simnet::Network` semantics for one OS
-//! thread per shard, rebuilt lock-free.
+//! The threaded message plane: `simnet::Network` semantics for shards
+//! executed concurrently by a pool of worker threads, rebuilt lock-free.
 //!
 //! A [`NetHub`] is the concurrent analogue of the simulator's delay-queue
 //! network: a message sent at round `r` over distance `d` is delivered at
@@ -17,20 +17,66 @@
 //! [ring] per **directed link**: the sender's [`ShardPort`]
 //! owns the `s` producer endpoints of its row, the receiver's
 //! [`NetInbox`] owns the `s` consumer endpoints of its column, and a
-//! whole round is handed off batched — the inbox pops every incoming
-//! ring once per round, parks early arrivals in a ring-of-rounds wheel
-//! indexed by `deliver_at mod wheel size`, and sorts the due bucket by
-//! `(sender, seq)`. No mutex is on the per-message path; the only locks
-//! left are the rings' spill queues (touched when a ring overflows,
-//! never required for correctness) and the one-time endpoint hand-out.
+//! whole round is handed off batched — the inbox pops the incoming
+//! rings that were written to since its last drain, parks early arrivals
+//! in a ring-of-rounds wheel indexed by `deliver_at mod wheel size`, and
+//! sorts the due bucket by `(sender, seq)`. No mutex is on the
+//! per-message path; the only locks left are the rings' spill queues
+//! (touched when a ring overflows, never required for correctness) and
+//! the one-time endpoint hand-out.
 //!
 //! Counter accounting is sender-local for the same reason: each port
 //! tallies `sent` / bytes / drops / duplicates in plain integers and
 //! flushes them into the hub's shared atomics on drop (or an explicit
-//! [`ShardPort::flush`]), so the hot path performs no shared
-//! read-modify-write either. Hub-level counts are therefore complete
-//! once the shard threads have finished — exactly when the drivers read
-//! them.
+//! [`ShardPort::flush`]), so counting adds no shared read-modify-write
+//! to the hot path. Hub-level counts are therefore complete once the
+//! shard threads have finished — exactly when the drivers read them.
+//!
+//! # Dirty-sender bitmaps: a drain costs O(messages), not O(shards)
+//!
+//! Polling all `s` rings of a column every round costs `s²` ring probes
+//! per round across the hub to collect a few dozen messages — measured
+//! at about two-thirds of the whole networked round at 64 and 256
+//! shards. The hub therefore owns one flat array of `AtomicU64` bitmap
+//! words, `ceil(s / 64)` per destination: bit `from` of destination `to`
+//! lives in word `to * words + from / 64`. [`ShardPort::send`] raises the
+//! sender's bit with one `fetch_or(Release)` **after** the ring push;
+//! [`NetInbox::drain_into`] takes each non-zero word of its own row with
+//! `swap(0, Acquire)` and drains exactly the rings whose bit was set.
+//! The visit order (ascending sender) is irrelevant to the hand-out,
+//! which is fixed by the final `(sender, seq)` sort.
+//!
+//! Why no message is ever left behind in a ring whose bit is clear:
+//!
+//! * Every push is followed, in program order, by a read-modify-write on
+//!   the bit's word, and an RMW always reads the latest value in the
+//!   word's modification order. So if a drain's `swap` cleared the bit
+//!   *before* the sender's `fetch_or` (the drain raced ahead of the
+//!   push), the `fetch_or` re-raises it and the ring is visited by the
+//!   next drain. If the `swap` comes *after* the `fetch_or`, it reads
+//!   from it (or from a later RMW of the same release sequence), and
+//!   Release/Acquire makes the push visible to the ring drain that
+//!   follows.
+//! * "The next drain" is never too late: a message sent at round `r` has
+//!   `deliver_at >= r + 1`, and the round gate orders every round-`r`
+//!   send — push *and* bit — before any round-`r + 1` drain, so that
+//!   drain's `swap` (or its relaxed non-zero pre-check, by coherence)
+//!   observes the bit.
+//!
+//! Two tempting shortcuts are **unsound** and must not be added:
+//!
+//! * *Check-then-set* ("skip the RMW when the bit already looks set"):
+//!   the load may be satisfied before the push's store drains from the
+//!   store buffer (store→load reordering), so the sender can see a stale
+//!   set bit *after* the drain's `swap` cleared it and emptied the ring —
+//!   leaving the new message in a ring nobody will visit.
+//! * *A per-round sender-local "already raised" cache*: a peer still
+//!   draining that same round on another worker may `swap` between two
+//!   sends of the round, so the second send lands in a ring whose bit is
+//!   clear and is never re-raised.
+//!
+//! A spuriously set bit (the drain popped a message before its sender
+//! raised the bit) only costs one visit to an empty ring next round.
 
 use crate::ring::{self, RingConsumer, RingProducer};
 use cluster::ShardMetric;
@@ -39,6 +85,7 @@ use sharding_core::ShardId;
 use simnet::faults::{FaultDecision, FaultPlan, LinkBank};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A delivered message: sender plus the sender-local sequence number used
 /// as the deterministic tie-break.
@@ -106,6 +153,12 @@ pub struct NetHub<P> {
     ports: Vec<Mutex<Option<PortHalf<P>>>>,
     /// Un-taken receiver halves, ditto for `NetInbox::new`.
     inboxes: Vec<Mutex<Option<InboxHalf<P>>>>,
+    /// Dirty-sender bitmaps, `dirty_words` per destination: bit `from` of
+    /// destination `to` is bit `from % 64` of word
+    /// `to * dirty_words + from / 64` (see the module docs). Shared with
+    /// the inboxes, which do not borrow the hub.
+    dirty: Arc<[AtomicU64]>,
+    dirty_words: usize,
     sent: AtomicU64,
     bytes_sent: AtomicU64,
     max_message_bytes: AtomicU64,
@@ -115,8 +168,10 @@ pub struct NetHub<P> {
 }
 
 /// Default per-link ring capacity: scaled down as the link count grows
-/// quadratically, so the slot arrays stay a few megabytes even at 256
-/// shards. Overflow is handled by the spill path, so this is purely a
+/// quadratically, so the slot arrays stay small next to the rings' fixed
+/// cost — each of the `s²` rings carries two 128-byte-aligned cursors,
+/// which at 256 shards (65 536 rings) is tens of megabytes whatever the
+/// capacity. Overflow is handled by the spill path, so this is purely a
 /// throughput knob.
 fn default_capacity(shards: usize) -> usize {
     (2048 / shards.max(1)).clamp(4, 128)
@@ -172,7 +227,10 @@ impl<P> NetHub<P> {
                 inbox.rings.push(consumer);
             }
         }
+        let dirty_words = s.div_ceil(64);
         Ok(NetHub {
+            dirty: (0..s * dirty_words).map(|_| AtomicU64::new(0)).collect(),
+            dirty_words,
             dist,
             shards: s,
             sizer,
@@ -353,6 +411,12 @@ impl<'h, P: Clone> ShardPort<'h, P> {
             },
         });
         self.seq += 1;
+        // Unconditional RMW, after the push: pairs with the `swap(Acquire)`
+        // in `drain_into`. Neither a check-then-set nor a per-round cache
+        // may replace it (module docs).
+        let from = self.from.index();
+        self.hub.dirty[to.index() * self.hub.dirty_words + from / 64]
+            .fetch_or(1 << (from % 64), Ordering::Release);
     }
 }
 
@@ -368,6 +432,11 @@ impl<P> Drop for ShardPort<'_, P> {
 pub struct NetInbox<P> {
     to: ShardId,
     rings: Vec<RingConsumer<Queued<P>>>,
+    /// The hub's dirty-sender bitmaps and this inbox's row in them.
+    dirty: Arc<[AtomicU64]>,
+    dirty_row: std::ops::Range<usize>,
+    /// Rings visited by `drain_into` so far (a diagnostic).
+    rings_polled: u64,
     /// `wheel[deliver_at & mask]` holds envelopes due at `deliver_at`,
     /// valid because the gate keeps the live window narrower than the
     /// wheel (see `NetHub::with_capacity`).
@@ -395,6 +464,9 @@ impl<P> NetInbox<P> {
         NetInbox {
             to,
             rings: half.rings,
+            dirty: Arc::clone(&hub.dirty),
+            dirty_row: to.index() * hub.dirty_words..(to.index() + 1) * hub.dirty_words,
+            rings_polled: 0,
             wheel: (0..hub.wheel_len).map(|_| Vec::new()).collect(),
             mask: hub.wheel_len - 1,
             overflow: BTreeMap::new(),
@@ -406,36 +478,71 @@ impl<P> NetInbox<P> {
         self.to
     }
 
+    /// Total rings visited by all drains so far: with the dirty-sender
+    /// bitmaps, the number of (drain, sender) pairs where the sender had
+    /// pushed since the previous drain — not `drains × shards`.
+    pub fn rings_polled(&self) -> u64 {
+        self.rings_polled
+    }
+
     /// Collects into `out` (cleared first) every message due for `round`,
     /// sorted by `(sender, sender-sequence)`.
     ///
     /// One pass pops everything currently published on the incoming
-    /// rings: messages due now go straight to `out`, earlier-than-needed
-    /// arrivals are parked in the wheel (or the overflow map beyond the
-    /// wheel window) for a later drain. For the hand-out to be complete
-    /// the caller must ensure all sends of rounds `< round` happened
-    /// before this call — the drivers' round gate provides exactly that.
+    /// rings whose dirty bit is set (module docs): messages due now go
+    /// straight to `out`, earlier-than-needed arrivals are parked in the
+    /// wheel (or the overflow map beyond the wheel window) for a later
+    /// drain. For the hand-out to be complete the caller must ensure all
+    /// sends of rounds `< round` happened before this call — the
+    /// drivers' round gate provides exactly that.
+    ///
+    /// # Panics
+    ///
+    /// If a popped message was due at an earlier round — a ring was
+    /// skipped when it should not have been, or the caller drained ahead
+    /// of the gate. Always on: in a release build the late message would
+    /// otherwise be parked under a past key and silently lost.
     pub fn drain_into(&mut self, round: u64, out: &mut Vec<NetEnvelope<P>>) {
         out.clear();
         let NetInbox {
+            to,
             rings,
+            dirty,
+            dirty_row,
+            rings_polled,
             wheel,
             overflow,
             mask,
-            ..
         } = self;
         let mask = *mask;
-        for ring in rings.iter_mut() {
-            ring.drain_with(|q: Queued<P>| {
-                debug_assert!(q.deliver_at >= round, "missed a delivery round");
-                if q.deliver_at == round {
-                    out.push(q.env);
-                } else if q.deliver_at - round <= mask {
-                    wheel[(q.deliver_at & mask) as usize].push(q.env);
-                } else {
-                    overflow.entry(q.deliver_at).or_default().push(q.env);
-                }
-            });
+        for (w, word) in dirty[dirty_row.clone()].iter().enumerate() {
+            // Relaxed pre-check: the gate orders every earlier-round
+            // `fetch_or` before this load, so by coherence a bit raised
+            // for a message due now is seen (only this inbox clears it).
+            if word.load(Ordering::Relaxed) == 0 {
+                continue;
+            }
+            let mut bits = word.swap(0, Ordering::Acquire);
+            *rings_polled += u64::from(bits.count_ones());
+            while bits != 0 {
+                let from = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                rings[from].drain_with(|q: Queued<P>| {
+                    assert!(
+                        q.deliver_at >= round,
+                        "link {from} -> {}: message due at round {} popped at round {round}",
+                        to.index(),
+                        q.deliver_at,
+                    );
+                    if q.deliver_at == round {
+                        out.push(q.env);
+                    } else if q.deliver_at - round <= mask {
+                        wheel[(q.deliver_at & mask) as usize].push(q.env);
+                    } else {
+                        overflow.entry(q.deliver_at).or_default().push(q.env);
+                    }
+                });
+            }
         }
         let bucket = &mut wheel[(round & mask) as usize];
         out.append(bucket);
@@ -569,6 +676,46 @@ mod tests {
         assert_eq!(seqs, (0..50).collect::<Vec<_>>());
         drop(p);
         assert_eq!(hub.spilled_count(), 49, "capacity-1 ring spills the rest");
+    }
+
+    #[test]
+    fn drain_polls_only_rings_that_were_written() {
+        // 70 shards: shard 69's bit lives in the second word of the row.
+        let m = UniformMetric::new(70);
+        let hub: NetHub<u32> = NetHub::new(&m, sizer).unwrap();
+        let inert = FaultPlan::default();
+        let mut inbox = NetInbox::new(&hub, ShardId(5));
+        assert!(inbox.drain(0).is_empty());
+        assert_eq!(inbox.rings_polled(), 0, "nothing sent, nothing polled");
+        // m = 7 messages from j = 3 distinct senders.
+        for (from, count) in [(2u32, 4u32), (63, 1), (69, 2)] {
+            let mut port = ShardPort::new(&hub, ShardId(from), &inert);
+            for i in 0..count {
+                port.send(ShardId(5), 0, from * 10 + i);
+            }
+            // A send to someone else must not dirty shard 5's row.
+            port.send(ShardId(6), 0, 0);
+        }
+        let due = inbox.drain(1);
+        let key: Vec<(u32, u64)> = due.iter().map(|e| (e.from.raw(), e.seq)).collect();
+        assert_eq!(
+            key,
+            vec![(2, 0), (2, 1), (2, 2), (2, 3), (63, 0), (69, 0), (69, 1)]
+        );
+        assert_eq!(inbox.rings_polled(), 3, "one poll per distinct sender");
+        assert!(inbox.drain(2).is_empty());
+        assert_eq!(inbox.rings_polled(), 3, "bits are cleared by the drain");
+    }
+
+    #[test]
+    #[should_panic(expected = "link 0 -> 1: message due at round 1 popped at round 2")]
+    fn late_message_panics_in_every_build() {
+        let m = UniformMetric::new(2);
+        let hub: NetHub<u32> = NetHub::new(&m, sizer).unwrap();
+        let mut p = ShardPort::new(&hub, ShardId(0), &FaultPlan::default());
+        let mut inbox = NetInbox::new(&hub, ShardId(1));
+        p.send(ShardId(1), 0, 7);
+        inbox.drain(2); // skipped round 1, where the message was due
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! # runtime
 //!
-//! The *networked* execution engine: one worker thread per shard
-//! cooperatively claiming rounds ([`exec::run_lockstep`]), real
+//! The *networked* execution engine: a pool of worker threads
+//! ([`default_workers`]: one per shard up to the host's core count)
+//! cooperatively claiming shard rounds ([`exec::run_lockstep`]), real
 //! concurrent message passing over lock-free per-link rings, one
 //! watermark round gate — for both schedulers, over any
 //! [`cluster::ShardMetric`].
@@ -30,8 +31,10 @@
 //! never depends on ring sizing), and rounds are separated by a
 //! [watermark gate](sync::RoundGate) rather than a parking barrier.
 //! Receivers drain a whole round batched through a [`hub::NetInbox`]:
-//! pop every incoming ring once, park early arrivals in a ring-of-rounds
-//! wheel, sort the due bucket by `(sender, seq)`.
+//! pop the incoming rings whose sender raised its bit in the receiver's
+//! dirty-sender bitmap (so a drain costs O(messages), not O(shards)),
+//! park early arrivals in a ring-of-rounds wheel, sort the due bucket by
+//! `(sender, seq)`.
 //!
 //! The original reproduction hint suggests tokio for this variant; the
 //! approved offline dependency set does not include it, so the runtime
@@ -61,7 +64,7 @@ pub mod ring;
 pub mod sync;
 
 pub use engine::EngineKind;
-pub use exec::run_lockstep;
+pub use exec::{default_workers, run_lockstep};
 pub use hub::{HubError, NetEnvelope, NetHub, NetInbox, ShardPort};
 pub use netbds::{
     run_net_bds, run_net_sched, run_net_sched_from, run_net_sched_reshard, NetOutcome,

@@ -2,9 +2,9 @@
 //!
 //! Runs the *identical* protocol as `schedulers::bds::BdsSim` — same
 //! messages, same byte estimates, same phase timing — but executed
-//! concurrently by the cooperative claim executor
-//! ([`run_lockstep`], one worker thread per
-//! shard): shards communicate only through the [`NetHub`]'s lock-free
+//! concurrently by the cooperative claim executor ([`run_lockstep`],
+//! [`default_workers`] threads unless the caller picks a count): shards
+//! communicate only through the [`NetHub`]'s lock-free
 //! link rings, and the [`RoundGate`] separates "all sends for round r
 //! are enqueued" from "round r+1 drains". Each shard holds
 //! only shard-local state; epoch lengths are learned from the leader's
@@ -27,7 +27,7 @@
 //! freeze, dropped ballots strand transactions as forever-pending, and
 //! the injected-fault counters surface in [`RunReport::faults`].
 
-use crate::exec::run_lockstep;
+use crate::exec::{default_workers, run_lockstep};
 use crate::hub::{NetEnvelope, NetHub, NetInbox, ShardPort};
 use crate::sync::RoundGate;
 use adversary::{Adversary, AdversaryConfig, RoundSource};
@@ -156,8 +156,13 @@ pub(crate) fn replay_events(
     }
 }
 
+/// `schedule[home shard][round]` = the transactions injected at that
+/// shard in that round. Shard-major so each shard's slot can own its
+/// column and move each round's batch out instead of cloning it.
+pub(crate) type InjectSchedule = Vec<Vec<Vec<Transaction>>>;
+
 /// Evaluates the adversary up front (it is a pure function of its seed)
-/// and partitions the workload per `(round, home shard)`; returns the
+/// and partitions the workload per `(home shard, round)`; returns the
 /// schedule plus the total generated count. Shared by both networked
 /// drivers so the generation accounting cannot drift between them.
 pub(crate) fn pregenerate_workload(
@@ -165,7 +170,7 @@ pub(crate) fn pregenerate_workload(
     map: &AccountMap,
     adv: &AdversaryConfig,
     total: u64,
-) -> (Vec<Vec<Vec<Transaction>>>, u64) {
+) -> (InjectSchedule, u64) {
     let mut adversary = Adversary::new(sys, map, *adv);
     pregenerate_from(&mut adversary, sys.shards, total)
 }
@@ -174,21 +179,19 @@ pub(crate) fn pregenerate_workload(
 /// the source round by round up front — in exactly the order the
 /// simulator drains it live, so a deterministic source yields the same
 /// per-round batches on both engines — and partitions per
-/// `(round, home shard)`.
+/// `(home shard, round)`.
 pub(crate) fn pregenerate_from(
     source: &mut dyn RoundSource,
     shards: usize,
     total: u64,
-) -> (Vec<Vec<Vec<Transaction>>>, u64) {
-    let mut inject: Vec<Vec<Vec<Transaction>>> = Vec::with_capacity(total as usize);
+) -> (InjectSchedule, u64) {
+    let mut inject: InjectSchedule = vec![vec![Vec::new(); total as usize]; shards];
     let mut generated = 0u64;
     for r in 0..total {
-        let mut per_shard: Vec<Vec<Transaction>> = vec![Vec::new(); shards];
         for t in source.next_round(Round(r)) {
             generated += 1;
-            per_shard[t.home.index()].push(t);
+            inject[t.home.index()][r as usize].push(t);
         }
-        inject.push(per_shard);
     }
     (inject, generated)
 }
@@ -568,10 +571,10 @@ impl<'a> ShardNode<'a> {
 }
 
 /// Runs the networked BDS: the adversary is evaluated up front (it is a
-/// pure function of its seed), partitioned per `(round, home shard)`, and
-/// each shard thread reads only its own slice. Equivalent to
-/// [`run_net_sched`] with [`SchedulerKind::Bds`] and one worker per
-/// shard.
+/// pure function of its seed), partitioned per `(home shard, round)`, and
+/// each shard reads only its own column. Equivalent to
+/// [`run_net_sched`] with [`SchedulerKind::Bds`] and
+/// [`default_workers`] threads.
 #[allow(clippy::too_many_arguments)]
 pub fn run_net_bds(
     sys: &SystemConfig,
@@ -591,7 +594,7 @@ pub fn run_net_bds(
         bcfg,
         faults,
         SchedulerKind::Bds,
-        sys.shards,
+        default_workers(sys.shards),
         false,
     )
 }
@@ -600,9 +603,9 @@ pub fn run_net_bds(
 /// the networked engine. `kind` must have an epoch policy
 /// ([`SchedulerKind::epoch_policy`] returns `Some`); FDS has its own
 /// networked driver and FCFS no networked protocol at all. `workers`
-/// sets the cooperative executor's thread count (shard count is the
-/// natural choice; the result is identical for any `workers >= 1` — the
-/// conformance harness pins it).
+/// sets the cooperative executor's thread count ([`default_workers`] is
+/// the natural choice; the result is identical for any `workers >= 1` —
+/// the conformance harness pins it).
 ///
 /// Every shard constructs its own policy instance from the factory; only
 /// the rotating leader's is consulted each epoch, which is sound because
@@ -725,17 +728,21 @@ fn run_net_epoch_hosted(
     let hub: NetHub<Msg> = NetHub::new(metric, msg_bytes).expect("validated: at least one shard");
     let gate = RoundGate::new(s);
 
-    // One slot per shard: node state, its hub endpoints, and the reusable
-    // drain buffer, handed between workers by the claim executor.
+    // One slot per shard: node state, its hub endpoints, its column of
+    // the injection schedule, and the reusable drain buffer, handed
+    // between workers by the claim executor.
     struct Slot<'h, 'a> {
         node: ShardNode<'a>,
         port: ShardPort<'h, Msg>,
         inbox: NetInbox<Msg>,
+        inject: Vec<Vec<Transaction>>,
         buf: Vec<NetEnvelope<Msg>>,
         crash_at: Option<u64>,
     }
-    let slots: Vec<Mutex<Slot<'_, '_>>> = (0..s)
-        .map(|shard| {
+    let slots: Vec<Mutex<Slot<'_, '_>>> = inject
+        .into_iter()
+        .enumerate()
+        .map(|(shard, inject)| {
             let id = ShardId(shard as u32);
             let dist_row: Vec<u64> = (0..s)
                 .map(|b| metric.distance(id, ShardId(b as u32)))
@@ -779,13 +786,14 @@ fn run_net_epoch_hosted(
                 },
                 port: ShardPort::new(&hub, id, faults),
                 inbox: NetInbox::new(&hub, id),
+                inject,
                 buf: Vec::new(),
                 crash_at: faults.crash_round(id).map(|r| r.raw()),
             })
         })
         .collect();
 
-    run_lockstep(&gate, &slots, total, workers, |slot, shard, round| {
+    run_lockstep(&gate, &slots, total, workers, |slot, _shard, round| {
         let node = &mut slot.node;
         node.now = round;
         if slot.crash_at == Some(round) {
@@ -795,7 +803,7 @@ fn run_net_epoch_hosted(
         // Injection: generated work accumulates even on a crashed shard
         // (it counts as pending, unserviced).
         node.injection
-            .extend(inject[round as usize][shard].iter().cloned());
+            .extend(std::mem::take(&mut slot.inject[round as usize]));
         // The executor only runs this once every peer finished round-1
         // sends; the drain below then sees all of them.
         slot.inbox.drain_into(round, &mut slot.buf);
@@ -844,20 +852,21 @@ fn run_net_epoch_hosted(
     let mut pending_at_end = 0u64;
     for round in 0..total {
         replay_events(&mut collector, &res, round, &mut cursors, &mut log);
-        let r = round as usize;
-        let total_pending: u64 = res.iter().map(|n| n.samples[r][0]).sum();
-        collector.sample_pending(total_pending);
         // Timeline sample, mirroring `BdsSim::step`'s: fault-free every
-        // shard observes the same epoch at the same absolute round (the
-        // rollover is an absolute round learned from the broadcast plan),
-        // so `max` equals the simulator's single epoch counter; under
-        // faults it reports the furthest live view.
-        let epoch = res.iter().map(|n| n.samples[r][1]).max().unwrap_or(0);
-        let byz: u64 = res.iter().map(|n| n.samples[r][2]).sum();
-        let crashed: u64 = res.iter().map(|n| n.samples[r][3]).sum();
-        // Active-shard view: fault-free every node agrees, so `max`
-        // equals the simulator's single counter (as with `epoch` above).
-        let active = res.iter().map(|n| n.samples[r][4]).max().unwrap_or(0);
+        // shard observes the same epoch (and active-shard count) at the
+        // same absolute round — the rollover is an absolute round learned
+        // from the broadcast plan — so `max` equals the simulator's
+        // single counter; under faults it reports the furthest live view.
+        let (mut total_pending, mut epoch, mut byz, mut crashed, mut active) = (0, 0, 0, 0, 0);
+        for n in &res {
+            let [p, e, b, x, a, _] = n.samples[round as usize];
+            total_pending += p;
+            epoch = epoch.max(e);
+            byz += b;
+            crashed += x;
+            active = active.max(a);
+        }
+        collector.sample_pending(total_pending);
         collector
             .sink
             .on_round(epoch, total_pending, byz, crashed, active);

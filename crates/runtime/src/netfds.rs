@@ -17,7 +17,7 @@
 //! faults, the run stays deterministic and the injected counters
 //! surface in [`RunReport::faults`](schedulers::metrics::RunReport::faults).
 
-use crate::exec::run_lockstep;
+use crate::exec::{default_workers, run_lockstep};
 use crate::hub::{NetEnvelope, NetHub, NetInbox, ShardPort};
 use crate::netbds::{
     pregenerate_workload, replay_events, seal_outcome, CommitEvent, NetOutcome, NodeResult,
@@ -435,11 +435,14 @@ pub fn run_net_fds(
         node: ShardNode<'a>,
         port: ShardPort<'h, Msg>,
         inbox: NetInbox<Msg>,
+        inject: Vec<Vec<Transaction>>,
         buf: Vec<NetEnvelope<Msg>>,
         crash_at: Option<u64>,
     }
-    let slots: Vec<Mutex<Slot<'_, '_>>> = (0..s)
-        .map(|shard| {
+    let slots: Vec<Mutex<Slot<'_, '_>>> = inject
+        .into_iter()
+        .enumerate()
+        .map(|(shard, inject)| {
             let id = ShardId(shard as u32);
             let dist_row: Vec<u64> = (0..s)
                 .map(|b| metric.distance(id, ShardId(b as u32)))
@@ -473,13 +476,15 @@ pub fn run_net_fds(
                 },
                 port: ShardPort::new(&hub, id, faults),
                 inbox: NetInbox::new(&hub, id),
+                inject,
                 buf: Vec::new(),
                 crash_at: faults.crash_round(id).map(|r| r.raw()),
             })
         })
         .collect();
 
-    run_lockstep(&gate, &slots, total, s, |slot, shard, round| {
+    let workers = default_workers(s);
+    run_lockstep(&gate, &slots, total, workers, |slot, _shard, round| {
         let node = &mut slot.node;
         node.now = round;
         if slot.crash_at == Some(round) {
@@ -489,7 +494,7 @@ pub fn run_net_fds(
         // Injection: assign home clusters, park in the outbox (generated
         // work accumulates even on a crashed shard — it counts as
         // outstanding, unserviced).
-        for t in inject[round as usize][shard].iter().cloned() {
+        for t in std::mem::take(&mut slot.inject[round as usize]) {
             node.injected += 1;
             let x = t
                 .shards()

@@ -12,7 +12,11 @@
 //! Shapes cover several (shards, rounds, capacity) points, including
 //! capacity-1 rings where every second push takes the mutexed spill lane
 //! — the claim that correctness never depends on ring sizing is only
-//! credible if the spill path is actually hammered under concurrency.
+//! credible if the spill path is actually hammered under concurrency —
+//! and 65- and 130-shard hubs with sparse traffic, where a destination's
+//! dirty-sender bitmap row spans two and three words and most rings are
+//! skipped by most drains. A last test races one sender's bit-raising
+//! against its receiver's bit-clearing directly.
 //!
 //! Seeding: the schedule/jitter seed defaults to a fixed constant and can
 //! be overridden with `BLOCKSHARD_STRESS_SEED=<u64>`, which is how CI's
@@ -22,7 +26,7 @@
 use cluster::{LineMetric, RingMetric, ShardMetric, UniformMetric};
 use rand::Rng as _;
 use runtime::{NetHub, NetInbox, RoundGate, ShardPort};
-use sharding_core::rngutil::{seeded_rng, split_seed};
+use sharding_core::rngutil::{self, seeded_rng, split_seed};
 use sharding_core::{Round, ShardId};
 use simnet::{FaultPlan, Network};
 
@@ -41,17 +45,24 @@ fn stress_seed() -> u64 {
         .unwrap_or(0xB10C_5EED)
 }
 
-/// Builds a pseudorandom all-to-all schedule: each shard sends 0..=3
-/// messages per round to random peers, payloads globally unique so a
-/// lost, duplicated, or reordered message is attributable.
-fn random_schedule(seed: u64, shards: usize, rounds: u64) -> Schedule {
-    let mut rng = seeded_rng(split_seed(seed, 0x5c4e));
+/// Builds a pseudorandom schedule from stream `label` of `seed`: each
+/// shard sends `count(rng)` messages per round to random peers, payloads
+/// globally unique so a lost, duplicated, or reordered message is
+/// attributable.
+fn schedule_with(
+    seed: u64,
+    label: u64,
+    shards: usize,
+    rounds: u64,
+    count: impl Fn(&mut rngutil::Rng) -> usize,
+) -> Schedule {
+    let mut rng = seeded_rng(split_seed(seed, label));
     let mut payload = 0u64;
     (0..rounds)
         .map(|_| {
             (0..shards)
                 .map(|_| {
-                    let n = rng.gen_range(0usize..=3);
+                    let n = count(&mut rng);
                     (0..n)
                         .map(|_| {
                             payload += 1;
@@ -62,6 +73,27 @@ fn random_schedule(seed: u64, shards: usize, rounds: u64) -> Schedule {
                 .collect()
         })
         .collect()
+}
+
+/// All-to-all traffic: each shard sends 0..=3 messages per round.
+fn random_schedule(seed: u64, shards: usize, rounds: u64) -> Schedule {
+    schedule_with(seed, 0x5c4e, shards, rounds, |rng| {
+        rng.gen_range(0usize..=3)
+    })
+}
+
+/// Sparse traffic for wide hubs: each shard sends in about one round out
+/// of four, one or two messages — so in any round most of a
+/// destination's rings are idle and the drain must find the few that are
+/// not through the bitmap alone.
+fn sparse_schedule(seed: u64, shards: usize, rounds: u64) -> Schedule {
+    schedule_with(seed, 0x5ba5, shards, rounds, |rng| {
+        if rng.gen_range(0u32..4) == 0 {
+            rng.gen_range(1usize..=2)
+        } else {
+            0
+        }
+    })
 }
 
 /// Everybody floods shard 0 every round — maximum fan-in on one consumer.
@@ -301,4 +333,102 @@ fn two_shard_long_run_stays_exact() {
         Some(8),
         "uniform/2x1500/cap8",
     );
+}
+
+/// Two words per bitmap row (shard 64 is bit 0 of the second word), line
+/// delays up to 64 rounds deep in the wheel, capacity-1 rings.
+#[test]
+fn sparse_65_shards_two_word_rows_match_oracle() {
+    let metric = LineMetric::new(65);
+    let schedule = sparse_schedule(split_seed(stress_seed(), 19), 65, 120);
+    let counters = assert_hub_matches_oracle(
+        &metric,
+        &FaultPlan::default(),
+        &schedule,
+        Some(1),
+        "line/65x120/sparse/cap1",
+    );
+    assert!(counters[0] > 0, "the sparse schedule still sends");
+}
+
+/// Three words per row, the last one partly used; capacity-1 rings.
+#[test]
+fn sparse_130_shards_three_word_rows_match_oracle() {
+    let metric = UniformMetric::new(130);
+    let schedule = sparse_schedule(split_seed(stress_seed(), 23), 130, 60);
+    let counters = assert_hub_matches_oracle(
+        &metric,
+        &FaultPlan::default(),
+        &schedule,
+        Some(1),
+        "uniform/130x60/sparse/cap1",
+    );
+    assert!(counters[0] > 0, "the sparse schedule still sends");
+}
+
+/// One link, two threads, the dirty-bit protocol under direct fire: the
+/// sender pushes a burst per round while the receiver, instead of
+/// draining once, keeps draining the *same* round until the sender has
+/// finished it — so every `fetch_or` of the round races a `swap(0)`.
+/// Whatever the interleaving, each message must be handed out at exactly
+/// its delivery round (send round + 1), in sequence order. A sender that
+/// skips the RMW when the bit already looks set leaves a message behind
+/// in a ring whose bit is clear; it then surfaces a round late and trips
+/// the drain's always-on lateness assert.
+#[test]
+fn racing_drains_never_miss_a_delivery_round() {
+    const ROUNDS: u64 = 100_000;
+    const BURST: u64 = 2;
+    /// Opens the gate for good when its thread exits, so a failed
+    /// assertion on one side fails the test instead of leaving the other
+    /// side waiting on a watermark that will never move.
+    struct OpenGateOnExit<'a>(&'a RoundGate, usize);
+    impl Drop for OpenGateOnExit<'_> {
+        fn drop(&mut self) {
+            self.0.complete(self.1, u64::MAX - 1);
+        }
+    }
+    let metric = UniformMetric::new(2);
+    let hub: NetHub<u64> = NetHub::with_capacity(&metric, |_| 8, 2).unwrap();
+    let gate = RoundGate::new(2);
+    let inert = FaultPlan::default();
+    std::thread::scope(|scope| {
+        let (hub, gate) = (&hub, &gate);
+        scope.spawn(move || {
+            let _open = OpenGateOnExit(gate, 0);
+            let mut port = ShardPort::new(hub, ShardId(0), &inert);
+            for round in 0..ROUNDS {
+                gate.await_round(round);
+                for i in 0..BURST {
+                    port.send(ShardId(1), round, round * BURST + i);
+                }
+                gate.complete(0, round);
+            }
+        });
+        scope.spawn(move || {
+            let _open = OpenGateOnExit(gate, 1);
+            let mut inbox = NetInbox::new(hub, ShardId(1));
+            let mut buf = Vec::new();
+            let mut next = 0u64;
+            // One silent round past the last send delivers its burst.
+            for round in 0..=ROUNDS {
+                gate.await_round(round);
+                inbox.drain_into(round, &mut buf);
+                for env in buf.drain(..) {
+                    assert_eq!(env.payload / BURST + 1, round, "wrong delivery round");
+                    assert_eq!(env.payload, next, "lost or reordered");
+                    assert_eq!(env.seq, next);
+                    next += 1;
+                }
+                // Keep draining this round for as long as the sender is
+                // still in it; everything due now was handed out above.
+                while round < ROUNDS && gate.watermark(0) <= round {
+                    inbox.drain_into(round, &mut buf);
+                    assert!(buf.is_empty(), "round {round} handed out twice");
+                }
+                gate.complete(1, round);
+            }
+            assert_eq!(next, ROUNDS * BURST, "every message delivered");
+        });
+    });
 }

@@ -191,8 +191,9 @@ enum MicroScheduler {
     /// the timed path, matching how the other micro fixtures exclude
     /// the adversary.
     Reshard(ReshardPlan),
-    /// The networked engine, end to end: spawns one worker thread per
-    /// shard per iteration, so the timed region covers thread setup, the
+    /// The networked engine, end to end: spawns its worker pool (one
+    /// thread per shard up to the core count) every iteration, so the
+    /// timed region covers thread setup, the
     /// cooperative round executor, and the lock-free ring traffic — the
     /// costs a runtime regression would show up in. (Workload
     /// pre-generation happens inside the driver and is included; it is
@@ -232,8 +233,8 @@ fn micro_fixtures(opts: &BenchOpts) -> Vec<MicroFixture> {
     let bds_batches = batches(7);
     let fds_batches = batches(11);
     // The networked fixture runs fewer rounds (every round is a real
-    // thread barrier) on a smaller system: 16 threads is plenty to
-    // expose contention regressions without hogging a CI runner.
+    // round gate) on a smaller system: 16 shards is plenty to expose
+    // contention regressions without hogging a CI runner.
     let net_rounds = if opts.quick { 600 } else { 2_000 };
     let net_sys = SystemConfig {
         shards: 16,
@@ -244,11 +245,11 @@ fn micro_fixtures(opts: &BenchOpts) -> Vec<MicroFixture> {
     };
     let net_map = AccountMap::random(&net_sys, 1);
     // Scale sweep for the message plane: the same networked engine at
-    // 16, 64, and 256 shard threads. Rounds shrink as the width grows
-    // so each point costs roughly the same wall time — the interesting
-    // output is ns/round at each width, which exposes how the
-    // cooperative executor and the O(s) ring merge degrade as the
-    // per-round work fans out.
+    // 16, 64, and 256 shards (`runtime::default_workers` threads).
+    // Rounds shrink as the width grows so each point costs roughly the
+    // same wall time — the interesting output is ns/round at each
+    // width, which exposes how the cooperative executor and the
+    // per-round drain degrade as the work fans out.
     let net_scale = |name: &'static str, shards: usize, rounds: u64| -> MicroFixture {
         let sys = SystemConfig {
             shards,

@@ -9,7 +9,10 @@
 
 use crate::spec::JobSpec;
 use adversary::{Adversary, MempoolStats, ReshardSource, RoundSource};
-use runtime::{run_net_fds, run_net_sched, run_net_sched_from, run_net_sched_reshard, EngineKind};
+use runtime::{
+    default_workers, run_net_fds, run_net_sched, run_net_sched_from, run_net_sched_reshard,
+    EngineKind,
+};
 use schedulers::baseline::{FcfsConfig, FcfsSim};
 use schedulers::bds::{BdsConfig, BdsSim};
 use schedulers::driver::{drive, drive_with};
@@ -84,9 +87,10 @@ fn fds_config(spec: &JobSpec) -> FdsConfig {
 }
 
 /// Runs one job to completion on the calling thread. Jobs with
-/// `engine = net` route through the thread-per-shard networked runtime
-/// (which spawns one thread per shard for the duration of the job);
-/// everything else runs the shared-memory simulators.
+/// `engine = net` route through the networked runtime, which for the
+/// duration of the job spawns [`default_workers`] threads — one per
+/// shard up to the host's core count — that claim shard rounds
+/// cooperatively; everything else runs the shared-memory simulators.
 pub fn run_job(spec: &JobSpec) -> JobOutcome {
     let sys = spec.system_config();
     let map = spec.account_map();
@@ -100,6 +104,7 @@ pub fn run_job(spec: &JobSpec) -> JobOutcome {
     let rounds = Round(spec.rounds);
     if spec.engine == EngineKind::Net {
         let faults = spec.fault_plan();
+        let workers = default_workers(sys.shards);
         let (report, mempool, reshard) = match spec.scheduler {
             SchedulerKind::Fds => (
                 run_net_fds(
@@ -130,7 +135,7 @@ pub fn run_job(spec: &JobSpec) -> JobOutcome {
                         bds_config(spec),
                         &faults,
                         kind,
-                        sys.shards,
+                        workers,
                         spec.metrics.enabled(),
                         &plan,
                     );
@@ -148,7 +153,7 @@ pub fn run_job(spec: &JobSpec) -> JobOutcome {
                         bds_config(spec),
                         &faults,
                         kind,
-                        spec.shards,
+                        workers,
                         spec.metrics.enabled(),
                     )
                     .report;
@@ -163,7 +168,7 @@ pub fn run_job(spec: &JobSpec) -> JobOutcome {
                         bds_config(spec),
                         &faults,
                         kind,
-                        spec.shards,
+                        workers,
                         spec.metrics.enabled(),
                     )
                     .report;
