@@ -2,8 +2,8 @@
 //!
 //! The experiment harness: ASCII rendering and legacy sweep machinery for
 //! the figure-regeneration binaries (`fig2`, `fig3`, `table_t1`,
-//! `table_t2`, `table_t3`, `frontier`, `ablations`) and the Criterion
-//! micro-benchmarks under `benches/`.
+//! `table_t2`, `table_t3`, `frontier`, `ablations`). Timing lives in the
+//! standalone `benchmark/` crate, not here.
 //!
 //! The grid definitions themselves are migrating into declarative
 //! `.scenario` files under `scenarios/` driven by the [`scenario`] engine

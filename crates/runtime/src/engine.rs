@@ -1,9 +1,9 @@
 //! The execution-engine selector surfaced to scenario files.
 //!
-//! `engine = sim` runs a job through the shared-memory simulators in
-//! `schedulers`; `engine = net` runs the identical protocol concurrently
-//! through this crate's networked drivers (lock-free message rings, the
-//! cooperative round executor). The two are
+//! `engine = sim` runs a job through the single-threaded simulators in
+//! `schedulers`; `engine = net` hosts the same per-shard protocol nodes
+//! concurrently through this crate's networked drivers (lock-free
+//! message rings, the cooperative round executor). The two are
 //! interchangeable by construction — on fault-free runs the reports are
 //! byte-identical — which is why the spelling lives next to the engine
 //! rather than in the scenario crate.
@@ -13,7 +13,7 @@ use std::str::FromStr;
 /// Which execution engine runs a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// The shared-memory round simulator (`schedulers::{BdsSim, FdsSim}`).
+    /// The single-threaded round simulator (`schedulers::{BdsSim, FdsSim}`).
     #[default]
     Sim,
     /// The concurrent networked runtime (this crate).

@@ -7,23 +7,29 @@
 //! watermark round gate — for both schedulers, over any
 //! [`cluster::ShardMetric`].
 //!
-//! The simulators in `schedulers` drive all shards from one loop with an
-//! omniscient view; this crate is the opposite discipline — each shard
-//! owns only shard-local state, exchanging protocol
-//! messages through the [`hub::NetHub`] delay queues. BDS epoch lengths
-//! are learned from the leader's broadcast plan (the simulator sends the
-//! identical broadcast), FDS schedules are pure functions of round
-//! number and the shared hierarchy, and delivery order is pinned by
-//! per-sender sequence numbers — so a fault-free networked run produces
-//! a `RunReport` **byte-identical** to the simulator's for the same
-//! inputs. `tests/differential.rs` enforces that equality field by
+//! BDS and FDS each exist once, in `schedulers`, as a per-shard node
+//! state machine (`BdsNode`, `FdsNode`) that talks to the outside only
+//! by sending a message to a shard and emitting a decision. The
+//! simulators host `s` such nodes on one thread over a
+//! `simnet::Network`; this crate is the other host (the private `host` module):
+//! one slot per shard holding the node and what it is lent, the shard's
+//! [`hub::NetHub`] endpoints, and its column of the pre-generated
+//! workload, with worker threads claiming shard rounds. What this crate
+//! adds is what is genuinely about the transport — delivery pinned by
+//! per-sender sequence numbers, the round gate, and a replay of the
+//! nodes' buffered decisions in `(round, shard, emission index)` order —
+//! so a fault-free networked run produces a `RunReport`
+//! **byte-identical** to the simulator's for the same inputs: both ran
+//! the same code, in an order that differs only where it cannot be
+//! observed. `tests/differential.rs` checks that equality field by
 //! field, including the floating-point latency and queue means.
 //!
-//! On top of that mirror sits the [`simnet::FaultPlan`] fault plane:
-//! seeded shard crashes, per-link message drop/duplication, and
-//! Byzantine vote flipping inside the per-round PBFT instances — all
-//! deterministic in the plan seed, independent of thread interleaving,
-//! with injected-fault counters surfaced in `RunReport::faults`.
+//! The host also carries the [`simnet::FaultPlan`] fault plane, which
+//! the simulators never see: seeded shard crashes, per-link message
+//! drop/duplication, and Byzantine vote flipping inside the per-round
+//! PBFT instances — all deterministic in the plan seed, independent of
+//! thread interleaving, with injected-fault counters surfaced in
+//! `RunReport::faults`.
 //!
 //! The message plane is lock-free on the per-message path: each directed
 //! link owns one SPSC [ring] (sender thread produces, receiver
@@ -57,6 +63,7 @@
 
 pub mod engine;
 pub mod exec;
+mod host;
 pub mod hub;
 pub mod netbds;
 pub mod netfds;
@@ -65,9 +72,8 @@ pub mod sync;
 
 pub use engine::EngineKind;
 pub use exec::{default_workers, run_lockstep};
+pub use host::NetOutcome;
 pub use hub::{HubError, NetEnvelope, NetHub, NetInbox, ShardPort};
-pub use netbds::{
-    run_net_bds, run_net_sched, run_net_sched_from, run_net_sched_reshard, NetOutcome,
-};
+pub use netbds::{run_net_bds, run_net_sched, run_net_sched_from, run_net_sched_reshard};
 pub use netfds::run_net_fds;
 pub use sync::RoundGate;

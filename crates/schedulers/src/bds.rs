@@ -12,9 +12,7 @@
 //!    color count — to every shard, since without shared memory the
 //!    epoch length must be learned from a message (epochs with nothing
 //!    to schedule broadcast nothing; shards advance after the two
-//!    coordination gaps). The networked engine in `runtime` executes the
-//!    identical plan flow, which is what makes its fault-free reports
-//!    byte-identical to this simulator's.
+//!    coordination gaps).
 //! 3. **Schedule and commit** — color class `z` runs a four-round protocol
 //!    starting at its designated offset: home shards split transactions
 //!    into subtransactions and send them to destination shards (round 1);
@@ -28,10 +26,15 @@
 //! *analyzed* for the uniform model, but running it elsewhere is useful
 //! for the ablation benches).
 //!
-//! All messages travel through [`simnet::Network`], so message counts and
-//! delivery timing are measured, not assumed.
+//! The algorithm is written once, as what one shard does in a round:
+//! [`BdsNode`]. [`BdsSim`] hosts `s` of them over one
+//! [`simnet::Network`] (see [`crate::node`]); the `runtime` crate hosts
+//! the same nodes on worker threads. Every message travels through the
+//! host's transport, so message counts and delivery timing are measured,
+//! not assumed.
 
 use crate::metrics::{MetricsCollector, RunReport, SchedulerKind};
+use crate::node::{CommitEvent, FastMap, Lent, Node, Seam, SimHost, VoteSet};
 use crate::scheduler::{ColoringPolicy, Scheduler};
 use adversary::AdversaryConfig;
 use cluster::{ShardMetric, UniformMetric};
@@ -40,8 +43,9 @@ use sharding_core::txn::SubTransaction;
 use sharding_core::{
     AccountId, AccountMap, ReshardPlan, Round, ShardId, SystemConfig, Transaction, TxnId,
 };
-use simnet::{LocalChain, Network, ShardLedger};
+use simnet::{LocalChain, ShardLedger};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Tunables of the BDS run (the algorithm itself has no free parameters;
 /// these select implementation variants for ablations).
@@ -66,18 +70,17 @@ impl Default for BdsConfig {
     }
 }
 
-/// Messages of the BDS protocol.
+/// Messages of the BDS protocol (sizes estimated by [`Node::msg_bytes`] for
+/// the `O(bs)` accounting).
 #[derive(Debug, Clone)]
-enum Msg {
-    // (sizes estimated by `msg_bytes` for the O(bs) accounting)
+pub enum Msg {
     /// Phase 1: home shard → leader, all pending transactions.
     TxnInfo(Vec<Transaction>),
     /// Phase 2: leader → **every** shard, that shard's color assignments
     /// (possibly empty) plus the epoch's color count. Broadcast because
     /// without shared memory every shard must learn the epoch length from
-    /// a message — the networked engine depends on exactly this plan, and
-    /// the simulator sends what a deployment would send. Empty epochs
-    /// broadcast nothing; shards advance by the two-gap timeout instead.
+    /// a message. Empty epochs broadcast nothing; shards advance by the
+    /// two-gap timeout instead.
     ColorAssign {
         /// `(txn, color)` for the receiving home shard.
         assignments: Vec<(TxnId, u32)>,
@@ -87,9 +90,19 @@ enum Msg {
     /// Phase 3 round 1: home → destination, subtransaction to validate.
     SubTxn(SubTransaction),
     /// Phase 3 round 2: destination → home, commit/abort vote.
-    Vote { txn: TxnId, commit: bool },
+    Vote {
+        /// The voted transaction.
+        txn: TxnId,
+        /// Whether the destination's conditions hold.
+        commit: bool,
+    },
     /// Phase 3 round 3: home → destination, final decision.
-    Decision { txn: TxnId, commit: bool },
+    Decision {
+        /// The decided transaction.
+        txn: TxnId,
+        /// Commit (`true`) or abort.
+        commit: bool,
+    },
     /// Migration boundary: leader → **every** shard, announcing that the
     /// pre-agreed reshard plan's next table version is now live. The plan
     /// itself is configuration (like the fault plan), so only the version
@@ -106,92 +119,470 @@ enum Msg {
     },
 }
 
-/// Estimated wire size of a BDS message in bytes.
-fn msg_bytes(m: &Msg) -> usize {
-    match m {
-        Msg::TxnInfo(txns) => 16 + txns.iter().map(|t| t.approx_bytes()).sum::<usize>(),
-        Msg::ColorAssign { assignments, .. } => 8 + 12 * assignments.len(),
-        Msg::SubTxn(sub) => sub.approx_bytes(),
-        Msg::Vote { .. } | Msg::Decision { .. } => 17,
-        Msg::TableUpdate { .. } => 12,
-        Msg::Handoff { accounts } => 8 + 16 * accounts.len(),
-    }
-}
-
-/// Live migration state: the precomputed plan plus the version the
-/// engine is currently executing under.
-#[derive(Debug)]
-struct ReshardState {
-    plan: ReshardPlan,
-    cur: usize,
-}
-
 /// Per-transaction state at its home shard during the epoch it is
 /// scheduled in.
 #[derive(Debug)]
 struct EpochEntry {
     txn: Transaction,
-    color: Option<u32>,
-    votes: usize,
-    abort: bool,
+    votes: VoteSet,
     decided: bool,
 }
 
-/// The BDS simulator. Drive it with [`BdsSim::step`] once per round.
-pub struct BdsSim {
-    sys: SystemConfig,
-    bcfg: BdsConfig,
-    net: Network<Msg>,
-    ledgers: Vec<ShardLedger>,
-    chains: Vec<LocalChain>,
-    /// Newly generated transactions waiting for the next epoch, per home
-    /// shard (the paper's "pending transactions queue").
-    injection: Vec<Vec<Transaction>>,
-    /// Transactions being processed in the current epoch, per home shard.
-    /// Decided entries are retired at the epoch boundary, so each map
-    /// holds one epoch's worth of transactions, not the whole run's.
-    epoch_txns: Vec<BTreeMap<TxnId, EpochEntry>>,
-    /// Per home shard, per color: the transactions to dispatch when that
-    /// color's round-group starts. Filled by the `ColorAssign` handler
-    /// (in ascending txn-id order, since assignments per home arrive in
-    /// generation order), drained by `phase3_dispatch` — a dense index
-    /// replacing the former scan over every epoch entry per dispatch.
-    color_groups: Vec<Vec<Vec<TxnId>>>,
-    /// Subtransactions parked at destinations awaiting the decision.
-    parked: Vec<BTreeMap<TxnId, SubTransaction>>,
-    /// Per-destination batch of subtransactions committed this round,
-    /// appended as one block at the end of the round (the paper's
-    /// multiple-transactions-per-block extension).
-    append_buf: Vec<Vec<SubTransaction>>,
-    /// Transactions buffered at the current leader before coloring.
-    leader_buffer: Vec<Transaction>,
+/// What one shard does in a BDS round, in its home, leader and
+/// destination roles. Holds only shard-local state: the epoch length is
+/// learned from the leader's broadcast plan, or from the two-gap timeout
+/// when no plan arrives (an empty epoch, or a plan lost to a fault).
+#[derive(Debug)]
+pub struct BdsNode {
+    // What every round reads, idle or not, comes first and together: the
+    // simulator steps `s` nodes per round, and an idle step should touch
+    // a cache line or two of each, not the whole node.
     /// Phase gap: 1 in the uniform model, metric diameter otherwise.
     gap: u64,
-    now: Round,
+    shards: usize,
     epoch: u64,
-    epoch_start: Round,
-    /// Set when the leader colors; the round the next epoch begins.
-    next_epoch_at: Option<Round>,
-    collector: MetricsCollector,
-    max_epoch_len: u64,
-    committed_log: Vec<(Round, TxnId)>,
-    generated: u64,
-    /// Transactions currently queued for injection (sum of `injection`
-    /// lengths), maintained incrementally so `total_pending` is O(1).
-    injected_pending: u64,
-    /// Undecided in-epoch transactions (sum over `epoch_txns`), likewise
-    /// maintained incrementally.
+    epoch_start: u64,
+    /// Known end of the current epoch: set when this shard colors as
+    /// leader, or from the broadcast plan on arrival.
+    next_epoch_at: Option<u64>,
+    /// The next color group to dispatch and its round — a running
+    /// `(z, epoch_start + gap·(2 + 4z))`, so no round divides.
+    next_dispatch: (usize, u64),
+    /// Undecided entries of `epoch_txns`, maintained incrementally (the
+    /// pending count is sampled every round).
     undecided: u64,
-    /// The epoch-planning policy the leader consults in phase 2. BDS
-    /// proper uses [`ColoringPolicy`]; any other [`Scheduler`] drops in
-    /// via [`BdsSim::with_policy`] and reuses the whole epoch host.
+    /// Pre-agreed reshard schedule (configuration, like the fault plan)
+    /// and the version this node runs under. All nodes advance at the
+    /// same absolute rollover rounds — reshard runs are fault-free — so
+    /// no node ever needs another's table.
+    reshard: Option<Arc<ReshardPlan>>,
+    rv: usize,
+    /// Newly generated transactions waiting for the next epoch (the
+    /// paper's "pending transactions queue").
+    injection: Vec<Transaction>,
+    /// Transactions homed here and scheduled in the current epoch.
+    /// Decided entries are retired at the epoch boundary, so the map
+    /// holds one epoch's worth of transactions, not the whole run's.
+    /// Lookup-only (dispatch order lives in `color_groups`), so hashed:
+    /// a sorted map shifts these fat entries on every insert and retire.
+    epoch_txns: FastMap<TxnId, EpochEntry>,
+    /// Per color: the transactions to dispatch when that color's
+    /// round-group starts. Filled on `ColorAssign` (ascending txn id:
+    /// assignments arrive in generation order), drained by phase 3.
+    color_groups: Vec<Vec<TxnId>>,
+    /// Subtransactions parked here as destination, awaiting the
+    /// decision. Lookup-only: hashed.
+    parked: FastMap<TxnId, SubTransaction>,
+    /// Subtransactions committed this round, sealed into one block at
+    /// the end of the round (the paper's multiple-transactions-per-block
+    /// extension).
+    append_buf: Vec<SubTransaction>,
+    /// Transactions received as leader, awaiting coloring.
+    leader_buffer: Vec<Transaction>,
+    /// My row of the distance matrix (commit-round accounting).
+    dist_row: Vec<u64>,
+    /// Entries that outlived their epoch undecided — impossible without
+    /// faults, since `2 + 4·C` gaps cover every color's vote round-trip.
+    stranded: usize,
+    max_epoch_len: u64,
+    id: ShardId,
+    rotate_leader: bool,
+}
+
+impl BdsNode {
+    /// The node of shard `id` over `metric` (phases stretch to the
+    /// metric diameter).
+    pub fn new(id: ShardId, metric: &dyn ShardMetric, rotate_leader: bool) -> Self {
+        let gap = metric.diameter().max(1);
+        BdsNode {
+            id,
+            rotate_leader,
+            gap,
+            shards: metric.shards(),
+            dist_row: (0..metric.shards() as u32)
+                .map(|b| metric.distance(id, ShardId(b)))
+                .collect(),
+            injection: Vec::new(),
+            epoch_txns: FastMap::default(),
+            color_groups: Vec::new(),
+            parked: FastMap::default(),
+            append_buf: Vec::new(),
+            leader_buffer: Vec::new(),
+            epoch: 0,
+            epoch_start: 0,
+            next_dispatch: (0, 2 * gap),
+            next_epoch_at: None,
+            undecided: 0,
+            stranded: 0,
+            max_epoch_len: 0,
+            reshard: None,
+            rv: 0,
+        }
+    }
+
+    /// Arms a live-migration schedule; must precede the first step.
+    pub fn set_reshard(&mut self, plan: Arc<ReshardPlan>) {
+        assert_eq!(plan.s_max, self.shards, "provisioned for s_max");
+        self.reshard = Some(plan);
+    }
+
+    /// The leader shard of this node's current epoch.
+    pub fn leader(&self) -> ShardId {
+        if self.rotate_leader {
+            ShardId((self.epoch % self.shards as u64) as u32)
+        } else {
+            ShardId(0)
+        }
+    }
+
+    /// Current epoch number.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Transactions pending here as home shard: queued for injection
+    /// plus in-epoch undecided.
+    pub fn pending(&self) -> u64 {
+        debug_assert_eq!(
+            self.undecided as usize,
+            self.epoch_txns.values().filter(|e| !e.decided).count(),
+            "incremental pending counter drifted from the epoch set"
+        );
+        self.injection.len() as u64 + self.undecided
+    }
+
+    /// Entries that outlived their epoch undecided (0 without faults).
+    pub fn stranded(&self) -> usize {
+        self.stranded
+    }
+
+    /// Active (vnode-owning) shards under this node's current table.
+    pub fn active_shards(&self) -> u64 {
+        self.reshard
+            .as_ref()
+            .map_or(self.shards, |p| p.versions[self.rv].active.len()) as u64
+    }
+
+    /// Steps the reshard plan through every version whose activation
+    /// round has passed. Per version the epoch leader broadcasts the
+    /// activation signal, then this node hands off its departing account
+    /// balances, ascending destination.
+    fn advance_reshard<S: Seam<Msg>>(
+        &mut self,
+        round: u64,
+        ledger: &mut ShardLedger,
+        seam: &mut S,
+    ) {
+        let Some(plan) = self.reshard.clone() else {
+            return;
+        };
+        while self.rv + 1 < plan.versions.len() && plan.versions[self.rv + 1].at <= round {
+            let old = self.rv;
+            self.rv += 1;
+            if self.id == self.leader() {
+                let version = self.rv as u32;
+                for h in 0..self.shards as u32 {
+                    seam.send(ShardId(h), Msg::TableUpdate { version });
+                }
+            }
+            let mut batches: BTreeMap<ShardId, Vec<(AccountId, u64)>> = BTreeMap::new();
+            for (account, from, to) in plan.moves(old) {
+                if from == self.id {
+                    let balance = ledger
+                        .remove_account(account)
+                        .expect("migrating account owned by its old shard");
+                    batches.entry(to).or_default().push((account, balance));
+                }
+            }
+            for (to, accounts) in batches {
+                seam.send(to, Msg::Handoff { accounts });
+            }
+        }
+    }
+
+    /// Phase 1: drain the pending queue into the epoch set and forward
+    /// it to the leader.
+    fn phase1_send_pending<S: Seam<Msg>>(&mut self, seam: &mut S) {
+        let mut drained = std::mem::take(&mut self.injection);
+        // Under a reshard plan, rebuild each transaction's shard grouping
+        // against the *current* table: the source may have grouped under
+        // an older version (its version switches at event rounds, the
+        // node's at migration epoch boundaries). Homes stay as assigned —
+        // accesses are account-based, so coloring is placement-independent.
+        if let Some(plan) = &self.reshard {
+            let map = &plan.versions[self.rv].map;
+            for t in &mut drained {
+                *t = t.regrouped(map);
+            }
+        }
+        self.undecided += drained.len() as u64;
+        seam.send(self.leader(), Msg::TxnInfo(drained.clone()));
+        for txn in drained {
+            let votes = VoteSet::new(txn.shard_count());
+            let entry = EpochEntry {
+                txn,
+                votes,
+                decided: false,
+            };
+            self.epoch_txns.insert(entry.txn.id, entry);
+        }
+    }
+
+    /// Phase 2 (leader): plan the epoch via the policy (BDS proper: build
+    /// the conflict graph and color it), broadcast the plan to every
+    /// shard — one with nothing scheduled still needs the color count —
+    /// and fix the epoch length: 2 gaps + 4 per color (paper: `2 + 4(Δ+1)`
+    /// rounds in the uniform model).
+    fn phase2_color<S: Seam<Msg>>(&mut self, policy: &mut dyn Scheduler, seam: &mut S) {
+        let txns = std::mem::take(&mut self.leader_buffer);
+        let mut num_colors = 0;
+        if !txns.is_empty() {
+            let plan = policy.plan_epoch(self.epoch, &txns);
+            debug_assert!(
+                plan.is_safe_for(&txns),
+                "{} violated the epoch-plan safety contract",
+                policy.kind()
+            );
+            num_colors = plan.num_slots;
+            let mut per_home = vec![Vec::new(); self.shards];
+            for (v, t) in txns.iter().enumerate() {
+                per_home[t.home.index()].push((t.id, plan.slot(v)));
+            }
+            for (h, assignments) in per_home.into_iter().enumerate() {
+                let plan = Msg::ColorAssign {
+                    assignments,
+                    num_colors,
+                };
+                seam.send(ShardId(h as u32), plan);
+            }
+        }
+        self.next_epoch_at = Some(self.epoch_start + self.gap * (2 + 4 * num_colors as u64));
+    }
+
+    /// Phase 3: at round `epoch_start + gap·(2 + 4z)` send the
+    /// subtransactions of the color-`z` transactions homed here.
+    fn phase3_dispatch<S: Seam<Msg>>(&mut self, seam: &mut S) {
+        let (z, at) = self.next_dispatch;
+        self.next_dispatch = (z + 1, at + 4 * self.gap);
+        let Some(group) = self.color_groups.get_mut(z) else {
+            return;
+        };
+        for txn in std::mem::take(group) {
+            let Some(entry) = self.epoch_txns.get(&txn).filter(|e| !e.decided) else {
+                continue;
+            };
+            for sub in &entry.txn.subs {
+                seam.send(sub.dest, Msg::SubTxn(sub.clone()));
+            }
+        }
+    }
+
+    fn handle<S: Seam<Msg>>(
+        &mut self,
+        round: u64,
+        from: ShardId,
+        msg: Msg,
+        ledger: &mut ShardLedger,
+        seam: &mut S,
+    ) {
+        match msg {
+            Msg::TxnInfo(txns) => self.leader_buffer.extend(txns),
+            Msg::ColorAssign {
+                assignments,
+                num_colors,
+            } => {
+                debug_assert!(num_colors > 0, "empty epochs broadcast no plan");
+                self.next_epoch_at =
+                    Some(self.epoch_start + self.gap * (2 + 4 * num_colors as u64));
+                for (txn, color) in assignments {
+                    if self.epoch_txns.contains_key(&txn) {
+                        let z = color as usize;
+                        if self.color_groups.len() <= z {
+                            self.color_groups.resize_with(z + 1, Vec::new);
+                        }
+                        self.color_groups[z].push(txn);
+                    }
+                }
+            }
+            Msg::SubTxn(sub) => {
+                let (txn, commit) = (sub.txn, ledger.check(&sub));
+                self.parked.insert(txn, sub);
+                // The vote goes back to the transaction's home shard.
+                seam.send(from, Msg::Vote { txn, commit });
+            }
+            Msg::Vote { txn, commit } => {
+                // Unknown or retired transaction, or a sender that is no
+                // destination of it: nothing to count.
+                let Some(e) = self.epoch_txns.get_mut(&txn) else {
+                    return;
+                };
+                let Ok(pos) = e.txn.subs.binary_search_by_key(&from, |s| s.dest) else {
+                    return;
+                };
+                if !e.votes.record(pos, commit) || e.decided {
+                    return;
+                }
+                e.decided = true;
+                self.undecided -= 1;
+                let commit = e.votes.all_commit();
+                for sub in &e.txn.subs {
+                    seam.send(sub.dest, Msg::Decision { txn, commit });
+                }
+                // Destinations append one gap later.
+                let first_dest = e.txn.subs[0].dest.index();
+                seam.emit(CommitEvent {
+                    generated: e.txn.generated,
+                    commit_round: Round(round + self.dist_row[first_dest].max(1)),
+                    txn,
+                    home: self.id,
+                    committed: commit,
+                });
+            }
+            Msg::Decision { txn, commit } => {
+                if let Some(sub) = self.parked.remove(&txn) {
+                    if commit {
+                        ledger.apply(&sub);
+                        self.append_buf.push(sub);
+                    }
+                }
+            }
+            Msg::TableUpdate { version } => {
+                // The plan is shared configuration and rollovers are
+                // simultaneous absolute rounds, so the recipient already
+                // switched when the signal arrives; cross-check only.
+                debug_assert_eq!(
+                    version as usize, self.rv,
+                    "table-update version does not match the live table"
+                );
+            }
+            Msg::Handoff { accounts } => {
+                for (account, balance) in accounts {
+                    ledger.absorb(account, balance);
+                }
+            }
+        }
+    }
+}
+
+impl Node for BdsNode {
+    type Msg = Msg;
+
+    fn msg_bytes(m: &Msg) -> usize {
+        match m {
+            Msg::TxnInfo(txns) => 16 + txns.iter().map(|t| t.approx_bytes()).sum::<usize>(),
+            Msg::ColorAssign { assignments, .. } => 8 + 12 * assignments.len(),
+            Msg::SubTxn(sub) => sub.approx_bytes(),
+            Msg::Vote { .. } | Msg::Decision { .. } => 17,
+            Msg::TableUpdate { .. } => 12,
+            Msg::Handoff { accounts } => 8 + 16 * accounts.len(),
+        }
+    }
+
+    fn inject(&mut self, txn: Transaction) {
+        debug_assert_eq!(txn.home, self.id);
+        self.injection.push(txn);
+    }
+
+    fn step<S: Seam<Msg>>(
+        &mut self,
+        round: u64,
+        inbox: impl Iterator<Item = (ShardId, Msg)>,
+        lent: Lent<'_>,
+        seam: &mut S,
+    ) {
+        // 1. Delivery, *before* the epoch transition: what a shard knows
+        //    about the rollover can only come from messages delivered by
+        //    this round (a plan crossing the full diameter lands exactly
+        //    at the earliest possible rollover).
+        for (from, msg) in inbox {
+            self.handle(round, from, msg, lent.ledger, seam);
+        }
+        // Seal this round's commits (decisions delivered above) into one
+        // block.
+        if !self.append_buf.is_empty() {
+            let batch = std::mem::take(&mut self.append_buf);
+            lent.chain.append_block(batch, Round(round));
+        }
+
+        // 2. Epoch rollover: the plan told us the end, or none came and
+        //    the two coordination gaps have passed.
+        let timeout = self.next_epoch_at.is_none() && round == self.epoch_start + 2 * self.gap;
+        if self.next_epoch_at == Some(round) || timeout {
+            self.max_epoch_len = self.max_epoch_len.max(round - self.epoch_start);
+            self.epoch += 1;
+            self.epoch_start = round;
+            self.next_dispatch = (0, round + 2 * self.gap);
+            self.next_epoch_at = None;
+            self.epoch_txns.retain(|_, e| !e.decided);
+            self.stranded = self.epoch_txns.len();
+            for g in &mut self.color_groups {
+                g.clear();
+            }
+            // Migration epoch boundary: switch tables before phase 1 so
+            // the new epoch schedules under the new placement. Safe
+            // timing: fault-free epochs end with the network quiescent
+            // (the last color's decisions landed a gap before), so
+            // ownership moves cannot race in-flight subtransactions.
+            self.advance_reshard(round, lent.ledger, seam);
+        }
+
+        // 3–5. This round's phase triggers.
+        if round == self.epoch_start && !self.injection.is_empty() {
+            self.phase1_send_pending(seam);
+        }
+        if round == self.epoch_start + self.gap
+            && self.next_epoch_at.is_none()
+            && self.id == self.leader()
+        {
+            self.phase2_color(lent.policy, seam);
+        }
+        if round == self.next_dispatch.1 {
+            self.phase3_dispatch(seam);
+        }
+    }
+
+    /// `[pending, epoch, active shards, 0]`.
+    fn sample(&self) -> [u64; 4] {
+        [self.pending(), self.epoch, self.active_shards(), 0]
+    }
+}
+
+/// Books one round's [`BdsNode::sample`]s — every shard's, in shard
+/// order — into `collector`; returns the total pending count (the
+/// quantity bounded by `4bs` in Theorem 2). Fault-free every shard
+/// observes the same epoch and table at the same absolute round, so
+/// `max` is that common value; under faults it is the furthest live view.
+pub fn record_round(
+    collector: &mut MetricsCollector,
+    samples: impl Iterator<Item = [u64; 4]>,
+    byz_flips: u64,
+    crashed: u64,
+) -> u64 {
+    let (pending, epoch, active) = samples.fold((0, 0, 0), |(p, e, a), s| {
+        (p + s[0], e.max(s[1]), a.max(s[2]))
+    });
+    collector.sample_pending(pending);
+    collector
+        .sink
+        .on_round(epoch, pending, byz_flips, crashed, active);
+    pending
+}
+
+/// `(epochs, longest epoch)` of a run: the furthest view over its nodes
+/// (a crashed or desynced shard's counters freeze).
+pub fn epoch_stats<'a>(nodes: impl Iterator<Item = &'a BdsNode>) -> (u64, u64) {
+    nodes.fold((0, 0), |(e, l), n| (e.max(n.epoch), l.max(n.max_epoch_len)))
+}
+
+/// The BDS simulator: `s` [`BdsNode`]s hosted on the caller's thread.
+/// Drive it with [`BdsSim::step`] once per round.
+pub struct BdsSim {
+    host: SimHost<BdsNode>,
+    /// The epoch-planning policy lent to whichever node leads. BDS proper
+    /// uses [`ColoringPolicy`]; any other [`Scheduler`] drops in via
+    /// [`BdsSim::with_policy`] and reuses the whole epoch protocol.
     policy: Box<dyn Scheduler>,
-    /// Per home shard: assignment list under construction during
-    /// `phase2_color` (reused across epochs to avoid map churn).
-    assign_scratch: Vec<Vec<(TxnId, u32)>>,
-    /// Elastic-resharding state; `None` for static-placement runs
-    /// (which then pay zero overhead and change zero bytes).
-    reshard: Option<ReshardState>,
+    generated: u64,
 }
 
 impl BdsSim {
@@ -212,7 +603,7 @@ impl BdsSim {
         Self::with_policy(sys, map, bcfg, metric, Box::new(policy))
     }
 
-    /// Creates the epoch host around an arbitrary epoch-planning
+    /// Creates the simulation around an arbitrary epoch-planning
     /// [`Scheduler`]. The whole BDS machinery (leader rotation, plan
     /// broadcast, per-color four-round commit protocol) is reused; only
     /// the phase-2 planning step runs `policy`, and the final report
@@ -227,37 +618,11 @@ impl BdsSim {
     ) -> Self {
         sys.validate().expect("valid system config");
         assert_eq!(metric.shards(), sys.shards);
-        let s = sys.shards;
-        let mut net = Network::new(metric);
-        net.set_sizer(msg_bytes);
+        let node = |id| BdsNode::new(id, metric, bcfg.rotate_leader);
         BdsSim {
-            sys: sys.clone(),
-            bcfg,
-            net,
-            ledgers: (0..s)
-                .map(|i| ShardLedger::new(ShardId(i as u32), map, bcfg.initial_balance))
-                .collect(),
-            chains: (0..s).map(|i| LocalChain::new(ShardId(i as u32))).collect(),
-            injection: vec![Vec::new(); s],
-            epoch_txns: (0..s).map(|_| BTreeMap::new()).collect(),
-            color_groups: vec![Vec::new(); s],
-            parked: (0..s).map(|_| BTreeMap::new()).collect(),
-            append_buf: vec![Vec::new(); s],
-            leader_buffer: Vec::new(),
-            gap: metric.diameter().max(1),
-            now: Round::ZERO,
-            epoch: 0,
-            epoch_start: Round::ZERO,
-            next_epoch_at: None,
-            collector: MetricsCollector::new(s),
-            max_epoch_len: 0,
-            committed_log: Vec::new(),
-            generated: 0,
-            injected_pending: 0,
-            undecided: 0,
+            host: SimHost::new(metric, map, bcfg.initial_balance, node),
             policy,
-            assign_scratch: vec![Vec::new(); s],
-            reshard: None,
+            generated: 0,
         }
     }
 
@@ -267,446 +632,88 @@ impl BdsSim {
     /// version-0 placement (the scenario executor guarantees both).
     pub fn set_reshard(&mut self, plan: ReshardPlan) {
         assert_eq!(
-            plan.s_max, self.sys.shards,
-            "system must be provisioned for the plan's s_max"
+            self.host.now,
+            Round::ZERO,
+            "reshard plan armed after round 0"
         );
-        assert_eq!(self.now, Round::ZERO, "reshard plan armed after round 0");
-        self.reshard = Some(ReshardState { plan, cur: 0 });
+        let plan = Arc::new(plan);
+        for node in &mut self.host.nodes {
+            node.set_reshard(plan.clone());
+        }
     }
 
     /// Active (vnode-owning) shards right now: the current reshard
     /// version's active-set size, or the full provisioned count for
     /// static runs.
     pub fn active_shards(&self) -> u64 {
-        self.reshard.as_ref().map_or(self.sys.shards as u64, |rs| {
-            rs.plan.versions[rs.cur].active.len() as u64
-        })
+        self.host.nodes[0].active_shards()
     }
 
     /// Table-independent loss/duplication audit over the local chains
     /// and the commit log: `(lost, double_committed)` — both must be 0
     /// after any reshard schedule.
     pub fn reshard_audit(&self) -> (u64, u64) {
-        simnet::reshard_audit(&self.chains, &self.committed_log)
+        simnet::reshard_audit(&self.host.chains, &self.host.committed_log)
     }
 
     /// Current round.
     pub fn now(&self) -> Round {
-        self.now
+        self.host.now
     }
 
     /// Current epoch number.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        epoch_stats(self.host.nodes.iter()).0
     }
 
     /// Turns the metrics plane on (percentile histogram, per-shard
     /// utilization, epoch timeline). Off by default; enabling it changes
     /// nothing about scheduling decisions or legacy report bytes.
     pub fn enable_metrics(&mut self) {
-        self.collector.enable_metrics();
+        self.host.collector.enable_metrics();
     }
 
     /// The leader shard of the current epoch.
     pub fn leader(&self) -> ShardId {
-        if self.bcfg.rotate_leader {
-            ShardId((self.epoch % self.sys.shards as u64) as u32)
-        } else {
-            ShardId(0)
-        }
+        self.host.nodes[0].leader()
     }
 
     /// Total pending transactions (injection queues plus in-epoch
     /// undecided ones) — the quantity bounded by `4bs` in Theorem 2.
-    /// O(1): both terms are maintained incrementally (this is sampled
-    /// every round, so recounting the queues dominated the round cost).
     pub fn total_pending(&self) -> u64 {
-        #[cfg(debug_assertions)]
-        {
-            let inj: usize = self.injection.iter().map(Vec::len).sum();
-            let in_epoch: usize = self
-                .epoch_txns
-                .iter()
-                .map(|m| m.values().filter(|e| !e.decided).count())
-                .sum();
-            debug_assert_eq!(
-                self.injected_pending + self.undecided,
-                (inj + in_epoch) as u64,
-                "incremental pending counters drifted from the queues"
-            );
-        }
-        self.injected_pending + self.undecided
+        self.host.nodes.iter().map(BdsNode::pending).sum()
     }
 
     /// The local blockchains (one per shard).
     pub fn chains(&self) -> &[LocalChain] {
-        &self.chains
+        &self.host.chains
     }
 
     /// The shard ledgers.
     pub fn ledgers(&self) -> &[ShardLedger] {
-        &self.ledgers
+        &self.host.ledgers
     }
 
     /// Commit log: (commit round, transaction id) in commit order.
     pub fn committed_log(&self) -> &[(Round, TxnId)] {
-        &self.committed_log
+        &self.host.committed_log
     }
 
-    /// Executes one round: inject `new_txns`, deliver and handle messages,
-    /// run the epoch state machine, and sample metrics.
+    /// Executes one round: inject `new_txns` at their home shards, step
+    /// every node, and sample metrics. The fault counters stay zero: the
+    /// simulator is fault-free by construction.
     pub fn step(&mut self, new_txns: Vec<Transaction>) {
-        let now = self.now;
-        // 1. Injection: newly generated transactions join their home
-        //    shard's pending queue.
         self.generated += new_txns.len() as u64;
-        self.injected_pending += new_txns.len() as u64;
         for t in new_txns {
-            debug_assert!(t.home.index() < self.sys.shards);
-            self.injection[t.home.index()].push(t);
+            self.host.nodes[t.home.index()].inject(t);
         }
-
-        // 2. Message delivery and handling. Delivery runs *before* the
-        //    epoch transition so the round's state changes mirror the
-        //    networked engine, where rollover knowledge can only come
-        //    from messages delivered this round (a plan crossing the full
-        //    diameter lands exactly at the earliest possible rollover).
-        let due = self.net.deliver_due(now);
-        for env in due {
-            self.handle(env.from, env.to, env.payload);
-        }
-
-        // 3. Epoch transitions and phase triggers for this round.
-        if self.next_epoch_at == Some(now) {
-            let len = now.since(self.epoch_start);
-            self.max_epoch_len = self.max_epoch_len.max(len);
-            self.epoch += 1;
-            self.epoch_start = now;
-            self.next_epoch_at = None;
-            // Retire the finished epoch's state. The epoch length
-            // `2 + 4·C` gaps covers every color group's full vote
-            // round-trip, so every scheduled entry has been decided by
-            // now; retiring them keeps the per-shard maps at one epoch's
-            // size instead of accumulating the whole run's history.
-            for m in &mut self.epoch_txns {
-                debug_assert!(
-                    m.values().all(|e| e.decided),
-                    "undecided entry survived its epoch"
-                );
-                m.retain(|_, e| !e.decided);
-            }
-            for g in &mut self.color_groups {
-                g.clear();
-            }
-            // Migration epoch boundary: advance the reshard plan before
-            // phase 1 so the new epoch schedules under the new table.
-            // Safe timing: fault-free epochs end with the network
-            // quiescent (the last color's decisions landed a gap before
-            // the rollover), so ownership moves cannot race in-flight
-            // subtransactions.
-            self.advance_reshard(now);
-        }
-        if now == self.epoch_start {
-            self.phase1_send_pending();
-        }
-
-        // 4. Leader colors once all phase-1 messages are in.
-        if now == self.epoch_start.plus(self.gap) && self.next_epoch_at.is_none() {
-            self.phase2_color();
-        }
-
-        // 5. Phase 3: home shards dispatch the color group designated for
-        //    this round.
-        self.phase3_dispatch();
-
-        // 6. Seal this round's commits into one block per shard.
-        for d in 0..self.sys.shards {
-            if !self.append_buf[d].is_empty() {
-                let batch = std::mem::take(&mut self.append_buf[d]);
-                self.chains[d].append_block(batch, now);
-            }
-        }
-
-        // 7. Metrics. The sink's fault counters stay zero here: the
-        //    simulator is fault-free by construction, and fault-free
-        //    networked runs mirror these exact bytes.
-        let total_pending = self.total_pending();
-        self.collector.sample_pending(total_pending);
-        self.collector
-            .sink
-            .on_round(self.epoch, total_pending, 0, 0, self.active_shards());
-        self.now = self.now.next();
-    }
-
-    /// Steps the reshard plan through every version whose activation
-    /// round has passed. Per advanced version: the epoch leader
-    /// broadcasts the activation signal, then each shard (ascending id)
-    /// hands off its departing account balances (ascending destination).
-    /// That per-sender order is what the networked engine reproduces,
-    /// keeping fault-free reports byte-identical.
-    fn advance_reshard(&mut self, now: Round) {
-        loop {
-            let Some(rs) = &self.reshard else { return };
-            let next = rs.cur + 1;
-            if next >= rs.plan.versions.len() || rs.plan.versions[next].at > now.raw() {
-                return;
-            }
-            let moves = rs.plan.moves(rs.cur);
-            self.reshard.as_mut().expect("checked above").cur = next;
-            let leader = self.leader();
-            for h in 0..self.sys.shards {
-                self.net.send(
-                    leader,
-                    ShardId(h as u32),
-                    now,
-                    Msg::TableUpdate {
-                        version: next as u32,
-                    },
-                );
-            }
-            // Group the balance moves by (old owner, new owner); the
-            // BTreeMap iterates senders ascending, destinations
-            // ascending per sender.
-            let mut batches: BTreeMap<(ShardId, ShardId), Vec<(AccountId, u64)>> = BTreeMap::new();
-            for (account, from, to) in moves {
-                let balance = self.ledgers[from.index()]
-                    .remove_account(account)
-                    .expect("migrating account owned by its old shard");
-                batches
-                    .entry((from, to))
-                    .or_default()
-                    .push((account, balance));
-            }
-            for ((from, to), accounts) in batches {
-                self.net.send(from, to, now, Msg::Handoff { accounts });
-            }
-        }
-    }
-
-    /// Phase 1: every home shard drains its pending queue into the epoch
-    /// set and forwards the transactions to the leader.
-    fn phase1_send_pending(&mut self) {
-        let leader = self.leader();
-        for h in 0..self.sys.shards {
-            let mut drained = std::mem::take(&mut self.injection[h]);
-            if drained.is_empty() {
-                continue;
-            }
-            // Under a reshard plan, rebuild each transaction's shard
-            // grouping against the *current* table: the source may have
-            // grouped under an older version (its version switches at
-            // event rounds, the engine's at migration epoch boundaries).
-            // Homes stay as assigned — accesses are account-based, so
-            // conflict coloring is placement-independent.
-            if let Some(rs) = &self.reshard {
-                let map = &rs.plan.versions[rs.cur].map;
-                for t in &mut drained {
-                    *t = t.regrouped(map);
-                }
-            }
-            self.injected_pending -= drained.len() as u64;
-            self.undecided += drained.len() as u64;
-            self.net.send(
-                ShardId(h as u32),
-                leader,
-                self.now,
-                Msg::TxnInfo(drained.clone()),
-            );
-            for t in drained {
-                self.epoch_txns[h].insert(
-                    t.id,
-                    EpochEntry {
-                        txn: t,
-                        color: None,
-                        votes: 0,
-                        abort: false,
-                        decided: false,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Phase 2 (at the leader): plan the epoch via the policy (BDS
-    /// proper: build the conflict graph and color it), broadcast the plan
-    /// (per-shard assignments + slot count) to every shard, and fix the
-    /// epoch length.
-    fn phase2_color(&mut self) {
-        let txns = std::mem::take(&mut self.leader_buffer);
-        let num_colors = if txns.is_empty() {
-            0
-        } else {
-            let plan = self.policy.plan_epoch(self.epoch, &txns);
-            debug_assert!(
-                plan.is_safe_for(&txns),
-                "{} violated the epoch-plan safety contract",
-                self.policy.kind()
-            );
-            // Group assignments by home shard (dense per-shard lists,
-            // reused across epochs).
-            for (v, t) in txns.iter().enumerate() {
-                self.assign_scratch[t.home.index()].push((t.id, plan.slot(v)));
-            }
-            plan.num_slots
-        };
-        if num_colors > 0 {
-            // Broadcast in shard order; shards with no scheduled
-            // transactions still need the color count to know when the
-            // epoch ends.
-            let leader = self.leader();
-            for h in 0..self.sys.shards {
-                let assignments = std::mem::take(&mut self.assign_scratch[h]);
-                self.net.send(
-                    leader,
-                    ShardId(h as u32),
-                    self.now,
-                    Msg::ColorAssign {
-                        assignments,
-                        num_colors,
-                    },
-                );
-            }
-        }
-        // Epoch length: 2 phase-gaps + 4 phase-gaps per color (paper:
-        // 2 + 4(Δ+1) rounds in the uniform model). An empty epoch is just
-        // the two coordination gaps.
-        let end = self
-            .epoch_start
-            .plus(self.gap * (2 + 4 * num_colors as u64));
-        self.next_epoch_at = Some(end);
-    }
-
-    /// Phase 3: at round `epoch_start + gap·(2 + 4z)` each home shard
-    /// sends the subtransactions of its color-`z` transactions, taken
-    /// from the per-color dispatch index built when the assignments
-    /// arrived (no scan over the whole epoch set).
-    fn phase3_dispatch(&mut self) {
-        let elapsed = self.now.since(self.epoch_start);
-        if elapsed < 2 * self.gap {
-            return;
-        }
-        let offset = elapsed - 2 * self.gap;
-        if !offset.is_multiple_of(4 * self.gap) {
-            return;
-        }
-        let z = (offset / (4 * self.gap)) as usize;
-        for h in 0..self.sys.shards {
-            let Some(group) = self.color_groups[h].get_mut(z) else {
-                continue;
-            };
-            let group = std::mem::take(group);
-            let home = ShardId(h as u32);
-            for txn in group {
-                let Some(entry) = self.epoch_txns[h].get(&txn) else {
-                    continue;
-                };
-                if entry.decided {
-                    continue;
-                }
-                for sub in &entry.txn.subs {
-                    self.net
-                        .send(home, sub.dest, self.now, Msg::SubTxn(sub.clone()));
-                }
-            }
-        }
-    }
-
-    fn handle(&mut self, from: ShardId, to: ShardId, msg: Msg) {
-        match msg {
-            Msg::TxnInfo(txns) => {
-                debug_assert_eq!(to, self.leader());
-                self.leader_buffer.extend(txns);
-            }
-            Msg::ColorAssign {
-                assignments,
-                num_colors,
-            } => {
-                debug_assert!(num_colors > 0, "empty epochs broadcast no plan");
-                let h = to.index();
-                for (txn, color) in assignments {
-                    if let Some(e) = self.epoch_txns[h].get_mut(&txn) {
-                        e.color = Some(color);
-                        let groups = &mut self.color_groups[h];
-                        let z = color as usize;
-                        if groups.len() <= z {
-                            groups.resize_with(z + 1, Vec::new);
-                        }
-                        groups[z].push(txn);
-                    }
-                }
-            }
-            Msg::SubTxn(sub) => {
-                let d = to.index();
-                let commit = self.ledgers[d].check(&sub);
-                let txn = sub.txn;
-                self.parked[d].insert(txn, sub);
-                // Vote goes back to the transaction's home shard.
-                self.net.send(to, from, self.now, Msg::Vote { txn, commit });
-            }
-            Msg::Vote { txn, commit } => {
-                let h = to.index();
-                let Some(e) = self.epoch_txns[h].get_mut(&txn) else {
-                    return;
-                };
-                e.votes += 1;
-                e.abort |= !commit;
-                if e.votes == e.txn.shard_count() && !e.decided {
-                    e.decided = true;
-                    self.undecided -= 1;
-                    let commit_all = !e.abort;
-                    let generated = e.txn.generated;
-                    let home = e.txn.home;
-                    for dest in e.txn.shards() {
-                        self.net.send(
-                            to,
-                            dest,
-                            self.now,
-                            Msg::Decision {
-                                txn,
-                                commit: commit_all,
-                            },
-                        );
-                    }
-                    // Commit lands at the destinations one gap later.
-                    let commit_round = self
-                        .now
-                        .plus(self.net.distance(to, e.txn.subs[0].dest).max(1));
-                    if commit_all {
-                        self.collector.record_commit(generated, commit_round, home);
-                        self.committed_log.push((commit_round, txn));
-                    } else {
-                        self.collector.record_abort();
-                    }
-                }
-            }
-            Msg::Decision { txn, commit } => {
-                let d = to.index();
-                if let Some(sub) = self.parked[d].remove(&txn) {
-                    if commit {
-                        self.ledgers[d].apply(&sub);
-                        self.append_buf[d].push(sub);
-                    }
-                }
-            }
-            Msg::TableUpdate { version } => {
-                // The plan is pre-agreed configuration; the broadcast is
-                // the (measured) activation signal. The simulator's
-                // recipients already switched at the send round, so this
-                // only cross-checks the version bookkeeping.
-                debug_assert!(
-                    self.reshard
-                        .as_ref()
-                        .is_some_and(|rs| rs.cur == version as usize),
-                    "table-update version {version} does not match the live table"
-                );
-            }
-            Msg::Handoff { accounts } => {
-                let d = to.index();
-                for (account, balance) in accounts {
-                    self.ledgers[d].absorb(account, balance);
-                }
-            }
-        }
+        self.host.round(self.policy.as_mut());
+        debug_assert!(
+            self.host.nodes.iter().all(|n| n.stranded() == 0),
+            "undecided entry survived its epoch"
+        );
+        let samples = self.host.samples.iter().copied();
+        record_round(&mut self.host.collector, samples, 0, 0);
     }
 
     /// Finalizes the run into a [`RunReport`] (reported under the
@@ -714,16 +721,13 @@ impl BdsSim {
     /// otherwise).
     pub fn finish(self) -> RunReport {
         let pending = self.total_pending();
-        let kind = self.policy.kind();
-        self.collector.finish(
-            kind,
-            self.now.raw(),
+        let (epochs, max_epoch_len) = epoch_stats(self.host.nodes.iter());
+        self.host.finish(
+            self.policy.kind(),
             self.generated,
             pending,
-            self.epoch,
-            self.max_epoch_len,
-            self.net.sent_count(),
-            self.net.max_message_bytes(),
+            epochs,
+            max_epoch_len,
         )
     }
 }
@@ -775,6 +779,195 @@ mod tests {
         };
         let map = AccountMap::round_robin(&sys);
         (sys, map)
+    }
+
+    type Script = crate::node::Script<Msg>;
+
+    /// One [`BdsNode`] with what a host would lend it.
+    struct Rig {
+        node: BdsNode,
+        ledger: ShardLedger,
+        chain: LocalChain,
+        policy: ColoringPolicy,
+    }
+
+    impl Rig {
+        fn new(id: u32, sys: &SystemConfig, map: &AccountMap, metric: &dyn ShardMetric) -> Rig {
+            let id = ShardId(id);
+            Rig {
+                node: BdsNode::new(id, metric, true),
+                ledger: ShardLedger::new(id, map, 1_000),
+                chain: LocalChain::new(id),
+                policy: ColoringPolicy::new(
+                    SchedulerKind::Bds,
+                    ColoringStrategy::Greedy,
+                    sys.accounts,
+                ),
+            }
+        }
+
+        /// Steps the node through `round` with `inbox` delivered.
+        fn step(&mut self, round: u64, inbox: Vec<(ShardId, Msg)>) -> Script {
+            let mut out = Script::default();
+            let lent = Lent {
+                ledger: &mut self.ledger,
+                chain: &mut self.chain,
+                policy: &mut self.policy,
+            };
+            self.node.step(round, inbox.into_iter(), lent, &mut out);
+            out
+        }
+    }
+
+    fn decisions(out: &Script) -> Vec<(ShardId, bool)> {
+        let decision = |(to, m): &(ShardId, Msg)| match m {
+            Msg::Decision { commit, .. } => Some((*to, *commit)),
+            _ => None,
+        };
+        out.sent.iter().filter_map(decision).collect()
+    }
+
+    /// A node homing one transaction over `dests`, driven to the round
+    /// its subtransactions went out (uniform metric: phase 1 at round 0,
+    /// the plan arrives and color 0 dispatches at round 2).
+    fn dispatched(sys: &SystemConfig, map: &AccountMap, dests: &[ShardId]) -> (Rig, TxnId) {
+        let mut rig = Rig::new(1, sys, map, &UniformMetric::new(sys.shards));
+        let txn = Transaction::writing_shards(TxnId(7), ShardId(1), Round::ZERO, map, dests);
+        rig.node.inject(txn.unwrap());
+        let out = rig.step(0, Vec::new());
+        assert!(matches!(&out.sent[..], [(ShardId(0), Msg::TxnInfo(t))] if t.len() == 1));
+        assert!(rig.step(1, Vec::new()).sent.is_empty());
+        let plan = Msg::ColorAssign {
+            assignments: vec![(TxnId(7), 0)],
+            num_colors: 1,
+        };
+        let out = rig.step(2, vec![(ShardId(0), plan)]);
+        let subs = out.sent.iter().map(|(to, m)| {
+            assert!(matches!(m, Msg::SubTxn(_)));
+            *to
+        });
+        assert_eq!(subs.collect::<Vec<_>>(), dests);
+        (rig, TxnId(7))
+    }
+
+    #[test]
+    fn duplicated_vote_never_decides_early() {
+        let (sys, map) = small_sys();
+        let (mut rig, txn) = dispatched(&sys, &map, &[ShardId(2), ShardId(3)]);
+        let vote = |from, commit| (ShardId(from), Msg::Vote { txn, commit });
+        // The same ballot twice (a fault-plane duplicate): still one voter.
+        let out = rig.step(3, vec![vote(2, true), vote(2, true)]);
+        assert!(out.sent.is_empty() && out.events.is_empty());
+        assert_eq!(rig.node.pending(), 1);
+        // The second voter decides, exactly once.
+        let out = rig.step(4, vec![vote(3, true), vote(3, true), vote(2, true)]);
+        assert_eq!(
+            decisions(&out),
+            vec![(ShardId(2), true), (ShardId(3), true)]
+        );
+        assert_eq!(out.events.len(), 1);
+        let event = out.events[0];
+        assert!(event.committed && event.txn == txn && event.home == ShardId(1));
+        assert_eq!(event.commit_round, Round(5));
+        assert_eq!(rig.node.pending(), 0);
+    }
+
+    #[test]
+    fn later_vote_from_the_same_sender_overwrites() {
+        let (sys, map) = small_sys();
+        let (mut rig, txn) = dispatched(&sys, &map, &[ShardId(2), ShardId(3)]);
+        let vote = |from, commit| (ShardId(from), Msg::Vote { txn, commit });
+        let out = rig.step(3, vec![vote(2, false), vote(2, true), vote(3, false)]);
+        assert_eq!(
+            decisions(&out),
+            vec![(ShardId(2), false), (ShardId(3), false)]
+        );
+        assert!(!out.events[0].committed, "shard 3's abort stands");
+        let (mut rig, txn) = dispatched(&sys, &map, &[ShardId(2), ShardId(3)]);
+        let vote = |from, commit| (ShardId(from), Msg::Vote { txn, commit });
+        let out = rig.step(3, vec![vote(2, false), vote(2, true), vote(3, true)]);
+        assert!(out.events[0].committed, "shard 2's abort was overwritten");
+    }
+
+    #[test]
+    fn messages_for_unknown_or_retired_txns_are_noops() {
+        let (sys, map) = small_sys();
+        let (mut rig, txn) = dispatched(&sys, &map, &[ShardId(2), ShardId(3)]);
+        let stray = |txn| {
+            vec![
+                (ShardId(2), Msg::Vote { txn, commit: true }),
+                (ShardId(5), Msg::Decision { txn, commit: true }),
+            ]
+        };
+        let out = rig.step(3, stray(TxnId(99)));
+        assert!(out.sent.is_empty() && out.events.is_empty());
+        // A vote from a shard the transaction does not touch counts for
+        // nothing either.
+        let out = rig.step(4, vec![(ShardId(6), Msg::Vote { txn, commit: true })]);
+        assert!(out.sent.is_empty() && out.events.is_empty());
+        let votes = [2, 3].map(|from| (ShardId(from), Msg::Vote { txn, commit: true }));
+        assert_eq!(rig.step(5, votes.to_vec()).events.len(), 1);
+        // Round 6 = 2 + 4·1 ends the epoch and retires the decided entry.
+        rig.step(6, Vec::new());
+        assert_eq!((rig.node.epoch(), rig.node.stranded()), (1, 0));
+        let out = rig.step(7, stray(txn));
+        assert!(out.sent.is_empty() && out.events.is_empty());
+        assert!(rig.chain.is_empty(), "no stray decision appended anything");
+    }
+
+    #[test]
+    fn rollover_follows_the_plan_or_the_two_gap_timeout() {
+        let sys = SystemConfig {
+            shards: 4,
+            ..small_sys().0
+        };
+        let map = AccountMap::round_robin(&sys);
+        let metric = cluster::LineMetric::new(4);
+        let gap = 3; // the line's diameter
+                     // No plan: the epoch ends at epoch_start + 2·gap.
+        let mut rig = Rig::new(2, &sys, &map, &metric);
+        for round in 0..2 * gap {
+            rig.step(round, Vec::new());
+            assert_eq!(rig.node.epoch(), 0, "round {round}");
+        }
+        rig.step(2 * gap, Vec::new());
+        assert_eq!(rig.node.epoch(), 1);
+        // A plan with c colors: the epoch ends at epoch_start + gap·(2 + 4c),
+        // here counted from the second epoch's start.
+        let (start, c) = (2 * gap, 2);
+        let plan = Msg::ColorAssign {
+            assignments: Vec::new(),
+            num_colors: c as u32,
+        };
+        rig.step(start + gap + 1, vec![(ShardId(1), plan)]);
+        let end = start + gap * (2 + 4 * c);
+        for round in start + gap + 2..end {
+            rig.step(round, Vec::new());
+            assert_eq!(rig.node.epoch(), 1, "round {round}");
+        }
+        rig.step(end, Vec::new());
+        assert_eq!(rig.node.epoch(), 2);
+        assert_eq!(rig.node.max_epoch_len, end - start);
+    }
+
+    #[test]
+    fn vote_set_spans_more_than_64_destinations() {
+        let sys = SystemConfig {
+            shards: 80,
+            accounts: 80,
+            k_max: 80,
+            ..small_sys().0
+        };
+        let map = AccountMap::round_robin(&sys);
+        let dests: Vec<ShardId> = (5..75).map(ShardId).collect();
+        let (mut rig, txn) = dispatched(&sys, &map, &dests);
+        let vote = |from: &ShardId| (*from, Msg::Vote { txn, commit: true });
+        let (last, rest) = dests.split_last().unwrap();
+        let out = rig.step(3, rest.iter().chain(rest).map(vote).collect());
+        assert!(out.sent.is_empty(), "69 of 70 voters, each twice");
+        let out = rig.step(4, vec![vote(last)]);
+        assert_eq!(decisions(&out).len(), 70);
+        assert!(out.events[0].committed);
     }
 
     #[test]
@@ -859,13 +1052,17 @@ mod tests {
         rounds.sort_unstable();
         rounds.dedup();
         assert_eq!(rounds.len(), 3, "conflicting commits serialized: {log:?}");
+        for c in sim.chains() {
+            assert!(c.verify(), "chain of {} verifies", c.shard());
+        }
+        let landed: Vec<TxnId> = sim.chains()[2].committed_txns().collect();
+        assert_eq!(
+            landed.len(),
+            3,
+            "shard 2's chain holds all three: {landed:?}"
+        );
         let r = sim.finish();
         assert_eq!(r.committed, 3);
-        assert!(sim_chains_ok(&sys, &map));
-    }
-
-    fn sim_chains_ok(_sys: &SystemConfig, _map: &AccountMap) -> bool {
-        true
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The shared round-driver contract.
 //!
-//! Every execution engine in the workspace — the shared-memory
-//! simulators here, and the thread-per-shard networked engine in the
-//! `runtime` crate — consumes the same inputs the same way: one batch of
+//! Every execution engine in the workspace — the single-threaded
+//! simulators here, and the threaded networked engine in the `runtime`
+//! crate — consumes the same inputs the same way: one batch of
 //! adversary-generated transactions per round, and a [`RunReport`] at
 //! the end. [`RoundDriver`] names that contract so harness code (the
 //! scenario executor, the bench fixtures, differential tests) can drive

@@ -45,45 +45,23 @@
 //! stability range the paper's Figure 3 reports. Priority (height) order
 //! still governs which transactions are voted first, so the analysis's
 //! per-period accounting is preserved.
+//!
+//! The algorithm is written once, as what one shard does in a round:
+//! [`FdsNode`]. [`FdsSim`] hosts `s` of them over one
+//! [`simnet::Network`] (see [`crate::node`]); the `runtime` crate hosts
+//! the same nodes on worker threads.
 
 use crate::metrics::{MetricsCollector, RunReport, SchedulerKind};
+use crate::node::{CommitEvent, FastMap, FastSet, Lent, Node, Seam, SimHost, VoteSet};
 use crate::scheduler::{ColoringPolicy, EpochPlan, Scheduler};
 use adversary::AdversaryConfig;
 use cluster::{ClusterId, Hierarchy, LineMetric, ShardMetric};
 use conflict::ColoringStrategy;
 use sharding_core::txn::SubTransaction;
 use sharding_core::{AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
-use simnet::{LocalChain, Network, ShardLedger};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Multiplicative hasher for the scheduler's small-integer keys
-/// (`TxnId`, `ShardId`). The default SipHash shows up in the FDS
-/// per-round profile; these maps are internal (no untrusted keys), so a
-/// one-multiply Fibonacci-style mix is plenty. Deterministic — but none
-/// of the maps built on it are iterated anyway.
-#[derive(Default)]
-struct IntHasher(u64);
-
-impl Hasher for IntHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(5) ^ u64::from(b)).wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-}
-
-type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
-type FastSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
+use simnet::{LocalChain, ShardLedger};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// FDS tunables.
 #[derive(Debug, Clone, Copy)]
@@ -146,37 +124,46 @@ pub struct Height {
     pub txn: TxnId,
 }
 
+/// Messages of the FDS protocol.
 #[derive(Debug, Clone)]
-enum Msg {
-    /// Home shard → cluster leader: a new transaction to schedule.
-    ToLeader { txn: Transaction },
+pub enum Msg {
+    /// Home shard → cluster leader: a new transaction to schedule. The
+    /// leader shard can lead several clusters; it re-derives the home
+    /// cluster on arrival (cheap, deterministic, memoized).
+    ToLeader {
+        /// The transaction.
+        txn: Transaction,
+    },
     /// Leader → destination: scheduled subtransaction with its height.
     Schedule {
+        /// The destination's piece of the transaction.
         sub: SubTransaction,
+        /// Its priority in the destination's schedule queue.
         height: Height,
+        /// Where votes for it go.
         leader: ShardId,
     },
     /// Destination → leader: validity vote for one subtransaction.
-    Vote { txn: TxnId, commit: bool },
+    Vote {
+        /// The voted transaction.
+        txn: TxnId,
+        /// Whether the destination's conditions hold.
+        commit: bool,
+    },
     /// Leader → destination: final commit/abort confirmation.
-    Confirm { txn: TxnId, commit: bool },
-}
-
-/// Estimated wire size of an FDS message in bytes.
-fn msg_bytes(m: &Msg) -> usize {
-    match m {
-        Msg::ToLeader { txn } => txn.approx_bytes(),
-        Msg::Schedule { sub, .. } => 28 + sub.approx_bytes(),
-        Msg::Vote { .. } | Msg::Confirm { .. } => 17,
-    }
+    Confirm {
+        /// The confirmed transaction.
+        txn: TxnId,
+        /// Commit (`true`) or abort.
+        commit: bool,
+    },
 }
 
 /// Per-transaction state at its cluster leader (`sch_ldr` entry).
 #[derive(Debug)]
 struct LeaderEntry {
     txn: Transaction,
-    // Pure lookup + tally (never iterated for ordering): hashed.
-    votes: FastMap<ShardId, bool>,
+    votes: VoteSet,
 }
 
 /// Scheduling state of one cluster leader.
@@ -206,62 +193,439 @@ struct DestState {
     by_txn: FastMap<TxnId, Height>,
     /// Leader shard per queued txn (vote routing). Lookup-only: hashed.
     leader_of: FastMap<TxnId, ShardId>,
-    /// Transactions this destination has already voted for.
-    /// Membership-only: hashed.
+    /// Transactions this destination has voted for and not yet seen
+    /// confirmed. Membership-only: hashed.
     voted: FastSet<TxnId>,
 }
 
-/// The FDS simulator. Drive with [`FdsSim::step`] once per round.
-pub struct FdsSim {
-    sys: SystemConfig,
+/// `E_0 = c·⌈log₂ s⌉`, the layer-0 epoch length.
+pub fn base_epoch(fcfg: &FdsConfig, shards: usize) -> u64 {
+    let lg = (usize::BITS - (shards.max(2) - 1).leading_zeros()) as u64;
+    (fcfg.epoch_scale * lg).max(1)
+}
+
+/// What one shard does in an FDS round: its home outbox, the leader
+/// state of the clusters it leads, and its destination schedule queue.
+/// Epoch starts, coloring moments and rescheduling alignments are pure
+/// functions of the round number and the shared, immutable hierarchy, so
+/// no shard ever needs knowledge that only a message could carry.
+#[derive(Debug)]
+pub struct FdsNode {
+    id: ShardId,
     fcfg: FdsConfig,
-    hierarchy: Hierarchy,
-    net: Network<Msg>,
-    ledgers: Vec<ShardLedger>,
-    chains: Vec<LocalChain>,
-    /// Per home shard: transactions waiting for their layer's next epoch.
-    outbox: Vec<Vec<(ClusterId, Transaction)>>,
-    leaders: BTreeMap<ClusterId, LeaderState>,
-    /// Home cluster of every transaction currently in some leader's
-    /// `sch_ldr` — vote routing becomes one lookup instead of a scan
-    /// over every cluster the receiving shard leads. Lookup-only:
-    /// hashed.
-    txn_cluster: FastMap<TxnId, ClusterId>,
-    dests: Vec<DestState>,
-    /// Per-destination batch of subtransactions confirmed this round,
-    /// sealed into one block at the end of the round.
-    append_buf: Vec<Vec<SubTransaction>>,
+    hierarchy: Arc<Hierarchy>,
     e0: u64,
-    now: Round,
-    generated: u64,
-    outstanding: u64,
+    /// The next multiple of `e0` (a running counter, so no round divides).
+    next_boundary: u64,
+    /// Transactions homed here, waiting for their layer's next epoch.
+    outbox: Vec<(ClusterId, Transaction)>,
+    /// Clusters this shard leads, created on first arrival.
+    leaders: BTreeMap<ClusterId, LeaderState>,
+    /// Home cluster of every transaction in some local `sch_ldr` — vote
+    /// routing is one lookup instead of a scan over every cluster led
+    /// here. Lookup-only: hashed.
+    txn_cluster: FastMap<TxnId, ClusterId>,
+    dest: DestState,
+    /// Subtransactions confirmed this round, sealed into one block at
+    /// the end of the round.
+    append_buf: Vec<SubTransaction>,
+    /// Cumulative injections (as home) and resolutions (as leader).
+    injected: u64,
+    resolved: u64,
     max_access_distance: u64,
-    collector: MetricsCollector,
-    committed_log: Vec<(Round, TxnId)>,
-    /// The shared coloring policy every cluster leader plans through
-    /// (the same [`ColoringPolicy`] code path BDS's leader uses, owning
-    /// the reusable coloring scratch).
-    policy: ColoringPolicy,
-    /// Memoized [`Hierarchy::home_cluster`] per `(home, x)`: the hot
-    /// path computes it twice per transaction (injection and leader
-    /// arrival), and it is a pure function of the fixed hierarchy —
-    /// outer index home shard, inner index access distance `x`.
+    /// Memoized [`Hierarchy::home_cluster`] per `(home, x)`: computed at
+    /// injection and again at leader arrival, and a pure function of the
+    /// fixed hierarchy — outer index home shard, inner access distance.
     home_cluster_cache: Vec<Vec<Option<ClusterId>>>,
     /// Recycled phase-1 scratch: holds the not-yet-due outbox entries
-    /// while a home shard's outbox is partitioned at an epoch boundary,
-    /// then swaps back in — steady state allocates nothing per round.
+    /// while the outbox is partitioned at an epoch boundary, then swaps
+    /// back in — steady state allocates nothing per round.
     keep_buf: Vec<(ClusterId, Transaction)>,
-    /// Recycled phase-2 scratch: the clusters at their coloring moment
-    /// this round.
+    /// Recycled phase-2 scratch: the clusters at their coloring moment.
     due_buf: Vec<ClusterId>,
-    /// Clusters with work pending (`incoming` or `sch_ldr` non-empty).
-    /// `leaders` only ever grows — one entry per cluster ever used — so
-    /// the per-round phase-2 scan and the leader-queue metric walk this
-    /// set instead of the whole map. Maintained at the two transition
-    /// points: a `ToLeader` arrival activates, the last confirm
-    /// deactivates (coloring only moves work between the two queues).
-    /// A `BTreeSet` so iteration order matches the old sorted-map scan.
+    /// Clusters led here with work pending (`incoming` or `sch_ldr`
+    /// non-empty). `leaders` only ever grows, so phase 2 and the
+    /// leader-queue sample walk this set instead. Maintained at the two
+    /// transition points: a `ToLeader` arrival activates, the last
+    /// confirm deactivates (coloring only moves work between the two
+    /// queues). A `BTreeSet` so clusters color in `ClusterId` order.
     active: BTreeSet<ClusterId>,
+}
+
+impl FdsNode {
+    /// The node of shard `id` over the shared `hierarchy`.
+    pub fn new(id: ShardId, fcfg: FdsConfig, hierarchy: Arc<Hierarchy>) -> Self {
+        FdsNode {
+            id,
+            fcfg,
+            e0: base_epoch(&fcfg, hierarchy.num_shards()),
+            home_cluster_cache: vec![Vec::new(); hierarchy.num_shards()],
+            hierarchy,
+            next_boundary: 0,
+            outbox: Vec::new(),
+            leaders: BTreeMap::new(),
+            txn_cluster: FastMap::default(),
+            dest: DestState::default(),
+            append_buf: Vec::new(),
+            injected: 0,
+            resolved: 0,
+            max_access_distance: 0,
+            keep_buf: Vec::new(),
+            due_buf: Vec::new(),
+            active: BTreeSet::new(),
+        }
+    }
+
+    /// Worst access distance among the transactions injected here.
+    pub fn max_access_distance(&self) -> u64 {
+        self.max_access_distance
+    }
+
+    /// The home cluster of `txn` through the per-`(home, x)` memo, plus
+    /// its worst access distance `x`.
+    fn home_cluster_of(&mut self, txn: &Transaction) -> (ClusterId, u64) {
+        let dist = |d| self.hierarchy.distance(txn.home, d);
+        let x = txn.shards().map(dist).max().unwrap_or(0);
+        let slot = &mut self.home_cluster_cache[txn.home.index()];
+        if slot.len() <= x as usize {
+            slot.resize(x as usize + 1, None);
+        }
+        let cid = *slot[x as usize].get_or_insert_with(|| self.hierarchy.home_cluster(txn.home, x));
+        (cid, x)
+    }
+
+    /// Epoch length of layer `i`.
+    fn epoch_len(&self, layer: u32) -> u64 {
+        self.e0 << layer
+    }
+
+    /// Phase 1 of Algorithm 2a: forward the outbox entries whose layer's
+    /// epoch starts now.
+    fn phase1_forward<S: Seam<Msg>>(&mut self, now: u64, seam: &mut S) {
+        // Every layer's epoch length is `e0 << layer`, so every epoch
+        // boundary is a multiple of `e0`; on the other rounds the
+        // partition below would only move every entry to `keep` and back.
+        if now != self.next_boundary {
+            return;
+        }
+        self.next_boundary += self.e0;
+        // `pending` (the old outbox) drains into sends + `keep`, then the
+        // two vectors swap roles so both capacities survive.
+        let mut pending = std::mem::take(&mut self.outbox);
+        let mut keep = std::mem::take(&mut self.keep_buf);
+        for (cid, txn) in pending.drain(..) {
+            if now.is_multiple_of(self.epoch_len(cid.layer)) {
+                seam.send(self.hierarchy.cluster(cid).leader, Msg::ToLeader { txn });
+            } else {
+                keep.push((cid, txn));
+            }
+        }
+        self.outbox = keep;
+        self.keep_buf = pending;
+    }
+
+    /// Phase 2: color every cluster led here that is at its coloring
+    /// moment.
+    fn phase2_color_clusters<S: Seam<Msg>>(
+        &mut self,
+        now: u64,
+        policy: &mut dyn Scheduler,
+        seam: &mut S,
+    ) {
+        let mut due = std::mem::take(&mut self.due_buf);
+        due.clear();
+        due.extend(self.active.iter().copied().filter(|cid| {
+            let d_c = self.hierarchy.cluster(*cid).diameter.max(1);
+            now >= d_c && (now - d_c).is_multiple_of(self.epoch_len(cid.layer))
+        }));
+        for &cid in &due {
+            self.color_cluster(now, cid, policy, seam);
+        }
+        self.due_buf = due;
+    }
+
+    /// Phase 2 for one cluster: color new (or all uncommitted, at
+    /// rescheduling alignments) transactions and dispatch the scheduled
+    /// subtransactions with their heights.
+    fn color_cluster<S: Seam<Msg>>(
+        &mut self,
+        now: u64,
+        cid: ClusterId,
+        policy: &mut dyn Scheduler,
+        seam: &mut S,
+    ) {
+        let e_i = self.epoch_len(cid.layer);
+        let t_end = now - self.hierarchy.cluster(cid).diameter.max(1) + e_i;
+        // The epoch end aligns with a rescheduling period P_k, k > i, iff
+        // t_end is a multiple of 2^{i+1}·E_0.
+        let reschedule = self.fcfg.reschedule && t_end.is_multiple_of(e_i * 2);
+
+        let st = self.leaders.get_mut(&cid).expect("cluster state exists");
+        // Targets: new transactions, plus every still-unconfirmed one when
+        // rescheduling.
+        let mut targets: Vec<Transaction> = Vec::new();
+        if reschedule {
+            targets.extend(st.sch_ldr.values().map(|e| e.txn.clone()));
+        }
+        for t in std::mem::take(&mut st.incoming) {
+            if let std::collections::btree_map::Entry::Vacant(v) = st.sch_ldr.entry(t.id) {
+                v.insert(LeaderEntry {
+                    votes: VoteSet::new(t.shard_count()),
+                    txn: t.clone(),
+                });
+                self.txn_cluster.insert(t.id, cid);
+            }
+            targets.push(t);
+        }
+        if targets.is_empty() {
+            return;
+        }
+        targets.sort_by_key(|t| t.id);
+        targets.dedup_by_key(|t| t.id);
+
+        // The coloring is a pure function of the (sorted) batch; a
+        // rescheduling epoch with no arrivals and no confirms since the
+        // last coloring reuses the cached result.
+        let unchanged = st.last_plan.is_some()
+            && st.last_ids.len() == targets.len()
+            && st.last_ids.iter().zip(&targets).all(|(id, t)| *id == t.id);
+        if !unchanged {
+            st.last_ids.clear();
+            st.last_ids.extend(targets.iter().map(|t| t.id));
+            st.last_plan = Some(policy.plan_epoch(t_end, &targets));
+        }
+        let plan = st.last_plan.as_ref().expect("planned above");
+        for (v, t) in targets.iter().enumerate() {
+            let height = Height {
+                t_end,
+                layer: cid.layer,
+                sublayer: cid.sublayer,
+                color: plan.slot(v),
+                txn: t.id,
+            };
+            for sub in &t.subs {
+                let schedule = Msg::Schedule {
+                    sub: sub.clone(),
+                    height,
+                    leader: self.id,
+                };
+                seam.send(sub.dest, schedule);
+            }
+        }
+    }
+
+    /// Algorithm 2b step 1: vote for the smallest-height entry of the
+    /// schedule queue not voted yet — at most one new vote per round (the
+    /// one-subtransaction-per-shard-per-round capacity), and only while
+    /// fewer than `W` votes are outstanding.
+    fn vote_head<S: Seam<Msg>>(&mut self, ledger: &ShardLedger, seam: &mut S) {
+        let dest = &mut self.dest;
+        // Votes are only cast for queued entries and are removed together
+        // with them on confirmation, so `voted` is a subset of `sch_qd`'s
+        // txns; equal sizes mean the whole queue (or none) is voted.
+        if dest.voted.len() >= self.fcfg.pipeline_window.max(1)
+            || dest.voted.len() == dest.sch_qd.len()
+        {
+            return;
+        }
+        let unvoted = |s: &&SubTransaction| !dest.voted.contains(&s.txn);
+        let Some(sub) = dest.sch_qd.values().find(unvoted) else {
+            return;
+        };
+        let (txn, commit) = (sub.txn, ledger.check(sub));
+        dest.voted.insert(txn);
+        seam.send(dest.leader_of[&txn], Msg::Vote { txn, commit });
+    }
+
+    fn handle<S: Seam<Msg>>(
+        &mut self,
+        now: u64,
+        from: ShardId,
+        msg: Msg,
+        ledger: &mut ShardLedger,
+        seam: &mut S,
+    ) {
+        match msg {
+            Msg::ToLeader { txn } => {
+                let (cid, _) = self.home_cluster_of(&txn);
+                debug_assert_eq!(self.hierarchy.cluster(cid).leader, self.id);
+                self.leaders.entry(cid).or_default().incoming.push(txn);
+                self.active.insert(cid);
+            }
+            Msg::Schedule {
+                sub,
+                height,
+                leader,
+            } => {
+                let dest = &mut self.dest;
+                let txn = sub.txn;
+                // Update: drop the old queue position if present.
+                if let Some(old) = dest.by_txn.insert(txn, height) {
+                    dest.sch_qd.remove(&old);
+                }
+                dest.leader_of.insert(txn, leader);
+                dest.sch_qd.insert(height, sub);
+            }
+            Msg::Vote { txn, commit } => {
+                // A transaction sits in exactly one cluster's `sch_ldr`
+                // (its home cluster). A vote arriving after the
+                // confirmation finds no entry and is a no-op.
+                let Some(&cid) = self.txn_cluster.get(&txn) else {
+                    return;
+                };
+                let st = self.leaders.get_mut(&cid).expect("indexed cluster exists");
+                let entry = st.sch_ldr.get_mut(&txn).expect("indexed entry exists");
+                let Ok(pos) = entry.txn.subs.binary_search_by_key(&from, |s| s.dest) else {
+                    return;
+                };
+                if entry.votes.record(pos, commit) {
+                    self.confirm(now, cid, txn, seam);
+                }
+            }
+            Msg::Confirm { txn, commit } => {
+                let dest = &mut self.dest;
+                if let Some(sub) = dest
+                    .by_txn
+                    .remove(&txn)
+                    .and_then(|h| dest.sch_qd.remove(&h))
+                {
+                    // In pipelined mode a vote can go stale between check
+                    // and confirm; `try_apply` re-validates applicability
+                    // (never fails on write-only workloads).
+                    if commit && ledger.try_apply(&sub) {
+                        self.append_buf.push(sub);
+                    }
+                }
+                dest.leader_of.remove(&txn);
+                dest.voted.remove(&txn);
+            }
+        }
+    }
+
+    /// Algorithm 2b steps 2–3: all votes collected — confirm commit or
+    /// abort to every destination and retire the transaction.
+    fn confirm<S: Seam<Msg>>(&mut self, now: u64, cid: ClusterId, txn: TxnId, seam: &mut S) {
+        let st = self.leaders.get_mut(&cid).expect("cluster exists");
+        let entry = st.sch_ldr.remove(&txn).expect("entry exists");
+        if st.sch_ldr.is_empty() && st.incoming.is_empty() {
+            self.active.remove(&cid);
+        }
+        self.txn_cluster.remove(&txn);
+        let commit = entry.votes.all_commit();
+        let mut worst = 1;
+        for dest in entry.txn.shards() {
+            worst = worst.max(self.hierarchy.distance(self.id, dest));
+            seam.send(dest, Msg::Confirm { txn, commit });
+        }
+        self.resolved += 1;
+        seam.emit(CommitEvent {
+            generated: entry.txn.generated,
+            commit_round: Round(now + worst),
+            txn,
+            home: entry.txn.home,
+            committed: commit,
+        });
+    }
+}
+
+impl Node for FdsNode {
+    type Msg = Msg;
+
+    fn msg_bytes(m: &Msg) -> usize {
+        match m {
+            Msg::ToLeader { txn } => txn.approx_bytes(),
+            Msg::Schedule { sub, .. } => 28 + sub.approx_bytes(),
+            Msg::Vote { .. } | Msg::Confirm { .. } => 17,
+        }
+    }
+
+    /// Assigns the home cluster and parks the transaction in the outbox.
+    fn inject(&mut self, txn: Transaction) {
+        debug_assert_eq!(txn.home, self.id);
+        self.injected += 1;
+        let (cid, x) = self.home_cluster_of(&txn);
+        self.max_access_distance = self.max_access_distance.max(x);
+        self.outbox.push((cid, txn));
+    }
+
+    fn step<S: Seam<Msg>>(
+        &mut self,
+        round: u64,
+        inbox: impl Iterator<Item = (ShardId, Msg)>,
+        lent: Lent<'_>,
+        seam: &mut S,
+    ) {
+        self.phase1_forward(round, seam);
+        for (from, msg) in inbox {
+            self.handle(round, from, msg, lent.ledger, seam);
+        }
+        // Seal this round's commits (confirmations delivered above) into
+        // one block.
+        if !self.append_buf.is_empty() {
+            let batch = std::mem::take(&mut self.append_buf);
+            lent.chain.append_block(batch, Round(round));
+        }
+        if !self.active.is_empty() {
+            self.phase2_color_clusters(round, lent.policy, seam);
+        }
+        self.vote_head(lent.ledger, seam);
+    }
+
+    /// `[leader-queue total, active leaders, injected, resolved]`, the
+    /// last two cumulative.
+    fn sample(&self) -> [u64; 4] {
+        let queued = |cid| {
+            let st = &self.leaders[cid];
+            (st.sch_ldr.len() + st.incoming.len()) as u64
+        };
+        [
+            self.active.iter().map(queued).sum(),
+            self.active.len() as u64,
+            self.injected,
+            self.resolved,
+        ]
+    }
+}
+
+/// Books one round's [`FdsNode::sample`]s — every shard's, in shard
+/// order — into `collector`; returns the outstanding (generated but
+/// unresolved) count. The Figure 3 left panel plots the average pending
+/// *scheduled* transactions at cluster leader shards, so the queue
+/// series records the mean leader queue over active leaders. `epoch` is
+/// the layer-0 epoch, `round / E_0`.
+pub fn record_round(
+    collector: &mut MetricsCollector,
+    epoch: u64,
+    samples: impl Iterator<Item = [u64; 4]>,
+    byz_flips: u64,
+    crashed: u64,
+) -> u64 {
+    let (mut shards, mut sum) = (0, [0u64; 4]);
+    for s in samples {
+        shards += 1;
+        sum = std::array::from_fn(|i| sum[i] + s[i]);
+    }
+    let outstanding = sum[2].saturating_sub(sum[3]);
+    let leader_avg = sum[0] as f64 / sum[1].max(1) as f64;
+    collector.sample_queue_value(leader_avg, outstanding);
+    collector
+        .sink
+        .on_round(epoch, outstanding, byz_flips, crashed, shards);
+    outstanding
+}
+
+/// The FDS simulator: `s` [`FdsNode`]s hosted on the caller's thread.
+/// Drive with [`FdsSim::step`] once per round.
+pub struct FdsSim {
+    host: SimHost<FdsNode>,
+    hierarchy: Arc<Hierarchy>,
+    e0: u64,
+    generated: u64,
+    outstanding: u64,
+    /// The coloring policy lent to every cluster leader (the same
+    /// [`ColoringPolicy`] code path BDS's leader uses, owning the
+    /// reusable coloring scratch).
+    policy: ColoringPolicy,
 }
 
 impl FdsSim {
@@ -274,55 +638,16 @@ impl FdsSim {
     ) -> Self {
         sys.validate().expect("valid system config");
         assert_eq!(metric.shards(), sys.shards);
-        let s = sys.shards;
-        let lg = (usize::BITS - (s.max(2) - 1).leading_zeros()) as u64; // ceil(log2 s)
-        let e0 = (fcfg.epoch_scale * lg).max(1);
+        let hierarchy = Arc::new(Hierarchy::build_with_sublayers(metric, fcfg.sublayers));
+        let node = |id| FdsNode::new(id, fcfg, hierarchy.clone());
         FdsSim {
-            sys: sys.clone(),
-            hierarchy: Hierarchy::build_with_sublayers(metric, fcfg.sublayers),
-            fcfg,
-            net: {
-                let mut net = Network::new(metric);
-                net.set_sizer(msg_bytes);
-                net
-            },
-            ledgers: (0..s)
-                .map(|i| ShardLedger::new(ShardId(i as u32), map, fcfg.initial_balance))
-                .collect(),
-            chains: (0..s).map(|i| LocalChain::new(ShardId(i as u32))).collect(),
-            outbox: vec![Vec::new(); s],
-            leaders: BTreeMap::new(),
-            txn_cluster: FastMap::default(),
-            dests: (0..s).map(|_| DestState::default()).collect(),
-            append_buf: vec![Vec::new(); s],
-            e0,
-            now: Round::ZERO,
+            host: SimHost::new(metric, map, fcfg.initial_balance, node),
+            e0: base_epoch(&fcfg, sys.shards),
+            hierarchy,
             generated: 0,
             outstanding: 0,
-            max_access_distance: 0,
-            collector: MetricsCollector::new(s),
-            committed_log: Vec::new(),
             policy: ColoringPolicy::new(SchedulerKind::Fds, fcfg.coloring, sys.accounts),
-            home_cluster_cache: vec![Vec::new(); s],
-            keep_buf: Vec::new(),
-            due_buf: Vec::new(),
-            active: BTreeSet::new(),
         }
-    }
-
-    /// [`Hierarchy::home_cluster`] through the per-`(home, x)` memo.
-    fn home_cluster_cached(&mut self, home: ShardId, x: u64) -> ClusterId {
-        let slot = &mut self.home_cluster_cache[home.index()];
-        let xi = x as usize;
-        if slot.len() <= xi {
-            slot.resize(xi + 1, None);
-        }
-        if let Some(cid) = slot[xi] {
-            return cid;
-        }
-        let cid = self.hierarchy.home_cluster(home, x);
-        self.home_cluster_cache[home.index()][xi] = Some(cid);
-        cid
     }
 
     /// Base epoch length `E_0`.
@@ -332,7 +657,7 @@ impl FdsSim {
 
     /// Current round.
     pub fn now(&self) -> Round {
-        self.now
+        self.host.now
     }
 
     /// The cluster hierarchy in use.
@@ -347,408 +672,54 @@ impl FdsSim {
 
     /// Worst access distance `d` seen so far (for Theorem 3 comparisons).
     pub fn max_access_distance(&self) -> u64 {
-        self.max_access_distance
+        let nodes = self.host.nodes.iter();
+        nodes.map(FdsNode::max_access_distance).max().unwrap_or(0)
     }
 
     /// The local blockchains.
     pub fn chains(&self) -> &[LocalChain] {
-        &self.chains
+        &self.host.chains
     }
 
     /// The shard ledgers.
     pub fn ledgers(&self) -> &[ShardLedger] {
-        &self.ledgers
+        &self.host.ledgers
     }
 
     /// Commit log: (commit round, txn id).
     pub fn committed_log(&self) -> &[(Round, TxnId)] {
-        &self.committed_log
+        &self.host.committed_log
     }
 
     /// Turns the metrics plane on (percentile histogram, per-shard
     /// utilization, layer-0-epoch timeline). Off by default.
     pub fn enable_metrics(&mut self) {
-        self.collector.enable_metrics();
+        self.host.collector.enable_metrics();
     }
 
-    /// Executes one round.
+    /// Executes one round: inject `new_txns` at their home shards, step
+    /// every node, and sample metrics.
     pub fn step(&mut self, new_txns: Vec<Transaction>) {
-        let now = self.now;
-
-        // 1. Injection: assign home clusters, park in the home outbox.
+        self.generated += new_txns.len() as u64;
         for t in new_txns {
-            self.generated += 1;
-            self.outstanding += 1;
-            let x = t
-                .shards()
-                .map(|d| self.hierarchy.distance(t.home, d))
-                .max()
-                .unwrap_or(0);
-            self.max_access_distance = self.max_access_distance.max(x);
-            let cid = self.home_cluster_cached(t.home, x);
-            self.outbox[t.home.index()].push((cid, t));
+            self.host.nodes[t.home.index()].inject(t);
         }
-
-        // 2. Home shards forward outbox entries whose layer's epoch starts
-        //    now (Phase 1 of Algorithm 2a).
-        self.phase1_forward();
-
-        // 3. Deliver due messages.
-        let due = self.net.deliver_due(now);
-        for env in due {
-            self.handle(env.from, env.to, env.payload);
-        }
-
-        // 4. Cluster leaders at their coloring moment run Phase 2.
-        self.phase2_color_clusters();
-
-        // 5. Algorithm 2b step 1: destinations vote for unvoted heads.
-        self.vote_heads();
-
-        // 6. Seal this round's commits into one block per shard.
-        for d in 0..self.sys.shards {
-            if !self.append_buf[d].is_empty() {
-                let batch = std::mem::take(&mut self.append_buf[d]);
-                self.chains[d].append_block(batch, now);
-            }
-        }
-
-        // 7. Metrics. The Figure 3 left panel plots the average pending
-        //    *scheduled* transactions at cluster leader shards, so the
-        //    queue series records mean `sch_ldr` size over active leaders.
-        let (lead_total, lead_active) = self
-            .active
-            .iter()
-            .map(|cid| &self.leaders[cid])
-            .fold((0usize, 0usize), |(t, n), st| {
-                (t + st.sch_ldr.len() + st.incoming.len(), n + 1)
-            });
-        let leader_avg = lead_total as f64 / lead_active.max(1) as f64;
-        self.collector
-            .sample_queue_value(leader_avg, self.outstanding);
-        // The timeline's epoch is the layer-0 epoch, matching `finish()`'s
-        // `epochs` quantity and the networked engine's derivation.
-        self.collector.sink.on_round(
-            now.raw() / self.e0,
-            self.outstanding,
-            0,
-            0,
-            self.sys.shards as u64,
-        );
-        self.now = self.now.next();
-    }
-
-    /// Epoch length of layer `i`.
-    fn epoch_len(&self, layer: u32) -> u64 {
-        self.e0 << layer
-    }
-
-    fn phase1_forward(&mut self) {
-        let now = self.now;
-        // Every layer's epoch length is `e0 << layer`, so every epoch
-        // boundary — for every layer — is a multiple of `e0`. On the
-        // other `e0 - 1` of each `e0` rounds nothing can be due, and the
-        // partition pass below would only move every outbox entry into
-        // `keep` and back; skip it wholesale.
-        if !now.raw().is_multiple_of(self.e0) {
-            return;
-        }
-        for h in 0..self.sys.shards {
-            if self.outbox[h].is_empty() {
-                continue;
-            }
-            // Partition through the recycled scratch: `pending` (the old
-            // outbox) drains into sends + `keep`, then the two vectors
-            // swap roles so both capacities survive to the next boundary.
-            let mut pending = std::mem::take(&mut self.outbox[h]);
-            let mut keep = std::mem::take(&mut self.keep_buf);
-            for (cid, txn) in pending.drain(..) {
-                if now.raw().is_multiple_of(self.epoch_len(cid.layer)) {
-                    let leader = self.hierarchy.cluster(cid).leader;
-                    // Leader states are keyed by cluster; create lazily so
-                    // the ToLeader handler can file the transaction.
-                    self.leaders.entry(cid).or_default();
-                    self.net
-                        .send(ShardId(h as u32), leader, now, Msg::ToLeader { txn });
-                    // Tag the message's cluster through the destination:
-                    // the leader shard can lead several clusters, so the
-                    // cluster id travels in the envelope via a map lookup
-                    // on arrival (see `handle`), keyed by the sender's
-                    // choice recorded here.
-                } else {
-                    keep.push((cid, txn));
-                }
-            }
-            self.outbox[h] = keep;
-            self.keep_buf = pending;
-        }
-    }
-
-    fn phase2_color_clusters(&mut self) {
-        let now = self.now.raw();
-        // Collect the clusters at their coloring moment first (borrow
-        // discipline) into the recycled scratch, then process each.
-        let mut due = std::mem::take(&mut self.due_buf);
-        due.clear();
-        // `active` holds exactly the clusters with a non-empty
-        // `incoming` or `sch_ldr`, in the same `ClusterId` order the old
-        // full-map scan produced.
-        due.extend(
-            self.active
-                .iter()
-                .filter(|cid| {
-                    let d_c = self.hierarchy.cluster(**cid).diameter.max(1);
-                    let e_i = self.epoch_len(cid.layer);
-                    now >= d_c && (now - d_c).is_multiple_of(e_i)
-                })
-                .copied(),
-        );
-        for &cid in &due {
-            self.color_cluster(cid);
-        }
-        self.due_buf = due;
-    }
-
-    /// Phase 2 for one cluster: color new (or all uncommitted, at
-    /// rescheduling alignments) transactions and dispatch the scheduled
-    /// subtransactions with their heights.
-    fn color_cluster(&mut self, cid: ClusterId) {
-        let d_c = self.hierarchy.cluster(cid).diameter.max(1);
-        let leader_shard = self.hierarchy.cluster(cid).leader;
-        let e_i = self.epoch_len(cid.layer);
-        let r0 = self.now.raw() - d_c;
-        let t_end = r0 + e_i;
-        // The epoch end aligns with a rescheduling period P_k, k > i, iff
-        // t_end is a multiple of 2^{i+1}·E_0.
-        let reschedule = self.fcfg.reschedule && t_end.is_multiple_of(e_i * 2);
-
-        let st = self.leaders.get_mut(&cid).expect("cluster state exists");
-        let incoming = std::mem::take(&mut st.incoming);
-        // Targets: new transactions, plus every still-unconfirmed one when
-        // rescheduling.
-        let mut targets: Vec<Transaction> = Vec::new();
-        if reschedule {
-            targets.extend(st.sch_ldr.values().map(|e| e.txn.clone()));
-        }
-        for t in incoming {
-            if let std::collections::btree_map::Entry::Vacant(v) = st.sch_ldr.entry(t.id) {
-                v.insert(LeaderEntry {
-                    txn: t.clone(),
-                    votes: FastMap::default(),
-                });
-                self.txn_cluster.insert(t.id, cid);
-            }
-            targets.push(t);
-        }
-        if targets.is_empty() {
-            return;
-        }
-        targets.sort_by_key(|t| t.id);
-        targets.dedup_by_key(|t| t.id);
-
-        // The coloring is a pure function of the (sorted) batch; a
-        // rescheduling epoch with no arrivals and no confirms since the
-        // last coloring reuses the cached result instead of rebuilding
-        // the conflict structure from the access lists.
-        let unchanged = st.last_plan.is_some()
-            && st.last_ids.len() == targets.len()
-            && st.last_ids.iter().zip(&targets).all(|(id, t)| *id == t.id);
-        let plan = if unchanged {
-            st.last_plan.clone().expect("checked above")
-        } else {
-            let p = self.policy.plan_epoch(t_end, &targets);
-            st.last_ids.clear();
-            st.last_ids.extend(targets.iter().map(|t| t.id));
-            st.last_plan = Some(p.clone());
-            p
-        };
-        let now = self.now;
-        for (v, t) in targets.iter().enumerate() {
-            let height = Height {
-                t_end,
-                layer: cid.layer,
-                sublayer: cid.sublayer,
-                color: plan.slot(v),
-                txn: t.id,
-            };
-            for sub in &t.subs {
-                self.net.send(
-                    leader_shard,
-                    sub.dest,
-                    now,
-                    Msg::Schedule {
-                        sub: sub.clone(),
-                        height,
-                        leader: leader_shard,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Algorithm 2b step 1: each destination examines the head of its
-    /// schedule queue and votes for the head's entire *color class* — all
-    /// queued subtransactions sharing the head's `(t_end, layer, sublayer,
-    /// color)` prefix. Same prefix means same cluster, same coloring
-    /// batch, same color, hence mutually conflict-free; the Lemma 2/3
-    /// accounting charges `2d+1` rounds per color class, not per
-    /// transaction, which is exactly this batching.
-    fn vote_heads(&mut self) {
-        let now = self.now;
-        let window = self.fcfg.pipeline_window.max(1);
-        for d in 0..self.sys.shards {
-            let dest = &mut self.dests[d];
-            // `voted` holds exactly the outstanding (unconfirmed) votes.
-            if dest.voted.len() >= window {
-                continue;
-            }
-            // Votes are only cast for queued entries and are removed
-            // together with them on confirmation, so `voted` is a subset
-            // of `sch_qd`'s txns; equal sizes mean the whole queue is
-            // already voted (including the empty queue) and the head
-            // scan below cannot find anything.
-            if dest.voted.len() == dest.sch_qd.len() {
-                continue;
-            }
-            // One new vote per round: the smallest-height unvoted entry.
-            let Some((_, sub)) = dest
-                .sch_qd
-                .iter()
-                .find(|(_, s)| !dest.voted.contains(&s.txn))
-            else {
-                continue;
-            };
-            let commit = self.ledgers[d].check(sub);
-            let txn = sub.txn;
-            let leader = dest.leader_of[&txn];
-            dest.voted.insert(txn);
-            self.net
-                .send(ShardId(d as u32), leader, now, Msg::Vote { txn, commit });
-        }
-    }
-
-    fn handle(&mut self, from: ShardId, to: ShardId, msg: Msg) {
-        match msg {
-            Msg::ToLeader { txn } => {
-                // Find the cluster this leader shard is collecting for that
-                // contains both the home shard and this leader: the home
-                // cluster was computed at injection; recompute (cheap,
-                // deterministic) to file under the right cluster.
-                let x = txn
-                    .shards()
-                    .map(|s| self.hierarchy.distance(txn.home, s))
-                    .max()
-                    .unwrap_or(0);
-                let cid = self.home_cluster_cached(txn.home, x);
-                debug_assert_eq!(self.hierarchy.cluster(cid).leader, to);
-                self.leaders.entry(cid).or_default().incoming.push(txn);
-                self.active.insert(cid);
-            }
-            Msg::Schedule {
-                sub,
-                height,
-                leader,
-            } => {
-                let d = to.index();
-                let dest = &mut self.dests[d];
-                let txn = sub.txn;
-                // Update: drop the old queue position if present.
-                if let Some(old) = dest.by_txn.remove(&txn) {
-                    dest.sch_qd.remove(&old);
-                }
-                dest.by_txn.insert(txn, height);
-                dest.leader_of.insert(txn, leader);
-                dest.sch_qd.insert(height, sub);
-            }
-            Msg::Vote { txn, commit } => {
-                // `to` is the leader shard; a transaction sits in exactly
-                // one cluster's `sch_ldr` (its home cluster), kept in the
-                // `txn_cluster` index — one lookup instead of scanning
-                // every cluster the shard leads. A vote arriving after
-                // the confirmation finds no entry and is a no-op, exactly
-                // like the old scan.
-                let Some(&cid) = self.txn_cluster.get(&txn) else {
-                    return;
-                };
-                debug_assert_eq!(self.hierarchy.cluster(cid).leader, to);
-                let mut decided: Option<(ClusterId, bool)> = None;
-                if let Some(st) = self.leaders.get_mut(&cid) {
-                    if let Some(entry) = st.sch_ldr.get_mut(&txn) {
-                        entry.votes.insert(from, commit);
-                        if entry.votes.len() == entry.txn.shard_count() {
-                            let all_commit = entry.votes.values().all(|&v| v);
-                            decided = Some((cid, all_commit));
-                        }
-                    }
-                }
-                if let Some((cid, all_commit)) = decided {
-                    self.confirm(cid, txn, all_commit);
-                }
-            }
-            Msg::Confirm { txn, commit } => {
-                let d = to.index();
-                let dest = &mut self.dests[d];
-                if let Some(h) = dest.by_txn.remove(&txn) {
-                    if let Some(sub) = dest.sch_qd.remove(&h) {
-                        if commit {
-                            // In pipelined mode a vote can go stale between
-                            // check and confirm; `try_apply` re-validates
-                            // applicability (never fails on write-only
-                            // workloads — see the module docs).
-                            if self.ledgers[d].try_apply(&sub) {
-                                self.append_buf[d].push(sub);
-                            }
-                        }
-                    }
-                }
-                dest.leader_of.remove(&txn);
-                dest.voted.remove(&txn);
-            }
-        }
-    }
-
-    /// Algorithm 2b steps 2–3: all votes collected — confirm commit or
-    /// abort to every destination and retire the transaction.
-    fn confirm(&mut self, cid: ClusterId, txn: TxnId, commit: bool) {
-        let leader_shard = self.hierarchy.cluster(cid).leader;
-        let st = self.leaders.get_mut(&cid).expect("cluster exists");
-        let entry = st.sch_ldr.remove(&txn).expect("entry exists");
-        if st.sch_ldr.is_empty() && st.incoming.is_empty() {
-            self.active.remove(&cid);
-        }
-        self.txn_cluster.remove(&txn);
-        let now = self.now;
-        let mut worst = 1;
-        for dest in entry.txn.shards() {
-            worst = worst.max(self.net.distance(leader_shard, dest).max(1));
-            self.net
-                .send(leader_shard, dest, now, Msg::Confirm { txn, commit });
-        }
-        self.outstanding = self.outstanding.saturating_sub(1);
-        let commit_round = now.plus(worst);
-        if commit {
-            self.collector
-                .record_commit(entry.txn.generated, commit_round, entry.txn.home);
-            self.committed_log.push((commit_round, txn));
-        } else {
-            self.collector.record_abort();
-        }
+        let epoch = self.host.now.raw() / self.e0;
+        self.host.round(&mut self.policy);
+        let samples = self.host.samples.iter().copied();
+        self.outstanding = record_round(&mut self.host.collector, epoch, samples, 0, 0);
     }
 
     /// Finalizes into a [`RunReport`].
     pub fn finish(self) -> RunReport {
-        let pending = self.outstanding;
-        let epochs = self.now.raw() / self.e0;
+        let epochs = self.host.now.raw() / self.e0;
         let top_epoch = self.e0 << (self.hierarchy.num_layers() as u64 - 1);
-        self.collector.finish(
+        self.host.finish(
             SchedulerKind::Fds,
-            self.now.raw(),
             self.generated,
-            pending,
+            self.outstanding,
             epochs,
             top_epoch,
-            self.net.sent_count(),
-            self.net.max_message_bytes(),
         )
     }
 }
@@ -799,6 +770,116 @@ mod tests {
         };
         let map = AccountMap::round_robin(&sys);
         (sys, map)
+    }
+
+    type Script = crate::node::Script<Msg>;
+
+    /// One [`FdsNode`] with what a host would lend it.
+    struct Rig {
+        node: FdsNode,
+        ledger: ShardLedger,
+        chain: LocalChain,
+        policy: ColoringPolicy,
+    }
+
+    impl Rig {
+        fn new(id: ShardId, map: &AccountMap, hierarchy: &Arc<Hierarchy>) -> Rig {
+            Rig {
+                node: FdsNode::new(id, FdsConfig::default(), hierarchy.clone()),
+                ledger: ShardLedger::new(id, map, 1_000),
+                chain: LocalChain::new(id),
+                policy: ColoringPolicy::new(SchedulerKind::Fds, ColoringStrategy::Greedy, 8),
+            }
+        }
+
+        fn step(&mut self, round: u64, inbox: Vec<(ShardId, Msg)>) -> Script {
+            let mut out = Script::default();
+            let lent = Lent {
+                ledger: &mut self.ledger,
+                chain: &mut self.chain,
+                policy: &mut self.policy,
+            };
+            self.node.step(round, inbox.into_iter(), lent, &mut out);
+            out
+        }
+    }
+
+    /// The leader node of a transaction homed at shard 2 over shards 1
+    /// and 3 of an 8-shard line, driven until it has scheduled it; also
+    /// returns the next round.
+    fn scheduled() -> (Rig, AccountMap, Arc<Hierarchy>, TxnId, u64) {
+        let (sys, map) = small_sys();
+        let metric = LineMetric::new(sys.shards);
+        let hierarchy = Arc::new(Hierarchy::build_with_sublayers(&metric, 2));
+        let dests = [ShardId(1), ShardId(3)];
+        let txn = Transaction::writing_shards(TxnId(7), ShardId(2), Round::ZERO, &map, &dests);
+        let leader = hierarchy
+            .cluster(hierarchy.home_cluster(ShardId(2), 1))
+            .leader;
+        let mut rig = Rig::new(leader, &map, &hierarchy);
+        let arrival = Msg::ToLeader { txn: txn.unwrap() };
+        let mut out = rig.step(0, vec![(ShardId(2), arrival)]);
+        let mut round = 1;
+        while out.sent.is_empty() {
+            assert!(round < 64, "the cluster never reached its coloring moment");
+            out = rig.step(round, Vec::new());
+            round += 1;
+        }
+        let to: Vec<ShardId> = out.sent.iter().map(|(to, _)| *to).collect();
+        assert_eq!(to, dests);
+        assert!(out
+            .sent
+            .iter()
+            .all(|(_, m)| matches!(m, Msg::Schedule { leader: l, .. } if *l == leader)));
+        (rig, map, hierarchy, TxnId(7), round)
+    }
+
+    #[test]
+    fn duplicated_vote_never_confirms_early() {
+        let (mut rig, _, _, txn, round) = scheduled();
+        let vote = |from| (ShardId(from), Msg::Vote { txn, commit: true });
+        let out = rig.step(round, vec![vote(1), vote(1)]);
+        assert!(out.sent.is_empty() && out.events.is_empty());
+        let out = rig.step(round + 1, vec![vote(3), vote(3), vote(1)]);
+        let confirms: Vec<ShardId> = out.sent.iter().map(|(to, _)| *to).collect();
+        assert_eq!(confirms, vec![ShardId(1), ShardId(3)], "confirmed once");
+        assert!(out
+            .sent
+            .iter()
+            .all(|(_, m)| matches!(m, Msg::Confirm { commit: true, .. })));
+        assert_eq!(out.events.len(), 1);
+        assert!(out.events[0].committed && out.events[0].home == ShardId(2));
+        assert_eq!(rig.node.sample(), [0, 0, 0, 1], "resolved, cluster idle");
+    }
+
+    #[test]
+    fn messages_for_unknown_or_retired_txns_are_noops() {
+        let (mut rig, map, hierarchy, txn, round) = scheduled();
+        let stray = |txn| {
+            vec![
+                (ShardId(1), Msg::Vote { txn, commit: true }),
+                (ShardId(4), Msg::Confirm { txn, commit: true }),
+            ]
+        };
+        let out = rig.step(round, stray(TxnId(99)));
+        assert!(out.sent.is_empty() && out.events.is_empty());
+        // A vote from a shard the transaction does not touch counts for
+        // nothing either.
+        let out = rig.step(
+            round + 1,
+            vec![(ShardId(5), Msg::Vote { txn, commit: true })],
+        );
+        assert!(out.sent.is_empty() && out.events.is_empty());
+        let votes = [1, 3].map(|from| (ShardId(from), Msg::Vote { txn, commit: true }));
+        assert_eq!(rig.step(round + 2, votes.to_vec()).events.len(), 1);
+        let out = rig.step(round + 3, stray(txn));
+        assert!(out.sent.is_empty() && out.events.is_empty());
+        // A destination that never queued the transaction ignores its
+        // confirmation.
+        let mut dest = Rig::new(ShardId(6), &map, &hierarchy);
+        let out = dest.step(0, stray(txn));
+        assert!(out.sent.is_empty() && out.events.is_empty());
+        assert!(rig.chain.is_empty() && dest.chain.is_empty());
     }
 
     #[test]

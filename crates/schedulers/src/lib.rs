@@ -2,6 +2,11 @@
 //!
 //! The paper's two stable transaction schedulers, plus baselines:
 //!
+//! * [`node`] — the seam both protocols are written against: a per-shard
+//!   [`Node`](node::Node) stepped once per round, reaching outside its
+//!   shard only by sending a message or emitting a decision, and the
+//!   simulator host that runs `s` of them on one thread (the `runtime`
+//!   crate is the threaded host of the same nodes).
 //! * [`bds`] — **Algorithm 1**, the Basic Distributed Scheduler for the
 //!   uniform communication model: epoch-based, rotating leader, conflict-
 //!   graph coloring, and a four-round vote/confirm/commit protocol per
@@ -39,6 +44,7 @@ pub mod driver;
 pub mod fds;
 pub mod history;
 pub mod metrics;
+pub mod node;
 pub mod scheduler;
 pub mod testkit;
 pub mod zoo;

@@ -7,10 +7,10 @@
 //! commit protocol, and report through [`RunReport`](crate::RunReport).
 //! BDS instantiates the lifecycle with proper conflict-graph coloring;
 //! the zoo competitors ([`crate::zoo`]) instantiate it with EDF,
-//! fixed-priority, work-stealing, and speculative plans. The epoch *host*
-//! (the BDS simulator and the networked engine's shard nodes) stays
-//! identical — only the planning step behind [`Scheduler::plan_epoch`]
-//! differs, which is what makes a new scheduler sweepable, benchable,
+//! fixed-priority, work-stealing, and speculative plans. The epoch
+//! protocol around the plan ([`BdsNode`](crate::bds::BdsNode), hosted by
+//! the simulator and by the networked engine) stays identical — only the
+//! planning step behind [`Scheduler::plan_epoch`] differs, which is what makes a new scheduler sweepable, benchable,
 //! and net-runnable with zero per-scheduler glue.
 //!
 //! # Contract
@@ -24,10 +24,11 @@
 //! 2. **Bounds** — every slot index is `< num_slots`, and `num_slots`
 //!    is `0` only for an empty batch;
 //! 3. **Purity** — the plan is a deterministic function of
-//!    `(epoch, batch)` alone. In the networked engine every shard holds
-//!    its own policy instance and only the rotating epoch leader's is
-//!    consulted, so any cross-epoch hidden state would diverge under
-//!    leader rotation and break the sim/net byte-identity guarantee.
+//!    `(epoch, batch)` alone. The simulator lends one instance to every
+//!    node; in the networked engine every shard holds its own and only
+//!    the rotating epoch leader's is consulted, so any cross-epoch
+//!    hidden state would diverge under leader rotation and break the
+//!    sim/net byte-identity guarantee.
 
 use crate::metrics::SchedulerKind;
 use conflict::{color_transactions_with, ColoringScratch, ColoringStrategy};
