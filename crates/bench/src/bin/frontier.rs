@@ -13,8 +13,8 @@
 //! ```
 
 use adversary::{AdversaryConfig, StrategyKind};
-use bench::Opts;
 use cluster::{LineMetric, UniformMetric};
+use scenario::cli::BinArgs;
 use schedulers::baseline::{run_fcfs, FcfsConfig};
 use schedulers::bds::{run_bds_with_metric, BdsConfig};
 use schedulers::fds::{run_fds, FdsConfig};
@@ -44,10 +44,10 @@ fn search(mut lo: f64, mut hi: f64, mut run: impl FnMut(f64) -> RunReport) -> f6
 }
 
 fn main() {
-    let opts = Opts::parse(6_000);
+    let round_count = BinArgs::parse().rounds_or(6_000);
     let sys = SystemConfig::paper_simulation();
     let map = AccountMap::random(&sys, 1);
-    let rounds = Round(opts.rounds);
+    let rounds = Round(round_count);
     let uniform = UniformMetric::new(sys.shards);
     let line = LineMetric::new(sys.shards);
     let workload = |rho: f64| AdversaryConfig {
@@ -60,7 +60,7 @@ fn main() {
 
     println!(
         "Empirical stability frontier (s=64, k=8, uniform-random workload, {} rounds)\n",
-        opts.rounds
+        round_count
     );
     println!("Theoretical anchors:");
     println!(

@@ -13,13 +13,13 @@
 //! ```
 
 use adversary::{AdversaryConfig, StrategyKind};
-use bench::Opts;
+use scenario::cli::BinArgs;
 use schedulers::bds::run_bds;
 use sharding_core::bounds;
 use sharding_core::{AccountMap, Round, SystemConfig};
 
 fn main() {
-    let opts = Opts::parse(6_000);
+    let rounds = BinArgs::parse().rounds_or(6_000);
     println!(
         "{:<18} {:>5} {:>9} {:>9} {:>11} {:>11} {:>11} {:>11} {:>6}",
         "(s, k, b)", "rho", "epoch", "τ bound", "pending", "4bs", "latency", "lat bound", "ok"
@@ -48,12 +48,12 @@ fn main() {
             rho,
             burstiness: b,
             strategy: StrategyKind::SingleBurst {
-                burst_round: opts.rounds / 10,
+                burst_round: rounds / 10,
             },
             seed: 7,
             ..Default::default()
         };
-        let r = run_bds(&sys, &map, &adv, Round(opts.rounds));
+        let r = run_bds(&sys, &map, &adv, Round(rounds));
         let tau = bounds::bds_epoch_bound(b, k, s);
         let qb = bounds::bds_queue_bound(b, s);
         let lb = bounds::bds_latency_bound(b, k, s);

@@ -16,8 +16,8 @@
 
 use adversary::Adversary;
 use adversary::{AdversaryConfig, StrategyKind};
-use bench::Opts;
 use cluster::LineMetric;
+use scenario::cli::BinArgs;
 use schedulers::fds::{FdsConfig, FdsSim};
 use sharding_core::bounds;
 use sharding_core::{AccountMap, Round, SystemConfig};
@@ -27,7 +27,7 @@ use sharding_core::{AccountMap, Round, SystemConfig};
 const C1: f64 = 4.0;
 
 fn main() {
-    let opts = Opts::parse(8_000);
+    let rounds = BinArgs::parse().rounds_or(8_000);
     println!(
         "{:<14} {:>8} {:>4} {:>10} {:>10} {:>10} {:>12} {:>6}",
         "(s, k, b)", "rho", "d", "pending", "4bs", "latency", "lat bound", "ok"
@@ -55,14 +55,14 @@ fn main() {
             rho,
             burstiness: b,
             strategy: StrategyKind::SingleBurst {
-                burst_round: opts.rounds / 10,
+                burst_round: rounds / 10,
             },
             seed: 7,
             ..Default::default()
         };
         let mut sim = FdsSim::new(&sys, &map, FdsConfig::default(), &metric);
         let mut adversary = Adversary::new(&sys, &map, adv);
-        for r in 0..opts.rounds {
+        for r in 0..rounds {
             sim.step(adversary.generate(Round(r)));
         }
         let d = sim.max_access_distance().max(1);

@@ -1,91 +1,32 @@
 //! # bench
 //!
-//! The experiment harness: ASCII rendering and legacy sweep machinery for
-//! the figure-regeneration binaries (`fig2`, `fig3`, `table_t1`,
-//! `table_t2`, `table_t3`, `frontier`, `ablations`). Timing lives in the
-//! standalone `benchmark/` crate, not here.
+//! ASCII rendering for the figure-regeneration binaries (`fig2`, `fig3`,
+//! `table_t1`, `table_t2`, `table_t3`, `frontier`, `ablations`). Nothing
+//! here measures host time: timing lives in the standalone `benchmark/`
+//! crate.
 //!
-//! The grid definitions themselves are migrating into declarative
-//! `.scenario` files under `scenarios/` driven by the [`scenario`] engine
-//! (`fig2`, `fig3`, `table_t1`, and `ablations` are already thin
-//! wrappers; `table_t2`, `table_t3`, and `frontier` still use the
-//! in-crate [`Opts`] sweeps). Every binary accepts:
+//! `fig2`, `fig3`, `table_t1` and `ablations` are thin wrappers over
+//! `.scenario` files under `scenarios/` driven by the [`scenario`]
+//! engine; `table_t2`, `table_t3` and `frontier` run small in-crate
+//! grids. All seven parse their arguments with
+//! [`scenario::cli::BinArgs`]:
 //!
-//! * `--full` — run the paper-scale grid (25 000 rounds, the full ρ and b
-//!   grids). Without it a reduced "quick" grid runs in a few minutes on a
-//!   single core.
+//! * `--full` — the paper-scale run (25 000 rounds; `fig2` and `fig3`
+//!   also load their `_full` grid). Without it a reduced "quick" shape
+//!   runs in a few minutes on a single core.
 //! * `--rounds N` — override the round count.
-//! * `--out DIR` — output directory for CSV files (default `results/`).
+//! * `--out DIR` — output directory for reports (default `results/`;
+//!   scenario-driven binaries only).
 //! * `--threads N` — worker threads (scenario-driven binaries only).
 //!
 //! The binaries print ASCII renditions of the paper's plots plus a
-//! paper-vs-measured summary, and write the raw series as CSV.
+//! paper-vs-measured summary; the scenario-driven ones write the raw
+//! series as CSV + JSONL.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use adversary::{AdversaryConfig, StrategyKind};
 use schedulers::RunReport;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-
-/// Parsed command-line options shared by the experiment binaries.
-#[derive(Debug, Clone)]
-pub struct Opts {
-    /// Paper-scale grid when true.
-    pub full: bool,
-    /// Number of simulated rounds per cell.
-    pub rounds: u64,
-    /// Output directory for CSVs.
-    pub out: PathBuf,
-}
-
-impl Opts {
-    /// Parses `std::env::args`, with `default_rounds` for quick mode.
-    /// Full mode uses the paper's 25 000 rounds unless `--rounds` is
-    /// given.
-    pub fn parse(default_rounds: u64) -> Opts {
-        let args: Vec<String> = std::env::args().collect();
-        let full = args.iter().any(|a| a == "--full");
-        let mut rounds = if full { 25_000 } else { default_rounds };
-        let mut out = PathBuf::from("results");
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--rounds" => {
-                    if let Some(v) = it.next() {
-                        rounds = v.parse().expect("--rounds takes an integer");
-                    }
-                }
-                "--out" => {
-                    if let Some(v) = it.next() {
-                        out = PathBuf::from(v);
-                    }
-                }
-                _ => {}
-            }
-        }
-        Opts { full, rounds, out }
-    }
-
-    /// The ρ grid for the figures.
-    pub fn rho_grid(&self) -> Vec<f64> {
-        if self.full {
-            vec![0.03, 0.06, 0.09, 0.12, 0.15, 0.18, 0.21, 0.24, 0.27, 0.30]
-        } else {
-            vec![0.05, 0.10, 0.15, 0.20, 0.27]
-        }
-    }
-
-    /// The burstiness grid for the figures (total burst transactions).
-    pub fn b_grid(&self) -> Vec<u64> {
-        if self.full {
-            vec![500, 1000, 2000, 3000]
-        } else {
-            vec![1000, 3000]
-        }
-    }
-}
 
 /// One sweep cell result.
 #[derive(Debug, Clone)]
@@ -96,52 +37,6 @@ pub struct Cell {
     pub b: u64,
     /// The run's report.
     pub report: RunReport,
-}
-
-/// The Section 7 workload: steady rate ρ plus one burst of `b`
-/// transactions injected early in the run ("burstiness was introduced
-/// within only one epoch").
-pub fn paper_workload(rho: f64, b: u64, seed: u64, rounds: u64) -> AdversaryConfig {
-    AdversaryConfig {
-        rho,
-        burstiness: b.max(1),
-        strategy: StrategyKind::CountBurst {
-            burst_round: (rounds / 10).max(1),
-            count: b,
-        },
-        seed,
-        ..Default::default()
-    }
-}
-
-/// Writes sweep cells as CSV.
-pub fn write_csv(path: &Path, cells: &[Cell]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut f = std::fs::File::create(path)?;
-    writeln!(
-        f,
-        "rho,b,avg_queue_per_shard,avg_latency,max_latency,max_total_pending,generated,committed,aborted,pending_at_end,verdict"
-    )?;
-    for c in cells {
-        writeln!(
-            f,
-            "{},{},{:.4},{:.2},{},{},{},{},{},{},{:?}",
-            c.rho,
-            c.b,
-            c.report.avg_queue_per_shard,
-            c.report.avg_latency,
-            c.report.max_latency,
-            c.report.max_total_pending,
-            c.report.generated,
-            c.report.committed,
-            c.report.aborted,
-            c.report.pending_at_end,
-            c.report.verdict,
-        )?;
-    }
-    Ok(())
 }
 
 /// Renders an ASCII grouped bar chart: one row per ρ, one bar per b,
@@ -225,18 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_roundtrip_shape() {
-        let dir = std::env::temp_dir().join("blockshard_csv_test");
-        let path = dir.join("t.csv");
-        let cells = vec![dummy_cell(0.1, 100, 5.0), dummy_cell(0.2, 100, 9.0)];
-        write_csv(&path, &cells).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content.lines().count(), 3);
-        assert!(content.lines().next().unwrap().starts_with("rho,b,"));
-        assert!(content.contains("0.2,100"));
-    }
-
-    #[test]
     fn ascii_renders_all_groups() {
         let cells = vec![
             dummy_cell(0.1, 100, 5.0),
@@ -249,18 +132,5 @@ mod tests {
         assert_eq!(s.matches("rho").count(), 2);
         let t = ascii_table("q", &cells, |c| c.report.avg_queue_per_shard);
         assert!(t.contains("b=200"));
-    }
-
-    #[test]
-    fn paper_workload_shape() {
-        let w = paper_workload(0.1, 2000, 1, 25_000);
-        assert_eq!(w.rho, 0.1);
-        match w.strategy {
-            StrategyKind::CountBurst { burst_round, count } => {
-                assert_eq!(burst_round, 2500);
-                assert_eq!(count, 2000);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 }

@@ -27,9 +27,8 @@
 //! already has (byte-identical across thread counts, sim ≡ net when
 //! fault-free) extends to campaign output for free.
 
-use crate::bench;
 use crate::cli::default_threads;
-use crate::exec::{run_job, run_jobs, JobOutcome};
+use crate::exec::{run_jobs, JobOutcome};
 use crate::parse::Scenario;
 use crate::report;
 use std::path::PathBuf;
@@ -108,12 +107,6 @@ pub struct CampaignOpts {
     pub quiet: bool,
     /// Write report files (CSV + JSONL + metrics timeline).
     pub write: bool,
-    /// Re-run each member's first job as a timed probe and report
-    /// ns/round medians on stderr. Uses the same warmup/repeats floor
-    /// as `bench --quick` ([`bench::QUICK_WARMUP_FLOOR`] /
-    /// [`bench::QUICK_REPEATS_FLOOR`]) so the nightly lane gates on
-    /// one sample discipline, not two.
-    pub timed: bool,
 }
 
 impl Default for CampaignOpts {
@@ -125,7 +118,6 @@ impl Default for CampaignOpts {
             sets: Vec::new(),
             quiet: false,
             write: true,
-            timed: false,
         }
     }
 }
@@ -140,8 +132,6 @@ pub struct MemberResult {
     pub description: String,
     /// Every job outcome, in plan order.
     pub outcomes: Vec<JobOutcome>,
-    /// Timed-probe median ns/round for job 0, when `timed` was set.
-    pub probe_ns_per_round: Option<f64>,
 }
 
 /// Runs every member of `family` and returns the results in member
@@ -183,41 +173,13 @@ pub fn run_campaign(family: Family, opts: &CampaignOpts) -> Result<Vec<MemberRes
                     .map_err(|e| format!("writing {}: {e}", path.display()))?;
             }
         }
-        let probe_ns_per_round = if opts.timed {
-            Some(timed_probe(&outcomes))
-        } else {
-            None
-        };
         results.push(MemberResult {
             name: scenario.name.clone(),
             description: scenario.description.clone(),
             outcomes,
-            probe_ns_per_round,
         });
     }
     Ok(results)
-}
-
-/// Re-runs job 0 with the bench quick-mode sample floor and returns
-/// the median ns/round. Wall-clock only — never folded into the
-/// deterministic reports.
-fn timed_probe(outcomes: &[JobOutcome]) -> f64 {
-    let Some(first) = outcomes.first() else {
-        return 0.0;
-    };
-    let spec = &first.spec;
-    for _ in 0..bench::QUICK_WARMUP_FLOOR {
-        run_job(spec);
-    }
-    let mut samples: Vec<f64> = (0..bench::QUICK_REPEATS_FLOOR)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            run_job(spec);
-            t.elapsed().as_nanos() as f64 / spec.rounds.max(1) as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
 }
 
 /// The campaign summary table: one row per job across every member,
@@ -307,13 +269,5 @@ mod tests {
         assert_eq!(CAMPAIGN_SCENARIOS[0], "flash_crowd");
         assert_eq!(CAMPAIGN_SCENARIOS[4], "combined_stress");
         assert_eq!(CAMPAIGN_SCENARIOS[5], "reshard_churn");
-    }
-
-    #[test]
-    fn probe_floor_matches_bench_quick_mode() {
-        // The shared constants ARE the dedupe: bench quick mode and
-        // the campaign timed probe must keep sampling identically.
-        assert_eq!(bench::QUICK_REPEATS_FLOOR, 5);
-        assert_eq!(bench::QUICK_WARMUP_FLOOR, 2);
     }
 }

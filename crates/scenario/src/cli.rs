@@ -1,8 +1,7 @@
 //! The `blockshard` command-line interface (clap-style, hand-rolled —
 //! the workspace is offline) plus the small argument parser shared by
-//! the figure-wrapper binaries in `bench`.
+//! the seven figure and table binaries in `bench`.
 
-use crate::bench;
 use crate::campaign;
 use crate::exec::{run_jobs, JobOutcome};
 use crate::parse::Scenario;
@@ -16,7 +15,6 @@ USAGE:
     blockshard plan <FILE>                 print the expanded job list
     blockshard check <FILE>...             parse + validate only
     blockshard list [DIR]                  list scenario files (default scenarios/)
-    blockshard bench [FILTER...] [OPTIONS] run the performance fixtures
     blockshard campaign <FAMILY> [OPTIONS] run a named scenario family
     blockshard help                        this text
 
@@ -28,17 +26,6 @@ OPTIONS (run):
     --quiet          no per-job progress on stderr
     --no-write       print the summary but write no report files
 
-OPTIONS (bench):
-    --quick               CI-size fixtures (fewer rounds and repeats)
-    --repeats N           timed iterations per fixture (default 5; quick 3)
-    --warmup N            untimed warmup iterations (default 1)
-    --out FILE            write the machine-readable report (BENCH_*.json)
-    --scenarios DIR       scenario directory (default scenarios/)
-    --baseline FILE       compare against a previous BENCH_*.json
-    --max-regression X    fail when any fixture is >X times slower than
-                          the baseline (default 2.0; needs --baseline)
-    FILTER                only fixtures whose name contains a FILTER
-
 OPTIONS (campaign):
     FAMILY           quick (the checked-in 200-round CI shape, golden-
                      diffed) or full (the nightly long-round shape)
@@ -47,7 +34,6 @@ OPTIONS (campaign):
     --rounds N       override rounds for every member (beats the family)
     --set KEY=VALUE  override any base key (repeatable)
     --scenarios DIR  member scenario directory (default scenarios/)
-    --timed          re-run each member's first job as a timed probe
     --quiet          no per-job progress on stderr
     --no-write       print the summary but write no report files
 
@@ -64,8 +50,13 @@ pub fn default_threads(jobs: usize) -> usize {
         .clamp(1, jobs.max(1))
 }
 
-/// Arguments shared by the figure-wrapper binaries (`fig2`, `table_t1`,
-/// `ablations`): quick/full scenario selection plus engine overrides.
+/// Rounds of a paper-scale (`--full`) run.
+const PAPER_ROUNDS: u64 = 25_000;
+
+/// Arguments shared by the `bench` crate's binaries: quick/full
+/// selection plus engine overrides for the scenario-driven ones
+/// (`fig2`, `fig3`, `table_t1`, `ablations`), and the round count for
+/// the in-crate grids (`table_t2`, `table_t3`, `frontier`).
 #[derive(Debug, Clone)]
 pub struct BinArgs {
     /// Run the paper-scale variant of the scenario.
@@ -79,38 +70,25 @@ pub struct BinArgs {
 }
 
 impl BinArgs {
-    /// Parses `std::env::args` (unknown flags are ignored, like the old
-    /// per-binary parsers did).
+    /// Parses `std::env::args`, exiting with status 2 on a malformed
+    /// value (unknown flags are ignored).
     pub fn parse() -> BinArgs {
-        let args: Vec<String> = std::env::args().collect();
-        let mut out = BinArgs {
-            full: args.iter().any(|a| a == "--full"),
-            rounds: None,
-            out: PathBuf::from("results"),
-            threads: 0,
-        };
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--rounds" => {
-                    if let Some(v) = it.next() {
-                        out.rounds = Some(v.parse().expect("--rounds takes an integer"));
-                    }
-                }
-                "--out" => {
-                    if let Some(v) = it.next() {
-                        out.out = PathBuf::from(v);
-                    }
-                }
-                "--threads" => {
-                    if let Some(v) = it.next() {
-                        out.threads = v.parse().expect("--threads takes an integer");
-                    }
-                }
-                _ => {}
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        match parse_bin_args(&args) {
+            Ok(parsed) => parsed,
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(2);
             }
         }
-        out
+    }
+
+    /// Rounds for the binaries that run in-crate grids instead of a
+    /// scenario file: explicit `--rounds`, else the paper's 25 000 under
+    /// `--full`, else `quick`.
+    pub fn rounds_or(&self, quick: u64) -> u64 {
+        self.rounds
+            .unwrap_or(if self.full { PAPER_ROUNDS } else { quick })
     }
 
     /// The engine overrides this argument set implies. Binaries whose
@@ -119,7 +97,7 @@ impl BinArgs {
     pub fn sets(&self) -> Vec<(String, String)> {
         match (self.rounds, self.full) {
             (Some(r), _) => vec![("rounds".to_string(), r.to_string())],
-            (None, true) => vec![("rounds".to_string(), "25000".to_string())],
+            (None, true) => vec![("rounds".to_string(), PAPER_ROUNDS.to_string())],
             (None, false) => Vec::new(),
         }
     }
@@ -147,6 +125,40 @@ impl BinArgs {
         };
         run_jobs(&jobs, threads, true)
     }
+}
+
+fn parse_bin_args(args: &[String]) -> Result<BinArgs, String> {
+    let mut out = BinArgs {
+        full: false,
+        rounds: None,
+        out: PathBuf::from("results"),
+        threads: 0,
+    };
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--full" => out.full = true,
+            "--rounds" => {
+                let v = it.next().ok_or("--rounds takes a value")?;
+                out.rounds = Some(
+                    v.parse()
+                        .map_err(|_| format!("--rounds: `{v}` is not an integer"))?,
+                );
+            }
+            "--out" => {
+                let v = it.next().ok_or("--out takes a value")?;
+                out.out = PathBuf::from(v);
+            }
+            "--threads" => {
+                let v = it.next().ok_or("--threads takes a value")?;
+                out.threads = v
+                    .parse()
+                    .map_err(|_| format!("--threads: `{v}` is not an integer"))?;
+            }
+            _ => {}
+        }
+    }
+    Ok(out)
 }
 
 /// Loads a scenario file or exits with a readable error (binary helper).
@@ -357,141 +369,6 @@ fn cmd_list(args: &[String]) -> i32 {
     0
 }
 
-#[derive(Debug)]
-struct BenchFlags {
-    opts: bench::BenchOpts,
-    out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    max_regression: f64,
-}
-
-fn parse_bench_flags(args: &[String]) -> Result<BenchFlags, String> {
-    // --quick shrinks rounds *and* the repeat default, so resolve it
-    // before the flag loop (explicit --repeats still wins).
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut flags = BenchFlags {
-        opts: if quick {
-            bench::BenchOpts::quick()
-        } else {
-            bench::BenchOpts::full()
-        },
-        out: None,
-        baseline: None,
-        max_regression: 2.0,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => {}
-            "--repeats" => {
-                let v = it.next().ok_or("--repeats takes a value")?;
-                flags.opts.repeats = v
-                    .parse()
-                    .map_err(|_| format!("--repeats: `{v}` is not an integer"))?;
-                if flags.opts.repeats == 0 {
-                    return Err("--repeats must be >= 1".into());
-                }
-            }
-            "--warmup" => {
-                let v = it.next().ok_or("--warmup takes a value")?;
-                flags.opts.warmup = v
-                    .parse()
-                    .map_err(|_| format!("--warmup: `{v}` is not an integer"))?;
-            }
-            "--out" => {
-                let v = it.next().ok_or("--out takes a value")?;
-                flags.out = Some(PathBuf::from(v));
-            }
-            "--scenarios" => {
-                let v = it.next().ok_or("--scenarios takes a value")?;
-                flags.opts.scenarios_dir = PathBuf::from(v);
-            }
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline takes a value")?;
-                flags.baseline = Some(PathBuf::from(v));
-            }
-            "--max-regression" => {
-                let v = it.next().ok_or("--max-regression takes a value")?;
-                flags.max_regression = v
-                    .parse()
-                    .map_err(|_| format!("--max-regression: `{v}` is not a number"))?;
-                if flags.max_regression <= 1.0 || flags.max_regression.is_nan() {
-                    return Err("--max-regression must be > 1".into());
-                }
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
-            filter => flags.opts.filter.push(filter.to_string()),
-        }
-    }
-    Ok(flags)
-}
-
-fn cmd_bench(args: &[String]) -> i32 {
-    let flags = match parse_bench_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return 2;
-        }
-    };
-    eprintln!(
-        "bench: {} mode, {} repeat(s) after {} warmup(s)",
-        if flags.opts.quick { "quick" } else { "full" },
-        flags.opts.repeats,
-        flags.opts.warmup,
-    );
-    let results = match bench::run_fixtures(&flags.opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    if results.is_empty() {
-        eprintln!("error: no fixture matches the given filter(s)");
-        return 2;
-    }
-    print!("{}", bench::summary_table(&results));
-    if let Some(out) = &flags.out {
-        let json = bench::render_json(&results, &flags.opts, &bench::git_sha());
-        if let Err(e) = bench::write_bench_file(out, &json) {
-            eprintln!("error: writing {}: {e}", out.display());
-            return 1;
-        }
-        println!("bench report: {}", out.display());
-    }
-    if let Some(path) = &flags.baseline {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: reading baseline {}: {e}", path.display());
-                return 2;
-            }
-        };
-        let baseline = match bench::parse_baseline(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        };
-        let comparisons = bench::compare(&results, &baseline);
-        let (table, failures) = bench::regression_report(&comparisons, flags.max_regression);
-        print!("{table}");
-        if !failures.is_empty() {
-            eprintln!(
-                "error: {} fixture(s) regressed more than {:.2}x vs {}: {}",
-                failures.len(),
-                flags.max_regression,
-                path.display(),
-                failures.join(", "),
-            );
-            return 1;
-        }
-    }
-    0
-}
-
 fn parse_campaign_flags(
     args: &[String],
 ) -> Result<(campaign::Family, campaign::CampaignOpts), String> {
@@ -531,7 +408,6 @@ fn parse_campaign_flags(
                 opts.sets
                     .push((k.trim().to_string(), val.trim().to_string()));
             }
-            "--timed" => opts.timed = true,
             "--quiet" => opts.quiet = true,
             "--no-write" => opts.write = false,
             flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
@@ -564,15 +440,6 @@ fn cmd_campaign(args: &[String]) -> i32 {
     };
     println!("# campaign {}", family.name());
     print!("{}", campaign::summary_table(&results));
-    if let Some(probes) = results
-        .iter()
-        .map(|r| r.probe_ns_per_round.map(|ns| (r.name.clone(), ns)))
-        .collect::<Option<Vec<_>>>()
-    {
-        for (name, ns) in probes {
-            eprintln!("probe: {name}: {:.0} ns/round (median)", ns);
-        }
-    }
     if opts.write {
         println!(
             "reports: {}/<scenario>.csv + .jsonl (+ .metrics.jsonl for metrics = full)",
@@ -589,7 +456,6 @@ pub fn run(args: &[String]) -> i32 {
         Some("plan") => cmd_plan(&args[1..]),
         Some("check") => cmd_check(&args[1..]),
         Some("list") => cmd_list(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("campaign") => cmd_campaign(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             println!("{USAGE}");
@@ -655,55 +521,49 @@ mod tests {
         let explicit = BinArgs {
             full: true,
             rounds: Some(300),
-            ..base
+            ..base.clone()
         };
         assert_eq!(
             explicit.sets(),
             vec![("rounds".to_string(), "300".to_string())],
             "explicit --rounds beats --full"
         );
+        assert_eq!(explicit.rounds_or(6_000), 300);
+        assert_eq!(full.rounds_or(6_000), 25_000);
+        assert_eq!(base.rounds_or(6_000), 6_000);
     }
 
     #[test]
-    fn bench_flags_parse() {
-        let args: Vec<String> = [
-            "--quick",
-            "bds",
-            "--repeats",
-            "7",
-            "--out",
-            "BENCH_x.json",
-            "--baseline",
-            "BENCH_baseline.json",
-            "--max-regression",
-            "1.5",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let f = parse_bench_flags(&args).unwrap();
-        assert!(f.opts.quick);
-        assert_eq!(f.opts.repeats, 7, "explicit --repeats beats --quick");
-        assert_eq!(f.opts.filter, vec!["bds".to_string()]);
-        assert_eq!(f.out, Some(PathBuf::from("BENCH_x.json")));
-        assert_eq!(f.baseline, Some(PathBuf::from("BENCH_baseline.json")));
-        assert!((f.max_regression - 1.5).abs() < 1e-12);
-
-        let quick_default = parse_bench_flags(&["--quick".to_string()]).unwrap();
-        assert_eq!(quick_default.opts.repeats, 3);
-        assert_eq!(parse_bench_flags(&[]).unwrap().opts.repeats, 5);
-    }
-
-    #[test]
-    fn bench_flags_reject_bad_input() {
-        let bad = |args: &[&str]| {
+    fn bin_args_parse_and_reject_bad_input() {
+        let parse = |args: &[&str]| {
             let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            parse_bench_flags(&args).unwrap_err()
+            parse_bin_args(&args)
         };
-        assert!(bad(&["--wat"]).contains("unknown flag"));
-        assert!(bad(&["--repeats", "0"]).contains(">= 1"));
-        assert!(bad(&["--max-regression", "0.5"]).contains("> 1"));
-        assert!(bad(&["--baseline"]).contains("takes a value"));
+        let ok = parse(&["--full", "--rounds", "300", "--threads", "2", "--out", "d"]).unwrap();
+        assert!(ok.full);
+        assert_eq!(ok.rounds, Some(300));
+        assert_eq!(ok.threads, 2);
+        assert_eq!(ok.out, PathBuf::from("d"));
+        assert_eq!(
+            parse(&["--rounds", "x"]).unwrap_err(),
+            "--rounds: `x` is not an integer"
+        );
+        assert_eq!(
+            parse(&["--threads", "x"]).unwrap_err(),
+            "--threads: `x` is not an integer"
+        );
+        assert!(parse(&["--rounds"]).unwrap_err().contains("takes a value"));
+    }
+
+    #[test]
+    fn bench_verb_and_timed_flag_are_gone() {
+        assert_eq!(run(&["bench".to_string()]), 2, "unknown command");
+        let args = ["quick".to_string(), "--timed".to_string()];
+        assert_eq!(
+            parse_campaign_flags(&args).unwrap_err(),
+            "unknown flag `--timed`"
+        );
+        assert!(!USAGE.contains("bench") && !USAGE.contains("--timed"));
     }
 
     #[test]
@@ -716,7 +576,6 @@ mod tests {
             "camp",
             "--set",
             "seed=7",
-            "--timed",
             "--quiet",
         ]
         .iter()
@@ -727,7 +586,6 @@ mod tests {
         assert_eq!(opts.threads, 2);
         assert_eq!(opts.out, PathBuf::from("camp"));
         assert_eq!(opts.sets, vec![("seed".to_string(), "7".to_string())]);
-        assert!(opts.timed);
         assert!(opts.quiet);
         assert!(opts.write);
     }

@@ -97,7 +97,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod campaign;
 pub mod cli;
 pub mod exec;
@@ -105,7 +104,6 @@ pub mod parse;
 pub mod report;
 pub mod spec;
 
-pub use bench::{BenchOpts, FixtureResult};
 pub use exec::{run_job, run_jobs, JobOutcome};
 pub use parse::{Scenario, ScenarioError};
 pub use spec::{JobSpec, Placement};

@@ -5,7 +5,7 @@
 //! crate — consumes the same inputs the same way: one batch of
 //! adversary-generated transactions per round, and a [`RunReport`] at
 //! the end. [`RoundDriver`] names that contract so harness code (the
-//! scenario executor, the bench fixtures, differential tests) can drive
+//! scenario executor, the conformance and differential tests) can drive
 //! any engine generically, and [`drive`] is the canonical loop every
 //! `run_*` convenience function shares.
 

@@ -2,9 +2,7 @@
 
 use ::metrics::{MetricsReport, MetricsSink};
 use serde::{Deserialize, Serialize};
-use sharding_core::stats::{
-    Histogram, RunningStats, StabilityDetector, StabilityVerdict, TimeSeries,
-};
+use sharding_core::stats::{RunningStats, StabilityDetector, StabilityVerdict, TimeSeries};
 use sharding_core::{Round, ShardId};
 use simnet::FaultCounters;
 
@@ -176,9 +174,6 @@ pub struct RunReport {
     /// Per-round total pending series (for plotting / later analysis).
     #[serde(skip)]
     pub queue_series: TimeSeries,
-    /// Latency histogram (bucket width 50 rounds).
-    #[serde(skip)]
-    pub latency_hist: Histogram,
     /// Detailed metrics-plane output (log-scale latency quantiles,
     /// per-shard utilization, epoch timeline) when the sink was enabled;
     /// `None` — the default — leaves every legacy byte untouched.
@@ -222,7 +217,6 @@ pub struct MetricsCollector {
     queue_series: TimeSeries,
     total_pending_max: u64,
     latency: RunningStats,
-    latency_hist: Histogram,
     max_latency: u64,
     committed: u64,
     aborted: u64,
@@ -242,7 +236,6 @@ impl MetricsCollector {
             queue_series: TimeSeries::new(),
             total_pending_max: 0,
             latency: RunningStats::new(),
-            latency_hist: Histogram::new(50.0, 400),
             max_latency: 0,
             committed: 0,
             aborted: 0,
@@ -277,7 +270,6 @@ impl MetricsCollector {
     pub fn record_commit(&mut self, generated: Round, committed: Round, home: ShardId) {
         let lat = committed.since(generated);
         self.latency.push(lat as f64);
-        self.latency_hist.record(lat as f64);
         self.max_latency = self.max_latency.max(lat);
         self.committed += 1;
         self.sink.on_commit(home.index(), lat);
@@ -332,7 +324,6 @@ impl MetricsCollector {
             faults: FaultCounters::default(),
             verdict,
             queue_series: self.queue_series,
-            latency_hist: self.latency_hist,
             metrics,
         }
     }

@@ -1,5 +1,5 @@
-//! Measurement utilities: running statistics, histograms, time series, and
-//! the queue-growth stability detector used to classify runs.
+//! Measurement utilities: running statistics, time series, and the
+//! queue-growth stability detector used to classify runs.
 //!
 //! The paper's evaluation reports *average pending-queue size* and *average
 //! transaction latency* (Figures 2–3) and its theory distinguishes *stable*
@@ -97,81 +97,6 @@ impl RunningStats {
         self.count += other.count;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-}
-
-/// Fixed-width histogram over `[0, width * buckets)` with an overflow bucket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    width: f64,
-    counts: Vec<u64>,
-    overflow: u64,
-    total: u64,
-}
-
-impl Default for Histogram {
-    /// A small placeholder histogram (used by serde-skipped fields).
-    fn default() -> Self {
-        Histogram::new(1.0, 1)
-    }
-}
-
-impl Histogram {
-    /// Histogram with `buckets` bins of `width` each.
-    pub fn new(width: f64, buckets: usize) -> Self {
-        assert!(width > 0.0 && buckets > 0);
-        Histogram {
-            width,
-            counts: vec![0; buckets],
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.total += 1;
-        if x < 0.0 {
-            self.counts[0] += 1;
-            return;
-        }
-        let idx = (x / self.width) as usize;
-        if idx < self.counts.len() {
-            self.counts[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Count in the overflow bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Approximate quantile `q ∈ [0,1]` (bucket upper edge).
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return (i as f64 + 1.0) * self.width;
-            }
-        }
-        f64::INFINITY
-    }
-
-    /// Bucket counts (excluding overflow).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
     }
 }
 
@@ -356,20 +281,6 @@ mod tests {
         assert_eq!(a.count(), all.count());
         assert!((a.mean() - all.mean()).abs() < 1e-9);
         assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(10.0, 10);
-        for x in 0..100 {
-            h.record(x as f64);
-        }
-        assert_eq!(h.total(), 100);
-        assert_eq!(h.overflow(), 0);
-        assert!((h.quantile(0.5) - 50.0).abs() <= 10.0);
-        assert!((h.quantile(1.0) - 100.0).abs() <= 10.0);
-        h.record(1e9);
-        assert_eq!(h.overflow(), 1);
     }
 
     #[test]
