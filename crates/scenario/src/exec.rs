@@ -10,16 +10,15 @@
 use crate::spec::JobSpec;
 use adversary::{Adversary, MempoolStats, ReshardSource, RoundSource};
 use runtime::{
-    default_workers, run_net_fds, run_net_sched, run_net_sched_from, run_net_sched_reshard,
-    EngineKind,
+    default_workers, run_net_fds, run_net_sched_from, run_net_sched_reshard, EngineKind,
 };
 use schedulers::baseline::{FcfsConfig, FcfsSim};
 use schedulers::bds::{BdsConfig, BdsSim};
-use schedulers::driver::{drive, drive_with};
+use schedulers::driver::drive_with;
 use schedulers::fds::{FdsConfig, FdsSim};
 use schedulers::history::check_cross_shard_order;
 use schedulers::{RunReport, SchedulerKind};
-use sharding_core::{Round, SystemConfig};
+use sharding_core::{AccountMap, ReshardPlan, Round, SystemConfig};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -43,25 +42,26 @@ pub struct JobOutcome {
     pub reshard: Option<(u64, u64)>,
 }
 
-/// The workload source for a reshard job: the inner producer is built
-/// against the *initial* active shard count (only active shards own
-/// accounts at round 0), then wrapped so homes and groupings follow the
-/// plan's live placement version.
-fn reshard_source(spec: &JobSpec, sys: &SystemConfig) -> Box<dyn RoundSource> {
-    let plan = spec
-        .reshard_plan()
-        .expect("caller checked the schedule is non-empty");
+/// The job's one workload source. The producer is built against the
+/// *initial* active shard count (only active shards own accounts at
+/// round 0; without a plan that is simply `sys`); under a reshard plan it
+/// is wrapped so homes and groupings follow the live placement version.
+fn job_source(
+    spec: &JobSpec,
+    sys: &SystemConfig,
+    map: &AccountMap,
+    plan: Option<&ReshardPlan>,
+) -> Box<dyn RoundSource> {
     let src_sys = SystemConfig {
         shards: spec.shards,
         ..sys.clone()
     };
-    let map = spec.account_map();
-    match spec.ingest_pipeline(&src_sys, &map) {
-        Some(pipeline) => Box::new(ReshardSource::new(pipeline, plan)),
-        None => Box::new(ReshardSource::new(
-            Adversary::new(&src_sys, &map, spec.adversary_config()),
-            plan,
-        )),
+    let adversary = || Adversary::new(&src_sys, map, spec.adversary_config());
+    match (spec.ingest_pipeline(&src_sys, map), plan) {
+        (Some(pipeline), Some(plan)) => Box::new(ReshardSource::new(pipeline, plan.clone())),
+        (Some(pipeline), None) => Box::new(pipeline),
+        (None, Some(plan)) => Box::new(ReshardSource::new(adversary(), plan.clone())),
+        (None, None) => Box::new(adversary()),
     }
 }
 
@@ -94,171 +94,109 @@ fn fds_config(spec: &JobSpec) -> FdsConfig {
 pub fn run_job(spec: &JobSpec) -> JobOutcome {
     let sys = spec.system_config();
     let map = spec.account_map();
-    let adv = spec.adversary_config();
+    let plan = spec.reshard_plan();
     // Reshard jobs provision the metric for the schedule's maximum
     // shard count (`sys.shards` == the plan's `s_max`).
     let metric = spec
         .metric
         .build(sys.shards)
         .expect("spec validated at plan time");
+    let metric = metric.as_ref();
     let rounds = Round(spec.rounds);
-    if spec.engine == EngineKind::Net {
-        let faults = spec.fault_plan();
-        let workers = default_workers(sys.shards);
-        let (report, mempool, reshard) = match spec.scheduler {
-            SchedulerKind::Fds => (
-                run_net_fds(
-                    &sys,
-                    &map,
-                    &adv,
-                    rounds,
-                    metric.as_ref(),
-                    fds_config(spec),
-                    &faults,
-                    spec.metrics.enabled(),
-                )
-                .report,
-                None,
-                None,
-            ),
-            SchedulerKind::Fcfs => unreachable!("rejected at plan time"),
-            // BDS proper and every zoo policy share the epoch host.
-            kind => {
-                if let Some(plan) = spec.reshard_plan() {
-                    let mut source = reshard_source(spec, &sys);
-                    let out = run_net_sched_reshard(
-                        &sys,
-                        &map,
-                        source.as_mut(),
-                        rounds,
-                        metric.as_ref(),
-                        bds_config(spec),
-                        &faults,
-                        kind,
-                        workers,
-                        spec.metrics.enabled(),
-                        &plan,
-                    );
-                    (out.report, source.stats(), out.reshard_audit)
-                } else if let Some(mut pipeline) = spec.ingest_pipeline(&sys, &map) {
-                    // Firehose: the networked engine pre-drains the same
-                    // stream the simulator drains live, so reports stay
-                    // byte-identical across engines.
-                    let report = run_net_sched_from(
-                        &sys,
-                        &map,
-                        &mut pipeline,
-                        rounds,
-                        metric.as_ref(),
-                        bds_config(spec),
-                        &faults,
-                        kind,
-                        workers,
-                        spec.metrics.enabled(),
-                    )
-                    .report;
-                    (report, pipeline.stats(), None)
-                } else {
-                    let report = run_net_sched(
-                        &sys,
-                        &map,
-                        &adv,
-                        rounds,
-                        metric.as_ref(),
-                        bds_config(spec),
-                        &faults,
-                        kind,
-                        workers,
-                        spec.metrics.enabled(),
-                    )
-                    .report;
-                    (report, None, None)
-                }
+    let metrics_on = spec.metrics.enabled();
+    let mut source = job_source(spec, &sys, &map, plan.as_ref());
+    let mut violations = None;
+    let mut reshard = None;
+    let report = match (spec.engine, spec.scheduler) {
+        (EngineKind::Net, SchedulerKind::Fcfs) => unreachable!("rejected at plan time"),
+        // FDS has no mempool or reshard seam; its driver builds the same
+        // adversary `job_source` did.
+        (EngineKind::Net, SchedulerKind::Fds) => {
+            let (adv, fcfg, faults) =
+                (spec.adversary_config(), fds_config(spec), spec.fault_plan());
+            run_net_fds(&sys, &map, &adv, rounds, metric, fcfg, &faults, metrics_on).report
+        }
+        // BDS proper and every zoo policy share the epoch host, which
+        // pre-drains the same source the simulator drains live, so
+        // reports stay byte-identical across engines.
+        (EngineKind::Net, kind) => {
+            let (bcfg, faults) = (bds_config(spec), spec.fault_plan());
+            let workers = default_workers(sys.shards);
+            let source = source.as_mut();
+            let out = match &plan {
+                Some(plan) => run_net_sched_reshard(
+                    &sys, &map, source, rounds, metric, bcfg, &faults, kind, workers, metrics_on,
+                    plan,
+                ),
+                None => run_net_sched_from(
+                    &sys, &map, source, rounds, metric, bcfg, &faults, kind, workers, metrics_on,
+                ),
+            };
+            reshard = out.reshard_audit;
+            out.report
+        }
+        (EngineKind::Sim, SchedulerKind::Fds) => {
+            let mut sim = FdsSim::new(&sys, &map, fds_config(spec), metric);
+            if metrics_on {
+                sim.enable_metrics();
             }
-        };
-        return JobOutcome {
-            spec: spec.clone(),
-            report,
-            violations: None,
-            mempool,
-            reshard,
-        };
-    }
-    let (report, violations, mempool, reshard) = match spec.scheduler {
-        SchedulerKind::Fds => {
-            let fcfg = fds_config(spec);
             if spec.check_order {
-                // Drive the simulator by hand so the full transaction set
-                // is available to the order checker afterwards.
-                let mut sim = FdsSim::new(&sys, &map, fcfg, metric.as_ref());
-                if spec.metrics.enabled() {
-                    sim.enable_metrics();
-                }
-                let mut adversary = Adversary::new(&sys, &map, adv);
+                // Driven by hand so the full transaction set is available
+                // to the order checker afterwards.
                 let mut all = BTreeMap::new();
                 for r in 0..spec.rounds {
-                    let batch = adversary.generate(Round(r));
+                    let batch = source.next_round(Round(r));
                     for t in &batch {
                         all.insert(t.id, t.clone());
                     }
                     sim.step(batch);
                 }
-                let violations = check_cross_shard_order(sim.chains(), &all).len() as u64;
-                (sim.finish(), Some(violations), None, None)
+                violations = Some(check_cross_shard_order(sim.chains(), &all).len() as u64);
+                sim.finish()
             } else {
-                let mut sim = FdsSim::new(&sys, &map, fcfg, metric.as_ref());
-                if spec.metrics.enabled() {
-                    sim.enable_metrics();
-                }
-                (drive(sim, &sys, &map, &adv, rounds), None, None, None)
+                drive_with(sim, source.as_mut(), rounds)
             }
         }
-        SchedulerKind::Fcfs => {
+        (EngineKind::Sim, SchedulerKind::Fcfs) => {
             let fcfg = FcfsConfig {
                 respect_capacity: spec.respect_capacity,
             };
             let mut sim = FcfsSim::new(&sys, fcfg);
-            if spec.metrics.enabled() {
+            if metrics_on {
                 sim.enable_metrics();
             }
-            (drive(sim, &sys, &map, &adv, rounds), None, None, None)
+            drive_with(sim, source.as_mut(), rounds)
         }
-        // BDS proper and every zoo policy share the epoch host; the
-        // factory is the single registration point (`run_bds_with_metric`
-        // is exactly `with_policy` + the Bds coloring policy).
-        kind => {
+        // The factory is the single registration point
+        // (`run_bds_with_metric` is exactly `with_policy` + the Bds
+        // coloring policy).
+        (EngineKind::Sim, kind) => {
             let bcfg = bds_config(spec);
             let policy = kind
                 .epoch_policy(bcfg.coloring, sys.accounts, sys.shards)
                 .expect("non-policy kinds have explicit arms above");
-            let metric_ref = metric.as_ref();
-            let mut sim = BdsSim::with_policy(&sys, &map, bcfg, metric_ref, policy);
-            if spec.metrics.enabled() {
+            let mut sim = BdsSim::with_policy(&sys, &map, bcfg, metric, policy);
+            if metrics_on {
                 sim.enable_metrics();
             }
-            if let Some(plan) = spec.reshard_plan() {
-                // Hand-driven so the migration audit can run over the
-                // chains before the simulator is consumed.
+            let resharding = plan.is_some();
+            if let Some(plan) = plan {
                 sim.set_reshard(plan);
-                let mut source = reshard_source(spec, &sys);
-                for r in 0..spec.rounds {
-                    sim.step(source.next_round(Round(r)));
-                }
-                let audit = sim.reshard_audit();
-                (sim.finish(), None, source.stats(), Some(audit))
-            } else if let Some(mut pipeline) = spec.ingest_pipeline(&sys, &map) {
-                let report = drive_with(sim, &mut pipeline, rounds);
-                (report, None, pipeline.stats(), None)
-            } else {
-                (drive(sim, &sys, &map, &adv, rounds), None, None, None)
             }
+            // Driven by hand so the migration audit can run over the
+            // chains before the simulator is consumed.
+            for r in 0..spec.rounds {
+                sim.step(source.next_round(Round(r)));
+            }
+            reshard = resharding.then(|| sim.reshard_audit());
+            sim.finish()
         }
     };
     JobOutcome {
         spec: spec.clone(),
         report,
         violations,
-        mempool,
+        mempool: source.stats(),
         reshard,
     }
 }

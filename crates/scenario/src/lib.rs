@@ -3,8 +3,9 @@
 //! The declarative experiment engine: one plain-text `.scenario` file
 //! describes a whole scheduler × adversary × metric sweep, and one shared
 //! driver plans, executes (in parallel, deterministically), and reports
-//! it. Every figure binary and every new workload is a *data file* under
-//! `scenarios/`, not another copy-pasted `main.rs`.
+//! it. Every figure and every new workload is a *data file* under
+//! `scenarios/`, not another copy-pasted `main.rs`; the one binary,
+//! `blockshard`, is [`cli::run`].
 //!
 //! ## Data flow
 //!
@@ -14,14 +15,22 @@
 //!        ▼
 //!  Scenario ── jobs() ──► Vec<JobSpec>     (grid cross-product, each job a
 //!        │                                  fully resolved, validated spec)
-//!        ▼  exec::run_jobs(specs, threads)
+//!        ▼  exec::run_jobs on `--threads` workers
 //!  fixed thread pool: N workers claim jobs by atomic index, run each
 //!  simulation single-threaded (a pure function of the spec), send
 //!  (index, outcome) back over a channel
 //!        │  merge: outcomes re-sorted by job index
 //!        ▼
-//!  Vec<JobOutcome> ── report:: ──► CSV + JSON-lines + summary table
+//!  Vec<JobOutcome> ── report:: ──► CSV + JSON-lines + stdout table
 //! ```
+//!
+//! Modules: [`parse`] (the file grammar and the grid planner), [`spec`]
+//! (one resolved job and the cross-key rules), [`exec`] (the worker pool
+//! and `run_job`), [`report`] (the one column table behind every CSV,
+//! JSONL and stdout rendering), [`cli`] (the one flag parser and the one
+//! load → plan → run → write loop behind every verb), and its two
+//! named-bundle verbs: [`campaign`] (the adversarial scenario family)
+//! and [`render`] (the paper's figures and bound tables).
 //!
 //! Determinism: a job's result depends only on its [`JobSpec`] (all
 //! randomness flows from the spec's seeds through ChaCha12), and the
@@ -60,6 +69,7 @@
 //! | `name` | scenario name (base only) | — (required) |
 //! | `description` | free text (base only) | `""` |
 //! | `scheduler` | `bds` \| `fds` \| `fcfs` \| `edf` \| `fp` \| `ws` \| `spec` | `bds` |
+//! | `engine` | `sim` \| `net` — the shared-memory simulator or the concurrent networked runtime (fault-free reports are byte-identical; `fcfs` has no networked protocol) | `sim` |
 //! | `metric` | `uniform` \| `line` \| `ring` \| `grid:WxH` | `uniform` |
 //! | `shards` | `s ≥ 1` | `64` |
 //! | `accounts` | total shared accounts | = `shards` |
@@ -81,6 +91,15 @@
 //! | `epoch-scale` | FDS epoch constant `c` | `1` |
 //! | `respect-capacity` | `true` \| `false` (FCFS) | `true` |
 //! | `check-order` | verify cross-shard serialization order (FDS) | `false` |
+//! | `fault-seed` | seed of the fault plane's ChaCha streams (`engine = net`) | `1` |
+//! | `drop-prob` | per-link message-drop probability `0 ≤ p < 1` (`engine = net`) | `0` |
+//! | `dup-prob` | per-link message-duplication probability, `drop-prob + dup-prob < 1` (`engine = net`) | `0` |
+//! | `drop-budget` | max drops per directed link | unlimited |
+//! | `crash` | `S@R[; S@R…]` \| `none` — shard `S` crashes at round `R` (`engine = net`) | `none` |
+//! | `byzantine-votes` | Byzantine voters per intra-shard consensus instance, at most `faulty-per-shard` (`engine = net`) | `0` |
+//! | `mempool` | per-home-shard mempool lane capacity `≥ 1`: turns the streaming ingestion plane on (epoch-hosted schedulers only; needs `stream`) | off |
+//! | `stream` | `zipf:EXPONENT` \| `shift:PERIOD` — the account distribution the producer streams (needs `mempool`) | — |
+//! | `offered` | transactions offered per round (needs `mempool`) | saturation: 4× the `(ρ, b)`-sustainable rate |
 //! | `metrics` | `off` \| `summary` \| `full` — latency histograms, utilization floor, and (`full`) the per-epoch JSONL timeline | `off` |
 //! | `reshard` | `+N@R[; -N@R…]` \| `none` — live migration schedule: `+N` shards join / `-N` retire at the first epoch boundary at or after round `R`. Requires `placement = vnode`, an epoch-hosted scheduler, and a fault-free run; `shards` stays the *initial* active count | `none` |
 //!
@@ -101,9 +120,86 @@ pub mod campaign;
 pub mod cli;
 pub mod exec;
 pub mod parse;
+pub mod render;
 pub mod report;
 pub mod spec;
 
 pub use exec::{run_job, run_jobs, JobOutcome};
 pub use parse::{Scenario, ScenarioError};
 pub use spec::{JobSpec, Placement};
+
+#[cfg(test)]
+mod tests {
+    use crate::spec::JobDraft;
+    use std::collections::BTreeMap;
+    use std::path::Path;
+
+    /// The rustdoc key table above, as `key -> default cell`.
+    fn documented_keys() -> BTreeMap<String, String> {
+        let rows = include_str!("lib.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//! | `"))
+            .map(|row| {
+                let row = row.replace("\\|", "/");
+                let cells: Vec<&str> = row.split('|').collect();
+                let key = cells[0].trim().trim_matches('`');
+                (key.to_string(), cells[2].trim().to_string())
+            });
+        rows.collect()
+    }
+
+    /// The key table is complete and true: every documented job key is
+    /// one `apply` knows, every documented literal default is the real
+    /// default, and every key a checked-in scenario uses is documented.
+    #[test]
+    fn key_table_matches_the_parser_and_covers_every_checked_in_scenario() {
+        let table = documented_keys();
+        assert_eq!(table.len(), 36, "34 job keys + name + description");
+        let fresh = format!("{:?}", JobDraft::default());
+        for (key, default) in &table {
+            if key == "name" || key == "description" {
+                continue; // handled by the parser, not a job key
+            }
+            let mut draft = JobDraft::default();
+            match default.strip_prefix('`').and_then(|d| d.strip_suffix('`')) {
+                Some(literal) if !literal.contains('`') => {
+                    draft
+                        .apply(key, literal)
+                        .unwrap_or_else(|e| panic!("`{key}` rejects its documented default: {e}"));
+                    assert_eq!(
+                        format!("{draft:?}"),
+                        fresh,
+                        "`{key}` default is not {literal}"
+                    );
+                }
+                // No literal default (off, unlimited, derived): the key
+                // must still be one the parser knows.
+                _ => {
+                    let err = draft.apply(key, "").expect_err("empty value");
+                    assert!(!err.contains("unknown key"), "`{key}`: {err}");
+                }
+            }
+        }
+
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let mut files = 0;
+        for dir in [root.join("../../scenarios"), root.join("tests/golden")] {
+            let entries = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path());
+            for path in entries.filter(|p| p.extension().is_some_and(|x| x == "scenario")) {
+                files += 1;
+                for line in std::fs::read_to_string(&path).unwrap().lines() {
+                    let line = line.split('#').next().unwrap_or("").trim();
+                    if let Some((key, _)) = line.split_once('=') {
+                        let key = key.trim();
+                        assert!(
+                            table.contains_key(key),
+                            "{}: `{key}` has no row in the key table",
+                            path.display()
+                        );
+                    }
+                }
+            }
+        }
+        assert!(files >= 29, "scenarios/ and tests/golden/ were read");
+    }
+}

@@ -34,6 +34,14 @@ impl std::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
+/// Lets a CLI verb, whose failure is the message it prints, `?` a
+/// scenario error.
+impl From<ScenarioError> for String {
+    fn from(e: ScenarioError) -> String {
+        e.to_string()
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Assign {
     key: String,
@@ -260,37 +268,33 @@ impl Scenario {
                     .apply(key, value)
                     .map_err(|m| err_at(Some(self.grid[pos].line), m))?;
             }
-            let job = draft.resolve(&self.name, index, overrides).map_err(|m| {
-                // Cross-field failures usually have no single line, but
-                // the PBFT-viability violation always traces to the
-                // quorum keys — point at the last one in the file.
-                let line = if m.contains("n > 3f") {
-                    self.quorum_key_line()
-                } else {
-                    None
-                };
-                err_at(line, format!("job {index}: {m}"))
-            })?;
+            let job = draft
+                .resolve(&self.name, index, overrides)
+                .map_err(|(keys, m)| {
+                    err_at(self.key_line(keys, extra), format!("job {index}: {m}"))
+                })?;
             jobs.push(job);
         }
         Ok(jobs)
     }
 
-    /// The last line assigning `nodes-per-shard` / `faulty-per-shard`
-    /// (base or grid), for attributing PBFT-quorum violations.
-    fn quorum_key_line(&self) -> Option<usize> {
-        let is_quorum_key = |k: &str| matches!(k, "nodes-per-shard" | "faulty-per-shard");
-        self.base
+    /// The last line, base or grid, assigning one of `keys` — where a
+    /// cross-key failure blaming them is reported. A base assignment an
+    /// `extra` override replaced is not what the job ran with, so it is
+    /// not pointed at.
+    fn key_line(&self, keys: &[&str], extra: &[(String, String)]) -> Option<usize> {
+        let overridden = |k: &str| extra.iter().any(|(e, _)| e == k);
+        let base = self
+            .base
             .iter()
-            .filter(|a| is_quorum_key(&a.key))
-            .map(|a| a.line)
-            .chain(
-                self.grid
-                    .iter()
-                    .filter(|a| is_quorum_key(&a.key))
-                    .map(|a| a.line),
-            )
-            .max()
+            .filter(|a| keys.contains(&a.key.as_str()) && !overridden(&a.key))
+            .map(|a| a.line);
+        let grid = self
+            .grid
+            .iter()
+            .filter(|a| keys.contains(&a.key.as_str()))
+            .map(|a| a.line);
+        base.chain(grid).max()
     }
 
     /// Deterministic plan rendering: name, description, axes, and one

@@ -117,85 +117,66 @@ impl FromStr for Placement {
     }
 }
 
-/// The draft a scenario accumulates while assignments are applied: mostly
-/// typed, but `strategy` and `coloring` stay raw strings until the whole
-/// job is known, because their `auto` spellings resolve against `rounds`,
-/// `b`, and `shards`.
+/// The draft a scenario accumulates while assignments are applied: the
+/// [`JobSpec`] under construction plus the three spellings that can only
+/// be bound once the whole job is known, because they resolve against
+/// `rounds`, `b` and `shards`.
 #[derive(Debug, Clone)]
 pub(crate) struct JobDraft {
-    pub scheduler: SchedulerKind,
-    pub engine: EngineKind,
-    pub metric: MetricKind,
-    pub shards: usize,
-    pub accounts: Option<usize>,
-    pub k: usize,
-    pub nodes_per_shard: usize,
-    pub faulty_per_shard: usize,
-    pub placement: Placement,
-    pub rounds: u64,
-    pub rho: f64,
-    pub b: u64,
-    pub strategy: String,
-    pub shape: WorkloadShape,
-    pub seed: u64,
-    pub coloring: String,
-    pub rotate_leader: bool,
-    pub reschedule: bool,
-    pub pipeline_window: usize,
-    pub sublayers: usize,
-    pub epoch_scale: u64,
-    pub respect_capacity: bool,
-    pub check_order: bool,
-    pub fault_seed: u64,
-    pub drop_prob: f64,
-    pub dup_prob: f64,
-    pub drop_budget: u64,
-    pub crashes: Vec<(u32, u64)>,
-    pub byz_votes: usize,
-    pub mempool: Option<usize>,
-    pub stream: Option<String>,
-    pub offered: Option<u64>,
-    pub metrics: MetricsMode,
-    pub reshard: Vec<(i64, u64)>,
+    spec: JobSpec,
+    /// `accounts` was assigned (otherwise it follows `shards`).
+    accounts_set: bool,
+    /// `strategy = count-burst:auto`.
+    auto_burst: bool,
+    /// `coloring = heavy-light:auto`.
+    auto_threshold: bool,
 }
 
 impl Default for JobDraft {
     fn default() -> Self {
         JobDraft {
-            scheduler: SchedulerKind::Bds,
-            engine: EngineKind::Sim,
-            metric: MetricKind::Uniform,
-            shards: 64,
-            accounts: None,
-            k: 8,
-            nodes_per_shard: 4,
-            faulty_per_shard: 1,
-            placement: Placement::Random(1),
-            rounds: 8_000,
-            rho: 0.1,
-            b: 1,
-            strategy: "uniform".into(),
-            shape: WorkloadShape::WriteOnly,
-            seed: 42,
-            coloring: "greedy".into(),
-            rotate_leader: true,
-            reschedule: true,
-            pipeline_window: 16,
-            sublayers: 2,
-            epoch_scale: 1,
-            respect_capacity: true,
-            check_order: false,
-            fault_seed: 1,
-            drop_prob: 0.0,
-            dup_prob: 0.0,
-            drop_budget: u64::MAX,
-            crashes: Vec::new(),
-            byz_votes: 0,
-            mempool: None,
-            stream: None,
-            offered: None,
-            metrics: MetricsMode::Off,
-            reshard: Vec::new(),
+            spec: JobSpec {
+                scenario: String::new(),
+                index: 0,
+                overrides: Vec::new(),
+                scheduler: SchedulerKind::Bds,
+                engine: EngineKind::Sim,
+                metric: MetricKind::Uniform,
+                shards: 64,
+                accounts: 64,
+                k: 8,
+                nodes_per_shard: 4,
+                faulty_per_shard: 1,
+                placement: Placement::Random(1),
+                rounds: 8_000,
+                rho: 0.1,
+                b: 1,
+                strategy: StrategyKind::UniformRandom,
+                shape: WorkloadShape::WriteOnly,
+                seed: 42,
+                coloring: ColoringStrategy::Greedy,
+                rotate_leader: true,
+                reschedule: true,
+                pipeline_window: 16,
+                sublayers: 2,
+                epoch_scale: 1,
+                respect_capacity: true,
+                check_order: false,
+                fault_seed: 1,
+                drop_prob: 0.0,
+                dup_prob: 0.0,
+                drop_budget: u64::MAX,
+                crashes: Vec::new(),
+                byz_votes: 0,
+                mempool: None,
+                stream: None,
+                offered: None,
+                metrics: MetricsMode::Off,
+                reshard: Vec::new(),
+            },
+            accounts_set: false,
+            auto_burst: false,
+            auto_threshold: false,
         }
     }
 }
@@ -212,259 +193,99 @@ fn parse_num<T: FromStr>(v: &str, what: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("`{v}` is not {what}"))
 }
 
+/// A cross-key validation failure: the scenario keys the rule blames
+/// (the planner points at the last line assigning one of them) and the
+/// message.
+pub(crate) type Blame = (&'static [&'static str], String);
+
+/// The keys that ask the fault plane for something.
+const FAULT_KEYS: &[&str] = &["drop-prob", "dup-prob", "crash", "byzantine-votes"];
+
 impl JobDraft {
     /// Applies one `key = value` assignment. `name` and `description` are
     /// handled by the parser, not here.
     pub fn apply(&mut self, key: &str, value: &str) -> Result<(), String> {
+        let spec = &mut self.spec;
         match key {
-            "scheduler" => self.scheduler = value.parse()?,
-            "engine" => self.engine = value.parse()?,
-            "metric" => self.metric = value.parse()?,
-            "shards" => self.shards = parse_num(value, "an integer")?,
-            "accounts" => self.accounts = Some(parse_num(value, "an integer")?),
-            "k" => self.k = parse_num(value, "an integer")?,
-            "nodes-per-shard" => self.nodes_per_shard = parse_num(value, "an integer")?,
-            "faulty-per-shard" => self.faulty_per_shard = parse_num(value, "an integer")?,
-            "placement" => self.placement = value.parse()?,
-            "rounds" => self.rounds = parse_num(value, "an integer")?,
-            "rho" => self.rho = parse_num(value, "a number")?,
-            "b" => self.b = parse_num(value, "an integer")?,
+            "scheduler" => spec.scheduler = value.parse()?,
+            "engine" => spec.engine = value.parse()?,
+            "metric" => spec.metric = value.parse()?,
+            "shards" => spec.shards = parse_num(value, "an integer")?,
+            "accounts" => {
+                spec.accounts = parse_num(value, "an integer")?;
+                self.accounts_set = true;
+            }
+            "k" => spec.k = parse_num(value, "an integer")?,
+            "nodes-per-shard" => spec.nodes_per_shard = parse_num(value, "an integer")?,
+            "faulty-per-shard" => spec.faulty_per_shard = parse_num(value, "an integer")?,
+            "placement" => spec.placement = value.parse()?,
+            "rounds" => spec.rounds = parse_num(value, "an integer")?,
+            "rho" => spec.rho = parse_num(value, "a number")?,
+            "b" => spec.b = parse_num(value, "an integer")?,
             "strategy" => {
-                // Validate eagerly so a bad value is reported against its
-                // own line; `auto` spellings resolve later.
-                if value != "count-burst:auto" {
-                    value.parse::<StrategyKind>()?;
+                self.auto_burst = value == "count-burst:auto";
+                if !self.auto_burst {
+                    spec.strategy = value.parse()?;
                 }
-                self.strategy = value.into();
             }
-            "shape" => self.shape = value.parse()?,
-            "seed" => self.seed = parse_num(value, "an integer")?,
+            "shape" => spec.shape = value.parse()?,
+            "seed" => spec.seed = parse_num(value, "an integer")?,
             "coloring" => {
-                if value != "heavy-light:auto" {
-                    value.parse::<ColoringStrategy>()?;
+                self.auto_threshold = value == "heavy-light:auto";
+                if !self.auto_threshold {
+                    spec.coloring = value.parse()?;
                 }
-                self.coloring = value.into();
             }
-            "rotate-leader" => self.rotate_leader = parse_bool(value)?,
-            "reschedule" => self.reschedule = parse_bool(value)?,
-            "pipeline-window" => self.pipeline_window = parse_num(value, "an integer")?,
-            "sublayers" => self.sublayers = parse_num(value, "an integer")?,
-            "epoch-scale" => self.epoch_scale = parse_num(value, "an integer")?,
-            "respect-capacity" => self.respect_capacity = parse_bool(value)?,
-            "check-order" => self.check_order = parse_bool(value)?,
-            "fault-seed" => self.fault_seed = parse_num(value, "an integer")?,
-            "drop-prob" => self.drop_prob = parse_num(value, "a number")?,
-            "dup-prob" => self.dup_prob = parse_num(value, "a number")?,
-            "drop-budget" => self.drop_budget = parse_num(value, "an integer")?,
-            "crash" => self.crashes = parse_crashes(value)?,
-            "byzantine-votes" => self.byz_votes = parse_num(value, "an integer")?,
-            "mempool" => self.mempool = Some(parse_num(value, "an integer")?),
-            "stream" => {
-                // Validate eagerly so a bad value is reported against
-                // its own line.
-                value.parse::<StreamKind>()?;
-                self.stream = Some(value.into());
-            }
-            "offered" => self.offered = Some(parse_num(value, "an integer")?),
-            "metrics" => self.metrics = value.parse()?,
-            "reshard" => self.reshard = parse_reshard(value)?,
+            "rotate-leader" => spec.rotate_leader = parse_bool(value)?,
+            "reschedule" => spec.reschedule = parse_bool(value)?,
+            "pipeline-window" => spec.pipeline_window = parse_num(value, "an integer")?,
+            "sublayers" => spec.sublayers = parse_num(value, "an integer")?,
+            "epoch-scale" => spec.epoch_scale = parse_num(value, "an integer")?,
+            "respect-capacity" => spec.respect_capacity = parse_bool(value)?,
+            "check-order" => spec.check_order = parse_bool(value)?,
+            "fault-seed" => spec.fault_seed = parse_num(value, "an integer")?,
+            "drop-prob" => spec.drop_prob = parse_num(value, "a number")?,
+            "dup-prob" => spec.dup_prob = parse_num(value, "a number")?,
+            "drop-budget" => spec.drop_budget = parse_num(value, "an integer")?,
+            "crash" => spec.crashes = parse_crashes(value)?,
+            "byzantine-votes" => spec.byz_votes = parse_num(value, "an integer")?,
+            "mempool" => spec.mempool = Some(parse_num(value, "an integer")?),
+            "stream" => spec.stream = Some(value.parse()?),
+            "offered" => spec.offered = Some(parse_num(value, "an integer")?),
+            "metrics" => spec.metrics = value.parse()?,
+            "reshard" => spec.reshard = parse_reshard(value)?,
             other => return Err(format!("unknown key `{other}`")),
         }
         Ok(())
     }
 
-    /// Resolves the draft into a validated [`JobSpec`].
+    /// Binds the late spellings and validates the result into a
+    /// [`JobSpec`].
     pub fn resolve(
         &self,
         scenario: &str,
         index: usize,
         overrides: Vec<(String, String)>,
-    ) -> Result<JobSpec, String> {
-        let accounts = self.accounts.unwrap_or(self.shards);
-        let strategy = if self.strategy == "count-burst:auto" {
-            StrategyKind::CountBurst {
-                burst_round: (self.rounds / 10).max(1),
-                count: self.b,
-            }
-        } else {
-            self.strategy.parse()?
-        };
-        let coloring = if self.coloring == "heavy-light:auto" {
-            ColoringStrategy::HeavyLight {
-                threshold: bounds::ceil_sqrt(self.shards),
-            }
-        } else {
-            self.coloring.parse()?
-        };
-        if !(self.rho > 0.0 && self.rho <= 1.0) {
-            return Err(format!("rho must satisfy 0 < rho <= 1, got {}", self.rho));
+    ) -> Result<JobSpec, Blame> {
+        let mut spec = self.spec.clone();
+        spec.scenario = scenario.to_string();
+        spec.index = index;
+        spec.overrides = overrides;
+        if !self.accounts_set {
+            spec.accounts = spec.shards;
         }
-        if self.b == 0 {
-            return Err("b must be >= 1".into());
-        }
-        if self.rounds == 0 {
-            return Err("rounds must be >= 1".into());
-        }
-        if self.pipeline_window == 0 {
-            return Err("pipeline-window must be >= 1".into());
-        }
-        if self.sublayers == 0 {
-            return Err("sublayers must be >= 1".into());
-        }
-        if self.check_order && self.scheduler != SchedulerKind::Fds {
-            return Err(format!(
-                "check-order is only supported for scheduler = fds (job runs {})",
-                self.scheduler
-            ));
-        }
-        if self.nodes_per_shard <= 3 * self.faulty_per_shard {
-            // Checked here (not only in SystemConfig::validate) so the
-            // planner can attribute the failure to the offending
-            // scenario line — `jobs_with` looks for this message.
-            return Err(format!(
-                "nodes-per-shard = {} does not satisfy n > 3f for \
-                 faulty-per-shard = {} (PBFT quorum impossible)",
-                self.nodes_per_shard, self.faulty_per_shard
-            ));
-        }
-        if self.engine == EngineKind::Net && !self.scheduler.supports_net() {
-            return Err(format!(
-                "engine = net does not support scheduler = {} (fcfs is an idealized \
-                 centralized baseline with no networked protocol)",
-                self.scheduler.name()
-            ));
-        }
-        if self.engine == EngineKind::Net && self.check_order {
-            return Err("check-order is not supported with engine = net".into());
-        }
-        let faults_requested = self.drop_prob != 0.0
-            || self.dup_prob != 0.0
-            || !self.crashes.is_empty()
-            || self.byz_votes != 0;
-        if faults_requested && self.engine != EngineKind::Net {
-            return Err(
-                "fault keys (drop-prob, dup-prob, crash, byzantine-votes) require \
-                 engine = net — the simulator never injects faults"
-                    .into(),
-            );
-        }
-        if self.byz_votes > self.faulty_per_shard {
-            return Err(format!(
-                "byzantine-votes = {} exceeds faulty-per-shard = {} — a shard \
-                 cannot flip more voters than it declares Byzantine",
-                self.byz_votes, self.faulty_per_shard
-            ));
-        }
-        let stream = match &self.stream {
-            Some(raw) => Some(raw.parse::<StreamKind>()?),
-            None => None,
-        };
-        if let Some(cap) = self.mempool {
-            if cap == 0 {
-                return Err("mempool capacity must be >= 1".into());
-            }
-            if matches!(self.scheduler, SchedulerKind::Fds | SchedulerKind::Fcfs) {
-                return Err(format!(
-                    "mempool requires an epoch-hosted scheduler (bds or a zoo \
-                     policy); {} runs its own execution discipline",
-                    self.scheduler
-                ));
-            }
-            if stream.is_none() {
-                return Err(
-                    "mempool requires stream = zipf:<exponent> | shift:<period> \
-                     (the ingestion plane needs a streaming producer)"
-                        .into(),
-                );
-            }
-        } else {
-            if stream.is_some() {
-                return Err("stream requires mempool = CAPACITY".into());
-            }
-            if self.offered.is_some() {
-                return Err("offered requires mempool = CAPACITY".into());
-            }
-        }
-        if self.offered == Some(0) {
-            return Err("offered must be >= 1".into());
-        }
-        if !self.reshard.is_empty() {
-            if self.placement != Placement::Vnode {
-                return Err(
-                    "reshard requires placement = vnode (migration schedules are \
-                     vnode-table re-assignments)"
-                        .into(),
-                );
-            }
-            if matches!(self.scheduler, SchedulerKind::Fds | SchedulerKind::Fcfs) {
-                return Err(format!(
-                    "reshard requires an epoch-hosted scheduler (bds or a zoo \
-                     policy); live migration under {} is future work",
-                    self.scheduler
-                ));
-            }
-            if faults_requested {
-                return Err(
-                    "reshard cannot be combined with fault keys — the zero-loss \
-                     migration audit is defined for fault-free runs"
-                        .into(),
-                );
-            }
-            // Validate the schedule itself (event ordering, active-set
-            // floor, provisioned-capacity system bounds) at plan time.
-            let probe = SystemConfig {
-                shards: self.shards,
-                nodes_per_shard: self.nodes_per_shard,
-                faulty_per_shard: self.faulty_per_shard,
-                k_max: self.k,
-                accounts,
+        if self.auto_burst {
+            spec.strategy = StrategyKind::CountBurst {
+                burst_round: (spec.rounds / 10).max(1),
+                count: spec.b,
             };
-            ReshardPlan::build(self.shards, &probe, &self.reshard)?;
         }
-        let spec = JobSpec {
-            scenario: scenario.to_string(),
-            index,
-            overrides,
-            scheduler: self.scheduler,
-            engine: self.engine,
-            metric: self.metric,
-            shards: self.shards,
-            accounts,
-            k: self.k,
-            nodes_per_shard: self.nodes_per_shard,
-            faulty_per_shard: self.faulty_per_shard,
-            placement: self.placement,
-            rounds: self.rounds,
-            rho: self.rho,
-            b: self.b,
-            strategy,
-            shape: self.shape,
-            seed: self.seed,
-            coloring,
-            rotate_leader: self.rotate_leader,
-            reschedule: self.reschedule,
-            pipeline_window: self.pipeline_window,
-            sublayers: self.sublayers,
-            epoch_scale: self.epoch_scale,
-            respect_capacity: self.respect_capacity,
-            check_order: self.check_order,
-            fault_seed: self.fault_seed,
-            drop_prob: self.drop_prob,
-            dup_prob: self.dup_prob,
-            drop_budget: self.drop_budget,
-            crashes: self.crashes.clone(),
-            byz_votes: self.byz_votes,
-            mempool: self.mempool,
-            stream,
-            offered: self.offered,
-            metrics: self.metrics,
-            reshard: self.reshard.clone(),
-        };
-        spec.system_config().validate().map_err(|e| e.to_string())?;
-        // The metric spans the provisioned shard count (reshard jobs
-        // provision for the schedule's maximum).
-        spec.metric.build(spec.system_config().shards)?;
-        spec.fault_plan().validate(spec.shards)?;
+        if self.auto_threshold {
+            spec.coloring = ColoringStrategy::HeavyLight {
+                threshold: bounds::ceil_sqrt(spec.shards),
+            };
+        }
+        spec.validate()?;
         Ok(spec)
     }
 }
@@ -580,8 +401,15 @@ impl JobSpec {
 
     /// The precomputed migration plan, or `None` for static jobs.
     pub fn reshard_plan(&self) -> Option<ReshardPlan> {
+        self.try_reshard_plan()
+            .expect("reshard schedule validated at resolve time")
+    }
+
+    /// Builds the migration plan, validating the schedule itself (event
+    /// ordering, active-set floor, provisioned-capacity system bounds).
+    fn try_reshard_plan(&self) -> Result<Option<ReshardPlan>, String> {
         if self.reshard.is_empty() {
-            return None;
+            return Ok(None);
         }
         let cfg = SystemConfig {
             shards: self.shards,
@@ -590,10 +418,161 @@ impl JobSpec {
             k_max: self.k,
             accounts: self.accounts,
         };
-        Some(
-            ReshardPlan::build(self.shards, &cfg, &self.reshard)
-                .expect("reshard schedule validated at resolve time"),
-        )
+        ReshardPlan::build(self.shards, &cfg, &self.reshard).map(Some)
+    }
+
+    /// The cross-key rules: every way a set of individually well-formed
+    /// assignments can still describe no runnable job. Each failure names
+    /// the keys it blames so the planner can attribute it to a line.
+    fn validate(&self) -> Result<(), Blame> {
+        let fail = |keys: &'static [&'static str], msg: String| Err((keys, msg));
+        let epoch_hosted = !matches!(self.scheduler, SchedulerKind::Fds | SchedulerKind::Fcfs);
+        if !(self.rho > 0.0 && self.rho <= 1.0) {
+            return fail(
+                &["rho"],
+                format!("rho must satisfy 0 < rho <= 1, got {}", self.rho),
+            );
+        }
+        if self.b == 0 {
+            return fail(&["b"], "b must be >= 1".into());
+        }
+        if self.rounds == 0 {
+            return fail(&["rounds"], "rounds must be >= 1".into());
+        }
+        if self.pipeline_window == 0 {
+            return fail(&["pipeline-window"], "pipeline-window must be >= 1".into());
+        }
+        if self.sublayers == 0 {
+            return fail(&["sublayers"], "sublayers must be >= 1".into());
+        }
+        if self.check_order && self.scheduler != SchedulerKind::Fds {
+            return fail(
+                &["check-order", "scheduler"],
+                format!(
+                    "check-order is only supported for scheduler = fds (job runs {})",
+                    self.scheduler
+                ),
+            );
+        }
+        if self.nodes_per_shard <= 3 * self.faulty_per_shard {
+            // Checked here (not only in SystemConfig::validate) so the
+            // failure carries the quorum keys.
+            return fail(
+                &["nodes-per-shard", "faulty-per-shard"],
+                format!(
+                    "nodes-per-shard = {} does not satisfy n > 3f for \
+                     faulty-per-shard = {} (PBFT quorum impossible)",
+                    self.nodes_per_shard, self.faulty_per_shard
+                ),
+            );
+        }
+        if self.engine == EngineKind::Net && !self.scheduler.supports_net() {
+            return fail(
+                &["engine", "scheduler"],
+                format!(
+                    "engine = net does not support scheduler = {} (fcfs is an idealized \
+                     centralized baseline with no networked protocol)",
+                    self.scheduler.name()
+                ),
+            );
+        }
+        if self.engine == EngineKind::Net && self.check_order {
+            return fail(
+                &["check-order", "engine"],
+                "check-order is not supported with engine = net".into(),
+            );
+        }
+        let faults = self.fault_plan();
+        let faults_requested = !faults.is_inert();
+        if faults_requested && self.engine != EngineKind::Net {
+            return fail(
+                FAULT_KEYS,
+                "fault keys (drop-prob, dup-prob, crash, byzantine-votes) require \
+                 engine = net — the simulator never injects faults"
+                    .into(),
+            );
+        }
+        if self.byz_votes > self.faulty_per_shard {
+            return fail(
+                &["byzantine-votes", "faulty-per-shard"],
+                format!(
+                    "byzantine-votes = {} exceeds faulty-per-shard = {} — a shard \
+                     cannot flip more voters than it declares Byzantine",
+                    self.byz_votes, self.faulty_per_shard
+                ),
+            );
+        }
+        if let Some(cap) = self.mempool {
+            if cap == 0 {
+                return fail(&["mempool"], "mempool capacity must be >= 1".into());
+            }
+            if !epoch_hosted {
+                return fail(
+                    &["mempool", "scheduler"],
+                    format!(
+                        "mempool requires an epoch-hosted scheduler (bds or a zoo \
+                         policy); {} runs its own execution discipline",
+                        self.scheduler
+                    ),
+                );
+            }
+            if self.stream.is_none() {
+                return fail(
+                    &["mempool"],
+                    "mempool requires stream = zipf:<exponent> | shift:<period> \
+                     (the ingestion plane needs a streaming producer)"
+                        .into(),
+                );
+            }
+        } else {
+            if self.stream.is_some() {
+                return fail(&["stream"], "stream requires mempool = CAPACITY".into());
+            }
+            if self.offered.is_some() {
+                return fail(&["offered"], "offered requires mempool = CAPACITY".into());
+            }
+        }
+        if self.offered == Some(0) {
+            return fail(&["offered"], "offered must be >= 1".into());
+        }
+        if !self.reshard.is_empty() {
+            if self.placement != Placement::Vnode {
+                return fail(
+                    &["reshard", "placement"],
+                    "reshard requires placement = vnode (migration schedules are \
+                     vnode-table re-assignments)"
+                        .into(),
+                );
+            }
+            if !epoch_hosted {
+                return fail(
+                    &["reshard", "scheduler"],
+                    format!(
+                        "reshard requires an epoch-hosted scheduler (bds or a zoo \
+                         policy); live migration under {} is future work",
+                        self.scheduler
+                    ),
+                );
+            }
+            if faults_requested {
+                return fail(
+                    &["reshard"],
+                    "reshard cannot be combined with fault keys — the zero-loss \
+                     migration audit is defined for fault-free runs"
+                        .into(),
+                );
+            }
+            self.try_reshard_plan().map_err(|m| (&["reshard"][..], m))?;
+        }
+        let sys = self.system_config();
+        sys.validate()
+            .map_err(|e| (&["shards", "accounts", "k"][..], e.to_string()))?;
+        // The metric spans the provisioned shard count (reshard jobs
+        // provision for the schedule's maximum).
+        self.metric
+            .build(sys.shards)
+            .map_err(|m| (&["metric", "shards"][..], m))?;
+        faults.validate(self.shards).map_err(|m| (FAULT_KEYS, m))
     }
 
     /// The account placement map this job runs against. For reshard

@@ -397,63 +397,135 @@ fn scheduler_typo_reports_file_line_and_suggestion() {
     );
 }
 
+/// Every rejected input names where it went wrong: the third field is
+/// the line the error must carry (`None` only when no line of the file is
+/// to blame). Cross-key rules — each assignment fine alone, the job not
+/// runnable — point at the last line assigning a key the rule blames.
 #[test]
 fn malformed_inputs_fail_with_context() {
-    let cases: &[(&str, &str)] = &[
-        ("rho = 0.1\n", "no `name =`"),
-        ("name = x\nk = 99\n", "k must satisfy"),
-        ("name = x\n[grid]\nrho =\n", "no values"),
-        ("name = x\nstrategy = zipf\n", "takes 1"),
-        ("name = x\nscheduler = pbft\n", "unknown scheduler"),
-        ("name = x\nscheduler = bsd\n", "did you mean `bds`?"),
-        ("name = x\nscheduler = edff\n", "did you mean `edf`?"),
+    let cases: &[(&str, &str, Option<usize>)] = &[
+        ("rho = 0.1\n", "no `name =`", None),
+        ("name = x\nk = 99\n", "k must satisfy", Some(2)),
+        ("name = x\n[grid]\nrho =\n", "no values", Some(3)),
+        ("name = x\nstrategy = zipf\n", "takes 1", Some(2)),
+        ("name = x\nscheduler = pbft\n", "unknown scheduler", Some(2)),
+        (
+            "name = x\nscheduler = bsd\n",
+            "did you mean `bds`?",
+            Some(2),
+        ),
+        (
+            "name = x\nscheduler = edff\n",
+            "did you mean `edf`?",
+            Some(2),
+        ),
         (
             "name = x\nengine = net\nscheduler = fcfs\n",
             "does not support scheduler = fcfs",
+            Some(3),
         ),
-        ("name = x\nmetric = torus\n", "unknown metric"),
-        ("name = x\nrho = 1.5\n", "0 < rho <= 1"),
-        ("name = x\njust-a-line\n", "expected `key = value`"),
-        ("name = x\n[grid]\nname = a, b\n", "cannot be a grid axis"),
+        ("name = x\nmetric = torus\n", "unknown metric", Some(2)),
+        ("name = x\nrho = 1.5\n", "0 < rho <= 1", Some(2)),
+        ("name = x\njust-a-line\n", "expected `key = value`", Some(2)),
+        (
+            "name = x\n[grid]\nname = a, b\n",
+            "cannot be a grid axis",
+            Some(3),
+        ),
         (
             "name = x\n[grid]\nrho = 0.1\nrho = 0.2\n",
             "duplicate grid axis",
+            Some(4),
         ),
-        ("name = x\nreshard = +2@100\n", "requires placement = vnode"),
+        (
+            "name = x\nreshard = +2@100\n",
+            "requires placement = vnode",
+            Some(2),
+        ),
         (
             "name = x\nplacement = vnode\nscheduler = fds\nreshard = +2@100\n",
             "epoch-hosted scheduler",
+            Some(4),
         ),
         (
             "name = x\nengine = net\nplacement = vnode\nreshard = +2@100\ncrash = 0@50\n",
             "cannot be combined with fault keys",
+            Some(4),
         ),
-        ("name = x\nreshard = 2@100\n", "explicit sign"),
-        ("name = x\nreshard = +2-100\n", "not +N@ROUND"),
+        ("name = x\nreshard = 2@100\n", "explicit sign", Some(2)),
+        ("name = x\nreshard = +2-100\n", "not +N@ROUND", Some(2)),
         (
             "name = x\nplacement = vnode\nreshard = +2@0\n",
             "round >= 1",
+            Some(3),
         ),
         (
             "name = x\nshards = 4\nplacement = vnode\nreshard = -4@100\n",
             "would leave",
+            Some(4),
         ),
         (
             "name = x\nplacement = vnode\nreshard = +2@100; +1@50\n",
             "strictly increase",
+            Some(3),
+        ),
+        (
+            "name = x\nshards = 4\nk = 2\nrounds = 50\ndrop-prob = 0.1\n",
+            "require engine = net",
+            Some(5),
+        ),
+        (
+            "name = x\nmempool = 64\nrounds = 50\n",
+            "mempool requires stream",
+            Some(2),
+        ),
+        (
+            "name = x\nstream = zipf:0.6\n",
+            "stream requires mempool",
+            Some(2),
+        ),
+        (
+            "name = x\nscheduler = fds\nmempool = 64\nstream = zipf:0.6\n",
+            "mempool requires an epoch-hosted scheduler",
+            Some(3),
+        ),
+        (
+            "name = x\nengine = net\nbyzantine-votes = 2\nfaulty-per-shard = 1\n",
+            "exceeds faulty-per-shard",
+            Some(4),
+        ),
+        (
+            "name = x\ncheck-order = true\nrounds = 50\n[grid]\nscheduler = fds, bds\n",
+            "only supported for scheduler = fds",
+            Some(5),
+        ),
+        (
+            "name = x\nengine = net\ncrash = 9@5\nshards = 4\nk = 2\n",
+            "crash targets",
+            Some(3),
+        ),
+        (
+            "name = x\nshards = 6\nk = 2\nmetric = grid:2x2\n",
+            "grid:2x2",
+            Some(4),
         ),
     ];
-    for (text, needle) in cases {
+    for (text, needle, line) in cases {
         let err = match Scenario::parse_str(text, "<golden>") {
-            Err(e) => e.to_string(),
+            Err(e) => e,
             Ok(s) => match s.jobs() {
-                Err(e) => e.to_string(),
+                Err(e) => e,
                 Ok(_) => panic!("input unexpectedly valid: {text:?}"),
             },
         };
         assert!(
-            err.contains(needle),
+            err.msg.contains(needle),
             "error for {text:?} should mention {needle:?}, got: {err}"
         );
+        assert_eq!(err.line, *line, "line of the error for {text:?}: {err}");
+        if let Some(line) = line {
+            let at = format!("<golden>:{line}: ");
+            assert!(err.to_string().starts_with(&at), "{err}");
+        }
     }
 }
