@@ -81,12 +81,6 @@ impl ShardBudgets {
             false
         }
     }
-
-    /// A lower bound on how many single-shard transactions the bucket of
-    /// `shard` could admit right now.
-    pub fn headroom(&self, shard: ShardId) -> u64 {
-        self.level[shard.index()].max(0.0) as u64
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +123,7 @@ mod tests {
         }
         assert!(b.level(sid(0)) <= 3.25 + 1e-9);
         // Long idle then burst: can admit exactly b + floor(rho) = 3 in one round.
-        assert_eq!(b.headroom(sid(0)), 3);
+        assert_eq!(b.level(sid(0)).floor(), 3.0);
     }
 
     #[test]

@@ -41,12 +41,6 @@ impl TraceRecorder {
         self.rounds.push(row);
     }
 
-    /// Records a pre-aggregated congestion row (one entry per shard).
-    pub fn record_row(&mut self, row: Vec<u32>) {
-        assert_eq!(row.len(), self.shards);
-        self.rounds.push(row);
-    }
-
     /// Number of recorded rounds.
     pub fn len(&self) -> usize {
         self.rounds.len()
@@ -111,7 +105,8 @@ mod tests {
     fn trace_from_rows(shards: usize, rows: &[&[u32]]) -> TraceRecorder {
         let mut t = TraceRecorder::new(shards);
         for r in rows {
-            t.record_row(r.to_vec());
+            assert_eq!(r.len(), shards);
+            t.rounds.push(r.to_vec());
         }
         t
     }

@@ -206,29 +206,6 @@ impl Hierarchy {
             .unwrap_or(0)
             .max(1)
     }
-
-    /// Iterates over every cluster id in the hierarchy.
-    pub fn all_cluster_ids(&self) -> impl Iterator<Item = ClusterId> + '_ {
-        self.layers.iter().enumerate().flat_map(|(l, layer)| {
-            layer
-                .sublayers
-                .iter()
-                .enumerate()
-                .flat_map(move |(j, subs)| {
-                    (0..subs.len() as u32).map(move |index| ClusterId {
-                        layer: l as u32,
-                        sublayer: j as u32,
-                        index,
-                    })
-                })
-        })
-    }
-
-    /// Number of distinct clusters a single shard belongs to across the
-    /// whole hierarchy (`H1 · H2`, since sublayers are partitions).
-    pub fn clusters_per_shard(&self) -> usize {
-        self.num_layers() * self.num_sublayers()
-    }
 }
 
 /// Greedy ball-carving partition with carve radius `radius`, starting at
@@ -448,32 +425,5 @@ mod tests {
         // partitions (that is their whole point).
         let l = 3u32;
         assert_ne!(h.clusters(l, 0), h.clusters(l, 1));
-    }
-
-    #[test]
-    fn clusters_per_shard_is_h1_h2() {
-        let m = LineMetric::new(16);
-        let h = Hierarchy::build_with_sublayers(&m, 3);
-        assert_eq!(h.clusters_per_shard(), h.num_layers() * 3);
-    }
-
-    #[test]
-    fn all_cluster_ids_enumerates_everything() {
-        let m = LineMetric::new(16);
-        let h = Hierarchy::build(&m);
-        let mut count = 0;
-        for id in h.all_cluster_ids() {
-            let c = h.cluster(id);
-            assert!(!c.shards.is_empty());
-            count += 1;
-        }
-        let expected: usize = (0..h.num_layers() as u32)
-            .map(|l| {
-                (0..h.num_sublayers() as u32)
-                    .map(|j| h.clusters(l, j).len())
-                    .sum::<usize>()
-            })
-            .sum();
-        assert_eq!(count, expected);
     }
 }

@@ -196,11 +196,6 @@ impl MetricsSink {
         MetricsSink::On(Box::new(MetricsRecorder::new(shards)))
     }
 
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        matches!(self, MetricsSink::On(_))
-    }
-
     /// Records a commit decided for home shard `home` with the given
     /// latency in rounds.
     #[inline]
@@ -316,7 +311,6 @@ mod tests {
         s.on_commit(0, 10);
         s.on_abort();
         s.on_round(0, 5, 0, 0, 2);
-        assert!(!s.is_enabled());
         assert!(s.finish().is_none());
     }
 

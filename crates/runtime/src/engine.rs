@@ -13,7 +13,7 @@ use std::str::FromStr;
 /// Which execution engine runs a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// The single-threaded round simulator (`schedulers::{BdsSim, FdsSim}`).
+    /// The single-threaded round simulator (`schedulers::node::Sim`).
     #[default]
     Sim,
     /// The concurrent networked runtime (this crate).

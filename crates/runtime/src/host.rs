@@ -1,11 +1,11 @@
-//! The threaded host of a protocol [`Node`]: what is genuinely about
-//! the transport and the fault plane, once for both protocols.
+//! The threaded host of a [`Protocol`]: what is genuinely about the
+//! transport and the fault plane, once for every protocol.
 //!
-//! `schedulers::node::SimHost` steps `s` nodes in shard order on one
-//! thread; [`run`] steps the same nodes concurrently. Each shard is one
+//! `schedulers::node::Sim` steps `s` nodes in shard order on one thread;
+//! [`NetRun::run`] steps the same nodes concurrently. Each shard is one
 //! [`run_lockstep`] slot holding its node, the ledger, chain and policy
 //! it lends it, its [`NetHub`] endpoints and its column of the
-//! pre-generated workload. On top of the node's step the host adds what
+//! pre-drained workload. On top of the node's step the host adds what
 //! the simulator never has: crash rounds (a dead shard keeps draining so
 //! ring memory stays bounded, but neither processes nor sends), one PBFT
 //! instance per shard-round with the plan's Byzantine voters flipped in,
@@ -13,11 +13,11 @@
 //!
 //! Worker threads finish a round's shards in no particular order, so a
 //! node's decisions and end-of-round samples are buffered per shard and
-//! merged afterwards ([`HostRun::finish`]) in `(round, shard, emission
-//! index)` order — the order the simulator books them in directly.
-//! Together with the hub's `(sender, sequence)` hand-out that makes a
-//! fault-free report byte-identical to the simulator's, floating-point
-//! means included, for any worker count.
+//! merged afterwards (`merge`) in `(round, shard, emission index)` order
+//! — the order the simulator books them in directly. Together with the
+//! hub's `(sender, sequence)` hand-out that makes a fault-free report
+//! byte-identical to the simulator's, floating-point means included, for
+//! any worker count.
 
 use crate::exec::run_lockstep;
 use crate::hub::{NetEnvelope, NetHub, NetInbox, ShardPort};
@@ -25,10 +25,10 @@ use crate::sync::RoundGate;
 use adversary::RoundSource;
 use cluster::ShardMetric;
 use parking_lot::Mutex;
-use schedulers::metrics::{MetricsCollector, RunReport, SchedulerKind};
-use schedulers::node::{CommitEvent, Lent, Node, Seam};
+use schedulers::metrics::{MetricsCollector, RunReport, RunTotals, SchedulerKind};
+use schedulers::node::{CommitEvent, Lent, Node, Protocol, Seam};
 use schedulers::scheduler::Scheduler;
-use sharding_core::{Round, ShardId, SystemConfig, Transaction, TxnId};
+use sharding_core::{AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
 use simnet::faults::{FaultCounters, FaultPlan};
 use simnet::pbft::{ConsensusOutcome, PbftShard};
 use simnet::{LocalChain, ShardLedger};
@@ -44,15 +44,13 @@ pub struct NetOutcome {
     pub committed_log: Vec<(Round, TxnId)>,
     /// Whether every shard's local chain verified after the run.
     pub chains_verified: bool,
-    /// `(lost, double_committed)` from the table-independent audit over
-    /// the local chains and the commit log; `Some` exactly when the run
-    /// executed a reshard plan, and both components must be 0.
-    pub reshard_audit: Option<(u64, u64)>,
+    /// The local blockchains, in shard order.
+    pub chains: Vec<LocalChain>,
 }
 
 /// One shard of a finished run.
-pub(crate) struct Hosted<N> {
-    pub(crate) node: N,
+struct Hosted<N> {
+    node: N,
     chain: LocalChain,
     /// `(round emitted, decision)`, in emission order.
     events: Vec<(u64, CommitEvent)>,
@@ -64,8 +62,11 @@ pub(crate) struct Hosted<N> {
 
 /// A finished run before the merge: the shards in shard order, plus the
 /// hub's message-plane totals.
-pub(crate) struct HostRun<N> {
-    pub(crate) shards: Vec<Hosted<N>>,
+struct Finished<N> {
+    shards: Vec<Hosted<N>>,
+    kind: SchedulerKind,
+    /// Whether a (non-inert) fault plan was armed.
+    faulty: bool,
     rounds: u64,
     generated: u64,
     sent: u64,
@@ -92,209 +93,239 @@ impl<M: Clone> Seam<M> for NetSeam<'_, '_, M> {
     }
 }
 
-/// Runs one node per shard for `rounds` rounds on `workers` threads.
-///
-/// The source is drained up front, round by round — exactly the order
-/// the simulator drains it live, so a deterministic source yields the
-/// same batches on both engines while generation stays off the executed
-/// rounds — and partitioned per `(home shard, round)` so each slot owns
-/// its column and moves every batch out. `shard` builds a shard's node
-/// with the ledger and planning policy lent to it each round.
-pub(crate) fn run<N>(
-    sys: &SystemConfig,
-    metric: &dyn ShardMetric,
-    faults: &FaultPlan,
-    source: &mut dyn RoundSource,
-    rounds: Round,
-    workers: usize,
-    mut shard: impl FnMut(ShardId) -> (N, ShardLedger, Box<dyn Scheduler>),
-) -> HostRun<N>
-where
-    N: Node + Send,
-    N::Msg: Send,
-{
-    sys.validate().expect("valid system config");
-    assert_eq!(metric.shards(), sys.shards);
-    faults.validate(sys.shards).expect("valid fault plan");
-    let total = rounds.raw();
+/// Where and how a networked run executes: everything about it that is
+/// not the protocol or the workload.
+pub struct NetRun<'a> {
+    /// The sharded system.
+    pub sys: &'a SystemConfig,
+    /// Account placement (the ledgers' initial owners).
+    pub map: &'a AccountMap,
+    /// Inter-shard distances: a message takes `max(1, distance)` rounds.
+    pub metric: &'a dyn ShardMetric,
+    /// The fault plane; [`FaultPlan::default`] is inert.
+    pub faults: &'a FaultPlan,
+    /// Worker threads of the cooperative executor
+    /// ([`default_workers`](crate::default_workers) is the natural
+    /// choice; the outcome is identical for any count `>= 1`).
+    pub workers: usize,
+    /// Turn the metrics plane on.
+    pub metrics: bool,
+}
 
-    let mut inject = vec![vec![Vec::new(); total as usize]; sys.shards];
-    let mut generated = 0u64;
-    for r in 0..total {
-        for t in source.next_round(Round(r)) {
-            generated += 1;
-            inject[t.home.index()][r as usize].push(t);
+impl NetRun<'_> {
+    /// Runs one node of `proto` per shard for `rounds` rounds.
+    ///
+    /// The source is drained up front, round by round — exactly the
+    /// order the simulator drains it live, so a deterministic source
+    /// yields the same batches on both engines while generation stays
+    /// off the executed rounds — and partitioned per `(home shard,
+    /// round)` so each slot owns its column and moves every batch out.
+    /// Every shard gets its own policy instance; only where a node leads
+    /// is it consulted, which is sound because plans are pure functions
+    /// of `(epoch, batch)`.
+    ///
+    /// With an inert fault plan the report is byte-identical to
+    /// [`Sim`](schedulers::node::Sim)'s on the same inputs. With faults
+    /// the run stays deterministic (fault decisions are per-link ChaCha
+    /// streams, independent of thread interleaving) but the protocol is
+    /// allowed to degrade: crashed shards freeze, dropped ballots strand
+    /// transactions as forever-pending, and the injected-fault counters
+    /// surface in [`RunReport::faults`].
+    pub fn run<P>(&self, proto: &P, source: &mut dyn RoundSource, rounds: Round) -> NetOutcome
+    where
+        P: Protocol,
+        P::Node: Send,
+        <P::Node as Node>::Msg: Send,
+    {
+        let NetRun {
+            sys,
+            map,
+            metric,
+            faults,
+            ..
+        } = *self;
+        sys.validate().expect("valid system config");
+        assert_eq!(metric.shards(), sys.shards);
+        faults.validate(sys.shards).expect("valid fault plan");
+        assert!(
+            faults.is_inert() || !proto.fault_free_only(),
+            "this protocol description requires a fault-free run"
+        );
+        let total = rounds.raw();
+
+        let mut inject = vec![vec![Vec::new(); total as usize]; sys.shards];
+        let mut generated = 0u64;
+        for r in 0..total {
+            for t in source.next_round(Round(r)) {
+                generated += 1;
+                inject[t.home.index()][r as usize].push(t);
+            }
         }
-    }
 
-    struct Slot<'h, N: Node> {
-        out: Hosted<N>,
-        ledger: ShardLedger,
-        policy: Box<dyn Scheduler>,
-        pbft: PbftShard,
-        port: ShardPort<'h, N::Msg>,
-        inbox: NetInbox<N::Msg>,
-        inject: Vec<Vec<Transaction>>,
-        /// The reusable drain buffer.
-        buf: Vec<NetEnvelope<N::Msg>>,
-        crash_at: Option<u64>,
-    }
-    let hub = NetHub::new(metric, N::msg_bytes).expect("validated: at least one shard");
-    let gate = RoundGate::new(sys.shards);
-    let slots: Vec<Mutex<Slot<'_, N>>> = (0u32..)
-        .map(ShardId)
-        .zip(inject)
-        .map(|(id, inject)| {
-            let (node, ledger, policy) = shard(id);
-            Mutex::new(Slot {
-                out: Hosted {
-                    node,
-                    chain: LocalChain::new(id),
-                    events: Vec::new(),
-                    samples: Vec::with_capacity(total as usize),
-                    counters: FaultCounters::default(),
-                },
-                ledger,
-                policy,
-                pbft: PbftShard::new(id, sys.nodes_per_shard, sys.faulty_per_shard)
-                    .expect("validated config"),
-                port: ShardPort::new(&hub, id, faults),
-                inbox: NetInbox::new(&hub, id),
-                inject,
-                buf: Vec::new(),
-                crash_at: faults.crash_round(id).map(|r| r.raw()),
+        struct Slot<'h, N: Node> {
+            out: Hosted<N>,
+            ledger: ShardLedger,
+            policy: Box<dyn Scheduler>,
+            pbft: PbftShard,
+            port: ShardPort<'h, N::Msg>,
+            inbox: NetInbox<N::Msg>,
+            inject: Vec<Vec<Transaction>>,
+            /// The reusable drain buffer.
+            buf: Vec<NetEnvelope<N::Msg>>,
+            crash_at: Option<u64>,
+        }
+        let hub = NetHub::new(metric, <P::Node as Node>::msg_bytes)
+            .expect("validated: at least one shard");
+        let gate = RoundGate::new(sys.shards);
+        let slots: Vec<Mutex<Slot<'_, P::Node>>> = (0u32..)
+            .map(ShardId)
+            .zip(inject)
+            .map(|(id, inject)| {
+                let node = proto.node(id, metric);
+                let policy = proto.policy(sys);
+                let ledger = ShardLedger::new(id, map, proto.initial_balance());
+                Mutex::new(Slot {
+                    out: Hosted {
+                        node,
+                        chain: LocalChain::new(id),
+                        events: Vec::new(),
+                        samples: Vec::with_capacity(total as usize),
+                        counters: FaultCounters::default(),
+                    },
+                    ledger,
+                    policy,
+                    pbft: PbftShard::new(id, sys.nodes_per_shard, sys.faulty_per_shard)
+                        .expect("validated config"),
+                    port: ShardPort::new(&hub, id, faults),
+                    inbox: NetInbox::new(&hub, id),
+                    inject,
+                    buf: Vec::new(),
+                    crash_at: faults.crash_round(id).map(|r| r.raw()),
+                })
             })
-        })
-        .collect();
+            .collect();
 
-    run_lockstep(&gate, &slots, total, workers, |slot, shard, round| {
-        let out = &mut slot.out;
-        if slot.crash_at == Some(round) {
-            out.counters.crashes += 1;
-        }
-        let crashed = slot.crash_at.is_some_and(|c| round >= c);
-        // Generated work accumulates even on a crashed shard (it counts
-        // as pending, unserviced).
-        for t in std::mem::take(&mut slot.inject[round as usize]) {
-            out.node.inject(t);
-        }
-        // The executor only runs this once every peer finished round-1
-        // sends; the drain then sees all of them.
-        slot.inbox.drain_into(round, &mut slot.buf);
-        if crashed {
-            slot.buf.clear();
-        } else {
-            // Intra-shard consensus on this round's inbox digest — the
-            // paper's round abstraction executed for real, with the
-            // plan's Byzantine voters flipped in. Purely local: it never
-            // touches the report, so fault-free byte-identity holds.
-            let digest = round ^ ((slot.buf.len() as u64) << 32) ^ shard as u64;
-            let flips = faults.byz_flips_for(slot.pbft.faulty());
-            let outcome = slot.pbft.decide_with_byzantine(digest, flips);
-            debug_assert_eq!(outcome, ConsensusOutcome::Decided(digest));
-            out.counters.byz_flips += flips as u64;
+        run_lockstep(&gate, &slots, total, self.workers, |slot, shard, round| {
+            let out = &mut slot.out;
+            if slot.crash_at == Some(round) {
+                out.counters.crashes += 1;
+            }
+            let crashed = slot.crash_at.is_some_and(|c| round >= c);
+            // Generated work accumulates even on a crashed shard (it counts
+            // as pending, unserviced).
+            for t in std::mem::take(&mut slot.inject[round as usize]) {
+                out.node.inject(t);
+            }
+            // The executor only runs this once every peer finished round-1
+            // sends; the drain then sees all of them.
+            slot.inbox.drain_into(round, &mut slot.buf);
+            if crashed {
+                slot.buf.clear();
+            } else {
+                // Intra-shard consensus on this round's inbox digest — the
+                // paper's round abstraction executed for real, with the
+                // plan's Byzantine voters flipped in. Purely local: it never
+                // touches the report, so fault-free byte-identity holds.
+                let digest = round ^ ((slot.buf.len() as u64) << 32) ^ shard as u64;
+                let flips = faults.byz_flips_for(slot.pbft.faulty());
+                let outcome = slot.pbft.decide_with_byzantine(digest, flips);
+                debug_assert_eq!(outcome, ConsensusOutcome::Decided(digest));
+                out.counters.byz_flips += flips as u64;
 
-            let inbox = slot.buf.drain(..).map(|env| (env.from, env.payload));
-            let lent = Lent {
-                ledger: &mut slot.ledger,
-                chain: &mut out.chain,
-                policy: slot.policy.as_mut(),
-            };
-            let mut seam = NetSeam {
-                port: &mut slot.port,
-                round,
-                events: &mut out.events,
-            };
-            out.node.step(round, inbox, lent, &mut seam);
-        }
-        let [a, b, c, d] = out.node.sample();
-        let byz = out.counters.byz_flips;
-        out.samples.push([a, b, c, d, byz, u64::from(crashed)]);
-    });
+                let inbox = slot.buf.drain(..).map(|env| (env.from, env.payload));
+                let lent = Lent {
+                    ledger: &mut slot.ledger,
+                    chain: &mut out.chain,
+                    policy: slot.policy.as_mut(),
+                };
+                let mut seam = NetSeam {
+                    port: &mut slot.port,
+                    round,
+                    events: &mut out.events,
+                };
+                out.node.step(round, inbox, lent, &mut seam);
+            }
+            let [a, b, c, d] = out.node.sample();
+            let byz = out.counters.byz_flips;
+            out.samples.push([a, b, c, d, byz, u64::from(crashed)]);
+        });
 
-    // Consuming a slot drops its port, flushing the shard's local message
-    // tallies into the hub before the counters are read below.
-    let shards = slots.into_iter().map(|s| s.into_inner().out).collect();
-    HostRun {
-        shards,
-        rounds: total,
-        generated,
-        sent: hub.sent_count(),
-        max_message_bytes: hub.max_message_bytes(),
-        dropped: hub.dropped_count(),
-        duplicated: hub.duplicated_count(),
+        // The report carries the policy's kind, as the simulator's does.
+        let kind = slots[0].lock().policy.kind();
+        // Consuming a slot drops its port, flushing the shard's local
+        // message tallies into the hub before the counters are read below.
+        let run = Finished {
+            shards: slots.into_iter().map(|s| s.into_inner().out).collect(),
+            kind,
+            faulty: !faults.is_inert(),
+            rounds: total,
+            generated,
+            sent: hub.sent_count(),
+            max_message_bytes: hub.max_message_bytes(),
+            dropped: hub.dropped_count(),
+            duplicated: hub.duplicated_count(),
+        };
+        merge::<P>(run, self.metrics)
     }
 }
 
-impl<N> HostRun<N> {
-    /// Merges the run into its outcome. Round by round, every shard's
-    /// decisions are booked in shard order (latency statistics then
-    /// accumulate in exactly the simulator's push order, so the
-    /// floating-point mean is bit-equal), then `record` books the round:
-    /// it gets the round, the nodes' samples in shard order, the summed
-    /// Byzantine flips and the crashed-shard count, and returns the
-    /// pending count, whose last value the report carries. `epochs` is
-    /// the report's `(epochs, longest epoch)`; `audit` runs the reshard
-    /// loss/duplication audit over the chains.
-    pub(crate) fn finish(
-        self,
-        kind: SchedulerKind,
-        metrics: bool,
-        epochs: (u64, u64),
-        audit: bool,
-        mut record: impl FnMut(
-            &mut MetricsCollector,
-            u64,
-            &mut dyn Iterator<Item = [u64; 4]>,
-            u64,
-            u64,
-        ) -> u64,
-    ) -> NetOutcome {
-        let mut collector = MetricsCollector::new(self.shards.len());
-        if metrics {
-            collector.enable_metrics();
-        }
-        let mut log = Vec::new();
-        let mut cursors = vec![0usize; self.shards.len()];
-        let mut pending = 0;
-        for round in 0..self.rounds {
-            for (shard, cursor) in self.shards.iter().zip(&mut cursors) {
-                while let Some((_, event)) = shard.events.get(*cursor).filter(|e| e.0 == round) {
-                    event.record(&mut collector, &mut log);
-                    *cursor += 1;
-                }
+/// Merges a finished run into its outcome. Round by round, every shard's
+/// decisions are booked in shard order (latency statistics then
+/// accumulate in exactly the simulator's push order, so the
+/// floating-point mean is bit-equal), then the protocol books the
+/// round's samples — on a faulty run with the summed Byzantine flips and
+/// the crashed-shard count. The report carries the last round's pending
+/// count.
+fn merge<P: Protocol>(run: Finished<P::Node>, metrics: bool) -> NetOutcome {
+    let shards = run.shards;
+    let mut collector = MetricsCollector::new(shards.len());
+    if metrics {
+        collector.enable_metrics();
+    }
+    let mut log = Vec::new();
+    let mut cursors = vec![0usize; shards.len()];
+    let mut pending = 0;
+    for round in 0..run.rounds {
+        for (shard, cursor) in shards.iter().zip(&mut cursors) {
+            while let Some((_, event)) = shard.events.get(*cursor).filter(|e| e.0 == round) {
+                event.record(&mut collector, &mut log);
+                *cursor += 1;
             }
-            let at = |h: &Hosted<N>| h.samples[round as usize];
-            let byz = self.shards.iter().map(|h| at(h)[4]).sum();
-            let crashed = self.shards.iter().map(|h| at(h)[5]).sum();
-            let mut samples = self.shards.iter().map(|h| {
-                let [a, b, c, d, ..] = at(h);
-                [a, b, c, d]
-            });
-            pending = record(&mut collector, round, &mut samples, byz, crashed);
         }
+        let at = |h: &Hosted<P::Node>| h.samples[round as usize];
+        let faults = run.faulty.then(|| {
+            let byz = shards.iter().map(|h| at(h)[4]).sum();
+            let crashed = shards.iter().map(|h| at(h)[5]).sum();
+            (byz, crashed)
+        });
+        let samples = shards.iter().map(|h| {
+            let [a, b, c, d, ..] = at(h);
+            [a, b, c, d]
+        });
+        pending = P::record_round(&shards[0].node, &mut collector, round, samples, faults);
+    }
 
-        let mut report = collector.finish(
-            kind,
-            self.rounds,
-            self.generated,
-            pending,
-            epochs.0,
-            epochs.1,
-            self.sent,
-            self.max_message_bytes,
-        );
-        for shard in &self.shards {
-            report.faults.merge(&shard.counters);
-        }
-        report.faults.dropped = self.dropped;
-        report.faults.duplicated = self.duplicated;
-        let chains: Vec<LocalChain> = self.shards.into_iter().map(|h| h.chain).collect();
-        NetOutcome {
-            report,
-            chains_verified: chains.iter().all(LocalChain::verify),
-            reshard_audit: audit.then(|| simnet::reshard_audit(&chains, &log)),
-            committed_log: log,
-        }
+    let (epochs, max_epoch_len) = P::epochs(shards.iter().map(|h| &h.node), run.rounds);
+    let mut report = collector.finish(RunTotals {
+        scheduler: run.kind,
+        rounds: run.rounds,
+        generated: run.generated,
+        pending_at_end: pending,
+        epochs,
+        max_epoch_len,
+        messages: run.sent,
+        max_message_bytes: run.max_message_bytes,
+    });
+    for shard in &shards {
+        report.faults.merge(&shard.counters);
+    }
+    report.faults.dropped = run.dropped;
+    report.faults.duplicated = run.duplicated;
+    let chains: Vec<LocalChain> = shards.into_iter().map(|h| h.chain).collect();
+    NetOutcome {
+        report,
+        committed_log: log,
+        chains_verified: chains.iter().all(LocalChain::verify),
+        chains,
     }
 }

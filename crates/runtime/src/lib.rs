@@ -9,20 +9,25 @@
 //!
 //! BDS and FDS each exist once, in `schedulers`, as a per-shard node
 //! state machine (`BdsNode`, `FdsNode`) that talks to the outside only
-//! by sending a message to a shard and emitting a decision. The
-//! simulators host `s` such nodes on one thread over a
-//! `simnet::Network`; this crate is the other host (the private `host` module):
-//! one slot per shard holding the node and what it is lent, the shard's
-//! [`hub::NetHub`] endpoints, and its column of the pre-generated
-//! workload, with worker threads claiming shard rounds. What this crate
-//! adds is what is genuinely about the transport — delivery pinned by
-//! per-sender sequence numbers, the round gate, and a replay of the
-//! nodes' buffered decisions in `(round, shard, emission index)` order —
-//! so a fault-free networked run produces a `RunReport`
-//! **byte-identical** to the simulator's for the same inputs: both ran
-//! the same code, in an order that differs only where it cannot be
-//! observed. `tests/differential.rs` checks that equality field by
-//! field, including the floating-point latency and queue means.
+//! by sending a message to a shard and emitting a decision, plus one
+//! `Protocol` description of what a host must know around it. The
+//! generic simulator `schedulers::node::Sim` hosts `s` such nodes on one
+//! thread over a `simnet::Network`; this crate is the other host:
+//! [`NetRun`] says where and how a run executes (system, placement,
+//! metric, fault plan, worker count, metrics plane), and
+//! [`NetRun::run`] takes any protocol description and any
+//! [`adversary::RoundSource`]. One slot per shard holds the node and
+//! what it is lent, the shard's [`hub::NetHub`] endpoints, and its
+//! column of the pre-drained workload, with worker threads claiming
+//! shard rounds. What this crate adds is what is genuinely about the
+//! transport — delivery pinned by per-sender sequence numbers, the round
+//! gate, and a replay of the nodes' buffered decisions in `(round,
+//! shard, emission index)` order — so a fault-free networked run
+//! produces a `RunReport` **byte-identical** to the simulator's for the
+//! same inputs: both ran the same code, in an order that differs only
+//! where it cannot be observed. `tests/conformance_net.rs` checks that
+//! equality field by field, including the floating-point latency and
+//! queue means, for every protocol description the workspace has.
 //!
 //! The host also carries the [`simnet::FaultPlan`] fault plane, which
 //! the simulators never see: seeded shard crashes, per-link message
@@ -49,9 +54,10 @@
 //! arrival interleaving within a round, deterministic round gate).
 //!
 //! Scenario files select this engine with `engine = net` (see
-//! [`EngineKind`]); `blockshard run` then routes jobs through
-//! [`run_net_bds`] / [`run_net_sched`] / [`run_net_fds`] instead of
-//! the simulators.
+//! [`EngineKind`]); `scenario::run_job` then hands the job's protocol
+//! description and source to [`NetRun::run`] instead of the simulator.
+//! [`run_net_sched`], [`run_net_sched_from`] and [`run_net_fds`] are
+//! positional spellings of the same call, kept for `benchmark/`.
 //!
 //! `unsafe` is denied crate-wide with one audited exception: the slot
 //! array of the SPSC ring in [`ring`], whose ownership protocol is
@@ -65,15 +71,13 @@ pub mod engine;
 pub mod exec;
 mod host;
 pub mod hub;
-pub mod netbds;
-pub mod netfds;
+mod netbds;
 pub mod ring;
 pub mod sync;
 
 pub use engine::EngineKind;
 pub use exec::{default_workers, run_lockstep};
-pub use host::NetOutcome;
+pub use host::{NetOutcome, NetRun};
 pub use hub::{HubError, NetEnvelope, NetHub, NetInbox, ShardPort};
-pub use netbds::{run_net_bds, run_net_sched, run_net_sched_from, run_net_sched_reshard};
-pub use netfds::run_net_fds;
+pub use netbds::{run_net_fds, run_net_sched, run_net_sched_from};
 pub use sync::RoundGate;

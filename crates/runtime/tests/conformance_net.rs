@@ -1,47 +1,63 @@
-//! Net-side scheduler conformance: the half of the zoo harness that the
-//! simulator-side suite (`schedulers/tests/conformance.rs`) cannot run,
-//! because the networked engine depends on the `schedulers` crate.
+//! The sim≡net table: the contract that makes `engine = net`
+//! interchangeable with `engine = sim` in scenario files, checked for
+//! every protocol description the workspace has.
 //!
-//! For every registered kind that supports `engine = net` through the
-//! shared epoch host — BDS proper and all four zoo policies — this
-//! pins:
-//!
-//! * **sim/net byte-equality**: `run_net_sched` reproduces the
-//!   simulator's report fingerprint exactly on fault-free runs (FDS has
-//!   its own driver and its own differential suite; FCFS has no
-//!   networked protocol and is rejected at plan time);
-//! * **worker-count independence**: the cooperative claim executor
-//!   gives the same bytes with 1 worker, one per shard, or a
-//!   deliberate oversubscription — thread count is a performance knob,
-//!   never a semantic one.
+//! Both hosts are generic over `schedulers::node::Protocol`, so one
+//! helper states the contract once — [`assert_sim_equals_net`] — and
+//! every configuration is a row: a description, a system, a metric, a
+//! source, a round count and the worker counts to try. The rows cover
+//! BDS on every metric shape and shard count, every epoch-hosted zoo
+//! kind, FDS on line/uniform/ring and under bursts, live resharding
+//! (scale-out, scale-in, churn on a line, every hosted kind), FDS behind
+//! an ingestion pipeline, and the cross-shard order check on what either
+//! engine leaves behind. Worker-count independence is part of the
+//! contract: thread count is a performance knob, never a semantic one.
+//! (`differential.rs` keeps what tests the *host*: determinism, the
+//! fault plane, the message plane against its locked oracle.)
 
-use adversary::{Adversary, AdversaryConfig, ReshardSource, RoundSource, StrategyKind};
-use cluster::UniformMetric;
+use adversary::{
+    Adversary, AdversaryConfig, IngestPipeline, ReshardSource, RoundSource, StrategyKind,
+    StreamKind, StreamSource, WorkloadShape,
+};
+use cluster::{GridMetric, LineMetric, RingMetric, ShardMetric, UniformMetric};
 use conflict::ColoringStrategy;
-use runtime::{run_net_sched, run_net_sched_reshard, NetOutcome};
-use schedulers::bds::{BdsConfig, BdsSim};
-use schedulers::driver::drive;
+use runtime::{default_workers, NetOutcome, NetRun};
+use schedulers::bds::{BdsConfig, BdsProtocol};
+use schedulers::fds::{FdsConfig, FdsProtocol};
+use schedulers::node::{Node, Protocol, Sim};
 use schedulers::testkit::report_fingerprint;
-use schedulers::SchedulerKind;
-use sharding_core::ReshardPlan;
-use sharding_core::{AccountMap, Round, SystemConfig};
+use schedulers::{check_cross_shard_order, SchedulerKind};
+use sharding_core::{AccountMap, ReshardPlan, Round, SystemConfig};
 use simnet::FaultPlan;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
-fn system() -> (SystemConfig, AccountMap) {
+/// Where a row runs.
+struct Bed {
+    sys: SystemConfig,
+    map: AccountMap,
+    metric: Box<dyn ShardMetric>,
+}
+
+/// `shards` shards with one round-robin account each, over `metric`.
+fn bed(shards: usize, k: usize, metric: impl ShardMetric + 'static) -> Bed {
     let sys = SystemConfig {
-        shards: 8,
-        accounts: 8,
-        k_max: 3,
+        shards,
+        accounts: shards,
+        k_max: k,
         nodes_per_shard: 4,
         faulty_per_shard: 1,
     };
-    let map = AccountMap::round_robin(&sys);
-    (sys, map)
+    Bed {
+        map: AccountMap::round_robin(&sys),
+        sys,
+        metric: Box::new(metric),
+    }
 }
 
-fn adversary(seed: u64) -> AdversaryConfig {
+fn uniform_load(rho: f64, seed: u64) -> AdversaryConfig {
     AdversaryConfig {
-        rho: 0.08,
+        rho,
         burstiness: 4,
         strategy: StrategyKind::UniformRandom,
         seed,
@@ -49,7 +65,71 @@ fn adversary(seed: u64) -> AdversaryConfig {
     }
 }
 
-/// Every kind the shared epoch host carries over the network.
+/// Runs `proto` on the simulator and, once per entry of `workers`, on
+/// the networked engine — each over a fresh `source()` — and asserts the
+/// contract: the report equal in every field (floats by bit pattern, the
+/// per-round queue series included), the commit log round for round, the
+/// chains block for block, every chain verifying. Returns the last
+/// networked outcome, by then equal to the simulator's.
+fn assert_sim_equals_net<P, S>(
+    label: &str,
+    proto: &P,
+    bed: &Bed,
+    source: impl Fn() -> S,
+    rounds: u64,
+    workers: &[usize],
+) -> NetOutcome
+where
+    P: Protocol,
+    P::Node: Send,
+    <P::Node as Node>::Msg: Send,
+    S: RoundSource,
+{
+    let (sys, map, metric) = (&bed.sys, &bed.map, bed.metric.as_ref());
+    let mut sim = Sim::host(proto, sys, map, metric);
+    let mut src = source();
+    for r in 0..rounds {
+        sim.step(src.next_round(Round(r)));
+    }
+    let (sim_log, sim_chains) = (sim.committed_log().to_vec(), sim.chains().to_vec());
+    let sim = sim.finish();
+    assert!(sim.committed > 0, "{label}: workload must be non-trivial");
+
+    let mut last = None;
+    for &workers in workers {
+        let run = NetRun {
+            sys,
+            map,
+            metric,
+            faults: &FaultPlan::default(),
+            workers,
+            metrics: false,
+        };
+        let net = run.run(proto, &mut source(), Round(rounds));
+        let label = format!("{label}, {workers} workers");
+        assert_eq!(
+            report_fingerprint(&net.report),
+            report_fingerprint(&sim),
+            "{label}: report"
+        );
+        assert_eq!(
+            net.report.queue_series.samples(),
+            sim.queue_series.samples(),
+            "{label}: per-round queue series"
+        );
+        assert_eq!(net.committed_log, sim_log, "{label}: commit log");
+        assert!(net.chains == sim_chains, "{label}: chains");
+        assert!(net.chains_verified, "{label}: chain verification");
+        last = Some(net);
+    }
+    last.expect("at least one worker count")
+}
+
+fn bds(kind: SchedulerKind) -> BdsProtocol {
+    BdsProtocol::new(BdsConfig::default(), kind)
+}
+
+/// Every kind the shared epoch protocol carries.
 fn epoch_hosted_kinds() -> Vec<SchedulerKind> {
     SchedulerKind::ALL
         .into_iter()
@@ -64,7 +144,7 @@ fn every_epoch_hosted_kind_is_net_capable_and_vice_versa() {
         match kind {
             SchedulerKind::Fds => assert!(
                 !hosted && kind.supports_net(),
-                "FDS rides its own networked driver"
+                "FDS has its own protocol description"
             ),
             SchedulerKind::Fcfs => {
                 assert!(!hosted && !kind.supports_net(), "FCFS is sim-only")
@@ -78,161 +158,198 @@ fn every_epoch_hosted_kind_is_net_capable_and_vice_versa() {
 }
 
 #[test]
-fn net_reports_match_the_simulator_byte_for_byte() {
-    let (sys, map) = system();
-    let adv = adversary(23);
-    let rounds = Round(400);
-    let metric = UniformMetric::new(sys.shards);
-    let faults = FaultPlan::default();
-    let bcfg = BdsConfig::default();
-    for kind in epoch_hosted_kinds() {
-        let net = run_net_sched(
-            &sys, &map, &adv, rounds, &metric, bcfg, &faults, kind, sys.shards, false,
-        );
-        assert!(net.chains_verified, "{kind}: chain verification failed");
-        let policy = kind
-            .epoch_policy(bcfg.coloring, sys.accounts, sys.shards)
-            .expect("epoch-hosted by construction");
-        let sim = BdsSim::with_policy(&sys, &map, bcfg, &metric, policy);
-        let sim_report = drive(sim, &sys, &map, &adv, rounds);
-        assert_eq!(
-            report_fingerprint(&net.report),
-            report_fingerprint(&sim_report),
-            "{kind}: net diverged from the simulator"
+fn bds_rows() {
+    // (label, bed, adversary seed, rounds): the uniform model, every
+    // metric shape (the phase gap stretches to the diameter), and every
+    // scale from 2 shards up.
+    let mut rows = vec![
+        ("uniform", bed(8, 3, UniformMetric::new(8)), 17, 900),
+        ("line", bed(8, 3, LineMetric::new(8)), 23, 1200),
+        ("ring", bed(8, 3, RingMetric::new(8)), 23, 1200),
+        ("grid4x2", bed(8, 3, GridMetric::new(4, 2)), 23, 1200),
+    ];
+    for s in [2usize, 4, 12] {
+        let scaled = bed(s, 2.min(s), UniformMetric::new(s));
+        rows.push(("scaled", scaled, 29 + s as u64, 600));
+    }
+    for (name, bed, seed, rounds) in rows {
+        let label = format!("bds/{name}/{}", bed.sys.shards);
+        let source = || Adversary::new(&bed.sys, &bed.map, uniform_load(0.06, seed));
+        let workers = [default_workers(bed.sys.shards)];
+        assert_sim_equals_net(
+            &label,
+            &bds(SchedulerKind::Bds),
+            &bed,
+            source,
+            rounds,
+            &workers,
         );
     }
 }
 
-/// A +2@60 migration schedule over the conformance system: 4 active
-/// shards at round 0, 6 from the first epoch boundary at or after
-/// round 60, provisioned capacity 6.
-fn reshard_fixture() -> (SystemConfig, SystemConfig, AccountMap, ReshardPlan) {
+#[test]
+fn every_hosted_kind_at_every_worker_count() {
+    // One worker, one per shard, and a deliberate oversubscription.
+    let bed = bed(8, 3, UniformMetric::new(8));
+    let source = || Adversary::new(&bed.sys, &bed.map, uniform_load(0.08, 23));
+    for kind in epoch_hosted_kinds() {
+        let label = format!("{kind}/uniform");
+        assert_sim_equals_net(&label, &bds(kind), &bed, source, 400, &[1, 8, 17]);
+    }
+}
+
+#[test]
+fn fds_rows() {
+    let rows = [
+        ("line", bed(8, 3, LineMetric::new(8))),
+        ("uniform", bed(8, 3, UniformMetric::new(8))),
+        ("ring", bed(8, 3, RingMetric::new(8))),
+    ];
+    for (name, bed) in rows {
+        let proto = FdsProtocol::new(FdsConfig::default(), bed.metric.as_ref());
+        let source = || Adversary::new(&bed.sys, &bed.map, uniform_load(0.06, 31));
+        let label = format!("fds/{name}");
+        assert_sim_equals_net(&label, &proto, &bed, source, 1500, &[1, 8]);
+    }
+    // A burst deep enough to reach the rescheduling periods.
+    let bed = bed(12, 4, LineMetric::new(12));
+    let burst = AdversaryConfig {
+        rho: 0.08,
+        burstiness: 10,
+        strategy: StrategyKind::SingleBurst { burst_round: 100 },
+        seed: 37,
+        ..Default::default()
+    };
+    let proto = FdsProtocol::new(FdsConfig::default(), bed.metric.as_ref());
+    let source = || Adversary::new(&bed.sys, &bed.map, burst);
+    let workers = [default_workers(12)];
+    assert_sim_equals_net("fds/burst", &proto, &bed, source, 2000, &workers);
+}
+
+#[test]
+fn fds_behind_an_ingest_pipeline() {
+    // The streaming producer and the mempool in front of FDS: the
+    // simulator drains the pipeline live, the networked engine up front,
+    // and both must see the same admitted batches and ingestion counters.
+    let bed = bed(8, 3, LineMetric::new(8));
+    let pipeline = || {
+        let kind = StreamKind::Zipf { exponent: 0.6 };
+        let shape = WorkloadShape::WriteOnly;
+        let stream = StreamSource::new(&bed.sys, &bed.map, kind, shape, 0.06, 4, 6, 43);
+        IngestPipeline::new(stream, 16)
+    };
+    let mut alone = pipeline();
+    for r in 0..600 {
+        alone.next_round(Round(r));
+    }
+    let stats = alone.stats().expect("a pipeline has a mempool");
+    assert!(stats.deferred > 0, "admission must bite: {stats:?}");
+    let proto = FdsProtocol::new(FdsConfig::default(), bed.metric.as_ref());
+    assert_sim_equals_net("fds/mempool", &proto, &bed, pipeline, 600, &[1, 8]);
+}
+
+#[test]
+fn order_check_on_what_either_engine_leaves_behind() {
+    // The chains the two engines return are equal (asserted by the
+    // helper), so one check covers both; BDS and the zoo kinds serialize
+    // conflicting transactions by construction, FDS under the strict
+    // window `W = 1`.
+    let bed = bed(8, 3, UniformMetric::new(8));
+    let load = uniform_load(0.08, 47);
+    let source = || Adversary::new(&bed.sys, &bed.map, load);
+    let mut generator = source();
+    let txns: BTreeMap<_, _> = (0..500)
+        .flat_map(|r| generator.generate(Round(r)))
+        .map(|t| (t.id, t))
+        .collect();
+    let strict = FdsConfig {
+        pipeline_window: 1,
+        ..FdsConfig::default()
+    };
+    let fds = FdsProtocol::new(strict, bed.metric.as_ref());
+    let outcomes = [
+        assert_sim_equals_net(
+            "order/bds",
+            &bds(SchedulerKind::Bds),
+            &bed,
+            source,
+            500,
+            &[8],
+        ),
+        assert_sim_equals_net(
+            "order/edf",
+            &bds(SchedulerKind::Edf),
+            &bed,
+            source,
+            500,
+            &[8],
+        ),
+        assert_sim_equals_net("order/fds", &fds, &bed, source, 500, &[8]),
+    ];
+    for out in outcomes {
+        let kind = out.report.scheduler;
+        assert!(out.chains.iter().any(|c| !c.is_empty()), "{kind}");
+        let violations = check_cross_shard_order(&out.chains, &txns);
+        assert_eq!(violations, Vec::new(), "{kind}");
+    }
+}
+
+/// A row under a live migration schedule: `initial` active shards at
+/// round 0 stepped through `events`, provisioned for the schedule's
+/// maximum, homes and groupings following the live placement version.
+/// Beyond the contract, no committed transaction may be lost or doubled
+/// across the migration — on the chains and log both engines agree on.
+fn assert_reshard_row(
+    kind: SchedulerKind,
+    initial: usize,
+    events: &[(i64, u64)],
+    metric: fn(usize) -> Box<dyn ShardMetric>,
+    seed: u64,
+    rounds: u64,
+    workers: &[usize],
+) {
     let cfg = SystemConfig {
-        shards: 1, // overwritten by the plan's s_max
-        accounts: 32,
+        shards: initial, // producers draw from the initial active set
+        accounts: 64,
         k_max: 3,
         nodes_per_shard: 4,
         faulty_per_shard: 1,
     };
-    let plan = ReshardPlan::build(4, &cfg, &[(2, 60)]).unwrap();
-    let sys = SystemConfig {
-        shards: plan.s_max,
-        ..cfg.clone()
+    let plan = ReshardPlan::build(initial, &cfg, events).unwrap();
+    let bed = Bed {
+        sys: SystemConfig {
+            shards: plan.s_max,
+            ..cfg.clone()
+        },
+        map: plan.versions[0].map.clone(),
+        metric: metric(plan.s_max),
     };
-    let src_sys = SystemConfig { shards: 4, ..cfg };
-    let map = plan.versions[0].map.clone();
-    (sys, src_sys, map, plan)
+    let proto = BdsProtocol {
+        reshard: Some(Arc::new(plan.clone())),
+        ..bds(kind)
+    };
+    let load = uniform_load(0.06, seed);
+    let source = || ReshardSource::new(Adversary::new(&cfg, &bed.map, load), plan.clone());
+    let label = format!("reshard/{kind}/{events:?}");
+    let out = assert_sim_equals_net(&label, &proto, &bed, source, rounds, workers);
+    let audit = simnet::reshard_audit(&out.chains, &out.committed_log);
+    assert_eq!(audit, (0, 0), "{label}: commits lost or doubled");
 }
 
 #[test]
-fn reshard_net_reports_match_the_simulator_for_every_hosted_kind() {
-    // Resharding lives in the shared epoch host, so every epoch-hosted
-    // policy inherits it — and every one must keep the sim/net mirror.
-    let (sys, src_sys, map, plan) = reshard_fixture();
-    let adv = adversary(37);
-    let rounds = Round(300);
-    let metric = UniformMetric::new(sys.shards);
-    let bcfg = BdsConfig::default();
+fn reshard_rows() {
+    let uniform = |s| Box::new(UniformMetric::new(s)) as Box<dyn ShardMetric>;
+    let line = |s| Box::new(LineMetric::new(s)) as Box<dyn ShardMetric>;
+    let bds = SchedulerKind::Bds;
+    assert_reshard_row(bds, 4, &[(2, 60)], uniform, 61, 400, &[6]);
+    assert_reshard_row(bds, 6, &[(-2, 60)], uniform, 67, 400, &[6]);
+    // Two opposing events over a line: handoffs ride the longest links
+    // the metric allows and must still land before the first
+    // post-migration epoch check.
+    assert_reshard_row(bds, 4, &[(2, 40), (-3, 120)], line, 71, 500, &[6]);
+    // Resharding lives in the shared epoch protocol, so every hosted
+    // policy inherits it — at every worker count.
     for kind in epoch_hosted_kinds() {
-        let mut src = ReshardSource::new(Adversary::new(&src_sys, &map, adv), plan.clone());
-        let net = run_net_sched_reshard(
-            &sys,
-            &map,
-            &mut src,
-            rounds,
-            &metric,
-            bcfg,
-            &FaultPlan::default(),
-            kind,
-            sys.shards,
-            false,
-            &plan,
-        );
-        assert!(net.chains_verified, "{kind}: chain verification failed");
-        assert_eq!(
-            net.reshard_audit,
-            Some((0, 0)),
-            "{kind}: commits lost or doubled across the migration"
-        );
-        let policy = kind
-            .epoch_policy(bcfg.coloring, sys.accounts, sys.shards)
-            .expect("epoch-hosted by construction");
-        let mut sim = BdsSim::with_policy(&sys, &map, bcfg, &metric, policy);
-        sim.set_reshard(plan.clone());
-        let mut src = ReshardSource::new(Adversary::new(&src_sys, &map, adv), plan.clone());
-        for r in 0..rounds.raw() {
-            sim.step(src.next_round(Round(r)));
-        }
-        assert_eq!(sim.reshard_audit(), (0, 0), "{kind}: sim-side audit");
-        assert_eq!(
-            report_fingerprint(&net.report),
-            report_fingerprint(&sim.finish()),
-            "{kind}: net diverged from the simulator across the migration"
-        );
-    }
-}
-
-#[test]
-fn reshard_worker_count_never_changes_the_bytes() {
-    let (sys, src_sys, map, plan) = reshard_fixture();
-    let adv = adversary(41);
-    let rounds = Round(300);
-    let metric = UniformMetric::new(sys.shards);
-    let bcfg = BdsConfig::default();
-    let runs: Vec<NetOutcome> = [1, sys.shards, sys.shards * 2 + 1]
-        .into_iter()
-        .map(|workers| {
-            let mut src = ReshardSource::new(Adversary::new(&src_sys, &map, adv), plan.clone());
-            run_net_sched_reshard(
-                &sys,
-                &map,
-                &mut src,
-                rounds,
-                &metric,
-                bcfg,
-                &FaultPlan::default(),
-                SchedulerKind::Bds,
-                workers,
-                false,
-                &plan,
-            )
-        })
-        .collect();
-    for out in &runs {
-        assert_eq!(out.reshard_audit, Some((0, 0)));
-    }
-    let prints: Vec<String> = runs.iter().map(|o| report_fingerprint(&o.report)).collect();
-    assert_eq!(prints[0], prints[1], "1 worker vs one-per-shard");
-    assert_eq!(prints[1], prints[2], "one-per-shard vs oversubscribed");
-    assert_eq!(runs[0].committed_log, runs[1].committed_log);
-    assert_eq!(runs[1].committed_log, runs[2].committed_log);
-}
-
-#[test]
-fn worker_count_never_changes_the_bytes() {
-    let (sys, map) = system();
-    let adv = adversary(29);
-    let rounds = Round(300);
-    let metric = UniformMetric::new(sys.shards);
-    let faults = FaultPlan::default();
-    let bcfg = BdsConfig::default();
-    for kind in epoch_hosted_kinds() {
-        let fingerprints: Vec<String> = [1, sys.shards, sys.shards * 2 + 1]
-            .into_iter()
-            .map(|workers| {
-                let out = run_net_sched(
-                    &sys, &map, &adv, rounds, &metric, bcfg, &faults, kind, workers, false,
-                );
-                report_fingerprint(&out.report)
-            })
-            .collect();
-        assert_eq!(
-            fingerprints[0], fingerprints[1],
-            "{kind}: 1 worker vs one-per-shard"
-        );
-        assert_eq!(
-            fingerprints[1], fingerprints[2],
-            "{kind}: one-per-shard vs oversubscribed"
-        );
+        assert_reshard_row(kind, 4, &[(2, 60)], uniform, 37, 300, &[1, 6, 13]);
     }
 }

@@ -1,30 +1,20 @@
-//! Cross-validation of the networked engine against the shared-memory
-//! simulators: on identical seeded workloads, a fault-free networked run
-//! must reproduce the simulator's `RunReport` **byte for byte** — counts,
-//! latencies (to the floating-point bit), queue series, message totals —
-//! and its commit log round for round. This is the contract that makes
-//! `engine = net` interchangeable with `engine = sim` in scenario files.
+//! What tests the networked *host* rather than the protocols it hosts:
+//! determinism with and without faults, the fault plane's counters and
+//! their effect on a run (crash, drop, Byzantine votes, on BDS and FDS),
+//! and the lock-free message plane against the previous generation's
+//! semantics as an executable oracle. That a fault-free networked run
+//! equals the simulator's byte for byte is `conformance_net.rs`'s table.
 
 use adversary::{Adversary, AdversaryConfig, StrategyKind};
 use cluster::{GridMetric, LineMetric, RingMetric, ShardMetric, UniformMetric};
-use runtime::{run_net_bds, run_net_fds, NetOutcome};
-use schedulers::bds::{BdsConfig, BdsSim};
-use schedulers::fds::{FdsConfig, FdsSim};
-use schedulers::RunReport;
-use sharding_core::{AccountMap, Round, ShardId, SystemConfig, TxnId};
+use runtime::{default_workers, NetOutcome, NetRun};
+use schedulers::bds::{BdsConfig, BdsProtocol};
+use schedulers::fds::{FdsConfig, FdsProtocol};
+use schedulers::node::{Node, Protocol};
+use schedulers::testkit::small_system;
+use schedulers::SchedulerKind;
+use sharding_core::{Round, ShardId};
 use simnet::FaultPlan;
-
-fn system(shards: usize, k: usize) -> (SystemConfig, AccountMap) {
-    let sys = SystemConfig {
-        shards,
-        accounts: shards,
-        k_max: k,
-        nodes_per_shard: 4,
-        faulty_per_shard: 1,
-    };
-    let map = AccountMap::round_robin(&sys);
-    (sys, map)
-}
 
 fn adversary(seed: u64) -> AdversaryConfig {
     AdversaryConfig {
@@ -36,210 +26,48 @@ fn adversary(seed: u64) -> AdversaryConfig {
     }
 }
 
-/// Field-by-field report equality, with floats compared by bit pattern —
-/// "byte-identical" means the CSV/JSONL renderings cannot differ either.
-fn assert_reports_identical(net: &RunReport, sim: &RunReport, label: &str) {
-    assert_eq!(net.generated, sim.generated, "{label}: generated");
-    assert_eq!(net.committed, sim.committed, "{label}: committed");
-    assert_eq!(net.aborted, sim.aborted, "{label}: aborted");
-    assert_eq!(net.pending_at_end, sim.pending_at_end, "{label}: pending");
-    assert_eq!(net.max_latency, sim.max_latency, "{label}: max_latency");
-    assert_eq!(
-        net.avg_latency.to_bits(),
-        sim.avg_latency.to_bits(),
-        "{label}: avg_latency bits ({} vs {})",
-        net.avg_latency,
-        sim.avg_latency
-    );
-    assert_eq!(
-        net.avg_queue_per_shard.to_bits(),
-        sim.avg_queue_per_shard.to_bits(),
-        "{label}: avg_queue bits"
-    );
-    assert_eq!(
-        net.max_total_pending, sim.max_total_pending,
-        "{label}: max_total_pending"
-    );
-    assert_eq!(net.epochs, sim.epochs, "{label}: epochs");
-    assert_eq!(
-        net.max_epoch_len, sim.max_epoch_len,
-        "{label}: max_epoch_len"
-    );
-    assert_eq!(net.messages, sim.messages, "{label}: messages");
-    assert_eq!(
-        net.max_message_bytes, sim.max_message_bytes,
-        "{label}: max_message_bytes"
-    );
-    assert_eq!(net.verdict, sim.verdict, "{label}: verdict");
-    assert_eq!(
-        net.faults, sim.faults,
-        "{label}: fault counters (both zero)"
-    );
-    assert_eq!(
-        net.queue_series.samples(),
-        sim.queue_series.samples(),
-        "{label}: per-round queue series"
-    );
-}
-
-/// Drives the BDS simulator by hand so the commit log is available.
-fn sim_bds(
-    sys: &SystemConfig,
-    map: &AccountMap,
-    adv: &AdversaryConfig,
-    rounds: u64,
+/// `rounds` rounds of `proto` on the networked engine over the kit's
+/// 8-shard system under `faults`.
+fn net<P>(
+    proto: &P,
     metric: &dyn ShardMetric,
-) -> (RunReport, Vec<(Round, TxnId)>) {
-    let mut sim = BdsSim::with_metric(sys, map, BdsConfig::default(), metric);
-    let mut a = Adversary::new(sys, map, *adv);
-    for r in 0..rounds {
-        sim.step(a.generate(Round(r)));
-    }
-    let log = sim.committed_log().to_vec();
-    (sim.finish(), log)
-}
-
-fn sim_fds(
-    sys: &SystemConfig,
-    map: &AccountMap,
-    adv: &AdversaryConfig,
+    seed: u64,
     rounds: u64,
-    metric: &dyn ShardMetric,
-) -> (RunReport, Vec<(Round, TxnId)>) {
-    let mut sim = FdsSim::new(sys, map, FdsConfig::default(), metric);
-    let mut a = Adversary::new(sys, map, *adv);
-    for r in 0..rounds {
-        sim.step(a.generate(Round(r)));
-    }
-    let log = sim.committed_log().to_vec();
-    (sim.finish(), log)
-}
-
-fn net_bds(
-    sys: &SystemConfig,
-    map: &AccountMap,
-    adv: &AdversaryConfig,
-    rounds: u64,
-    metric: &dyn ShardMetric,
-) -> NetOutcome {
-    run_net_bds(
-        sys,
-        map,
-        adv,
-        Round(rounds),
+    faults: &FaultPlan,
+) -> NetOutcome
+where
+    P: Protocol,
+    P::Node: Send,
+    <P::Node as Node>::Msg: Send,
+{
+    let (sys, map) = small_system();
+    let run = NetRun {
+        sys: &sys,
+        map: &map,
         metric,
-        BdsConfig::default(),
-        &FaultPlan::default(),
-    )
-}
-
-#[test]
-fn bds_uniform_matches_simulator_byte_for_byte() {
-    let (sys, map) = system(8, 3);
-    let adv = adversary(17);
-    let metric = UniformMetric::new(8);
-    let net = net_bds(&sys, &map, &adv, 900, &metric);
-    let (sim, sim_log) = sim_bds(&sys, &map, &adv, 900, &metric);
-    assert!(sim.committed > 0, "workload must be non-trivial");
-    assert_reports_identical(&net.report, &sim, "bds/uniform");
-    assert_eq!(net.committed_log, sim_log, "round-for-round commit log");
-    assert!(net.chains_verified);
-}
-
-#[test]
-fn bds_matches_simulator_on_every_metric_shape() {
-    // The generalization this PR adds: the networked runtime is no
-    // longer uniform-only. Line, ring, and grid all stretch the phase
-    // gap to the diameter; the mirror must track that exactly.
-    let (sys, map) = system(8, 3);
-    let adv = adversary(23);
-    let metrics: Vec<(&str, Box<dyn ShardMetric>)> = vec![
-        ("line", Box::new(LineMetric::new(8))),
-        ("ring", Box::new(RingMetric::new(8))),
-        ("grid4x2", Box::new(GridMetric::new(4, 2))),
-    ];
-    for (name, metric) in &metrics {
-        let net = net_bds(&sys, &map, &adv, 1200, metric.as_ref());
-        let (sim, sim_log) = sim_bds(&sys, &map, &adv, 1200, metric.as_ref());
-        assert_reports_identical(&net.report, &sim, &format!("bds/{name}"));
-        assert_eq!(net.committed_log, sim_log, "bds/{name}: commit log");
-        assert!(net.chains_verified, "bds/{name}");
-    }
-}
-
-#[test]
-fn bds_matches_simulator_across_thread_counts() {
-    // "Thread count" for the networked engine is the shard count: every
-    // shard is one OS thread. The mirror must hold at every scale.
-    for shards in [2usize, 4, 8, 12] {
-        let (sys, map) = system(shards, 2.min(shards));
-        let adv = adversary(29 + shards as u64);
-        let metric = UniformMetric::new(shards);
-        let net = net_bds(&sys, &map, &adv, 600, &metric);
-        let (sim, sim_log) = sim_bds(&sys, &map, &adv, 600, &metric);
-        assert_reports_identical(&net.report, &sim, &format!("bds/{shards}shards"));
-        assert_eq!(net.committed_log, sim_log, "{shards} shards: commit log");
-    }
-}
-
-#[test]
-fn fds_matches_simulator_on_line_and_uniform() {
-    let (sys, map) = system(8, 3);
-    let adv = adversary(31);
-    let metrics: Vec<(&str, Box<dyn ShardMetric>)> = vec![
-        ("line", Box::new(LineMetric::new(8))),
-        ("uniform", Box::new(UniformMetric::new(8))),
-        ("ring", Box::new(RingMetric::new(8))),
-    ];
-    for (name, metric) in &metrics {
-        let net = run_net_fds(
-            &sys,
-            &map,
-            &adv,
-            Round(1500),
-            metric.as_ref(),
-            FdsConfig::default(),
-            &FaultPlan::default(),
-            false,
-        );
-        let (sim, sim_log) = sim_fds(&sys, &map, &adv, 1500, metric.as_ref());
-        assert!(sim.committed > 0, "fds/{name}: non-trivial");
-        assert_reports_identical(&net.report, &sim, &format!("fds/{name}"));
-        assert_eq!(net.committed_log, sim_log, "fds/{name}: commit log");
-        assert!(net.chains_verified, "fds/{name}");
-    }
-}
-
-#[test]
-fn fds_mirror_holds_under_bursty_and_rescheduling_workloads() {
-    let (sys, map) = system(12, 4);
-    let adv = AdversaryConfig {
-        rho: 0.08,
-        burstiness: 10,
-        strategy: StrategyKind::SingleBurst { burst_round: 100 },
-        seed: 37,
-        ..Default::default()
+        faults,
+        workers: default_workers(8),
+        metrics: false,
     };
-    let metric = LineMetric::new(12);
-    let net = run_net_fds(
-        &sys,
-        &map,
-        &adv,
-        Round(2000),
-        &metric,
-        FdsConfig::default(),
-        &FaultPlan::default(),
-        false,
-    );
-    let (sim, _) = sim_fds(&sys, &map, &adv, 2000, &metric);
-    assert_reports_identical(&net.report, &sim, "fds/burst");
+    let mut source = Adversary::new(&sys, &map, adversary(seed));
+    run.run(proto, &mut source, Round(rounds))
+}
+
+/// BDS over the uniform metric.
+fn net_bds(seed: u64, rounds: u64, faults: &FaultPlan) -> NetOutcome {
+    let proto = BdsProtocol::new(BdsConfig::default(), SchedulerKind::Bds);
+    net(&proto, &UniformMetric::new(8), seed, rounds, faults)
+}
+
+/// FDS over a line.
+fn net_fds(seed: u64, rounds: u64, faults: &FaultPlan) -> NetOutcome {
+    let metric = LineMetric::new(8);
+    let proto = FdsProtocol::new(FdsConfig::default(), &metric);
+    net(&proto, &metric, seed, rounds, faults)
 }
 
 #[test]
 fn networked_runs_are_deterministic_with_and_without_faults() {
-    let (sys, map) = system(8, 3);
-    let adv = adversary(41);
-    let metric = UniformMetric::new(8);
     let faulty = FaultPlan {
         seed: 9,
         drop_prob: 0.02,
@@ -249,24 +77,8 @@ fn networked_runs_are_deterministic_with_and_without_faults() {
         ..FaultPlan::default()
     };
     for plan in [FaultPlan::default(), faulty] {
-        let a = run_net_bds(
-            &sys,
-            &map,
-            &adv,
-            Round(700),
-            &metric,
-            BdsConfig::default(),
-            &plan,
-        );
-        let b = run_net_bds(
-            &sys,
-            &map,
-            &adv,
-            Round(700),
-            &metric,
-            BdsConfig::default(),
-            &plan,
-        );
+        let a = net_bds(41, 700, &plan);
+        let b = net_bds(41, 700, &plan);
         assert_eq!(a.report.summary(), b.report.summary());
         assert_eq!(a.committed_log, b.committed_log);
         assert_eq!(a.report.faults, b.report.faults);
@@ -275,22 +87,12 @@ fn networked_runs_are_deterministic_with_and_without_faults() {
 
 #[test]
 fn crash_fault_stalls_progress_and_is_counted() {
-    let (sys, map) = system(8, 3);
-    let adv = adversary(43);
-    let metric = UniformMetric::new(8);
-    let healthy = net_bds(&sys, &map, &adv, 800, &metric);
-    let crashed = run_net_bds(
-        &sys,
-        &map,
-        &adv,
-        Round(800),
-        &metric,
-        BdsConfig::default(),
-        &FaultPlan {
-            crashes: vec![(ShardId(0), Round(100))],
-            ..FaultPlan::default()
-        },
-    );
+    let healthy = net_bds(43, 800, &FaultPlan::default());
+    let crash = FaultPlan {
+        crashes: vec![(ShardId(0), Round(100))],
+        ..FaultPlan::default()
+    };
+    let crashed = net_bds(43, 800, &crash);
     assert_eq!(crashed.report.faults.crashes, 1);
     assert!(
         crashed.report.committed < healthy.report.committed,
@@ -306,22 +108,12 @@ fn crash_fault_stalls_progress_and_is_counted() {
 
 #[test]
 fn message_drops_strand_transactions_not_the_run() {
-    let (sys, map) = system(8, 3);
-    let adv = adversary(47);
-    let metric = UniformMetric::new(8);
-    let lossy = run_net_bds(
-        &sys,
-        &map,
-        &adv,
-        Round(900),
-        &metric,
-        BdsConfig::default(),
-        &FaultPlan {
-            seed: 3,
-            drop_prob: 0.05,
-            ..FaultPlan::default()
-        },
-    );
+    let drops = FaultPlan {
+        seed: 3,
+        drop_prob: 0.05,
+        ..FaultPlan::default()
+    };
+    let lossy = net_bds(47, 900, &drops);
     assert!(lossy.report.faults.dropped > 0, "{:?}", lossy.report.faults);
     // The run completes and stays internally consistent; some
     // transactions may be stranded by lost ballots.
@@ -334,22 +126,12 @@ fn message_drops_strand_transactions_not_the_run() {
 
 #[test]
 fn byzantine_votes_are_flipped_but_harmless() {
-    let (sys, map) = system(8, 3);
-    let adv = adversary(53);
-    let metric = UniformMetric::new(8);
-    let clean = net_bds(&sys, &map, &adv, 600, &metric);
-    let byz = run_net_bds(
-        &sys,
-        &map,
-        &adv,
-        Round(600),
-        &metric,
-        BdsConfig::default(),
-        &FaultPlan {
-            byz_votes: 1,
-            ..FaultPlan::default()
-        },
-    );
+    let clean = net_bds(53, 600, &FaultPlan::default());
+    let quota = FaultPlan {
+        byz_votes: 1,
+        ..FaultPlan::default()
+    };
+    let byz = net_bds(53, 600, &quota);
     // n > 3f: a full Byzantine quota changes nothing but the counter.
     assert_eq!(byz.report.faults.byz_flips, 8 * 600);
     assert_eq!(byz.report.summary(), clean.report.summary());
@@ -358,9 +140,6 @@ fn byzantine_votes_are_flipped_but_harmless() {
 
 #[test]
 fn fds_faults_are_deterministic_and_counted() {
-    let (sys, map) = system(8, 3);
-    let adv = adversary(59);
-    let metric = LineMetric::new(8);
     let plan = FaultPlan {
         seed: 5,
         drop_prob: 0.03,
@@ -369,32 +148,33 @@ fn fds_faults_are_deterministic_and_counted() {
         byz_votes: 1,
         ..FaultPlan::default()
     };
-    let a = run_net_fds(
-        &sys,
-        &map,
-        &adv,
-        Round(1200),
-        &metric,
-        FdsConfig::default(),
-        &plan,
-        false,
-    );
-    let b = run_net_fds(
-        &sys,
-        &map,
-        &adv,
-        Round(1200),
-        &metric,
-        FdsConfig::default(),
-        &plan,
-        false,
-    );
+    let a = net_fds(59, 1200, &plan);
+    let b = net_fds(59, 1200, &plan);
     assert_eq!(a.report.summary(), b.report.summary());
     assert_eq!(a.report.faults, b.report.faults);
     assert_eq!(a.report.faults.crashes, 1);
     assert!(a.report.faults.dropped > 0);
     assert!(a.report.faults.byz_flips > 0);
     assert!(a.chains_verified);
+}
+
+/// A live migration hands balances off exactly once, so a description
+/// that arms one is only defined fault-free — and the host refuses the
+/// combination rather than losing state quietly.
+#[test]
+#[should_panic(expected = "requires a fault-free run")]
+fn a_reshard_plan_under_a_fault_plan_is_refused() {
+    let (sys, _) = small_system();
+    let plan = sharding_core::ReshardPlan::build(6, &sys, &[(2, 50)]).unwrap();
+    let proto = BdsProtocol {
+        reshard: Some(std::sync::Arc::new(plan)),
+        ..BdsProtocol::new(BdsConfig::default(), SchedulerKind::Bds)
+    };
+    let drops = FaultPlan {
+        drop_prob: 0.01,
+        ..FaultPlan::default()
+    };
+    net(&proto, &UniformMetric::new(8), 61, 100, &drops);
 }
 
 // ---------------------------------------------------------------------
@@ -563,146 +343,6 @@ fn fault_plane_matches_locked_oracle_across_metric_shapes() {
             "{name}: the plan must actually fire to prove anything"
         );
     }
-}
-
-// ---------------------------------------------------------------------
-// Elastic resharding differential: with a live migration schedule armed,
-// the networked engine must still mirror the simulator byte for byte —
-// and both sides must pass the table-independent commit audit (no
-// committed transaction lost, none committed twice) across the
-// migration boundary.
-
-use adversary::{ReshardSource, RoundSource};
-use runtime::run_net_sched_reshard;
-use schedulers::SchedulerKind;
-use sharding_core::ReshardPlan;
-
-fn reshard_fixture(
-    initial: usize,
-    events: &[(i64, u64)],
-) -> (SystemConfig, SystemConfig, AccountMap, ReshardPlan) {
-    let cfg = SystemConfig {
-        shards: 1, // overwritten by the plan's s_max
-        nodes_per_shard: 4,
-        faulty_per_shard: 1,
-        k_max: 3,
-        accounts: 64,
-    };
-    let plan = ReshardPlan::build(initial, &cfg, events).unwrap();
-    let sys = SystemConfig {
-        shards: plan.s_max,
-        ..cfg.clone()
-    };
-    // Workload producers draw shards from the *initial* active set.
-    let src_sys = SystemConfig {
-        shards: initial,
-        ..cfg
-    };
-    let map = plan.versions[0].map.clone();
-    (sys, src_sys, map, plan)
-}
-
-/// Hand-driven simulator run with the plan armed; returns the report,
-/// the commit log, and the (lost, duplicated) audit.
-#[allow(clippy::type_complexity)]
-fn sim_bds_reshard(
-    sys: &SystemConfig,
-    src_sys: &SystemConfig,
-    map: &AccountMap,
-    adv: &AdversaryConfig,
-    plan: &ReshardPlan,
-    rounds: u64,
-    metric: &dyn ShardMetric,
-) -> (RunReport, Vec<(Round, TxnId)>, (u64, u64)) {
-    let mut sim = BdsSim::with_metric(sys, map, BdsConfig::default(), metric);
-    sim.set_reshard(plan.clone());
-    let mut src = ReshardSource::new(Adversary::new(src_sys, map, *adv), plan.clone());
-    for r in 0..rounds {
-        sim.step(src.next_round(Round(r)));
-    }
-    let log = sim.committed_log().to_vec();
-    let audit = sim.reshard_audit();
-    (sim.finish(), log, audit)
-}
-
-fn net_bds_reshard(
-    sys: &SystemConfig,
-    src_sys: &SystemConfig,
-    map: &AccountMap,
-    adv: &AdversaryConfig,
-    plan: &ReshardPlan,
-    rounds: u64,
-    metric: &dyn ShardMetric,
-) -> NetOutcome {
-    let mut src = ReshardSource::new(Adversary::new(src_sys, map, *adv), plan.clone());
-    run_net_sched_reshard(
-        sys,
-        map,
-        &mut src,
-        Round(rounds),
-        metric,
-        BdsConfig::default(),
-        &FaultPlan::default(),
-        SchedulerKind::Bds,
-        sys.shards,
-        false,
-        plan,
-    )
-}
-
-#[test]
-fn reshard_scale_out_matches_simulator_byte_for_byte() {
-    let (sys, src_sys, map, plan) = reshard_fixture(4, &[(2, 60)]);
-    let adv = adversary(61);
-    let metric = UniformMetric::new(sys.shards);
-    let net = net_bds_reshard(&sys, &src_sys, &map, &adv, &plan, 400, &metric);
-    let (sim, sim_log, sim_audit) =
-        sim_bds_reshard(&sys, &src_sys, &map, &adv, &plan, 400, &metric);
-    assert!(sim.committed > 0, "workload must be non-trivial");
-    assert_reports_identical(&net.report, &sim, "reshard/scale_out");
-    assert_eq!(net.committed_log, sim_log, "round-for-round commit log");
-    assert!(net.chains_verified);
-    assert_eq!(sim_audit, (0, 0), "sim: no commit lost or doubled");
-    assert_eq!(
-        net.reshard_audit,
-        Some((0, 0)),
-        "net: no commit lost or doubled"
-    );
-}
-
-#[test]
-fn reshard_scale_in_matches_simulator_byte_for_byte() {
-    let (sys, src_sys, map, plan) = reshard_fixture(6, &[(-2, 60)]);
-    let adv = adversary(67);
-    let metric = UniformMetric::new(sys.shards);
-    let net = net_bds_reshard(&sys, &src_sys, &map, &adv, &plan, 400, &metric);
-    let (sim, sim_log, sim_audit) =
-        sim_bds_reshard(&sys, &src_sys, &map, &adv, &plan, 400, &metric);
-    assert!(sim.committed > 0, "workload must be non-trivial");
-    assert_reports_identical(&net.report, &sim, "reshard/scale_in");
-    assert_eq!(net.committed_log, sim_log, "round-for-round commit log");
-    assert!(net.chains_verified);
-    assert_eq!(sim_audit, (0, 0));
-    assert_eq!(net.reshard_audit, Some((0, 0)));
-}
-
-#[test]
-fn reshard_churn_matches_simulator_on_a_line_metric() {
-    // Two opposing events over a diameter-7 line: handoffs ride the
-    // longest links the metric allows and must still land before the
-    // first post-migration epoch check.
-    let (sys, src_sys, map, plan) = reshard_fixture(4, &[(2, 40), (-3, 120)]);
-    let adv = adversary(71);
-    let metric = LineMetric::new(sys.shards);
-    let net = net_bds_reshard(&sys, &src_sys, &map, &adv, &plan, 500, &metric);
-    let (sim, sim_log, sim_audit) =
-        sim_bds_reshard(&sys, &src_sys, &map, &adv, &plan, 500, &metric);
-    assert!(sim.committed > 0, "workload must be non-trivial");
-    assert_reports_identical(&net.report, &sim, "reshard/churn");
-    assert_eq!(net.committed_log, sim_log, "round-for-round commit log");
-    assert!(net.chains_verified);
-    assert_eq!(sim_audit, (0, 0));
-    assert_eq!(net.reshard_audit, Some((0, 0)));
 }
 
 #[test]

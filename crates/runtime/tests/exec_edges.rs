@@ -5,11 +5,9 @@
 //! the executor's unit tests; these are the shapes a refactor is most
 //! likely to break silently.
 
-use cluster::UniformMetric;
 use parking_lot::Mutex;
 use runtime::{run_lockstep, RoundGate};
 use schedulers::bds::{BdsConfig, BdsSim};
-use schedulers::SchedulerKind;
 use sharding_core::{AccountMap, SystemConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -97,11 +95,7 @@ fn commit_nothing_epochs_advance_to_the_final_round() {
         faulty_per_shard: 1,
     };
     let map = AccountMap::round_robin(&sys);
-    let metric = UniformMetric::new(sys.shards);
-    let policy = SchedulerKind::Bds
-        .epoch_policy(BdsConfig::default().coloring, sys.accounts, sys.shards)
-        .expect("bds is epoch-hosted");
-    let mut sim = BdsSim::with_policy(&sys, &map, BdsConfig::default(), &metric, policy);
+    let mut sim = BdsSim::new(&sys, &map, BdsConfig::default());
     for _ in 0..200 {
         sim.step(Vec::new());
     }

@@ -9,19 +9,21 @@
 
 use crate::spec::JobSpec;
 use adversary::{Adversary, MempoolStats, ReshardSource, RoundSource};
-use runtime::{
-    default_workers, run_net_fds, run_net_sched_from, run_net_sched_reshard, EngineKind,
-};
+use cluster::ShardMetric;
+use runtime::{default_workers, EngineKind, NetRun};
 use schedulers::baseline::{FcfsConfig, FcfsSim};
-use schedulers::bds::{BdsConfig, BdsSim};
+use schedulers::bds::{BdsConfig, BdsProtocol};
 use schedulers::driver::drive_with;
-use schedulers::fds::{FdsConfig, FdsSim};
+use schedulers::fds::{FdsConfig, FdsProtocol};
 use schedulers::history::check_cross_shard_order;
+use schedulers::node::{Node, Protocol, Sim};
 use schedulers::{RunReport, SchedulerKind};
-use sharding_core::{AccountMap, ReshardPlan, Round, SystemConfig};
+use sharding_core::{AccountMap, ReshardPlan, Round, SystemConfig, Transaction, TxnId};
+use simnet::LocalChain;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
+use std::sync::Arc;
 
 /// The result of one executed job.
 #[derive(Debug, Clone)]
@@ -31,7 +33,8 @@ pub struct JobOutcome {
     /// The scheduler's run report.
     pub report: RunReport,
     /// Cross-shard serialization-order violations, when the spec asked
-    /// for the check (`check-order = true`, FDS only).
+    /// for the check (`check-order = true`) of a scheduler that keeps
+    /// per-shard chains (every one but FCFS).
     pub violations: Option<u64>,
     /// Ingestion-plane counters, when the spec ran the streaming
     /// mempool (`mempool = CAPACITY`).
@@ -42,26 +45,54 @@ pub struct JobOutcome {
     pub reshard: Option<(u64, u64)>,
 }
 
-/// The job's one workload source. The producer is built against the
-/// *initial* active shard count (only active shards own accounts at
-/// round 0; without a plan that is simply `sys`); under a reshard plan it
-/// is wrapped so homes and groupings follow the live placement version.
+/// The job's one workload source, consumed by whichever engine runs the
+/// job. With `seen` it also remembers every transaction it hands out,
+/// for the order checker.
+struct JobSource {
+    inner: Box<dyn RoundSource>,
+    seen: Option<BTreeMap<TxnId, Transaction>>,
+}
+
+impl RoundSource for JobSource {
+    fn next_round(&mut self, round: Round) -> Vec<Transaction> {
+        let batch = self.inner.next_round(round);
+        if let Some(seen) = &mut self.seen {
+            seen.extend(batch.iter().map(|t| (t.id, t.clone())));
+        }
+        batch
+    }
+
+    fn stats(&self) -> Option<MempoolStats> {
+        self.inner.stats()
+    }
+}
+
+/// Builds the job's source. The producer is built against the *initial*
+/// active shard count (only active shards own accounts at round 0;
+/// without a plan that is simply `sys`); under a reshard plan it is
+/// wrapped so homes and groupings follow the live placement version.
 fn job_source(
     spec: &JobSpec,
     sys: &SystemConfig,
     map: &AccountMap,
     plan: Option<&ReshardPlan>,
-) -> Box<dyn RoundSource> {
+) -> JobSource {
     let src_sys = SystemConfig {
         shards: spec.shards,
         ..sys.clone()
     };
     let adversary = || Adversary::new(&src_sys, map, spec.adversary_config());
-    match (spec.ingest_pipeline(&src_sys, map), plan) {
+    let inner: Box<dyn RoundSource> = match (spec.ingest_pipeline(&src_sys, map), plan) {
         (Some(pipeline), Some(plan)) => Box::new(ReshardSource::new(pipeline, plan.clone())),
         (Some(pipeline), None) => Box::new(pipeline),
         (None, Some(plan)) => Box::new(ReshardSource::new(adversary(), plan.clone())),
         (None, None) => Box::new(adversary()),
+    };
+    // FCFS keeps no per-shard chains to check the recording against.
+    let record = spec.check_order && spec.scheduler != SchedulerKind::Fcfs;
+    JobSource {
+        inner,
+        seen: record.then(BTreeMap::new),
     }
 }
 
@@ -86,110 +117,114 @@ fn fds_config(spec: &JobSpec) -> FdsConfig {
     }
 }
 
-/// Runs one job to completion on the calling thread. Jobs with
-/// `engine = net` route through the networked runtime, which for the
-/// duration of the job spawns [`default_workers`] threads — one per
-/// shard up to the host's core count — that claim shard rounds
-/// cooperatively; everything else runs the shared-memory simulators.
+/// What the post-run checks found — `(order violations, reshard audit)`
+/// — each `None` when the spec did not ask for it.
+type Checks = (Option<u64>, Option<(u64, u64)>);
+
+/// The checks a spec asks for, computed from what either engine leaves
+/// behind: the cross-shard order check over the chains and the
+/// transactions `source` recorded, and the table-independent
+/// loss/duplication audit of a reshard schedule over the chains and the
+/// commit log.
+fn checks(
+    spec: &JobSpec,
+    source: &JobSource,
+    chains: &[LocalChain],
+    log: &[(Round, TxnId)],
+) -> Checks {
+    let order = |txns| check_cross_shard_order(chains, txns).len() as u64;
+    (
+        source.seen.as_ref().map(order),
+        (!spec.reshard.is_empty()).then(|| simnet::reshard_audit(chains, log)),
+    )
+}
+
+/// Runs `proto` on the engine the spec selects, feeding it `source`.
+/// `engine = net` spawns [`default_workers`] threads — one per shard up
+/// to the host's core count — for the duration of the job; `engine =
+/// sim` runs on the calling thread. Fault-free, the two produce the same
+/// bytes.
+fn host<P>(
+    spec: &JobSpec,
+    proto: &P,
+    (sys, map, metric): (&SystemConfig, &AccountMap, &dyn ShardMetric),
+    source: &mut JobSource,
+) -> (RunReport, Checks)
+where
+    P: Protocol,
+    P::Node: Send,
+    <P::Node as Node>::Msg: Send,
+{
+    match spec.engine {
+        EngineKind::Sim => {
+            let mut sim = Sim::host(proto, sys, map, metric);
+            if spec.metrics.enabled() {
+                sim.enable_metrics();
+            }
+            for r in 0..spec.rounds {
+                sim.step(source.next_round(Round(r)));
+            }
+            let checks = checks(spec, source, sim.chains(), sim.committed_log());
+            (sim.finish(), checks)
+        }
+        EngineKind::Net => {
+            let run = NetRun {
+                sys,
+                map,
+                metric,
+                faults: &spec.fault_plan(),
+                workers: default_workers(sys.shards),
+                metrics: spec.metrics.enabled(),
+            };
+            let out = run.run(proto, source, Round(spec.rounds));
+            let checks = checks(spec, source, &out.chains, &out.committed_log);
+            (out.report, checks)
+        }
+    }
+}
+
+/// Runs one job to completion. The scheduler picks the protocol
+/// description — BDS proper and every zoo policy share the epoch
+/// protocol (the policy factory is the single registration point), FDS
+/// has its own, FCFS is a centralized loop with no protocol at all —
+/// and `host` picks the engine.
 pub fn run_job(spec: &JobSpec) -> JobOutcome {
     let sys = spec.system_config();
     let map = spec.account_map();
-    let plan = spec.reshard_plan();
+    let plan = spec.reshard_plan().map(Arc::new);
     // Reshard jobs provision the metric for the schedule's maximum
     // shard count (`sys.shards` == the plan's `s_max`).
     let metric = spec
         .metric
         .build(sys.shards)
         .expect("spec validated at plan time");
-    let metric = metric.as_ref();
-    let rounds = Round(spec.rounds);
-    let metrics_on = spec.metrics.enabled();
-    let mut source = job_source(spec, &sys, &map, plan.as_ref());
-    let mut violations = None;
-    let mut reshard = None;
-    let report = match (spec.engine, spec.scheduler) {
-        (EngineKind::Net, SchedulerKind::Fcfs) => unreachable!("rejected at plan time"),
-        // FDS has no mempool or reshard seam; its driver builds the same
-        // adversary `job_source` did.
-        (EngineKind::Net, SchedulerKind::Fds) => {
-            let (adv, fcfg, faults) =
-                (spec.adversary_config(), fds_config(spec), spec.fault_plan());
-            run_net_fds(&sys, &map, &adv, rounds, metric, fcfg, &faults, metrics_on).report
-        }
-        // BDS proper and every zoo policy share the epoch host, which
-        // pre-drains the same source the simulator drains live, so
-        // reports stay byte-identical across engines.
-        (EngineKind::Net, kind) => {
-            let (bcfg, faults) = (bds_config(spec), spec.fault_plan());
-            let workers = default_workers(sys.shards);
-            let source = source.as_mut();
-            let out = match &plan {
-                Some(plan) => run_net_sched_reshard(
-                    &sys, &map, source, rounds, metric, bcfg, &faults, kind, workers, metrics_on,
-                    plan,
-                ),
-                None => run_net_sched_from(
-                    &sys, &map, source, rounds, metric, bcfg, &faults, kind, workers, metrics_on,
-                ),
-            };
-            reshard = out.reshard_audit;
-            out.report
-        }
-        (EngineKind::Sim, SchedulerKind::Fds) => {
-            let mut sim = FdsSim::new(&sys, &map, fds_config(spec), metric);
-            if metrics_on {
-                sim.enable_metrics();
-            }
-            if spec.check_order {
-                // Driven by hand so the full transaction set is available
-                // to the order checker afterwards.
-                let mut all = BTreeMap::new();
-                for r in 0..spec.rounds {
-                    let batch = source.next_round(Round(r));
-                    for t in &batch {
-                        all.insert(t.id, t.clone());
-                    }
-                    sim.step(batch);
-                }
-                violations = Some(check_cross_shard_order(sim.chains(), &all).len() as u64);
-                sim.finish()
-            } else {
-                drive_with(sim, source.as_mut(), rounds)
-            }
-        }
-        (EngineKind::Sim, SchedulerKind::Fcfs) => {
+    let on = (&sys, &map, metric.as_ref());
+    let mut source = job_source(spec, &sys, &map, plan.as_deref());
+    let (report, (violations, reshard)) = match spec.scheduler {
+        SchedulerKind::Fcfs => {
             let fcfg = FcfsConfig {
                 respect_capacity: spec.respect_capacity,
             };
             let mut sim = FcfsSim::new(&sys, fcfg);
-            if metrics_on {
+            if spec.metrics.enabled() {
                 sim.enable_metrics();
             }
-            drive_with(sim, source.as_mut(), rounds)
+            // Commits centrally and keeps no per-shard chains: nothing
+            // for either check to look at.
+            let report = drive_with(sim, &mut source, Round(spec.rounds));
+            (report, (None, None))
         }
-        // The factory is the single registration point
-        // (`run_bds_with_metric` is exactly `with_policy` + the Bds
-        // coloring policy).
-        (EngineKind::Sim, kind) => {
-            let bcfg = bds_config(spec);
-            let policy = kind
-                .epoch_policy(bcfg.coloring, sys.accounts, sys.shards)
-                .expect("non-policy kinds have explicit arms above");
-            let mut sim = BdsSim::with_policy(&sys, &map, bcfg, metric, policy);
-            if metrics_on {
-                sim.enable_metrics();
-            }
-            let resharding = plan.is_some();
-            if let Some(plan) = plan {
-                sim.set_reshard(plan);
-            }
-            // Driven by hand so the migration audit can run over the
-            // chains before the simulator is consumed.
-            for r in 0..spec.rounds {
-                sim.step(source.next_round(Round(r)));
-            }
-            reshard = resharding.then(|| sim.reshard_audit());
-            sim.finish()
+        SchedulerKind::Fds => {
+            let proto = FdsProtocol::new(fds_config(spec), on.2);
+            host(spec, &proto, on, &mut source)
+        }
+        kind => {
+            let proto = BdsProtocol {
+                cfg: bds_config(spec),
+                kind,
+                reshard: plan,
+            };
+            host(spec, &proto, on, &mut source)
         }
     };
     JobOutcome {

@@ -90,14 +90,14 @@
 //! | `sublayers` | FDS hierarchy sublayers `H2` | `2` |
 //! | `epoch-scale` | FDS epoch constant `c` | `1` |
 //! | `respect-capacity` | `true` \| `false` (FCFS) | `true` |
-//! | `check-order` | verify cross-shard serialization order (FDS) | `false` |
+//! | `check-order` | verify cross-shard serialization order over the per-shard chains either engine leaves behind (`fcfs` keeps none) | `false` |
 //! | `fault-seed` | seed of the fault plane's ChaCha streams (`engine = net`) | `1` |
 //! | `drop-prob` | per-link message-drop probability `0 ≤ p < 1` (`engine = net`) | `0` |
 //! | `dup-prob` | per-link message-duplication probability, `drop-prob + dup-prob < 1` (`engine = net`) | `0` |
 //! | `drop-budget` | max drops per directed link | unlimited |
 //! | `crash` | `S@R[; S@R…]` \| `none` — shard `S` crashes at round `R` (`engine = net`) | `none` |
 //! | `byzantine-votes` | Byzantine voters per intra-shard consensus instance, at most `faulty-per-shard` (`engine = net`) | `0` |
-//! | `mempool` | per-home-shard mempool lane capacity `≥ 1`: turns the streaming ingestion plane on (epoch-hosted schedulers only; needs `stream`) | off |
+//! | `mempool` | per-home-shard mempool lane capacity `≥ 1`: turns the streaming ingestion plane on (needs `stream`) | off |
 //! | `stream` | `zipf:EXPONENT` \| `shift:PERIOD` — the account distribution the producer streams (needs `mempool`) | — |
 //! | `offered` | transactions offered per round (needs `mempool`) | saturation: 4× the `(ρ, b)`-sustainable rate |
 //! | `metrics` | `off` \| `summary` \| `full` — latency histograms, utilization floor, and (`full`) the per-epoch JSONL timeline | `off` |

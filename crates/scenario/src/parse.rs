@@ -447,19 +447,6 @@ strategy = count-burst:auto
     }
 
     #[test]
-    fn check_order_requires_fds() {
-        let text = "name = x\ncheck-order = true\nscheduler = bds\n";
-        let e = Scenario::parse_str(text, "<t>")
-            .unwrap()
-            .jobs()
-            .unwrap_err();
-        assert!(e.msg.contains("only supported for scheduler = fds"), "{e}");
-        let text = "name = x\ncheck-order = true\nscheduler = fds\n";
-        let jobs = Scenario::parse_str(text, "<t>").unwrap().jobs().unwrap();
-        assert!(jobs[0].check_order);
-    }
-
-    #[test]
     fn pbft_inviable_n_eq_3f_rejected_at_plan_time_with_file_line() {
         // `n = 3f` is exactly the boundary the Hellings–Sadoghi quorum
         // model rejects; the planner must refuse it *before* any engine

@@ -348,7 +348,8 @@ pub struct JobSpec {
     pub epoch_scale: u64,
     /// FCFS: charge per-shard capacity.
     pub respect_capacity: bool,
-    /// FDS: run the cross-shard serialization-order checker afterwards.
+    /// Run the cross-shard serialization-order checker over the chains
+    /// afterwards (FCFS keeps none, so there it checks nothing).
     pub check_order: bool,
     /// Net engine: seed of the fault plane's ChaCha streams.
     pub fault_seed: u64,
@@ -426,7 +427,6 @@ impl JobSpec {
     /// the keys it blames so the planner can attribute it to a line.
     fn validate(&self) -> Result<(), Blame> {
         let fail = |keys: &'static [&'static str], msg: String| Err((keys, msg));
-        let epoch_hosted = !matches!(self.scheduler, SchedulerKind::Fds | SchedulerKind::Fcfs);
         if !(self.rho > 0.0 && self.rho <= 1.0) {
             return fail(
                 &["rho"],
@@ -444,15 +444,6 @@ impl JobSpec {
         }
         if self.sublayers == 0 {
             return fail(&["sublayers"], "sublayers must be >= 1".into());
-        }
-        if self.check_order && self.scheduler != SchedulerKind::Fds {
-            return fail(
-                &["check-order", "scheduler"],
-                format!(
-                    "check-order is only supported for scheduler = fds (job runs {})",
-                    self.scheduler
-                ),
-            );
         }
         if self.nodes_per_shard <= 3 * self.faulty_per_shard {
             // Checked here (not only in SystemConfig::validate) so the
@@ -474,12 +465,6 @@ impl JobSpec {
                      centralized baseline with no networked protocol)",
                     self.scheduler.name()
                 ),
-            );
-        }
-        if self.engine == EngineKind::Net && self.check_order {
-            return fail(
-                &["check-order", "engine"],
-                "check-order is not supported with engine = net".into(),
             );
         }
         let faults = self.fault_plan();
@@ -505,16 +490,6 @@ impl JobSpec {
         if let Some(cap) = self.mempool {
             if cap == 0 {
                 return fail(&["mempool"], "mempool capacity must be >= 1".into());
-            }
-            if !epoch_hosted {
-                return fail(
-                    &["mempool", "scheduler"],
-                    format!(
-                        "mempool requires an epoch-hosted scheduler (bds or a zoo \
-                         policy); {} runs its own execution discipline",
-                        self.scheduler
-                    ),
-                );
             }
             if self.stream.is_none() {
                 return fail(
@@ -544,12 +519,12 @@ impl JobSpec {
                         .into(),
                 );
             }
-            if !epoch_hosted {
+            if matches!(self.scheduler, SchedulerKind::Fds | SchedulerKind::Fcfs) {
                 return fail(
                     &["reshard", "scheduler"],
                     format!(
                         "reshard requires an epoch-hosted scheduler (bds or a zoo \
-                         policy); live migration under {} is future work",
+                         policy); {} has no epoch boundary to switch tables at",
                         self.scheduler
                     ),
                 );

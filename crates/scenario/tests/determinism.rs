@@ -175,3 +175,61 @@ fn campaign_same_bytes_across_thread_counts() {
         }
     }
 }
+
+/// CSV rows with the job-index column cut out.
+fn rows_without_job_index(csv: &str) -> Vec<String> {
+    let strip = |row: &str| {
+        let cells: Vec<&str> = row.splitn(3, ',').collect();
+        format!("{},{}", cells[0], cells[2])
+    };
+    csv.lines().skip(1).map(strip).collect()
+}
+
+#[test]
+fn fds_behind_a_mempool_agrees_across_engines() {
+    // Legal since both hosts take any protocol and any source: the
+    // streaming producer and the mempool in front of FDS. The simulator
+    // drains the pipeline live, the networked engine up front; the CSV
+    // has no engine column, so the two rows must be the same bytes,
+    // ingestion counters included.
+    let text = "name = fds-firehose\nscheduler = fds\nmetric = line\nshards = 8\n\
+                accounts = 4096\nk = 3\nplacement = round-robin\nrounds = 400\nrho = 0.1\n\
+                b = 4\nmempool = 8\nstream = zipf:0.6\noffered = 6\n[grid]\nengine = sim, net\n";
+    let jobs = Scenario::parse_str(text, "<t>").unwrap().jobs().unwrap();
+    let outcomes = run_jobs(&jobs, 2, false);
+    for o in &outcomes {
+        let pool = o.mempool.expect("firehose jobs surface ingestion counters");
+        assert!(pool.admitted > 0 && pool.deferred > 0, "{pool:?}");
+        assert!(o.report.committed > 0, "{}", o.report.summary());
+    }
+    let rows = rows_without_job_index(&report::csv_string(&outcomes));
+    assert_eq!(rows.len(), 2);
+    assert_eq!(rows[0], rows[1], "sim and net rows differ");
+}
+
+#[test]
+fn check_order_runs_on_every_chain_keeping_scheduler_and_both_engines() {
+    // The order check reads the chains and the recorded transactions
+    // after the run, so it no longer cares which protocol or engine
+    // produced them. BDS and the zoo serialize conflicting transactions
+    // by construction; FDS does under the strict window.
+    let text = "name = order\nshards = 8\nk = 3\nrounds = 400\nrho = 0.1\nb = 4\n\
+                pipeline-window = 1\ncheck-order = true\n\
+                [grid]\nscheduler = bds, edf, fds\nengine = sim, net\n";
+    let jobs = Scenario::parse_str(text, "<t>").unwrap().jobs().unwrap();
+    assert_eq!(jobs.len(), 6);
+    let outcomes = run_jobs(&jobs, 2, false);
+    for o in &outcomes {
+        assert!(o.report.committed > 0, "{}", o.spec.label());
+        assert_eq!(o.violations, Some(0), "{}", o.spec.label());
+    }
+    let rows = rows_without_job_index(&report::csv_string(&outcomes));
+    for pair in rows.chunks(2) {
+        assert_eq!(pair[0], pair[1], "sim and net rows differ");
+    }
+    // FCFS keeps no per-shard chains: the key is accepted and checks
+    // nothing.
+    let text = "name = order\nscheduler = fcfs\nrounds = 50\ncheck-order = true\n";
+    let jobs = Scenario::parse_str(text, "<t>").unwrap().jobs().unwrap();
+    assert_eq!(run_jobs(&jobs, 1, false)[0].violations, None);
+}

@@ -485,19 +485,9 @@ fn malformed_inputs_fail_with_context() {
             Some(2),
         ),
         (
-            "name = x\nscheduler = fds\nmempool = 64\nstream = zipf:0.6\n",
-            "mempool requires an epoch-hosted scheduler",
-            Some(3),
-        ),
-        (
             "name = x\nengine = net\nbyzantine-votes = 2\nfaulty-per-shard = 1\n",
             "exceeds faulty-per-shard",
             Some(4),
-        ),
-        (
-            "name = x\ncheck-order = true\nrounds = 50\n[grid]\nscheduler = fds, bds\n",
-            "only supported for scheduler = fds",
-            Some(5),
         ),
         (
             "name = x\nengine = net\ncrash = 9@5\nshards = 4\nk = 2\n",

@@ -9,7 +9,7 @@
 //! real distributed protocol could commit — and still goes unstable under
 //! adversarial conflict patterns, which is the point of the comparison.
 
-use crate::metrics::{MetricsCollector, RunReport, SchedulerKind};
+use crate::metrics::{MetricsCollector, RunReport, RunTotals, SchedulerKind};
 use adversary::AdversaryConfig;
 use sharding_core::{AccountMap, Round, SystemConfig, Transaction, TxnId};
 use std::collections::BTreeMap;
@@ -25,7 +25,7 @@ pub struct FcfsConfig {
 }
 
 /// The FCFS baseline as a steppable simulation (same [`step`]/[`finish`]
-/// shape as `BdsSim`/`FdsSim`, so the generic driver and the conformance
+/// shape as [`Sim`](crate::node::Sim), so the generic driver and the conformance
 /// harness can run it). Because FCFS commits greedily with zero protocol
 /// rounds, its commit log doubles as the harness's *oracle*: under zero
 /// contention every scheduler must commit exactly the set FCFS commits.
@@ -114,16 +114,16 @@ impl FcfsSim {
     /// Finalizes the run into a [`RunReport`].
     pub fn finish(self) -> RunReport {
         let pending_at_end = self.pending.len() as u64;
-        self.collector.finish(
-            SchedulerKind::Fcfs,
-            self.now.raw(),
-            self.generated,
+        self.collector.finish(RunTotals {
+            scheduler: SchedulerKind::Fcfs,
+            rounds: self.now.raw(),
+            generated: self.generated,
             pending_at_end,
-            0,
-            0,
-            0,
-            0,
-        )
+            epochs: 0,
+            max_epoch_len: 0,
+            messages: 0,
+            max_message_bytes: 0,
+        })
     }
 }
 

@@ -27,15 +27,17 @@
 //! for the ablation benches).
 //!
 //! The algorithm is written once, as what one shard does in a round:
-//! [`BdsNode`]. [`BdsSim`] hosts `s` of them over one
-//! [`simnet::Network`] (see [`crate::node`]); the `runtime` crate hosts
-//! the same nodes on worker threads. Every message travels through the
+//! [`BdsNode`]. What a host needs to know around it — how to build a
+//! node, which policy plans the epochs, how a round's samples are booked
+//! — is [`BdsProtocol`]; [`BdsSim`] is the generic simulator hosting it
+//! (see [`crate::node`]), and the `runtime` crate hosts the same
+//! description on worker threads. Every message travels through the
 //! host's transport, so message counts and delivery timing are measured,
 //! not assumed.
 
 use crate::metrics::{MetricsCollector, RunReport, SchedulerKind};
-use crate::node::{CommitEvent, FastMap, Lent, Node, Seam, SimHost, VoteSet};
-use crate::scheduler::{ColoringPolicy, Scheduler};
+use crate::node::{CommitEvent, FastMap, Lent, Node, Protocol, Seam, Sim, VoteSet};
+use crate::scheduler::Scheduler;
 use adversary::AdversaryConfig;
 use cluster::{ShardMetric, UniformMetric};
 use conflict::ColoringStrategy;
@@ -43,7 +45,7 @@ use sharding_core::txn::SubTransaction;
 use sharding_core::{
     AccountId, AccountMap, ReshardPlan, Round, ShardId, SystemConfig, Transaction, TxnId,
 };
-use simnet::{LocalChain, ShardLedger};
+use simnet::ShardLedger;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -151,6 +153,9 @@ pub struct BdsNode {
     /// Undecided entries of `epoch_txns`, maintained incrementally (the
     /// pending count is sampled every round).
     undecided: u64,
+    /// Entries that outlived their epoch undecided — impossible without
+    /// faults, since `2 + 4·C` gaps cover every color's vote round-trip.
+    stranded: usize,
     /// Pre-agreed reshard schedule (configuration, like the fault plan)
     /// and the version this node runs under. All nodes advance at the
     /// same absolute rollover rounds — reshard runs are fault-free — so
@@ -181,9 +186,6 @@ pub struct BdsNode {
     leader_buffer: Vec<Transaction>,
     /// My row of the distance matrix (commit-round accounting).
     dist_row: Vec<u64>,
-    /// Entries that outlived their epoch undecided — impossible without
-    /// faults, since `2 + 4·C` gaps cover every color's vote round-trip.
-    stranded: usize,
     max_epoch_len: u64,
     id: ShardId,
     rotate_leader: bool,
@@ -541,49 +543,105 @@ impl Node for BdsNode {
         }
     }
 
-    /// `[pending, epoch, active shards, 0]`.
+    /// `[pending, epoch, active shards, stranded]`.
     fn sample(&self) -> [u64; 4] {
-        [self.pending(), self.epoch, self.active_shards(), 0]
+        let stranded = self.stranded as u64;
+        [self.pending(), self.epoch, self.active_shards(), stranded]
     }
 }
 
-/// Books one round's [`BdsNode::sample`]s — every shard's, in shard
-/// order — into `collector`; returns the total pending count (the
-/// quantity bounded by `4bs` in Theorem 2). Fault-free every shard
-/// observes the same epoch and table at the same absolute round, so
-/// `max` is that common value; under faults it is the furthest live view.
-pub fn record_round(
-    collector: &mut MetricsCollector,
-    samples: impl Iterator<Item = [u64; 4]>,
-    byz_flips: u64,
-    crashed: u64,
-) -> u64 {
-    let (pending, epoch, active) = samples.fold((0, 0, 0), |(p, e, a), s| {
-        (p + s[0], e.max(s[1]), a.max(s[2]))
-    });
-    collector.sample_pending(pending);
-    collector
-        .sink
-        .on_round(epoch, pending, byz_flips, crashed, active);
-    pending
+/// BDS as a host sees it: the epoch protocol of [`BdsNode`] around any
+/// epoch-planning policy. BDS proper plans with the coloring policy;
+/// every other [`SchedulerKind`] with an
+/// [`epoch_policy`](SchedulerKind::epoch_policy) — the zoo's registration
+/// point — reuses the whole machinery (leader rotation, plan broadcast,
+/// per-color four-round commit) and reports under its own kind.
+#[derive(Debug, Clone)]
+pub struct BdsProtocol {
+    /// Implementation variants.
+    pub cfg: BdsConfig,
+    /// Whose policy plans the epochs.
+    pub kind: SchedulerKind,
+    /// A live-migration schedule armed on every node. The system must be
+    /// provisioned for the plan's `s_max`, the account map must be the
+    /// plan's version-0 placement, and the run must be fault-free (a
+    /// crashed shard losing a balance handoff is unrecoverable state
+    /// loss).
+    pub reshard: Option<Arc<ReshardPlan>>,
 }
 
-/// `(epochs, longest epoch)` of a run: the furthest view over its nodes
-/// (a crashed or desynced shard's counters freeze).
-pub fn epoch_stats<'a>(nodes: impl Iterator<Item = &'a BdsNode>) -> (u64, u64) {
-    nodes.fold((0, 0), |(e, l), n| (e.max(n.epoch), l.max(n.max_epoch_len)))
+impl BdsProtocol {
+    /// The static (no reshard plan) description of `kind` under `cfg`.
+    pub fn new(cfg: BdsConfig, kind: SchedulerKind) -> Self {
+        BdsProtocol {
+            cfg,
+            kind,
+            reshard: None,
+        }
+    }
+}
+
+impl Protocol for BdsProtocol {
+    type Node = BdsNode;
+
+    fn initial_balance(&self) -> u64 {
+        self.cfg.initial_balance
+    }
+
+    fn node(&self, id: ShardId, metric: &dyn ShardMetric) -> BdsNode {
+        let mut node = BdsNode::new(id, metric, self.cfg.rotate_leader);
+        if let Some(plan) = &self.reshard {
+            node.set_reshard(plan.clone());
+        }
+        node
+    }
+
+    fn policy(&self, sys: &SystemConfig) -> Box<dyn Scheduler> {
+        self.kind
+            .epoch_policy(self.cfg.coloring, sys.accounts, sys.shards)
+            .unwrap_or_else(|| panic!("{} has no epoch policy", self.kind))
+    }
+
+    fn fault_free_only(&self) -> bool {
+        self.reshard.is_some()
+    }
+
+    /// Fault-free every shard observes the same epoch and table at the
+    /// same absolute round, so `max` is that common value; under faults
+    /// it is the furthest live view. Returns the total pending count —
+    /// the quantity bounded by `4bs` in Theorem 2.
+    fn record_round(
+        _: &BdsNode,
+        collector: &mut MetricsCollector,
+        _round: u64,
+        samples: impl Iterator<Item = [u64; 4]>,
+        faults: Option<(u64, u64)>,
+    ) -> u64 {
+        let (pending, epoch, active, stranded) = samples.fold((0, 0, 0, 0), |(p, e, a, x), s| {
+            (p + s[0], e.max(s[1]), a.max(s[2]), x + s[3])
+        });
+        debug_assert!(
+            faults.is_some() || stranded == 0,
+            "undecided entry survived its epoch without faults"
+        );
+        let (byz_flips, crashed) = faults.unwrap_or_default();
+        collector.sample_pending(pending);
+        collector
+            .sink
+            .on_round(epoch, pending, byz_flips, crashed, active);
+        pending
+    }
+
+    /// The furthest view over the nodes (a crashed or desynced shard's
+    /// counters freeze).
+    fn epochs<'a>(nodes: impl Iterator<Item = &'a BdsNode>, _rounds: u64) -> (u64, u64) {
+        nodes.fold((0, 0), |(e, l), n| (e.max(n.epoch), l.max(n.max_epoch_len)))
+    }
 }
 
 /// The BDS simulator: `s` [`BdsNode`]s hosted on the caller's thread.
-/// Drive it with [`BdsSim::step`] once per round.
-pub struct BdsSim {
-    host: SimHost<BdsNode>,
-    /// The epoch-planning policy lent to whichever node leads. BDS proper
-    /// uses [`ColoringPolicy`]; any other [`Scheduler`] drops in via
-    /// [`BdsSim::with_policy`] and reuses the whole epoch protocol.
-    policy: Box<dyn Scheduler>,
-    generated: u64,
-}
+/// Drive it with [`Sim::step`] once per round.
+pub type BdsSim = Sim<BdsProtocol>;
 
 impl BdsSim {
     /// Creates a BDS simulation over the uniform metric.
@@ -599,136 +657,8 @@ impl BdsSim {
         bcfg: BdsConfig,
         metric: &dyn ShardMetric,
     ) -> Self {
-        let policy = ColoringPolicy::new(SchedulerKind::Bds, bcfg.coloring, sys.accounts);
-        Self::with_policy(sys, map, bcfg, metric, Box::new(policy))
-    }
-
-    /// Creates the simulation around an arbitrary epoch-planning
-    /// [`Scheduler`]. The whole BDS machinery (leader rotation, plan
-    /// broadcast, per-color four-round commit protocol) is reused; only
-    /// the phase-2 planning step runs `policy`, and the final report
-    /// carries `policy.kind()`. This is how the scheduler-zoo kinds run
-    /// — see [`SchedulerKind::epoch_policy`].
-    pub fn with_policy(
-        sys: &SystemConfig,
-        map: &AccountMap,
-        bcfg: BdsConfig,
-        metric: &dyn ShardMetric,
-        policy: Box<dyn Scheduler>,
-    ) -> Self {
-        sys.validate().expect("valid system config");
-        assert_eq!(metric.shards(), sys.shards);
-        let node = |id| BdsNode::new(id, metric, bcfg.rotate_leader);
-        BdsSim {
-            host: SimHost::new(metric, map, bcfg.initial_balance, node),
-            policy,
-            generated: 0,
-        }
-    }
-
-    /// Arms a live-migration schedule. Must be called before the first
-    /// step; the system must be provisioned for the plan's `s_max` and
-    /// the account map used at construction must match the plan's
-    /// version-0 placement (the scenario executor guarantees both).
-    pub fn set_reshard(&mut self, plan: ReshardPlan) {
-        assert_eq!(
-            self.host.now,
-            Round::ZERO,
-            "reshard plan armed after round 0"
-        );
-        let plan = Arc::new(plan);
-        for node in &mut self.host.nodes {
-            node.set_reshard(plan.clone());
-        }
-    }
-
-    /// Active (vnode-owning) shards right now: the current reshard
-    /// version's active-set size, or the full provisioned count for
-    /// static runs.
-    pub fn active_shards(&self) -> u64 {
-        self.host.nodes[0].active_shards()
-    }
-
-    /// Table-independent loss/duplication audit over the local chains
-    /// and the commit log: `(lost, double_committed)` — both must be 0
-    /// after any reshard schedule.
-    pub fn reshard_audit(&self) -> (u64, u64) {
-        simnet::reshard_audit(&self.host.chains, &self.host.committed_log)
-    }
-
-    /// Current round.
-    pub fn now(&self) -> Round {
-        self.host.now
-    }
-
-    /// Current epoch number.
-    pub fn epoch(&self) -> u64 {
-        epoch_stats(self.host.nodes.iter()).0
-    }
-
-    /// Turns the metrics plane on (percentile histogram, per-shard
-    /// utilization, epoch timeline). Off by default; enabling it changes
-    /// nothing about scheduling decisions or legacy report bytes.
-    pub fn enable_metrics(&mut self) {
-        self.host.collector.enable_metrics();
-    }
-
-    /// The leader shard of the current epoch.
-    pub fn leader(&self) -> ShardId {
-        self.host.nodes[0].leader()
-    }
-
-    /// Total pending transactions (injection queues plus in-epoch
-    /// undecided ones) — the quantity bounded by `4bs` in Theorem 2.
-    pub fn total_pending(&self) -> u64 {
-        self.host.nodes.iter().map(BdsNode::pending).sum()
-    }
-
-    /// The local blockchains (one per shard).
-    pub fn chains(&self) -> &[LocalChain] {
-        &self.host.chains
-    }
-
-    /// The shard ledgers.
-    pub fn ledgers(&self) -> &[ShardLedger] {
-        &self.host.ledgers
-    }
-
-    /// Commit log: (commit round, transaction id) in commit order.
-    pub fn committed_log(&self) -> &[(Round, TxnId)] {
-        &self.host.committed_log
-    }
-
-    /// Executes one round: inject `new_txns` at their home shards, step
-    /// every node, and sample metrics. The fault counters stay zero: the
-    /// simulator is fault-free by construction.
-    pub fn step(&mut self, new_txns: Vec<Transaction>) {
-        self.generated += new_txns.len() as u64;
-        for t in new_txns {
-            self.host.nodes[t.home.index()].inject(t);
-        }
-        self.host.round(self.policy.as_mut());
-        debug_assert!(
-            self.host.nodes.iter().all(|n| n.stranded() == 0),
-            "undecided entry survived its epoch"
-        );
-        let samples = self.host.samples.iter().copied();
-        record_round(&mut self.host.collector, samples, 0, 0);
-    }
-
-    /// Finalizes the run into a [`RunReport`] (reported under the
-    /// policy's kind: `BDS` for the coloring policy, the zoo kind
-    /// otherwise).
-    pub fn finish(self) -> RunReport {
-        let pending = self.total_pending();
-        let (epochs, max_epoch_len) = epoch_stats(self.host.nodes.iter());
-        self.host.finish(
-            self.policy.kind(),
-            self.generated,
-            pending,
-            epochs,
-            max_epoch_len,
-        )
+        let proto = BdsProtocol::new(bcfg, SchedulerKind::Bds);
+        Sim::host(&proto, sys, map, metric)
     }
 }
 
@@ -766,8 +696,10 @@ pub fn run_bds_with_metric(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::ColoringPolicy;
     use adversary::{Adversary, StrategyKind};
     use sharding_core::stats::StabilityVerdict;
+    use simnet::LocalChain;
 
     fn small_sys() -> (SystemConfig, AccountMap) {
         let sys = SystemConfig {
@@ -1143,13 +1075,14 @@ mod tests {
     fn leader_rotates_each_epoch() {
         let (sys, map) = small_sys();
         let mut sim = BdsSim::new(&sys, &map, BdsConfig::default());
-        assert_eq!(sim.leader(), ShardId(0));
+        assert_eq!(sim.nodes[0].leader(), ShardId(0));
         // Drive a few empty epochs (2 rounds each).
         for _ in 0..6 {
             sim.step(Vec::new());
         }
-        assert!(sim.epoch() >= 2);
-        assert_eq!(sim.leader(), ShardId((sim.epoch() % 8) as u32));
+        let epoch = sim.nodes[0].epoch();
+        assert!(epoch >= 2);
+        assert_eq!(sim.nodes[0].leader(), ShardId((epoch % 8) as u32));
         let fixed = BdsConfig {
             rotate_leader: false,
             ..BdsConfig::default()
@@ -1158,7 +1091,7 @@ mod tests {
         for _ in 0..6 {
             sim2.step(Vec::new());
         }
-        assert_eq!(sim2.leader(), ShardId(0));
+        assert_eq!(sim2.nodes[0].leader(), ShardId(0));
     }
 
     #[test]
@@ -1227,10 +1160,12 @@ mod tests {
         }
     }
 
+    /// The source's (initial) system, the version-0 map, the plan, and a
+    /// simulator provisioned for the plan's `s_max` with the plan armed.
     fn reshard_setup(
         initial: usize,
         events: &[(i64, u64)],
-    ) -> (SystemConfig, SystemConfig, AccountMap, ReshardPlan) {
+    ) -> (SystemConfig, AccountMap, ReshardPlan, BdsSim) {
         let cfg = SystemConfig {
             shards: 1, // overwritten by the plan's s_max
             nodes_per_shard: 4,
@@ -1248,15 +1183,18 @@ mod tests {
             ..cfg
         };
         let map = plan.versions[0].map.clone();
-        (sys, src_sys, map, plan)
+        let proto = BdsProtocol {
+            reshard: Some(Arc::new(plan.clone())),
+            ..BdsProtocol::new(BdsConfig::default(), SchedulerKind::Bds)
+        };
+        let sim = Sim::host(&proto, &sys, &map, &UniformMetric::new(sys.shards));
+        (src_sys, map, plan, sim)
     }
 
     #[test]
     fn live_scale_out_commits_without_loss() {
         use adversary::{ReshardSource, RoundSource};
-        let (sys, src_sys, map, plan) = reshard_setup(4, &[(2, 60)]);
-        let mut sim = BdsSim::new(&sys, &map, BdsConfig::default());
-        sim.set_reshard(plan.clone());
+        let (src_sys, map, plan, mut sim) = reshard_setup(4, &[(2, 60)]);
         let adv = AdversaryConfig {
             rho: 0.10,
             burstiness: 4,
@@ -1271,8 +1209,9 @@ mod tests {
         for c in sim.chains() {
             assert!(c.verify(), "chain of {} verifies", c.shard());
         }
-        assert_eq!(sim.reshard_audit(), (0, 0), "no commit lost or doubled");
-        assert_eq!(sim.active_shards(), 6, "the +2 event activated");
+        let audit = simnet::reshard_audit(sim.chains(), sim.committed_log());
+        assert_eq!(audit, (0, 0), "no commit lost or doubled");
+        assert_eq!(sim.nodes[0].active_shards(), 6, "the +2 event activated");
         let joined: usize = sim.chains()[4..].iter().map(|c| c.sub_count()).sum();
         assert!(joined > 0, "joined shards commit after the migration");
         let r = sim.finish();
@@ -1282,9 +1221,7 @@ mod tests {
     #[test]
     fn live_scale_in_commits_without_loss() {
         use adversary::{ReshardSource, RoundSource};
-        let (sys, src_sys, map, plan) = reshard_setup(6, &[(-2, 60)]);
-        let mut sim = BdsSim::new(&sys, &map, BdsConfig::default());
-        sim.set_reshard(plan.clone());
+        let (src_sys, map, plan, mut sim) = reshard_setup(6, &[(-2, 60)]);
         let adv = AdversaryConfig {
             rho: 0.10,
             burstiness: 4,
@@ -1296,8 +1233,9 @@ mod tests {
         for r in 0..400u64 {
             sim.step(src.next_round(Round(r)));
         }
-        assert_eq!(sim.reshard_audit(), (0, 0));
-        assert_eq!(sim.active_shards(), 4, "the -2 event activated");
+        let audit = simnet::reshard_audit(sim.chains(), sim.committed_log());
+        assert_eq!(audit, (0, 0));
+        assert_eq!(sim.nodes[0].active_shards(), 4, "the -2 event activated");
         // Departed shards surrendered every account they owned.
         assert_eq!(sim.ledgers()[4].total(), 0);
         assert_eq!(sim.ledgers()[5].total(), 0);
@@ -1307,18 +1245,15 @@ mod tests {
 
     #[test]
     fn handoffs_conserve_total_balance() {
-        let (sys, _, map, plan) = reshard_setup(4, &[(2, 5), (-3, 9)]);
-        let bcfg = BdsConfig::default();
-        let mut sim = BdsSim::new(&sys, &map, bcfg);
-        sim.set_reshard(plan);
+        let (_, _, _, mut sim) = reshard_setup(4, &[(2, 5), (-3, 9)]);
         for _ in 0..60 {
             sim.step(Vec::new());
         }
-        assert_eq!(sim.active_shards(), 3);
+        assert_eq!(sim.nodes[0].active_shards(), 3);
         let total: u64 = sim.ledgers().iter().map(|l| l.total()).sum();
         assert_eq!(
             total,
-            64 * bcfg.initial_balance,
+            64 * BdsConfig::default().initial_balance,
             "every balance survived two migrations"
         );
     }

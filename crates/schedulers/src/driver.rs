@@ -1,13 +1,15 @@
-//! The shared round-driver contract.
+//! The round-driver contract of the simulators.
 //!
-//! Every execution engine in the workspace — the single-threaded
-//! simulators here, and the threaded networked engine in the `runtime`
-//! crate — consumes the same inputs the same way: one batch of
-//! adversary-generated transactions per round, and a [`RunReport`] at
-//! the end. [`RoundDriver`] names that contract so harness code (the
-//! scenario executor, the conformance and differential tests) can drive
-//! any engine generically, and [`drive`] is the canonical loop every
-//! `run_*` convenience function shares.
+//! Every simulator in this crate — the generic protocol host
+//! [`Sim`](crate::node::Sim), the centralized
+//! [`FcfsSim`](crate::baseline::FcfsSim), the conformance kit's
+//! [`AnySim`](crate::testkit::AnySim) — consumes its input the same way:
+//! one batch of generated transactions per round, and a [`RunReport`] at
+//! the end. [`RoundDriver`] names that contract so harness code can
+//! drive any of them generically, and [`drive_with`] is the loop every
+//! `run_*` convenience function shares. (The networked engine is not a
+//! round driver: `runtime::NetRun` pre-drains the same
+//! [`RoundSource`] and runs to completion in one call.)
 
 use crate::metrics::RunReport;
 use adversary::{Adversary, AdversaryConfig, RoundSource};
@@ -51,21 +53,12 @@ pub fn drive_with<D: RoundDriver>(
     driver.finish()
 }
 
-impl RoundDriver for crate::bds::BdsSim {
+impl<P: crate::node::Protocol> RoundDriver for crate::node::Sim<P> {
     fn step(&mut self, new_txns: Vec<Transaction>) {
-        crate::bds::BdsSim::step(self, new_txns);
+        crate::node::Sim::step(self, new_txns);
     }
     fn finish(self) -> RunReport {
-        crate::bds::BdsSim::finish(self)
-    }
-}
-
-impl RoundDriver for crate::fds::FdsSim {
-    fn step(&mut self, new_txns: Vec<Transaction>) {
-        crate::fds::FdsSim::step(self, new_txns);
-    }
-    fn finish(self) -> RunReport {
-        crate::fds::FdsSim::finish(self)
+        crate::node::Sim::finish(self)
     }
 }
 

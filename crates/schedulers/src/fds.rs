@@ -47,19 +47,21 @@
 //! per-period accounting is preserved.
 //!
 //! The algorithm is written once, as what one shard does in a round:
-//! [`FdsNode`]. [`FdsSim`] hosts `s` of them over one
-//! [`simnet::Network`] (see [`crate::node`]); the `runtime` crate hosts
-//! the same nodes on worker threads.
+//! [`FdsNode`]. What a host needs to know around it — the shared cluster
+//! hierarchy every node is built over, the coloring policy, how a
+//! round's samples are booked — is [`FdsProtocol`]; [`FdsSim`] is the
+//! generic simulator hosting it (see [`crate::node`]), and the `runtime`
+//! crate hosts the same description on worker threads.
 
 use crate::metrics::{MetricsCollector, RunReport, SchedulerKind};
-use crate::node::{CommitEvent, FastMap, FastSet, Lent, Node, Seam, SimHost, VoteSet};
+use crate::node::{CommitEvent, FastMap, FastSet, Lent, Node, Protocol, Seam, Sim, VoteSet};
 use crate::scheduler::{ColoringPolicy, EpochPlan, Scheduler};
 use adversary::AdversaryConfig;
 use cluster::{ClusterId, Hierarchy, LineMetric, ShardMetric};
 use conflict::ColoringStrategy;
 use sharding_core::txn::SubTransaction;
 use sharding_core::{AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
-use simnet::{LocalChain, ShardLedger};
+use simnet::ShardLedger;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -199,7 +201,7 @@ struct DestState {
 }
 
 /// `E_0 = c·⌈log₂ s⌉`, the layer-0 epoch length.
-pub fn base_epoch(fcfg: &FdsConfig, shards: usize) -> u64 {
+fn base_epoch(fcfg: &FdsConfig, shards: usize) -> u64 {
     let lg = (usize::BITS - (shards.max(2) - 1).leading_zeros()) as u64;
     (fcfg.epoch_scale * lg).max(1)
 }
@@ -587,46 +589,87 @@ impl Node for FdsNode {
     }
 }
 
-/// Books one round's [`FdsNode::sample`]s — every shard's, in shard
-/// order — into `collector`; returns the outstanding (generated but
-/// unresolved) count. The Figure 3 left panel plots the average pending
-/// *scheduled* transactions at cluster leader shards, so the queue
-/// series records the mean leader queue over active leaders. `epoch` is
-/// the layer-0 epoch, `round / E_0`.
-pub fn record_round(
-    collector: &mut MetricsCollector,
-    epoch: u64,
-    samples: impl Iterator<Item = [u64; 4]>,
-    byz_flips: u64,
-    crashed: u64,
-) -> u64 {
-    let (mut shards, mut sum) = (0, [0u64; 4]);
-    for s in samples {
-        shards += 1;
-        sum = std::array::from_fn(|i| sum[i] + s[i]);
+/// FDS as a host sees it: [`FdsNode`]s over one shared, immutable
+/// cluster hierarchy, planning with the coloring policy. Needs nothing
+/// beyond the node to be networkable — epoch starts, coloring moments
+/// and rescheduling alignments are pure functions of the round number
+/// and the hierarchy.
+#[derive(Debug, Clone)]
+pub struct FdsProtocol {
+    cfg: FdsConfig,
+    hierarchy: Arc<Hierarchy>,
+}
+
+impl FdsProtocol {
+    /// Builds the hierarchy of `metric` with `cfg.sublayers` sublayers.
+    pub fn new(cfg: FdsConfig, metric: &dyn ShardMetric) -> Self {
+        FdsProtocol {
+            cfg,
+            hierarchy: Arc::new(Hierarchy::build_with_sublayers(metric, cfg.sublayers)),
+        }
     }
-    let outstanding = sum[2].saturating_sub(sum[3]);
-    let leader_avg = sum[0] as f64 / sum[1].max(1) as f64;
-    collector.sample_queue_value(leader_avg, outstanding);
-    collector
-        .sink
-        .on_round(epoch, outstanding, byz_flips, crashed, shards);
-    outstanding
+}
+
+impl Protocol for FdsProtocol {
+    type Node = FdsNode;
+
+    fn initial_balance(&self) -> u64 {
+        self.cfg.initial_balance
+    }
+
+    fn node(&self, id: ShardId, metric: &dyn ShardMetric) -> FdsNode {
+        assert_eq!(metric.shards(), self.hierarchy.num_shards());
+        FdsNode::new(id, self.cfg, self.hierarchy.clone())
+    }
+
+    /// The same [`ColoringPolicy`] code path BDS's leader uses, owning
+    /// the reusable coloring scratch.
+    fn policy(&self, sys: &SystemConfig) -> Box<dyn Scheduler> {
+        Box::new(ColoringPolicy::new(
+            SchedulerKind::Fds,
+            self.cfg.coloring,
+            sys.accounts,
+        ))
+    }
+
+    /// Returns the outstanding (generated but unresolved) count. The
+    /// Figure 3 left panel plots the average pending *scheduled*
+    /// transactions at cluster leader shards, so the queue series records
+    /// the mean leader queue over active leaders. The timeline's epoch is
+    /// the layer-0 epoch, `round / E_0`.
+    fn record_round(
+        node: &FdsNode,
+        collector: &mut MetricsCollector,
+        round: u64,
+        samples: impl Iterator<Item = [u64; 4]>,
+        faults: Option<(u64, u64)>,
+    ) -> u64 {
+        let (mut shards, mut sum) = (0, [0u64; 4]);
+        for s in samples {
+            shards += 1;
+            sum = std::array::from_fn(|i| sum[i] + s[i]);
+        }
+        let outstanding = sum[2].saturating_sub(sum[3]);
+        let leader_avg = sum[0] as f64 / sum[1].max(1) as f64;
+        let (byz_flips, crashed) = faults.unwrap_or_default();
+        collector.sample_queue_value(leader_avg, outstanding);
+        collector
+            .sink
+            .on_round(round / node.e0, outstanding, byz_flips, crashed, shards);
+        outstanding
+    }
+
+    /// Layer-0 epochs elapsed, and the top layer's fixed epoch length.
+    fn epochs<'a>(mut nodes: impl Iterator<Item = &'a FdsNode>, rounds: u64) -> (u64, u64) {
+        let node = nodes.next().expect("at least one shard");
+        let top_epoch = node.e0 << (node.hierarchy.num_layers() as u64 - 1);
+        (rounds / node.e0, top_epoch)
+    }
 }
 
 /// The FDS simulator: `s` [`FdsNode`]s hosted on the caller's thread.
-/// Drive with [`FdsSim::step`] once per round.
-pub struct FdsSim {
-    host: SimHost<FdsNode>,
-    hierarchy: Arc<Hierarchy>,
-    e0: u64,
-    generated: u64,
-    outstanding: u64,
-    /// The coloring policy lent to every cluster leader (the same
-    /// [`ColoringPolicy`] code path BDS's leader uses, owning the
-    /// reusable coloring scratch).
-    policy: ColoringPolicy,
-}
+/// Drive it with [`Sim::step`] once per round.
+pub type FdsSim = Sim<FdsProtocol>;
 
 impl FdsSim {
     /// Creates an FDS simulation over `metric`.
@@ -636,91 +679,18 @@ impl FdsSim {
         fcfg: FdsConfig,
         metric: &dyn ShardMetric,
     ) -> Self {
-        sys.validate().expect("valid system config");
-        assert_eq!(metric.shards(), sys.shards);
-        let hierarchy = Arc::new(Hierarchy::build_with_sublayers(metric, fcfg.sublayers));
-        let node = |id| FdsNode::new(id, fcfg, hierarchy.clone());
-        FdsSim {
-            host: SimHost::new(metric, map, fcfg.initial_balance, node),
-            e0: base_epoch(&fcfg, sys.shards),
-            hierarchy,
-            generated: 0,
-            outstanding: 0,
-            policy: ColoringPolicy::new(SchedulerKind::Fds, fcfg.coloring, sys.accounts),
-        }
-    }
-
-    /// Base epoch length `E_0`.
-    pub fn e0(&self) -> u64 {
-        self.e0
-    }
-
-    /// Current round.
-    pub fn now(&self) -> Round {
-        self.host.now
+        Sim::host(&FdsProtocol::new(fcfg, metric), sys, map, metric)
     }
 
     /// The cluster hierarchy in use.
     pub fn hierarchy(&self) -> &Hierarchy {
-        &self.hierarchy
-    }
-
-    /// Pending (generated but unresolved) transactions.
-    pub fn total_pending(&self) -> u64 {
-        self.outstanding
+        &self.nodes[0].hierarchy
     }
 
     /// Worst access distance `d` seen so far (for Theorem 3 comparisons).
     pub fn max_access_distance(&self) -> u64 {
-        let nodes = self.host.nodes.iter();
+        let nodes = self.nodes.iter();
         nodes.map(FdsNode::max_access_distance).max().unwrap_or(0)
-    }
-
-    /// The local blockchains.
-    pub fn chains(&self) -> &[LocalChain] {
-        &self.host.chains
-    }
-
-    /// The shard ledgers.
-    pub fn ledgers(&self) -> &[ShardLedger] {
-        &self.host.ledgers
-    }
-
-    /// Commit log: (commit round, txn id).
-    pub fn committed_log(&self) -> &[(Round, TxnId)] {
-        &self.host.committed_log
-    }
-
-    /// Turns the metrics plane on (percentile histogram, per-shard
-    /// utilization, layer-0-epoch timeline). Off by default.
-    pub fn enable_metrics(&mut self) {
-        self.host.collector.enable_metrics();
-    }
-
-    /// Executes one round: inject `new_txns` at their home shards, step
-    /// every node, and sample metrics.
-    pub fn step(&mut self, new_txns: Vec<Transaction>) {
-        self.generated += new_txns.len() as u64;
-        for t in new_txns {
-            self.host.nodes[t.home.index()].inject(t);
-        }
-        let epoch = self.host.now.raw() / self.e0;
-        self.host.round(&mut self.policy);
-        let samples = self.host.samples.iter().copied();
-        self.outstanding = record_round(&mut self.host.collector, epoch, samples, 0, 0);
-    }
-
-    /// Finalizes into a [`RunReport`].
-    pub fn finish(self) -> RunReport {
-        let epochs = self.host.now.raw() / self.e0;
-        let top_epoch = self.e0 << (self.hierarchy.num_layers() as u64 - 1);
-        self.host.finish(
-            SchedulerKind::Fds,
-            self.generated,
-            self.outstanding,
-            epochs,
-            top_epoch,
-        )
     }
 }
 
@@ -759,6 +729,7 @@ mod tests {
     use super::*;
     use adversary::{Adversary, StrategyKind};
     use sharding_core::stats::StabilityVerdict;
+    use simnet::LocalChain;
 
     fn small_sys() -> (SystemConfig, AccountMap) {
         let sys = SystemConfig {

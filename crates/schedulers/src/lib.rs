@@ -4,9 +4,11 @@
 //!
 //! * [`node`] — the seam both protocols are written against: a per-shard
 //!   [`Node`](node::Node) stepped once per round, reaching outside its
-//!   shard only by sending a message or emitting a decision, and the
-//!   simulator host that runs `s` of them on one thread (the `runtime`
-//!   crate is the threaded host of the same nodes).
+//!   shard only by sending a message or emitting a decision; the
+//!   [`Protocol`](node::Protocol) description of what a host must know
+//!   around a node; and [`Sim`](node::Sim), the generic simulator host
+//!   that runs `s` nodes on one thread (`runtime::NetRun` is the
+//!   threaded host of the same descriptions).
 //! * [`bds`] — **Algorithm 1**, the Basic Distributed Scheduler for the
 //!   uniform communication model: epoch-based, rotating leader, conflict-
 //!   graph coloring, and a four-round vote/confirm/commit protocol per

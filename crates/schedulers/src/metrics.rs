@@ -210,6 +210,29 @@ impl RunReport {
     }
 }
 
+/// What a host knows about a finished run that the collector never saw:
+/// the argument of [`MetricsCollector::finish`], field for field the
+/// [`RunReport`] fields of the same names.
+#[derive(Debug, Clone, Copy)]
+pub struct RunTotals {
+    /// Which scheduler ran.
+    pub scheduler: SchedulerKind,
+    /// Rounds executed.
+    pub rounds: u64,
+    /// Transactions the source generated.
+    pub generated: u64,
+    /// Transactions still pending when the run ended.
+    pub pending_at_end: u64,
+    /// Epochs driven.
+    pub epochs: u64,
+    /// Longest epoch in rounds.
+    pub max_epoch_len: u64,
+    /// Total messages sent between shards.
+    pub messages: u64,
+    /// Largest single message payload in (estimated) bytes.
+    pub max_message_bytes: u64,
+}
+
 /// Incremental collector the scheduler loops feed each round.
 #[derive(Debug)]
 pub struct MetricsCollector {
@@ -292,18 +315,17 @@ impl MetricsCollector {
     }
 
     /// Finalizes into a [`RunReport`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn finish(
-        self,
-        scheduler: SchedulerKind,
-        rounds: u64,
-        generated: u64,
-        pending_at_end: u64,
-        epochs: u64,
-        max_epoch_len: u64,
-        messages: u64,
-        max_message_bytes: u64,
-    ) -> RunReport {
+    pub fn finish(self, totals: RunTotals) -> RunReport {
+        let RunTotals {
+            scheduler,
+            rounds,
+            generated,
+            pending_at_end,
+            epochs,
+            max_epoch_len,
+            messages,
+            max_message_bytes,
+        } = totals;
         let verdict = StabilityDetector::default().classify(&self.queue_series);
         let metrics = self.sink.finish();
         RunReport {
@@ -396,6 +418,19 @@ mod tests {
         }
     }
 
+    fn totals(scheduler: SchedulerKind) -> RunTotals {
+        RunTotals {
+            scheduler,
+            rounds: 0,
+            generated: 0,
+            pending_at_end: 0,
+            epochs: 0,
+            max_epoch_len: 0,
+            messages: 0,
+            max_message_bytes: 0,
+        }
+    }
+
     #[test]
     fn collector_aggregates() {
         let mut c = MetricsCollector::new(4);
@@ -404,7 +439,15 @@ mod tests {
         c.record_commit(Round(10), Round(25), ShardId(0));
         c.record_commit(Round(0), Round(5), ShardId(1));
         c.record_abort();
-        let r = c.finish(SchedulerKind::Bds, 2, 3, 0, 1, 2, 10, 128);
+        let r = c.finish(RunTotals {
+            rounds: 2,
+            generated: 3,
+            epochs: 1,
+            max_epoch_len: 2,
+            messages: 10,
+            max_message_bytes: 128,
+            ..totals(SchedulerKind::Bds)
+        });
         assert_eq!(r.committed, 2);
         assert_eq!(r.aborted, 1);
         assert_eq!(r.max_total_pending, 8);
@@ -418,7 +461,7 @@ mod tests {
     #[test]
     fn resolution_rate_empty_run() {
         let c = MetricsCollector::new(1);
-        let r = c.finish(SchedulerKind::Fcfs, 0, 0, 0, 0, 0, 0, 0);
+        let r = c.finish(totals(SchedulerKind::Fcfs));
         assert_eq!(r.resolution_rate(), 1.0);
     }
 }

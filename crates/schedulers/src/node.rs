@@ -1,4 +1,5 @@
-//! One protocol node per shard, hosted by either engine.
+//! One protocol node per shard, one description per protocol, hosted by
+//! either engine.
 //!
 //! The paper specifies BDS and FDS as what *one shard* does in a round.
 //! [`BdsNode`](crate::bds::BdsNode) and [`FdsNode`](crate::fds::FdsNode)
@@ -9,21 +10,29 @@
 //! needs (the shard's ledger and chain, the planning policy) the host
 //! lends for the step ([`Lent`]).
 //!
-//! Two hosts exist. `SimHost` (private; [`BdsSim`](crate::bds::BdsSim) and
-//! [`FdsSim`](crate::fds::FdsSim) wrap it) is the simulator: `s` nodes, one
+//! Everything that differs between the two protocols *outside* a node —
+//! how to build one, what to lend it, how a round's samples become
+//! report rows, what the report calls an epoch — is one [`Protocol`]
+//! description, implemented by [`BdsProtocol`](crate::bds::BdsProtocol)
+//! and [`FdsProtocol`](crate::fds::FdsProtocol). A host is generic over
+//! it and contains no protocol logic.
+//!
+//! Two hosts exist. [`Sim`] is the simulator: `s` nodes, one
 //! [`simnet::Network`] and the [`MetricsCollector`], stepped in shard
-//! order on the caller's thread. The `runtime` crate hosts the same
-//! nodes on worker threads over lock-free rings and adds the fault
-//! plane. Both run the same code per shard, so fault-free reports agree
-//! byte for byte given two ordering facts: either transport hands a
-//! round's inbox out sorted by `(sender, per-sender sequence)`, and
-//! decisions are booked in `(round, deciding shard, emission index)`
-//! order — here by construction, there by the runtime's replay.
+//! order on the caller's thread ([`BdsSim`](crate::bds::BdsSim) and
+//! [`FdsSim`](crate::fds::FdsSim) are its two instances). `runtime::NetRun`
+//! hosts the same nodes on worker threads over lock-free rings and adds
+//! the fault plane. Both run the same code per shard, so fault-free
+//! reports agree byte for byte given two ordering facts: either
+//! transport hands a round's inbox out sorted by `(sender, per-sender
+//! sequence)`, and decisions are booked in `(round, deciding shard,
+//! emission index)` order — here by construction, there by the
+//! runtime's replay.
 
-use crate::metrics::{MetricsCollector, RunReport, SchedulerKind};
+use crate::metrics::{MetricsCollector, RunReport, RunTotals};
 use crate::scheduler::Scheduler;
 use cluster::ShardMetric;
-use sharding_core::{AccountMap, Round, ShardId, Transaction, TxnId};
+use sharding_core::{AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
 use simnet::{LocalChain, Network, ShardLedger};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -100,9 +109,54 @@ pub trait Node {
         seam: &mut S,
     );
 
-    /// End-of-round counters, folded over all shards by the protocol's
-    /// `record_round`.
+    /// End-of-round counters, folded over all shards by
+    /// [`Protocol::record_round`].
     fn sample(&self) -> [u64; 4];
+}
+
+/// What a host needs to know about a protocol beyond stepping its nodes.
+/// A host consults the description while it builds a run; the two folds
+/// are associated functions that read run-wide constants off a node, so
+/// the simulator retains nothing of the description.
+pub trait Protocol {
+    /// The per-shard state machine.
+    type Node: Node;
+
+    /// Initial balance of every account.
+    fn initial_balance(&self) -> u64;
+
+    /// The node of shard `id` over `metric`.
+    fn node(&self, id: ShardId, metric: &dyn ShardMetric) -> Self::Node;
+
+    /// A planning policy to lend where a node leads; its
+    /// [`kind`](Scheduler::kind) is the kind the report carries. Plans
+    /// are pure, so a host may build one or one per shard.
+    fn policy(&self, sys: &SystemConfig) -> Box<dyn Scheduler>;
+
+    /// Whether a run of this description is only defined without faults
+    /// (the networked host refuses to arm a fault plan under it).
+    fn fault_free_only(&self) -> bool {
+        false
+    }
+
+    /// Books round `round`'s [`Node::sample`]s — every shard's, in shard
+    /// order — into `collector` and returns the pending count. `node` is
+    /// any node of the run. `faults` is the fault plane's `(cumulative
+    /// Byzantine flips, shards crashed now)`, or `None` on a run with no
+    /// fault plan armed — where the protocol may assert what only faults
+    /// can break.
+    fn record_round(
+        node: &Self::Node,
+        collector: &mut MetricsCollector,
+        round: u64,
+        samples: impl Iterator<Item = [u64; 4]>,
+        faults: Option<(u64, u64)>,
+    ) -> u64;
+
+    /// The report's `(epochs, longest epoch)` after `rounds` rounds.
+    fn epochs<'a>(nodes: impl Iterator<Item = &'a Self::Node>, rounds: u64) -> (u64, u64)
+    where
+        Self::Node: 'a;
 }
 
 /// Multiplicative hasher for the nodes' small-integer keys (`TxnId`,
@@ -178,20 +232,26 @@ impl VoteSet {
     }
 }
 
-/// The simulator host: `s` nodes, one delay-queue network, the ledgers
-/// and chains it lends out, and the collector decisions are booked into
-/// — everything driven from the caller's thread.
-pub(crate) struct SimHost<N: Node> {
-    pub(crate) nodes: Vec<N>,
-    net: Network<N::Msg>,
-    pub(crate) ledgers: Vec<ShardLedger>,
-    pub(crate) chains: Vec<LocalChain>,
-    pub(crate) collector: MetricsCollector,
-    pub(crate) committed_log: Vec<(Round, TxnId)>,
+/// The simulator: `s` nodes of protocol `P`, one delay-queue network,
+/// the ledgers, chains and policy it lends out, and the collector
+/// decisions are booked into — everything driven from the caller's
+/// thread, one [`Sim::step`] per round. Fault-free by construction.
+pub struct Sim<P: Protocol> {
+    pub(crate) nodes: Vec<P::Node>,
+    net: Network<<P::Node as Node>::Msg>,
+    ledgers: Vec<ShardLedger>,
+    chains: Vec<LocalChain>,
+    collector: MetricsCollector,
+    committed_log: Vec<(Round, TxnId)>,
     /// Every node's [`Node::sample`] of the last round, taken right
     /// after its step while the node is still in cache.
-    pub(crate) samples: Vec<[u64; 4]>,
-    pub(crate) now: Round,
+    samples: Box<[[u64; 4]]>,
+    now: Round,
+    /// The planning policy lent to whichever node leads.
+    policy: Box<dyn Scheduler>,
+    generated: u64,
+    /// What the last round's [`Protocol::record_round`] returned.
+    pending: u64,
 }
 
 /// A node's [`Seam`] onto the simulator: sends enter the shared network,
@@ -213,35 +273,75 @@ impl<M: Clone> Seam<M> for SimSeam<'_, M> {
     }
 }
 
-impl<N: Node> SimHost<N> {
-    pub(crate) fn new(
-        metric: &dyn ShardMetric,
-        map: &AccountMap,
-        initial_balance: u64,
-        node: impl FnMut(ShardId) -> N,
-    ) -> Self {
-        let ids = || (0..metric.shards() as u32).map(ShardId);
+impl<P: Protocol> Sim<P> {
+    /// Hosts `proto` over `metric`: one node, ledger and chain per
+    /// shard, one shared policy.
+    pub fn host(proto: &P, sys: &SystemConfig, map: &AccountMap, metric: &dyn ShardMetric) -> Self {
+        sys.validate().expect("valid system config");
+        assert_eq!(metric.shards(), sys.shards);
+        let ids = || (0..sys.shards as u32).map(ShardId);
         let mut net = Network::new(metric);
-        net.set_sizer(N::msg_bytes);
-        SimHost {
-            nodes: ids().map(node).collect(),
+        net.set_sizer(<P::Node as Node>::msg_bytes);
+        Sim {
+            nodes: ids().map(|id| proto.node(id, metric)).collect(),
             net,
             ledgers: ids()
-                .map(|id| ShardLedger::new(id, map, initial_balance))
+                .map(|id| ShardLedger::new(id, map, proto.initial_balance()))
                 .collect(),
             chains: ids().map(LocalChain::new).collect(),
-            collector: MetricsCollector::new(metric.shards()),
+            collector: MetricsCollector::new(sys.shards),
             committed_log: Vec::new(),
-            samples: vec![[0; 4]; metric.shards()],
+            samples: vec![[0; 4]; sys.shards].into(),
             now: Round::ZERO,
+            policy: proto.policy(sys),
+            generated: 0,
+            pending: 0,
         }
     }
 
-    /// One round: takes the due messages — already sorted by
-    /// `(destination, sender, sequence)` — and steps every node in shard
-    /// order on its run of them, which is the order the threaded host's
-    /// replay reproduces.
-    pub(crate) fn round(&mut self, policy: &mut dyn Scheduler) {
+    /// Current round.
+    pub fn now(&self) -> Round {
+        self.now
+    }
+
+    /// Pending transactions as of the last round, as the protocol counts
+    /// them (BDS: the quantity Theorem 2 bounds by `4bs`).
+    pub fn total_pending(&self) -> u64 {
+        self.pending
+    }
+
+    /// The local blockchains (one per shard).
+    pub fn chains(&self) -> &[LocalChain] {
+        &self.chains
+    }
+
+    /// The shard ledgers.
+    pub fn ledgers(&self) -> &[ShardLedger] {
+        &self.ledgers
+    }
+
+    /// Commit log: (commit round, transaction id) in commit order.
+    pub fn committed_log(&self) -> &[(Round, TxnId)] {
+        &self.committed_log
+    }
+
+    /// Turns the metrics plane on (percentile histogram, per-shard
+    /// utilization, epoch timeline). Off by default; enabling it changes
+    /// nothing about scheduling decisions or legacy report bytes.
+    pub fn enable_metrics(&mut self) {
+        self.collector.enable_metrics();
+    }
+
+    /// Executes one round: injects `new_txns` at their home shards, takes
+    /// the due messages — already sorted by `(destination, sender,
+    /// sequence)` — and steps every node in shard order on its run of
+    /// them, which is the order the threaded host's replay reproduces;
+    /// then books the round's samples.
+    pub fn step(&mut self, new_txns: Vec<Transaction>) {
+        self.generated += new_txns.len() as u64;
+        for t in new_txns {
+            self.nodes[t.home.index()].inject(t);
+        }
         let now = self.now;
         let mut due = self.net.deliver_due(now).into_iter();
         let lent = self.ledgers.iter_mut().zip(&mut self.chains);
@@ -252,7 +352,7 @@ impl<N: Node> SimHost<N> {
             let lent = Lent {
                 ledger,
                 chain,
-                policy: &mut *policy,
+                policy: self.policy.as_mut(),
             };
             let mut seam = SimSeam {
                 net: &mut self.net,
@@ -265,27 +365,30 @@ impl<N: Node> SimHost<N> {
             *sample = node.sample();
         }
         self.now = now.next();
+        let samples = self.samples.iter().copied();
+        self.pending = P::record_round(
+            &self.nodes[0],
+            &mut self.collector,
+            now.raw(),
+            samples,
+            None,
+        );
     }
 
-    /// Finalizes the collector with the network's message counters.
-    pub(crate) fn finish(
-        self,
-        kind: SchedulerKind,
-        generated: u64,
-        pending: u64,
-        epochs: u64,
-        max_epoch_len: u64,
-    ) -> RunReport {
-        self.collector.finish(
-            kind,
-            self.now.raw(),
-            generated,
-            pending,
+    /// Finalizes the run into a [`RunReport`], reported under the
+    /// policy's kind.
+    pub fn finish(self) -> RunReport {
+        let (epochs, max_epoch_len) = P::epochs(self.nodes.iter(), self.now.raw());
+        self.collector.finish(RunTotals {
+            scheduler: self.policy.kind(),
+            rounds: self.now.raw(),
+            generated: self.generated,
+            pending_at_end: self.pending,
             epochs,
             max_epoch_len,
-            self.net.sent_count(),
-            self.net.max_message_bytes(),
-        )
+            messages: self.net.sent_count(),
+            max_message_bytes: self.net.max_message_bytes(),
+        })
     }
 }
 

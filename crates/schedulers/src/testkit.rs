@@ -14,13 +14,13 @@
 //! nothing here is used by the schedulers themselves.
 
 use crate::baseline::{FcfsConfig, FcfsSim};
-use crate::bds::{BdsConfig, BdsSim};
+use crate::bds::{BdsConfig, BdsProtocol, BdsSim};
 use crate::driver::RoundDriver;
 use crate::fds::{FdsConfig, FdsSim};
 use crate::metrics::{RunReport, SchedulerKind};
+use crate::node::Sim;
 use adversary::{Adversary, AdversaryConfig, StrategyKind};
 use cluster::UniformMetric;
-use conflict::ColoringStrategy;
 use sharding_core::txn::TxnBuilder;
 use sharding_core::{AccountId, AccountMap, Round, SystemConfig, Transaction, TxnId};
 use simnet::LocalChain;
@@ -92,32 +92,24 @@ impl RoundDriver for AnySim {
 /// Builds `kind` as a simulation over the uniform metric with its
 /// default configuration (FDS: strict `pipeline_window = 1`, see
 /// [`AnySim`]). Panics on an invalid system config, never on a
-/// registered kind — the `match` is exhaustive over the factory, so a
-/// new `SchedulerKind` variant without a registration fails to compile
-/// or fails the conformance suite's registry test.
+/// registered kind — every kind without a dedicated simulator goes
+/// through [`SchedulerKind::epoch_policy`], so a new variant without a
+/// registration there fails the conformance suite's registry test.
 pub fn make_sim(kind: SchedulerKind, sys: &SystemConfig, map: &AccountMap) -> AnySim {
     let metric = UniformMetric::new(sys.shards);
-    match kind.epoch_policy(ColoringStrategy::Greedy, sys.accounts, sys.shards) {
-        Some(policy) => AnySim::EpochHost(Box::new(BdsSim::with_policy(
-            sys,
-            map,
-            BdsConfig::default(),
-            &metric,
-            policy,
-        ))),
-        None => match kind {
-            SchedulerKind::Fds => AnySim::Fds(Box::new(FdsSim::new(
-                sys,
-                map,
-                FdsConfig {
-                    pipeline_window: 1,
-                    ..FdsConfig::default()
-                },
-                &metric,
-            ))),
-            SchedulerKind::Fcfs => AnySim::Fcfs(Box::new(FcfsSim::new(sys, FcfsConfig::default()))),
-            other => unreachable!("{other} has neither an epoch policy nor a dedicated sim"),
-        },
+    match kind {
+        SchedulerKind::Fds => {
+            let fcfg = FdsConfig {
+                pipeline_window: 1,
+                ..FdsConfig::default()
+            };
+            AnySim::Fds(Box::new(FdsSim::new(sys, map, fcfg, &metric)))
+        }
+        SchedulerKind::Fcfs => AnySim::Fcfs(Box::new(FcfsSim::new(sys, FcfsConfig::default()))),
+        hosted => {
+            let proto = BdsProtocol::new(BdsConfig::default(), hosted);
+            AnySim::EpochHost(Box::new(Sim::host(&proto, sys, map, &metric)))
+        }
     }
 }
 

@@ -119,20 +119,6 @@ pub fn fds_latency_bound(c1: f64, b: u64, d: u64, k: usize, s: usize) -> f64 {
     2.0 * c1 * b as f64 * d.max(1) as f64 * lg * lg * k.min(ceil_sqrt(s)) as f64
 }
 
-/// Lemma 1's conflict-degree bound: with per-shard congestion at most `2b`
-/// and per-transaction shard count at most `k`, the conflict graph degree is
-/// at most `(2b − 1)·k` (Case 1) — used by tests on the coloring layer.
-pub fn lemma1_degree_bound(b: u64, k: usize) -> u64 {
-    (2 * b - 1) * k as u64
-}
-
-/// Lemma 1 Case 2 color budget: `ζ = 2b⌈√s⌉ + (2b−1)⌈√s⌉ + 1` for the
-/// heavy/light split.
-pub fn lemma1_color_budget(b: u64, s: usize) -> u64 {
-    let rs = ceil_sqrt(s) as u64;
-    2 * b * rs + (2 * b - 1) * rs + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,14 +214,6 @@ mod tests {
         // s = 64 → log2 s = 6; k = 8 → max{1/8, 1/8} = 1/8.
         let r = fds_rate_bound(1.0, 1, 8, 64);
         assert!((r - (1.0 / 8.0) / 36.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degree_and_color_budgets() {
-        assert_eq!(lemma1_degree_bound(1, 8), 8);
-        assert_eq!(lemma1_degree_bound(3, 8), 40);
-        // b=1, s=64: 2*8 + 1*8 + 1 = 25
-        assert_eq!(lemma1_color_budget(1, 64), 25);
     }
 
     #[test]

@@ -98,12 +98,6 @@ impl SystemConfig {
         Ok(())
     }
 
-    /// Total number of nodes `n` in the system.
-    #[inline]
-    pub fn total_nodes(&self) -> usize {
-        self.shards * self.nodes_per_shard
-    }
-
     /// Iterator over all shard ids `S_0 … S_{s-1}`.
     pub fn shard_ids(&self) -> impl Iterator<Item = ShardId> + '_ {
         (0..self.shards as u32).map(ShardId)
@@ -204,11 +198,6 @@ impl AccountMap {
     pub fn is_empty(&self) -> bool {
         self.owner.is_empty()
     }
-
-    /// Number of shards that own at least one account.
-    pub fn populated_shards(&self) -> usize {
-        self.per_shard.iter().filter(|v| !v.is_empty()).count()
-    }
 }
 
 #[cfg(test)]
@@ -262,7 +251,6 @@ mod tests {
         let cfg = SystemConfig::paper_simulation();
         let map = AccountMap::round_robin(&cfg);
         assert_eq!(map.len(), 64);
-        assert_eq!(map.populated_shards(), 64);
         for a in 0..64u64 {
             assert_eq!(map.owner(AccountId(a)).unwrap(), ShardId((a % 64) as u32));
         }
@@ -277,7 +265,6 @@ mod tests {
         let m3 = AccountMap::random(&cfg, 43);
         assert_ne!(m1, m3, "different seeds should (overwhelmingly) differ");
         // 64 accounts over 64 shards balanced => exactly one account each.
-        assert_eq!(m1.populated_shards(), 64);
         for sid in cfg.shard_ids() {
             assert_eq!(m1.accounts_of(sid).len(), 1);
         }

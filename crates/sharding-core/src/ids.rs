@@ -81,20 +81,6 @@ id_newtype!(
     "T"
 );
 
-id_newtype!(
-    /// Identifier of a physical node. Nodes are grouped into shards.
-    NodeId,
-    u64,
-    "v"
-);
-
-id_newtype!(
-    /// Epoch counter for epoch-based schedulers (Algorithm 1).
-    EpochId,
-    u64,
-    "E"
-);
-
 /// A discrete round of the synchronous execution.
 ///
 /// The paper defines a round as the time to run intra-shard PBFT consensus
@@ -229,8 +215,6 @@ mod tests {
         assert_serde::<ShardId>();
         assert_serde::<AccountId>();
         assert_serde::<TxnId>();
-        assert_serde::<NodeId>();
-        assert_serde::<EpochId>();
         assert_serde::<Round>();
         // The human-readable forms are part of the de-facto trace format.
         assert_eq!(Round(42).to_string(), "r42");

@@ -37,6 +37,6 @@ pub mod vnode;
 
 pub use config::{AccountMap, SystemConfig};
 pub use error::{Error, Result};
-pub use ids::{AccountId, EpochId, NodeId, Round, ShardId, TxnId};
+pub use ids::{AccountId, Round, ShardId, TxnId};
 pub use txn::{Access, AccessKind, Action, Condition, SubTransaction, Transaction};
 pub use vnode::{ReshardPlan, ReshardVersion, VnodeTable, VNODE_COUNT};

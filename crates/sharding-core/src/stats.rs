@@ -64,11 +64,6 @@ impl RunningStats {
         }
     }
 
-    /// Standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum observation (`None` when empty).
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)

@@ -70,11 +70,6 @@ pub struct SubTransaction {
 }
 
 impl SubTransaction {
-    /// True when the subtransaction only checks conditions (no writes).
-    pub fn is_read_only(&self) -> bool {
-        self.actions.is_empty()
-    }
-
     /// Approximate wire size in bytes (id + shard + 16 per condition or
     /// action), used by the message-size accounting that checks the
     /// paper's `O(bs)` message bound.
@@ -418,7 +413,6 @@ mod tests {
         let s0 = &t.subs[0];
         assert_eq!(s0.conditions.len(), 1);
         assert_eq!(s0.actions.len(), 1);
-        assert!(!s0.is_read_only());
         t.validate(4).unwrap();
     }
 

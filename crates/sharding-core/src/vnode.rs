@@ -73,12 +73,6 @@ impl VnodeTable {
         self.owner[vnode_of(account)]
     }
 
-    /// The shard owning vnode `v`.
-    #[inline]
-    pub fn owner_of(&self, v: usize) -> ShardId {
-        self.owner[v]
-    }
-
     /// Number of vnodes owned per shard, indexed by shard id (sized to
     /// the largest owner present plus one).
     pub fn load(&self) -> Vec<usize> {
@@ -341,7 +335,7 @@ mod tests {
         let active: Vec<ShardId> = (0..6).map(ShardId).collect();
         let grown = t.rebalanced(&active);
         let moved = (0..VNODE_COUNT)
-            .filter(|&v| t.owner_of(v) != grown.owner_of(v))
+            .filter(|&v| t.owner[v] != grown.owner[v])
             .count();
         // Exactly the two new shards' fair share moves, nothing else.
         let expected: usize = grown.load()[4] + grown.load()[5];
@@ -359,11 +353,11 @@ mod tests {
         let active: Vec<ShardId> = (0..4).map(ShardId).collect();
         let shrunk = t.rebalanced(&active);
         for v in 0..VNODE_COUNT {
-            let old = t.owner_of(v);
+            let old = t.owner[v];
             if old.index() < 4 {
-                assert_eq!(shrunk.owner_of(v), old, "surviving owner kept vnode {v}");
+                assert_eq!(shrunk.owner[v], old, "surviving owner kept vnode {v}");
             } else {
-                assert!(shrunk.owner_of(v).index() < 4, "vnode {v} rehomed");
+                assert!(shrunk.owner[v].index() < 4, "vnode {v} rehomed");
             }
         }
     }

@@ -174,23 +174,6 @@ impl LocalChain {
     }
 }
 
-/// Reconstructs a serialized global history from local chains by merging
-/// blocks in (round, txn id) order — the serialization the paper says is
-/// always possible ("combine and serialize the local chains to form a
-/// single global blockchain").
-pub fn global_history(chains: &[LocalChain]) -> Vec<(Round, TxnId, ShardId)> {
-    let mut out: Vec<(Round, TxnId, ShardId)> = chains
-        .iter()
-        .flat_map(|c| {
-            c.blocks()
-                .iter()
-                .flat_map(move |b| b.subs.iter().map(move |s| (b.round, s.txn, c.shard())))
-        })
-        .collect();
-    out.sort();
-    out
-}
-
 /// The elastic-resharding safety audit: `(lost, double_committed)`
 /// across a whole run, computed from the engine's commit log and the
 /// per-shard chains it sealed.
@@ -311,24 +294,6 @@ mod tests {
     fn misrouted_subtransaction_panics() {
         let mut c = LocalChain::new(ShardId(0));
         c.append(sub(1, 5), Round(1));
-    }
-
-    #[test]
-    fn global_history_merges_in_order() {
-        let mut c0 = LocalChain::new(ShardId(0));
-        let mut c1 = LocalChain::new(ShardId(1));
-        c0.append(sub(2, 0), Round(4));
-        c1.append(sub(1, 1), Round(2));
-        c1.append(sub(2, 1), Round(4));
-        let hist = global_history(&[c0, c1]);
-        assert_eq!(
-            hist,
-            vec![
-                (Round(2), TxnId(1), ShardId(1)),
-                (Round(4), TxnId(2), ShardId(0)),
-                (Round(4), TxnId(2), ShardId(1)),
-            ]
-        );
     }
 
     #[test]

@@ -12,9 +12,7 @@
 //!   PBFT completes within one round; we keep that timing assumption but
 //!   actually execute the quorum logic (pre-prepare/prepare/commit vote
 //!   counting under `n > 3f`), so fault-injection tests exercise real
-//!   decisions. Includes the `(f₁+1)×(f₂+1)` broadcast cluster-sending rule
-//!   of Hellings–Sadoghi that the paper cites for reliable inter-shard
-//!   transmission.
+//!   decisions.
 //! * [`ledger`] — account balances per shard and commit application,
 //!   including condition checking (the "condition + action" split of the
 //!   paper's subtransactions).
@@ -45,4 +43,4 @@ pub use blockchain::{reshard_audit, Block, LocalChain};
 pub use faults::{FaultCounters, FaultDecision, FaultPlan, LinkBank, LinkFaults};
 pub use ledger::ShardLedger;
 pub use network::{Envelope, Network};
-pub use pbft::{ClusterSender, ConsensusOutcome, PbftShard, Vote};
+pub use pbft::{ConsensusOutcome, PbftShard, Vote};

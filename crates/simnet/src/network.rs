@@ -52,7 +52,6 @@ pub struct Network<P> {
     /// Per-sender sequence counters.
     seq: Vec<u64>,
     sent_count: u64,
-    delivered_count: u64,
     /// Optional payload sizer for byte accounting (the paper bounds the
     /// worst-case message size by `O(bs)`).
     sizer: Option<fn(&P) -> usize>,
@@ -83,7 +82,6 @@ impl<P> Network<P> {
             shards: s,
             seq: vec![0; s],
             sent_count: 0,
-            delivered_count: 0,
             sizer: None,
             bytes_sent: 0,
             max_message_bytes: 0,
@@ -214,7 +212,6 @@ impl<P> Network<P> {
     pub fn deliver_due(&mut self, now: Round) -> Vec<Envelope<P>> {
         let mut due = self.in_flight.remove(&now).unwrap_or_default();
         due.sort_by_key(|e| (e.to, e.from, e.seq));
-        self.delivered_count += due.len() as u64;
         due
     }
 
@@ -226,11 +223,6 @@ impl<P> Network<P> {
     /// Total messages sent so far.
     pub fn sent_count(&self) -> u64 {
         self.sent_count
-    }
-
-    /// Total messages delivered so far.
-    pub fn delivered_count(&self) -> u64 {
-        self.delivered_count
     }
 
     /// The earliest round at which a message is due (None when idle).
@@ -295,7 +287,6 @@ mod tests {
         n.send_many(ShardId(0), (1..5).map(ShardId), Round(0), "b");
         assert_eq!(n.deliver_due(Round(1)).len(), 4);
         assert_eq!(n.sent_count(), 4);
-        assert_eq!(n.delivered_count(), 4);
     }
 
     #[test]

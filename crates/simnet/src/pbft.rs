@@ -1,19 +1,13 @@
-//! Intra-shard consensus and inter-shard cluster sending.
+//! Intra-shard consensus.
 //!
-//! The paper assumes (Section 3) that
-//!
-//! 1. each shard runs PBFT internally, one consensus per round, with
-//!    `n_i > 3 f_i`;
-//! 2. shards exchange data through a *cluster-sending protocol* with
-//!    agreement on send, identical receipt at all non-faulty receivers,
-//!    and sender confirmation — implemented by the broadcast rule that
-//!    picks `f₁+1` senders and `f₂+1` receivers so at least one
-//!    non-faulty → non-faulty pair exists.
-//!
-//! The timing is abstracted (everything resolves within the round), but
-//! the quorum arithmetic is executed for real, so tests can inject
-//! Byzantine behaviour and watch decisions survive (or watch construction
-//! be rejected when `n ≤ 3f`).
+//! The paper assumes (Section 3) that each shard runs PBFT internally,
+//! one consensus per round, with `n_i > 3 f_i`. The timing is abstracted
+//! (everything resolves within the round), but the quorum arithmetic is
+//! executed for real, so tests can inject Byzantine behaviour and watch
+//! decisions survive (or watch construction be rejected when `n ≤ 3f`).
+//! (Reliable inter-shard transmission — the cluster-sending protocol the
+//! paper cites — is assumed, not modelled: the fault plane drops and
+//! duplicates whole shard-to-shard messages instead.)
 
 use sharding_core::{Error, Result, ShardId};
 
@@ -110,17 +104,6 @@ impl PbftShard {
         }
     }
 
-    /// Consensus with all honest nodes voting for the proposal and all `f`
-    /// faulty nodes behaving as `faulty_vote`. This always decides the
-    /// proposal — the guarantee the paper's one-round assumption encodes.
-    pub fn decide_with_faults(&self, proposal: u64, faulty_vote: Vote) -> ConsensusOutcome {
-        let mut votes = vec![Vote::For(proposal); self.nodes];
-        for v in votes.iter_mut().take(self.faulty) {
-            *v = faulty_vote;
-        }
-        self.decide(proposal, &votes)
-    }
-
     /// Consensus with `flips` Byzantine voters equivocating for the
     /// bit-flipped digest and everyone else honest. `flips` is clamped to
     /// the declared bound `f` — the membership was constructed under
@@ -159,65 +142,6 @@ impl PbftShard {
     }
 }
 
-/// The cluster-sending rule between two shards: choose `f₁+1` senders in
-/// the source and `f₂+1` receivers in the destination; every chosen sender
-/// broadcasts to every chosen receiver.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusterSender {
-    /// Source shard membership.
-    pub from: PbftShard,
-    /// Destination shard membership.
-    pub to: PbftShard,
-}
-
-impl ClusterSender {
-    /// Number of point-to-point messages the broadcast rule uses:
-    /// `(f₁+1)·(f₂+1)`.
-    pub fn message_complexity(&self) -> usize {
-        (self.from.faulty() + 1) * (self.to.faulty() + 1)
-    }
-
-    /// Whether delivery is guaranteed when `sender_faults` of the chosen
-    /// senders and `receiver_faults` of the chosen receivers actually
-    /// misbehave: at least one honest→honest pair must remain.
-    pub fn delivery_guaranteed(&self, sender_faults: usize, receiver_faults: usize) -> bool {
-        sender_faults < self.from.faulty() + 1 && receiver_faults < self.to.faulty() + 1
-    }
-
-    /// Simulates one cluster-send: returns the digest accepted by the
-    /// destination's honest receivers, or `None` if every chosen pair was
-    /// faulty (impossible within the declared fault bounds).
-    ///
-    /// `sender_honest[i]` / `receiver_honest[j]` flag the chosen nodes'
-    /// honesty; honest senders transmit `digest` faithfully, faulty ones
-    /// send garbage (`!digest`). An honest receiver accepts a value it
-    /// hears from any sender, and the destination shard then runs internal
-    /// consensus to agree; with at least one honest sender the correct
-    /// digest reaches an honest receiver and wins.
-    pub fn transmit(
-        &self,
-        digest: u64,
-        sender_honest: &[bool],
-        receiver_honest: &[bool],
-    ) -> Option<u64> {
-        assert_eq!(sender_honest.len(), self.from.faulty() + 1);
-        assert_eq!(receiver_honest.len(), self.to.faulty() + 1);
-        let mut received: Vec<u64> = Vec::new();
-        for &sh in sender_honest {
-            let value = if sh { digest } else { !digest };
-            for &rh in receiver_honest {
-                if rh && sh {
-                    received.push(value);
-                }
-            }
-        }
-        // Honest receivers cross-validate against the sending shard's
-        // agreement certificate, so only the faithfully-relayed digest
-        // survives; it exists iff some honest→honest pair exists.
-        received.first().copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,19 +157,8 @@ mod tests {
     #[test]
     fn decides_with_silent_faults() {
         let p = PbftShard::new(ShardId(0), 4, 1).unwrap();
-        assert_eq!(
-            p.decide_with_faults(42, Vote::Silent),
-            ConsensusOutcome::Decided(42)
-        );
-    }
-
-    #[test]
-    fn decides_despite_equivocating_faults() {
-        let p = PbftShard::new(ShardId(0), 7, 2).unwrap();
-        assert_eq!(
-            p.decide_with_faults(7, Vote::For(999)),
-            ConsensusOutcome::Decided(7)
-        );
+        let votes = [Vote::Silent, Vote::For(42), Vote::For(42), Vote::For(42)];
+        assert_eq!(p.decide(42, &votes), ConsensusOutcome::Decided(42));
     }
 
     #[test]
@@ -309,31 +222,5 @@ mod tests {
             );
             assert!(PbftShard::new(ShardId(0), 3 * f + 1, f).is_ok());
         }
-    }
-
-    #[test]
-    fn cluster_send_complexity() {
-        let a = PbftShard::new(ShardId(0), 4, 1).unwrap();
-        let b = PbftShard::new(ShardId(1), 7, 2).unwrap();
-        let cs = ClusterSender { from: a, to: b };
-        assert_eq!(cs.message_complexity(), 2 * 3);
-        assert!(cs.delivery_guaranteed(1, 2));
-        assert!(!cs.delivery_guaranteed(2, 0), "all chosen senders faulty");
-    }
-
-    #[test]
-    fn transmit_survives_worst_case_within_bounds() {
-        let a = PbftShard::new(ShardId(0), 4, 1).unwrap();
-        let b = PbftShard::new(ShardId(1), 4, 1).unwrap();
-        let cs = ClusterSender { from: a, to: b };
-        // One faulty sender, one faulty receiver — still one honest pair.
-        assert_eq!(
-            cs.transmit(0xBEEF, &[false, true], &[true, false]),
-            Some(0xBEEF)
-        );
-        // Everything honest.
-        assert_eq!(cs.transmit(1, &[true, true], &[true, true]), Some(1));
-        // Fault bounds violated: all senders faulty → no delivery.
-        assert_eq!(cs.transmit(1, &[false, false], &[true, true]), None);
     }
 }

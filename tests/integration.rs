@@ -5,7 +5,7 @@
 use blockshard::adversary::{validate_trace, Adversary, TraceRecorder};
 use blockshard::core_types::{Transaction, TxnId};
 use blockshard::prelude::*;
-use blockshard::schedulers::bds::{BdsConfig, BdsSim};
+use blockshard::schedulers::bds::{BdsConfig, BdsProtocol, BdsSim};
 use blockshard::schedulers::fds::{run_fds_line, FdsConfig, FdsSim};
 use std::collections::BTreeMap;
 
@@ -178,15 +178,16 @@ fn networked_runtime_agrees_with_simulator_on_paper_shape() {
         seed: 41,
         ..Default::default()
     };
-    let net = blockshard::runtime::run_net_bds(
-        &sys,
-        &map,
-        &adv,
-        Round(700),
-        &UniformMetric::new(sys.shards),
-        Default::default(),
-        &blockshard::simnet::FaultPlan::default(),
-    );
+    let run = blockshard::runtime::NetRun {
+        sys: &sys,
+        map: &map,
+        metric: &UniformMetric::new(sys.shards),
+        faults: &blockshard::simnet::FaultPlan::default(),
+        workers: blockshard::runtime::default_workers(sys.shards),
+        metrics: false,
+    };
+    let proto = BdsProtocol::new(BdsConfig::default(), SchedulerKind::Bds);
+    let net = run.run(&proto, &mut Adversary::new(&sys, &map, adv), Round(700));
     let sim = blockshard::schedulers::bds::run_bds(&sys, &map, &adv, Round(700));
     assert_eq!(net.report.summary(), sim.summary(), "full report parity");
     assert!(net.chains_verified);
