@@ -73,9 +73,9 @@ impl ShardBudgets {
     }
 
     /// Tries to admit-and-charge atomically; returns whether it succeeded.
-    pub fn try_charge(&mut self, shards: &[ShardId]) -> bool {
-        if self.can_admit(shards.iter().copied()) {
-            self.charge(shards.iter().copied());
+    pub fn try_charge(&mut self, shards: impl IntoIterator<Item = ShardId> + Clone) -> bool {
+        if self.can_admit(shards.clone()) {
+            self.charge(shards);
             true
         } else {
             false
@@ -97,22 +97,22 @@ mod tests {
         b.tick();
         // Round 0 budget: rho*1 + b = 5.1 → 5 admissions of shard 0.
         for _ in 0..5 {
-            assert!(b.try_charge(&[sid(0)]));
+            assert!(b.try_charge([sid(0)]));
         }
-        assert!(!b.try_charge(&[sid(0)]), "sixth admission must fail");
+        assert!(!b.try_charge([sid(0)]), "sixth admission must fail");
         // Shard 1 untouched.
-        assert!(b.try_charge(&[sid(1)]));
+        assert!(b.try_charge([sid(1)]));
     }
 
     #[test]
     fn refills_at_rho() {
         let mut b = ShardBudgets::new(1, 0.5, 1);
         b.tick();
-        assert!(b.try_charge(&[sid(0)])); // level 1.5 -> 0.5
-        assert!(!b.try_charge(&[sid(0)]));
+        assert!(b.try_charge([sid(0)])); // level 1.5 -> 0.5
+        assert!(!b.try_charge([sid(0)]));
         b.tick(); // 0.5 + 0.5 = 1.0
-        assert!(b.try_charge(&[sid(0)]));
-        assert!(!b.try_charge(&[sid(0)]));
+        assert!(b.try_charge([sid(0)]));
+        assert!(!b.try_charge([sid(0)]));
     }
 
     #[test]
@@ -130,10 +130,10 @@ mod tests {
     fn multi_shard_charge_requires_all() {
         let mut b = ShardBudgets::new(2, 0.1, 1);
         b.tick();
-        assert!(b.try_charge(&[sid(0), sid(1)]));
+        assert!(b.try_charge([sid(0), sid(1)]));
         // Both buckets now at 0.1: a txn touching either fails.
-        assert!(!b.try_charge(&[sid(0)]));
-        assert!(!b.try_charge(&[sid(0), sid(1)]));
+        assert!(!b.try_charge([sid(0)]));
+        assert!(!b.try_charge([sid(0), sid(1)]));
     }
 
     #[test]
@@ -147,7 +147,7 @@ mod tests {
         for _ in 0..500 {
             bucket.tick();
             let mut n = 0u64;
-            while bucket.try_charge(&[sid(0)]) {
+            while bucket.try_charge([sid(0)]) {
                 n += 1;
             }
             per_round.push(n);

@@ -7,7 +7,9 @@ use rand::seq::SliceRandom;
 use rand::Rng as _;
 use serde::{Deserialize, Serialize};
 use sharding_core::rngutil::{seeded_rng, split_seed, Rng};
-use sharding_core::{AccountId, AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
+use sharding_core::{
+    AccountId, AccountMap, Action, Condition, Round, ShardId, SystemConfig, Transaction, TxnId,
+};
 
 /// How an admitted shard access set becomes a concrete transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -116,6 +118,7 @@ pub struct Adversary {
     rng: Rng,
     next_id: u64,
     generated: u64,
+    scratch: TxnScratch,
 }
 
 impl Adversary {
@@ -131,6 +134,7 @@ impl Adversary {
             acfg,
             next_id: 0,
             generated: 0,
+            scratch: TxnScratch::default(),
         }
     }
 
@@ -156,97 +160,119 @@ impl Adversary {
         );
         let mut out = Vec::new();
         for shards in proposals {
-            if !self.budgets.try_charge(&shards) {
+            if !self.budgets.try_charge(shards.iter().copied()) {
                 continue; // Budget exhausted for some accessed shard: drop.
             }
             let id = TxnId(self.next_id);
             self.next_id += 1;
             let home = ShardId(self.rng.gen_range(0..self.cfg.shards as u32));
-            let txn = self.build_txn(id, home, round, &shards);
-            out.push(txn);
+            // One random account per accessed shard.
+            self.scratch.clear();
+            for &s in &shards {
+                let account = *self
+                    .map
+                    .accounts_of(s)
+                    .choose(&mut self.rng)
+                    .unwrap_or_else(|| panic!("shard {s} owns no accounts"));
+                self.scratch.push(account, s);
+            }
+            let shape = self.acfg.shape;
+            out.push(self.scratch.shape(shape, &mut self.rng, id, home, round));
         }
         self.generated += out.len() as u64;
         out
     }
+}
 
-    /// Builds a transaction over one random account per shard in `shards`,
-    /// shaped per [`WorkloadShape`].
-    fn build_txn(
+/// The buffers a producer reuses from one transaction to the next: the
+/// accounts the next transaction accesses, each with its owning shard,
+/// and the tagged parts handed to [`Transaction::from_parts`] — so a
+/// build allocates only the transaction's own two vectors.
+#[derive(Debug, Default)]
+pub(crate) struct TxnScratch {
+    accounts: Vec<(ShardId, AccountId)>,
+    conditions: Vec<(ShardId, Condition)>,
+    actions: Vec<(ShardId, Action)>,
+}
+
+impl TxnScratch {
+    /// Forgets the previous transaction's accounts.
+    pub(crate) fn clear(&mut self) {
+        self.accounts.clear();
+    }
+
+    /// Adds `account`, owned by `shard`, to the next transaction.
+    pub(crate) fn push(&mut self, account: AccountId, shard: ShardId) {
+        self.accounts.push((shard, account));
+    }
+
+    /// How many accounts the next transaction accesses so far.
+    pub(crate) fn len(&self) -> usize {
+        self.accounts.len()
+    }
+
+    /// Shards of the accounts pushed so far, in push order.
+    pub(crate) fn shards(&self) -> impl Iterator<Item = ShardId> + '_ {
+        self.accounts.iter().map(|&(s, _)| s)
+    }
+
+    /// Builds a transaction over the pushed accounts shaped per
+    /// [`WorkloadShape`] — the shaping step shared by the per-round
+    /// [`Adversary`] and the streaming firehose sources
+    /// ([`crate::stream`]), so both emit byte-identical transaction bodies
+    /// for the same account choices.
+    ///
+    /// Consumes RNG draws only for the `Transfers` amount, after the
+    /// caller has picked the accounts (this ordering is load-bearing: it
+    /// keeps the legacy generator's ChaCha stream — and therefore every
+    /// golden report — unchanged).
+    pub(crate) fn shape(
         &mut self,
+        shape: WorkloadShape,
+        rng: &mut Rng,
         id: TxnId,
         home: ShardId,
         round: Round,
-        shards: &[ShardId],
     ) -> Transaction {
-        let accounts: Vec<_> = shards
-            .iter()
-            .map(|&s| {
-                *self
-                    .map
-                    .accounts_of(s)
-                    .choose(&mut self.rng)
-                    .unwrap_or_else(|| panic!("shard {s} owns no accounts"))
-            })
-            .collect();
-        shape_txn(
-            &self.map,
-            self.acfg.shape,
-            &mut self.rng,
-            id,
-            home,
-            round,
-            &accounts,
-        )
-    }
-}
-
-/// Builds a transaction over `accounts` shaped per [`WorkloadShape`] —
-/// the shaping step shared by the per-round [`Adversary`] and the
-/// streaming firehose sources ([`crate::stream`]), so both emit
-/// byte-identical transaction bodies for the same account choices.
-///
-/// Consumes RNG draws only for the `Transfers` amount, after the caller
-/// has picked the accounts (this ordering is load-bearing: it keeps the
-/// legacy generator's ChaCha stream — and therefore every golden report —
-/// unchanged).
-pub(crate) fn shape_txn(
-    map: &AccountMap,
-    shape: WorkloadShape,
-    rng: &mut Rng,
-    id: TxnId,
-    home: ShardId,
-    round: Round,
-    accounts: &[AccountId],
-) -> Transaction {
-    let mut builder = sharding_core::txn::TxnBuilder::new(id, home, round, map);
-    match shape {
-        WorkloadShape::WriteOnly => {
-            for &a in accounts {
-                builder = builder.update(a, 1);
-            }
-        }
-        WorkloadShape::Transfers { amount_max } => {
-            let amount = rng.gen_range(1..=amount_max.max(1));
-            let payer = accounts[0];
-            if accounts.len() == 1 {
-                // Single-shard: a deposit.
-                builder = builder.update(payer, amount as i64);
-            } else {
-                let share = (amount / (accounts.len() as u64 - 1)).max(1);
-                builder = builder.check(payer, amount).update(payer, -(amount as i64));
-                for &a in &accounts[1..] {
-                    builder = builder.update(a, share as i64);
+        let TxnScratch {
+            accounts,
+            conditions,
+            actions,
+        } = self;
+        conditions.clear();
+        actions.clear();
+        let update = |&(s, account): &(ShardId, AccountId), delta| (s, Action { account, delta });
+        let check = |&(s, account): &(ShardId, AccountId), min_balance| {
+            let condition = Condition {
+                account,
+                min_balance,
+            };
+            (s, condition)
+        };
+        match shape {
+            WorkloadShape::WriteOnly => actions.extend(accounts.iter().map(|a| update(a, 1))),
+            WorkloadShape::Transfers { amount_max } => {
+                let amount = rng.gen_range(1..=amount_max.max(1));
+                let (payer, payees) = accounts.split_first().expect("non-empty access set");
+                if payees.is_empty() {
+                    // Single-shard: a deposit.
+                    actions.push(update(payer, amount as i64));
+                } else {
+                    let share = (amount / payees.len() as u64).max(1);
+                    conditions.push(check(payer, amount));
+                    actions.push(update(payer, -(amount as i64)));
+                    actions.extend(payees.iter().map(|a| update(a, share as i64)));
                 }
             }
-        }
-        WorkloadShape::ReadMostly => {
-            builder = builder.update(accounts[0], 1);
-            for &a in &accounts[1..] {
-                builder = builder.check(a, 0);
+            WorkloadShape::ReadMostly => {
+                let (writer, readers) = accounts.split_first().expect("non-empty access set");
+                actions.push(update(writer, 1));
+                conditions.extend(readers.iter().map(|a| check(a, 0)));
             }
         }
+        Transaction::from_parts(id, home, round, conditions, actions)
+            .expect("non-empty admitted access set")
     }
-    builder.build().expect("non-empty admitted access set")
 }
 
 #[cfg(test)]

@@ -5,12 +5,18 @@
 //! # Layout
 //!
 //! The pool keeps one *lane* per home shard. A lane is a bucketed
-//! priority index: 256 fee buckets, each an ordered map from [`TxnId`]
-//! to the pending transaction, plus a 4-word occupancy bitmap so the
-//! highest/lowest non-empty bucket is found in a handful of bit
-//! operations. Priority order is **(fee descending, id ascending)** —
-//! higher fees first, FIFO within a fee class (ids are assigned in
-//! generation order).
+//! priority index: 256 fee buckets, each a FIFO deque of the pending
+//! transactions of that fee kept sorted by [`TxnId`], plus a 4-word
+//! occupancy bitmap so the highest/lowest non-empty bucket is found in a
+//! handful of bit operations. Priority order is **(fee descending, id
+//! ascending)** — higher fees first, FIFO within a fee class (ids are
+//! assigned in generation order) — so the lane's maximum is the front of
+//! its highest bucket and its minimum the back of its lowest. Ids almost
+//! always arrive ascending, which makes an insert a `push_back`; a deque
+//! keeps its capacity when it empties, so a warm lane allocates nothing.
+//! The lane header caches the minimum's `(fee, id)`: a full lane turns a
+//! losing offer away — the common case under saturation — without
+//! touching a bucket.
 //!
 //! # Backpressure
 //!
@@ -51,7 +57,8 @@ use crate::budget::ShardBudgets;
 use crate::generator::Adversary;
 use serde::{Deserialize, Serialize};
 use sharding_core::{Round, ShardId, Transaction, TxnId};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::VecDeque;
 
 /// Number of fee classes (`u8` fees map 1:1 onto buckets).
 const FEE_BUCKETS: usize = 256;
@@ -96,23 +103,30 @@ impl RoundSource for Adversary {
     }
 }
 
+/// A transaction's place in the priority order: the larger rank wins.
+type Rank = (u8, Reverse<TxnId>);
+
 /// One home shard's bounded priority lane.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct Lane {
     /// `buckets[fee]` holds the lane's pending transactions of that fee,
-    /// ordered by id (FIFO within the fee class).
-    buckets: Vec<BTreeMap<TxnId, Transaction>>,
+    /// ascending by id (FIFO within the fee class).
+    buckets: Vec<VecDeque<Transaction>>,
     /// Bit `fee` set ⇔ `buckets[fee]` is non-empty.
     occupied: [u64; 4],
     len: usize,
+    /// Rank of the lane's minimum — lowest fee, largest id; `None` ⇔
+    /// the lane is empty.
+    min: Option<Rank>,
 }
 
 impl Lane {
     fn new() -> Lane {
         Lane {
-            buckets: vec![BTreeMap::new(); FEE_BUCKETS],
+            buckets: vec![VecDeque::new(); FEE_BUCKETS],
             occupied: [0; 4],
             len: 0,
+            min: None,
         }
     }
 
@@ -137,33 +151,55 @@ impl Lane {
     }
 
     fn put(&mut self, fee: u8, txn: Transaction) {
-        let b = fee as usize;
-        self.buckets[b].insert(txn.id, txn);
-        self.occupied[b / 64] |= 1 << (b % 64);
+        let rank = (fee, Reverse(txn.id));
+        self.min = Some(self.min.map_or(rank, |min| min.min(rank)));
+        let bucket = &mut self.buckets[fee as usize];
+        if bucket.back().is_none_or(|last| last.id < txn.id) {
+            bucket.push_back(txn);
+        } else {
+            let at = bucket.partition_point(|t| t.id < txn.id);
+            bucket.insert(at, txn);
+        }
+        self.occupied[fee as usize / 64] |= 1 << (fee % 64);
         self.len += 1;
     }
 
-    fn remove(&mut self, fee: usize, id: TxnId) -> Transaction {
-        let txn = self.buckets[fee].remove(&id).expect("resident txn");
+    /// Book-keeping after one transaction left bucket `fee`.
+    fn note_removed(&mut self, fee: usize) {
         if self.buckets[fee].is_empty() {
             self.occupied[fee / 64] &= !(1 << (fee % 64));
         }
         self.len -= 1;
-        txn
     }
 
     /// The lane's maximum under (fee desc, id asc), without removing it.
-    fn peek_max(&self) -> Option<(usize, &Transaction)> {
-        let fee = self.highest()?;
-        let (_, txn) = self.buckets[fee].iter().next()?;
-        Some((fee, txn))
+    fn peek_max(&self) -> Option<&Transaction> {
+        self.buckets[self.highest()?].front()
     }
 
-    /// The lane's minimum under the same order: lowest fee, largest id.
-    fn peek_min(&self) -> Option<(usize, TxnId)> {
-        let fee = self.lowest()?;
-        let (&id, _) = self.buckets[fee].iter().next_back()?;
-        Some((fee, id))
+    /// Removes the lane's maximum. The minimum only changes when the
+    /// two coincide, which leaves the lane empty.
+    fn pop_max(&mut self) -> Transaction {
+        let fee = self.highest().expect("non-empty lane");
+        let txn = self.buckets[fee].pop_front().expect("occupied bucket");
+        self.note_removed(fee);
+        if self.len == 0 {
+            self.min = None;
+        }
+        txn
+    }
+
+    /// Removes the lane's minimum and re-reads the cached rank from the
+    /// buckets.
+    fn pop_min(&mut self) -> Transaction {
+        let fee = self.lowest().expect("non-empty lane");
+        let txn = self.buckets[fee].pop_back().expect("occupied bucket");
+        self.note_removed(fee);
+        self.min = self.lowest().map(|fee| {
+            let last = self.buckets[fee].back().expect("occupied bucket");
+            (fee as u8, Reverse(last.id))
+        });
+        txn
     }
 }
 
@@ -174,8 +210,6 @@ pub struct Mempool {
     lanes: Vec<Lane>,
     capacity: usize,
     stats: MempoolStats,
-    /// Scratch for a candidate's accessed-shard set during the drain.
-    shard_scratch: Vec<ShardId>,
 }
 
 impl Mempool {
@@ -191,7 +225,6 @@ impl Mempool {
             lanes: (0..shards).map(|_| Lane::new()).collect(),
             capacity,
             stats: MempoolStats::default(),
-            shard_scratch: Vec::new(),
         }
     }
 
@@ -205,13 +238,19 @@ impl Mempool {
             return;
         }
         self.stats.evicted += 1;
-        let (min_fee, min_id) = lane.peek_min().expect("full lane is non-empty");
-        let incoming_wins =
-            (fee as usize) > min_fee || ((fee as usize) == min_fee && txn.id < min_id);
-        if incoming_wins {
-            lane.remove(min_fee, min_id);
+        if Some((fee, Reverse(txn.id))) > lane.min {
+            lane.pop_min();
             lane.put(fee, txn);
         }
+    }
+
+    /// `(fee, id)` of the lowest-priority transaction resident in
+    /// `home`'s lane — what an offer to that lane must beat once it is
+    /// full.
+    pub fn lane_min(&self, home: ShardId) -> Option<(u8, TxnId)> {
+        self.lanes[home.index()]
+            .min
+            .map(|(fee, Reverse(id))| (fee, id))
     }
 
     /// Total transactions resident across all lanes.
@@ -235,15 +274,12 @@ impl Mempool {
         let mut out = Vec::new();
         for i in 0..n {
             let lane = &mut self.lanes[(round.0 as usize + i) % n];
-            while let Some((fee, txn)) = lane.peek_max() {
-                self.shard_scratch.clear();
-                self.shard_scratch.extend(txn.shards());
-                if !budgets.try_charge(&self.shard_scratch) {
+            while let Some(txn) = lane.peek_max() {
+                if !budgets.try_charge(txn.shards()) {
                     self.stats.deferred += 1;
                     break;
                 }
-                let id = txn.id;
-                out.push(lane.remove(fee, id));
+                out.push(lane.pop_max());
             }
         }
         self.stats.admitted += out.len() as u64;

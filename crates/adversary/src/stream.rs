@@ -3,10 +3,17 @@
 //! Where the classic strategies ([`crate::strategy`]) propose *shard*
 //! access sets over a handful of shards, these producers stream *account*
 //! draws over universes of millions of ids, lazily from the ChaCha
-//! stream — no pre-materialized account tables. The Zipf producer draws
-//! from an [`AliasTable`] (O(n) build once, one uniform per draw); the
-//! shifting-hotspot producer needs no table at all: a hot window sweeps
-//! the universe and each draw is a bounded uniform.
+//! stream. The Zipf producer draws from an [`AliasTable`] (O(n) build
+//! once, one uniform per draw); the shifting-hotspot producer needs no
+//! table at all: a hot window sweeps the universe and each draw is a
+//! bounded uniform.
+//!
+//! What a producer holds per account is the alias table (12 bytes an id,
+//! Zipf only) and one bit an id for the distinct-accounts count; the
+//! placement map is the caller's, shared by reference count. What it
+//! allocates per offer is the transaction itself — two heap blocks — and
+//! per round the vector the offers are returned in: the account, shard
+//! and part buffers live in the producer and are reused.
 //!
 //! A producer offers a fixed number of transactions per round, each
 //! tagged with a `u8` fee; the [`IngestPipeline`](crate::IngestPipeline)
@@ -15,11 +22,11 @@
 //! networked executor pre-drain the same stream the simulator drains
 //! round by round and stay byte-identical.
 
-use crate::generator::{shape_txn, WorkloadShape};
+use crate::generator::{TxnScratch, WorkloadShape};
 use crate::strategy::AliasTable;
 use rand::Rng as _;
 use sharding_core::rngutil::{seeded_rng, split_seed, Rng};
-use sharding_core::{AccountId, AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
+use sharding_core::{AccountId, AccountMap, Round, SystemConfig, Transaction, TxnId};
 
 /// Domain-separation tag for the firehose ChaCha stream (distinct from
 /// the legacy generator's `0xADBE`).
@@ -106,6 +113,7 @@ pub struct StreamSource {
     /// One bit per account id: set once the id has been streamed.
     seen: Vec<u64>,
     distinct: u64,
+    scratch: TxnScratch,
 }
 
 impl StreamSource {
@@ -147,6 +155,7 @@ impl StreamSource {
             next_id: 0,
             seen: vec![0u64; cfg.accounts.div_ceil(64)],
             distinct: 0,
+            scratch: TxnScratch::default(),
         }
     }
 
@@ -195,35 +204,25 @@ impl StreamSource {
     /// accessed shard, fee drawn uniformly over the 256 classes.
     pub fn offer_round(&mut self, round: Round) -> Vec<(u8, Transaction)> {
         let mut out = Vec::with_capacity(self.offered as usize);
-        let mut accounts: Vec<AccountId> = Vec::new();
-        let mut shards: Vec<ShardId> = Vec::new();
         for _ in 0..self.offered {
             let width = self.rng.gen_range(1..=self.cfg.k_max);
-            accounts.clear();
-            shards.clear();
+            self.scratch.clear();
             let mut attempts = 0;
-            while shards.len() < width && attempts < 8 * width {
+            while self.scratch.len() < width && attempts < 8 * width {
                 let a = self.draw_account(round);
                 let s = self.map.owner_unchecked(a);
-                if !shards.contains(&s) {
-                    shards.push(s);
-                    accounts.push(a);
+                if !self.scratch.shards().any(|seen| seen == s) {
+                    self.scratch.push(a, s);
                 }
                 attempts += 1;
             }
             let fee = self.rng.gen_range(0..256u32) as u8;
             let id = TxnId(self.next_id);
             self.next_id += 1;
-            let home = shards[0];
-            let txn = shape_txn(
-                &self.map,
-                self.shape,
-                &mut self.rng,
-                id,
-                home,
-                round,
-                &accounts,
-            );
+            let home = self.scratch.shards().next().expect("width >= 1");
+            let txn = self
+                .scratch
+                .shape(self.shape, &mut self.rng, id, home, round);
             out.push((fee, txn));
         }
         out
@@ -288,7 +287,7 @@ mod tests {
         let mut s = source(StreamKind::Zipf { exponent: 0.7 });
         for r in 0..10 {
             for (_, t) in s.offer_round(Round(r)) {
-                let shards: Vec<ShardId> = t.shards().collect();
+                let shards: Vec<_> = t.shards().collect();
                 let mut dedup = shards.clone();
                 dedup.sort_unstable();
                 dedup.dedup();

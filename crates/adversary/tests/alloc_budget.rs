@@ -1,0 +1,114 @@
+//! The ingestion path's allocation budget, counted with this binary's
+//! own global allocator: a transaction is two heap blocks (`subs`,
+//! `accesses`) and nothing else on the way from the producer through the
+//! pool allocates per offer.
+//!
+//! One `#[test]` in the binary, so no other test thread's allocations
+//! are counted.
+
+use adversary::{IngestPipeline, Mempool, RoundSource, StreamKind, StreamSource, WorkloadShape};
+use sharding_core::{AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+/// Calls to `alloc`, `alloc_zeroed` and `realloc`.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method hands its arguments unchanged to `System`, whose
+// implementation upholds the `GlobalAlloc` contract, and returns what it
+// returns; the bookkeeping is one relaxed atomic and never touches the
+// allocated memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        // SAFETY: the caller's obligations are those of `System.alloc`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        // SAFETY: the caller's obligations are those of `System.alloc_zeroed`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's obligations are those of `System.dealloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        // SAFETY: the caller's obligations are those of `System.realloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.load(Relaxed);
+    let out = f();
+    (ALLOCS.load(Relaxed) - before, out)
+}
+
+const LANES: usize = 8;
+const OFFERED: u64 = 200;
+/// Allocations a round may make whatever it is offered: the offer
+/// vector, the admitted batch growing from empty, and the odd fee bucket
+/// doubling as the lanes' fee cutoff rises.
+const PER_ROUND: u64 = 8;
+
+#[test]
+fn ingestion_allocates_two_blocks_per_offer_and_none_for_a_losing_one() {
+    let sys = SystemConfig {
+        shards: LANES,
+        accounts: 4_096,
+        k_max: 4,
+        nodes_per_shard: 4,
+        faulty_per_shard: 1,
+    };
+    let map = AccountMap::round_robin(&sys);
+    let kind = StreamKind::Zipf { exponent: 0.6 };
+    let shape = WorkloadShape::WriteOnly;
+    let source = StreamSource::new(&sys, &map, kind, shape, 0.5, 4, OFFERED, 20);
+    // 200 offers a round into 8 × 32 slots at about 1.6 admissions a
+    // round: every lane is full long before the warm-up ends.
+    let mut pipeline = IngestPipeline::new(source, 32);
+    for r in 0..100 {
+        pipeline.next_round(Round(r));
+    }
+    let warm = pipeline.stats().expect("pipeline has a pool");
+    let rounds = 100;
+    let (allocs, admitted) = allocs_during(|| {
+        (100..100 + rounds)
+            .map(|r| pipeline.next_round(Round(r)).len())
+            .sum::<usize>()
+    });
+    let stats = pipeline.stats().expect("pipeline has a pool");
+    assert!(admitted > 0, "the drain is exercised");
+    assert!(
+        stats.evicted - warm.evicted >= rounds * OFFERED * 9 / 10,
+        "saturated: nearly every offer meets a full lane"
+    );
+    let budget = 2 * rounds * OFFERED + PER_ROUND * rounds;
+    assert!(
+        allocs <= budget,
+        "{allocs} allocations over {rounds} rounds of {OFFERED} offers (budget {budget})"
+    );
+
+    // An offer that loses to a full lane is decided on the lane header.
+    let mut pool = Mempool::new(1, 2);
+    let txn = |id| {
+        Transaction::writing_shards(TxnId(id), ShardId(0), Round::ZERO, &map, &[ShardId(0)])
+            .unwrap()
+    };
+    pool.offer(9, txn(0));
+    pool.offer(9, txn(1));
+    let loser = txn(2);
+    let (allocs, ()) = allocs_during(|| pool.offer(0, loser));
+    assert_eq!(allocs, 0, "a losing offer allocates nothing");
+    assert_eq!((pool.depth(), pool.stats().evicted), (2, 1));
+}

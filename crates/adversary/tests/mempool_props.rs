@@ -10,11 +10,16 @@
 //!    are identical — the property that makes the ingestion plane safe
 //!    under the engine's thread-count and sim/net byte-equality
 //!    guarantees.
+//! 3. **Lane vs the ordered-map oracle**: the bucketed deques and the
+//!    cached lane minimum agree, step by step, with one ordered map per
+//!    lane truncated to capacity.
 
-use adversary::{Mempool, ShardBudgets, StreamKind, StreamSource, WorkloadShape};
+use adversary::{Mempool, MempoolStats, ShardBudgets, StreamKind, StreamSource, WorkloadShape};
 use proptest::prelude::*;
 use sharding_core::rngutil::seeded_rng;
 use sharding_core::{AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 
 fn small_sys(shards: usize, accounts: usize) -> (SystemConfig, AccountMap) {
     let sys = SystemConfig {
@@ -38,6 +43,57 @@ fn permute<T>(mut items: Vec<T>, swaps: &[usize]) -> Vec<T> {
         items.swap(i % n, s % n);
     }
     items
+}
+
+/// The reference pool: each lane one ordered map keyed by priority
+/// (first key = maximum, last key = minimum), truncated to `capacity`
+/// after every insert.
+struct RefPool {
+    lanes: Vec<BTreeMap<(Reverse<u8>, TxnId), Transaction>>,
+    capacity: usize,
+    stats: MempoolStats,
+}
+
+impl RefPool {
+    fn offer(&mut self, fee: u8, txn: Transaction) {
+        let lane = &mut self.lanes[txn.home.index()];
+        lane.insert((Reverse(fee), txn.id), txn);
+        if lane.len() > self.capacity {
+            lane.pop_last();
+            self.stats.evicted += 1;
+        }
+    }
+
+    fn lane_min(&self, lane: usize) -> Option<(u8, TxnId)> {
+        let (&(Reverse(fee), id), _) = self.lanes[lane].last_key_value()?;
+        Some((fee, id))
+    }
+
+    fn drain(&mut self, budgets: &mut ShardBudgets, round: u64) -> Vec<TxnId> {
+        let depth = self.lanes.iter().map(|l| l.len() as u64).sum();
+        self.stats.depth_max = self.stats.depth_max.max(depth);
+        let (n, mut out) = (self.lanes.len(), Vec::new());
+        for i in 0..n {
+            let lane = &mut self.lanes[(round as usize + i) % n];
+            while let Some(head) = lane.first_entry() {
+                if !budgets.try_charge(head.get().shards()) {
+                    self.stats.deferred += 1;
+                    break;
+                }
+                out.push(head.remove().id);
+            }
+        }
+        self.stats.admitted += out.len() as u64;
+        out
+    }
+
+    /// Counters and every lane's minimum against the pool's.
+    fn assert_agrees_with(&self, pool: &Mempool) {
+        for lane in 0..self.lanes.len() {
+            assert_eq!(pool.lane_min(ShardId(lane as u32)), self.lane_min(lane));
+        }
+        assert_eq!(pool.stats(), self.stats);
+    }
 }
 
 proptest! {
@@ -240,5 +296,60 @@ proptest! {
             .collect();
         let expected: Vec<u64> = (0..kept as u64).collect();
         prop_assert_eq!(drained, expected, "fee ties retain and drain FIFO by id");
+    }
+
+    /// Offers arrive shuffled — ids out of order inside a fee class —
+    /// with a budget-limited drain every few offers; after every offer
+    /// and every drain the pool agrees with the ordered-map reference on
+    /// the drained ids, the counters and each lane's cached minimum.
+    /// The capacity selector covers 1, a few, and "never full".
+    #[test]
+    fn lanes_agree_with_the_ordered_map_reference(
+        fees in proptest::collection::vec(0u8..4, 1..60),
+        swaps in proptest::collection::vec(0usize..60, 0..60),
+        capacity in 0usize..8,
+        every in 1usize..12,
+    ) {
+        const LANES: usize = 2;
+        let (_, map) = small_sys(LANES, 8);
+        let offers: Vec<(u8, Transaction)> = fees
+            .iter()
+            .enumerate()
+            .map(|(i, &fee)| {
+                let home = ShardId((i % LANES) as u32);
+                let t = Transaction::writing_shards(
+                    TxnId(i as u64), home, Round::ZERO, &map, &[home],
+                )
+                .unwrap();
+                (fee, t)
+            })
+            .collect();
+        let capacity = match capacity {
+            0 => offers.len(),
+            c => c,
+        };
+        let mut pool = Mempool::new(LANES, capacity);
+        let mut reference = RefPool {
+            lanes: vec![BTreeMap::new(); LANES],
+            capacity,
+            stats: MempoolStats::default(),
+        };
+        let mut budgets = (ShardBudgets::new(LANES, 0.9, 2), ShardBudgets::new(LANES, 0.9, 2));
+        let mut round = 0;
+        for (i, (fee, txn)) in permute(offers, &swaps).into_iter().enumerate() {
+            pool.offer(fee, txn.clone());
+            reference.offer(fee, txn);
+            reference.assert_agrees_with(&pool);
+            if (i + 1) % every == 0 {
+                pool.note_depth();
+                budgets.0.tick();
+                budgets.1.tick();
+                let drained: Vec<TxnId> =
+                    pool.drain(&mut budgets.0, Round(round)).iter().map(|t| t.id).collect();
+                prop_assert_eq!(drained, reference.drain(&mut budgets.1, round));
+                reference.assert_agrees_with(&pool);
+                round += 1;
+            }
+        }
     }
 }

@@ -10,6 +10,7 @@ use crate::ids::{AccountId, ShardId};
 use crate::rngutil::seeded_rng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Static description of a sharded blockchain system.
 ///
@@ -108,9 +109,16 @@ impl SystemConfig {
 ///
 /// Placement is fixed for a run: in this model objects never migrate between
 /// shards (this is the key difference from distributed transactional memory
-/// that the paper calls out in Section 2).
+/// that the paper calls out in Section 2). Nothing mutates a built map, so
+/// its tables are shared: a clone is a reference-count bump, whatever the
+/// size of the universe.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AccountMap {
+    tables: Arc<Tables>,
+}
+
+#[derive(Debug, PartialEq, Eq)]
+struct Tables {
     owner: Vec<ShardId>,
     /// Accounts owned by each shard, in ascending account order.
     per_shard: Vec<Vec<AccountId>>,
@@ -128,7 +136,7 @@ impl AccountMap {
             owner.push(s);
             per_shard[s.index()].push(AccountId(a));
         }
-        AccountMap { owner, per_shard }
+        AccountMap::from_tables(owner, per_shard)
     }
 
     /// Random placement (used by the paper's simulation: "generated random,
@@ -148,10 +156,7 @@ impl AccountMap {
         for (a, &s) in slots.iter().enumerate() {
             per_shard[s.index()].push(AccountId(a as u64));
         }
-        AccountMap {
-            owner: slots,
-            per_shard,
-        }
+        AccountMap::from_tables(slots, per_shard)
     }
 
     /// Builds a map from an explicit per-account owner vector over
@@ -162,12 +167,24 @@ impl AccountMap {
         for (a, &s) in owner.iter().enumerate() {
             per_shard[s.index()].push(AccountId(a as u64));
         }
-        AccountMap { owner, per_shard }
+        AccountMap::from_tables(owner, per_shard)
+    }
+
+    fn from_tables(owner: Vec<ShardId>, mut per_shard: Vec<Vec<AccountId>>) -> Self {
+        // The lists were grown by pushing and now live as long as the
+        // last handle does: give the doubling slack back.
+        for accounts in &mut per_shard {
+            accounts.shrink_to_fit();
+        }
+        AccountMap {
+            tables: Arc::new(Tables { owner, per_shard }),
+        }
     }
 
     /// Shard that owns `account`.
     pub fn owner(&self, account: AccountId) -> Result<ShardId> {
-        self.owner
+        self.tables
+            .owner
             .get(account.index())
             .copied()
             .ok_or(Error::UnknownAccount(account))
@@ -176,12 +193,13 @@ impl AccountMap {
     /// Shard that owns `account`, panicking on unknown ids (hot path).
     #[inline]
     pub fn owner_unchecked(&self, account: AccountId) -> ShardId {
-        self.owner[account.index()]
+        self.tables.owner[account.index()]
     }
 
     /// Accounts owned by `shard` (ascending order).
     pub fn accounts_of(&self, shard: ShardId) -> &[AccountId] {
-        self.per_shard
+        self.tables
+            .per_shard
             .get(shard.index())
             .map(Vec::as_slice)
             .unwrap_or(&[])
@@ -190,13 +208,13 @@ impl AccountMap {
     /// Total number of accounts.
     #[inline]
     pub fn len(&self) -> usize {
-        self.owner.len()
+        self.tables.owner.len()
     }
 
     /// True when the map holds no accounts.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.owner.is_empty()
+        self.tables.owner.is_empty()
     }
 }
 

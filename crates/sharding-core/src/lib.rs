@@ -12,6 +12,8 @@
 //!   max shards per transaction) and the account→shard placement map.
 //! * [`txn`] — transactions, subtransactions, conditions/actions, and the
 //!   conflict predicate of Section 3 of the paper.
+//! * [`inline`] — the inline-first sequence behind a subtransaction's
+//!   condition and action lists.
 //! * [`bounds`] — closed-form calculators for every bound proved in the
 //!   paper (Theorems 1–3, Lemmas 1–3), used by the experiment harness to
 //!   compare measured values against the paper's guarantees.
@@ -30,6 +32,7 @@ pub mod bounds;
 pub mod config;
 pub mod error;
 pub mod ids;
+pub mod inline;
 pub mod rngutil;
 pub mod stats;
 pub mod txn;
@@ -38,5 +41,6 @@ pub mod vnode;
 pub use config::{AccountMap, SystemConfig};
 pub use error::{Error, Result};
 pub use ids::{AccountId, Round, ShardId, TxnId};
+pub use inline::InlineVec;
 pub use txn::{Access, AccessKind, Action, Condition, SubTransaction, Transaction};
 pub use vnode::{ReshardPlan, ReshardVersion, VnodeTable, VNODE_COUNT};

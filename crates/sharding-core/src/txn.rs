@@ -10,8 +10,8 @@
 use crate::config::AccountMap;
 use crate::error::{Error, Result};
 use crate::ids::{AccountId, Round, ShardId, TxnId};
+use crate::inline::InlineVec;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Whether an access reads or writes (updates) the object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -64,10 +64,14 @@ pub struct SubTransaction {
     /// Destination shard that owns every account referenced below.
     pub dest: ShardId,
     /// Condition checks (reads) executed on the destination shard.
-    pub conditions: Vec<Condition>,
+    pub conditions: InlineVec<Condition>,
     /// Main actions (writes) executed on the destination shard.
-    pub actions: Vec<Action>,
+    pub actions: InlineVec<Action>,
 }
+
+// `peak_live_mb` is held to the byte: neither struct may grow.
+const _: () = assert!(std::mem::size_of::<SubTransaction>() <= 64);
+const _: () = assert!(std::mem::size_of::<Transaction>() <= 72);
 
 impl SubTransaction {
     /// Approximate wire size in bytes (id + shard + 16 per condition or
@@ -107,7 +111,7 @@ impl Transaction {
     }
 
     /// Destination shards, ascending.
-    pub fn shards(&self) -> impl Iterator<Item = ShardId> + '_ {
+    pub fn shards(&self) -> impl Iterator<Item = ShardId> + Clone + '_ {
         self.subs.iter().map(|s| s.dest)
     }
 
@@ -183,43 +187,76 @@ impl Transaction {
     /// original did (distinct destinations never exceed distinct
     /// accounts).
     pub fn regrouped(&self, map: &AccountMap) -> Transaction {
-        fn sub_for(
-            per_shard: &mut BTreeMap<ShardId, SubTransaction>,
-            dest: ShardId,
-            id: TxnId,
-        ) -> &mut SubTransaction {
-            per_shard.entry(dest).or_insert_with(|| SubTransaction {
-                txn: id,
-                dest,
-                conditions: Vec::new(),
-                actions: Vec::new(),
-            })
+        let tag = |account| map.owner_unchecked(account);
+        let conditions: Vec<_> = self
+            .subs
+            .iter()
+            .flat_map(|s| &s.conditions)
+            .map(|c| (tag(c.account), *c))
+            .collect();
+        let actions: Vec<_> = self
+            .subs
+            .iter()
+            .flat_map(|s| &s.actions)
+            .map(|a| (tag(a.account), *a))
+            .collect();
+        Transaction::from_parts(self.id, self.home, self.generated, &conditions, &actions)
+            .expect("a transaction has at least one part")
+    }
+
+    /// The one grouping routine: splits `conditions` and `actions`, each
+    /// tagged with the shard that owns its account, into per-shard
+    /// subtransactions exactly as the home shard does in the paper.
+    /// Conditions are filed first, then actions, each in the given
+    /// order, so a sub's lists keep the caller's order.
+    ///
+    /// Costs two allocations — `subs` at its exact length and the access
+    /// list — plus one per sub that holds a second condition or action.
+    pub fn from_parts(
+        id: TxnId,
+        home: ShardId,
+        generated: Round,
+        conditions: &[(ShardId, Condition)],
+        actions: &[(ShardId, Action)],
+    ) -> Result<Transaction> {
+        let parts = conditions.len() + actions.len();
+        if parts == 0 {
+            return Err(Error::EmptyTransaction(id));
         }
-        let mut per_shard: BTreeMap<ShardId, SubTransaction> = BTreeMap::new();
-        // Conditions first, then actions, each in existing sub order —
-        // the same discipline TxnBuilder uses, so the regroup is
-        // deterministic and idempotent.
-        for sub in &self.subs {
-            for c in &sub.conditions {
-                sub_for(&mut per_shard, map.owner_unchecked(c.account), self.id)
-                    .conditions
-                    .push(*c);
-            }
+        let dests = || {
+            let conditions = conditions.iter().map(|p| p.0);
+            conditions.chain(actions.iter().map(|p| p.0))
+        };
+        // A destination counts where it first appears (k is small).
+        let distinct = dests()
+            .enumerate()
+            .filter(|&(i, d)| !dests().take(i).any(|e| e == d))
+            .count();
+        let mut subs: Vec<SubTransaction> = Vec::with_capacity(distinct);
+        let mut accesses = Vec::with_capacity(parts);
+        for &(dest, c) in conditions {
+            sub_for(&mut subs, id, dest).conditions.push(c);
+            accesses.push(Access {
+                account: c.account,
+                kind: AccessKind::Read,
+            });
         }
-        for sub in &self.subs {
-            for a in &sub.actions {
-                sub_for(&mut per_shard, map.owner_unchecked(a.account), self.id)
-                    .actions
-                    .push(*a);
-            }
+        for &(dest, a) in actions {
+            sub_for(&mut subs, id, dest).actions.push(a);
+            accesses.push(Access {
+                account: a.account,
+                kind: AccessKind::Write,
+            });
         }
-        Transaction {
-            id: self.id,
-            home: self.home,
-            generated: self.generated,
-            subs: per_shard.into_values().collect(),
-            accesses: self.accesses.clone(),
-        }
+        accesses.sort_unstable();
+        accesses.dedup();
+        Ok(Transaction {
+            id,
+            home,
+            generated,
+            subs,
+            accesses,
+        })
     }
 
     /// Checks the structural invariants; used by tests and debug assertions.
@@ -248,6 +285,25 @@ impl Transaction {
     }
 }
 
+/// The sub of `txn` destined for `dest`, opened in place if this is its
+/// first part; `subs` stays sorted by destination.
+fn sub_for(subs: &mut Vec<SubTransaction>, txn: TxnId, dest: ShardId) -> &mut SubTransaction {
+    let at = subs
+        .iter()
+        .position(|s| s.dest >= dest)
+        .unwrap_or(subs.len());
+    if subs.get(at).is_none_or(|s| s.dest != dest) {
+        let sub = SubTransaction {
+            txn,
+            dest,
+            conditions: InlineVec::new(),
+            actions: InlineVec::new(),
+        };
+        subs.insert(at, sub);
+    }
+    &mut subs[at]
+}
+
 /// Builder that groups reads/writes by owning shard into subtransactions.
 #[derive(Debug)]
 pub struct TxnBuilder<'m> {
@@ -255,8 +311,9 @@ pub struct TxnBuilder<'m> {
     home: ShardId,
     generated: Round,
     map: &'m AccountMap,
-    conditions: Vec<Condition>,
-    actions: Vec<Action>,
+    /// Parts in call order; `build` fills in each owner.
+    conditions: Vec<(ShardId, Condition)>,
+    actions: Vec<(ShardId, Action)>,
 }
 
 impl<'m> TxnBuilder<'m> {
@@ -274,70 +331,36 @@ impl<'m> TxnBuilder<'m> {
 
     /// Adds a condition check (a read).
     pub fn check(mut self, account: AccountId, min_balance: u64) -> Self {
-        self.conditions.push(Condition {
+        let condition = Condition {
             account,
             min_balance,
-        });
+        };
+        self.conditions.push((ShardId(0), condition));
         self
     }
 
     /// Adds a main action (a write).
     pub fn update(mut self, account: AccountId, delta: i64) -> Self {
-        self.actions.push(Action { account, delta });
+        self.actions.push((ShardId(0), Action { account, delta }));
         self
     }
 
     /// Finalizes the transaction, splitting into per-shard subtransactions
     /// exactly as the home shard does in the paper.
-    pub fn build(self) -> Result<Transaction> {
-        let mut per_shard: BTreeMap<ShardId, SubTransaction> = BTreeMap::new();
-        let mut accesses = Vec::with_capacity(self.conditions.len() + self.actions.len());
-        for c in &self.conditions {
-            let dest = self.map.owner(c.account)?;
-            per_shard
-                .entry(dest)
-                .or_insert_with(|| SubTransaction {
-                    txn: self.id,
-                    dest,
-                    conditions: Vec::new(),
-                    actions: Vec::new(),
-                })
-                .conditions
-                .push(*c);
-            accesses.push(Access {
-                account: c.account,
-                kind: AccessKind::Read,
-            });
+    pub fn build(mut self) -> Result<Transaction> {
+        for (dest, c) in &mut self.conditions {
+            *dest = self.map.owner(c.account)?;
         }
-        for a in &self.actions {
-            let dest = self.map.owner(a.account)?;
-            per_shard
-                .entry(dest)
-                .or_insert_with(|| SubTransaction {
-                    txn: self.id,
-                    dest,
-                    conditions: Vec::new(),
-                    actions: Vec::new(),
-                })
-                .actions
-                .push(*a);
-            accesses.push(Access {
-                account: a.account,
-                kind: AccessKind::Write,
-            });
+        for (dest, a) in &mut self.actions {
+            *dest = self.map.owner(a.account)?;
         }
-        if accesses.is_empty() {
-            return Err(Error::EmptyTransaction(self.id));
-        }
-        accesses.sort_unstable();
-        accesses.dedup();
-        Ok(Transaction {
-            id: self.id,
-            home: self.home,
-            generated: self.generated,
-            subs: per_shard.into_values().collect(),
-            accesses,
-        })
+        Transaction::from_parts(
+            self.id,
+            self.home,
+            self.generated,
+            &self.conditions,
+            &self.actions,
+        )
     }
 }
 
@@ -386,6 +409,9 @@ impl Transaction {
 mod tests {
     use super::*;
     use crate::config::{AccountMap, SystemConfig};
+    use crate::rngutil::seeded_rng;
+    use rand::Rng as _;
+    use std::collections::BTreeMap;
 
     fn setup() -> (SystemConfig, AccountMap) {
         let cfg = SystemConfig {
@@ -583,5 +609,109 @@ mod tests {
         assert_eq!(t.accesses().len(), 1);
         // Both actions are still applied even though accesses deduped.
         assert_eq!(t.subs[0].actions.len(), 2);
+    }
+
+    /// The grouping `from_parts` replaced, kept as the oracle: a tree map
+    /// keyed by destination, conditions filed before actions.
+    type Grouped = BTreeMap<ShardId, (Vec<Condition>, Vec<Action>)>;
+
+    fn oracle(
+        map: &AccountMap,
+        checks: &[Condition],
+        updates: &[Action],
+    ) -> (Grouped, Vec<Access>) {
+        let mut per_shard = Grouped::new();
+        let mut accesses = Vec::new();
+        for c in checks {
+            let dest = map.owner(c.account).unwrap();
+            per_shard.entry(dest).or_default().0.push(*c);
+            accesses.push(Access {
+                account: c.account,
+                kind: AccessKind::Read,
+            });
+        }
+        for a in updates {
+            let dest = map.owner(a.account).unwrap();
+            per_shard.entry(dest).or_default().1.push(*a);
+            accesses.push(Access {
+                account: a.account,
+                kind: AccessKind::Write,
+            });
+        }
+        accesses.sort_unstable();
+        accesses.dedup();
+        (per_shard, accesses)
+    }
+
+    #[test]
+    fn build_matches_the_tree_map_oracle_and_allocates_subs_exactly() {
+        let cfg = SystemConfig {
+            shards: 5,
+            accounts: 12,
+            ..SystemConfig::tiny()
+        };
+        let map = AccountMap::random(&cfg, 3);
+        let mut rng = seeded_rng(20);
+        for case in 0..500u64 {
+            // Twelve accounts over five shards and up to six parts of
+            // each kind: owners and accounts both repeat.
+            let checks: Vec<Condition> = (0..rng.gen_range(0..=6))
+                .map(|_| Condition {
+                    account: AccountId(rng.gen_range(0..12)),
+                    min_balance: rng.gen_range(0..3),
+                })
+                .collect();
+            let updates: Vec<Action> = (0..rng.gen_range(0..=6))
+                .map(|_| Action {
+                    account: AccountId(rng.gen_range(0..12)),
+                    delta: rng.gen_range(-2..3),
+                })
+                .collect();
+            let mut b = TxnBuilder::new(TxnId(case), ShardId(1), Round(case), &map);
+            // Interleave the calls: only the order within a kind matters.
+            let (mut c, mut u) = (checks.iter(), updates.iter());
+            loop {
+                match (c.next(), u.next()) {
+                    (None, None) => break,
+                    (check, update) => {
+                        if let Some(a) = update {
+                            b = b.update(a.account, a.delta);
+                        }
+                        if let Some(c) = check {
+                            b = b.check(c.account, c.min_balance);
+                        }
+                    }
+                }
+            }
+            let built = b.build();
+            if checks.is_empty() && updates.is_empty() {
+                assert!(matches!(built, Err(Error::EmptyTransaction(_))));
+                continue;
+            }
+            let t = built.unwrap();
+            let (per_shard, accesses) = oracle(&map, &checks, &updates);
+            assert_eq!(t.accesses(), accesses);
+            assert_eq!(t.subs.len(), per_shard.len());
+            for (sub, (dest, (conditions, actions))) in t.subs.iter().zip(&per_shard) {
+                assert_eq!((sub.txn, sub.dest), (t.id, *dest));
+                assert_eq!(&*sub.conditions, conditions.as_slice());
+                assert_eq!(&*sub.actions, actions.as_slice());
+            }
+            assert_eq!(t.subs.capacity(), t.subs.len(), "no spare capacity");
+            t.validate(5).unwrap();
+            let again = t.regrouped(&map);
+            assert_eq!(again, t, "regrouping under the producing map");
+            assert_eq!(again.subs.capacity(), again.subs.len());
+        }
+    }
+
+    #[test]
+    fn unknown_account_is_reported_conditions_first() {
+        let (_, map) = setup();
+        let r = TxnBuilder::new(TxnId(1), ShardId(0), Round::ZERO, &map)
+            .update(AccountId(70), 1)
+            .check(AccountId(80), 1)
+            .build();
+        assert_eq!(r, Err(Error::UnknownAccount(AccountId(80))));
     }
 }

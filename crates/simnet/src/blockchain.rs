@@ -225,11 +225,12 @@ mod tests {
         SubTransaction {
             txn: TxnId(txn),
             dest: ShardId(dest),
-            conditions: vec![],
+            conditions: vec![].into(),
             actions: vec![Action {
                 account: AccountId(dest as u64),
                 delta: 1,
-            }],
+            }]
+            .into(),
         }
     }
 

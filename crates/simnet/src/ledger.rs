@@ -146,8 +146,8 @@ mod tests {
         SubTransaction {
             txn: TxnId(1),
             dest: ShardId(0),
-            conditions,
-            actions,
+            conditions: conditions.into(),
+            actions: actions.into(),
         }
     }
 
