@@ -30,8 +30,8 @@ OPTIONS (run, campaign, render):
     --quiet          no per-job progress on stderr
     --no-write       print to stdout but write no report files
 OPTIONS (run, campaign):
-    --set KEY=VALUE  override any base key (repeatable; beats --rounds,
-                     grid axes still win)
+    --set KEY=VALUE  override a base key (repeatable; beats --rounds; a
+                     key the file sweeps as a grid axis is an error)
 OPTIONS (campaign, render):
     --scenarios DIR  scenario directory (default scenarios/)
 OPTIONS (render):
@@ -168,10 +168,12 @@ impl Flags {
 }
 
 /// The one load → plan → run → write loop: expands `scenario` under the
-/// flags' overrides, runs the plan on the flags' worker pool, and (unless
-/// `--no-write`) writes `<out>/<name>.csv`, `.jsonl` and — when a job ran
-/// `metrics = full` — `.metrics.jsonl`, naming them on stdout.
+/// flags' overrides (a `--set` over a grid axis is refused), runs the plan
+/// on the flags' worker pool, and (unless `--no-write`) writes
+/// `<out>/<name>.csv`, `.jsonl` and — when a job ran `metrics = full` —
+/// `.metrics.jsonl`, naming them on stdout.
 pub fn run_scenario(scenario: &Scenario, flags: &Flags) -> Result<Vec<JobOutcome>, String> {
+    scenario.refuse_axis_overrides(&flags.sets)?;
     let jobs = scenario.jobs_with(&flags.overrides())?;
     let threads = flags.threads.unwrap_or_else(|| default_threads(jobs.len()));
     if !flags.quiet {
@@ -373,6 +375,17 @@ mod tests {
             path.display().to_string()
         };
         let twins = format!("run {} {}", twin("a.scenario"), twin("b.scenario"));
+        let swept = dir.join("swept.scenario");
+        std::fs::write(
+            &swept,
+            "name = swept\nrounds = 10\n[grid]\nrho = 0.1, 0.2\n",
+        )
+        .unwrap();
+        let set_axis = format!("run {} --no-write --set rho=0.3", swept.display());
+        let at_axis = format!(
+            "{}:4: override rho=0.3 names grid axis `rho`",
+            swept.display()
+        );
 
         let cases: &[(&str, &str)] = &[
             ("bench", "unknown command `bench`"),
@@ -385,6 +398,7 @@ mod tests {
             ("run a.scenario --full", "unknown flag `--full`"),
             ("run a --scenarios d", "unknown flag `--scenarios`"),
             (&twins, "both named `twin`"),
+            (&set_axis, &at_axis),
             ("run a --threads 0", "`0` must be >= 1"),
             ("campaign quick --threads 0", "`0` must be >= 1"),
             ("render fig2 --threads 0", "`0` must be >= 1"),

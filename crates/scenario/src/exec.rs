@@ -11,10 +11,10 @@ use crate::spec::JobSpec;
 use adversary::{Adversary, MempoolStats, ReshardSource, RoundSource};
 use cluster::ShardMetric;
 use runtime::{default_workers, EngineKind, NetRun};
-use schedulers::baseline::{FcfsConfig, FcfsSim};
-use schedulers::bds::{BdsConfig, BdsProtocol};
+use schedulers::baseline::FcfsSim;
+use schedulers::bds::BdsProtocol;
 use schedulers::driver::drive_with;
-use schedulers::fds::{FdsConfig, FdsProtocol};
+use schedulers::fds::FdsProtocol;
 use schedulers::history::check_cross_shard_order;
 use schedulers::node::{Node, Protocol, Sim};
 use schedulers::{RunReport, SchedulerKind};
@@ -23,7 +23,6 @@ use simnet::LocalChain;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
 
 /// The result of one executed job.
 #[derive(Debug, Clone)]
@@ -67,25 +66,17 @@ impl RoundSource for JobSource {
     }
 }
 
-/// Builds the job's source. The producer is built against the *initial*
-/// active shard count (only active shards own accounts at round 0;
-/// without a plan that is simply `sys`); under a reshard plan it is
-/// wrapped so homes and groupings follow the live placement version.
-fn job_source(
-    spec: &JobSpec,
-    sys: &SystemConfig,
-    map: &AccountMap,
-    plan: Option<&ReshardPlan>,
-) -> JobSource {
-    let src_sys = SystemConfig {
-        shards: spec.shards,
-        ..sys.clone()
-    };
-    let adversary = || Adversary::new(&src_sys, map, spec.adversary_config());
-    let inner: Box<dyn RoundSource> = match (spec.ingest_pipeline(&src_sys, map), plan) {
-        (Some(pipeline), Some(plan)) => Box::new(ReshardSource::new(pipeline, plan.clone())),
+/// Builds the job's source. The producer is built against the system as
+/// written (`spec.sys`: only the initially active shards own accounts at
+/// round 0); under a reshard plan it is wrapped so homes and groupings
+/// follow the live placement version.
+fn job_source(spec: &JobSpec, map: &AccountMap) -> JobSource {
+    let adversary = || Adversary::new(&spec.sys, map, spec.adv);
+    let plan = spec.plan().map(|plan| ReshardPlan::clone(plan));
+    let inner: Box<dyn RoundSource> = match (spec.ingest_pipeline(map), plan) {
+        (Some(pipeline), Some(plan)) => Box::new(ReshardSource::new(pipeline, plan)),
         (Some(pipeline), None) => Box::new(pipeline),
-        (None, Some(plan)) => Box::new(ReshardSource::new(adversary(), plan.clone())),
+        (None, Some(plan)) => Box::new(ReshardSource::new(adversary(), plan)),
         (None, None) => Box::new(adversary()),
     };
     // FCFS keeps no per-shard chains to check the recording against.
@@ -93,27 +84,6 @@ fn job_source(
     JobSource {
         inner,
         seen: record.then(BTreeMap::new),
-    }
-}
-
-/// The BDS tunables a spec selects.
-fn bds_config(spec: &JobSpec) -> BdsConfig {
-    BdsConfig {
-        coloring: spec.coloring,
-        rotate_leader: spec.rotate_leader,
-        ..BdsConfig::default()
-    }
-}
-
-/// The FDS tunables a spec selects.
-fn fds_config(spec: &JobSpec) -> FdsConfig {
-    FdsConfig {
-        epoch_scale: spec.epoch_scale,
-        sublayers: spec.sublayers,
-        reschedule: spec.reschedule,
-        pipeline_window: spec.pipeline_window,
-        coloring: spec.coloring,
-        ..FdsConfig::default()
     }
 }
 
@@ -135,7 +105,7 @@ fn checks(
     let order = |txns| check_cross_shard_order(chains, txns).len() as u64;
     (
         source.seen.as_ref().map(order),
-        (!spec.reshard.is_empty()).then(|| simnet::reshard_audit(chains, log)),
+        spec.plan().map(|_| simnet::reshard_audit(chains, log)),
     )
 }
 
@@ -172,7 +142,7 @@ where
                 sys,
                 map,
                 metric,
-                faults: &spec.fault_plan(),
+                faults: &spec.faults,
                 workers: default_workers(sys.shards),
                 metrics: spec.metrics.enabled(),
             };
@@ -191,21 +161,17 @@ where
 pub fn run_job(spec: &JobSpec) -> JobOutcome {
     let sys = spec.system_config();
     let map = spec.account_map();
-    let plan = spec.reshard_plan().map(Arc::new);
     // Reshard jobs provision the metric for the schedule's maximum
     // shard count (`sys.shards` == the plan's `s_max`).
     let metric = spec
         .metric
         .build(sys.shards)
-        .expect("spec validated at plan time");
+        .expect("resolve built this metric over these shards");
     let on = (&sys, &map, metric.as_ref());
-    let mut source = job_source(spec, &sys, &map, plan.as_deref());
+    let mut source = job_source(spec, &map);
     let (report, (violations, reshard)) = match spec.scheduler {
         SchedulerKind::Fcfs => {
-            let fcfg = FcfsConfig {
-                respect_capacity: spec.respect_capacity,
-            };
-            let mut sim = FcfsSim::new(&sys, fcfg);
+            let mut sim = FcfsSim::new(&sys, spec.fcfs);
             if spec.metrics.enabled() {
                 sim.enable_metrics();
             }
@@ -215,14 +181,14 @@ pub fn run_job(spec: &JobSpec) -> JobOutcome {
             (report, (None, None))
         }
         SchedulerKind::Fds => {
-            let proto = FdsProtocol::new(fds_config(spec), on.2);
+            let proto = FdsProtocol::new(spec.fds, on.2);
             host(spec, &proto, on, &mut source)
         }
         kind => {
             let proto = BdsProtocol {
-                cfg: bds_config(spec),
+                cfg: spec.bds,
                 kind,
-                reshard: plan,
+                reshard: spec.plan().cloned(),
             };
             host(spec, &proto, on, &mut source)
         }

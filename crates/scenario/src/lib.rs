@@ -13,8 +13,9 @@
 //!  scenarios/fig2_quick.scenario
 //!        │  parse::Scenario::load          (key = value  +  [grid] axes)
 //!        ▼
-//!  Scenario ── jobs() ──► Vec<JobSpec>     (grid cross-product, each job a
-//!        │                                  fully resolved, validated spec)
+//!  Scenario ── jobs() ──► Vec<JobSpec>     (grid cross-product; each draft
+//!        │                                  resolved once into the built inputs
+//!        │                                  of its run — nothing rebuilt later)
 //!        ▼  exec::run_jobs on `--threads` workers
 //!  fixed thread pool: N workers claim jobs by atomic index, run each
 //!  simulation single-threaded (a pure function of the spec), send
@@ -25,7 +26,8 @@
 //! ```
 //!
 //! Modules: [`parse`] (the file grammar and the grid planner), [`spec`]
-//! (one resolved job and the cross-key rules), [`exec`] (the worker pool
+//! (one resolved job — the owning layers' configs — and the table of
+//! cross-key rules it was checked against), [`exec`] (the worker pool
 //! and `run_job`), [`report`] (the one column table behind every CSV,
 //! JSONL and stdout rendering), [`cli`] (the one flag parser and the one
 //! load → plan → run → write loop behind every verb), and its two
@@ -103,13 +105,25 @@
 //! | `metrics` | `off` \| `summary` \| `full` — latency histograms, utilization floor, and (`full`) the per-epoch JSONL timeline | `off` |
 //! | `reshard` | `+N@R[; -N@R…]` \| `none` — live migration schedule: `+N` shards join / `-N` retire at the first epoch boundary at or after round `R`. Requires `placement = vnode`, an epoch-hosted scheduler, and a fault-free run; `shards` stays the *initial* active count | `none` |
 //!
+//! Each key is declared once, by the layer that runs with it, and its
+//! default is that layer's own: `shards`…`faulty-per-shard` are
+//! `SystemConfig::paper_simulation()`, `rho`…`shape`
+//! `AdversaryConfig::default()`, `coloring`/`rotate-leader`
+//! `BdsConfig::default()`, `coloring`/`reschedule`…`epoch-scale`
+//! `FdsConfig::default()`, `fault-seed`…`byzantine-votes`
+//! `FaultPlan::default()` — with two deliberate exceptions, `seed` (42;
+//! the type's is 0) and `respect-capacity` (`true`; `FcfsConfig`'s is
+//! `false`). The rest (`scheduler`, `engine`, `metric`, `placement`,
+//! `rounds`, `check-order`, `metrics`, `reshard`) default here.
+//!
 //! Two spellings resolve against the rest of the job rather than in
 //! isolation: `strategy = count-burst:auto` becomes the paper's Section 7
 //! workload (`burst_round = rounds/10`, `count = b`), and
 //! `coloring = heavy-light:auto` uses the Lemma 1 threshold `⌈√s⌉`.
 //!
 //! Any key except `name`/`description` may be a grid axis; an axis value
-//! overrides the base assignment for that job. The overrides that
+//! overrides the base assignment for that job (and a CLI `--set` over an
+//! axis's key is refused rather than silently lost). The overrides that
 //! produced a job are kept on [`JobSpec::overrides`] so reports can label
 //! rows by what actually varied.
 
@@ -148,11 +162,26 @@ mod tests {
         rows.collect()
     }
 
-    /// The key table is complete and true: every documented job key is
-    /// one `apply` knows, every documented literal default is the real
-    /// default, and every key a checked-in scenario uses is documented.
+    /// README's "Scenario files" table: every key named in a row's
+    /// `keys` cell.
+    fn readme_keys() -> Vec<String> {
+        let readme = include_str!("../../../README.md");
+        let section = readme.split("\n## Scenario files").nth(1).unwrap();
+        let rows = section.split("\n## ").next().unwrap().lines();
+        let keys = rows
+            .filter_map(|l| l.strip_prefix("| "))
+            .skip(1) // the header
+            .flat_map(|row| row.split(" | ").nth(1).unwrap().split('`'))
+            .filter(|key| !key.trim().is_empty());
+        keys.map(String::from).collect()
+    }
+
+    /// Both key tables are complete and true: every job key either
+    /// documents is one `apply` knows, every documented literal default
+    /// is the real default, and every key a checked-in scenario uses has
+    /// a row in both.
     #[test]
-    fn key_table_matches_the_parser_and_covers_every_checked_in_scenario() {
+    fn key_tables_match_the_parser_and_cover_every_checked_in_scenario() {
         let table = documented_keys();
         assert_eq!(table.len(), 36, "34 job keys + name + description");
         let fresh = format!("{:?}", JobDraft::default());
@@ -180,6 +209,15 @@ mod tests {
                 }
             }
         }
+        let readme = readme_keys();
+        for key in &readme {
+            let applied = JobDraft::default().apply(key, "");
+            let unknown = applied.is_err_and(|e| e.contains("unknown key"));
+            assert!(!unknown, "README names `{key}`, which is no job key");
+        }
+        // `coloring` is written into both protocol configs, so it has
+        // two README rows.
+        assert_eq!(readme.len(), 34 + 1, "README rows cover the 34 job keys");
 
         let root = Path::new(env!("CARGO_MANIFEST_DIR"));
         let mut files = 0;
@@ -189,14 +227,16 @@ mod tests {
                 files += 1;
                 for line in std::fs::read_to_string(&path).unwrap().lines() {
                     let line = line.split('#').next().unwrap_or("").trim();
-                    if let Some((key, _)) = line.split_once('=') {
-                        let key = key.trim();
-                        assert!(
-                            table.contains_key(key),
-                            "{}: `{key}` has no row in the key table",
-                            path.display()
-                        );
-                    }
+                    let Some((key, _)) = line.split_once('=') else {
+                        continue;
+                    };
+                    let key = key.trim();
+                    let job_key = key != "name" && key != "description";
+                    assert!(
+                        table.contains_key(key) && (!job_key || readme.iter().any(|k| k == key)),
+                        "{}: `{key}` lacks a row in a key table",
+                        path.display()
+                    );
                 }
             }
         }

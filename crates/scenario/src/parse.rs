@@ -34,6 +34,13 @@ impl std::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
+impl ScenarioError {
+    fn new(origin: &str, line: Option<usize>, msg: String) -> ScenarioError {
+        let origin = origin.to_string();
+        ScenarioError { origin, line, msg }
+    }
+}
+
 /// Lets a CLI verb, whose failure is the message it prints, `?` a
 /// scenario error.
 impl From<ScenarioError> for String {
@@ -74,11 +81,8 @@ impl Scenario {
     /// Loads and parses a scenario file.
     pub fn load(path: &Path) -> Result<Scenario, ScenarioError> {
         let origin = path.display().to_string();
-        let text = std::fs::read_to_string(path).map_err(|e| ScenarioError {
-            origin: origin.clone(),
-            line: None,
-            msg: format!("cannot read file: {e}"),
-        })?;
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| ScenarioError::new(&origin, None, format!("cannot read file: {e}")))?;
         let mut s = Scenario::parse_str(&text, &origin)?;
         s.path = Some(path.to_path_buf());
         Ok(s)
@@ -87,11 +91,7 @@ impl Scenario {
     /// Parses scenario text. `origin` labels error messages (a path, or
     /// something like `"<inline>"` for embedded text).
     pub fn parse_str(text: &str, origin: &str) -> Result<Scenario, ScenarioError> {
-        let err = |line: usize, msg: String| ScenarioError {
-            origin: origin.to_string(),
-            line: Some(line),
-            msg,
-        };
+        let err = |line: usize, msg: String| ScenarioError::new(origin, Some(line), msg);
         let mut name = None;
         let mut description = String::new();
         let mut base = Vec::new();
@@ -179,12 +179,10 @@ impl Scenario {
             }
         }
 
+        let no_name =
+            || ScenarioError::new(origin, None, "scenario has no `name =` assignment".into());
         let scenario = Scenario {
-            name: name.ok_or_else(|| ScenarioError {
-                origin: origin.to_string(),
-                line: None,
-                msg: "scenario has no `name =` assignment".into(),
-            })?,
+            name: name.ok_or_else(no_name)?,
             description,
             path: None,
             origin: origin.to_string(),
@@ -195,27 +193,33 @@ impl Scenario {
         // lines, without expanding the grid (cross-field validation —
         // k vs shards, metric fit, rho range — happens in `jobs`, after
         // any CLI overrides have been applied).
-        let mut scratch = JobDraft::default();
-        for a in &scenario.base {
-            scratch.apply(&a.key, &a.value).map_err(|m| ScenarioError {
-                origin: origin.to_string(),
-                line: Some(a.line),
-                msg: m,
-            })?;
-        }
+        let template = scenario.template(&[])?;
         for axis in &scenario.grid {
             for v in &axis.values {
-                scratch
-                    .clone()
-                    .apply(&axis.key, v)
-                    .map_err(|m| ScenarioError {
-                        origin: origin.to_string(),
-                        line: Some(axis.line),
-                        msg: m,
-                    })?;
+                let applied = template.clone().apply(&axis.key, v);
+                applied.map_err(|m| scenario.error(Some(axis.line), m))?;
             }
         }
         Ok(scenario)
+    }
+
+    fn error(&self, line: Option<usize>, msg: String) -> ScenarioError {
+        ScenarioError::new(&self.origin, line, msg)
+    }
+
+    /// The draft every job starts from: the defaults, the base section,
+    /// then `extra`.
+    fn template(&self, extra: &[(String, String)]) -> Result<JobDraft, ScenarioError> {
+        let mut template = JobDraft::default();
+        for a in &self.base {
+            let applied = template.apply(&a.key, &a.value);
+            applied.map_err(|m| self.error(Some(a.line), m))?;
+        }
+        for (key, value) in extra {
+            let applied = template.apply(key, value);
+            applied.map_err(|m| self.error(None, format!("override {key}={value}: {m}")))?;
+        }
+        Ok(template)
     }
 
     /// Expands the grid into the full job list.
@@ -227,29 +231,11 @@ impl Scenario {
     /// `--rounds N`) applied *after* the file's base section but *before*
     /// the grid axes — so an axis over the same key still wins.
     pub fn jobs_with(&self, extra: &[(String, String)]) -> Result<Vec<JobSpec>, ScenarioError> {
-        let err_at = |line: Option<usize>, msg: String| ScenarioError {
-            origin: self.origin.clone(),
-            line,
-            msg,
-        };
-        let mut template = JobDraft::default();
-        for a in &self.base {
-            template
-                .apply(&a.key, &a.value)
-                .map_err(|m| err_at(Some(a.line), m))?;
-        }
-        for (key, value) in extra {
-            template
-                .apply(key, value)
-                .map_err(|m| err_at(None, format!("override {key}={value}: {m}")))?;
-        }
-
+        let template = self.template(extra)?;
         let total: usize = self.grid.iter().map(|a| a.values.len()).product();
         if total > MAX_JOBS {
-            return Err(err_at(
-                None,
-                format!("grid expands to {total} jobs (limit {MAX_JOBS})"),
-            ));
+            let msg = format!("grid expands to {total} jobs (limit {MAX_JOBS})");
+            return Err(self.error(None, msg));
         }
         let mut jobs = Vec::with_capacity(total);
         for index in 0..total {
@@ -266,16 +252,36 @@ impl Scenario {
             for (pos, (key, value)) in overrides.iter().enumerate() {
                 draft
                     .apply(key, value)
-                    .map_err(|m| err_at(Some(self.grid[pos].line), m))?;
+                    .map_err(|m| self.error(Some(self.grid[pos].line), m))?;
             }
             let job = draft
                 .resolve(&self.name, index, overrides)
                 .map_err(|(keys, m)| {
-                    err_at(self.key_line(keys, extra), format!("job {index}: {m}"))
+                    self.error(self.key_line(keys, extra), format!("job {index}: {m}"))
                 })?;
             jobs.push(job);
         }
         Ok(jobs)
+    }
+
+    /// Refuses an override naming a grid axis: every job takes the axis's
+    /// values, so the override would silently change nothing. The CLI
+    /// holds `--set` to this; `--rounds` is documented to yield instead.
+    pub(crate) fn refuse_axis_overrides(
+        &self,
+        sets: &[(String, String)],
+    ) -> Result<(), ScenarioError> {
+        for (key, value) in sets {
+            if let Some(axis) = self.grid.iter().find(|a| a.key == *key) {
+                let msg = format!(
+                    "override {key}={value} names grid axis `{key}` (= {}), whose \
+                     values every job takes instead — edit the axis or drop the override",
+                    axis.values.join(", ")
+                );
+                return Err(self.error(Some(axis.line), msg));
+            }
+        }
+        Ok(())
     }
 
     /// The last line, base or grid, assigning one of `keys` — where a
@@ -345,7 +351,7 @@ seed = 1, 2, 3
         let jobs = s.jobs().unwrap();
         assert_eq!(jobs.len(), 6);
         // First axis outermost, last fastest.
-        let key: Vec<(f64, u64)> = jobs.iter().map(|j| (j.rho, j.seed)).collect();
+        let key: Vec<(f64, u64)> = jobs.iter().map(|j| (j.adv.rho, j.adv.seed)).collect();
         assert_eq!(
             key,
             vec![
@@ -367,16 +373,30 @@ seed = 1, 2, 3
     }
 
     #[test]
-    fn extra_overrides_lose_to_grid() {
+    fn extra_override_applies_but_loses_to_an_axis_over_its_key() {
         let s = Scenario::parse_str(MINI, "<test>").unwrap();
-        let jobs = s
-            .jobs_with(&[
-                ("rounds".to_string(), "50".to_string()),
-                ("rho".to_string(), "0.9".to_string()),
-            ])
+        let extra = |k: &str, v: &str| [(k.to_string(), v.to_string())];
+        assert_eq!(s.jobs_with(&extra("rounds", "50")).unwrap()[0].rounds, 50);
+        // What `--rounds` documents: "grid axes still win".
+        let swept = format!("{MINI}rounds = 300, 400\n");
+        let s = Scenario::parse_str(&swept, "<test>").unwrap();
+        let jobs = s.jobs_with(&extra("rounds", "50")).unwrap();
+        assert_eq!((jobs[0].rounds, jobs[1].rounds), (300, 400));
+    }
+
+    #[test]
+    fn override_naming_a_grid_axis_is_refused_at_the_axis_line() {
+        let s = Scenario::parse_str(MINI, "<test>").unwrap();
+        let set = |k: &str, v: &str| (k.to_string(), v.to_string());
+        let e = s
+            .refuse_axis_overrides(&[set("rounds", "50"), set("rho", "0.9")])
+            .unwrap_err();
+        assert_eq!(e.line, Some(11), "the `rho` axis's own line");
+        assert!(e.msg.contains("override rho=0.9"), "{e}");
+        assert!(e.msg.contains("grid axis `rho` (= 0.05, 0.1)"), "{e}");
+        // A base key is fair game.
+        s.refuse_axis_overrides(&[set("rounds", "50"), set("k", "2")])
             .unwrap();
-        assert_eq!(jobs[0].rounds, 50, "extra override applies");
-        assert_eq!(jobs[0].rho, 0.05, "grid axis beats the extra override");
     }
 
     #[test]
@@ -390,7 +410,7 @@ strategy = count-burst:auto
         let s = Scenario::parse_str(text, "<test>").unwrap();
         let jobs = s.jobs().unwrap();
         assert_eq!(
-            jobs[0].strategy,
+            jobs[0].adv.strategy,
             adversary::StrategyKind::CountBurst {
                 burst_round: 100,
                 count: 77
@@ -423,7 +443,7 @@ strategy = count-burst:auto
         let e = s.jobs().unwrap_err();
         assert!(e.msg.contains("k must satisfy"), "{e}");
         let fixed = s.jobs_with(&[("k".to_string(), "2".to_string())]).unwrap();
-        assert_eq!(fixed[0].k, 2);
+        assert_eq!(fixed[0].sys.k_max, 2);
     }
 
     #[test]
@@ -478,6 +498,6 @@ strategy = count-burst:auto
         let text = "# header\nname = c   # trailing\n\nrho = 0.2\n";
         let s = Scenario::parse_str(text, "<t>").unwrap();
         assert_eq!(s.name, "c");
-        assert_eq!(s.jobs().unwrap()[0].rho, 0.2);
+        assert_eq!(s.jobs().unwrap()[0].adv.rho, 0.2);
     }
 }

@@ -100,17 +100,19 @@ fn run_named(flags: &Flags, stem: &str) -> Result<(String, Vec<JobOutcome>), Str
 
 /// The distinct `b` and `rho` values of a sweep, ascending.
 fn axes(outcomes: &[JobOutcome]) -> (Vec<u64>, Vec<f64>) {
-    let mut bs: Vec<u64> = outcomes.iter().map(|o| o.spec.b).collect();
+    let mut bs: Vec<u64> = outcomes.iter().map(|o| o.spec.adv.burstiness).collect();
     bs.sort_unstable();
     bs.dedup();
-    let mut rhos: Vec<f64> = outcomes.iter().map(|o| o.spec.rho).collect();
+    let mut rhos: Vec<f64> = outcomes.iter().map(|o| o.spec.adv.rho).collect();
     rhos.sort_by(f64::total_cmp);
     rhos.dedup();
     (bs, rhos)
 }
 
 fn cell(outcomes: &[JobOutcome], rho: f64, b: u64) -> Option<&JobOutcome> {
-    outcomes.iter().find(|o| o.spec.b == b && o.spec.rho == rho)
+    outcomes
+        .iter()
+        .find(|o| o.spec.adv.burstiness == b && o.spec.adv.rho == rho)
 }
 
 /// Renders an ASCII grouped bar chart: one row per ρ, one bar per b,
@@ -216,7 +218,7 @@ fn sweep(flags: &Flags, fig: &Sweep) -> Exit {
     }
     if fig.knee {
         let worst = |keep: fn(f64) -> bool| {
-            let kept = outcomes.iter().filter(|o| keep(o.spec.rho));
+            let kept = outcomes.iter().filter(|o| keep(o.spec.adv.rho));
             kept.map(queue).reduce(f64::max)
         };
         if let (Some(l), Some(h)) = (worst(|rho| rho <= 0.101), worst(|rho| rho >= 0.269)) {
@@ -257,8 +259,8 @@ fn table_t1(flags: &Flags) -> Exit {
         assert_eq!(b.spec.scheduler, SchedulerKind::Bds);
         println!(
             "{:<12.2} {:>10.4} {:>14} {:>14} {:>12} {:>12}",
-            f.spec.rho / threshold,
-            f.spec.rho,
+            f.spec.adv.rho / threshold,
+            f.spec.adv.rho,
             format!("{:?}", f.report.verdict),
             format!("{:?}", b.report.verdict),
             f.report.pending_at_end,

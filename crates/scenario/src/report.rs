@@ -71,16 +71,16 @@ pub const COLUMNS: &[(&str, CellFn)] = &[
     ("job", |o| Cell::int(o.spec.index as u64)),
     ("scheduler", |o| Cell::text(o.spec.scheduler)),
     ("metric", |o| Cell::text(o.spec.metric)),
-    ("shards", |o| Cell::int(o.spec.shards as u64)),
-    ("accounts", |o| Cell::int(o.spec.accounts as u64)),
-    ("k", |o| Cell::int(o.spec.k as u64)),
+    ("shards", |o| Cell::int(o.spec.sys.shards as u64)),
+    ("accounts", |o| Cell::int(o.spec.sys.accounts as u64)),
+    ("k", |o| Cell::int(o.spec.sys.k_max as u64)),
     ("rounds", |o| Cell::int(o.spec.rounds)),
-    ("rho", |o| Some(Cell::Real(o.spec.rho))),
-    ("b", |o| Cell::int(o.spec.b)),
-    ("strategy", |o| Cell::text(o.spec.strategy)),
-    ("shape", |o| Cell::text(o.spec.shape)),
-    ("seed", |o| Cell::int(o.spec.seed)),
-    ("coloring", |o| Cell::text(o.spec.coloring)),
+    ("rho", |o| Some(Cell::Real(o.spec.adv.rho))),
+    ("b", |o| Cell::int(o.spec.adv.burstiness)),
+    ("strategy", |o| Cell::text(o.spec.adv.strategy)),
+    ("shape", |o| Cell::text(o.spec.adv.shape)),
+    ("seed", |o| Cell::int(o.spec.adv.seed)),
+    ("coloring", |o| Cell::text(o.spec.bds.coloring)),
     ("generated", |o| Cell::int(o.report.generated)),
     ("committed", |o| Cell::int(o.report.committed)),
     ("aborted", |o| Cell::int(o.report.aborted)),

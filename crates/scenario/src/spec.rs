@@ -2,74 +2,64 @@
 //! shared by the base section and grid axes of a scenario file.
 
 use adversary::{
-    saturation_offered, IngestPipeline, StrategyKind, StreamKind, StreamSource, WorkloadShape,
+    saturation_offered, AdversaryConfig, IngestPipeline, StrategyKind, StreamKind, StreamSource,
 };
 use cluster::MetricKind;
 use conflict::ColoringStrategy;
 use metrics::MetricsMode;
 use runtime::EngineKind;
+use schedulers::baseline::FcfsConfig;
+use schedulers::bds::BdsConfig;
+use schedulers::fds::FdsConfig;
 use schedulers::SchedulerKind;
 use sharding_core::{bounds, AccountMap, ReshardPlan, Round, ShardId, SystemConfig, VnodeTable};
 use simnet::FaultPlan;
 use std::str::FromStr;
+use std::sync::Arc;
 
-/// Parses the `crash = S@R[; S@R...]` spelling (or `none`, so a grid
-/// axis can sweep crash schedules against a crash-free control).
-fn parse_crashes(value: &str) -> Result<Vec<(u32, u64)>, String> {
+/// Parses a `LEFT@ROUND[; LEFT@ROUND…]` list (or `none`, so a grid axis
+/// can sweep a schedule against a control without one). `what` names the
+/// key in errors, `shape` spells one entry, `left` parses its left side.
+fn parse_at_list<T>(
+    value: &str,
+    what: &str,
+    shape: &str,
+    left: fn(&str) -> Result<T, String>,
+) -> Result<Vec<(T, u64)>, String> {
     if value == "none" {
         return Ok(Vec::new());
     }
-    value
-        .split(';')
-        .map(str::trim)
-        .filter(|v| !v.is_empty())
-        .map(|item| {
-            let (shard, round) = item
-                .split_once('@')
-                .ok_or_else(|| format!("crash entry `{item}` is not SHARD@ROUND"))?;
-            let shard: u32 = shard
-                .trim()
-                .parse()
-                .map_err(|_| format!("crash shard `{shard}` is not an integer"))?;
-            let round: u64 = round
-                .trim()
-                .parse()
-                .map_err(|_| format!("crash round `{round}` is not an integer"))?;
-            Ok((shard, round))
-        })
-        .collect()
+    let entry = |item: &str| {
+        let (lhs, round) = item
+            .split_once('@')
+            .ok_or_else(|| format!("{what} entry `{item}` is not {shape}"))?;
+        let at = round.trim().parse();
+        let at = at.map_err(|_| format!("{what} round `{round}` is not an integer"));
+        Ok((left(lhs)?, at?))
+    };
+    let items = value.split(';').map(str::trim).filter(|v| !v.is_empty());
+    items.map(entry).collect()
 }
 
-/// Parses the `reshard = +N@R[; -N@R...]` spelling (or `none`, so a
-/// grid axis can sweep migration schedules against a static control).
-fn parse_reshard(value: &str) -> Result<Vec<(i64, u64)>, String> {
-    if value == "none" {
-        return Ok(Vec::new());
+/// The left side of a `crash = S@R` entry: the shard.
+fn parse_crash_shard(shard: &str) -> Result<ShardId, String> {
+    let id = shard.trim().parse();
+    id.map(ShardId)
+        .map_err(|_| format!("crash shard `{shard}` is not an integer"))
+}
+
+/// The left side of a `reshard = +N@R` entry: the signed shard-count
+/// delta.
+fn parse_reshard_delta(delta: &str) -> Result<i64, String> {
+    let delta = delta.trim();
+    if !delta.starts_with('+') && !delta.starts_with('-') {
+        return Err(format!(
+            "reshard delta `{delta}` needs an explicit sign (+N joins, -N retires)"
+        ));
     }
-    value
-        .split(';')
-        .map(str::trim)
-        .filter(|v| !v.is_empty())
-        .map(|item| {
-            let (delta, round) = item
-                .split_once('@')
-                .ok_or_else(|| format!("reshard entry `{item}` is not +N@ROUND or -N@ROUND"))?;
-            let delta = delta.trim();
-            if !delta.starts_with('+') && !delta.starts_with('-') {
-                return Err(format!(
-                    "reshard delta `{delta}` needs an explicit sign (+N joins, -N retires)"
-                ));
-            }
-            let delta: i64 = delta
-                .parse()
-                .map_err(|_| format!("reshard delta `{delta}` is not an integer"))?;
-            let round: u64 = round
-                .trim()
-                .parse()
-                .map_err(|_| format!("reshard round `{round}` is not an integer"))?;
-            Ok((delta, round))
-        })
-        .collect()
+    delta
+        .parse()
+        .map_err(|_| format!("reshard delta `{delta}` is not an integer"))
 }
 
 /// How accounts are placed onto shards.
@@ -104,12 +94,7 @@ impl FromStr for Placement {
         match s.split_once(':') {
             None if s == "round-robin" => Ok(Placement::RoundRobin),
             None if s == "vnode" => Ok(Placement::Vnode),
-            Some(("random", seed)) => {
-                let seed: u64 = seed
-                    .parse()
-                    .map_err(|_| format!("`{seed}` is not an integer"))?;
-                Ok(Placement::Random(seed))
-            }
+            Some(("random", seed)) => Ok(Placement::Random(parse_num(seed, "an integer")?)),
             _ => Err(format!(
                 "unknown placement `{s}` (expected random:SEED, round-robin, or vnode)"
             )),
@@ -117,10 +102,24 @@ impl FromStr for Placement {
     }
 }
 
+/// The streaming ingestion plane of a firehose job. One value, so
+/// `mempool` ⇔ `stream` and `offered` ⇒ `mempool` hold by type.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Ingest {
+    /// Per-home-shard mempool lane capacity.
+    pub mempool: usize,
+    /// Which account distribution the producer streams.
+    pub stream: StreamKind,
+    /// Transactions offered per round: the `offered` key, or the
+    /// saturation default (4× the `(ρ, b)`-sustainable rate).
+    pub offered: u64,
+}
+
 /// The draft a scenario accumulates while assignments are applied: the
-/// [`JobSpec`] under construction plus the three spellings that can only
-/// be bound once the whole job is known, because they resolve against
-/// `rounds`, `b` and `shards`.
+/// [`JobSpec`] under construction plus the spellings that can only be
+/// bound once the whole job is known — those that resolve against
+/// `rounds`, `b` and `shards`, and the three ingestion keys that pair
+/// into one [`Ingest`].
 #[derive(Debug, Clone)]
 pub(crate) struct JobDraft {
     spec: JobSpec,
@@ -130,8 +129,13 @@ pub(crate) struct JobDraft {
     auto_burst: bool,
     /// `coloring = heavy-light:auto`.
     auto_threshold: bool,
+    mempool: Option<usize>,
+    stream: Option<StreamKind>,
+    offered: Option<u64>,
 }
 
+/// Every default is its owning layer's own, except the two spelled out:
+/// scenarios seed the adversary with 42, and FCFS charges capacity.
 impl Default for JobDraft {
     fn default() -> Self {
         JobDraft {
@@ -142,41 +146,31 @@ impl Default for JobDraft {
                 scheduler: SchedulerKind::Bds,
                 engine: EngineKind::Sim,
                 metric: MetricKind::Uniform,
-                shards: 64,
-                accounts: 64,
-                k: 8,
-                nodes_per_shard: 4,
-                faulty_per_shard: 1,
+                sys: SystemConfig::paper_simulation(),
                 placement: Placement::Random(1),
                 rounds: 8_000,
-                rho: 0.1,
-                b: 1,
-                strategy: StrategyKind::UniformRandom,
-                shape: WorkloadShape::WriteOnly,
-                seed: 42,
-                coloring: ColoringStrategy::Greedy,
-                rotate_leader: true,
-                reschedule: true,
-                pipeline_window: 16,
-                sublayers: 2,
-                epoch_scale: 1,
-                respect_capacity: true,
+                adv: AdversaryConfig {
+                    seed: 42,
+                    ..AdversaryConfig::default()
+                },
+                bds: BdsConfig::default(),
+                fds: FdsConfig::default(),
+                fcfs: FcfsConfig {
+                    respect_capacity: true,
+                },
                 check_order: false,
-                fault_seed: 1,
-                drop_prob: 0.0,
-                dup_prob: 0.0,
-                drop_budget: u64::MAX,
-                crashes: Vec::new(),
-                byz_votes: 0,
-                mempool: None,
-                stream: None,
-                offered: None,
+                faults: FaultPlan::default(),
+                ingest: None,
                 metrics: MetricsMode::Off,
                 reshard: Vec::new(),
+                plan: None,
             },
             accounts_set: false,
             auto_burst: false,
             auto_threshold: false,
+            mempool: None,
+            stream: None,
+            offered: None,
         }
     }
 }
@@ -193,9 +187,8 @@ fn parse_num<T: FromStr>(v: &str, what: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("`{v}` is not {what}"))
 }
 
-/// A cross-key validation failure: the scenario keys the rule blames
-/// (the planner points at the last line assigning one of them) and the
-/// message.
+/// A plan-time failure: the scenario keys it blames (the planner points
+/// at the last line assigning one of them) and the message.
 pub(crate) type Blame = (&'static [&'static str], String);
 
 /// The keys that ask the fault plane for something.
@@ -210,89 +203,237 @@ impl JobDraft {
             "scheduler" => spec.scheduler = value.parse()?,
             "engine" => spec.engine = value.parse()?,
             "metric" => spec.metric = value.parse()?,
-            "shards" => spec.shards = parse_num(value, "an integer")?,
+            "shards" => spec.sys.shards = parse_num(value, "an integer")?,
             "accounts" => {
-                spec.accounts = parse_num(value, "an integer")?;
+                spec.sys.accounts = parse_num(value, "an integer")?;
                 self.accounts_set = true;
             }
-            "k" => spec.k = parse_num(value, "an integer")?,
-            "nodes-per-shard" => spec.nodes_per_shard = parse_num(value, "an integer")?,
-            "faulty-per-shard" => spec.faulty_per_shard = parse_num(value, "an integer")?,
+            "k" => spec.sys.k_max = parse_num(value, "an integer")?,
+            "nodes-per-shard" => spec.sys.nodes_per_shard = parse_num(value, "an integer")?,
+            "faulty-per-shard" => spec.sys.faulty_per_shard = parse_num(value, "an integer")?,
             "placement" => spec.placement = value.parse()?,
             "rounds" => spec.rounds = parse_num(value, "an integer")?,
-            "rho" => spec.rho = parse_num(value, "a number")?,
-            "b" => spec.b = parse_num(value, "an integer")?,
+            "rho" => spec.adv.rho = parse_num(value, "a number")?,
+            "b" => spec.adv.burstiness = parse_num(value, "an integer")?,
             "strategy" => {
                 self.auto_burst = value == "count-burst:auto";
                 if !self.auto_burst {
-                    spec.strategy = value.parse()?;
+                    spec.adv.strategy = value.parse()?;
                 }
             }
-            "shape" => spec.shape = value.parse()?,
-            "seed" => spec.seed = parse_num(value, "an integer")?,
+            "shape" => spec.adv.shape = value.parse()?,
+            "seed" => spec.adv.seed = parse_num(value, "an integer")?,
             "coloring" => {
                 self.auto_threshold = value == "heavy-light:auto";
                 if !self.auto_threshold {
-                    spec.coloring = value.parse()?;
+                    spec.bds.coloring = value.parse()?;
+                    spec.fds.coloring = spec.bds.coloring;
                 }
             }
-            "rotate-leader" => spec.rotate_leader = parse_bool(value)?,
-            "reschedule" => spec.reschedule = parse_bool(value)?,
-            "pipeline-window" => spec.pipeline_window = parse_num(value, "an integer")?,
-            "sublayers" => spec.sublayers = parse_num(value, "an integer")?,
-            "epoch-scale" => spec.epoch_scale = parse_num(value, "an integer")?,
-            "respect-capacity" => spec.respect_capacity = parse_bool(value)?,
+            "rotate-leader" => spec.bds.rotate_leader = parse_bool(value)?,
+            "reschedule" => spec.fds.reschedule = parse_bool(value)?,
+            "pipeline-window" => spec.fds.pipeline_window = parse_num(value, "an integer")?,
+            "sublayers" => spec.fds.sublayers = parse_num(value, "an integer")?,
+            "epoch-scale" => spec.fds.epoch_scale = parse_num(value, "an integer")?,
+            "respect-capacity" => spec.fcfs.respect_capacity = parse_bool(value)?,
             "check-order" => spec.check_order = parse_bool(value)?,
-            "fault-seed" => spec.fault_seed = parse_num(value, "an integer")?,
-            "drop-prob" => spec.drop_prob = parse_num(value, "a number")?,
-            "dup-prob" => spec.dup_prob = parse_num(value, "a number")?,
-            "drop-budget" => spec.drop_budget = parse_num(value, "an integer")?,
-            "crash" => spec.crashes = parse_crashes(value)?,
-            "byzantine-votes" => spec.byz_votes = parse_num(value, "an integer")?,
-            "mempool" => spec.mempool = Some(parse_num(value, "an integer")?),
-            "stream" => spec.stream = Some(value.parse()?),
-            "offered" => spec.offered = Some(parse_num(value, "an integer")?),
+            "fault-seed" => spec.faults.seed = parse_num(value, "an integer")?,
+            "drop-prob" => spec.faults.drop_prob = parse_num(value, "a number")?,
+            "dup-prob" => spec.faults.dup_prob = parse_num(value, "a number")?,
+            "drop-budget" => spec.faults.drop_budget = parse_num(value, "an integer")?,
+            "crash" => {
+                let crashes = parse_at_list(value, "crash", "SHARD@ROUND", parse_crash_shard)?;
+                spec.faults.crashes = crashes.into_iter().map(|(s, r)| (s, Round(r))).collect();
+            }
+            "byzantine-votes" => spec.faults.byz_votes = parse_num(value, "an integer")?,
+            "mempool" => self.mempool = Some(parse_num(value, "an integer")?),
+            "stream" => self.stream = Some(value.parse()?),
+            "offered" => self.offered = Some(parse_num(value, "an integer")?),
             "metrics" => spec.metrics = value.parse()?,
-            "reshard" => spec.reshard = parse_reshard(value)?,
+            "reshard" => {
+                let shape = "+N@ROUND or -N@ROUND";
+                spec.reshard = parse_at_list(value, "reshard", shape, parse_reshard_delta)?;
+            }
             other => return Err(format!("unknown key `{other}`")),
         }
         Ok(())
     }
 
-    /// Binds the late spellings and validates the result into a
-    /// [`JobSpec`].
+    /// The only constructor of a [`JobSpec`]: binds the late spellings,
+    /// checks the job against [`RULES`], and builds — once — everything
+    /// that can fail to build, keeping what [`run_job`](crate::run_job)
+    /// needs.
     pub fn resolve(
         &self,
         scenario: &str,
         index: usize,
         overrides: Vec<(String, String)>,
     ) -> Result<JobSpec, Blame> {
+        let fail = |keys: &'static [&'static str], msg: &str| Err((keys, msg.to_string()));
         let mut spec = self.spec.clone();
         spec.scenario = scenario.to_string();
         spec.index = index;
         spec.overrides = overrides;
         if !self.accounts_set {
-            spec.accounts = spec.shards;
+            spec.sys.accounts = spec.sys.shards;
         }
         if self.auto_burst {
-            spec.strategy = StrategyKind::CountBurst {
+            spec.adv.strategy = StrategyKind::CountBurst {
                 burst_round: (spec.rounds / 10).max(1),
-                count: spec.b,
+                count: spec.adv.burstiness,
             };
         }
         if self.auto_threshold {
-            spec.coloring = ColoringStrategy::HeavyLight {
-                threshold: bounds::ceil_sqrt(spec.shards),
+            spec.bds.coloring = ColoringStrategy::HeavyLight {
+                threshold: bounds::ceil_sqrt(spec.sys.shards),
             };
+            spec.fds.coloring = spec.bds.coloring;
         }
-        spec.validate()?;
+        spec.ingest = match (self.mempool, self.stream) {
+            (Some(mempool), Some(stream)) => Some(Ingest {
+                mempool,
+                stream,
+                offered: self.offered.unwrap_or_else(|| {
+                    saturation_offered(spec.adv.rho, spec.sys.shards, spec.sys.k_max)
+                }),
+            }),
+            (Some(_), None) => {
+                return fail(
+                    &["mempool"],
+                    "mempool requires stream = zipf:<exponent> | shift:<period> \
+                     (the ingestion plane needs a streaming producer)",
+                )
+            }
+            (None, Some(_)) => return fail(&["stream"], "stream requires mempool = CAPACITY"),
+            (None, None) if self.offered.is_some() => {
+                return fail(&["offered"], "offered requires mempool = CAPACITY")
+            }
+            (None, None) => None,
+        };
+        let broken = |(keys, check): &Rule| Some((*keys, check(&spec)?));
+        if let Some(blame) = RULES.iter().find_map(broken) {
+            return Err(blame);
+        }
+        if !spec.reshard.is_empty() {
+            let plan = ReshardPlan::build(spec.sys.shards, &spec.sys, &spec.reshard)
+                .map_err(|m| (&["reshard"][..], m))?;
+            spec.plan = Some(Arc::new(plan));
+        }
+        let sys = spec.system_config();
+        sys.validate()
+            .map_err(|e| (&["shards", "accounts", "k"][..], e.to_string()))?;
+        spec.metric
+            .build(sys.shards)
+            .map_err(|m| (&["metric", "shards"][..], m))?;
+        spec.faults
+            .validate(spec.sys.shards)
+            .map_err(|m| (FAULT_KEYS, m))?;
         Ok(spec)
     }
 }
 
-/// One fully resolved, validated sweep job: a pure description of a
-/// single simulation run. Running a `JobSpec` twice — on any thread —
-/// produces identical reports.
+/// One row of [`RULES`]: the keys it blames, and the check — the message
+/// when the job breaks it.
+pub(crate) type Rule = (&'static [&'static str], fn(&JobSpec) -> Option<String>);
+
+/// Every way a set of individually well-formed assignments can still
+/// describe no runnable job, in precedence order: the first broken row is
+/// the one reported. The rows blaming or reading more than one key are
+/// DESIGN.md's "Restrictions", row for row (a test holds the two
+/// together): lifting a restriction is deleting its row in both.
+pub(crate) const RULES: &[Rule] = &[
+    (&["rho"], |j| {
+        let rho = j.adv.rho;
+        (!(rho > 0.0 && rho <= 1.0)).then(|| format!("rho must satisfy 0 < rho <= 1, got {rho}"))
+    }),
+    (&["b"], |j| {
+        (j.adv.burstiness == 0).then(|| "b must be >= 1".into())
+    }),
+    (&["rounds"], |j| {
+        (j.rounds == 0).then(|| "rounds must be >= 1".into())
+    }),
+    (&["pipeline-window"], |j| {
+        (j.fds.pipeline_window == 0).then(|| "pipeline-window must be >= 1".into())
+    }),
+    (&["sublayers"], |j| {
+        (j.fds.sublayers == 0).then(|| "sublayers must be >= 1".into())
+    }),
+    // Here, not only in `SystemConfig::validate`, so the failure carries
+    // the quorum keys.
+    (&["nodes-per-shard", "faulty-per-shard"], |j| {
+        let (n, f) = (j.sys.nodes_per_shard, j.sys.faulty_per_shard);
+        (n <= 3 * f).then(|| {
+            format!(
+                "nodes-per-shard = {n} does not satisfy n > 3f for \
+                 faulty-per-shard = {f} (PBFT quorum impossible)"
+            )
+        })
+    }),
+    (&["engine", "scheduler"], |j| {
+        (j.engine == EngineKind::Net && !j.scheduler.supports_net()).then(|| {
+            format!(
+                "engine = net does not support scheduler = {} (fcfs is an idealized \
+                 centralized baseline with no networked protocol)",
+                j.scheduler.name()
+            )
+        })
+    }),
+    (FAULT_KEYS, |j| {
+        (!j.faults.is_inert() && j.engine != EngineKind::Net).then(|| {
+            "fault keys (drop-prob, dup-prob, crash, byzantine-votes) require \
+             engine = net — the simulator never injects faults"
+                .into()
+        })
+    }),
+    (&["byzantine-votes", "faulty-per-shard"], |j| {
+        let (votes, f) = (j.faults.byz_votes, j.sys.faulty_per_shard);
+        (votes > f).then(|| {
+            format!(
+                "byzantine-votes = {votes} exceeds faulty-per-shard = {f} — a shard \
+                 cannot flip more voters than it declares Byzantine"
+            )
+        })
+    }),
+    (&["mempool"], |j| {
+        j.ingest
+            .is_some_and(|i| i.mempool == 0)
+            .then(|| "mempool capacity must be >= 1".into())
+    }),
+    (&["offered"], |j| {
+        j.ingest
+            .is_some_and(|i| i.offered == 0)
+            .then(|| "offered must be >= 1".into())
+    }),
+    (&["reshard", "placement"], |j| {
+        (!j.reshard.is_empty() && j.placement != Placement::Vnode).then(|| {
+            "reshard requires placement = vnode (migration schedules are \
+             vnode-table re-assignments)"
+                .into()
+        })
+    }),
+    (&["reshard", "scheduler"], |j| {
+        let hosted = !matches!(j.scheduler, SchedulerKind::Fds | SchedulerKind::Fcfs);
+        (!j.reshard.is_empty() && !hosted).then(|| {
+            format!(
+                "reshard requires an epoch-hosted scheduler (bds or a zoo \
+                 policy); {} has no epoch boundary to switch tables at",
+                j.scheduler
+            )
+        })
+    }),
+    (&["reshard"], |j| {
+        (!j.reshard.is_empty() && !j.faults.is_inert()).then(|| {
+            "reshard cannot be combined with fault keys — the zero-loss \
+             migration audit is defined for fault-free runs"
+                .into()
+        })
+    }),
+];
+
+/// One fully resolved sweep job — the built inputs of a single run:
+/// each layer's own configuration as that layer declares it, and the
+/// migration plan the job was checked against. Running a `JobSpec`
+/// twice — on any thread — produces identical reports.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Name of the scenario this job came from.
@@ -310,244 +451,64 @@ pub struct JobSpec {
     pub engine: EngineKind,
     /// Shard metric shape.
     pub metric: MetricKind,
-    /// Number of shards `s`.
-    pub shards: usize,
-    /// Total shared accounts.
-    pub accounts: usize,
-    /// Max shards per transaction `k`.
-    pub k: usize,
-    /// Nodes per shard `n_i`.
-    pub nodes_per_shard: usize,
-    /// Byzantine nodes per shard `f_i`.
-    pub faulty_per_shard: usize,
+    /// The system as written: `shards`, `accounts`, `k`,
+    /// `nodes-per-shard`, `faulty-per-shard`. Under a reshard schedule
+    /// `shards` is the *initial* active count; the engines run the
+    /// provisioned [`system_config`](Self::system_config).
+    pub sys: SystemConfig,
     /// Account placement.
     pub placement: Placement,
     /// Simulated rounds.
     pub rounds: u64,
-    /// Injection rate `ρ`.
-    pub rho: f64,
-    /// Burstiness `b`.
-    pub b: u64,
-    /// Adversarial strategy (fully resolved).
-    pub strategy: StrategyKind,
-    /// Workload shape.
-    pub shape: WorkloadShape,
-    /// Adversary seed.
-    pub seed: u64,
-    /// Coloring algorithm (fully resolved).
-    pub coloring: ColoringStrategy,
-    /// BDS: rotate the epoch leader.
-    pub rotate_leader: bool,
-    /// FDS: enable rescheduling periods.
-    pub reschedule: bool,
-    /// FDS: vote pipeline window `W`.
-    pub pipeline_window: usize,
-    /// FDS: hierarchy sublayers `H2`.
-    pub sublayers: usize,
-    /// FDS: epoch scale constant `c`.
-    pub epoch_scale: u64,
-    /// FCFS: charge per-shard capacity.
-    pub respect_capacity: bool,
+    /// The adversary: `rho`, `b`, `strategy`, `shape`, `seed` (strategy
+    /// fully resolved).
+    pub adv: AdversaryConfig,
+    /// BDS and the zoo policies: `coloring`, `rotate-leader`.
+    pub bds: BdsConfig,
+    /// FDS: `coloring`, `reschedule`, `pipeline-window`, `sublayers`,
+    /// `epoch-scale`.
+    pub fds: FdsConfig,
+    /// FCFS: `respect-capacity`.
+    pub fcfs: FcfsConfig,
     /// Run the cross-shard serialization-order checker over the chains
     /// afterwards (FCFS keeps none, so there it checks nothing).
     pub check_order: bool,
-    /// Net engine: seed of the fault plane's ChaCha streams.
-    pub fault_seed: u64,
-    /// Net engine: per-link message-drop probability.
-    pub drop_prob: f64,
-    /// Net engine: per-link message-duplication probability.
-    pub dup_prob: f64,
-    /// Net engine: max drops per directed link (`u64::MAX` = unlimited).
-    pub drop_budget: u64,
-    /// Net engine: `(shard, round)` crash schedule.
-    pub crashes: Vec<(u32, u64)>,
-    /// Net engine: Byzantine voters per intra-shard consensus instance.
-    pub byz_votes: usize,
-    /// Firehose: per-home-shard mempool lane capacity (`None` = the
-    /// legacy inline generator, no ingestion plane).
-    pub mempool: Option<usize>,
-    /// Firehose: which account distribution the producer streams.
-    pub stream: Option<StreamKind>,
-    /// Firehose: transactions offered per round (`None` = saturation
-    /// default, 4× the `(ρ, b)`-sustainable rate).
-    pub offered: Option<u64>,
+    /// Net engine: the fault plane — `fault-seed`, `drop-prob`,
+    /// `dup-prob`, `drop-budget`, `crash`, `byzantine-votes` (inert
+    /// unless one of the last four is set).
+    pub faults: FaultPlan,
+    /// Firehose: the streaming ingestion plane (`None` = the legacy
+    /// inline generator).
+    pub ingest: Option<Ingest>,
     /// How much of the metrics plane to record (`off` keeps every legacy
     /// byte untouched; `summary` fills the percentile columns; `full`
     /// additionally emits the per-epoch timeline JSONL).
     pub metrics: MetricsMode,
     /// Elastic reshard schedule: signed shard-count deltas by round
     /// (`+N@R` activates the `N` lowest inactive ids, `-N@R` retires the
-    /// `N` highest active ids). Empty = static placement. `shards` stays
-    /// the *initial* active count; the provisioned system spans the
-    /// schedule's maximum (see [`system_config`](Self::system_config)).
+    /// `N` highest active ids). Empty = static placement.
     pub reshard: Vec<(i64, u64)>,
+    /// `reshard` built against `sys`; private, so a `JobSpec` comes only
+    /// from [`JobDraft::resolve`].
+    plan: Option<Arc<ReshardPlan>>,
 }
 
 impl JobSpec {
+    /// The precomputed migration plan, or `None` for static jobs.
+    pub fn plan(&self) -> Option<&Arc<ReshardPlan>> {
+        self.plan.as_ref()
+    }
+
     /// The system configuration this job runs against. For reshard jobs
     /// this is the *provisioned* system — `shards` spans the schedule's
     /// maximum active count, because every provisioned shard is a
     /// protocol participant from round 0 (inactive ones simply own no
     /// vnodes until their join event).
     pub fn system_config(&self) -> SystemConfig {
-        let shards = self.reshard_plan().map_or(self.shards, |plan| plan.s_max);
         SystemConfig {
-            shards,
-            nodes_per_shard: self.nodes_per_shard,
-            faulty_per_shard: self.faulty_per_shard,
-            k_max: self.k,
-            accounts: self.accounts,
+            shards: self.plan.as_ref().map_or(self.sys.shards, |p| p.s_max),
+            ..self.sys.clone()
         }
-    }
-
-    /// The precomputed migration plan, or `None` for static jobs.
-    pub fn reshard_plan(&self) -> Option<ReshardPlan> {
-        self.try_reshard_plan()
-            .expect("reshard schedule validated at resolve time")
-    }
-
-    /// Builds the migration plan, validating the schedule itself (event
-    /// ordering, active-set floor, provisioned-capacity system bounds).
-    fn try_reshard_plan(&self) -> Result<Option<ReshardPlan>, String> {
-        if self.reshard.is_empty() {
-            return Ok(None);
-        }
-        let cfg = SystemConfig {
-            shards: self.shards,
-            nodes_per_shard: self.nodes_per_shard,
-            faulty_per_shard: self.faulty_per_shard,
-            k_max: self.k,
-            accounts: self.accounts,
-        };
-        ReshardPlan::build(self.shards, &cfg, &self.reshard).map(Some)
-    }
-
-    /// The cross-key rules: every way a set of individually well-formed
-    /// assignments can still describe no runnable job. Each failure names
-    /// the keys it blames so the planner can attribute it to a line.
-    fn validate(&self) -> Result<(), Blame> {
-        let fail = |keys: &'static [&'static str], msg: String| Err((keys, msg));
-        if !(self.rho > 0.0 && self.rho <= 1.0) {
-            return fail(
-                &["rho"],
-                format!("rho must satisfy 0 < rho <= 1, got {}", self.rho),
-            );
-        }
-        if self.b == 0 {
-            return fail(&["b"], "b must be >= 1".into());
-        }
-        if self.rounds == 0 {
-            return fail(&["rounds"], "rounds must be >= 1".into());
-        }
-        if self.pipeline_window == 0 {
-            return fail(&["pipeline-window"], "pipeline-window must be >= 1".into());
-        }
-        if self.sublayers == 0 {
-            return fail(&["sublayers"], "sublayers must be >= 1".into());
-        }
-        if self.nodes_per_shard <= 3 * self.faulty_per_shard {
-            // Checked here (not only in SystemConfig::validate) so the
-            // failure carries the quorum keys.
-            return fail(
-                &["nodes-per-shard", "faulty-per-shard"],
-                format!(
-                    "nodes-per-shard = {} does not satisfy n > 3f for \
-                     faulty-per-shard = {} (PBFT quorum impossible)",
-                    self.nodes_per_shard, self.faulty_per_shard
-                ),
-            );
-        }
-        if self.engine == EngineKind::Net && !self.scheduler.supports_net() {
-            return fail(
-                &["engine", "scheduler"],
-                format!(
-                    "engine = net does not support scheduler = {} (fcfs is an idealized \
-                     centralized baseline with no networked protocol)",
-                    self.scheduler.name()
-                ),
-            );
-        }
-        let faults = self.fault_plan();
-        let faults_requested = !faults.is_inert();
-        if faults_requested && self.engine != EngineKind::Net {
-            return fail(
-                FAULT_KEYS,
-                "fault keys (drop-prob, dup-prob, crash, byzantine-votes) require \
-                 engine = net — the simulator never injects faults"
-                    .into(),
-            );
-        }
-        if self.byz_votes > self.faulty_per_shard {
-            return fail(
-                &["byzantine-votes", "faulty-per-shard"],
-                format!(
-                    "byzantine-votes = {} exceeds faulty-per-shard = {} — a shard \
-                     cannot flip more voters than it declares Byzantine",
-                    self.byz_votes, self.faulty_per_shard
-                ),
-            );
-        }
-        if let Some(cap) = self.mempool {
-            if cap == 0 {
-                return fail(&["mempool"], "mempool capacity must be >= 1".into());
-            }
-            if self.stream.is_none() {
-                return fail(
-                    &["mempool"],
-                    "mempool requires stream = zipf:<exponent> | shift:<period> \
-                     (the ingestion plane needs a streaming producer)"
-                        .into(),
-                );
-            }
-        } else {
-            if self.stream.is_some() {
-                return fail(&["stream"], "stream requires mempool = CAPACITY".into());
-            }
-            if self.offered.is_some() {
-                return fail(&["offered"], "offered requires mempool = CAPACITY".into());
-            }
-        }
-        if self.offered == Some(0) {
-            return fail(&["offered"], "offered must be >= 1".into());
-        }
-        if !self.reshard.is_empty() {
-            if self.placement != Placement::Vnode {
-                return fail(
-                    &["reshard", "placement"],
-                    "reshard requires placement = vnode (migration schedules are \
-                     vnode-table re-assignments)"
-                        .into(),
-                );
-            }
-            if matches!(self.scheduler, SchedulerKind::Fds | SchedulerKind::Fcfs) {
-                return fail(
-                    &["reshard", "scheduler"],
-                    format!(
-                        "reshard requires an epoch-hosted scheduler (bds or a zoo \
-                         policy); {} has no epoch boundary to switch tables at",
-                        self.scheduler
-                    ),
-                );
-            }
-            if faults_requested {
-                return fail(
-                    &["reshard"],
-                    "reshard cannot be combined with fault keys — the zero-loss \
-                     migration audit is defined for fault-free runs"
-                        .into(),
-                );
-            }
-            self.try_reshard_plan().map_err(|m| (&["reshard"][..], m))?;
-        }
-        let sys = self.system_config();
-        sys.validate()
-            .map_err(|e| (&["shards", "accounts", "k"][..], e.to_string()))?;
-        // The metric spans the provisioned shard count (reshard jobs
-        // provision for the schedule's maximum).
-        self.metric
-            .build(sys.shards)
-            .map_err(|m| (&["metric", "shards"][..], m))?;
-        faults.validate(self.shards).map_err(|m| (FAULT_KEYS, m))
     }
 
     /// The account placement map this job runs against. For reshard
@@ -558,66 +519,29 @@ impl JobSpec {
         match self.placement {
             Placement::Random(seed) => AccountMap::random(&sys, seed),
             Placement::RoundRobin => AccountMap::round_robin(&sys),
-            Placement::Vnode => match self.reshard_plan() {
+            Placement::Vnode => match &self.plan {
                 Some(plan) => plan.versions[0].map.clone(),
-                None => VnodeTable::balanced(self.shards).account_map(&sys),
+                None => VnodeTable::balanced(self.sys.shards).account_map(&sys),
             },
         }
     }
 
-    /// The adversary configuration this job runs against.
-    pub fn adversary_config(&self) -> adversary::AdversaryConfig {
-        adversary::AdversaryConfig {
-            rho: self.rho,
-            burstiness: self.b,
-            strategy: self.strategy,
-            shape: self.shape,
-            seed: self.seed,
-        }
-    }
-
-    /// The fault plane this job injects (inert unless fault keys are
-    /// set; only the net engine consumes it).
-    pub fn fault_plan(&self) -> FaultPlan {
-        FaultPlan {
-            seed: self.fault_seed,
-            drop_prob: self.drop_prob,
-            dup_prob: self.dup_prob,
-            drop_budget: self.drop_budget,
-            crashes: self
-                .crashes
-                .iter()
-                .map(|&(s, r)| (ShardId(s), Round(r)))
-                .collect(),
-            byz_votes: self.byz_votes,
-        }
-    }
-
-    /// The round-by-round offered rate of this job's firehose producer
-    /// (explicit `offered`, or the saturation default).
-    pub fn offered_rate(&self) -> u64 {
-        self.offered
-            .unwrap_or_else(|| saturation_offered(self.rho, self.shards, self.k))
-    }
-
     /// The streaming ingestion pipeline for firehose jobs, or `None`
-    /// when the job uses the legacy inline generator. `sys`/`map` must
-    /// be this job's own [`system_config`](Self::system_config) /
-    /// [`account_map`](Self::account_map).
-    pub fn ingest_pipeline(&self, sys: &SystemConfig, map: &AccountMap) -> Option<IngestPipeline> {
-        let capacity = self.mempool?;
-        let kind = self.stream.expect("validated: stream accompanies mempool");
+    /// when the job uses the legacy inline generator. `map` must be this
+    /// job's own [`account_map`](Self::account_map).
+    pub fn ingest_pipeline(&self, map: &AccountMap) -> Option<IngestPipeline> {
+        let ingest = self.ingest?;
         let source = StreamSource::new(
-            sys,
+            &self.sys,
             map,
-            kind,
-            self.shape,
-            self.rho,
-            self.b,
-            self.offered_rate(),
-            self.seed,
+            ingest.stream,
+            self.adv.shape,
+            self.adv.rho,
+            self.adv.burstiness,
+            ingest.offered,
+            self.adv.seed,
         );
-        Some(IngestPipeline::new(source, capacity))
+        Some(IngestPipeline::new(source, ingest.mempool))
     }
 
     /// Compact human label: the grid overrides that produced this job,
@@ -639,15 +563,12 @@ impl JobSpec {
     pub fn plan_line(&self) -> String {
         // The firehose token group is present only for mempool jobs so
         // legacy plan goldens stay byte-identical.
-        let firehose = match (self.mempool, self.stream) {
-            (Some(cap), Some(kind)) => {
-                format!(
-                    "mempool={cap} stream={kind} offered={} ",
-                    self.offered_rate()
-                )
-            }
-            _ => String::new(),
-        };
+        let firehose = self.ingest.map_or(String::new(), |i| {
+            format!(
+                "mempool={} stream={} offered={} ",
+                i.mempool, i.stream, i.offered
+            )
+        });
         // Likewise the metrics token appears only when the plane is on.
         let metrics = match self.metrics {
             MetricsMode::Off => String::new(),
@@ -672,15 +593,152 @@ impl JobSpec {
             self.scheduler,
             self.engine,
             self.metric,
-            self.shards,
-            self.k,
+            self.sys.shards,
+            self.sys.k_max,
             self.rounds,
-            self.rho,
-            self.b,
-            self.strategy,
-            self.shape,
-            self.seed,
+            self.adv.rho,
+            self.adv.burstiness,
+            self.adv.strategy,
+            self.adv.shape,
+            self.adv.seed,
             self.label(),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parse::Scenario;
+
+    /// One minimal failing scenario per [`RULES`] row, in row order: the
+    /// message it must produce, the line it must blame, and the DESIGN.md
+    /// "Restrictions" row it is (`""` for a single-key range check).
+    const BREAKS: &[(&str, &str, usize, &str)] = &[
+        ("rho = 1.5\n", "0 < rho <= 1, got 1.5", 2, ""),
+        ("b = 0\n", "b must be >= 1", 2, ""),
+        ("rounds = 0\n", "rounds must be >= 1", 2, ""),
+        (
+            "pipeline-window = 0\n",
+            "pipeline-window must be >= 1",
+            2,
+            "",
+        ),
+        ("sublayers = 0\n", "sublayers must be >= 1", 2, ""),
+        (
+            "faulty-per-shard = 2\nk = 3\n",
+            "does not satisfy n > 3f",
+            2,
+            "nodes-per-shard > 3·faulty-per-shard",
+        ),
+        (
+            "scheduler = fcfs\nk = 3\nengine = net\n",
+            "does not support scheduler = fcfs",
+            4,
+            "engine = net ⇒ scheduler ≠ fcfs",
+        ),
+        (
+            "dup-prob = 0.1\nk = 3\n",
+            "require engine = net",
+            2,
+            "fault keys ⇒ engine = net",
+        ),
+        (
+            "engine = net\nbyzantine-votes = 2\nk = 3\n",
+            "exceeds faulty-per-shard = 1",
+            3,
+            "byzantine-votes ≤ faulty-per-shard",
+        ),
+        (
+            "mempool = 0\nstream = zipf:0.6\n",
+            "mempool capacity must be >= 1",
+            2,
+            "",
+        ),
+        (
+            "mempool = 8\noffered = 0\nstream = zipf:0.6\n",
+            "offered must be >= 1",
+            3,
+            "",
+        ),
+        (
+            "reshard = +2@100\nk = 3\n",
+            "requires placement = vnode",
+            2,
+            "reshard ⇒ placement = vnode",
+        ),
+        (
+            "placement = vnode\nreshard = +2@100\nscheduler = fds\n",
+            "epoch-hosted scheduler",
+            4,
+            "reshard ⇒ epoch-hosted scheduler",
+        ),
+        (
+            "engine = net\nplacement = vnode\nreshard = +2@100\ncrash = 0@50\n",
+            "cannot be combined with fault keys",
+            4,
+            "reshard ⇒ fault-free",
+        ),
+    ];
+
+    #[test]
+    fn every_rule_has_a_scenario_it_alone_rejects_at_the_blamed_line() {
+        assert_eq!(BREAKS.len(), RULES.len(), "one break per RULES row");
+        for ((body, needle, line, _), (keys, _)) in BREAKS.iter().zip(RULES) {
+            let text = format!("name = x\n{body}");
+            let scenario = Scenario::parse_str(&text, "<rule>").unwrap();
+            let e = scenario.jobs().expect_err(body);
+            assert!(e.msg.contains(needle), "{body:?}: {e}");
+            assert_eq!(e.line, Some(*line), "{body:?}: {e}");
+            // The blamed line assigns one of the row's own keys.
+            let blamed = text.lines().nth(line - 1).unwrap();
+            let key = blamed.split('=').next().unwrap().trim();
+            assert!(keys.contains(&key), "{body:?} blames `{key}`, not {keys:?}");
+        }
+    }
+
+    /// DESIGN.md's "Restrictions" table and the cross-key rows of
+    /// [`RULES`] are the same list, in the same order.
+    #[test]
+    fn design_restrictions_table_is_the_cross_key_rows() {
+        let design = include_str!("../../../DESIGN.md");
+        let section = design.split("\n## Restrictions").nth(1).unwrap();
+        let section = section.split("\n## ").next().unwrap();
+        let documented: Vec<String> = section
+            .lines()
+            .filter_map(|l| l.strip_prefix("| "))
+            .skip(1) // the header; the `|---|` separator has no `| ` prefix
+            .map(|row| row.split(" | ").next().unwrap().replace('`', ""))
+            .collect();
+        let ruled: Vec<&str> = BREAKS
+            .iter()
+            .map(|b| b.3)
+            .filter(|r| !r.is_empty())
+            .collect();
+        assert_eq!(documented, ruled);
+    }
+
+    /// The scenario defaults are the owning layers' own, except exactly
+    /// two: the adversary seed and FCFS's capacity charge.
+    #[test]
+    fn defaults_are_the_layers_own_except_seed_and_respect_capacity() {
+        let spec = JobDraft::default().resolve("d", 0, Vec::new()).unwrap();
+        let same = |a: &dyn std::fmt::Debug, b: &dyn std::fmt::Debug| {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        };
+        assert_eq!(spec.sys, SystemConfig::paper_simulation());
+        assert_eq!(spec.adv.seed, 42);
+        assert_eq!(
+            AdversaryConfig {
+                seed: 0,
+                ..spec.adv
+            },
+            AdversaryConfig::default()
+        );
+        same(&spec.bds, &BdsConfig::default());
+        same(&spec.fds, &FdsConfig::default());
+        assert!(spec.fcfs.respect_capacity && !FcfsConfig::default().respect_capacity);
+        assert_eq!(spec.faults, FaultPlan::default());
+        assert!(spec.ingest.is_none() && spec.plan().is_none());
     }
 }

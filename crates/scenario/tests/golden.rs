@@ -1,352 +1,190 @@
-//! Golden-file coverage for the scenario parser and planner: each
-//! `tests/golden/X.scenario` must expand to exactly the plan recorded in
-//! `tests/golden/X.plan`. Regenerate a plan after an intentional format
-//! change with:
+//! Golden-file coverage for the scenario engine. Every pinned run is one
+//! row of [`GOLDENS`] (a checked-in scenario, how it is run, and what its
+//! rows must show beyond matching `tests/golden/<stem>_rounds<N>.csv` byte
+//! for byte); each `tests/golden/X.scenario` of [`PLANS`] must expand to
+//! exactly `tests/golden/X.plan`. After an intentional change,
 //!
 //! ```sh
-//! cargo run --bin blockshard -- plan crates/scenario/tests/golden/X.scenario \
-//!     > crates/scenario/tests/golden/X.plan
+//! BLESS=1 cargo test -p scenario --test golden
 //! ```
+//!
+//! rewrites every golden file from what the code now produces. CI runs
+//! the same scenarios through the `blockshard` CLI and diffs each report
+//! it writes against the same files, so a behaviour change fails here
+//! first, with a readable assert.
 
 use scenario::{report, run_jobs, Scenario};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-fn check_golden(name: &str) {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    let s = Scenario::load(&dir.join(format!("{name}.scenario"))).unwrap();
-    let jobs = s.jobs().unwrap();
-    let got = s.plan_string(&jobs);
-    let want = std::fs::read_to_string(dir.join(format!("{name}.plan"))).unwrap();
-    assert_eq!(
-        got, want,
-        "plan for `{name}` drifted from its golden file (see module docs to regenerate)"
-    );
+fn golden_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
+
+/// `got` must equal the golden file at `path`, which `BLESS=1` rewrites
+/// first where `bless` allows it.
+fn check_against(path: &Path, got: &str, bless: bool) -> Result<(), String> {
+    if bless && std::env::var_os("BLESS").is_some() {
+        std::fs::write(path, got).map_err(|e| format!("{}: {e}", path.display()))?;
+    }
+    let want = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    if got == want {
+        return Ok(());
+    }
+    Err(format!(
+        "{} drifted (BLESS=1 regenerates it)\n--- golden\n{want}--- got\n{got}",
+        path.display()
+    ))
+}
+
+const PLANS: &[&str] = &["sweep", "flat"];
 
 #[test]
-fn sweep_scenario_matches_golden_plan() {
-    check_golden("sweep");
+fn golden_scenarios_expand_to_their_golden_plans() {
+    for name in PLANS {
+        let s = Scenario::load(&golden_dir().join(format!("{name}.scenario"))).unwrap();
+        let got = s.plan_string(&s.jobs().unwrap());
+        check_against(&golden_dir().join(format!("{name}.plan")), &got, true).unwrap();
+    }
 }
 
-#[test]
-fn flat_scenario_matches_golden_plan() {
-    check_golden("flat");
-}
+/// What a golden's data rows must show beyond their bytes: the property
+/// is read off the rows so it is machine-checked on every run, not
+/// eyeballed once when the file was blessed.
+type RowCheck = fn(&[&str]) -> Result<(), String>;
 
-/// The checked-in report golden: running scenario `name` at 500 rounds
-/// must reproduce `tests/golden/<file>` byte for byte. This is the same
-/// invocation the CI scenario-smoke step diffs, so a simulation-behavior
-/// change (intended or not) fails here first with a readable assert.
-/// Regenerate after an intentional behavior change by running the run
-/// command and copying the CSV it writes (reports are named after the
-/// scenario's `name =` line, e.g. `dos-burst.csv`):
-///
-/// ```sh
-/// cargo run --release --bin blockshard -- run scenarios/smoke.scenario \
-///     scenarios/dos_burst.scenario scenarios/net_smoke.scenario \
-///     scenarios/net_faults.scenario --rounds 500 --out /tmp/golden
-/// cp /tmp/golden/smoke.csv crates/scenario/tests/golden/smoke_rounds500.csv
-/// cp /tmp/golden/dos-burst.csv crates/scenario/tests/golden/dos_burst_rounds500.csv
-/// cp /tmp/golden/net-smoke.csv crates/scenario/tests/golden/net_smoke_rounds500.csv
-/// cp /tmp/golden/net-faults.csv crates/scenario/tests/golden/net_faults_rounds500.csv
-/// ```
-fn check_report_golden(name: &str, file: &str) {
-    check_report_golden_at(name, file, 500, &[]);
-}
-
-fn check_report_golden_with(name: &str, file: &str, extra: &[(String, String)]) {
-    check_report_golden_at(name, file, 500, extra);
-}
-
-fn check_report_golden_at(name: &str, file: &str, rounds: u64, extra: &[(String, String)]) {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let scenario = Scenario::load(&dir.join("../../scenarios").join(name)).unwrap();
-    let mut overrides = vec![("rounds".to_string(), rounds.to_string())];
-    overrides.extend_from_slice(extra);
-    let jobs = scenario.jobs_with(&overrides).unwrap();
-    let outcomes = run_jobs(&jobs, 2, false);
-    let got = report::csv_string(&outcomes);
-    let want = std::fs::read_to_string(dir.join("tests/golden").join(file)).unwrap();
-    assert_eq!(
-        got, want,
-        "report for `{name}` at {rounds} rounds drifted from its golden file \
-         (simulation behavior changed — see the docs above to regenerate)"
-    );
-}
-
-#[test]
-fn smoke_report_matches_golden() {
-    check_report_golden("smoke.scenario", "smoke_rounds500.csv");
-}
-
-#[test]
-fn dos_burst_report_matches_golden() {
-    check_report_golden("dos_burst.scenario", "dos_burst_rounds500.csv");
-}
-
-#[test]
-fn net_smoke_report_matches_golden() {
-    check_report_golden("net_smoke.scenario", "net_smoke_rounds500.csv");
-}
-
-#[test]
-fn net_faults_report_matches_golden() {
-    check_report_golden("net_faults.scenario", "net_faults_rounds500.csv");
-}
-
-/// The tentpole guarantee, pinned on the checked-in scenario itself:
-/// running `net_smoke` (a fault-free `engine = net` grid) with the
-/// engine overridden back to `sim` must reproduce the **networked**
-/// golden byte for byte — the CSV deliberately has no engine column, so
-/// the two engines are interchangeable wherever no faults are injected.
-#[test]
-fn net_smoke_with_sim_engine_is_byte_identical() {
-    check_report_golden_with(
-        "net_smoke.scenario",
-        "net_smoke_rounds500.csv",
-        &[("engine".to_string(), "sim".to_string())],
-    );
-}
-
-/// The scheduler-zoo head-to-head: all six net-capable schedulers over
-/// both engines at 200 rounds. Pins two things at once — each zoo
-/// policy's exact numbers on the shared seeded workload, and the
-/// sim/net byte-equality of every row pair (the golden stores both
-/// engines' rows; the CSV has no engine column, so identical rows *are*
-/// the interchangeability proof). Regenerate like the 500-round goldens
-/// but with `--rounds 200`:
-///
-/// ```sh
-/// cargo run --release --bin blockshard -- run scenarios/zoo_quick.scenario \
-///     --rounds 200 --out /tmp/golden
-/// cp /tmp/golden/zoo-quick.csv crates/scenario/tests/golden/zoo_quick_rounds200.csv
-/// ```
-#[test]
-fn zoo_quick_report_matches_golden() {
-    check_report_golden_at("zoo_quick.scenario", "zoo_quick_rounds200.csv", 200, &[]);
-}
-
-/// The ingestion-plane goldens: both firehose scenarios at 120 rounds,
-/// pinning the streamed workload, the admission decisions, and the four
-/// mempool report columns. `firehose_shift`'s grid spans `engine =
-/// sim, net` over one stream — the CSV has no engine column, so the
-/// golden holding two byte-identical rows *is* the proof that the
-/// networked runtime pre-drains exactly the batches the simulator
-/// drains live, ingestion counters included. Regenerate like the other
-/// report goldens but with `--rounds 120`:
-///
-/// ```sh
-/// cargo run --release --bin blockshard -- run scenarios/firehose_shift.scenario \
-///     scenarios/firehose_zipf.scenario --rounds 120 --out /tmp/golden
-/// cp /tmp/golden/firehose-shift.csv crates/scenario/tests/golden/firehose_shift_rounds120.csv
-/// cp /tmp/golden/firehose-zipf.csv crates/scenario/tests/golden/firehose_zipf_rounds120.csv
-/// ```
-#[test]
-fn firehose_shift_report_matches_golden_and_engines_agree() {
-    check_report_golden_at(
-        "firehose_shift.scenario",
-        "firehose_shift_rounds120.csv",
-        120,
-        &[],
-    );
-    // Make the two-identical-rows property explicit rather than latent
-    // in the golden bytes.
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    let golden = std::fs::read_to_string(dir.join("firehose_shift_rounds120.csv")).unwrap();
-    let rows: Vec<&str> = golden.lines().skip(1).collect();
-    assert_eq!(rows.len(), 2);
-    let strip_job = |r: &str| {
-        r.splitn(3, ',')
-            .enumerate()
-            .filter(|(i, _)| *i != 1)
-            .map(|(_, f)| f.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    assert_eq!(
-        strip_job(rows[0]),
-        strip_job(rows[1]),
-        "sim and net rows must be identical apart from the job index"
-    );
-}
-
-#[test]
-fn firehose_zipf_report_matches_golden() {
-    check_report_golden_at(
-        "firehose_zipf.scenario",
-        "firehose_zipf_rounds120.csv",
-        120,
-        &[],
-    );
-}
-
-/// The campaign goldens: every member of `blockshard campaign quick`
-/// at its checked-in 200-round shape. 200 rounds IS the base
-/// `rounds =` of every campaign scenario, so the campaign runner
-/// reproduces these files byte for byte — the CI campaign-smoke job
-/// diffs all five against a real `campaign quick --threads 2` run.
-/// Beyond byte-equality, every row must carry *non-empty* percentile
-/// and utilization columns: the campaign exists to exercise the
-/// metrics plane, so a row silently falling back to `metrics = off`
-/// (four trailing empty fields) is a bug even if the golden matches.
-/// Regenerate after an intentional behavior change with:
-///
-/// ```sh
-/// cargo run --release --bin blockshard -- campaign quick --out /tmp/camp
-/// cp /tmp/camp/flash-crowd.csv crates/scenario/tests/golden/flash_crowd_rounds200.csv
-/// cp /tmp/camp/gray-partition.csv crates/scenario/tests/golden/gray_partition_rounds200.csv
-/// cp /tmp/camp/rolling-crash.csv crates/scenario/tests/golden/rolling_crash_rounds200.csv
-/// cp /tmp/camp/byz-ramp.csv crates/scenario/tests/golden/byz_ramp_rounds200.csv
-/// cp /tmp/camp/combined-stress.csv crates/scenario/tests/golden/combined_stress_rounds200.csv
-/// cp /tmp/camp/reshard-churn.csv crates/scenario/tests/golden/reshard_churn_rounds200.csv
-/// ```
-fn check_campaign_golden(scenario_file: &str, golden: &str) {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let scenario = Scenario::load(&dir.join("../../scenarios").join(scenario_file)).unwrap();
-    let jobs = scenario.jobs().unwrap();
-    let outcomes = run_jobs(&jobs, 2, false);
-    let got = report::csv_string(&outcomes);
-    let want = std::fs::read_to_string(dir.join("tests/golden").join(golden)).unwrap();
-    assert_eq!(
-        got, want,
-        "campaign report for `{scenario_file}` drifted from its golden file \
-         (see the docs above to regenerate)"
-    );
-    for row in got.lines().skip(1) {
+/// The campaign exists to exercise the metrics plane: a row silently
+/// falling back to `metrics = off` (empty percentile/utilization fields)
+/// is a bug even if the golden matches. The group sits just before the
+/// two trailing migration-audit columns.
+fn percentiles_present(rows: &[&str]) -> Result<(), String> {
+    let lost = rows.iter().find(|row| {
         let cols: Vec<&str> = row.split(',').collect();
-        // The percentile/utilization group sits just before the two
-        // trailing migration-audit columns (empty for static jobs).
-        let tail = &cols[cols.len() - 6..cols.len() - 2];
-        assert!(
-            tail.iter().all(|c| !c.is_empty()),
-            "campaign row lost its percentile/utilization columns: {row}"
-        );
+        cols[cols.len() - 6..cols.len() - 2]
+            .iter()
+            .any(|c| c.is_empty())
+    });
+    lost.map_or(Ok(()), |row| {
+        Err(format!(
+            "row lost its percentile/utilization columns: {row}"
+        ))
+    })
+}
+
+/// Every row of a live migration audits `reshard_lost,reshard_dup = 0,0`.
+fn zero_loss(rows: &[&str]) -> Result<(), String> {
+    let bad = rows.iter().find(|row| !row.ends_with(",0,0"));
+    bad.map_or(Ok(()), |row| {
+        Err(format!("migration audit must read 0,0: {row}"))
+    })
+}
+
+/// `reshard_churn`: the churn job audits `0,0`; the static control
+/// (`reshard = none`) renders the audit columns empty — never a fake zero.
+fn churn_then_control(rows: &[&str]) -> Result<(), String> {
+    match rows {
+        [churn, control] if churn.ends_with(",0,0") && control.ends_with(",,") => Ok(()),
+        _ => Err(format!(
+            "want a `,0,0` churn row and a `,,` control: {rows:?}"
+        )),
     }
 }
 
-#[test]
-fn flash_crowd_campaign_matches_golden() {
-    check_campaign_golden("flash_crowd.scenario", "flash_crowd_rounds200.csv");
-}
-
-#[test]
-fn gray_partition_campaign_matches_golden() {
-    check_campaign_golden("gray_partition.scenario", "gray_partition_rounds200.csv");
-}
-
-#[test]
-fn rolling_crash_campaign_matches_golden() {
-    check_campaign_golden("rolling_crash.scenario", "rolling_crash_rounds200.csv");
-}
-
-#[test]
-fn byz_ramp_campaign_matches_golden() {
-    check_campaign_golden("byz_ramp.scenario", "byz_ramp_rounds200.csv");
-}
-
-#[test]
-fn combined_stress_campaign_matches_golden() {
-    check_campaign_golden("combined_stress.scenario", "combined_stress_rounds200.csv");
-}
-
-#[test]
-fn reshard_churn_campaign_matches_golden() {
-    check_campaign_golden("reshard_churn.scenario", "reshard_churn_rounds200.csv");
-    // The churn row (job 0) must carry a machine-checked 0,0 audit; the
-    // static control (job 1, `reshard = none`) renders the columns
-    // empty — never a fake zero.
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    let golden = std::fs::read_to_string(dir.join("reshard_churn_rounds200.csv")).unwrap();
-    let rows: Vec<&str> = golden.lines().skip(1).collect();
-    assert_eq!(rows.len(), 2);
-    assert!(
-        rows[0].ends_with(",0,0"),
-        "churn job must audit zero lost / zero doubled: {}",
-        rows[0]
-    );
-    assert!(
-        rows[1].ends_with(",,"),
-        "static control renders empty audit columns: {}",
-        rows[1]
-    );
-}
-
-/// The tentpole goldens: 200-round live migrations, byte-pinned. The
-/// trailing `reshard_lost,reshard_dup` columns are asserted to read
-/// `0,0` *from the golden bytes themselves* — the no-loss/no-double
-/// invariant is machine-checked on every run of this suite, not just
-/// eyeballed once. Regenerate like the campaign goldens:
-///
-/// ```sh
-/// cargo run --release --bin blockshard -- run scenarios/scale_out.scenario \
-///     scenarios/scale_in.scenario --out /tmp/golden
-/// cp /tmp/golden/scale-out.csv crates/scenario/tests/golden/scale_out_rounds200.csv
-/// cp /tmp/golden/scale-in.csv crates/scenario/tests/golden/scale_in_rounds200.csv
-/// ```
-fn check_reshard_golden(scenario_file: &str, golden: &str) {
-    check_report_golden_at(scenario_file, golden, 200, &[]);
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    let content = std::fs::read_to_string(dir.join(golden)).unwrap();
-    for row in content.lines().skip(1) {
-        assert!(
-            row.ends_with(",0,0"),
-            "migration audit must read 0,0 (lost, duplicated): {row}"
-        );
+/// `firehose_shift` sweeps `engine = sim, net` over one stream, and the
+/// CSV has no engine column: two rows identical apart from the job index
+/// *are* the proof that the networked runtime pre-drains exactly the
+/// batches the simulator drains live, ingestion counters included.
+fn engines_agree(rows: &[&str]) -> Result<(), String> {
+    let sans_job = |row: &str| {
+        let (scenario, rest) = row.split_once(',')?;
+        Some((scenario.to_string(), rest.split_once(',')?.1.to_string()))
+    };
+    match rows {
+        [sim, net] if sans_job(sim).is_some() && sans_job(sim) == sans_job(net) => Ok(()),
+        _ => Err(format!(
+            "sim and net rows must differ only in the job index: {rows:?}"
+        )),
     }
 }
 
-#[test]
-fn scale_out_report_matches_golden_with_zero_loss() {
-    check_reshard_golden("scale_out.scenario", "scale_out_rounds200.csv");
+/// One pinned run: the `scenarios/<stem>.scenario` it runs, `--rounds`
+/// (`None` = as checked in, which is what `campaign quick` and the
+/// reshard smoke run), `--set` overrides, and the row checks. The golden
+/// is `<stem>_rounds<N>.csv`, `N` being the rounds the jobs ran — so a
+/// row with an override names the file its un-overridden twin pins, and
+/// a changed base `rounds =` misses its file.
+type Golden = (
+    &'static str,
+    Option<u64>,
+    &'static [(&'static str, &'static str)],
+    &'static [RowCheck],
+);
+
+/// The `engine = …` rows are the engine-interchangeability guarantee on
+/// checked-in scenarios: the CSV deliberately has no engine column, so a
+/// fault-free job must write the same bytes on either engine — through a
+/// live migration (`scale_*`: table updates, handoffs and re-homing land
+/// on identical rounds) and through the metrics plane (`flash_crowd`:
+/// percentile and utilization columns included). `zoo_quick` and
+/// `firehose_shift` hold both engines' rows in one file.
+const GOLDENS: &[Golden] = &[
+    ("smoke", Some(500), &[], &[]),
+    ("dos_burst", Some(500), &[], &[]),
+    ("net_smoke", Some(500), &[], &[]),
+    ("net_smoke", Some(500), &[("engine", "sim")], &[]),
+    ("net_faults", Some(500), &[], &[]),
+    ("zoo_quick", Some(200), &[], &[]),
+    ("firehose_shift", Some(120), &[], &[engines_agree]),
+    ("firehose_zipf", Some(120), &[], &[]),
+    ("flash_crowd", None, &[], &[percentiles_present]),
+    ("flash_crowd", None, &[("engine", "sim")], &[]),
+    ("gray_partition", None, &[], &[percentiles_present]),
+    ("rolling_crash", None, &[], &[percentiles_present]),
+    ("byz_ramp", None, &[], &[percentiles_present]),
+    ("combined_stress", None, &[], &[percentiles_present]),
+    (
+        "reshard_churn",
+        None,
+        &[],
+        &[percentiles_present, churn_then_control],
+    ),
+    ("scale_out", None, &[], &[zero_loss]),
+    ("scale_out", None, &[("engine", "net")], &[]),
+    ("scale_in", None, &[], &[zero_loss]),
+    ("scale_in", None, &[("engine", "net")], &[]),
+];
+
+fn check_golden((stem, rounds, sets, checks): &Golden) -> Result<(), String> {
+    let file =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../scenarios/{stem}.scenario"));
+    let scenario = Scenario::load(&file).map_err(|e| e.to_string())?;
+    let pair = |k: &str, v: &str| (k.to_string(), v.to_string());
+    let rounds = rounds.map(|n| pair("rounds", &n.to_string()));
+    let overrides: Vec<_> = rounds
+        .into_iter()
+        .chain(sets.iter().map(|(k, v)| pair(k, v)))
+        .collect();
+    let jobs = scenario.jobs_with(&overrides).map_err(|e| e.to_string())?;
+    let got = report::csv_string(&run_jobs(&jobs, 2, false));
+    let golden = format!("{stem}_rounds{}.csv", jobs[0].rounds);
+    // An overridden run is held to its twin's file, never blessed into it.
+    check_against(&golden_dir().join(golden), &got, sets.is_empty())?;
+    let rows: Vec<&str> = got.lines().skip(1).collect();
+    checks.iter().try_for_each(|check| check(&rows))
 }
 
 #[test]
-fn scale_in_report_matches_golden_with_zero_loss() {
-    check_reshard_golden("scale_in.scenario", "scale_in_rounds200.csv");
-}
-
-/// Engine interchangeability across a live migration: `scale_out` is a
-/// fault-free `engine = sim` scenario, and overriding the engine to
-/// `net` must reproduce the simulator golden byte for byte — the
-/// networked table updates, handoffs, and re-homing land on identical
-/// rounds, so the CSV (which deliberately has no engine column) cannot
-/// tell the engines apart.
-#[test]
-fn scale_out_with_net_engine_is_byte_identical() {
-    check_report_golden_at(
-        "scale_out.scenario",
-        "scale_out_rounds200.csv",
-        200,
-        &[("engine".to_string(), "net".to_string())],
-    );
-}
-
-#[test]
-fn scale_in_with_net_engine_is_byte_identical() {
-    check_report_golden_at(
-        "scale_in.scenario",
-        "scale_in_rounds200.csv",
-        200,
-        &[("engine".to_string(), "net".to_string())],
-    );
-}
-
-/// The engine-interchangeability guarantee extended to the metrics
-/// plane: `flash_crowd` is a fault-free `engine = net` campaign member
-/// with `metrics = full`, and overriding the engine back to `sim` must
-/// reproduce the **networked** golden byte for byte — percentile and
-/// utilization columns included. The net engines replay per-shard
-/// commit events through the same collector in simulator order, so the
-/// histograms see identical sequences; this test is where that claim
-/// is pinned on a real scenario.
-#[test]
-fn flash_crowd_with_sim_engine_is_byte_identical() {
-    check_report_golden_at(
-        "flash_crowd.scenario",
-        "flash_crowd_rounds200.csv",
-        200,
-        &[("engine".to_string(), "sim".to_string())],
-    );
+fn pinned_runs_match_their_goldens() {
+    let failures: Vec<String> = GOLDENS
+        .iter()
+        .filter_map(|golden| {
+            let (stem, rounds, sets, _) = golden;
+            let failure = check_golden(golden).err()?;
+            Some(format!(
+                "{stem} (rounds {rounds:?}, sets {sets:?}): {failure}"
+            ))
+        })
+        .collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n\n"));
 }
 
 #[test]
@@ -454,6 +292,12 @@ fn malformed_inputs_fail_with_context() {
         ),
         ("name = x\nreshard = 2@100\n", "explicit sign", Some(2)),
         ("name = x\nreshard = +2-100\n", "not +N@ROUND", Some(2)),
+        (
+            "name = x\ncrash = x@5\n",
+            "crash shard `x` is not an integer",
+            Some(2),
+        ),
+        ("name = x\ncrash = 2-100\n", "not SHARD@ROUND", Some(2)),
         (
             "name = x\nplacement = vnode\nreshard = +2@0\n",
             "round >= 1",
