@@ -305,7 +305,6 @@ impl BdsNode {
     /// Phase 1: drain the pending queue into the epoch set and forward
     /// it to the leader.
     fn phase1_send_pending<S: Seam<Msg>>(&mut self, seam: &mut S) {
-        let mut drained = std::mem::take(&mut self.injection);
         // Under a reshard plan, rebuild each transaction's shard grouping
         // against the *current* table: the source may have grouped under
         // an older version (its version switches at event rounds, the
@@ -313,13 +312,13 @@ impl BdsNode {
         // accesses are account-based, so coloring is placement-independent.
         if let Some(plan) = &self.reshard {
             let map = &plan.versions[self.rv].map;
-            for t in &mut drained {
+            for t in &mut self.injection {
                 *t = t.regrouped(map);
             }
         }
-        self.undecided += drained.len() as u64;
-        seam.send(self.leader(), Msg::TxnInfo(drained.clone()));
-        for txn in drained {
+        self.undecided += self.injection.len() as u64;
+        seam.send(self.leader(), Msg::TxnInfo(self.injection.clone()));
+        for txn in self.injection.drain(..) {
             let votes = VoteSet::new(txn.shard_count());
             let entry = EpochEntry {
                 txn,
@@ -336,6 +335,8 @@ impl BdsNode {
     /// and fix the epoch length: 2 gaps + 4 per color (paper: `2 + 4(Δ+1)`
     /// rounds in the uniform model).
     fn phase2_color<S: Seam<Msg>>(&mut self, policy: &mut dyn Scheduler, seam: &mut S) {
+        // Given away: a shard leads one epoch in `s`, so a kept buffer
+        // would hold a whole epoch's batch idle on every other shard.
         let txns = std::mem::take(&mut self.leader_buffer);
         let mut num_colors = 0;
         if !txns.is_empty() {
@@ -369,7 +370,7 @@ impl BdsNode {
         let Some(group) = self.color_groups.get_mut(z) else {
             return;
         };
-        for txn in std::mem::take(group) {
+        for txn in group.drain(..) {
             let Some(entry) = self.epoch_txns.get(&txn).filter(|e| !e.decided) else {
                 continue;
             };
@@ -500,9 +501,11 @@ impl Node for BdsNode {
             self.handle(round, from, msg, lent.ledger, seam);
         }
         // Seal this round's commits (decisions delivered above) into one
-        // block.
+        // block whose payload is allocated at its exact length: the chain
+        // keeps every block for the whole run, and handing it the
+        // push-grown buffer would keep that buffer's spare capacity too.
         if !self.append_buf.is_empty() {
-            let batch = std::mem::take(&mut self.append_buf);
+            let batch = self.append_buf.drain(..).collect();
             lent.chain.append_block(batch, Round(round));
         }
 
@@ -845,6 +848,26 @@ mod tests {
         let out = rig.step(7, stray(txn));
         assert!(out.sent.is_empty() && out.events.is_empty());
         assert!(rig.chain.is_empty(), "no stray decision appended anything");
+    }
+
+    #[test]
+    fn sealed_block_holds_exactly_its_payload() {
+        let (sys, map) = small_sys();
+        for n in [1, 5] {
+            let mut rig = Rig::new(2, &sys, &map, &UniformMetric::new(sys.shards));
+            let sub = |id| {
+                let dests = [ShardId(2)];
+                let txn = Transaction::writing_shards(id, ShardId(1), Round::ZERO, &map, &dests);
+                (ShardId(1), Msg::SubTxn(txn.unwrap().subs[0].clone()))
+            };
+            let out = rig.step(0, (0..n).map(TxnId).map(sub).collect());
+            assert_eq!(out.sent.len(), n as usize, "one vote each");
+            let commit = |txn| (ShardId(1), Msg::Decision { txn, commit: true });
+            rig.step(1, (0..n).map(TxnId).map(commit).collect());
+            let block = rig.chain.blocks().last().unwrap();
+            assert_eq!(block.subs.len(), n as usize, "one block for the round");
+            assert_eq!(block.subs.capacity(), block.subs.len());
+        }
     }
 
     #[test]

@@ -334,6 +334,7 @@ impl FdsNode {
         policy: &mut dyn Scheduler,
         seam: &mut S,
     ) {
+        // Taken only so `color_cluster` can borrow the node; put back below.
         let mut due = std::mem::take(&mut self.due_buf);
         due.clear();
         due.extend(self.active.iter().copied().filter(|cid| {
@@ -369,7 +370,7 @@ impl FdsNode {
         if reschedule {
             targets.extend(st.sch_ldr.values().map(|e| e.txn.clone()));
         }
-        for t in std::mem::take(&mut st.incoming) {
+        for t in st.incoming.drain(..) {
             if let std::collections::btree_map::Entry::Vacant(v) = st.sch_ldr.entry(t.id) {
                 v.insert(LeaderEntry {
                     votes: VoteSet::new(t.shard_count()),
@@ -562,9 +563,10 @@ impl Node for FdsNode {
             self.handle(round, from, msg, lent.ledger, seam);
         }
         // Seal this round's commits (confirmations delivered above) into
-        // one block.
+        // one block, its payload allocated at its exact length (the chain
+        // keeps it for the whole run; the push-grown buffer stays here).
         if !self.append_buf.is_empty() {
-            let batch = std::mem::take(&mut self.append_buf);
+            let batch = self.append_buf.drain(..).collect();
             lent.chain.append_block(batch, Round(round));
         }
         if !self.active.is_empty() {
@@ -851,6 +853,40 @@ mod tests {
         let out = dest.step(0, stray(txn));
         assert!(out.sent.is_empty() && out.events.is_empty());
         assert!(rig.chain.is_empty() && dest.chain.is_empty());
+    }
+
+    #[test]
+    fn sealed_block_holds_exactly_its_payload() {
+        let (sys, map) = small_sys();
+        let metric = LineMetric::new(sys.shards);
+        let hierarchy = Arc::new(Hierarchy::build_with_sublayers(&metric, 2));
+        for n in [1, 5] {
+            let mut rig = Rig::new(ShardId(3), &map, &hierarchy);
+            let schedule = |txn| {
+                let dests = [ShardId(3)];
+                let t = Transaction::writing_shards(txn, ShardId(2), Round::ZERO, &map, &dests);
+                let (sub, leader) = (t.unwrap().subs[0].clone(), ShardId(2));
+                let height = Height {
+                    t_end: 8,
+                    layer: 0,
+                    sublayer: 0,
+                    color: 0,
+                    txn,
+                };
+                let msg = Msg::Schedule {
+                    sub,
+                    height,
+                    leader,
+                };
+                (leader, msg)
+            };
+            rig.step(0, (0..n).map(TxnId).map(schedule).collect());
+            let confirm = |txn| (ShardId(2), Msg::Confirm { txn, commit: true });
+            rig.step(1, (0..n).map(TxnId).map(confirm).collect());
+            let block = rig.chain.blocks().last().unwrap();
+            assert_eq!(block.subs.len(), n as usize, "one block for the round");
+            assert_eq!(block.subs.capacity(), block.subs.len());
+        }
     }
 
     #[test]

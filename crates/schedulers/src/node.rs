@@ -336,14 +336,16 @@ impl<P: Protocol> Sim<P> {
     /// the due messages — already sorted by `(destination, sender,
     /// sequence)` — and steps every node in shard order on its run of
     /// them, which is the order the threaded host's replay reproduces;
-    /// then books the round's samples.
+    /// then books the round's samples. The drained delivery buffer goes
+    /// back to the network for a later round's sends.
     pub fn step(&mut self, new_txns: Vec<Transaction>) {
         self.generated += new_txns.len() as u64;
         for t in new_txns {
             self.nodes[t.home.index()].inject(t);
         }
         let now = self.now;
-        let mut due = self.net.deliver_due(now).into_iter();
+        let mut delivered = self.net.deliver_due(now);
+        let mut due = delivered.drain(..);
         let lent = self.ledgers.iter_mut().zip(&mut self.chains);
         let shards = self.nodes.iter_mut().zip(lent).zip(&mut self.samples);
         for (from, ((node, (ledger, chain)), sample)) in (0u32..).map(ShardId).zip(shards) {
@@ -364,6 +366,8 @@ impl<P: Protocol> Sim<P> {
             node.step(now.raw(), inbox, lent, &mut seam);
             *sample = node.sample();
         }
+        drop(due);
+        self.net.recycle(delivered);
         self.now = now.next();
         let samples = self.samples.iter().copied();
         self.pending = P::record_round(

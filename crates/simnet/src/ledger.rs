@@ -79,19 +79,21 @@ impl ShardLedger {
 
     /// True iff the action part alone is applicable (no underflow, all
     /// accounts owned) when executed in order.
+    ///
+    /// Runs once per vote, so it keeps no scratch map: the running total
+    /// of an account after action `i` is its balance plus the deltas of
+    /// the actions on it up to `i`, re-summed from the list itself. That
+    /// is quadratic in the actions of one sub — a list that is inline
+    /// and almost always a single entry.
     pub fn actions_valid(&self, sub: &SubTransaction) -> bool {
-        let mut scratch: BTreeMap<AccountId, i128> = BTreeMap::new();
-        for a in &sub.actions {
+        let actions = &sub.actions[..];
+        actions.iter().enumerate().all(|(i, a)| {
             let Some(base) = self.balance(a.account) else {
                 return false;
             };
-            let entry = scratch.entry(a.account).or_insert(base as i128);
-            *entry += a.delta as i128;
-            if *entry < 0 {
-                return false;
-            }
-        }
-        true
+            let applied = actions[..=i].iter().filter(|p| p.account == a.account);
+            base as i128 + applied.map(|p| p.delta as i128).sum::<i128>() >= 0
+        })
     }
 
     /// Attempts to apply the actions of `sub`; returns false (leaving the
@@ -239,6 +241,76 @@ mod tests {
             ],
         );
         assert!(!ledger.check(&bad));
+    }
+
+    /// `actions_valid` as it was while it kept a scratch map per call —
+    /// the reference the map-free walk is held to.
+    fn actions_valid_oracle(ledger: &ShardLedger, sub: &SubTransaction) -> bool {
+        let mut scratch: BTreeMap<AccountId, i128> = BTreeMap::new();
+        for a in &sub.actions {
+            let Some(base) = ledger.balance(a.account) else {
+                return false;
+            };
+            let entry = scratch.entry(a.account).or_insert(base as i128);
+            *entry += a.delta as i128;
+            if *entry < 0 {
+                return false;
+            }
+        }
+        true
+    }
+
+    fn acts(list: &[(u64, i64)]) -> SubTransaction {
+        let action = |&(account, delta)| Action {
+            account: AccountId(account),
+            delta,
+        };
+        sub_with(vec![], list.iter().map(action).collect())
+    }
+
+    #[test]
+    fn actions_valid_agrees_with_the_map_oracle_on_the_corner_cases() {
+        let (_, ledger) = setup();
+        // Shard 0 owns accounts 0 and 4 at 1000 each; 1 is foreign.
+        let cases: [(&[(u64, i64)], bool); 9] = [
+            (&[], true),
+            (&[(0, -1000), (4, -1000)], true),
+            (&[(0, -600), (4, -900), (0, -400)], true),
+            (&[(0, -600), (4, -900), (0, -401)], false),
+            // Dips below zero, then recovers: the dip already fails.
+            (&[(0, -1001), (0, 500)], false),
+            (&[(0, 1), (0, -1001), (0, 1000)], true),
+            (&[(1, 5), (0, 1), (4, 1)], false),
+            (&[(0, 1), (1, 5), (4, 1)], false),
+            (&[(0, 1), (4, 1), (1, 5)], false),
+        ];
+        for (list, expect) in cases {
+            let sub = acts(list);
+            assert_eq!(ledger.actions_valid(&sub), expect, "{list:?}");
+            assert_eq!(actions_valid_oracle(&ledger, &sub), expect, "{list:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Few accounts (so they repeat), one of them foreign, deltas of
+        /// the order of the balance (so totals cross zero both ways).
+        #[test]
+        fn actions_valid_agrees_with_the_map_oracle(
+            list in proptest::collection::vec((0usize..6, -1500i64..1500), 0..9),
+        ) {
+            let (_, ledger) = setup();
+            // 0 and 4 are owned; 1, drawn one time in six, is not.
+            let account = [0, 4, 0, 4, 0, 1];
+            let list: Vec<(u64, i64)> = list.into_iter().map(|(a, d)| (account[a], d)).collect();
+            let sub = acts(&list);
+            proptest::prop_assert_eq!(
+                ledger.actions_valid(&sub),
+                actions_valid_oracle(&ledger, &sub),
+                "{:?}", list
+            );
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use crate::faults::{FaultDecision, FaultPlan, LinkBank};
 use cluster::ShardMetric;
 use sharding_core::{Round, ShardId};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// A message in flight.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,14 +38,89 @@ pub struct Envelope<P> {
     pub payload: P,
 }
 
+/// The delay wheel under [`Network`]: a ring of per-round buffers, so
+/// filing a message is an index and a round's delivery takes one buffer
+/// — no tree node allocated and freed per round. The ring is as long as
+/// the span of rounds with something in flight: the metric's diameter
+/// under a simulator, which delivers every round.
+struct Wheel<T> {
+    /// `slots[i]` holds what is due at round `base + i`. Empty, or the
+    /// front slot is non-empty — so `base` is the earliest round due.
+    slots: VecDeque<Vec<T>>,
+    base: u64,
+    /// Emptied buffers handed back, reused by the next slot that
+    /// receives its first item.
+    spare: Vec<Vec<T>>,
+}
+
+impl<T> Default for Wheel<T> {
+    fn default() -> Self {
+        Wheel {
+            slots: VecDeque::new(),
+            base: 0,
+            spare: Vec::new(),
+        }
+    }
+}
+
+impl<T> Wheel<T> {
+    /// Spare buffers kept. A host hands one back a round and a slot
+    /// takes one only with its first item, so a longer list would only
+    /// ever hold memory.
+    const SPARES: usize = 4;
+
+    /// The slot of `round`, for the caller to push into: the ring
+    /// extends to reach it, backwards when `round` precedes the front.
+    fn slot_mut(&mut self, round: u64) -> &mut Vec<T> {
+        if self.slots.is_empty() {
+            self.base = round;
+        }
+        while round < self.base {
+            self.slots.push_front(Vec::new());
+            self.base -= 1;
+        }
+        let i = (round - self.base) as usize;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, Vec::new);
+        }
+        let slot = &mut self.slots[i];
+        if slot.capacity() == 0 {
+            *slot = self.spare.pop().unwrap_or_default();
+        }
+        slot
+    }
+
+    /// Removes and returns the contents of `round`'s slot, then drops
+    /// the slots that leaves empty at the front.
+    fn take(&mut self, round: u64) -> Vec<T> {
+        let slot = round.checked_sub(self.base);
+        let Some(slot) = slot.and_then(|i| self.slots.get_mut(i as usize)) else {
+            return Vec::new();
+        };
+        let taken = std::mem::take(slot);
+        while self.slots.front().is_some_and(Vec::is_empty) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        taken
+    }
+
+    fn recycle(&mut self, mut buf: Vec<T>) {
+        buf.clear();
+        if buf.capacity() > 0 && self.spare.len() < Self::SPARES {
+            self.spare.push(buf);
+        }
+    }
+}
+
 /// The simulated inter-shard network.
 ///
 /// Generic over the payload type so each scheduler defines its own message
 /// enum. Not tied to wall-clock: the driving loop calls
 /// [`Network::deliver_due`] once per round.
 pub struct Network<P> {
-    /// Messages keyed by delivery round.
-    in_flight: BTreeMap<Round, Vec<Envelope<P>>>,
+    /// Messages by delivery round.
+    in_flight: Wheel<Envelope<P>>,
     /// Distance matrix snapshot.
     dist: Vec<u64>,
     shards: usize,
@@ -77,7 +152,7 @@ impl<P> Network<P> {
             }
         }
         Network {
-            in_flight: BTreeMap::new(),
+            in_flight: Wheel::default(),
             dist,
             shards: s,
             seq: vec![0; s],
@@ -167,7 +242,7 @@ impl<P> Network<P> {
         };
         let d = self.distance(from, to).max(1);
         let deliver_at = now.plus(d);
-        let slot = self.in_flight.entry(deliver_at).or_default();
+        let slot = self.in_flight.slot_mut(deliver_at.raw());
         // Clone only the extra fault-plane duplicates; the common
         // single-copy payload is moved.
         for _ in 1..copies {
@@ -208,16 +283,27 @@ impl<P> Network<P> {
     }
 
     /// Removes and returns all messages due at round `now`, sorted by
-    /// (destination, sender, sequence).
+    /// (destination, sender, sequence). Exactly that round's: messages
+    /// of a round never asked for stay in flight.
     pub fn deliver_due(&mut self, now: Round) -> Vec<Envelope<P>> {
-        let mut due = self.in_flight.remove(&now).unwrap_or_default();
-        due.sort_by_key(|e| (e.to, e.from, e.seq));
+        let mut due = self.in_flight.take(now.raw());
+        // `(from, seq)` is unique per envelope, fault-plane duplicates
+        // included, so no two keys tie and the unstable sort — in place,
+        // where the stable one allocates a scratch half — yields the
+        // same order.
+        due.sort_unstable_by_key(|e| (e.to, e.from, e.seq));
         due
+    }
+
+    /// Hands a drained [`Network::deliver_due`] buffer back so a later
+    /// round's slot reuses its allocation.
+    pub fn recycle(&mut self, buf: Vec<Envelope<P>>) {
+        self.in_flight.recycle(buf);
     }
 
     /// Number of messages still in flight.
     pub fn pending(&self) -> usize {
-        self.in_flight.values().map(Vec::len).sum()
+        self.in_flight.slots.iter().map(Vec::len).sum()
     }
 
     /// Total messages sent so far.
@@ -227,7 +313,8 @@ impl<P> Network<P> {
 
     /// The earliest round at which a message is due (None when idle).
     pub fn next_delivery(&self) -> Option<Round> {
-        self.in_flight.keys().next().copied()
+        let wheel = &self.in_flight;
+        (!wheel.slots.is_empty()).then_some(Round(wheel.base))
     }
 }
 

@@ -11,11 +11,16 @@
 //!    thread per shard reproduce the single-threaded simulator exactly.
 //! 3. **Fault-plane drops are budgeted**: no directed link ever drops
 //!    more than `drop_budget` messages, however many are sent.
+//! 4. **The delay wheel is the delay tree**: under mixed distances,
+//!    fault-plane duplicates, skipped rounds and sends behind the front,
+//!    every query answers as the `BTreeMap<Round, Vec<_>>` + stable sort
+//!    it replaced ([`TreeNet`], kept here as the oracle).
 
 use cluster::{GridMetric, LineMetric, RingMetric, ShardMetric, UniformMetric};
 use proptest::prelude::*;
 use sharding_core::{Round, ShardId};
-use simnet::{Envelope, FaultPlan, Network};
+use simnet::{Envelope, FaultDecision, FaultPlan, LinkBank, Network};
+use std::collections::BTreeMap;
 
 /// One abstract send instruction: `(from, to, send round)`, all reduced
 /// modulo the system size so arbitrary `u32`/`u64` inputs stay valid.
@@ -44,6 +49,67 @@ fn drain(net: &mut Network<u64>, sends: &[(ShardId, ShardId, Round)]) -> Vec<Env
         delivered.extend(net.deliver_due(round));
     }
     delivered
+}
+
+/// The network as it was before the delay wheel: a tree of delivery
+/// rounds, each slot stable-sorted on delivery, the fault plane consulted
+/// the same way.
+struct TreeNet {
+    in_flight: BTreeMap<Round, Vec<Envelope<u64>>>,
+    seq: Vec<u64>,
+    banks: Vec<LinkBank>,
+}
+
+impl TreeNet {
+    fn new(shards: usize, plan: &FaultPlan) -> Self {
+        TreeNet {
+            in_flight: BTreeMap::new(),
+            seq: vec![0; shards],
+            banks: (0..shards as u32)
+                .map(|from| LinkBank::new(plan, ShardId(from), shards))
+                .collect(),
+        }
+    }
+
+    fn send(&mut self, metric: &dyn ShardMetric, from: ShardId, to: ShardId, now: Round, p: u64) {
+        let copies = match self.banks[from.index()].decide(to) {
+            FaultDecision::Drop => 0,
+            FaultDecision::Deliver => 1,
+            FaultDecision::Duplicate => 2,
+        };
+        let deliver_at = now.plus(metric.distance(from, to).max(1));
+        let seq = &mut self.seq[from.index()];
+        for _ in 0..copies {
+            self.in_flight
+                .entry(deliver_at)
+                .or_default()
+                .push(Envelope {
+                    from,
+                    to,
+                    sent: now,
+                    deliver_at,
+                    seq: *seq,
+                    payload: p,
+                });
+            *seq += 1;
+        }
+        // A dropped message still consumes its sequence number.
+        *seq += u64::from(copies == 0);
+    }
+
+    fn deliver_due(&mut self, now: Round) -> Vec<Envelope<u64>> {
+        let mut due = self.in_flight.remove(&now).unwrap_or_default();
+        due.sort_by_key(|e| (e.to, e.from, e.seq));
+        due
+    }
+
+    fn pending(&self) -> usize {
+        self.in_flight.values().map(Vec::len).sum()
+    }
+
+    fn next_delivery(&self) -> Option<Round> {
+        self.in_flight.keys().next().copied()
+    }
 }
 
 fn resolve(sends: Vec<Send>, shards: usize) -> Vec<(ShardId, ShardId, Round)> {
@@ -168,4 +234,84 @@ proptest! {
             net.sent_count() - net.dropped_count() + net.duplicated_count()
         );
     }
+
+    /// Invariant 4: a random script of sends (any round, so also behind
+    /// the wheel's front), exact-round deliveries (so most rounds are
+    /// skipped and stay pending) and `next_delivery` jumps, under drops
+    /// and duplicates, on every metric shape.
+    #[test]
+    fn wheel_answers_as_the_tree_it_replaced(
+        metric_choice in proptest::any::<u8>(),
+        shards in 1usize..=6,
+        seed in proptest::any::<u64>(),
+        dup_prob in 0.0f64..0.5,
+        script in proptest::collection::vec(
+            (0u8..8, proptest::any::<u32>(), proptest::any::<u32>(), 0u64..40),
+            0..120,
+        ),
+    ) {
+        let shards = shards * 2;
+        let metric = build_metric(metric_choice, shards);
+        let plan = FaultPlan { seed, dup_prob, drop_prob: 0.1, ..FaultPlan::default() };
+        let mut net: Network<u64> = Network::new(metric.as_ref());
+        net.set_faults(plan.clone());
+        let mut tree = TreeNet::new(shards, &plan);
+        for (i, (op, a, b, round)) in script.into_iter().enumerate() {
+            match op {
+                // Deliver exactly `round`, whatever else is pending.
+                0 | 1 => {
+                    let got = net.deliver_due(Round(round));
+                    prop_assert_eq!(&got, &tree.deliver_due(Round(round)));
+                    net.recycle(got);
+                }
+                // Deliver the earliest pending round.
+                2 => {
+                    if let Some(next) = net.next_delivery() {
+                        prop_assert_eq!(net.deliver_due(next), tree.deliver_due(next));
+                    }
+                }
+                _ => {
+                    let (from, to) = (ShardId(a % shards as u32), ShardId(b % shards as u32));
+                    net.send(from, to, Round(round), i as u64);
+                    tree.send(metric.as_ref(), from, to, Round(round), i as u64);
+                }
+            }
+            prop_assert_eq!(net.pending(), tree.pending());
+            prop_assert_eq!(net.next_delivery(), tree.next_delivery());
+        }
+        while let Some(next) = tree.next_delivery() {
+            prop_assert_eq!(net.next_delivery(), Some(next));
+            prop_assert_eq!(net.deliver_due(next), tree.deliver_due(next));
+        }
+        prop_assert_eq!(net.pending(), 0);
+        prop_assert_eq!(net.next_delivery(), None);
+    }
+}
+
+/// The wheel's corner cases, spelled out: a skipped round's messages stay
+/// pending and a later exact call returns them; `next_delivery` names the
+/// earliest of them; a send may land behind the current front.
+#[test]
+fn skipped_rounds_stay_pending_and_the_front_can_move_back() {
+    let metric = LineMetric::new(8);
+    let mut net: Network<u64> = Network::new(&metric);
+    let payloads = |due: Vec<Envelope<u64>>| due.into_iter().map(|e| e.payload).collect::<Vec<_>>();
+    net.send(ShardId(0), ShardId(2), Round(10), 1); // due 12
+    net.send(ShardId(0), ShardId(5), Round(10), 2); // due 15
+    assert_eq!(net.next_delivery(), Some(Round(12)));
+    // Round 12 is skipped: asking for 15 returns 15's only.
+    assert_eq!(payloads(net.deliver_due(Round(15))), vec![2]);
+    assert_eq!((net.pending(), net.next_delivery()), (1, Some(Round(12))));
+    assert!(net.deliver_due(Round(11)).is_empty() && net.deliver_due(Round(13)).is_empty());
+    // A send into a round before the front (due 3 < 12).
+    net.send(ShardId(4), ShardId(3), Round(2), 3);
+    assert_eq!((net.pending(), net.next_delivery()), (2, Some(Round(3))));
+    assert_eq!(payloads(net.deliver_due(Round(12))), vec![1]);
+    assert_eq!(net.next_delivery(), Some(Round(3)));
+    assert_eq!(payloads(net.deliver_due(Round(3))), vec![3]);
+    assert_eq!((net.pending(), net.next_delivery()), (0, None));
+    // An emptied network restarts at whatever round comes next.
+    net.send(ShardId(1), ShardId(1), Round(1_000_000), 4);
+    assert_eq!(net.next_delivery(), Some(Round(1_000_001)));
+    assert_eq!(payloads(net.deliver_due(Round(1_000_001))), vec![4]);
 }
