@@ -167,8 +167,6 @@ pub(crate) struct Proposer {
     kind: StrategyKind,
     /// Deterministic fractional carry for smooth rate pacing.
     carry: f64,
-    /// Round-robin cursor for the pairwise-conflict groups.
-    group_cursor: usize,
     /// Cached Zipf CDF over shards (built lazily).
     zipf_cdf: Vec<f64>,
 }
@@ -178,7 +176,6 @@ impl Proposer {
         Proposer {
             kind,
             carry: 0.0,
-            group_cursor: 0,
             zipf_cdf: Vec::new(),
         }
     }
@@ -205,7 +202,7 @@ impl Proposer {
                 }
                 out
             }
-            StrategyKind::PairwiseConflict => self.pairwise(cfg, rho, rng),
+            StrategyKind::PairwiseConflict => self.pairwise(cfg, rho),
             StrategyKind::HotShard => {
                 let mut out = self.steady(cfg, rho, rng);
                 for p in &mut out {
@@ -275,7 +272,7 @@ impl Proposer {
     /// shards, transaction `i` accesses, for every `j ≠ i`, the shard
     /// dedicated to the unordered pair `{i, j}`. Every pair of transactions
     /// then conflicts on its dedicated shard.
-    fn pairwise(&mut self, cfg: &SystemConfig, rho: f64, rng: &mut Rng) -> Vec<Proposal> {
+    fn pairwise(&mut self, cfg: &SystemConfig, rho: f64) -> Vec<Proposal> {
         let p = pairwise_p(cfg);
         let group = pairwise_group(p);
         // Pace at per-shard rate rho: each group contributes congestion 2 to
@@ -285,14 +282,8 @@ impl Proposer {
         let mut out = Vec::new();
         while self.carry >= 1.0 {
             self.carry -= 1.0;
-            let start = self.group_cursor;
-            self.group_cursor = self.group_cursor.wrapping_add(1);
-            let _ = start;
-            for t in &group {
-                out.push(t.clone());
-            }
+            out.extend(group.iter().cloned());
         }
-        let _ = rng;
         out
     }
 }

@@ -29,7 +29,7 @@ use schedulers::metrics::{MetricsCollector, RunReport, RunTotals, SchedulerKind}
 use schedulers::node::{CommitEvent, Lent, Node, Protocol, Seam};
 use schedulers::scheduler::Scheduler;
 use sharding_core::{AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
-use simnet::faults::{FaultCounters, FaultPlan};
+use simnet::faults::{FaultCounters, FaultPlan, SendTally};
 use simnet::pbft::{ConsensusOutcome, PbftShard};
 use simnet::{LocalChain, ShardLedger};
 
@@ -61,7 +61,7 @@ struct Hosted<N> {
 }
 
 /// A finished run before the merge: the shards in shard order, plus the
-/// hub's message-plane totals.
+/// hub's message-plane tally.
 struct Finished<N> {
     shards: Vec<Hosted<N>>,
     kind: SchedulerKind,
@@ -69,10 +69,8 @@ struct Finished<N> {
     faulty: bool,
     rounds: u64,
     generated: u64,
-    sent: u64,
-    max_message_bytes: u64,
-    dropped: u64,
-    duplicated: u64,
+    /// What the hub's ports sent.
+    tally: SendTally,
 }
 
 /// A node's [`Seam`] onto the hub: sends leave through the shard's port
@@ -260,10 +258,7 @@ impl NetRun<'_> {
             faulty: !faults.is_inert(),
             rounds: total,
             generated,
-            sent: hub.sent_count(),
-            max_message_bytes: hub.max_message_bytes(),
-            dropped: hub.dropped_count(),
-            duplicated: hub.duplicated_count(),
+            tally: hub.tally(),
         };
         merge::<P>(run, self.metrics)
     }
@@ -313,14 +308,14 @@ fn merge<P: Protocol>(run: Finished<P::Node>, metrics: bool) -> NetOutcome {
         pending_at_end: pending,
         epochs,
         max_epoch_len,
-        messages: run.sent,
-        max_message_bytes: run.max_message_bytes,
+        messages: run.tally.sent,
+        max_message_bytes: run.tally.max_bytes,
     });
     for shard in &shards {
         report.faults.merge(&shard.counters);
     }
-    report.faults.dropped = run.dropped;
-    report.faults.duplicated = run.duplicated;
+    report.faults.dropped = run.tally.dropped;
+    report.faults.duplicated = run.tally.duplicated;
     let chains: Vec<LocalChain> = shards.into_iter().map(|h| h.chain).collect();
     NetOutcome {
         report,

@@ -2,32 +2,35 @@
 //! executed concurrently by a pool of worker threads, rebuilt lock-free.
 //!
 //! A [`NetHub`] is the concurrent analogue of the simulator's delay-queue
-//! network: a message sent at round `r` over distance `d` is delivered at
-//! round `r + max(1, d)`, and each shard's per-round inbox is handed out
-//! sorted by `(sender, sender-sequence)` — the exact order the simulator
-//! uses (its global sort key is `(to, from, seq)` with per-sender `seq`,
-//! and a drain is per-destination already). Because sequence numbers are
-//! per sender and fault decisions are per directed link, nothing about
-//! delivery depends on how the shard threads interleave; the round gate
-//! in the drivers only has to guarantee that round `r - 1`'s sends are
-//! enqueued before round `r` is drained.
+//! network, and shares with it everything but the hand-off. What a send
+//! *means* — delivery at round `r + max(1, d)`, the per-sender sequence
+//! number, the link's fault stream, the counters — is the one
+//! [`simnet::Outbound`] inside each [`ShardPort`]; where an early arrival
+//! waits is the one [`simnet::Wheel`] inside each [`NetInbox`], so a round
+//! that is never drained keeps its messages until it is asked for, under
+//! either transport. Each shard's per-round inbox is handed out sorted by
+//! `(sender, sender-sequence)` — the exact order the simulator uses (its
+//! global sort key is `(to, from, seq)`, and a drain is per-destination
+//! already). Because sequence numbers are per sender and fault decisions
+//! are per directed link, nothing about delivery depends on how the shard
+//! threads interleave; the round gate in the drivers only has to
+//! guarantee that round `r - 1`'s sends are enqueued before round `r` is
+//! drained.
 //!
-//! Unlike its locked predecessor (a mutex + `BTreeMap` per destination,
-//! taken once per *message*), the hub holds one lock-free SPSC
-//! [ring] per **directed link**: the sender's [`ShardPort`]
-//! owns the `s` producer endpoints of its row, the receiver's
-//! [`NetInbox`] owns the `s` consumer endpoints of its column, and a
-//! whole round is handed off batched — the inbox pops the incoming
+//! What this file owns is the concurrent part: one lock-free SPSC [ring]
+//! per **directed link** and the dirty-sender bitmaps below. The sender's
+//! [`ShardPort`] owns the `s` producer endpoints of its row, the
+//! receiver's [`NetInbox`] owns the `s` consumer endpoints of its column,
+//! and a whole round is handed off batched — the inbox pops the incoming
 //! rings that were written to since its last drain, parks early arrivals
-//! in a ring-of-rounds wheel indexed by `deliver_at mod wheel size`, and
-//! sorts the due bucket by `(sender, seq)`. No mutex is on the
-//! per-message path; the only locks left are the rings' spill queues
-//! (touched when a ring overflows, never required for correctness) and
-//! the one-time endpoint hand-out.
+//! in its wheel, and sorts the due bucket by `(sender, seq)`. No mutex is
+//! on the per-message path; the only locks left are the rings' spill
+//! queues (touched when a ring overflows, never required for
+//! correctness), the one-time endpoint hand-out and the tally flush.
 //!
-//! Counter accounting is sender-local for the same reason: each port
-//! tallies `sent` / bytes / drops / duplicates in plain integers and
-//! flushes them into the hub's shared atomics on drop (or an explicit
+//! Counter accounting is sender-local for the same reason: each port's
+//! `Outbound` tallies in plain integers and the port flushes them into
+//! the hub's one [`SendTally`] on drop (or an explicit
 //! [`ShardPort::flush`]), so counting adds no shared read-modify-write
 //! to the hot path. Hub-level counts are therefore complete once the
 //! shard threads have finished — exactly when the drivers read them.
@@ -82,8 +85,8 @@ use crate::ring::{self, RingConsumer, RingProducer};
 use cluster::ShardMetric;
 use parking_lot::Mutex;
 use sharding_core::ShardId;
-use simnet::faults::{FaultDecision, FaultPlan, LinkBank};
-use std::collections::BTreeMap;
+use simnet::faults::{FaultPlan, Outbound, SendTally};
+use simnet::Wheel;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -100,7 +103,7 @@ pub struct NetEnvelope<P> {
 }
 
 /// What travels through a link ring: the envelope plus its delivery
-/// round, which the inbox consumes when bucketing into the wheel.
+/// round, which the inbox consumes when parking it in the wheel.
 struct Queued<P> {
     deliver_at: u64,
     env: NetEnvelope<P>,
@@ -124,30 +127,23 @@ impl std::fmt::Display for HubError {
 
 impl std::error::Error for HubError {}
 
-/// The sender-side endpoints of one shard's outgoing links, handed out
-/// once to its [`ShardPort`].
+/// The sender side of one shard's outgoing links, handed out once to
+/// its [`ShardPort`].
 struct PortHalf<P> {
+    /// The shard's endpoint, its delay row built from the hub's metric.
+    out: Outbound,
     /// Producer of the `(from, to)` ring, indexed by `to`.
     rings: Vec<RingProducer<Queued<P>>>,
 }
 
-/// The receiver-side endpoints of one shard's incoming links, handed out
-/// once to its [`NetInbox`].
-struct InboxHalf<P> {
-    /// Consumer of the `(from, to)` ring, indexed by `from`.
-    rings: Vec<RingConsumer<Queued<P>>>,
-}
+/// The receiver side of one shard's incoming links, handed out once to
+/// its [`NetInbox`]: the consumer of the `(from, to)` ring, by `from`.
+type InboxHalf<P> = Vec<RingConsumer<Queued<P>>>;
 
 /// The shared delivery plane. One instance per run, referenced by every
 /// shard thread; see the module docs for the ring layout.
 pub struct NetHub<P> {
-    /// Distance matrix snapshot (row-major).
-    dist: Vec<u64>,
-    shards: usize,
     sizer: fn(&P) -> usize,
-    /// Wheel size for the inboxes: smallest power of two that covers the
-    /// live delivery window `[round, round + max_delay]`.
-    wheel_len: u64,
     /// Un-taken sender halves, indexed by shard; `ShardPort::new` takes
     /// each exactly once (the SPSC contract, enforced at runtime).
     ports: Vec<Mutex<Option<PortHalf<P>>>>,
@@ -159,11 +155,8 @@ pub struct NetHub<P> {
     /// the inboxes, which do not borrow the hub.
     dirty: Arc<[AtomicU64]>,
     dirty_words: usize,
-    sent: AtomicU64,
-    bytes_sent: AtomicU64,
-    max_message_bytes: AtomicU64,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
+    /// What the ports have flushed so far.
+    tally: Mutex<SendTally>,
     spilled: AtomicU64,
 }
 
@@ -198,94 +191,53 @@ impl<P> NetHub<P> {
         if s == 0 {
             return Err(HubError::NoShards);
         }
-        let mut dist = vec![0u64; s * s];
-        for a in 0..s {
-            for b in 0..s {
-                dist[a * s + b] = metric.distance(ShardId(a as u32), ShardId(b as u32));
-            }
-        }
-        let max_delay = dist.iter().copied().max().unwrap_or(1).max(1);
-        // While a consumer drains round R, the gate bounds every producer
-        // to rounds <= R, so live deliver_at values span [R, R + max_delay]
-        // — max_delay + 1 distinct slots. One extra slot of slack keeps
-        // the wheel collision-free even at the window edge.
-        let wheel_len = (max_delay + 2).next_power_of_two();
-        let mut ports: Vec<PortHalf<P>> = (0..s)
-            .map(|_| PortHalf {
+        let mut ports: Vec<PortHalf<P>> = (0..s as u32)
+            .map(|from| PortHalf {
+                out: Outbound::new(metric, ShardId(from)),
                 rings: Vec::with_capacity(s),
             })
             .collect();
-        let mut inboxes: Vec<InboxHalf<P>> = (0..s)
-            .map(|_| InboxHalf {
-                rings: Vec::with_capacity(s),
-            })
-            .collect();
+        let mut inboxes: Vec<InboxHalf<P>> = (0..s).map(|_| Vec::with_capacity(s)).collect();
         for port in &mut ports {
             for inbox in &mut inboxes {
                 let (producer, consumer) = ring::spsc(capacity);
                 port.rings.push(producer);
-                inbox.rings.push(consumer);
+                inbox.push(consumer);
             }
         }
         let dirty_words = s.div_ceil(64);
         Ok(NetHub {
             dirty: (0..s * dirty_words).map(|_| AtomicU64::new(0)).collect(),
             dirty_words,
-            dist,
-            shards: s,
             sizer,
-            wheel_len,
             ports: ports.into_iter().map(|h| Mutex::new(Some(h))).collect(),
             inboxes: inboxes.into_iter().map(|h| Mutex::new(Some(h))).collect(),
-            sent: AtomicU64::new(0),
-            bytes_sent: AtomicU64::new(0),
-            max_message_bytes: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            duplicated: AtomicU64::new(0),
+            tally: Mutex::new(SendTally::default()),
             spilled: AtomicU64::new(0),
         })
     }
 
-    /// Number of shards the hub connects.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Distance (in rounds) between two shards.
-    #[inline]
-    pub fn distance(&self, a: ShardId, b: ShardId) -> u64 {
-        self.dist[a.index() * self.shards + b.index()]
+    /// What the ports have sent, as far as they have flushed it: ports
+    /// tally locally and flush on drop, so this is complete once the
+    /// sending threads have finished (or called [`ShardPort::flush`]).
+    pub fn tally(&self) -> SendTally {
+        *self.tally.lock()
     }
 
     /// Total protocol sends attempted (dropped messages included,
-    /// fault-plane duplicates excluded — matching the simulator's
-    /// `sent_count`, which counts the scheduler's `send` calls).
-    ///
-    /// Ports tally locally and flush on drop, so hub counts are complete
-    /// once the sending threads have finished (or called
-    /// [`ShardPort::flush`]).
+    /// fault-plane duplicates excluded — the simulator's `sent_count`).
     pub fn sent_count(&self) -> u64 {
-        self.sent.load(Ordering::Relaxed)
-    }
-
-    /// Total payload bytes across attempted sends.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(Ordering::Relaxed)
-    }
-
-    /// Largest single payload observed.
-    pub fn max_message_bytes(&self) -> u64 {
-        self.max_message_bytes.load(Ordering::Relaxed)
+        self.tally().sent
     }
 
     /// Messages dropped by the fault plane.
     pub fn dropped_count(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.tally().dropped
     }
 
     /// Messages duplicated by the fault plane.
     pub fn duplicated_count(&self) -> u64 {
-        self.duplicated.load(Ordering::Relaxed)
+        self.tally().duplicated
     }
 
     /// Messages that overflowed a link ring into its spill queue —
@@ -295,22 +247,13 @@ impl<P> NetHub<P> {
     }
 }
 
-/// One shard thread's sending endpoint: the producer side of its
-/// outgoing rings, its sequence counter, its fault streams, and its
-/// local tallies.
+/// One shard thread's sending endpoint: its [`Outbound`] (sequence
+/// counter, delay row, fault streams, local tallies) and the producer
+/// side of its outgoing rings.
 pub struct ShardPort<'h, P> {
     hub: &'h NetHub<P>,
-    from: ShardId,
-    seq: u64,
+    out: Outbound,
     rings: Vec<RingProducer<Queued<P>>>,
-    links: LinkBank,
-    /// `max(1, d(from, to))`, premultiplied per destination.
-    delay: Vec<u64>,
-    sent: u64,
-    bytes_sent: u64,
-    max_message_bytes: u64,
-    dropped: u64,
-    duplicated: u64,
     /// Spilled pushes already flushed into the hub (flush is idempotent;
     /// drop flushes again).
     spilled_reported: u64,
@@ -325,98 +268,48 @@ impl<'h, P> ShardPort<'h, P> {
     /// If the port for `from` was already taken — each shard's producer
     /// endpoints exist exactly once (the SPSC soundness contract).
     pub fn new(hub: &'h NetHub<P>, from: ShardId, plan: &FaultPlan) -> Self {
-        let half = hub.ports[from.index()]
+        let PortHalf { mut out, rings } = hub.ports[from.index()]
             .lock()
             .take()
             .expect("ShardPort::new called twice for one shard");
+        out.set_faults(plan);
         ShardPort {
-            links: LinkBank::new(plan, from, hub.shards),
-            delay: (0..hub.shards)
-                .map(|to| hub.distance(from, ShardId(to as u32)).max(1))
-                .collect(),
-            rings: half.rings,
             hub,
-            from,
-            seq: 0,
-            sent: 0,
-            bytes_sent: 0,
-            max_message_bytes: 0,
-            dropped: 0,
-            duplicated: 0,
+            out,
+            rings,
             spilled_reported: 0,
         }
     }
 
-    /// Adds this port's local tallies into the hub's shared counters and
-    /// zeroes them. Called automatically on drop; safe to call any
-    /// number of times.
+    /// Adds this port's local tallies into the hub's and zeroes them.
+    /// Called automatically on drop; safe to call any number of times.
     pub fn flush(&mut self) {
-        let hub = self.hub;
-        hub.sent.fetch_add(self.sent, Ordering::Relaxed);
-        hub.bytes_sent.fetch_add(self.bytes_sent, Ordering::Relaxed);
-        hub.max_message_bytes
-            .fetch_max(self.max_message_bytes, Ordering::Relaxed);
-        hub.dropped.fetch_add(self.dropped, Ordering::Relaxed);
-        hub.duplicated.fetch_add(self.duplicated, Ordering::Relaxed);
+        self.hub.tally.lock().absorb(self.out.take_tally());
         let spilled: u64 = self.rings.iter().map(RingProducer::spilled).sum();
-        hub.spilled
+        self.hub
+            .spilled
             .fetch_add(spilled - self.spilled_reported, Ordering::Relaxed);
         self.spilled_reported = spilled;
-        self.sent = 0;
-        self.bytes_sent = 0;
-        self.max_message_bytes = 0;
-        self.dropped = 0;
-        self.duplicated = 0;
     }
 }
 
 impl<'h, P: Clone> ShardPort<'h, P> {
-    /// Sends `payload` to `to` at round `now`, honoring metric delay and
-    /// the link's fault stream. Sequence-number consumption matches
-    /// `simnet::Network`: a dropped message still consumes one sequence
-    /// number, a duplicated one consumes two.
+    /// Sends `payload` to `to` at round `now`: whatever the shard's
+    /// [`Outbound`] emits goes into the link's ring.
     pub fn send(&mut self, to: ShardId, now: u64, payload: P) {
         let bytes = (self.hub.sizer)(&payload) as u64;
-        self.sent += 1;
-        self.bytes_sent += bytes;
-        self.max_message_bytes = self.max_message_bytes.max(bytes);
-        let decision = self.links.decide(to);
-        if decision == FaultDecision::Drop {
-            self.seq += 1;
-            self.dropped += 1;
-            return;
-        }
-        let deliver_at = now + self.delay[to.index()];
+        let from = self.out.shard();
         let ring = &mut self.rings[to.index()];
-        if decision == FaultDecision::Duplicate {
-            self.duplicated += 1;
-            // Clone only the extra fault-plane duplicate; the common
-            // single-copy payload is moved.
-            ring.push(Queued {
-                deliver_at,
-                env: NetEnvelope {
-                    from: self.from,
-                    seq: self.seq,
-                    payload: payload.clone(),
-                },
-            });
-            self.seq += 1;
-        }
-        ring.push(Queued {
-            deliver_at,
-            env: NetEnvelope {
-                from: self.from,
-                seq: self.seq,
-                payload,
-            },
-        });
-        self.seq += 1;
-        // Unconditional RMW, after the push: pairs with the `swap(Acquire)`
-        // in `drain_into`. Neither a check-then-set nor a per-round cache
-        // may replace it (module docs).
-        let from = self.from.index();
-        self.hub.dirty[to.index() * self.hub.dirty_words + from / 64]
-            .fetch_or(1 << (from % 64), Ordering::Release);
+        let dirty = &self.hub.dirty[to.index() * self.hub.dirty_words + from.index() / 64];
+        let emit = |deliver_at, seq, payload| {
+            let env = NetEnvelope { from, seq, payload };
+            ring.push(Queued { deliver_at, env });
+            // Unconditional RMW, after the push: pairs with the
+            // `swap(Acquire)` in `drain_into`. Neither a check-then-set
+            // nor a per-round cache may replace it (module docs).
+            dirty.fetch_or(1 << (from.index() % 64), Ordering::Release);
+        };
+        self.out.send(to, now, bytes, payload, emit);
     }
 }
 
@@ -427,8 +320,8 @@ impl<P> Drop for ShardPort<'_, P> {
 }
 
 /// One shard thread's receiving endpoint: the consumer side of its
-/// incoming rings plus the ring-of-rounds wheel that parks early
-/// arrivals until their delivery round.
+/// incoming rings plus the wheel that parks early arrivals until their
+/// delivery round.
 pub struct NetInbox<P> {
     to: ShardId,
     rings: Vec<RingConsumer<Queued<P>>>,
@@ -437,15 +330,8 @@ pub struct NetInbox<P> {
     dirty_row: std::ops::Range<usize>,
     /// Rings visited by `drain_into` so far (a diagnostic).
     rings_polled: u64,
-    /// `wheel[deliver_at & mask]` holds envelopes due at `deliver_at`,
-    /// valid because the gate keeps the live window narrower than the
-    /// wheel (see `NetHub::with_capacity`).
-    wheel: Vec<Vec<NetEnvelope<P>>>,
-    mask: u64,
-    /// Arrivals beyond the wheel window — only reachable when drains are
-    /// *not* round-lockstep (tests that send many rounds ahead before
-    /// draining); keeps correctness independent of wheel sizing.
-    overflow: BTreeMap<u64, Vec<NetEnvelope<P>>>,
+    /// Arrivals popped before their delivery round.
+    parked: Wheel<NetEnvelope<P>>,
 }
 
 impl<P> NetInbox<P> {
@@ -457,25 +343,18 @@ impl<P> NetInbox<P> {
     /// If the inbox for `to` was already taken — each shard's consumer
     /// endpoints exist exactly once (the SPSC soundness contract).
     pub fn new(hub: &NetHub<P>, to: ShardId) -> Self {
-        let half = hub.inboxes[to.index()]
+        let rings = hub.inboxes[to.index()]
             .lock()
             .take()
             .expect("NetInbox::new called twice for one shard");
         NetInbox {
             to,
-            rings: half.rings,
+            rings,
             dirty: Arc::clone(&hub.dirty),
             dirty_row: to.index() * hub.dirty_words..(to.index() + 1) * hub.dirty_words,
             rings_polled: 0,
-            wheel: (0..hub.wheel_len).map(|_| Vec::new()).collect(),
-            mask: hub.wheel_len - 1,
-            overflow: BTreeMap::new(),
+            parked: Wheel::default(),
         }
-    }
-
-    /// The shard this inbox belongs to.
-    pub fn shard(&self) -> ShardId {
-        self.to
     }
 
     /// Total rings visited by all drains so far: with the dirty-sender
@@ -491,8 +370,8 @@ impl<P> NetInbox<P> {
     /// One pass pops everything currently published on the incoming
     /// rings whose dirty bit is set (module docs): messages due now go
     /// straight to `out`, earlier-than-needed arrivals are parked in the
-    /// wheel (or the overflow map beyond the wheel window) for a later
-    /// drain. For the hand-out to be complete the caller must ensure all
+    /// wheel for the drain of their own round, however much later that
+    /// is. For the hand-out to be complete the caller must ensure all
     /// sends of rounds `< round` happened before this call — the
     /// drivers' round gate provides exactly that.
     ///
@@ -510,11 +389,8 @@ impl<P> NetInbox<P> {
             dirty,
             dirty_row,
             rings_polled,
-            wheel,
-            overflow,
-            mask,
+            parked,
         } = self;
-        let mask = *mask;
         for (w, word) in dirty[dirty_row.clone()].iter().enumerate() {
             // Relaxed pre-check: the gate orders every earlier-round
             // `fetch_or` before this load, so by coherence a bit raised
@@ -536,21 +412,15 @@ impl<P> NetInbox<P> {
                     );
                     if q.deliver_at == round {
                         out.push(q.env);
-                    } else if q.deliver_at - round <= mask {
-                        wheel[(q.deliver_at & mask) as usize].push(q.env);
                     } else {
-                        overflow.entry(q.deliver_at).or_default().push(q.env);
+                        parked.slot_mut(q.deliver_at).push(q.env);
                     }
                 });
             }
         }
-        let bucket = &mut wheel[(round & mask) as usize];
-        out.append(bucket);
-        if !overflow.is_empty() {
-            if let Some(late) = overflow.remove(&round) {
-                out.extend(late);
-            }
-        }
+        let mut due = parked.take(round);
+        out.append(&mut due);
+        parked.recycle(due);
         out.sort_unstable_by_key(|e| (e.from, e.seq));
     }
 
@@ -600,7 +470,7 @@ mod tests {
         drop(p0);
         drop(p1);
         assert_eq!(hub.sent_count(), 4);
-        assert_eq!(hub.max_message_bytes(), 4);
+        assert_eq!(hub.tally().max_bytes, 4);
     }
 
     #[test]
@@ -653,11 +523,11 @@ mod tests {
         p.send(ShardId(1), 0, 7);
         p.flush();
         assert_eq!(hub.sent_count(), 1);
-        assert_eq!(hub.bytes_sent(), 4);
+        assert_eq!(hub.tally().bytes, 4);
         drop(p); // must not double-count the flushed tallies
         assert_eq!(hub.sent_count(), 1);
-        assert_eq!(hub.bytes_sent(), 4);
-        assert_eq!(hub.max_message_bytes(), 4);
+        assert_eq!(hub.tally().bytes, 4);
+        assert_eq!(hub.tally().max_bytes, 4);
     }
 
     #[test]
@@ -719,6 +589,45 @@ mod tests {
     }
 
     #[test]
+    fn undrained_round_keeps_its_message_on_both_transports() {
+        // One script, two transports: a message sent at round 0 is due at
+        // round 1; round 1 is skipped, later rounds hand out nothing, and
+        // the message is still there when round 1 is finally asked for.
+        use sharding_core::Round;
+        let m = UniformMetric::new(2);
+        let hub: NetHub<u32> = NetHub::new(&m, sizer).unwrap();
+        let mut port = ShardPort::new(&hub, ShardId(0), &FaultPlan::default());
+        let mut inbox = NetInbox::new(&hub, ShardId(1));
+        port.send(ShardId(1), 0, 7);
+        let mut net: simnet::Network<u32> = simnet::Network::new(&m);
+        net.send(ShardId(0), ShardId(1), Round(0), 7);
+        type Drain<'a> = Box<dyn FnMut(u64) -> Vec<u32> + 'a>;
+        let transports: [(&str, Drain); 2] = [
+            (
+                "NetInbox",
+                Box::new(|r| inbox.drain(r).iter().map(|e| e.payload).collect()),
+            ),
+            (
+                "Network",
+                Box::new(|r| {
+                    net.deliver_due(Round(r))
+                        .iter()
+                        .map(|e| e.payload)
+                        .collect()
+                }),
+            ),
+        ];
+        for (name, mut drain) in transports {
+            // Round 0 pops the inbox's ring and parks the early arrival.
+            for round in (0..1).chain(2..10) {
+                assert_eq!(drain(round), Vec::<u32>::new(), "{name}: round {round}");
+            }
+            assert_eq!(drain(1), vec![7], "{name}: round 1, asked for late");
+            assert_eq!(drain(1), Vec::<u32>::new(), "{name}: handed out once");
+        }
+    }
+
+    #[test]
     fn fault_streams_match_simnet_network() {
         // The same plan applied to the same per-link traffic must drop
         // and duplicate the same message indices as simnet::Network —
@@ -738,8 +647,8 @@ mod tests {
             port.send(ShardId(1), i, i as u32);
             net.send(ShardId(0), ShardId(1), sharding_core::Round(i), i as u32);
         }
-        // Sends ran 100 rounds ahead of the first drain, so most
-        // arrivals overflow the inbox wheel — the non-lockstep path.
+        // Sends ran 100 rounds ahead of the first drain: the inbox parks
+        // a hundred rounds' worth on its first pass.
         let hub_seen: Vec<u32> = (1..=101)
             .flat_map(|r| inbox.drain(r))
             .map(|e| e.payload)

@@ -44,8 +44,10 @@
 //! Receivers drain a whole round batched through a [`hub::NetInbox`]:
 //! pop the incoming rings whose sender raised its bit in the receiver's
 //! dirty-sender bitmap (so a drain costs O(messages), not O(shards)),
-//! park early arrivals in a ring-of-rounds wheel, sort the due bucket by
-//! `(sender, seq)`.
+//! park early arrivals in a [`simnet::Wheel`], sort the due bucket by
+//! `(sender, seq)`. What a send means — delay, sequence number, fault
+//! stream, counters — is [`simnet::Outbound`], the sender the simulator's
+//! `Network` uses too.
 //!
 //! The original reproduction hint suggests tokio for this variant; the
 //! approved offline dependency set does not include it, so the runtime

@@ -90,7 +90,6 @@
 //! | `reschedule` | `true` \| `false` (FDS) | `true` |
 //! | `pipeline-window` | FDS vote window `W ≥ 1` | `16` |
 //! | `sublayers` | FDS hierarchy sublayers `H2` | `2` |
-//! | `epoch-scale` | FDS epoch constant `c` | `1` |
 //! | `respect-capacity` | `true` \| `false` (FCFS) | `true` |
 //! | `check-order` | verify cross-shard serialization order over the per-shard chains either engine leaves behind (`fcfs` keeps none) | `false` |
 //! | `fault-seed` | seed of the fault plane's ChaCha streams (`engine = net`) | `1` |
@@ -109,7 +108,7 @@
 //! default is that layer's own: `shards`…`faulty-per-shard` are
 //! `SystemConfig::paper_simulation()`, `rho`…`shape`
 //! `AdversaryConfig::default()`, `coloring`/`rotate-leader`
-//! `BdsConfig::default()`, `coloring`/`reschedule`…`epoch-scale`
+//! `BdsConfig::default()`, `coloring`/`reschedule`…`sublayers`
 //! `FdsConfig::default()`, `fault-seed`…`byzantine-votes`
 //! `FaultPlan::default()` — with two deliberate exceptions, `seed` (42;
 //! the type's is 0) and `respect-capacity` (`true`; `FcfsConfig`'s is
@@ -183,7 +182,7 @@ mod tests {
     #[test]
     fn key_tables_match_the_parser_and_cover_every_checked_in_scenario() {
         let table = documented_keys();
-        assert_eq!(table.len(), 36, "34 job keys + name + description");
+        assert_eq!(table.len(), 35, "33 job keys + name + description");
         let fresh = format!("{:?}", JobDraft::default());
         for (key, default) in &table {
             if key == "name" || key == "description" {
@@ -217,7 +216,7 @@ mod tests {
         }
         // `coloring` is written into both protocol configs, so it has
         // two README rows.
-        assert_eq!(readme.len(), 34 + 1, "README rows cover the 34 job keys");
+        assert_eq!(readme.len(), 33 + 1, "README rows cover the 33 job keys");
 
         let root = Path::new(env!("CARGO_MANIFEST_DIR"));
         let mut files = 0;

@@ -430,6 +430,9 @@ strategy = count-burst:auto
     fn rejects_unknown_key_and_section() {
         let e = Scenario::parse_str("name = x\nwat = 1\n", "<t>").unwrap_err();
         assert!(e.msg.contains("unknown key"), "{e}");
+        // A knob folded into a constant is a key like any other unknown.
+        let e = Scenario::parse_str("name = x\nepoch-scale = 2\n", "<t>").unwrap_err();
+        assert_eq!(e.to_string(), "<t>:2: unknown key `epoch-scale`");
         let e = Scenario::parse_str("name = x\n[wat]\n", "<t>").unwrap_err();
         assert!(e.msg.contains("unknown section"), "{e}");
     }

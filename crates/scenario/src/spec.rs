@@ -234,7 +234,6 @@ impl JobDraft {
             "reschedule" => spec.fds.reschedule = parse_bool(value)?,
             "pipeline-window" => spec.fds.pipeline_window = parse_num(value, "an integer")?,
             "sublayers" => spec.fds.sublayers = parse_num(value, "an integer")?,
-            "epoch-scale" => spec.fds.epoch_scale = parse_num(value, "an integer")?,
             "respect-capacity" => spec.fcfs.respect_capacity = parse_bool(value)?,
             "check-order" => spec.check_order = parse_bool(value)?,
             "fault-seed" => spec.faults.seed = parse_num(value, "an integer")?,
@@ -465,8 +464,7 @@ pub struct JobSpec {
     pub adv: AdversaryConfig,
     /// BDS and the zoo policies: `coloring`, `rotate-leader`.
     pub bds: BdsConfig,
-    /// FDS: `coloring`, `reschedule`, `pipeline-window`, `sublayers`,
-    /// `epoch-scale`.
+    /// FDS: `coloring`, `reschedule`, `pipeline-window`, `sublayers`.
     pub fds: FdsConfig,
     /// FCFS: `respect-capacity`.
     pub fcfs: FcfsConfig,

@@ -9,7 +9,7 @@
 //! `T`'s worst access distance — and is scheduled by that cluster's leader.
 //!
 //! **Epochs and rescheduling periods.** Layer `i` has epoch length
-//! `E_i = 2^i · E_0` with `E_0 = c·⌈log₂ s⌉`; epochs of all layers are
+//! `E_i = 2^i · E_0` with `E_0 = ⌈log₂ s⌉`; epochs of all layers are
 //! aligned. Rescheduling periods `P_k = 2^k · E_0` likewise. Each epoch of
 //! a cluster at layer `i` runs Algorithm 2a:
 //!
@@ -68,8 +68,6 @@ use std::sync::Arc;
 /// FDS tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct FdsConfig {
-    /// Epoch scale constant `c` in `E_0 = c·⌈log₂ s⌉`.
-    pub epoch_scale: u64,
     /// Sublayers `H2` of the hierarchy (paper simulation: 2).
     pub sublayers: usize,
     /// Enable rescheduling periods (paper: yes; off for the ablation).
@@ -98,7 +96,6 @@ pub struct FdsConfig {
 impl Default for FdsConfig {
     fn default() -> Self {
         FdsConfig {
-            epoch_scale: 1,
             sublayers: 2,
             reschedule: true,
             pipeline_window: 16,
@@ -200,10 +197,10 @@ struct DestState {
     voted: FastSet<TxnId>,
 }
 
-/// `E_0 = c·⌈log₂ s⌉`, the layer-0 epoch length.
-fn base_epoch(fcfg: &FdsConfig, shards: usize) -> u64 {
-    let lg = (usize::BITS - (shards.max(2) - 1).leading_zeros()) as u64;
-    (fcfg.epoch_scale * lg).max(1)
+/// `E_0 = ⌈log₂ s⌉`, the layer-0 epoch length (the paper's constant
+/// `c` is 1).
+fn base_epoch(shards: usize) -> u64 {
+    u64::from(usize::BITS - (shards.max(2) - 1).leading_zeros())
 }
 
 /// What one shard does in an FDS round: its home outbox, the leader
@@ -260,7 +257,7 @@ impl FdsNode {
         FdsNode {
             id,
             fcfg,
-            e0: base_epoch(&fcfg, hierarchy.num_shards()),
+            e0: base_epoch(hierarchy.num_shards()),
             home_cluster_cache: vec![Vec::new(); hierarchy.num_shards()],
             hierarchy,
             next_boundary: 0,

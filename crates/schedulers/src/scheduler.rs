@@ -10,8 +10,9 @@
 //! fixed-priority, work-stealing, and speculative plans. The epoch
 //! protocol around the plan ([`BdsNode`](crate::bds::BdsNode), hosted by
 //! the simulator and by the networked engine) stays identical — only the
-//! planning step behind [`Scheduler::plan_epoch`] differs, which is what makes a new scheduler sweepable, benchable,
-//! and net-runnable with zero per-scheduler glue.
+//! planning step behind [`Scheduler::plan_epoch`] differs, which is what
+//! makes a new scheduler sweepable, benchable, and net-runnable with zero
+//! per-scheduler glue.
 //!
 //! # Contract
 //!

@@ -2,9 +2,8 @@
 //! [`Scheduler`] trait.
 //!
 //! The paper proves stability bounds for BDS/FDS but never runs them
-//! against classical alternatives (ROADMAP item 4). These policies plug
-//! into the same epoch host — sim and net — so the comparison costs one
-//! scenario line. None of them carries a stability proof; the conformance
+//! against classical alternatives. These policies plug into the same
+//! epoch host — sim and net — so the comparison costs one scenario line. None of them carries a stability proof; the conformance
 //! harness guarantees only *safety* (no conflicting pair in one parallel
 //! step) and *determinism*, which is exactly what makes the head-to-head
 //! fair: every policy pays the same epoch-host coordination rounds and
@@ -218,35 +217,22 @@ impl Scheduler for WorkStealPolicy {
 }
 
 /// Speculative: colors against a *predicted* conflict graph (only the
-/// accounts with at least `threshold` writers in the batch are assumed
-/// contended), then repairs the plan against the true conflicts — a
-/// transaction whose predicted slot turns out unsafe is evicted upward
-/// to the first slot where it fits. Mispredictions (e.g. read/write
-/// conflicts on a single-writer account) cost extra slots, never safety.
-#[derive(Debug)]
-pub struct SpeculativePolicy {
-    threshold: u32,
-}
+/// accounts with at least [`HOT_WRITERS`](Self::HOT_WRITERS) writers in
+/// the batch are assumed contended), then repairs the plan against the
+/// true conflicts — a transaction whose predicted slot turns out unsafe
+/// is evicted upward to the first slot where it fits. Mispredictions
+/// (e.g. read/write conflicts on a single-writer account) cost extra
+/// slots, never safety.
+#[derive(Debug, Default)]
+pub struct SpeculativePolicy;
 
 impl SpeculativePolicy {
-    /// New speculative policy with the default hot-account threshold (2
-    /// writers within the batch).
+    /// Writers within the batch from which an account is predicted hot.
+    pub const HOT_WRITERS: u32 = 2;
+
+    /// New speculative policy.
     pub fn new() -> Self {
-        Self::with_threshold(2)
-    }
-
-    /// New speculative policy predicting contention on accounts with at
-    /// least `threshold` writers in the batch.
-    pub fn with_threshold(threshold: u32) -> Self {
-        SpeculativePolicy {
-            threshold: threshold.max(1),
-        }
-    }
-}
-
-impl Default for SpeculativePolicy {
-    fn default() -> Self {
-        Self::new()
+        SpeculativePolicy
     }
 }
 
@@ -259,7 +245,7 @@ impl Scheduler for SpeculativePolicy {
         if batch.is_empty() {
             return EpochPlan::default();
         }
-        // Predicted hot set: accounts with >= threshold writers.
+        // Predicted hot set: accounts with >= HOT_WRITERS writers.
         let mut writers: BTreeMap<sharding_core::AccountId, u32> = BTreeMap::new();
         for t in batch {
             for a in t.accesses() {
@@ -270,7 +256,7 @@ impl Scheduler for SpeculativePolicy {
         }
         let hot: std::collections::BTreeSet<sharding_core::AccountId> = writers
             .into_iter()
-            .filter(|(_, w)| *w >= self.threshold)
+            .filter(|(_, w)| *w >= Self::HOT_WRITERS)
             .map(|(a, _)| a)
             .collect();
         // Predicted conflict graph: sharing any predicted-hot account.

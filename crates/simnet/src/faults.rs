@@ -13,7 +13,11 @@
 //! dropped [`FaultPlan::drop_budget`] messages it delivers everything
 //! else faithfully. A per-link budget (rather than a global one) is what
 //! keeps the drop pattern independent of cross-thread send interleaving.
+//!
+//! The link streams are consumed by [`Outbound`], the one sending
+//! endpoint both transports are built on.
 
+use cluster::ShardMetric;
 use rand::Rng as _;
 use serde::{Deserialize, Serialize};
 use sharding_core::rngutil::{seeded_rng, split_seed, Rng};
@@ -207,54 +211,131 @@ impl LinkFaults {
     }
 }
 
-/// The outgoing fault streams of one sender: a [`LinkFaults`] per
-/// destination, created lazily on first use of each link — the shared
-/// plumbing between `simnet::Network` (which holds one bank per sender)
-/// and the runtime's `ShardPort` (where each shard thread owns exactly
-/// its own bank, so fault decisions never race).
-///
-/// An inert plan collapses to a no-op: `decide` short-circuits to
-/// [`FaultDecision::Deliver`] without allocating any stream.
-#[derive(Debug)]
-pub struct LinkBank {
-    /// `None` when the plan is inert — the fault-free fast path.
-    plan: Option<FaultPlan>,
-    from: ShardId,
-    /// Lazily created per-destination streams (empty when inert).
-    links: Vec<Option<LinkFaults>>,
+/// What one sender has put on the wire, as both transports report it:
+/// `sent` counts the protocol's `send` calls — dropped messages included,
+/// fault-plane duplicates not.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SendTally {
+    /// Protocol sends attempted.
+    pub sent: u64,
+    /// Payload bytes across those sends.
+    pub bytes: u64,
+    /// Largest single payload.
+    pub max_bytes: u64,
+    /// Sends the fault plane dropped.
+    pub dropped: u64,
+    /// Sends the fault plane delivered twice.
+    pub duplicated: u64,
 }
 
-impl LinkBank {
-    /// The bank of `from`'s outgoing links in a system of `shards`
-    /// shards. Inert plans disable the fault path entirely.
-    pub fn new(plan: &FaultPlan, from: ShardId, shards: usize) -> Self {
-        let plan = (!plan.is_inert()).then(|| plan.clone());
-        LinkBank {
-            links: if plan.is_some() {
-                (0..shards).map(|_| None).collect()
-            } else {
-                Vec::new()
-            },
-            plan,
+impl SendTally {
+    /// Folds another sender's tally into this one.
+    pub fn absorb(&mut self, other: SendTally) {
+        self.sent += other.sent;
+        self.bytes += other.bytes;
+        self.max_bytes = self.max_bytes.max(other.max_bytes);
+        self.dropped += other.dropped;
+        self.duplicated += other.duplicated;
+    }
+}
+
+/// The sending endpoint of one shard, and the whole of the paper's
+/// communication rule: a message sent at round `r` over distance `d`
+/// arrives at `r + max(1, d)` under the sender's next sequence number,
+/// unless the link's fault stream drops it (one number consumed, nothing
+/// emitted) or duplicates it (two consecutive numbers, same round).
+/// `simnet::Network` holds one per shard and the runtime's `ShardPort`
+/// exactly its own, so the two transports differ only in where an
+/// emitted message is put — and fault decisions never race, because each
+/// stream belongs to one sender.
+#[derive(Debug)]
+pub struct Outbound {
+    from: ShardId,
+    seq: u64,
+    /// `max(1, d(from, to))` per destination — as `u32`, because the `s`
+    /// rows are the bulk of a transport's fixed memory.
+    delay: Vec<u32>,
+    /// `None` while the fault plane is inert — the fault-free fast path.
+    plan: Option<FaultPlan>,
+    /// Per-destination streams, each built on its link's first message
+    /// (empty while inert).
+    links: Vec<Option<LinkFaults>>,
+    tally: SendTally,
+}
+
+impl Outbound {
+    /// The fault-free endpoint of `from` over `metric`.
+    pub fn new(metric: &dyn ShardMetric, from: ShardId) -> Self {
+        Outbound {
             from,
+            seq: 0,
+            delay: (0..metric.shards() as u32)
+                .map(|to| metric.distance(from, ShardId(to)).max(1))
+                .map(|d| u32::try_from(d).expect("a delay in rounds fits u32"))
+                .collect(),
+            plan: None,
+            links: Vec::new(),
+            tally: SendTally::default(),
         }
     }
 
-    /// Decides the fate of the next message on the link `from → to`,
-    /// consuming one draw from that link's stream (none when inert).
-    pub fn decide(&mut self, to: ShardId) -> FaultDecision {
-        match &self.plan {
+    /// Arms the fault plane: later sends consult `plan`'s per-link
+    /// streams, from their start. An inert plan leaves it off.
+    pub fn set_faults(&mut self, plan: &FaultPlan) {
+        if !plan.is_inert() {
+            self.links = self.delay.iter().map(|_| None).collect();
+            self.plan = Some(plan.clone());
+        }
+    }
+
+    /// Sends `payload`, of `bytes` bytes, to `to` at round `now`: calls
+    /// `emit(deliver_at, seq, payload)` once, or not at all for a drop,
+    /// or twice for a duplicate (the extra copy is the only clone).
+    pub fn send<P: Clone>(
+        &mut self,
+        to: ShardId,
+        now: u64,
+        bytes: u64,
+        payload: P,
+        mut emit: impl FnMut(u64, u64, P),
+    ) {
+        self.tally.sent += 1;
+        self.tally.bytes += bytes;
+        self.tally.max_bytes = self.tally.max_bytes.max(bytes);
+        let decision = match &self.plan {
             None => FaultDecision::Deliver,
             Some(plan) => self.links[to.index()]
                 .get_or_insert_with(|| plan.link(self.from, to))
                 .decide(),
+        };
+        let deliver_at = now + u64::from(self.delay[to.index()]);
+        match decision {
+            // The sender paid for the message, so its number is spent.
+            FaultDecision::Drop => self.tally.dropped += 1,
+            FaultDecision::Duplicate => {
+                self.tally.duplicated += 1;
+                emit(deliver_at, self.seq, payload.clone());
+                self.seq += 1;
+                emit(deliver_at, self.seq, payload);
+            }
+            FaultDecision::Deliver => emit(deliver_at, self.seq, payload),
         }
+        self.seq += 1;
     }
 
-    /// True when the bank was built from an inert plan and will never
-    /// drop or duplicate anything.
-    pub fn is_inert(&self) -> bool {
-        self.plan.is_none()
+    /// The sending shard.
+    pub fn shard(&self) -> ShardId {
+        self.from
+    }
+
+    /// What this endpoint has sent since the last [`Outbound::take_tally`].
+    pub fn tally(&self) -> SendTally {
+        self.tally
+    }
+
+    /// Returns the tally and zeroes it (a port flushing into its hub).
+    pub fn take_tally(&mut self) -> SendTally {
+        std::mem::take(&mut self.tally)
     }
 }
 
@@ -351,26 +432,100 @@ mod tests {
         assert_eq!(plan.byz_flips_for(8), 5);
     }
 
+    /// Sends `n` 8-byte messages from shard 1 over a 4-shard line, the
+    /// `i`-th at round `i` to shard `2 + i % 2`, and returns what was
+    /// emitted as `(to, deliver_at, seq, payload)`.
+    fn emitted(out: &mut Outbound, n: u64) -> Vec<(u32, u64, u64, u64)> {
+        let mut seen = Vec::new();
+        for i in 0..n {
+            let to = 2 + (i % 2) as u32;
+            out.send(ShardId(to), i, 8, i, |at, seq, p| {
+                seen.push((to, at, seq, p))
+            });
+        }
+        seen
+    }
+
     #[test]
-    fn link_bank_matches_raw_link_streams() {
+    fn inert_outbound_numbers_and_delays_without_a_stream() {
+        let metric = cluster::LineMetric::new(4);
+        let mut out = Outbound::new(&metric, ShardId(1));
+        out.set_faults(&FaultPlan::default());
+        assert!(out.plan.is_none() && out.links.is_empty(), "nothing built");
+        // Distance 1 to shard 2, 2 to shard 3; a self-send takes a round.
+        assert_eq!(
+            emitted(&mut out, 3),
+            vec![(2, 1, 0, 0), (3, 3, 1, 1), (2, 3, 2, 2)]
+        );
+        out.send(ShardId(1), 7, 0, 9, |at, seq, _| {
+            assert_eq!((at, seq), (8, 3))
+        });
+        assert!(out.links.is_empty(), "an inert plan never builds a stream");
+        assert_eq!(out.shard(), ShardId(1));
+    }
+
+    #[test]
+    fn outbound_follows_its_link_streams() {
         let plan = FaultPlan {
             drop_prob: 0.3,
             dup_prob: 0.2,
             ..FaultPlan::default()
         };
-        let mut bank = LinkBank::new(&plan, ShardId(1), 4);
-        assert!(!bank.is_inert());
-        // Interleave two destinations through the bank; each must see
-        // exactly the stream a standalone LinkFaults would produce.
-        let mut raw2 = plan.link(ShardId(1), ShardId(2));
-        let mut raw3 = plan.link(ShardId(1), ShardId(3));
-        for _ in 0..64 {
-            assert_eq!(bank.decide(ShardId(2)), raw2.decide());
-            assert_eq!(bank.decide(ShardId(3)), raw3.decide());
+        let metric = cluster::LineMetric::new(4);
+        let mut out = Outbound::new(&metric, ShardId(1));
+        out.set_faults(&plan);
+        let seen = emitted(&mut out, 128);
+        // Replay the two links' raw streams: a drop spends one number
+        // and emits nothing, a duplicate spends two on one round.
+        let mut raw = [
+            plan.link(ShardId(1), ShardId(2)),
+            plan.link(ShardId(1), ShardId(3)),
+        ];
+        let (mut expect, mut seq, mut tally) = (Vec::new(), 0, SendTally::default());
+        for i in 0..128u64 {
+            let to = 2 + (i % 2) as u32;
+            let at = i + 1 + i % 2;
+            tally.absorb(SendTally {
+                sent: 1,
+                bytes: 8,
+                max_bytes: 8,
+                ..SendTally::default()
+            });
+            match raw[(i % 2) as usize].decide() {
+                FaultDecision::Drop => tally.dropped += 1,
+                FaultDecision::Deliver => expect.push((to, at, seq, i)),
+                FaultDecision::Duplicate => {
+                    tally.duplicated += 1;
+                    expect.extend([(to, at, seq, i), (to, at, seq + 1, i)]);
+                    seq += 1;
+                }
+            }
+            seq += 1;
         }
-        let inert = LinkBank::new(&FaultPlan::default(), ShardId(0), 4);
-        assert!(inert.is_inert());
-        assert!(inert.links.is_empty(), "inert banks allocate nothing");
+        assert_eq!(seen, expect);
+        assert!(tally.dropped > 0 && tally.duplicated > 0);
+        assert_eq!(tally.sent, 128, "drops count as sent, duplicates do not");
+        assert_eq!(out.tally(), tally);
+        assert_eq!(out.take_tally(), tally);
+        assert_eq!(out.tally(), SendTally::default(), "taking zeroes it");
+        assert!(out.links[0].is_none(), "unused links build no stream");
+    }
+
+    #[test]
+    fn outbound_drop_budget_is_per_directed_link() {
+        let plan = FaultPlan {
+            drop_prob: 0.9,
+            drop_budget: 3,
+            ..FaultPlan::default()
+        };
+        let mut out = Outbound::new(&cluster::UniformMetric::new(4), ShardId(1));
+        out.set_faults(&plan);
+        let seen = emitted(&mut out, 400);
+        assert_eq!(out.tally().dropped, 6, "three on each of the two links");
+        assert_eq!(seen.len(), 400 - 6);
+        for to in [2, 3] {
+            assert_eq!(seen.iter().filter(|e| e.0 == to).count(), 200 - 3);
+        }
     }
 
     #[test]

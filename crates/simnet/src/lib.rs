@@ -5,6 +5,9 @@
 //! * [`network`] — inter-shard message passing over a [`ShardMetric`]:
 //!   a message sent at round `r` from `S_i` to `S_j` is delivered at round
 //!   `r + distance(S_i, S_j)` (distance 1 everywhere in the uniform model).
+//!   The rule itself is [`Outbound`], one sending endpoint per shard, and
+//!   the waiting is a [`wheel`] — both shared with the threaded runtime,
+//!   whose transport differs only in the hand-off.
 //! * [`blockchain`] — per-shard local ledgers: hash-linked blocks of
 //!   committed subtransactions, with verification. The global blockchain is
 //!   reconstructable as the union of local chains (Section 3).
@@ -17,10 +20,10 @@
 //!   including condition checking (the "condition + action" split of the
 //!   paper's subtransactions).
 //! * [`faults`] — the seeded fault plane for networked executions: shard
-//!   crashes pinned to rounds, per-link drop/duplication streams, and
-//!   Byzantine vote flipping for the per-round PBFT instances. Every
-//!   decision is deterministic in the plan's seed, independent of thread
-//!   interleaving.
+//!   crashes pinned to rounds, per-link drop/duplication streams (consumed
+//!   by [`Outbound::send`], which lives there), and Byzantine vote
+//!   flipping for the per-round PBFT instances. Every decision is
+//!   deterministic in the plan's seed, independent of thread interleaving.
 //!
 //! The [`network`] layer's counters (messages sent, largest payload)
 //! surface in every `RunReport` and therefore in the `messages` /
@@ -38,9 +41,11 @@ pub mod faults;
 pub mod ledger;
 pub mod network;
 pub mod pbft;
+pub mod wheel;
 
 pub use blockchain::{reshard_audit, Block, LocalChain};
-pub use faults::{FaultCounters, FaultDecision, FaultPlan, LinkBank, LinkFaults};
+pub use faults::{FaultCounters, FaultDecision, FaultPlan, LinkFaults, Outbound, SendTally};
 pub use ledger::ShardLedger;
 pub use network::{Envelope, Network};
 pub use pbft::{ConsensusOutcome, PbftShard, Vote};
+pub use wheel::Wheel;

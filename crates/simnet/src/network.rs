@@ -1,24 +1,22 @@
 //! Inter-shard message passing with metric delays.
 //!
 //! Shards communicate over the weighted clique `G_s`. A message from `S_i`
-//! to `S_j` sent at round `r` arrives at round `r + d(S_i, S_j)`; in the
-//! uniform model every distance is 1, matching "any shard can send or
-//! receive information within one round". Delivery within a round is
-//! deterministic: messages are handed out sorted by (destination, sender,
-//! sequence), so simulations are bit-reproducible. Sequence numbers are
-//! **per sender** — the tie-break depends only on each sender's own send
-//! order, never on how sends from different shards interleave, which is
-//! what lets the concurrent networked runtime reproduce the simulator's
-//! delivery order exactly.
-//!
-//! An optional [`FaultPlan`] makes the network lossy: each directed link
-//! consumes one deterministic ChaCha draw per message to decide
-//! deliver/drop/duplicate (see [`crate::faults`]).
+//! to `S_j` sent at round `r` arrives at round `r + max(1, d(S_i, S_j))`;
+//! in the uniform model every distance is 1, matching "any shard can send
+//! or receive information within one round". That rule — the delay, the
+//! **per-sender** sequence number, the link's fault stream, the counters
+//! — is [`Outbound::send`], shared with the threaded runtime; what is
+//! this transport's own is the hand-off: every emitted message is filed
+//! in one [`Wheel`] and handed out sorted by (destination, sender,
+//! sequence), so simulations are bit-reproducible. The tie-break depends
+//! only on each sender's own send order, never on how sends from
+//! different shards interleave, which is what lets the concurrent
+//! runtime reproduce the simulator's delivery order exactly.
 
-use crate::faults::{FaultDecision, FaultPlan, LinkBank};
+use crate::faults::{FaultPlan, Outbound, SendTally};
+use crate::wheel::Wheel;
 use cluster::ShardMetric;
 use sharding_core::{Round, ShardId};
-use std::collections::VecDeque;
 
 /// A message in flight.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,81 +36,6 @@ pub struct Envelope<P> {
     pub payload: P,
 }
 
-/// The delay wheel under [`Network`]: a ring of per-round buffers, so
-/// filing a message is an index and a round's delivery takes one buffer
-/// — no tree node allocated and freed per round. The ring is as long as
-/// the span of rounds with something in flight: the metric's diameter
-/// under a simulator, which delivers every round.
-struct Wheel<T> {
-    /// `slots[i]` holds what is due at round `base + i`. Empty, or the
-    /// front slot is non-empty — so `base` is the earliest round due.
-    slots: VecDeque<Vec<T>>,
-    base: u64,
-    /// Emptied buffers handed back, reused by the next slot that
-    /// receives its first item.
-    spare: Vec<Vec<T>>,
-}
-
-impl<T> Default for Wheel<T> {
-    fn default() -> Self {
-        Wheel {
-            slots: VecDeque::new(),
-            base: 0,
-            spare: Vec::new(),
-        }
-    }
-}
-
-impl<T> Wheel<T> {
-    /// Spare buffers kept. A host hands one back a round and a slot
-    /// takes one only with its first item, so a longer list would only
-    /// ever hold memory.
-    const SPARES: usize = 4;
-
-    /// The slot of `round`, for the caller to push into: the ring
-    /// extends to reach it, backwards when `round` precedes the front.
-    fn slot_mut(&mut self, round: u64) -> &mut Vec<T> {
-        if self.slots.is_empty() {
-            self.base = round;
-        }
-        while round < self.base {
-            self.slots.push_front(Vec::new());
-            self.base -= 1;
-        }
-        let i = (round - self.base) as usize;
-        if i >= self.slots.len() {
-            self.slots.resize_with(i + 1, Vec::new);
-        }
-        let slot = &mut self.slots[i];
-        if slot.capacity() == 0 {
-            *slot = self.spare.pop().unwrap_or_default();
-        }
-        slot
-    }
-
-    /// Removes and returns the contents of `round`'s slot, then drops
-    /// the slots that leaves empty at the front.
-    fn take(&mut self, round: u64) -> Vec<T> {
-        let slot = round.checked_sub(self.base);
-        let Some(slot) = slot.and_then(|i| self.slots.get_mut(i as usize)) else {
-            return Vec::new();
-        };
-        let taken = std::mem::take(slot);
-        while self.slots.front().is_some_and(Vec::is_empty) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        taken
-    }
-
-    fn recycle(&mut self, mut buf: Vec<T>) {
-        buf.clear();
-        if buf.capacity() > 0 && self.spare.len() < Self::SPARES {
-            self.spare.push(buf);
-        }
-    }
-}
-
 /// The simulated inter-shard network.
 ///
 /// Generic over the payload type so each scheduler defines its own message
@@ -121,48 +44,22 @@ impl<T> Wheel<T> {
 pub struct Network<P> {
     /// Messages by delivery round.
     in_flight: Wheel<Envelope<P>>,
-    /// Distance matrix snapshot.
-    dist: Vec<u64>,
-    shards: usize,
-    /// Per-sender sequence counters.
-    seq: Vec<u64>,
-    sent_count: u64,
+    /// One sending endpoint per shard.
+    senders: Vec<Outbound>,
     /// Optional payload sizer for byte accounting (the paper bounds the
     /// worst-case message size by `O(bs)`).
     sizer: Option<fn(&P) -> usize>,
-    bytes_sent: u64,
-    max_message_bytes: u64,
-    /// Optional fault plane: one [`LinkBank`] of outgoing streams per
-    /// sender (empty when fault-free) — the same per-sender plumbing the
-    /// threaded runtime gives each `ShardPort`, so both engines draw the
-    /// identical decisions from the identical streams.
-    banks: Vec<LinkBank>,
-    dropped_count: u64,
-    duplicated_count: u64,
 }
 
 impl<P> Network<P> {
     /// Builds a network over `metric`.
     pub fn new(metric: &dyn ShardMetric) -> Self {
-        let s = metric.shards();
-        let mut dist = vec![0u64; s * s];
-        for a in 0..s {
-            for b in 0..s {
-                dist[a * s + b] = metric.distance(ShardId(a as u32), ShardId(b as u32));
-            }
-        }
         Network {
             in_flight: Wheel::default(),
-            dist,
-            shards: s,
-            seq: vec![0; s],
-            sent_count: 0,
+            senders: (0..metric.shards() as u32)
+                .map(|from| Outbound::new(metric, ShardId(from)))
+                .collect(),
             sizer: None,
-            bytes_sent: 0,
-            max_message_bytes: 0,
-            banks: Vec::new(),
-            dropped_count: 0,
-            duplicated_count: 0,
         }
     }
 
@@ -174,37 +71,38 @@ impl<P> Network<P> {
     /// Enables the fault plane: subsequent sends consult the plan's
     /// per-link streams. Inert plans are ignored.
     pub fn set_faults(&mut self, plan: FaultPlan) {
-        if !plan.is_inert() {
-            self.banks = (0..self.shards)
-                .map(|from| LinkBank::new(&plan, ShardId(from as u32), self.shards))
-                .collect();
+        for sender in &mut self.senders {
+            sender.set_faults(&plan);
         }
+    }
+
+    /// The senders' tallies, summed (bytes are 0 when no sizer is set).
+    pub fn tally(&self) -> SendTally {
+        let mut total = SendTally::default();
+        for sender in &self.senders {
+            total.absorb(sender.tally());
+        }
+        total
     }
 
     /// Messages dropped by the fault plane so far.
     pub fn dropped_count(&self) -> u64 {
-        self.dropped_count
+        self.tally().dropped
     }
 
     /// Messages duplicated by the fault plane so far.
     pub fn duplicated_count(&self) -> u64 {
-        self.duplicated_count
-    }
-
-    /// Total payload bytes sent (0 when no sizer is set).
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
+        self.tally().duplicated
     }
 
     /// Largest single message payload observed (0 when no sizer is set).
     pub fn max_message_bytes(&self) -> u64 {
-        self.max_message_bytes
+        self.tally().max_bytes
     }
 
-    /// Distance (in rounds) between two shards.
-    #[inline]
-    pub fn distance(&self, a: ShardId, b: ShardId) -> u64 {
-        self.dist[a.index() * self.shards + b.index()]
+    /// Total messages sent so far.
+    pub fn sent_count(&self) -> u64 {
+        self.tally().sent
     }
 
     /// Sends `payload` from `from` to `to` at round `now`.
@@ -216,55 +114,18 @@ impl<P> Network<P> {
     where
         P: Clone,
     {
-        if let Some(sizer) = self.sizer {
-            let bytes = sizer(&payload) as u64;
-            self.bytes_sent += bytes;
-            self.max_message_bytes = self.max_message_bytes.max(bytes);
-        }
-        self.sent_count += 1;
-        let decision = match self.banks.get_mut(from.index()) {
-            None => FaultDecision::Deliver,
-            Some(bank) => bank.decide(to),
-        };
-        if decision == FaultDecision::Drop {
-            // The sender paid for the message (it counts as sent) but it
-            // never enters the delay queue. Its seq is still consumed so
-            // the surviving stream matches what the sender emitted.
-            self.seq[from.index()] += 1;
-            self.dropped_count += 1;
-            return;
-        }
-        let copies = if decision == FaultDecision::Duplicate {
-            self.duplicated_count += 1;
-            2
-        } else {
-            1
-        };
-        let d = self.distance(from, to).max(1);
-        let deliver_at = now.plus(d);
-        let slot = self.in_flight.slot_mut(deliver_at.raw());
-        // Clone only the extra fault-plane duplicates; the common
-        // single-copy payload is moved.
-        for _ in 1..copies {
-            slot.push(Envelope {
+        let bytes = self.sizer.map_or(0, |sizer| sizer(&payload) as u64);
+        let wheel = &mut self.in_flight;
+        self.senders[from.index()].send(to, now.raw(), bytes, payload, |at, seq, payload| {
+            wheel.slot_mut(at).push(Envelope {
                 from,
                 to,
                 sent: now,
-                deliver_at,
-                seq: self.seq[from.index()],
-                payload: payload.clone(),
+                deliver_at: Round(at),
+                seq,
+                payload,
             });
-            self.seq[from.index()] += 1;
-        }
-        slot.push(Envelope {
-            from,
-            to,
-            sent: now,
-            deliver_at,
-            seq: self.seq[from.index()],
-            payload,
         });
-        self.seq[from.index()] += 1;
     }
 
     /// Broadcasts `payload` from `from` to every shard in `dests`.
@@ -303,18 +164,12 @@ impl<P> Network<P> {
 
     /// Number of messages still in flight.
     pub fn pending(&self) -> usize {
-        self.in_flight.slots.iter().map(Vec::len).sum()
-    }
-
-    /// Total messages sent so far.
-    pub fn sent_count(&self) -> u64 {
-        self.sent_count
+        self.in_flight.pending()
     }
 
     /// The earliest round at which a message is due (None when idle).
     pub fn next_delivery(&self) -> Option<Round> {
-        let wheel = &self.in_flight;
-        (!wheel.slots.is_empty()).then_some(Round(wheel.base))
+        self.in_flight.earliest().map(Round)
     }
 }
 
@@ -380,14 +235,14 @@ mod tests {
     fn byte_accounting_tracks_max_and_total() {
         let m = UniformMetric::new(3);
         let mut n: Network<Vec<u8>> = Network::new(&m);
-        assert_eq!(n.bytes_sent(), 0);
+        assert_eq!(n.tally().bytes, 0);
         n.send(ShardId(0), ShardId(1), Round(0), vec![0; 10]);
-        assert_eq!(n.bytes_sent(), 0, "no sizer set yet");
+        assert_eq!(n.tally().bytes, 0, "no sizer set yet");
         n.set_sizer(|p| p.len());
         n.send(ShardId(0), ShardId(1), Round(0), vec![0; 10]);
         n.send(ShardId(0), ShardId(2), Round(0), vec![0; 300]);
         n.send(ShardId(1), ShardId(2), Round(0), vec![0; 5]);
-        assert_eq!(n.bytes_sent(), 315);
+        assert_eq!(n.tally().bytes, 315);
         assert_eq!(n.max_message_bytes(), 300);
     }
 

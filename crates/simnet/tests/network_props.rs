@@ -19,7 +19,7 @@
 use cluster::{GridMetric, LineMetric, RingMetric, ShardMetric, UniformMetric};
 use proptest::prelude::*;
 use sharding_core::{Round, ShardId};
-use simnet::{Envelope, FaultDecision, FaultPlan, LinkBank, Network};
+use simnet::{Envelope, FaultDecision, FaultPlan, LinkFaults, Network};
 use std::collections::BTreeMap;
 
 /// One abstract send instruction: `(from, to, send round)`, all reduced
@@ -52,12 +52,13 @@ fn drain(net: &mut Network<u64>, sends: &[(ShardId, ShardId, Round)]) -> Vec<Env
 }
 
 /// The network as it was before the delay wheel: a tree of delivery
-/// rounds, each slot stable-sorted on delivery, the fault plane consulted
-/// the same way.
+/// rounds, each slot stable-sorted on delivery, its own sequence counters
+/// and its own per-link fault streams — nothing of `simnet::Outbound`.
 struct TreeNet {
     in_flight: BTreeMap<Round, Vec<Envelope<u64>>>,
     seq: Vec<u64>,
-    banks: Vec<LinkBank>,
+    plan: FaultPlan,
+    links: BTreeMap<(ShardId, ShardId), LinkFaults>,
 }
 
 impl TreeNet {
@@ -65,14 +66,14 @@ impl TreeNet {
         TreeNet {
             in_flight: BTreeMap::new(),
             seq: vec![0; shards],
-            banks: (0..shards as u32)
-                .map(|from| LinkBank::new(plan, ShardId(from), shards))
-                .collect(),
+            plan: plan.clone(),
+            links: BTreeMap::new(),
         }
     }
 
     fn send(&mut self, metric: &dyn ShardMetric, from: ShardId, to: ShardId, now: Round, p: u64) {
-        let copies = match self.banks[from.index()].decide(to) {
+        let link = self.links.entry((from, to));
+        let copies = match link.or_insert_with(|| self.plan.link(from, to)).decide() {
             FaultDecision::Drop => 0,
             FaultDecision::Deliver => 1,
             FaultDecision::Duplicate => 2,
