@@ -1,61 +1,65 @@
-//! Cooperative lockstep executor: worker threads *claim* runnable shard
-//! rounds instead of blocking on their own shard.
+//! Ownership lockstep executor: each worker thread *owns* a contiguous
+//! range of shards for the whole run and steps them round by round.
 //!
-//! The thread-per-shard loop ("await my round, run it, complete it") is
-//! the obvious driver shape, but it hard-wires one context switch per
-//! shard per round: a thread can never advance past the gate until every
-//! peer has run, so on a host with fewer cores than shards the scheduler
-//! must rotate through **all** shard threads each round. Profiling on a
-//! single-core host put that rotation at ~10µs per 16-shard round —
-//! two-thirds of the whole round cost — with the gate already yield-based
-//! and near the `sched_yield` floor.
+//! The thread-per-shard loop ("await my round, run it, complete it")
+//! hard-wires one context switch per shard per round: no thread can pass
+//! the gate until every peer has run, so a host with fewer cores than
+//! shards rotates through **all** shard threads each round (~10µs per
+//! 16-shard round on one core). [`run_lockstep`] keeps [`RoundGate`]'s
+//! per-shard watermarks but runs them from a pool: worker `w` of
+//! `W = min(workers, s)` owns the shards `[w·s/W, (w+1)·s/W)` — sizes
+//! differ by at most one — locks their slots once, and per round waits
+//! until every shard it does *not* own has finished the previous round,
+//! then steps its own in shard order, completing each one's watermark.
+//! A step costs the closure call and one `Release` store; a round, one
+//! scan of the peers' watermarks per worker (none at all at `W = 1`).
+//! With `W ≤ cores` a waiter spins briefly before yielding; beyond that
+//! it yields at once and the scheduler rotates the workers once a round —
+//! only tests ask for that, [`default_workers`] caps at the core count.
 //!
-//! [`run_lockstep`] removes the rotation instead of cheapening it. Shard
-//! state lives in per-shard mutexed slots; each worker sweeps the slots
-//! and, for any shard whose next round is *runnable* (every watermark has
-//! reached it — the same [`RoundGate`] condition the blocking driver
-//! waited on), try-locks the slot and executes that one round. Running a
-//! round makes the next shard runnable, so a single sweep executes one
-//! full round of all shards without ever blocking:
+//! What ownership gives up is work-helping inside a round: a worker that
+//! finishes its range early waits for the laggard instead of taking one
+//! of its shards. What it buys is that nothing is decided per step — no
+//! readiness check, no lock attempt, no scan of shards a peer is running.
 //!
-//! * **One core:** whichever worker holds the timeslice keeps claiming —
-//!   all shards' rounds run back-to-back with *zero* per-round context
-//!   switches. Peers only run at quantum expiry, amortized over hundreds
-//!   of rounds.
-//! * **Many cores:** each worker starts its sweep at its own index, so
-//!   workers spread across shards and the schedule degenerates to
-//!   thread-per-shard with work-helping — an idle worker picks up the
-//!   laggard instead of spinning on it.
+//! Correctness is inherited, not re-proven: a shard's rounds execute
+//! sequentially on its one owner, and a round's steps start only once
+//! every watermark has reached it (the worker's own by program order,
+//! the rest by the gate's `Acquire` loads), so the slack-1 drift bound
+//! and the Release/Acquire visibility argument from [`RoundGate`] hold
+//! verbatim. Reports are identical for any worker count because nothing
+//! observable depends on *which thread* executes a round.
 //!
-//! Correctness is inherited, not re-proven: a shard's rounds still
-//! execute sequentially (its slot mutex serializes them, watermarks only
-//! advance under the lock), and the runnability check is the identical
-//! all-watermarks-≥-r condition, so the slack-1 drift bound and the
-//! Release/Acquire visibility argument from [`RoundGate`] hold verbatim.
-//! Run reports are byte-identical to the blocking driver's because
-//! nothing observable depends on *which thread* executes a round.
+//! A step that panics must end the run, yet its worker's shards never
+//! reach the round the peers wait on: the unwinding worker poisons the
+//! gate, waiting peers return, and `thread::scope` re-raises.
 
 use crate::sync::RoundGate;
 use parking_lot::Mutex;
 
-/// The worker count the networked drivers use when the caller does not
-/// choose one: a thread per shard up to the host's parallelism, never
-/// more — workers beyond the core count only take turns sweeping the
-/// same slots and yielding to one another. Results do not depend on the
-/// choice (any `workers >= 1` yields the identical report).
-pub fn default_workers(shards: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    shards.min(cores)
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// Drives `slots.len()` shards through `rounds` lockstep rounds using
-/// `workers` cooperating threads (clamped to at least 1).
+/// The worker count the networked drivers use when the caller does not
+/// choose one: a thread per shard up to the host's parallelism, never
+/// more — workers beyond the core count only take turns on the cores
+/// once a round. Results do not depend on the choice (any `workers >= 1`
+/// yields the identical report).
+pub fn default_workers(shards: usize) -> usize {
+    shards.min(cores())
+}
+
+/// Drives `slots.len()` shards through `rounds` lockstep rounds on
+/// `workers` threads (clamped to `1..=slots.len()`), each owning a
+/// contiguous range of shards.
 ///
 /// `step(ctx, shard, round)` is invoked exactly once per (shard, round)
-/// pair, rounds strictly increasing per shard, and only once every
-/// shard has completed all earlier rounds — the same schedule a
-/// thread-per-shard driver produces, minus the forced context switches.
-/// `gate` must be freshly constructed for `slots.len()` shards.
+/// pair, rounds strictly increasing per shard, always by the same
+/// thread, and only once every shard has completed all earlier rounds —
+/// the schedule a thread-per-shard driver produces, minus the forced
+/// context switches. `gate` must be freshly constructed for
+/// `slots.len()` shards. A panic in `step` ends the run and propagates.
 pub fn run_lockstep<C, F>(
     gate: &RoundGate,
     slots: &[Mutex<C>],
@@ -70,52 +74,25 @@ pub fn run_lockstep<C, F>(
     if s == 0 || rounds == 0 {
         return;
     }
+    let workers = workers.clamp(1, s);
+    // Spin only if every worker has a core: otherwise a spinning waiter
+    // occupies the core the peer it polls needs (3–8× the round cost on
+    // one core).
+    let spin_budget = if workers <= cores() { 64 } else { 0 };
     let step = &step;
     std::thread::scope(|scope| {
-        for w in 0..workers.max(1) {
+        for w in 0..workers {
             scope.spawn(move || {
-                // Highest round already proven runnable. Watermarks only
-                // grow, so runnable(r) stays true forever once observed;
-                // caching it turns the per-claim readiness scan into a
-                // comparison on the hot path.
-                let mut known_ready = 0u64;
-                loop {
-                    let mut progressed = false;
-                    let mut all_done = true;
-                    for k in 0..s {
-                        let i = (w + k) % s;
-                        let r = gate.watermark(i);
-                        if r >= rounds {
-                            continue;
-                        }
-                        all_done = false;
-                        if r >= known_ready {
-                            if !gate.ready(r) {
-                                continue;
-                            }
-                            known_ready = r + 1;
-                        }
-                        let Some(mut ctx) = slots[i].try_lock() else {
-                            continue;
-                        };
-                        // Re-read under the lock: another worker may have
-                        // run this shard between the scan and the lock.
-                        let r = gate.watermark(i);
-                        if r >= rounds || (r >= known_ready && !gate.ready(r)) {
-                            continue;
-                        }
-                        step(&mut ctx, i, r);
-                        gate.complete(i, r);
-                        progressed = true;
+                let (lo, hi) = (w * s / workers, (w + 1) * s / workers);
+                let _poison = gate.poison_on_unwind();
+                let mut mine: Vec<_> = slots[lo..hi].iter().map(Mutex::lock).collect();
+                for round in 0..rounds {
+                    if !gate.wait(round, lo..hi, spin_budget) {
+                        return;
                     }
-                    if all_done {
-                        break;
-                    }
-                    if !progressed {
-                        // Every runnable shard is claimed by a peer that
-                        // is actively executing it; get off the core so
-                        // that peer can finish.
-                        std::thread::yield_now();
+                    for (ctx, shard) in mine.iter_mut().zip(lo..) {
+                        step(ctx, shard, round);
+                        gate.complete(shard, round);
                     }
                 }
             });

@@ -4,7 +4,7 @@
 //! `schedulers::node::Sim` steps `s` nodes in shard order on one thread;
 //! [`NetRun::run`] steps the same nodes concurrently. Each shard is one
 //! [`run_lockstep`] slot holding its node, the ledger, chain and policy
-//! it lends it, its [`NetHub`] endpoints and its column of the
+//! it lends it, its [`NetHub`] endpoints and its queue of the
 //! pre-drained workload. On top of the node's step the host adds what
 //! the simulator never has: crash rounds (a dead shard keeps draining so
 //! ring memory stays bounded, but neither processes nor sends), one PBFT
@@ -17,7 +17,10 @@
 //! — the order the simulator books them in directly. Together with the
 //! hub's `(sender, sequence)` hand-out that makes a fault-free report
 //! byte-identical to the simulator's, floating-point means included, for
-//! any worker count.
+//! any worker count. Nothing the host keeps is sized `shards × rounds`:
+//! the workload is one `(round, txn)` queue per home shard, and a shard's
+//! samples are a run-length log — one entry per *change* — that the merge
+//! carries forward, a pure re-encoding of the per-round matrix.
 
 use crate::exec::run_lockstep;
 use crate::hub::{NetEnvelope, NetHub, NetInbox, ShardPort};
@@ -54,10 +57,21 @@ struct Hosted<N> {
     chain: LocalChain,
     /// `(round emitted, decision)`, in emission order.
     events: Vec<(u64, CommitEvent)>,
-    /// Per round: the node's sample, then the shard's cumulative
-    /// Byzantine flips and its crashed-now flag.
-    samples: Vec<[u64; 6]>,
+    samples: SampleLog,
     counters: FaultCounters,
+}
+
+/// A shard's end-of-round samples, run-length encoded: `(round, sample)`
+/// for round 0 and every round whose sample differs from the round
+/// before. A sample is the node's own, then the shard's cumulative
+/// Byzantine flips and its crashed-now flag.
+type SampleLog = Vec<(u64, [u64; 6])>;
+
+/// Appends `sample` unless it repeats the last entry.
+fn log_sample(log: &mut SampleLog, round: u64, sample: [u64; 6]) {
+    if log.last().map(|entry| entry.1) != Some(sample) {
+        log.push((round, sample));
+    }
 }
 
 /// A finished run before the merge: the shards in shard order, plus the
@@ -102,7 +116,7 @@ pub struct NetRun<'a> {
     pub metric: &'a dyn ShardMetric,
     /// The fault plane; [`FaultPlan::default`] is inert.
     pub faults: &'a FaultPlan,
-    /// Worker threads of the cooperative executor
+    /// Worker threads of the lockstep executor
     /// ([`default_workers`](crate::default_workers) is the natural
     /// choice; the outcome is identical for any count `>= 1`).
     pub workers: usize,
@@ -116,8 +130,9 @@ impl NetRun<'_> {
     /// The source is drained up front, round by round — exactly the
     /// order the simulator drains it live, so a deterministic source
     /// yields the same batches on both engines while generation stays
-    /// off the executed rounds — and partitioned per `(home shard,
-    /// round)` so each slot owns its column and moves every batch out.
+    /// off the executed rounds — and queued per home shard as `(round,
+    /// txn)`, so each slot owns its queue and moves every transaction out
+    /// when its round comes.
     /// Every shard gets its own policy instance; only where a node leads
     /// is it consulted, which is sound because plans are pure functions
     /// of `(epoch, batch)`.
@@ -151,12 +166,12 @@ impl NetRun<'_> {
         );
         let total = rounds.raw();
 
-        let mut inject = vec![vec![Vec::new(); total as usize]; sys.shards];
+        let mut inject = vec![Vec::new(); sys.shards];
         let mut generated = 0u64;
         for r in 0..total {
             for t in source.next_round(Round(r)) {
                 generated += 1;
-                inject[t.home.index()][r as usize].push(t);
+                inject[t.home.index()].push((r, t));
             }
         }
 
@@ -167,7 +182,7 @@ impl NetRun<'_> {
             pbft: PbftShard,
             port: ShardPort<'h, N::Msg>,
             inbox: NetInbox<N::Msg>,
-            inject: Vec<Vec<Transaction>>,
+            inject: std::iter::Peekable<std::vec::IntoIter<(u64, Transaction)>>,
             /// The reusable drain buffer.
             buf: Vec<NetEnvelope<N::Msg>>,
             crash_at: Option<u64>,
@@ -187,7 +202,7 @@ impl NetRun<'_> {
                         node,
                         chain: LocalChain::new(id),
                         events: Vec::new(),
-                        samples: Vec::with_capacity(total as usize),
+                        samples: Vec::new(),
                         counters: FaultCounters::default(),
                     },
                     ledger,
@@ -196,7 +211,7 @@ impl NetRun<'_> {
                         .expect("validated config"),
                     port: ShardPort::new(&hub, id, faults),
                     inbox: NetInbox::new(&hub, id),
-                    inject,
+                    inject: inject.into_iter().peekable(),
                     buf: Vec::new(),
                     crash_at: faults.crash_round(id).map(|r| r.raw()),
                 })
@@ -211,7 +226,7 @@ impl NetRun<'_> {
             let crashed = slot.crash_at.is_some_and(|c| round >= c);
             // Generated work accumulates even on a crashed shard (it counts
             // as pending, unserviced).
-            for t in std::mem::take(&mut slot.inject[round as usize]) {
+            while let Some((_, t)) = slot.inject.next_if(|(due, _)| *due <= round) {
                 out.node.inject(t);
             }
             // The executor only runs this once every peer finished round-1
@@ -244,8 +259,8 @@ impl NetRun<'_> {
                 out.node.step(round, inbox, lent, &mut seam);
             }
             let [a, b, c, d] = out.node.sample();
-            let byz = out.counters.byz_flips;
-            out.samples.push([a, b, c, d, byz, u64::from(crashed)]);
+            let sample = [a, b, c, d, out.counters.byz_flips, u64::from(crashed)];
+            log_sample(&mut out.samples, round, sample);
         });
 
         // The report carries the policy's kind, as the simulator's does.
@@ -267,8 +282,9 @@ impl NetRun<'_> {
 /// Merges a finished run into its outcome. Round by round, every shard's
 /// decisions are booked in shard order (latency statistics then
 /// accumulate in exactly the simulator's push order, so the
-/// floating-point mean is bit-equal), then the protocol books the
-/// round's samples — on a faulty run with the summed Byzantine flips and
+/// floating-point mean is bit-equal) and its sample log is advanced if it
+/// has an entry for the round, then the protocol books the shards'
+/// current samples — on a faulty run with the summed Byzantine flips and
 /// the crashed-shard count. The report carries the last round's pending
 /// count.
 fn merge<P: Protocol>(run: Finished<P::Node>, metrics: bool) -> NetOutcome {
@@ -278,25 +294,26 @@ fn merge<P: Protocol>(run: Finished<P::Node>, metrics: bool) -> NetOutcome {
         collector.enable_metrics();
     }
     let mut log = Vec::new();
-    let mut cursors = vec![0usize; shards.len()];
+    // Per shard: the next event, the next sample entry, the sample in force.
+    let mut cursors = vec![(0usize, 0usize, [0u64; 6]); shards.len()];
     let mut pending = 0;
     for round in 0..run.rounds {
-        for (shard, cursor) in shards.iter().zip(&mut cursors) {
-            while let Some((_, event)) = shard.events.get(*cursor).filter(|e| e.0 == round) {
+        for (shard, (event_at, sample_at, now)) in shards.iter().zip(&mut cursors) {
+            while let Some((_, event)) = shard.events.get(*event_at).filter(|e| e.0 == round) {
                 event.record(&mut collector, &mut log);
-                *cursor += 1;
+                *event_at += 1;
+            }
+            if let Some((_, sample)) = shard.samples.get(*sample_at).filter(|e| e.0 == round) {
+                *now = *sample;
+                *sample_at += 1;
             }
         }
-        let at = |h: &Hosted<P::Node>| h.samples[round as usize];
         let faults = run.faulty.then(|| {
-            let byz = shards.iter().map(|h| at(h)[4]).sum();
-            let crashed = shards.iter().map(|h| at(h)[5]).sum();
+            let byz = cursors.iter().map(|c| c.2[4]).sum();
+            let crashed = cursors.iter().map(|c| c.2[5]).sum();
             (byz, crashed)
         });
-        let samples = shards.iter().map(|h| {
-            let [a, b, c, d, ..] = at(h);
-            [a, b, c, d]
-        });
+        let samples = cursors.iter().map(|&(_, _, [a, b, c, d, ..])| [a, b, c, d]);
         pending = P::record_round(&shards[0].node, &mut collector, round, samples, faults);
     }
 
@@ -322,5 +339,89 @@ fn merge<P: Protocol>(run: Finished<P::Node>, metrics: bool) -> NetOutcome {
         committed_log: log,
         chains_verified: chains.iter().all(LocalChain::verify),
         chains,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cluster::UniformMetric;
+    use schedulers::bds::{BdsConfig, BdsNode, BdsProtocol};
+    use schedulers::testkit::report_fingerprint;
+
+    const ROUNDS: u64 = 12;
+
+    /// What three shards report round by round: one whose sample never
+    /// changes, one whose sample changes every round (a Byzantine quota
+    /// makes the cumulative flip count do that), one that crashes at
+    /// round 5 and freezes.
+    fn dense() -> Vec<Vec<[u64; 6]>> {
+        let shard = |f: fn(u64) -> [u64; 6]| (0..ROUNDS).map(f).collect();
+        vec![
+            shard(|_| [2, 0, 3, 0, 0, 0]),
+            shard(|r| [r % 3, r / 4, 3, 0, r + 1, 0]),
+            shard(|r| [r.min(5), r.min(4) / 4, 3, 0, 0, u64::from(r >= 5)]),
+        ]
+    }
+
+    /// A finished run of fresh nodes whose sample logs are `encode`d from
+    /// the dense matrix.
+    fn finished(encode: fn(&[[u64; 6]]) -> SampleLog) -> Finished<BdsNode> {
+        let metric = UniformMetric::new(3);
+        let proto = BdsProtocol::new(BdsConfig::default(), SchedulerKind::Bds);
+        let shards = dense()
+            .into_iter()
+            .zip((0u32..).map(ShardId))
+            .map(|(rows, id)| Hosted {
+                node: proto.node(id, &metric),
+                chain: LocalChain::new(id),
+                events: Vec::new(),
+                samples: encode(&rows),
+                counters: FaultCounters::default(),
+            });
+        Finished {
+            shards: shards.collect(),
+            kind: SchedulerKind::Bds,
+            faulty: true,
+            rounds: ROUNDS,
+            generated: 0,
+            tally: SendTally::default(),
+        }
+    }
+
+    #[test]
+    fn merge_carries_run_length_samples_forward_like_the_dense_matrix() {
+        let run_length = finished(|rows| {
+            let mut log = Vec::new();
+            for (round, &sample) in (0..).zip(rows) {
+                log_sample(&mut log, round, sample);
+            }
+            log
+        });
+        let lens: Vec<usize> = run_length.shards.iter().map(|h| h.samples.len()).collect();
+        assert_eq!(lens, [1, ROUNDS as usize, 6], "entries per shard");
+        let every_round = finished(|rows| (0..).zip(rows.iter().copied()).collect());
+
+        let got = merge::<BdsProtocol>(run_length, true).report;
+        let want = merge::<BdsProtocol>(every_round, true).report;
+        assert_eq!(report_fingerprint(&got), report_fingerprint(&want));
+        assert_eq!(got.metrics, want.metrics, "per-epoch timeline");
+
+        let pending = |r: usize| dense().iter().map(|rows| rows[r][0]).sum::<u64>();
+        let series: Vec<f64> = (0..ROUNDS as usize)
+            .map(|r| pending(r) as f64 / 3.0)
+            .collect();
+        assert_eq!(got.queue_series.samples(), series);
+        assert_eq!(got.pending_at_end, pending(ROUNDS as usize - 1));
+        let timeline = got.metrics.expect("metrics on").timeline;
+        assert_eq!(
+            timeline.iter().map(|row| row.byz_flips).sum::<u64>(),
+            ROUNDS
+        );
+        assert_eq!(
+            timeline.iter().map(|row| row.crashed_shards_max).max(),
+            Some(1)
+        );
+        assert_eq!(timeline.first().map(|row| row.crashed_shards_max), Some(0));
     }
 }

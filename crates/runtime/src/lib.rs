@@ -1,9 +1,9 @@
 //! # runtime
 //!
 //! The *networked* execution engine: a pool of worker threads
-//! ([`default_workers`]: one per shard up to the host's core count)
-//! cooperatively claiming shard rounds ([`exec::run_lockstep`]), real
-//! concurrent message passing over lock-free per-link rings, one
+//! ([`default_workers`]: one per shard up to the host's core count),
+//! each owning a contiguous range of shards for the whole run
+//! ([`exec::run_lockstep`]), real concurrent message passing over lock-free per-link rings, one
 //! watermark round gate — for both schedulers, over any
 //! [`cluster::ShardMetric`].
 //!
@@ -18,8 +18,8 @@
 //! [`NetRun::run`] takes any protocol description and any
 //! [`adversary::RoundSource`]. One slot per shard holds the node and
 //! what it is lent, the shard's [`hub::NetHub`] endpoints, and its
-//! column of the pre-drained workload, with worker threads claiming
-//! shard rounds. What this crate adds is what is genuinely about the
+//! queue of the pre-drained workload; a worker steps the slots of its
+//! range in shard order, round by round. What this crate adds is what is genuinely about the
 //! transport — delivery pinned by per-sender sequence numbers, the round
 //! gate, and a replay of the nodes' buffered decisions in `(round,
 //! shard, emission index)` order — so a fault-free networked run

@@ -25,70 +25,80 @@
 //!   therefore observes those pushes (the rings' own Release/Acquire
 //!   cursors transfer the payloads themselves).
 //!
-//! Waiters spin briefly then `yield_now` — never a futex sleep — so on a
-//! single core the scheduler rotates threads instead of round-tripping
-//! through wake-ups, and on many cores the spin window catches the
-//! common fast path.
+//! Waiters spin at most a caller-chosen budget, then `yield_now` — never
+//! a futex sleep — so on a single core the scheduler rotates threads
+//! instead of round-tripping through wake-ups, and on many cores the
+//! spin window catches the common fast path. The budget is the caller's
+//! because only the caller knows how many threads take part: a waiter
+//! that spins while its peer has no core to run on delays the very store
+//! it is polling for (measured at 3–8× the round cost on one core).
+//!
+//! A gate can be *poisoned* by a participant that will never complete
+//! its rounds (the executor does so when a step panics); waiters then
+//! give up instead of waiting forever.
 
 use crate::ring::CachePadded;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A fuzzy barrier over per-shard round watermarks; see the module docs
 /// for the protocol and why it is sufficient for the message plane.
 pub struct RoundGate {
     /// `wm[i]` = rounds completed by shard `i`. Each entry has exactly
-    /// one writer (shard `i`); padding keeps the hot stores from
+    /// one writer (shard `i`'s thread); padding keeps the hot stores from
     /// invalidating neighbours' lines.
     wm: Vec<CachePadded<AtomicU64>>,
-    /// Iterations of `spin_loop` before a waiter yields its timeslice.
-    /// Zero when the machine has fewer cores than participants: a
-    /// waiting thread is then *occupying the core its peer needs*, so
-    /// every spin iteration delays the very store it is polling for —
-    /// measured at 3–8× the round cost on a single-core host. With spare
-    /// cores the brief spin catches the common fast path without a
-    /// syscall.
-    spin_budget: u32,
+    /// Set once by a participant that gave up. It publishes no data, so
+    /// `Relaxed` suffices: a waiter polls it in a loop.
+    poisoned: AtomicBool,
 }
 
 impl RoundGate {
-    /// A gate for `shards` participating threads.
+    /// A gate over `shards` watermarks.
     pub fn new(shards: usize) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
         RoundGate {
             wm: (0..shards)
                 .map(|_| CachePadded(AtomicU64::new(0)))
                 .collect(),
-            spin_budget: if cores > shards { 64 } else { 0 },
+            poisoned: AtomicBool::new(false),
         }
     }
 
-    /// Blocks until every shard has completed rounds `0..round` — i.e.
-    /// all watermarks have reached `round`. Returns immediately for
-    /// round 0.
-    pub fn await_round(&self, round: u64) {
-        let mut spins = 0u32;
-        // Resume scanning at the last shard seen lagging: while waiting
-        // on one slow peer there is no point re-polling the fast ones.
-        let mut i = 0;
-        while i < self.wm.len() {
-            if self.wm[i].0.load(Ordering::Acquire) >= round {
-                i += 1;
-                spins = 0;
-            } else if spins < self.spin_budget {
-                spins += 1;
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
+    /// Blocks until every shard outside `own` has completed rounds
+    /// `0..round` — the caller vouches for the shards it runs itself —
+    /// spinning at most `spin_budget` times on a lagging shard before
+    /// yielding. Returns immediately for round 0, and `false` (without
+    /// the visibility guarantee) once the gate is poisoned.
+    pub fn wait(&self, round: u64, own: Range<usize>, spin_budget: u32) -> bool {
+        // One shard at a time: while waiting on a slow peer there is no
+        // point re-polling the fast ones.
+        for i in (0..own.start).chain(own.end..self.wm.len()) {
+            let mut spins = 0u32;
+            while self.wm[i].0.load(Ordering::Acquire) < round {
+                if self.poisoned.load(Ordering::Relaxed) {
+                    return false;
+                } else if spins < spin_budget {
+                    spins += 1;
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
             }
         }
+        true
     }
 
-    /// Non-blocking form of [`await_round`](Self::await_round): true once
-    /// every shard has completed rounds `0..round`. The `Acquire` loads
-    /// carry the same visibility guarantee — on `true`, all sends from
-    /// those rounds are observable.
-    pub fn ready(&self, round: u64) -> bool {
-        self.wm.iter().all(|w| w.0.load(Ordering::Acquire) >= round)
+    /// The thread-per-shard spelling of [`wait`](Self::wait): blocks,
+    /// yielding, until *all* watermarks have reached `round`.
+    pub fn await_round(&self, round: u64) {
+        assert!(self.wait(round, 0..0, 0), "a participant gave up");
+    }
+
+    /// A guard that poisons the gate if it is dropped by a panic: every
+    /// current and future [`wait`](Self::wait) on a lagging shard then
+    /// returns `false`. A participant holds one while it runs rounds.
+    pub fn poison_on_unwind(&self) -> PoisonOnUnwind<'_> {
+        PoisonOnUnwind(self)
     }
 
     /// Rounds completed by `shard` so far — equivalently, the next round
@@ -101,6 +111,17 @@ impl RoundGate {
     /// strictly increasing rounds by the single thread owning `shard`.
     pub fn complete(&self, shard: usize, round: u64) {
         self.wm[shard].0.store(round + 1, Ordering::Release);
+    }
+}
+
+/// See [`RoundGate::poison_on_unwind`].
+pub struct PoisonOnUnwind<'a>(&'a RoundGate);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::Relaxed);
+        }
     }
 }
 
@@ -129,6 +150,32 @@ mod tests {
             gate.complete(1, 0);
         });
         assert!(released.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn a_waiter_vouches_for_its_own_range() {
+        let gate = RoundGate::new(4);
+        gate.complete(0, 0);
+        gate.complete(3, 0);
+        // Shards 1 and 2 lag, but they are the caller's own.
+        assert!(gate.wait(1, 1..3, 0));
+        assert!(gate.wait(1, 0..4, 0));
+    }
+
+    #[test]
+    fn poison_releases_a_waiter_empty_handed() {
+        let gate = RoundGate::new(2);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| gate.wait(1, 0..1, 0));
+            let quitter = s.spawn(|| {
+                let _poison = gate.poison_on_unwind();
+                panic!("shard 1 gives up (this test expects it)");
+            });
+            assert!(quitter.join().is_err());
+            assert!(!waiter.join().expect("the waiter returns"));
+        });
+        // A round everybody reached is still granted.
+        assert!(gate.wait(0, 0..0, 0));
     }
 
     #[test]

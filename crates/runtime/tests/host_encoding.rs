@@ -1,0 +1,159 @@
+//! The two places the networked host re-encodes a run instead of keeping
+//! a `shards × rounds` structure: the pre-drained workload (one `(round,
+//! txn)` queue per home shard, injected through a cursor) and the
+//! per-shard sample logs (run-length, carried forward by the merge).
+//! Neither may be observable: the cursor is checked against the
+//! simulator on a source shaped to stress it, the logs under a fault plan
+//! that makes some shards' samples change every round and another's
+//! freeze — at worker counts whose shard ranges differ.
+
+use adversary::{Adversary, AdversaryConfig, RoundSource, StrategyKind};
+use cluster::UniformMetric;
+use runtime::{NetOutcome, NetRun};
+use schedulers::bds::{BdsConfig, BdsProtocol};
+use schedulers::node::Sim;
+use schedulers::testkit::{report_fingerprint, small_system};
+use schedulers::SchedulerKind;
+use sharding_core::{Round, ShardId, Transaction};
+use simnet::FaultPlan;
+
+fn adversary(rho: f64, seed: u64) -> AdversaryConfig {
+    AdversaryConfig {
+        rho,
+        burstiness: 6,
+        strategy: StrategyKind::UniformRandom,
+        seed,
+        ..Default::default()
+    }
+}
+
+fn bds() -> BdsProtocol {
+    BdsProtocol::new(BdsConfig::default(), SchedulerKind::Bds)
+}
+
+/// BDS on the kit's 8 uniform shards, networked.
+fn net(
+    source: &mut dyn RoundSource,
+    rounds: u64,
+    faults: &FaultPlan,
+    workers: usize,
+) -> NetOutcome {
+    let (sys, map) = small_system();
+    let run = NetRun {
+        sys: &sys,
+        map: &map,
+        metric: &UniformMetric::new(8),
+        faults,
+        workers,
+        metrics: true,
+    };
+    run.run(&bds(), source, Round(rounds))
+}
+
+/// Holds the adversary's output back and releases it every fourth round:
+/// three empty rounds, then one that carries several transactions for
+/// the same home shard.
+struct Clumped {
+    inner: Adversary,
+    held: Vec<Transaction>,
+    /// The most transactions one home shard received in one round.
+    widest: usize,
+}
+
+impl RoundSource for Clumped {
+    fn next_round(&mut self, round: Round) -> Vec<Transaction> {
+        self.held.extend(self.inner.next_round(round));
+        if round.raw() % 4 != 3 {
+            return Vec::new();
+        }
+        let mut per_home = [0usize; 8];
+        for t in &self.held {
+            per_home[t.home.index()] += 1;
+        }
+        self.widest = self.widest.max(per_home.into_iter().max().unwrap_or(0));
+        std::mem::take(&mut self.held)
+    }
+}
+
+fn clumped() -> Clumped {
+    let (sys, map) = small_system();
+    Clumped {
+        inner: Adversary::new(&sys, &map, adversary(0.3, 61)),
+        held: Vec::new(),
+        widest: 0,
+    }
+}
+
+#[test]
+fn the_inject_cursor_replays_empty_and_crowded_rounds_like_the_simulator() {
+    const ROUNDS: u64 = 600;
+    let (sys, map) = small_system();
+    let mut sim = Sim::host(&bds(), &sys, &map, &UniformMetric::new(8));
+    let mut source = clumped();
+    for r in 0..ROUNDS {
+        sim.step(source.next_round(Round(r)));
+    }
+    assert!(source.widest >= 3, "the source must crowd a home shard");
+    let sim_log = sim.committed_log().to_vec();
+    let sim = sim.finish();
+    assert!(sim.committed > 0);
+
+    for workers in [1, 3] {
+        let net = net(&mut clumped(), ROUNDS, &FaultPlan::default(), workers);
+        assert_eq!(report_fingerprint(&net.report), report_fingerprint(&sim));
+        assert_eq!(
+            net.report.queue_series.samples(),
+            sim.queue_series.samples()
+        );
+        assert_eq!(net.committed_log, sim_log);
+    }
+}
+
+#[test]
+fn a_run_of_zero_rounds_is_an_empty_report() {
+    let out = net(&mut clumped(), 0, &FaultPlan::default(), 3);
+    assert_eq!((out.report.rounds, out.report.generated), (0, 0));
+    assert!(out.report.queue_series.samples().is_empty());
+    assert!(out.committed_log.is_empty() && out.chains_verified);
+}
+
+#[test]
+fn sample_logs_merge_the_same_under_crash_and_byzantine_votes_at_any_worker_count() {
+    let (sys, map) = small_system();
+    let plan = FaultPlan {
+        crashes: vec![(ShardId(5), Round(150))],
+        byz_votes: 1,
+        ..FaultPlan::default()
+    };
+    let run = |workers| {
+        let mut source = Adversary::new(&sys, &map, adversary(0.06, 67));
+        net(&mut source, 500, &plan, workers)
+    };
+    let (one, three) = (run(1), run(3));
+    // Seven live shards flip one vote a round; the crashed one stops.
+    assert_eq!(one.report.faults.byz_flips, 7 * 500 + 150);
+    assert_eq!(one.report.faults.crashes, 1);
+    assert_eq!(
+        report_fingerprint(&one.report),
+        report_fingerprint(&three.report)
+    );
+    assert_eq!(
+        one.report.queue_series.samples(),
+        three.report.queue_series.samples()
+    );
+    assert_eq!(
+        one.report.metrics, three.report.metrics,
+        "per-epoch timeline"
+    );
+    assert_eq!(one.committed_log, three.committed_log);
+    assert!(one.chains == three.chains);
+    let timeline = one.report.metrics.expect("metrics on").timeline;
+    assert_eq!(
+        timeline.iter().map(|row| row.byz_flips).sum::<u64>(),
+        7 * 500 + 150
+    );
+    assert_eq!(
+        timeline.iter().map(|row| row.crashed_shards_max).max(),
+        Some(1)
+    );
+}
