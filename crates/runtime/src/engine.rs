@@ -2,8 +2,8 @@
 //!
 //! `engine = sim` runs a job through the single-threaded simulators in
 //! `schedulers`; `engine = net` hosts the same per-shard protocol nodes
-//! concurrently through this crate's networked drivers (lock-free
-//! message rings, the ownership round executor). The two are
+//! concurrently through this crate's networked drivers (one mailbox per
+//! shard, the ownership round executor). The two are
 //! interchangeable by construction — on fault-free runs the reports are
 //! byte-identical — which is why the spelling lives next to the engine
 //! rather than in the scenario crate.

@@ -7,7 +7,7 @@
 //! it lends it, its [`NetHub`] endpoints and its queue of the
 //! pre-drained workload. On top of the node's step the host adds what
 //! the simulator never has: crash rounds (a dead shard keeps draining so
-//! ring memory stays bounded, but neither processes nor sends), one PBFT
+//! its mailbox stays bounded, but neither processes nor sends), one PBFT
 //! instance per shard-round with the plan's Byzantine voters flipped in,
 //! and the fault counters.
 //!

@@ -3,9 +3,9 @@
 //! The *networked* execution engine: a pool of worker threads
 //! ([`default_workers`]: one per shard up to the host's core count),
 //! each owning a contiguous range of shards for the whole run
-//! ([`exec::run_lockstep`]), real concurrent message passing over lock-free per-link rings, one
-//! watermark round gate — for both schedulers, over any
-//! [`cluster::ShardMetric`].
+//! ([`exec::run_lockstep`]), real concurrent message passing through one
+//! mailbox per shard, one watermark round gate — for both schedulers, over
+//! any [`cluster::ShardMetric`].
 //!
 //! BDS and FDS each exist once, in `schedulers`, as a per-shard node
 //! state machine (`BdsNode`, `FdsNode`) that talks to the outside only
@@ -36,22 +36,20 @@
 //! thread interleaving, with injected-fault counters surfaced in
 //! `RunReport::faults`.
 //!
-//! The message plane is lock-free on the per-message path: each directed
-//! link owns one SPSC [ring] (sender thread produces, receiver
-//! thread consumes, two atomic cursors, an overflow spill so correctness
-//! never depends on ring sizing), and rounds are separated by a
-//! [watermark gate](sync::RoundGate) rather than a parking barrier.
-//! Receivers drain a whole round batched through a [`hub::NetInbox`]:
-//! pop the incoming rings whose sender raised its bit in the receiver's
-//! dirty-sender bitmap (so a drain costs O(messages), not O(shards)),
-//! park early arrivals in a [`simnet::Wheel`], sort the due bucket by
+//! The message plane is one mailbox per destination shard — a mutexed
+//! `Vec` and a has-mail flag the sender raises after its push — and
+//! rounds are separated by a [watermark gate](sync::RoundGate) rather
+//! than a parking barrier. Each shard drains its mailbox once a round
+//! through a [`hub::NetInbox`]: skip it if the flag is clear (an idle
+//! drain takes no lock), else swap the `Vec` out against a spare, park
+//! early arrivals in a [`simnet::Wheel`], sort the due bucket by
 //! `(sender, seq)`. What a send means — delay, sequence number, fault
 //! stream, counters — is [`simnet::Outbound`], the sender the simulator's
 //! `Network` uses too.
 //!
 //! The original reproduction hint suggests tokio for this variant; the
 //! approved offline dependency set does not include it, so the runtime
-//! uses `std::thread::scope` + the lock-free hub instead, which
+//! uses `std::thread::scope` + the mailbox hub instead, which
 //! exercises the same code path (concurrent delivery, nondeterministic
 //! arrival interleaving within a round, deterministic round gate).
 //!
@@ -61,10 +59,11 @@
 //! [`run_net_sched`], [`run_net_sched_from`] and [`run_net_fds`] are
 //! positional spellings of the same call, kept for `benchmark/`.
 //!
-//! `unsafe` is denied crate-wide with one audited exception: the slot
-//! array of the SPSC ring in [`ring`], whose ownership protocol is
-//! documented there and hammered by `tests/hub_stress.rs` plus the ring
-//! property suite.
+//! `unsafe` is denied crate-wide with one exception, on no path a run
+//! takes: the slot array of the SPSC ring in [`ring`], a module no run
+//! executes, kept only for `benchmark/`'s
+//! `runtime.ring_push_drain_ns_per_msg` probe and property-tested by
+//! `tests/ring_props.rs`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

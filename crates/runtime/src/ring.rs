@@ -1,10 +1,12 @@
 //! A bounded single-producer / single-consumer ring buffer with an
-//! unbounded spill path — the lock-free lane of the message plane.
+//! unbounded spill path. **No run executes it:** the message plane hands
+//! rounds over through one mailbox per destination (`crate::hub`), and
+//! this module is kept only for `benchmark/`'s
+//! `runtime.ring_push_drain_ns_per_msg` probe.
 //!
-//! Each directed shard link `(from, to)` owns one [`spsc`] pair: the
-//! sending thread holds the [`RingProducer`], the receiving thread the
-//! [`RingConsumer`], and the two communicate through a power-of-two slot
-//! array guarded only by two atomic cursors:
+//! An [`spsc`] pair is one [`RingProducer`] and one [`RingConsumer`]
+//! communicating through a power-of-two slot array guarded only by two
+//! atomic cursors:
 //!
 //! ```text
 //!            tail (producer writes, Release)
@@ -30,12 +32,10 @@
 //! **Correctness never depends on sizing.** When the ring is full the
 //! producer diverts into a mutex-protected spill queue, and the consumer
 //! empties the spill after the slots on every drain. Ring items and spill
-//! items may interleave differently than pure send order, which is
-//! harmless to the message plane: the hub re-buckets by delivery round
-//! and sorts each round by `(sender, seq)`, so hand-out order only
-//! requires that every item *arrives* by its delivery round, not that the
-//! transport preserves FIFO across the two lanes. Capacity-1 rings (every
-//! push after the first spills) are exercised by the stress suite.
+//! items may interleave differently than pure send order (a consumer
+//! that re-buckets and sorts, as a message plane does, needs only that
+//! every item *arrives*). Capacity-1 rings (every push after the first
+//! spills) are exercised by `tests/ring_props.rs`.
 //!
 //! This module is the only place in the crate allowed to use `unsafe`
 //! (see the crate-level `#![deny(unsafe_code)]`); the slot array is the
@@ -44,18 +44,12 @@
 
 #![allow(unsafe_code)]
 
+use crate::sync::CachePadded;
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Pads and aligns a value to 128 bytes so the producer- and
-/// consumer-owned cursors of a ring never share a cache line (two lines
-/// on x86: adjacent-line prefetch pulls pairs).
-#[derive(Debug, Default)]
-#[repr(align(128))]
-pub struct CachePadded<T>(pub T);
 
 /// State shared by the two endpoints of one ring.
 struct RingShared<T> {

@@ -21,9 +21,10 @@
 //!   round of drift. The message plane is indifferent: early sends are
 //!   parked in the inbox wheel until their delivery round.
 //! * **Visibility**: the `Release` store on `wm[i]` happens after all of
-//!   shard `i`'s round-`r-1` pushes; the drainer's `Acquire` load
-//!   therefore observes those pushes (the rings' own Release/Acquire
-//!   cursors transfer the payloads themselves).
+//!   shard `i`'s round-`r-1` sends, each of which raised its mailbox's
+//!   has-mail flag after its push; the drainer's `Acquire` load therefore
+//!   observes those flags (the mailbox's own flag and lock transfer the
+//!   payloads themselves).
 //!
 //! Waiters spin at most a caller-chosen budget, then `yield_now` — never
 //! a futex sleep — so on a single core the scheduler rotates threads
@@ -37,9 +38,15 @@
 //! its rounds (the executor does so when a step panics); waiters then
 //! give up instead of waiting forever.
 
-use crate::ring::CachePadded;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+/// Pads and aligns a value to 128 bytes so that values written by
+/// different threads never share a cache line (two lines on x86:
+/// adjacent-line prefetch pulls pairs).
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct CachePadded<T>(pub T);
 
 /// A fuzzy barrier over per-shard round watermarks; see the module docs
 /// for the protocol and why it is sufficient for the message plane.

@@ -1,4 +1,4 @@
-//! Seeded concurrency stress harness for the lock-free message plane.
+//! Seeded concurrency stress harness for the message plane.
 //!
 //! Every test here runs the same experiment twice: once through a real
 //! multi-threaded [`NetHub`] — one OS thread per shard, blocking on the
@@ -9,14 +9,13 @@
 //! per-destination delivery stream `(round, sender, seq, payload)` in
 //! hand-out order, plus the sent/dropped/duplicated counters.
 //!
-//! Shapes cover several (shards, rounds, capacity) points, including
-//! capacity-1 rings where every second push takes the mutexed spill lane
-//! — the claim that correctness never depends on ring sizing is only
-//! credible if the spill path is actually hammered under concurrency —
-//! and 65- and 130-shard hubs with sparse traffic, where a destination's
-//! dirty-sender bitmap row spans two and three words and most rings are
-//! skipped by most drains. A last test races one sender's bit-raising
-//! against its receiver's bit-clearing directly.
+//! Shapes cover several (metric, shards, rounds) points: fan-in on 12
+//! threads, the mailbox's worst-case contention (every sender posts to
+//! one destination every round); a faulted ring metric; and 65- and
+//! 130-shard hubs with sparse traffic, where most mailboxes are empty in
+//! most drains and line delays park messages up to 64 rounds deep in the
+//! inbox wheel. A last test races one sender's flag-raising against its
+//! receiver's flag-clearing directly.
 //!
 //! Seeding: the schedule/jitter seed defaults to a fixed constant and can
 //! be overridden with `BLOCKSHARD_STRESS_SEED=<u64>`, which is how CI's
@@ -83,9 +82,8 @@ fn random_schedule(seed: u64, shards: usize, rounds: u64) -> Schedule {
 }
 
 /// Sparse traffic for wide hubs: each shard sends in about one round out
-/// of four, one or two messages — so in any round most of a
-/// destination's rings are idle and the drain must find the few that are
-/// not through the bitmap alone.
+/// of four, one or two messages — so in any round most mailboxes are
+/// empty and their drains must skip them on the has-mail flag alone.
 fn sparse_schedule(seed: u64, shards: usize, rounds: u64) -> Schedule {
     schedule_with(seed, 0x5ba5, shards, rounds, |rng| {
         if rng.gen_range(0u32..4) == 0 {
@@ -114,14 +112,13 @@ fn fan_in_schedule(shards: usize, rounds: u64) -> Schedule {
 /// Runs `schedule` through a threaded hub: one thread per shard, round
 /// lockstep via [`RoundGate::await_round`], jittered with seeded random
 /// yields. Returns each destination's delivery stream plus the hub's
-/// counters `(sent, dropped, duplicated, spilled)`.
+/// counters `(sent, dropped, duplicated)`.
 fn threaded_run(
     metric: &dyn ShardMetric,
     plan: &FaultPlan,
     schedule: &Schedule,
-    capacity: Option<usize>,
     jitter_seed: u64,
-) -> (Vec<Vec<Delivery>>, [u64; 4]) {
+) -> (Vec<Vec<Delivery>>, [u64; 3]) {
     let s = metric.shards();
     let rounds = schedule.len() as u64;
     let max_delay = (0..s)
@@ -133,11 +130,7 @@ fn threaded_run(
     // Extra fault-plane duplicates never extend the delay, so running
     // `max_delay` silent rounds past the last send flushes everything.
     let total = rounds + max_delay;
-    let hub: NetHub<u64> = match capacity {
-        Some(c) => NetHub::with_capacity(metric, |_| 8, c),
-        None => NetHub::new(metric, |_| 8),
-    }
-    .expect("metrics here always have shards");
+    let hub: NetHub<u64> = NetHub::new(metric, |_| 8).expect("metrics here always have shards");
     let gate = RoundGate::new(s);
     let streams: Vec<parking_lot::Mutex<Vec<Delivery>>> = (0..s)
         .map(|_| parking_lot::Mutex::new(Vec::new()))
@@ -180,7 +173,6 @@ fn threaded_run(
         hub.sent_count(),
         hub.dropped_count(),
         hub.duplicated_count(),
-        hub.spilled_count(),
     ];
     (
         streams.into_iter().map(|m| m.into_inner()).collect(),
@@ -225,17 +217,15 @@ fn oracle_run(
 }
 
 /// The full differential: threaded hub vs oracle on every destination's
-/// stream and every counter, for one (metric, plan, capacity) shape.
+/// stream and every counter, for one (metric, plan) shape.
 fn assert_hub_matches_oracle(
     metric: &dyn ShardMetric,
     plan: &FaultPlan,
     schedule: &Schedule,
-    capacity: Option<usize>,
     label: &str,
-) -> [u64; 4] {
+) -> [u64; 3] {
     let seed = stress_seed();
-    let (hub_streams, hub_counters) =
-        threaded_run(metric, plan, schedule, capacity, split_seed(seed, 1));
+    let (hub_streams, hub_counters) = threaded_run(metric, plan, schedule, split_seed(seed, 1));
     let (oracle_streams, oracle_counters) = oracle_run(metric, plan, schedule);
     for (shard, (h, o)) in hub_streams.iter().zip(&oracle_streams).enumerate() {
         assert_eq!(
@@ -243,13 +233,14 @@ fn assert_hub_matches_oracle(
             "{label} (seed {seed}): destination {shard} delivery stream diverged"
         );
     }
-    assert_eq!(hub_counters[0], oracle_counters[0], "{label}: sent");
-    assert_eq!(hub_counters[1], oracle_counters[1], "{label}: dropped");
-    assert_eq!(hub_counters[2], oracle_counters[2], "{label}: duplicated");
+    assert_eq!(
+        hub_counters, oracle_counters,
+        "{label}: (sent, dropped, duplicated)"
+    );
 
     // Interleaving-independence: a different jitter universe must
     // observe the byte-identical streams.
-    let (again, _) = threaded_run(metric, plan, schedule, capacity, split_seed(seed, 2));
+    let (again, _) = threaded_run(metric, plan, schedule, split_seed(seed, 2));
     assert_eq!(
         again, hub_streams,
         "{label} (seed {seed}): delivery depends on thread interleaving"
@@ -261,33 +252,18 @@ fn assert_hub_matches_oracle(
 fn uniform_all_to_all_matches_oracle() {
     let metric = UniformMetric::new(8);
     let schedule = random_schedule(stress_seed(), 8, 300);
-    assert_hub_matches_oracle(
-        &metric,
-        &FaultPlan::default(),
-        &schedule,
-        None,
-        "uniform/8x300",
-    );
+    assert_hub_matches_oracle(&metric, &FaultPlan::default(), &schedule, "uniform/8x300");
 }
 
+/// Line delays from 1 to 5 rounds: early arrivals park at five depths.
 #[test]
-fn line_metric_with_capacity_one_forces_and_survives_spill() {
+fn line_metric_six_shards_matches_oracle() {
     let metric = LineMetric::new(6);
     let schedule = random_schedule(split_seed(stress_seed(), 7), 6, 200);
-    let counters = assert_hub_matches_oracle(
-        &metric,
-        &FaultPlan::default(),
-        &schedule,
-        Some(1),
-        "line/6x200/cap1",
-    );
-    assert!(
-        counters[3] > 0,
-        "capacity-1 rings must exercise the spill path (spilled = {})",
-        counters[3]
-    );
+    assert_hub_matches_oracle(&metric, &FaultPlan::default(), &schedule, "line/6x200");
 }
 
+/// Twelve senders post to one mailbox every round: its lock's worst case.
 #[test]
 fn fan_in_hammers_one_consumer() {
     let metric = UniformMetric::new(12);
@@ -296,8 +272,7 @@ fn fan_in_hammers_one_consumer() {
         &metric,
         &FaultPlan::default(),
         &schedule,
-        Some(2),
-        "uniform/12x250/fan-in/cap2",
+        "uniform/12x250/fan-in",
     );
     assert_eq!(counters[0], 12 * 250, "every scheduled send counted");
 }
@@ -312,8 +287,7 @@ fn fault_plane_counters_survive_concurrency() {
         ..FaultPlan::default()
     };
     let schedule = random_schedule(split_seed(stress_seed(), 13), 4, 400);
-    let counters =
-        assert_hub_matches_oracle(&metric, &plan, &schedule, Some(4), "ring/4x400/faulty");
+    let counters = assert_hub_matches_oracle(&metric, &plan, &schedule, "ring/4x400/faulty");
     assert!(
         counters[1] > 0 && counters[2] > 0,
         "plan must actually fire: dropped {} duplicated {}",
@@ -326,55 +300,49 @@ fn fault_plane_counters_survive_concurrency() {
 fn two_shard_long_run_stays_exact() {
     let metric = UniformMetric::new(2);
     let schedule = random_schedule(split_seed(stress_seed(), 17), 2, 1500);
-    assert_hub_matches_oracle(
-        &metric,
-        &FaultPlan::default(),
-        &schedule,
-        Some(8),
-        "uniform/2x1500/cap8",
-    );
+    assert_hub_matches_oracle(&metric, &FaultPlan::default(), &schedule, "uniform/2x1500");
 }
 
-/// Two words per bitmap row (shard 64 is bit 0 of the second word), line
-/// delays up to 64 rounds deep in the wheel, capacity-1 rings.
+/// Line delays up to 64 rounds: a message may sit 64 slots deep in the
+/// inbox wheel, taken from the mailbox long before it is due.
 #[test]
-fn sparse_65_shards_two_word_rows_match_oracle() {
+fn sparse_65_shards_deep_wheel_matches_oracle() {
     let metric = LineMetric::new(65);
     let schedule = sparse_schedule(split_seed(stress_seed(), 19), 65, 120);
     let counters = assert_hub_matches_oracle(
         &metric,
         &FaultPlan::default(),
         &schedule,
-        Some(1),
-        "line/65x120/sparse/cap1",
+        "line/65x120/sparse",
     );
     assert!(counters[0] > 0, "the sparse schedule still sends");
 }
 
-/// Three words per row, the last one partly used; capacity-1 rings.
+/// 130 threads, most of whose mailboxes are empty in most drains.
 #[test]
-fn sparse_130_shards_three_word_rows_match_oracle() {
+fn sparse_130_shards_match_oracle() {
     let metric = UniformMetric::new(130);
     let schedule = sparse_schedule(split_seed(stress_seed(), 23), 130, 60);
     let counters = assert_hub_matches_oracle(
         &metric,
         &FaultPlan::default(),
         &schedule,
-        Some(1),
-        "uniform/130x60/sparse/cap1",
+        "uniform/130x60/sparse",
     );
     assert!(counters[0] > 0, "the sparse schedule still sends");
 }
 
-/// One link, two threads, the dirty-bit protocol under direct fire: the
-/// sender pushes a burst per round while the receiver, instead of
+/// One link, two threads, the has-mail flag protocol under direct fire:
+/// the sender posts a burst per round while the receiver, instead of
 /// draining once, keeps draining the *same* round until the sender has
-/// finished it — so every `fetch_or` of the round races a `swap(0)`.
-/// Whatever the interleaving, each message must be handed out at exactly
-/// its delivery round (send round + 1), in sequence order. A sender that
-/// skips the RMW when the bit already looks set leaves a message behind
-/// in a ring whose bit is clear; it then surfaces a round late and trips
-/// the drain's always-on lateness assert.
+/// finished it — so every push-then-raise of the round races a
+/// `swap(false)`-then-take. Whatever the interleaving, each message must
+/// be handed out at exactly its delivery round (send round + 1), in
+/// sequence order. A sender that raises the flag *before* its push can
+/// have both the flag cleared and the mailbox emptied in between, leaving
+/// its message behind a clear flag: the next round's first drain skips
+/// the mailbox, and the message surfaces in a repeat drain (once a later
+/// send raises the flag), a round late, or never.
 #[test]
 fn racing_drains_never_miss_a_delivery_round() {
     const ROUNDS: u64 = 100_000;
@@ -389,7 +357,7 @@ fn racing_drains_never_miss_a_delivery_round() {
         }
     }
     let metric = UniformMetric::new(2);
-    let hub: NetHub<u64> = NetHub::with_capacity(&metric, |_| 8, 2).unwrap();
+    let hub: NetHub<u64> = NetHub::new(&metric, |_| 8).unwrap();
     let gate = RoundGate::new(2);
     let inert = FaultPlan::default();
     std::thread::scope(|scope| {
@@ -424,7 +392,10 @@ fn racing_drains_never_miss_a_delivery_round() {
                 // still in it; everything due now was handed out above.
                 while round < ROUNDS && gate.watermark(0) <= round {
                     inbox.drain_into(round, &mut buf);
-                    assert!(buf.is_empty(), "round {round} handed out twice");
+                    assert!(
+                        buf.is_empty(),
+                        "round {round}: a repeat drain handed out mail the first one missed"
+                    );
                 }
                 gate.complete(1, round);
             }

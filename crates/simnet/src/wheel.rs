@@ -1,7 +1,7 @@
 //! The delay wheel: where a message waits between its send and its
 //! delivery round, under both transports — [`crate::Network`] files every
 //! message in one, and each of the threaded runtime's inboxes parks what
-//! it popped off its rings ahead of time in its own.
+//! it took from its mailbox ahead of time in its own.
 
 use std::collections::VecDeque;
 
