@@ -372,20 +372,32 @@ pub(crate) fn zipf_shard_set(cfg: &SystemConfig, cdf: &[f64], rng: &mut Rng) -> 
 /// from shard counts (dozens) to account universes (millions).
 ///
 /// The CDF sampler pays `O(log n)` per draw and stays exact; the alias
-/// table pays `O(n)` once at build time (two `Vec`s, ~12 bytes/entry) and
-/// then a single uniform from the ChaCha stream per draw: the uniform is
-/// scaled by `n`, its integer part picks a column, and its fractional
-/// part chooses between the column's own index and its alias. Per-index
-/// probability masses are preserved exactly (up to float rounding) — see
-/// [`AliasTable::masses`], which the property tests reconcile against the
-/// CDF oracle.
+/// table pays `O(n)` once at build time (one packed 12-byte column per
+/// entry) and then a single uniform from the ChaCha stream per draw: the
+/// uniform is scaled by `n`, its integer part picks a column, and its
+/// fractional part chooses between the column's own index and its alias
+/// — both read from the one column, so a draw costs one cache miss.
+/// Per-index probability masses are preserved exactly (up to float
+/// rounding) — see [`AliasTable::masses`], which the property tests
+/// reconcile against the CDF oracle.
 #[derive(Debug, Clone)]
 pub struct AliasTable {
-    /// Per-column acceptance threshold for the column's own index.
-    prob: Vec<f64>,
-    /// Per-column fallback index receiving the column's residual mass.
-    alias: Vec<u32>,
+    cols: Vec<Column>,
 }
+
+/// One alias-table column: what [`AliasTable::pick`] reads, side by side.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed)]
+struct Column {
+    /// Acceptance threshold for the column's own index.
+    prob: f64,
+    /// Fallback index receiving the column's residual mass.
+    alias: u32,
+}
+
+// `peak_live_mb` is held to the byte: a column is its 8 + 4 bytes, with
+// no padding.
+const _: () = assert!(std::mem::size_of::<Column>() == 12);
 
 impl AliasTable {
     /// Builds the table from raw (unnormalized) positive weights.
@@ -407,12 +419,17 @@ impl AliasTable {
         // under-full column with an over-full one so every column holds
         // exactly unit mass split between its own index and one alias.
         let scale = n as f64 / total;
-        let mut prob: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
-        let mut alias: Vec<u32> = (0..n as u32).collect();
+        let mut cols: Vec<Column> = (0..n as u32)
+            .zip(weights)
+            .map(|(i, &w)| Column {
+                prob: w * scale,
+                alias: i,
+            })
+            .collect();
         let mut small: Vec<u32> = Vec::new();
         let mut large: Vec<u32> = Vec::new();
-        for (i, &p) in prob.iter().enumerate() {
-            if p < 1.0 {
+        for (i, c) in cols.iter().enumerate() {
+            if c.prob < 1.0 {
                 small.push(i as u32);
             } else {
                 large.push(i as u32);
@@ -420,10 +437,11 @@ impl AliasTable {
         }
         while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
             small.pop();
-            alias[s as usize] = l;
+            cols[s as usize].alias = l;
             // The large column donates what the small one lacks.
-            prob[l as usize] -= 1.0 - prob[s as usize];
-            if prob[l as usize] < 1.0 {
+            let lacks = 1.0 - cols[s as usize].prob;
+            cols[l as usize].prob -= lacks;
+            if cols[l as usize].prob < 1.0 {
                 large.pop();
                 small.push(l);
             }
@@ -431,9 +449,9 @@ impl AliasTable {
         // Float rounding can strand residents of either stack; they hold
         // (numerically) unit mass, so they alias to themselves.
         for &i in small.iter().chain(large.iter()) {
-            prob[i as usize] = 1.0;
+            cols[i as usize].prob = 1.0;
         }
-        AliasTable { prob, alias }
+        AliasTable { cols }
     }
 
     /// Builds the Zipf law `P(i) ∝ 1/(i+1)^exponent` over `n` indices.
@@ -446,24 +464,34 @@ impl AliasTable {
 
     /// Number of indices in the sampled universe.
     pub fn len(&self) -> usize {
-        self.prob.len()
+        self.cols.len()
     }
 
     /// True when the table is empty (never: construction forbids it).
     pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
+        self.cols.is_empty()
     }
 
     /// Draws one index, consuming exactly one uniform from `rng`.
     #[inline]
     pub fn sample(&self, rng: &mut Rng) -> usize {
-        let u: f64 = rng.gen();
-        let scaled = u * self.prob.len() as f64;
-        let col = (scaled as usize).min(self.prob.len() - 1);
-        if scaled - (col as f64) < self.prob[col] {
+        self.pick(rng.gen())
+    }
+
+    /// The index a uniform `u` in `[0, 1)` resolves to: what
+    /// [`sample`](Self::sample) returns after drawing `u`. Reads one
+    /// column, so a caller holding several uniforms can resolve them with
+    /// their cache misses overlapped.
+    #[inline]
+    pub fn pick(&self, u: f64) -> usize {
+        let n = self.cols.len();
+        let scaled = u * n as f64;
+        let col = (scaled as usize).min(n - 1);
+        let c = self.cols[col];
+        if scaled - (col as f64) < c.prob {
             col
         } else {
-            self.alias[col] as usize
+            c.alias as usize
         }
     }
 
@@ -472,9 +500,10 @@ impl AliasTable {
     /// `(1−prob[i])/n` to `alias[i]`. Used by tests to reconcile the
     /// table against the pre-materialized CDF oracle.
     pub fn masses(&self) -> Vec<f64> {
-        let n = self.prob.len();
+        let n = self.cols.len();
         let mut mass = vec![0.0; n];
-        for (i, (&p, &a)) in self.prob.iter().zip(self.alias.iter()).enumerate() {
+        for (i, c) in self.cols.iter().enumerate() {
+            let (p, a) = (c.prob, c.alias);
             mass[i] += p / n as f64;
             mass[a as usize] += (1.0 - p) / n as f64;
         }
@@ -564,6 +593,19 @@ mod tests {
         }
         assert_eq!(table.len(), 1000);
         assert!(!table.is_empty());
+    }
+
+    #[test]
+    fn pick_resolves_a_uniform_exactly_as_sample_draws_it() {
+        let table = AliasTable::zipf(1000, 0.9);
+        let (mut a, mut b) = (seeded_rng(17), seeded_rng(17));
+        for _ in 0..5000 {
+            assert_eq!(table.sample(&mut a), table.pick(b.gen()));
+        }
+        // Both ends of `[0, 1)` land in range.
+        for u in [0.0, 1.0 - f64::EPSILON] {
+            assert!(table.pick(u) < table.len(), "u = {u}");
+        }
     }
 
     #[test]

@@ -8,12 +8,23 @@
 //! table at all: a hot window sweeps the universe and each draw is a
 //! bounded uniform.
 //!
-//! What a producer holds per account is the alias table (12 bytes an id,
-//! Zipf only) and one bit an id for the distinct-accounts count; the
-//! placement map is the caller's, shared by reference count. What it
-//! allocates per offer is the transaction itself — two heap blocks — and
-//! per round the vector the offers are returned in: the account, shard
-//! and part buffers live in the producer and are reused.
+//! What a producer holds per account is the alias table (one packed
+//! 12-byte column an id, Zipf only) and one bit an id for the
+//! distinct-accounts count; the placement map is the caller's, shared by
+//! reference count. What it allocates per offer is the transaction itself
+//! — two heap blocks — and per round the vector the offers are returned
+//! in: the draw, account, shard and part buffers live in the producer and
+//! are reused.
+//!
+//! At millions of accounts every draw misses the cache three times — its
+//! alias column, its `seen` word, its owner — so a transaction's draws
+//! are taken in batches whose misses overlap: a batch consumes its RNG
+//! words first, then resolves them all through the table, then reads all
+//! their owners, and only then runs the duplicate-shard rejection over
+//! them in order. A batch is sized so that neither bound of the
+//! one-at-a-time rejection loop (the transaction's width, `8×width`
+//! attempts) can be met before its last draw, so it consumes exactly the
+//! RNG words that loop would, and the offers are the same bytes.
 //!
 //! A producer offers a fixed number of transactions per round, each
 //! tagged with a `u8` fee; the [`IngestPipeline`](crate::IngestPipeline)
@@ -26,11 +37,14 @@ use crate::generator::{TxnScratch, WorkloadShape};
 use crate::strategy::AliasTable;
 use rand::Rng as _;
 use sharding_core::rngutil::{seeded_rng, split_seed, Rng};
-use sharding_core::{AccountId, AccountMap, Round, SystemConfig, Transaction, TxnId};
+use sharding_core::{AccountId, AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
 
 /// Domain-separation tag for the firehose ChaCha stream (distinct from
 /// the legacy generator's `0xADBE`).
 const STREAM_TAG: u64 = 0xF12E;
+
+/// Most draws one batch takes; a wider transaction takes several.
+const BATCH: usize = 8;
 
 /// Which account distribution a [`StreamSource`] streams.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -113,6 +127,10 @@ pub struct StreamSource {
     /// One bit per account id: set once the id has been streamed.
     seen: Vec<u64>,
     distinct: u64,
+    /// The batch in flight: a Zipf batch's uniforms, then every draw's
+    /// account and owning shard. Inline, so a batch touches no heap.
+    uniforms: [f64; BATCH],
+    draws: [(AccountId, ShardId); BATCH],
     scratch: TxnScratch,
 }
 
@@ -155,6 +173,8 @@ impl StreamSource {
             next_id: 0,
             seen: vec![0u64; cfg.accounts.div_ceil(64)],
             distinct: 0,
+            uniforms: [0.0; BATCH],
+            draws: [(AccountId(0), ShardId(0)); BATCH],
             scratch: TxnScratch::default(),
         }
     }
@@ -170,32 +190,45 @@ impl StreamSource {
         self.distinct
     }
 
-    /// Draws one account id from the configured distribution and marks
-    /// it streamed.
-    fn draw_account(&mut self, round: Round) -> AccountId {
+    /// Draws the next `m ≤ BATCH` accounts into `draws[..m]`, each with
+    /// its owner, and marks them streamed — in passes, so that the
+    /// batch's cache misses overlap instead of queueing behind one
+    /// another: (a) every RNG word, in the order the draws consume them;
+    /// (b) every alias-table column (Zipf); (c) every `seen` word and
+    /// owner.
+    fn draw_batch(&mut self, m: usize, round: Round) {
         let n = self.cfg.accounts as u64;
-        let idx = match self.kind {
-            StreamKind::Zipf { .. } => self
-                .alias
-                .as_ref()
-                .expect("zipf table")
-                .sample(&mut self.rng) as u64,
+        let rng = &mut self.rng;
+        let draws = &mut self.draws[..m];
+        match self.kind {
+            StreamKind::Zipf { .. } => {
+                let table = self.alias.as_ref().expect("zipf table");
+                let uniforms = &mut self.uniforms[..m];
+                uniforms.fill_with(|| rng.gen());
+                for ((account, _), &u) in draws.iter_mut().zip(uniforms.iter()) {
+                    *account = AccountId(table.pick(u) as u64);
+                }
+            }
             StreamKind::Shift { period } => {
                 let window = (n / 64).max(1);
                 let start = (round.0 / period).wrapping_mul(window) % n;
-                if self.rng.gen_bool(0.9) {
-                    (start + self.rng.gen_range(0..window)) % n
-                } else {
-                    self.rng.gen_range(0..n)
+                for (account, _) in draws.iter_mut() {
+                    let idx = if rng.gen_bool(0.9) {
+                        (start + rng.gen_range(0..window)) % n
+                    } else {
+                        rng.gen_range(0..n)
+                    };
+                    *account = AccountId(idx);
                 }
             }
-        };
-        let (w, b) = ((idx / 64) as usize, idx % 64);
-        if self.seen[w] & (1 << b) == 0 {
-            self.seen[w] |= 1 << b;
-            self.distinct += 1;
         }
-        AccountId(idx)
+        for (account, shard) in draws {
+            let idx = account.0;
+            let (w, bit) = ((idx / 64) as usize, 1u64 << (idx % 64));
+            self.distinct += u64::from(self.seen[w] & bit == 0);
+            self.seen[w] |= bit;
+            *shard = self.map.owner_unchecked(*account);
+        }
     }
 
     /// Streams this round's offers: `offered` transactions, each over
@@ -209,12 +242,18 @@ impl StreamSource {
             self.scratch.clear();
             let mut attempts = 0;
             while self.scratch.len() < width && attempts < 8 * width {
-                let a = self.draw_account(round);
-                let s = self.map.owner_unchecked(a);
-                if !self.scratch.shards().any(|seen| seen == s) {
-                    self.scratch.push(a, s);
+                // Each draw adds at most one account and one attempt, so
+                // neither bound is met before the batch's last draw.
+                let m = (width - self.scratch.len())
+                    .min(8 * width - attempts)
+                    .min(BATCH);
+                self.draw_batch(m, round);
+                for &(a, s) in &self.draws[..m] {
+                    if !self.scratch.shards().any(|seen| seen == s) {
+                        self.scratch.push(a, s);
+                    }
                 }
-                attempts += 1;
+                attempts += m;
             }
             let fee = self.rng.gen_range(0..256u32) as u8;
             let id = TxnId(self.next_id);
@@ -293,6 +332,109 @@ mod tests {
                 dedup.dedup();
                 assert_eq!(shards.len(), dedup.len(), "distinct shards");
                 assert!(t.validate(4).is_ok());
+            }
+        }
+    }
+
+    /// The one-draw-at-a-time `offer_round` that batched draws replaced,
+    /// kept as the oracle they must match word for word. Counts into
+    /// `capped` the transactions that ran out of attempts.
+    fn offer_round_one_at_a_time(
+        src: &mut StreamSource,
+        round: Round,
+        capped: &mut u32,
+    ) -> Vec<(u8, Transaction)> {
+        let n = src.cfg.accounts as u64;
+        let mut out = Vec::new();
+        for _ in 0..src.offered {
+            let width = src.rng.gen_range(1..=src.cfg.k_max);
+            src.scratch.clear();
+            let mut attempts = 0;
+            while src.scratch.len() < width && attempts < 8 * width {
+                let idx = match src.kind {
+                    StreamKind::Zipf { .. } => {
+                        src.alias.as_ref().unwrap().sample(&mut src.rng) as u64
+                    }
+                    StreamKind::Shift { period } => {
+                        let window = (n / 64).max(1);
+                        let start = (round.0 / period).wrapping_mul(window) % n;
+                        if src.rng.gen_bool(0.9) {
+                            (start + src.rng.gen_range(0..window)) % n
+                        } else {
+                            src.rng.gen_range(0..n)
+                        }
+                    }
+                };
+                let (w, b) = ((idx / 64) as usize, idx % 64);
+                if src.seen[w] & (1 << b) == 0 {
+                    src.seen[w] |= 1 << b;
+                    src.distinct += 1;
+                }
+                let a = AccountId(idx);
+                let s = src.map.owner_unchecked(a);
+                if !src.scratch.shards().any(|seen| seen == s) {
+                    src.scratch.push(a, s);
+                }
+                attempts += 1;
+            }
+            *capped += u32::from(src.scratch.len() < width);
+            let fee = src.rng.gen_range(0..256u32) as u8;
+            let id = TxnId(src.next_id);
+            src.next_id += 1;
+            let home = src.scratch.shards().next().expect("width >= 1");
+            let txn = src.scratch.shape(src.shape, &mut src.rng, id, home, round);
+            out.push((fee, txn));
+        }
+        out
+    }
+
+    #[test]
+    fn batched_draws_match_the_one_at_a_time_oracle() {
+        use rand::RngCore as _;
+        // (shards, accounts, k_max, shape): two shards make every second
+        // draw of a width-2 transaction a likely duplicate; eight shards
+        // over sixteen skewed accounts make width-8 transactions run out
+        // of attempts; widths up to 12 take more than one batch; the last
+        // is `small()` with the one shape that draws after the accounts.
+        let systems = [
+            (2, 64, 2, WorkloadShape::WriteOnly),
+            (8, 16, 8, WorkloadShape::WriteOnly),
+            (16, 48, 12, WorkloadShape::WriteOnly),
+            (8, 512, 4, WorkloadShape::Transfers { amount_max: 9 }),
+        ];
+        let kinds = [
+            StreamKind::Zipf { exponent: 0.6 },
+            StreamKind::Zipf { exponent: 1.5 },
+            StreamKind::Shift { period: 3 },
+        ];
+        for (shards, accounts, k_max, shape) in systems {
+            let sys = SystemConfig {
+                shards,
+                accounts,
+                k_max,
+                nodes_per_shard: 4,
+                faulty_per_shard: 1,
+            };
+            let map = AccountMap::round_robin(&sys);
+            for kind in kinds {
+                let mut capped = 0;
+                for seed in 0..4 {
+                    let new = || StreamSource::new(&sys, &map, kind, shape, 0.5, 4, 25, seed);
+                    let (mut batched, mut oracle) = (new(), new());
+                    for r in 0..30 {
+                        let want = offer_round_one_at_a_time(&mut oracle, Round(r), &mut capped);
+                        let got = batched.offer_round(Round(r));
+                        assert_eq!(
+                            got, want,
+                            "{shards}x{accounts} k={k_max} {kind} seed {seed}"
+                        );
+                    }
+                    assert_eq!(batched.distinct_accounts(), oracle.distinct_accounts());
+                    assert_eq!(batched.rng.next_u64(), oracle.rng.next_u64());
+                }
+                if (shards, k_max) == (8, 8) {
+                    assert!(capped > 0, "{kind}: the 8·width cap never bound");
+                }
             }
         }
     }

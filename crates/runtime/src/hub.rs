@@ -151,22 +151,6 @@ impl<P> NetHub<P> {
     pub fn tally(&self) -> SendTally {
         *self.tally.lock()
     }
-
-    /// Total protocol sends attempted (dropped messages included,
-    /// fault-plane duplicates excluded — the simulator's `sent_count`).
-    pub fn sent_count(&self) -> u64 {
-        self.tally().sent
-    }
-
-    /// Messages dropped by the fault plane.
-    pub fn dropped_count(&self) -> u64 {
-        self.tally().dropped
-    }
-
-    /// Messages duplicated by the fault plane.
-    pub fn duplicated_count(&self) -> u64 {
-        self.tally().duplicated
-    }
 }
 
 /// One shard thread's sending endpoint: its [`Outbound`] (sequence
@@ -333,7 +317,7 @@ mod tests {
         assert_eq!(inbox.drain(4).len(), 1);
         drop(p0);
         drop(p1);
-        assert_eq!(hub.sent_count(), 4);
+        assert_eq!(hub.tally().sent, 4);
         assert_eq!(hub.tally().max_bytes, 4);
     }
 
@@ -395,10 +379,10 @@ mod tests {
         let mut p = ShardPort::new(&hub, ShardId(0), &FaultPlan::default());
         p.send(ShardId(1), 0, 7);
         p.flush();
-        assert_eq!(hub.sent_count(), 1);
+        assert_eq!(hub.tally().sent, 1);
         assert_eq!(hub.tally().bytes, 4);
         drop(p); // must not double-count the flushed tallies
-        assert_eq!(hub.sent_count(), 1);
+        assert_eq!(hub.tally().sent, 1);
         assert_eq!(hub.tally().bytes, 4);
         assert_eq!(hub.tally().max_bytes, 4);
     }
@@ -485,8 +469,9 @@ mod tests {
             .collect();
         assert_eq!(hub_seen, net_seen);
         drop(port);
-        assert_eq!(hub.dropped_count(), net.dropped_count());
-        assert_eq!(hub.duplicated_count(), net.duplicated_count());
-        assert!(hub.dropped_count() > 0 && hub.duplicated_count() > 0);
+        let tally = hub.tally();
+        assert_eq!(tally.dropped, net.dropped_count());
+        assert_eq!(tally.duplicated, net.duplicated_count());
+        assert!(tally.dropped > 0 && tally.duplicated > 0);
     }
 }

@@ -95,12 +95,6 @@ impl RoundGate {
         true
     }
 
-    /// The thread-per-shard spelling of [`wait`](Self::wait): blocks,
-    /// yielding, until *all* watermarks have reached `round`.
-    pub fn await_round(&self, round: u64) {
-        assert!(self.wait(round, 0..0, 0), "a participant gave up");
-    }
-
     /// A guard that poisons the gate if it is dropped by a panic: every
     /// current and future [`wait`](Self::wait) on a lagging shard then
     /// returns `false`. A participant holds one while it runs rounds.
@@ -139,7 +133,7 @@ mod tests {
     #[test]
     fn round_zero_never_waits() {
         let gate = RoundGate::new(8);
-        gate.await_round(0); // would hang if it waited on anyone
+        assert!(gate.wait(0, 0..0, 0)); // would hang if it waited on anyone
     }
 
     #[test]
@@ -149,7 +143,7 @@ mod tests {
         let released = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {
-                gate.await_round(1);
+                assert!(gate.wait(1, 0..0, 0));
                 released.store(true, Ordering::SeqCst);
             });
             std::thread::sleep(std::time::Duration::from_millis(10));
@@ -200,7 +194,7 @@ mod tests {
                 let tally = &tally;
                 s.spawn(move || {
                     for r in 0..ROUNDS {
-                        gate.await_round(r);
+                        assert!(gate.wait(r, 0..0, 0));
                         if r > 0 {
                             let prev = tally[(r - 1) as usize].load(Ordering::SeqCst);
                             assert_eq!(prev, THREADS as u64, "round {r} ran too early");

@@ -1,7 +1,7 @@
 //! What tests the networked *host* rather than the protocols it hosts:
 //! determinism with and without faults, the fault plane's counters and
 //! their effect on a run (crash, drop, Byzantine votes, on BDS and FDS),
-//! and the lock-free message plane against the previous generation's
+//! and the mailbox message plane against the previous generation's
 //! semantics as an executable oracle. That a fault-free networked run
 //! equals the simulator's byte for byte is `conformance_net.rs`'s table.
 
@@ -178,7 +178,7 @@ fn a_reshard_plan_under_a_fault_plan_is_refused() {
 }
 
 // ---------------------------------------------------------------------
-// Fault-plane differential: the lock-free hub against the previous
+// Fault-plane differential: the mailbox hub against the previous
 // generation's semantics — a mutexed global delay queue — reimplemented
 // here as an executable oracle. Same fixed seeds in, the surviving
 // message set and the injected-fault counters must come out identical,
@@ -332,12 +332,9 @@ fn fault_plane_matches_locked_oracle_across_metric_shapes() {
         }
         assert!(oracle.queue.is_empty(), "{name}: oracle fully drained");
         drop(ports);
-        assert_eq!(hub.dropped_count(), oracle.dropped, "{name}: dropped");
-        assert_eq!(
-            hub.duplicated_count(),
-            oracle.duplicated,
-            "{name}: duplicated"
-        );
+        let tally = hub.tally();
+        assert_eq!(tally.dropped, oracle.dropped, "{name}: dropped");
+        assert_eq!(tally.duplicated, oracle.duplicated, "{name}: duplicated");
         assert!(
             oracle.dropped > 0 && oracle.duplicated > 0,
             "{name}: the plan must actually fire to prove anything"
@@ -372,6 +369,7 @@ fn drop_budget_is_honored_per_directed_link_end_to_end() {
         delivered += due.len() as u64;
     }
     drop(port);
-    assert_eq!(hub.dropped_count(), 3, "budget caps the drops");
-    assert_eq!(delivered, 200 - 3 + hub.duplicated_count());
+    let tally = hub.tally();
+    assert_eq!(tally.dropped, 3, "budget caps the drops");
+    assert_eq!(delivered, 200 - 3 + tally.duplicated);
 }

@@ -110,9 +110,9 @@ fn fan_in_schedule(shards: usize, rounds: u64) -> Schedule {
 }
 
 /// Runs `schedule` through a threaded hub: one thread per shard, round
-/// lockstep via [`RoundGate::await_round`], jittered with seeded random
-/// yields. Returns each destination's delivery stream plus the hub's
-/// counters `(sent, dropped, duplicated)`.
+/// lockstep via [`RoundGate::wait`] on every shard, jittered with seeded
+/// random yields. Returns each destination's delivery stream plus the
+/// hub's counters `(sent, dropped, duplicated)`.
 fn threaded_run(
     metric: &dyn ShardMetric,
     plan: &FaultPlan,
@@ -149,7 +149,7 @@ fn threaded_run(
                 let mut seen: Vec<Delivery> = Vec::new();
                 let mut buf = Vec::new();
                 for round in 0..total {
-                    gate.await_round(round);
+                    assert!(gate.wait(round, 0..0, 0));
                     inbox.drain_into(round, &mut buf);
                     for env in buf.drain(..) {
                         seen.push((round, env.from.raw(), env.seq, env.payload));
@@ -169,11 +169,8 @@ fn threaded_run(
         }
     });
 
-    let counters = [
-        hub.sent_count(),
-        hub.dropped_count(),
-        hub.duplicated_count(),
-    ];
+    let tally = hub.tally();
+    let counters = [tally.sent, tally.dropped, tally.duplicated];
     (
         streams.into_iter().map(|m| m.into_inner()).collect(),
         counters,
@@ -366,7 +363,7 @@ fn racing_drains_never_miss_a_delivery_round() {
             let _open = OpenGateOnExit(gate, 0);
             let mut port = ShardPort::new(hub, ShardId(0), &inert);
             for round in 0..ROUNDS {
-                gate.await_round(round);
+                assert!(gate.wait(round, 0..0, 0));
                 for i in 0..BURST {
                     port.send(ShardId(1), round, round * BURST + i);
                 }
@@ -380,7 +377,7 @@ fn racing_drains_never_miss_a_delivery_round() {
             let mut next = 0u64;
             // One silent round past the last send delivers its burst.
             for round in 0..=ROUNDS {
-                gate.await_round(round);
+                assert!(gate.wait(round, 0..0, 0));
                 inbox.drain_into(round, &mut buf);
                 for env in buf.drain(..) {
                     assert_eq!(env.payload / BURST + 1, round, "wrong delivery round");

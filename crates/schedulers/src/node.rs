@@ -21,8 +21,8 @@
 //! [`simnet::Network`] and the [`MetricsCollector`], stepped in shard
 //! order on the caller's thread ([`BdsSim`](crate::bds::BdsSim) and
 //! [`FdsSim`](crate::fds::FdsSim) are its two instances). `runtime::NetRun`
-//! hosts the same nodes on worker threads over lock-free rings and adds
-//! the fault plane. Both run the same code per shard, so fault-free
+//! hosts the same nodes on worker threads over one mailbox per shard and
+//! adds the fault plane. Both run the same code per shard, so fault-free
 //! reports agree byte for byte given two ordering facts: either
 //! transport hands a round's inbox out sorted by `(sender, per-sender
 //! sequence)`, and decisions are booked in `(round, deciding shard,
