@@ -5,11 +5,12 @@
 //! [`NetRun::run`] steps the same nodes concurrently. Each shard is one
 //! [`run_lockstep`] slot holding its node, the ledger, chain and policy
 //! it lends it, its [`NetHub`] endpoints and its queue of the
-//! pre-drained workload. On top of the node's step the host adds what
-//! the simulator never has: crash rounds (a dead shard keeps draining so
-//! its mailbox stays bounded, but neither processes nor sends), one PBFT
-//! instance per shard-round with the plan's Byzantine voters flipped in,
-//! and the fault counters.
+//! pre-drained workload. As in the simulator, a node is stepped only in a
+//! round where it has mail or has reached its [`Node::wake`] round. On top
+//! of the node's step the host adds what the simulator never has: crash
+//! rounds (a dead shard keeps draining so its mailbox stays bounded, but
+//! neither processes nor sends), one PBFT instance per live shard-round
+//! with the plan's Byzantine voters flipped in, and the fault counters.
 //!
 //! Worker threads finish a round's shards in no particular order, so a
 //! node's decisions and end-of-round samples are buffered per shard and
@@ -20,7 +21,11 @@
 //! any worker count. Nothing the host keeps is sized `shards × rounds`:
 //! the workload is one `(round, txn)` queue per home shard, and a shard's
 //! samples are a run-length log — one entry per *change* — that the merge
-//! carries forward, a pure re-encoding of the per-round matrix.
+//! carries forward, a pure re-encoding of the per-round matrix. A sample
+//! is taken only in a round that can change it: round 0, a round the
+//! shard stepped, got an injection, flipped Byzantine votes, or crashed.
+//! In any other round its node, flip count and crashed flag are as the
+//! round before left them.
 
 use crate::exec::run_lockstep;
 use crate::hub::{NetEnvelope, NetHub, NetInbox, ShardPort};
@@ -67,9 +72,16 @@ struct Hosted<N> {
 /// Byzantine flips and its crashed-now flag.
 type SampleLog = Vec<(u64, [u64; 6])>;
 
-/// Appends `sample` unless it repeats the last entry.
+/// Appends `sample` unless it repeats the last entry. Compared by folding
+/// the words' differences: an array `==` here is a `memcmp` call.
 fn log_sample(log: &mut SampleLog, round: u64, sample: [u64; 6]) {
-    if log.last().map(|entry| entry.1) != Some(sample) {
+    let repeats = log.last().is_some_and(|(_, last)| {
+        last.iter()
+            .zip(&sample)
+            .fold(0, |diff, (a, b)| diff | (a ^ b))
+            == 0
+    });
+    if !repeats {
         log.push((round, sample));
     }
 }
@@ -220,18 +232,24 @@ impl NetRun<'_> {
 
         run_lockstep(&gate, &slots, total, self.workers, |slot, shard, round| {
             let out = &mut slot.out;
-            if slot.crash_at == Some(round) {
+            let crash_round = slot.crash_at == Some(round);
+            if crash_round {
                 out.counters.crashes += 1;
             }
             let crashed = slot.crash_at.is_some_and(|c| round >= c);
             // Generated work accumulates even on a crashed shard (it counts
             // as pending, unserviced).
+            let mut injected = false;
             while let Some((_, t)) = slot.inject.next_if(|(due, _)| *due <= round) {
                 out.node.inject(t);
+                injected = true;
             }
             // The executor only runs this once every peer finished round-1
             // sends; the drain then sees all of them.
             slot.inbox.drain_into(round, &mut slot.buf);
+            // Whether the shard's sample may differ from the last one
+            // logged: a round that changes none of these leaves it as is.
+            let mut changed = round == 0 || crash_round || injected;
             if crashed {
                 slot.buf.clear();
             } else {
@@ -244,23 +262,29 @@ impl NetRun<'_> {
                 let outcome = slot.pbft.decide_with_byzantine(digest, flips);
                 debug_assert_eq!(outcome, ConsensusOutcome::Decided(digest));
                 out.counters.byz_flips += flips as u64;
+                changed |= flips > 0;
 
-                let inbox = slot.buf.drain(..).map(|env| (env.from, env.payload));
-                let lent = Lent {
-                    ledger: &mut slot.ledger,
-                    chain: &mut out.chain,
-                    policy: slot.policy.as_mut(),
-                };
-                let mut seam = NetSeam {
-                    port: &mut slot.port,
-                    round,
-                    events: &mut out.events,
-                };
-                out.node.step(round, inbox, lent, &mut seam);
+                if !slot.buf.is_empty() || round >= out.node.wake() {
+                    changed = true;
+                    let inbox = slot.buf.drain(..).map(|env| (env.from, env.payload));
+                    let lent = Lent {
+                        ledger: &mut slot.ledger,
+                        chain: &mut out.chain,
+                        policy: slot.policy.as_mut(),
+                    };
+                    let mut seam = NetSeam {
+                        port: &mut slot.port,
+                        round,
+                        events: &mut out.events,
+                    };
+                    out.node.step(round, inbox, lent, &mut seam);
+                }
             }
-            let [a, b, c, d] = out.node.sample();
-            let sample = [a, b, c, d, out.counters.byz_flips, u64::from(crashed)];
-            log_sample(&mut out.samples, round, sample);
+            if changed {
+                let [a, b, c, d] = out.node.sample();
+                let sample = [a, b, c, d, out.counters.byz_flips, u64::from(crashed)];
+                log_sample(&mut out.samples, round, sample);
+            }
         });
 
         // The report carries the policy's kind, as the simulator's does.

@@ -19,7 +19,8 @@
 //! clear flag (an idle drain takes no lock), else clears it with
 //! `swap(false, Acquire)` and swaps the `Vec` out against its spare buffer
 //! (a steady round allocates nothing), parks early arrivals in its wheel
-//! and sorts the due bucket.
+//! and sorts the due bucket. The wheel is asked only when something is
+//! parked for the round or earlier.
 //!
 //! Why no message is left behind a clear flag: **the flag is raised after
 //! the push, and the gate orders round `r - 1` before round `r`.** A
@@ -267,9 +268,11 @@ impl<P> NetInbox<P> {
                 }
             }
         }
-        let mut due = self.parked.take(round);
-        out.append(&mut due);
-        self.parked.recycle(due);
+        if self.parked.earliest().is_some_and(|at| at <= round) {
+            let mut due = self.parked.take(round);
+            out.append(&mut due);
+            self.parked.recycle(due);
+        }
         out.sort_unstable_by_key(|e| (e.from, e.seq));
     }
 

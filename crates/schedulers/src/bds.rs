@@ -136,12 +136,15 @@ struct EpochEntry {
 /// when no plan arrives (an empty epoch, or a plan lost to a fault).
 #[derive(Debug)]
 pub struct BdsNode {
-    // What every round reads, idle or not, comes first and together: the
-    // simulator steps `s` nodes per round, and an idle step should touch
-    // a cache line or two of each, not the whole node.
+    // What every round reads, idle or not, comes first and together: a
+    // host reads `wake` of all `s` nodes per round, and the simulator
+    // samples them, so an idle round should touch a cache line or two of
+    // each, not the whole node.
+    /// The round this node next has work without mail ([`Node::wake`]),
+    /// set at the end of every step.
+    wake: u64,
     /// Phase gap: 1 in the uniform model, metric diameter otherwise.
     gap: u64,
-    shards: usize,
     epoch: u64,
     epoch_start: u64,
     /// Known end of the current epoch: set when this shard colors as
@@ -184,12 +187,17 @@ pub struct BdsNode {
     append_buf: Vec<SubTransaction>,
     /// Transactions received as leader, awaiting coloring.
     leader_buffer: Vec<Transaction>,
-    /// My row of the distance matrix (commit-round accounting).
+    /// My row of the distance matrix (commit-round accounting); its
+    /// length is the shard count.
     dist_row: Vec<u64>,
     max_epoch_len: u64,
     id: ShardId,
     rotate_leader: bool,
 }
+
+// `peak_live_mb` is held to the byte and a run holds `s` nodes: the node
+// may not grow (`wake` took the place of a shard count `dist_row` knows).
+const _: () = assert!(std::mem::size_of::<BdsNode>() <= 296);
 
 impl BdsNode {
     /// The node of shard `id` over `metric` (phases stretch to the
@@ -199,8 +207,8 @@ impl BdsNode {
         BdsNode {
             id,
             rotate_leader,
+            wake: 0,
             gap,
-            shards: metric.shards(),
             dist_row: (0..metric.shards() as u32)
                 .map(|b| metric.distance(id, ShardId(b)))
                 .collect(),
@@ -224,14 +232,19 @@ impl BdsNode {
 
     /// Arms a live-migration schedule; must precede the first step.
     pub fn set_reshard(&mut self, plan: Arc<ReshardPlan>) {
-        assert_eq!(plan.s_max, self.shards, "provisioned for s_max");
+        assert_eq!(plan.s_max, self.shards(), "provisioned for s_max");
         self.reshard = Some(plan);
+    }
+
+    /// Shards of the system (provisioned, under a reshard plan).
+    fn shards(&self) -> usize {
+        self.dist_row.len()
     }
 
     /// The leader shard of this node's current epoch.
     pub fn leader(&self) -> ShardId {
         if self.rotate_leader {
-            ShardId((self.epoch % self.shards as u64) as u32)
+            ShardId((self.epoch % self.shards() as u64) as u32)
         } else {
             ShardId(0)
         }
@@ -262,7 +275,7 @@ impl BdsNode {
     pub fn active_shards(&self) -> u64 {
         self.reshard
             .as_ref()
-            .map_or(self.shards, |p| p.versions[self.rv].active.len()) as u64
+            .map_or(self.shards(), |p| p.versions[self.rv].active.len()) as u64
     }
 
     /// Steps the reshard plan through every version whose activation
@@ -283,7 +296,7 @@ impl BdsNode {
             self.rv += 1;
             if self.id == self.leader() {
                 let version = self.rv as u32;
-                for h in 0..self.shards as u32 {
+                for h in 0..self.shards() as u32 {
                     seam.send(ShardId(h), Msg::TableUpdate { version });
                 }
             }
@@ -347,7 +360,7 @@ impl BdsNode {
                 policy.kind()
             );
             num_colors = plan.num_slots;
-            let mut per_home = vec![Vec::new(); self.shards];
+            let mut per_home = vec![Vec::new(); self.shards()];
             for (v, t) in txns.iter().enumerate() {
                 per_home[t.home.index()].push((t.id, plan.slot(v)));
             }
@@ -364,8 +377,21 @@ impl BdsNode {
 
     /// Phase 3: at round `epoch_start + gap·(2 + 4z)` send the
     /// subtransactions of the color-`z` transactions homed here.
-    fn phase3_dispatch<S: Seam<Msg>>(&mut self, seam: &mut S) {
+    ///
+    /// A sleeping node was not stepped at the rounds of the groups it was
+    /// woken after; those groups were empty (groups change only inside a
+    /// step, and [`BdsNode::next_wake`] stops at the first non-empty
+    /// one), so they are passed over here, as a step at each of their
+    /// rounds would have.
+    fn phase3_dispatch<S: Seam<Msg>>(&mut self, round: u64, seam: &mut S) {
+        while self.next_dispatch.1 < round {
+            self.next_dispatch.0 += 1;
+            self.next_dispatch.1 += 4 * self.gap;
+        }
         let (z, at) = self.next_dispatch;
+        if at != round {
+            return;
+        }
         self.next_dispatch = (z + 1, at + 4 * self.gap);
         let Some(group) = self.color_groups.get_mut(z) else {
             return;
@@ -378,6 +404,28 @@ impl BdsNode {
                 seam.send(sub.dest, Msg::SubTxn(sub.clone()));
             }
         }
+    }
+
+    /// The earliest round at which a step without mail does something:
+    /// the rollover (the known epoch end, else the two-gap timeout), the
+    /// phase-2 round while this node leads an unplanned epoch, or the
+    /// round of the first non-empty color group still to dispatch. An
+    /// injection waits for the rollover's phase 1, so it needs no step.
+    fn next_wake(&self) -> u64 {
+        let mut wake = self
+            .next_epoch_at
+            .unwrap_or(self.epoch_start + 2 * self.gap);
+        if self.next_epoch_at.is_none() && self.id == self.leader() {
+            wake = wake.min(self.epoch_start + self.gap);
+        }
+        let (z, mut at) = self.next_dispatch;
+        for group in self.color_groups.iter().skip(z) {
+            if at >= wake || !group.is_empty() {
+                return wake.min(at);
+            }
+            at += 4 * self.gap;
+        }
+        wake
     }
 
     fn handle<S: Seam<Msg>>(
@@ -541,9 +589,12 @@ impl Node for BdsNode {
         {
             self.phase2_color(lent.policy, seam);
         }
-        if round == self.next_dispatch.1 {
-            self.phase3_dispatch(seam);
-        }
+        self.phase3_dispatch(round, seam);
+        self.wake = self.next_wake();
+    }
+
+    fn wake(&self) -> u64 {
+        self.wake
     }
 
     /// `[pending, epoch, active shards, stranded]`.
@@ -903,6 +954,232 @@ mod tests {
         rig.step(end, Vec::new());
         assert_eq!(rig.node.epoch(), 2);
         assert_eq!(rig.node.max_epoch_len, end - start);
+    }
+
+    /// A deterministic word stream for the scripted world (splitmix64).
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The system around one scripted node: what reaches it each round,
+    /// answered from what it sent — leaders that plan, destinations that
+    /// vote, homes that decide — with plans dropped, duplicated and
+    /// landing late, lost and doubled votes, foreign subtransactions and
+    /// stray messages mixed in.
+    struct World<'a> {
+        me: ShardId,
+        metric: &'a dyn ShardMetric,
+        map: &'a AccountMap,
+        gap: u64,
+        rng: u64,
+        mail: BTreeMap<u64, Vec<(ShardId, Msg)>>,
+        next_txn: u64,
+        /// The round of the last phase 1 a leader answered.
+        answered: Option<u64>,
+        /// Plans dropped, duplicated and landing late.
+        faults: [u32; 3],
+    }
+
+    impl World<'_> {
+        fn roll(&mut self, n: u64) -> u64 {
+            splitmix(&mut self.rng) % n
+        }
+
+        fn shard(&mut self) -> ShardId {
+            ShardId(self.roll(self.metric.shards() as u64) as u32)
+        }
+
+        fn post(&mut self, at: u64, from: ShardId, msg: Msg) {
+            self.mail.entry(at).or_default().push((from, msg));
+        }
+
+        /// A fresh transaction homed at `home` writing one to three
+        /// shards, `must` among them.
+        fn txn(&mut self, home: ShardId, round: u64, must: Option<ShardId>) -> Transaction {
+            let mut dests: Vec<ShardId> = (0..1 + self.roll(3)).map(|_| self.shard()).collect();
+            dests.extend(must);
+            dests.sort_unstable();
+            dests.dedup();
+            self.next_txn += 1;
+            let id = TxnId(self.next_txn);
+            Transaction::writing_shards(id, home, Round(round), self.map, &dests).unwrap()
+        }
+
+        /// What arrives unprompted at `round` of an epoch that started at
+        /// `epoch_start`: foreign subtransactions, a leader's empty row of
+        /// the plan, stray votes.
+        fn unprompted(&mut self, round: u64, epoch_start: u64) {
+            if self.roll(10) == 0 {
+                let others = self.metric.shards() as u64 - 1;
+                let home = ShardId(
+                    ((u64::from(self.me.raw()) + 1 + self.roll(others)) % (others + 1)) as u32,
+                );
+                let txn = self.txn(home, round, Some(self.me));
+                let sub = txn.subs.iter().find(|s| s.dest == self.me).unwrap().clone();
+                self.post(round, home, Msg::SubTxn(sub));
+            }
+            let unplanned = self.answered != Some(epoch_start);
+            if unplanned && round == epoch_start + self.gap + 1 && self.roll(4) == 0 {
+                let num_colors = 1 + self.roll(3) as u32;
+                let (assignments, from) = (Vec::new(), self.shard());
+                self.post(
+                    round,
+                    from,
+                    Msg::ColorAssign {
+                        assignments,
+                        num_colors,
+                    },
+                );
+            }
+            if self.roll(25) == 0 {
+                let (txn, from) = (TxnId(self.roll(self.next_txn + 1)), self.shard());
+                self.post(round, from, Msg::Vote { txn, commit: true });
+            }
+        }
+
+        /// Answers what the node sent at `round`.
+        fn answer(&mut self, round: u64, sent: &[(ShardId, Msg)]) {
+            for (to, msg) in sent.iter().cloned() {
+                if to == self.me {
+                    self.post(round + 1, to, msg);
+                    continue;
+                }
+                let d = self.metric.distance(self.me, to).max(1);
+                match msg {
+                    // `to` leads: it colors at the phase-2 round and sends
+                    // this shard its row of the plan.
+                    Msg::TxnInfo(txns) => {
+                        self.answered = Some(round);
+                        let num_colors = 1 + self.roll(3) as u32;
+                        let assignments = txns
+                            .iter()
+                            .map(|t| (t.id, self.roll(u64::from(num_colors)) as u32))
+                            .collect();
+                        let plan = Msg::ColorAssign {
+                            assignments,
+                            num_colors,
+                        };
+                        let at = round + self.gap + d;
+                        match self.roll(5) {
+                            0 => self.faults[0] += 1,
+                            1 => {
+                                self.faults[1] += 1;
+                                let again = at + 1 + self.roll(4 * self.gap + 2);
+                                self.post(at, to, plan.clone());
+                                self.post(again, to, plan);
+                            }
+                            2 => {
+                                self.faults[2] += 1;
+                                // After the first group's round: the
+                                // epoch has timed out by then.
+                                let late = round + 2 * self.gap + 1 + self.roll(4 * self.gap);
+                                self.post(late, to, plan);
+                            }
+                            _ => self.post(at, to, plan),
+                        }
+                    }
+                    // `to` votes as the subtransaction lands.
+                    Msg::SubTxn(sub) => {
+                        let commit = self.roll(8) != 0;
+                        for _ in 0..[0, 1, 1, 1, 1, 1, 1, 1, 2, 2][self.roll(10) as usize] {
+                            let vote = Msg::Vote {
+                                txn: sub.txn,
+                                commit,
+                            };
+                            self.post(round + 2 * d, to, vote);
+                        }
+                    }
+                    // The home `to` decides as the vote lands.
+                    Msg::Vote { txn, commit } if self.roll(10) != 0 => {
+                        self.post(round + 2 * d, to, Msg::Decision { txn, commit });
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    /// The [`Node::wake`] contract against its definition: two nodes fed
+    /// the same scripted inboxes, one stepped every round and one only on
+    /// mail or at `round >= wake()`, send, emit, seal and sample alike
+    /// round for round — through dropped, duplicated and late plans, on
+    /// a one-round and a three-round phase gap.
+    #[test]
+    fn sleeping_until_wake_is_invisible() {
+        let sys = SystemConfig {
+            shards: 6,
+            accounts: 6,
+            ..small_sys().0
+        };
+        let map = AccountMap::round_robin(&sys);
+        let (uniform, line) = (UniformMetric::new(6), cluster::LineMetric::new(6));
+        for (metric, seed) in [(&uniform as &dyn ShardMetric, 1), (&line, 2)]
+            .into_iter()
+            .flat_map(|(m, s)| [(m, s), (m, s + 10), (m, s + 20)])
+        {
+            let me = ShardId(1);
+            let mut world = World {
+                me,
+                metric,
+                map: &map,
+                gap: metric.diameter().max(1),
+                rng: seed,
+                mail: BTreeMap::new(),
+                next_txn: 0,
+                answered: None,
+                faults: [0; 3],
+            };
+            let mut every = Rig::new(me.raw(), &sys, &map, metric);
+            let mut sleeper = Rig::new(me.raw(), &sys, &map, metric);
+            let (mut slept, mut woke_to_dispatch, mut events) = (0, 0, 0);
+            for round in 0..3_000 {
+                if world.roll(6) == 0 {
+                    let txn = world.txn(me, round, None);
+                    every.node.inject(txn.clone());
+                    sleeper.node.inject(txn);
+                }
+                world.unprompted(round, every.node.epoch_start);
+                let inbox = world.mail.remove(&round).unwrap_or_default();
+                let mail = !inbox.is_empty();
+                let want = every.step(round, inbox.clone());
+                let got = if mail || round >= sleeper.node.wake() {
+                    sleeper.step(round, inbox)
+                } else {
+                    slept += 1;
+                    Script::default()
+                };
+                let at = format!("seed {seed}, round {round}");
+                assert_eq!(
+                    format!("{:?}", got.sent),
+                    format!("{:?}", want.sent),
+                    "{at}"
+                );
+                assert_eq!(got.events, want.events, "{at}");
+                assert_eq!(sleeper.node.sample(), every.node.sample(), "{at}");
+                assert_eq!(sleeper.chain.len(), every.chain.len(), "{at}");
+                let subs = |out: &Script| out.sent.iter().any(|m| matches!(m.1, Msg::SubTxn(_)));
+                woke_to_dispatch += u32::from(!mail && subs(&got));
+                events += want.events.len();
+                world.answer(round, &want.sent);
+            }
+            assert!(sleeper.chain == every.chain && sleeper.ledger.total() == every.ledger.total());
+            // The script reached what it is there for.
+            assert!(slept > 1_000, "seed {seed}: slept {slept} of 3000 rounds");
+            assert!(woke_to_dispatch > 10, "seed {seed}: {woke_to_dispatch}");
+            assert!(
+                events > 50 && every.chain.len() > 50,
+                "seed {seed}: {events}"
+            );
+            assert!(
+                world.faults.iter().all(|&n| n > 3),
+                "seed {seed}: {:?}",
+                world.faults
+            );
+        }
     }
 
     #[test]

@@ -28,6 +28,12 @@
 //! sequence)`, and decisions are booked in `(round, deciding shard,
 //! emission index)` order — here by construction, there by the
 //! runtime's replay.
+//!
+//! Most shard-rounds have nothing to do, so a node tells its host when
+//! it next has work ([`Node::wake`]), and both hosts step a node in a
+//! round only if its inbox is non-empty or the round has reached that
+//! wake round. The contract makes skipping invisible: a step before the
+//! wake round with an empty inbox would have been a no-op.
 
 use crate::metrics::{MetricsCollector, RunReport, RunTotals};
 use crate::scheduler::Scheduler;
@@ -95,7 +101,8 @@ pub trait Node {
     /// worst case by `O(bs)`; both transports account with this).
     fn msg_bytes(msg: &Self::Msg) -> usize;
 
-    /// Accepts a transaction generated at this (home) shard.
+    /// Accepts a transaction generated at this (home) shard. Never needs
+    /// a step of its own: the node acts on it at a round it wakes for.
     fn inject(&mut self, txn: Transaction);
 
     /// Executes round `round`: handles `inbox` (this round's deliveries
@@ -108,6 +115,15 @@ pub trait Node {
         lent: Lent<'_>,
         seam: &mut S,
     );
+
+    /// The first round at which a step with an empty inbox may do
+    /// anything. A step at any earlier round with an empty inbox is a
+    /// no-op — it sends nothing, emits nothing, and leaves the node as
+    /// skipping it would — so a host steps a node only when it has mail
+    /// or `round >= wake()`. The default, 0, asks for every round.
+    fn wake(&self) -> u64 {
+        0
+    }
 
     /// End-of-round counters, folded over all shards by
     /// [`Protocol::record_round`].
@@ -334,10 +350,11 @@ impl<P: Protocol> Sim<P> {
 
     /// Executes one round: injects `new_txns` at their home shards, takes
     /// the due messages — already sorted by `(destination, sender,
-    /// sequence)` — and steps every node in shard order on its run of
-    /// them, which is the order the threaded host's replay reproduces;
-    /// then books the round's samples. The drained delivery buffer goes
-    /// back to the network for a later round's sends.
+    /// sequence)` — and, in shard order, steps each node that has a run
+    /// of them or has reached its [`Node::wake`] round, which is the
+    /// order the threaded host's replay reproduces; then samples every
+    /// node and books the round. The drained delivery buffer goes back
+    /// to the network for a later round's sends.
     pub fn step(&mut self, new_txns: Vec<Transaction>) {
         self.generated += new_txns.len() as u64;
         for t in new_txns {
@@ -350,20 +367,22 @@ impl<P: Protocol> Sim<P> {
         let shards = self.nodes.iter_mut().zip(lent).zip(&mut self.samples);
         for (from, ((node, (ledger, chain)), sample)) in (0u32..).map(ShardId).zip(shards) {
             let mine = due.as_slice().iter().take_while(|e| e.to == from).count();
-            let inbox = due.by_ref().take(mine).map(|e| (e.from, e.payload));
-            let lent = Lent {
-                ledger,
-                chain,
-                policy: self.policy.as_mut(),
-            };
-            let mut seam = SimSeam {
-                net: &mut self.net,
-                from,
-                now,
-                collector: &mut self.collector,
-                log: &mut self.committed_log,
-            };
-            node.step(now.raw(), inbox, lent, &mut seam);
+            if mine > 0 || now.raw() >= node.wake() {
+                let inbox = due.by_ref().take(mine).map(|e| (e.from, e.payload));
+                let lent = Lent {
+                    ledger,
+                    chain,
+                    policy: self.policy.as_mut(),
+                };
+                let mut seam = SimSeam {
+                    net: &mut self.net,
+                    from,
+                    now,
+                    collector: &mut self.collector,
+                    log: &mut self.committed_log,
+                };
+                node.step(now.raw(), inbox, lent, &mut seam);
+            }
             *sample = node.sample();
         }
         drop(due);
