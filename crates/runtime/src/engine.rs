@@ -4,9 +4,9 @@
 //! `schedulers`; `engine = net` hosts the same per-shard protocol nodes
 //! concurrently through this crate's networked drivers (one mailbox per
 //! shard, the ownership round executor). The two are
-//! interchangeable by construction — on fault-free runs the reports are
-//! byte-identical — which is why the spelling lives next to the engine
-//! rather than in the scenario crate.
+//! interchangeable by construction — the reports are byte-identical,
+//! under any fault plan — which is why the spelling lives next to the
+//! engine rather than in the scenario crate.
 
 use std::str::FromStr;
 

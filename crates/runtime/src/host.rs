@@ -1,31 +1,24 @@
 //! The threaded host of a [`Protocol`]: what is genuinely about the
-//! transport and the fault plane, once for every protocol.
+//! transport, once for every protocol.
 //!
 //! `schedulers::node::Sim` steps `s` nodes in shard order on one thread;
-//! [`NetRun::run`] steps the same nodes concurrently. Each shard is one
-//! [`run_lockstep`] slot holding its node, the ledger, chain and policy
-//! it lends it, its [`NetHub`] endpoints and its queue of the
-//! pre-drained workload. As in the simulator, a node is stepped only in a
-//! round where it has mail or has reached its [`Node::wake`] round. On top
-//! of the node's step the host adds what the simulator never has: crash
-//! rounds (a dead shard keeps draining so its mailbox stays bounded, but
-//! neither processes nor sends), one PBFT instance per live shard-round
-//! with the plan's Byzantine voters flipped in, and the fault counters.
+//! [`NetRun::run`] steps the same nodes concurrently, each shard one
+//! [`run_lockstep`] slot: its node, what it lends it, its share of the
+//! fault plan, its [`NetHub`] endpoints and its queue of the pre-drained
+//! workload. A slot's round is the simulator's [`step_shard`] over its
+//! drained inbox (a crashed shard still drains, so its mailbox stays
+//! bounded).
 //!
-//! Worker threads finish a round's shards in no particular order, so a
-//! node's decisions and end-of-round samples are buffered per shard and
-//! merged afterwards (`merge`) in `(round, shard, emission index)` order
-//! — the order the simulator books them in directly. Together with the
-//! hub's `(sender, sequence)` hand-out that makes a fault-free report
-//! byte-identical to the simulator's, floating-point means included, for
-//! any worker count. Nothing the host keeps is sized `shards × rounds`:
-//! the workload is one `(round, txn)` queue per home shard, and a shard's
-//! samples are a run-length log — one entry per *change* — that the merge
-//! carries forward, a pure re-encoding of the per-round matrix. A sample
-//! is taken only in a round that can change it: round 0, a round the
-//! shard stepped, got an injection, flipped Byzantine votes, or crashed.
-//! In any other round its node, flip count and crashed flag are as the
-//! round before left them.
+//! Workers finish a round's shards in no particular order, so decisions
+//! and samples are buffered per shard and merged afterwards (`merge`) in
+//! `(round, shard, emission index)` order — the simulator's booking
+//! order. With the hub's `(sender, sequence)` hand-out that makes a
+//! report byte-identical to the simulator's under the same fault plan,
+//! floating-point means included, for any worker count. Nothing is sized
+//! `shards × rounds`: the workload is a `(round, txn)` queue per home
+//! shard, and a shard's samples a run-length log, taken only in a round
+//! that can change them (round 0, an injection, or what [`step_shard`]
+//! reports) and carried forward by the merge.
 
 use crate::exec::run_lockstep;
 use crate::hub::{NetEnvelope, NetHub, NetInbox, ShardPort};
@@ -34,19 +27,18 @@ use adversary::RoundSource;
 use cluster::ShardMetric;
 use parking_lot::Mutex;
 use schedulers::metrics::{MetricsCollector, RunReport, RunTotals, SchedulerKind};
-use schedulers::node::{CommitEvent, Lent, Node, Protocol, Seam};
+use schedulers::node::{step_shard, CommitEvent, Lent, Node, Protocol, Seam, ShardFaults};
 use schedulers::scheduler::Scheduler;
 use sharding_core::{AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
-use simnet::faults::{FaultCounters, FaultPlan, SendTally};
-use simnet::pbft::{ConsensusOutcome, PbftShard};
+use simnet::faults::{FaultPlan, SendTally};
 use simnet::{LocalChain, ShardLedger};
 
 /// The result of a networked run: the standard report plus the raw
 /// commit log for round-for-round cross-validation.
 #[derive(Debug, Clone)]
 pub struct NetOutcome {
-    /// The standard per-run report (byte-identical to the simulator's on
-    /// fault-free runs, fault counters filled in otherwise).
+    /// The standard per-run report (byte-identical to the simulator's
+    /// under the same fault plan).
     pub report: RunReport,
     /// `(commit round, txn)` in global decision order.
     pub committed_log: Vec<(Round, TxnId)>,
@@ -63,13 +55,13 @@ struct Hosted<N> {
     /// `(round emitted, decision)`, in emission order.
     events: Vec<(u64, CommitEvent)>,
     samples: SampleLog,
-    counters: FaultCounters,
+    faults: ShardFaults,
 }
 
 /// A shard's end-of-round samples, run-length encoded: `(round, sample)`
 /// for round 0 and every round whose sample differs from the round
-/// before. A sample is the node's own, then the shard's cumulative
-/// Byzantine flips and its crashed-now flag.
+/// before. A sample is the node's own, then the shard's
+/// [`ShardFaults::sample`].
 type SampleLog = Vec<(u64, [u64; 6])>;
 
 /// Appends `sample` unless it repeats the last entry. Compared by folding
@@ -139,23 +131,17 @@ pub struct NetRun<'a> {
 impl NetRun<'_> {
     /// Runs one node of `proto` per shard for `rounds` rounds.
     ///
-    /// The source is drained up front, round by round — exactly the
-    /// order the simulator drains it live, so a deterministic source
-    /// yields the same batches on both engines while generation stays
-    /// off the executed rounds — and queued per home shard as `(round,
-    /// txn)`, so each slot owns its queue and moves every transaction out
-    /// when its round comes.
-    /// Every shard gets its own policy instance; only where a node leads
-    /// is it consulted, which is sound because plans are pure functions
-    /// of `(epoch, batch)`.
+    /// The source is drained up front in the order the simulator drains
+    /// it live, so both engines see the same batches, and queued per home
+    /// shard as `(round, txn)`. Every shard gets its own policy instance,
+    /// consulted only where its node leads (plans are pure functions of
+    /// `(epoch, batch)`).
     ///
-    /// With an inert fault plan the report is byte-identical to
-    /// [`Sim`](schedulers::node::Sim)'s on the same inputs. With faults
-    /// the run stays deterministic (fault decisions are per-link ChaCha
-    /// streams, independent of thread interleaving) but the protocol is
-    /// allowed to degrade: crashed shards freeze, dropped ballots strand
-    /// transactions as forever-pending, and the injected-fault counters
-    /// surface in [`RunReport::faults`].
+    /// The report is byte-identical to a [`Sim`](schedulers::node::Sim)'s
+    /// given the same inputs and plan. Under faults the run stays
+    /// deterministic but the protocol may degrade: crashed shards freeze,
+    /// dropped ballots strand transactions, and the counters surface in
+    /// [`RunReport::faults`].
     pub fn run<P>(&self, proto: &P, source: &mut dyn RoundSource, rounds: Round) -> NetOutcome
     where
         P: Protocol,
@@ -172,10 +158,6 @@ impl NetRun<'_> {
         sys.validate().expect("valid system config");
         assert_eq!(metric.shards(), sys.shards);
         faults.validate(sys.shards).expect("valid fault plan");
-        assert!(
-            faults.is_inert() || !proto.fault_free_only(),
-            "this protocol description requires a fault-free run"
-        );
         let total = rounds.raw();
 
         let mut inject = vec![Vec::new(); sys.shards];
@@ -191,13 +173,11 @@ impl NetRun<'_> {
             out: Hosted<N>,
             ledger: ShardLedger,
             policy: Box<dyn Scheduler>,
-            pbft: PbftShard,
             port: ShardPort<'h, N::Msg>,
             inbox: NetInbox<N::Msg>,
             inject: std::iter::Peekable<std::vec::IntoIter<(u64, Transaction)>>,
             /// The reusable drain buffer.
             buf: Vec<NetEnvelope<N::Msg>>,
-            crash_at: Option<u64>,
         }
         let hub = NetHub::new(metric, <P::Node as Node>::msg_bytes)
             .expect("validated: at least one shard");
@@ -206,37 +186,30 @@ impl NetRun<'_> {
             .map(ShardId)
             .zip(inject)
             .map(|(id, inject)| {
-                let node = proto.node(id, metric);
-                let policy = proto.policy(sys);
-                let ledger = ShardLedger::new(id, map, proto.initial_balance());
                 Mutex::new(Slot {
                     out: Hosted {
-                        node,
+                        node: proto.node(id, metric),
                         chain: LocalChain::new(id),
                         events: Vec::new(),
                         samples: Vec::new(),
-                        counters: FaultCounters::default(),
+                        faults: ShardFaults::new(faults, id, sys.faulty_per_shard),
                     },
-                    ledger,
-                    policy,
-                    pbft: PbftShard::new(id, sys.nodes_per_shard, sys.faulty_per_shard)
-                        .expect("validated config"),
+                    ledger: ShardLedger::new(id, map, proto.initial_balance()),
+                    policy: proto.policy(sys),
                     port: ShardPort::new(&hub, id, faults),
                     inbox: NetInbox::new(&hub, id),
                     inject: inject.into_iter().peekable(),
                     buf: Vec::new(),
-                    crash_at: faults.crash_round(id).map(|r| r.raw()),
                 })
             })
             .collect();
+        assert!(
+            faults.is_inert() || !P::fault_free_only(&slots[0].lock().out.node),
+            "this protocol description requires a fault-free run"
+        );
 
-        run_lockstep(&gate, &slots, total, self.workers, |slot, shard, round| {
+        run_lockstep(&gate, &slots, total, self.workers, |slot, _, round| {
             let out = &mut slot.out;
-            let crash_round = slot.crash_at == Some(round);
-            if crash_round {
-                out.counters.crashes += 1;
-            }
-            let crashed = slot.crash_at.is_some_and(|c| round >= c);
             // Generated work accumulates even on a crashed shard (it counts
             // as pending, unserviced).
             let mut injected = false;
@@ -247,43 +220,25 @@ impl NetRun<'_> {
             // The executor only runs this once every peer finished round-1
             // sends; the drain then sees all of them.
             slot.inbox.drain_into(round, &mut slot.buf);
-            // Whether the shard's sample may differ from the last one
-            // logged: a round that changes none of these leaves it as is.
-            let mut changed = round == 0 || crash_round || injected;
-            if crashed {
-                slot.buf.clear();
-            } else {
-                // Intra-shard consensus on this round's inbox digest — the
-                // paper's round abstraction executed for real, with the
-                // plan's Byzantine voters flipped in. Purely local: it never
-                // touches the report, so fault-free byte-identity holds.
-                let digest = round ^ ((slot.buf.len() as u64) << 32) ^ shard as u64;
-                let flips = faults.byz_flips_for(slot.pbft.faulty());
-                let outcome = slot.pbft.decide_with_byzantine(digest, flips);
-                debug_assert_eq!(outcome, ConsensusOutcome::Decided(digest));
-                out.counters.byz_flips += flips as u64;
-                changed |= flips > 0;
-
-                if !slot.buf.is_empty() || round >= out.node.wake() {
-                    changed = true;
-                    let inbox = slot.buf.drain(..).map(|env| (env.from, env.payload));
-                    let lent = Lent {
-                        ledger: &mut slot.ledger,
-                        chain: &mut out.chain,
-                        policy: slot.policy.as_mut(),
-                    };
-                    let mut seam = NetSeam {
-                        port: &mut slot.port,
-                        round,
-                        events: &mut out.events,
-                    };
-                    out.node.step(round, inbox, lent, &mut seam);
-                }
-            }
-            if changed {
+            let inbox = slot.buf.drain(..).map(|env| (env.from, env.payload));
+            let lent = Lent {
+                ledger: &mut slot.ledger,
+                chain: &mut out.chain,
+                policy: slot.policy.as_mut(),
+            };
+            let mut seam = NetSeam {
+                port: &mut slot.port,
+                round,
+                events: &mut out.events,
+            };
+            let shard_faults = Some(&mut out.faults);
+            let stepped = step_shard(&mut out.node, shard_faults, round, inbox, lent, &mut seam);
+            // A round that changes none of these leaves the sample as the
+            // last one logged.
+            if round == 0 || injected || stepped {
                 let [a, b, c, d] = out.node.sample();
-                let sample = [a, b, c, d, out.counters.byz_flips, u64::from(crashed)];
-                log_sample(&mut out.samples, round, sample);
+                let [flips, crashed] = out.faults.sample(round);
+                log_sample(&mut out.samples, round, [a, b, c, d, flips, crashed]);
             }
         });
 
@@ -304,13 +259,10 @@ impl NetRun<'_> {
 }
 
 /// Merges a finished run into its outcome. Round by round, every shard's
-/// decisions are booked in shard order (latency statistics then
-/// accumulate in exactly the simulator's push order, so the
-/// floating-point mean is bit-equal) and its sample log is advanced if it
-/// has an entry for the round, then the protocol books the shards'
-/// current samples — on a faulty run with the summed Byzantine flips and
-/// the crashed-shard count. The report carries the last round's pending
-/// count.
+/// decisions are booked in shard order (the simulator's push order, so
+/// the floating-point means are bit-equal) and its sample log advanced,
+/// then the protocol books the shards' current samples, with the summed
+/// fault samples on a faulty run.
 fn merge<P: Protocol>(run: Finished<P::Node>, metrics: bool) -> NetOutcome {
     let shards = run.shards;
     let mut collector = MetricsCollector::new(shards.len());
@@ -352,11 +304,7 @@ fn merge<P: Protocol>(run: Finished<P::Node>, metrics: bool) -> NetOutcome {
         messages: run.tally.sent,
         max_message_bytes: run.tally.max_bytes,
     });
-    for shard in &shards {
-        report.faults.merge(&shard.counters);
-    }
-    report.faults.dropped = run.tally.dropped;
-    report.faults.duplicated = run.tally.duplicated;
+    report.faults = ShardFaults::total(shards.iter().map(|h| &h.faults), run.tally);
     let chains: Vec<LocalChain> = shards.into_iter().map(|h| h.chain).collect();
     NetOutcome {
         report,
@@ -401,7 +349,7 @@ mod tests {
                 chain: LocalChain::new(id),
                 events: Vec::new(),
                 samples: encode(&rows),
-                counters: FaultCounters::default(),
+                faults: ShardFaults::new(&FaultPlan::default(), id, 1),
             });
         Finished {
             shards: shards.collect(),

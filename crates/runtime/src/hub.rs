@@ -473,8 +473,8 @@ mod tests {
         assert_eq!(hub_seen, net_seen);
         drop(port);
         let tally = hub.tally();
-        assert_eq!(tally.dropped, net.dropped_count());
-        assert_eq!(tally.duplicated, net.duplicated_count());
+        assert_eq!(tally.dropped, net.tally().dropped);
+        assert_eq!(tally.duplicated, net.tally().duplicated);
         assert!(tally.dropped > 0 && tally.duplicated > 0);
     }
 }

@@ -19,22 +19,22 @@
 //! [`adversary::RoundSource`]. One slot per shard holds the node and
 //! what it is lent, the shard's [`hub::NetHub`] endpoints, and its
 //! queue of the pre-drained workload; a worker steps the slots of its
-//! range in shard order, round by round. What this crate adds is what is genuinely about the
-//! transport — delivery pinned by per-sender sequence numbers, the round
-//! gate, and a replay of the nodes' buffered decisions in `(round,
-//! shard, emission index)` order — so a fault-free networked run
-//! produces a `RunReport` **byte-identical** to the simulator's for the
-//! same inputs: both ran the same code, in an order that differs only
-//! where it cannot be observed. `tests/conformance_net.rs` checks that
-//! equality field by field, including the floating-point latency and
-//! queue means, for every protocol description the workspace has.
+//! range in shard order, round by round, through the same per-shard step
+//! as the simulator (`schedulers::node::step_shard`). What this crate
+//! adds is what is genuinely about the transport — delivery pinned by
+//! per-sender sequence numbers, the round gate, and a replay of the
+//! nodes' buffered decisions in `(round, shard, emission index)` order —
+//! so a networked run produces a `RunReport` **byte-identical** to the
+//! simulator's for the same inputs and fault plan: both ran the same
+//! code, in an order that differs only where it cannot be observed.
+//! `tests/conformance_net.rs` checks that equality field by field,
+//! including the floating-point latency and queue means, for every
+//! protocol description the workspace has, with and without faults.
 //!
-//! The host also carries the [`simnet::FaultPlan`] fault plane, which
-//! the simulators never see: seeded shard crashes, per-link message
-//! drop/duplication, and Byzantine vote flipping inside the per-round
-//! PBFT instances — all deterministic in the plan seed, independent of
-//! thread interleaving, with injected-fault counters surfaced in
-//! `RunReport::faults`.
+//! The [`simnet::FaultPlan`] fault plane is the same on both engines:
+//! shard crashes and Byzantine quotas in `schedulers::node::ShardFaults`,
+//! per-link drops and duplicates in each sender's [`simnet::Outbound`] —
+//! deterministic in the plan seed, independent of thread interleaving.
 //!
 //! The message plane is one mailbox per destination shard — a mutexed
 //! `Vec` and a has-mail flag the sender raises after its push — and

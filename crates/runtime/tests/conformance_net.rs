@@ -2,18 +2,20 @@
 //! interchangeable with `engine = sim` in scenario files, checked for
 //! every protocol description the workspace has.
 //!
-//! Both hosts are generic over `schedulers::node::Protocol`, so one
-//! helper states the contract once — [`assert_sim_equals_net`] — and
-//! every configuration is a row: a description, a system, a metric, a
-//! source, a round count and the worker counts to try. The rows cover
-//! BDS on every metric shape and shard count, every epoch-hosted zoo
-//! kind, FDS on line/uniform/ring and under bursts, live resharding
-//! (scale-out, scale-in, churn on a line, every hosted kind), FDS behind
-//! an ingestion pipeline, and the cross-shard order check on what either
-//! engine leaves behind. Worker-count independence is part of the
-//! contract: thread count is a performance knob, never a semantic one.
-//! (`differential.rs` keeps what tests the *host*: determinism, the
-//! fault plane, the message plane against its locked oracle.)
+//! Both hosts are generic over `schedulers::node::Protocol` and make the
+//! same per-shard step, fault plane included, so one helper states the
+//! contract once — [`assert_sim_equals_net`] — and every configuration
+//! is a row: a description, a system, a metric, a source, a round count,
+//! a fault plan and the worker counts to try. The rows cover BDS on every
+//! metric shape and shard count, every epoch-hosted zoo kind, FDS on
+//! line/uniform/ring and under bursts, live resharding (scale-out,
+//! scale-in, churn on a line, every hosted kind), FDS behind an ingestion
+//! pipeline, the cross-shard order check on what either engine leaves
+//! behind, and BDS and FDS under drops, duplicates, a crash and Byzantine
+//! votes. Worker-count independence is part of the contract: thread count
+//! is a performance knob, never a semantic one. (`differential.rs` keeps
+//! what tests the networked host alone: determinism, and what each kind
+//! of fault does to a run.)
 
 use adversary::{
     Adversary, AdversaryConfig, IngestPipeline, ReshardSource, RoundSource, StrategyKind,
@@ -27,7 +29,7 @@ use schedulers::fds::{FdsConfig, FdsProtocol};
 use schedulers::node::{Node, Protocol, Sim};
 use schedulers::testkit::report_fingerprint;
 use schedulers::{check_cross_shard_order, SchedulerKind};
-use sharding_core::{AccountMap, ReshardPlan, Round, SystemConfig};
+use sharding_core::{AccountMap, ReshardPlan, Round, ShardId, SystemConfig};
 use simnet::FaultPlan;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -65,18 +67,20 @@ fn uniform_load(rho: f64, seed: u64) -> AdversaryConfig {
     }
 }
 
-/// Runs `proto` on the simulator and, once per entry of `workers`, on
-/// the networked engine — each over a fresh `source()` — and asserts the
-/// contract: the report equal in every field (floats by bit pattern, the
-/// per-round queue series included), the commit log round for round, the
-/// chains block for block, every chain verifying. Returns the last
-/// networked outcome, by then equal to the simulator's.
+/// Runs `proto` under `faults` on the simulator and, once per entry of
+/// `workers`, on the networked engine — each over a fresh `source()` —
+/// and asserts the contract: the report equal in every field (floats by
+/// bit pattern, the per-round queue series and the fault counters
+/// included), the commit log round for round, the chains block for
+/// block, every chain verifying. Returns the last networked outcome, by
+/// then equal to the simulator's.
 fn assert_sim_equals_net<P, S>(
     label: &str,
     proto: &P,
     bed: &Bed,
     source: impl Fn() -> S,
     rounds: u64,
+    faults: &FaultPlan,
     workers: &[usize],
 ) -> NetOutcome
 where
@@ -87,6 +91,7 @@ where
 {
     let (sys, map, metric) = (&bed.sys, &bed.map, bed.metric.as_ref());
     let mut sim = Sim::host(proto, sys, map, metric);
+    sim.set_faults(faults);
     let mut src = source();
     for r in 0..rounds {
         sim.step(src.next_round(Round(r)));
@@ -101,7 +106,7 @@ where
             sys,
             map,
             metric,
-            faults: &FaultPlan::default(),
+            faults,
             workers,
             metrics: false,
         };
@@ -182,6 +187,7 @@ fn bds_rows() {
             &bed,
             source,
             rounds,
+            &FaultPlan::default(),
             &workers,
         );
     }
@@ -194,7 +200,8 @@ fn every_hosted_kind_at_every_worker_count() {
     let source = || Adversary::new(&bed.sys, &bed.map, uniform_load(0.08, 23));
     for kind in epoch_hosted_kinds() {
         let label = format!("{kind}/uniform");
-        assert_sim_equals_net(&label, &bds(kind), &bed, source, 400, &[1, 8, 17]);
+        let inert = FaultPlan::default();
+        assert_sim_equals_net(&label, &bds(kind), &bed, source, 400, &inert, &[1, 8, 17]);
     }
 }
 
@@ -209,7 +216,8 @@ fn fds_rows() {
         let proto = FdsProtocol::new(FdsConfig::default(), bed.metric.as_ref());
         let source = || Adversary::new(&bed.sys, &bed.map, uniform_load(0.06, 31));
         let label = format!("fds/{name}");
-        assert_sim_equals_net(&label, &proto, &bed, source, 1500, &[1, 8]);
+        let inert = FaultPlan::default();
+        assert_sim_equals_net(&label, &proto, &bed, source, 1500, &inert, &[1, 8]);
     }
     // A burst deep enough to reach the rescheduling periods.
     let bed = bed(12, 4, LineMetric::new(12));
@@ -223,7 +231,8 @@ fn fds_rows() {
     let proto = FdsProtocol::new(FdsConfig::default(), bed.metric.as_ref());
     let source = || Adversary::new(&bed.sys, &bed.map, burst);
     let workers = [default_workers(12)];
-    assert_sim_equals_net("fds/burst", &proto, &bed, source, 2000, &workers);
+    let inert = FaultPlan::default();
+    assert_sim_equals_net("fds/burst", &proto, &bed, source, 2000, &inert, &workers);
 }
 
 #[test]
@@ -245,7 +254,8 @@ fn fds_behind_an_ingest_pipeline() {
     let stats = alone.stats().expect("a pipeline has a mempool");
     assert!(stats.deferred > 0, "admission must bite: {stats:?}");
     let proto = FdsProtocol::new(FdsConfig::default(), bed.metric.as_ref());
-    assert_sim_equals_net("fds/mempool", &proto, &bed, pipeline, 600, &[1, 8]);
+    let inert = FaultPlan::default();
+    assert_sim_equals_net("fds/mempool", &proto, &bed, pipeline, 600, &inert, &[1, 8]);
 }
 
 #[test]
@@ -267,6 +277,7 @@ fn order_check_on_what_either_engine_leaves_behind() {
         ..FdsConfig::default()
     };
     let fds = FdsProtocol::new(strict, bed.metric.as_ref());
+    let inert = FaultPlan::default();
     let outcomes = [
         assert_sim_equals_net(
             "order/bds",
@@ -274,6 +285,7 @@ fn order_check_on_what_either_engine_leaves_behind() {
             &bed,
             source,
             500,
+            &inert,
             &[8],
         ),
         assert_sim_equals_net(
@@ -282,9 +294,10 @@ fn order_check_on_what_either_engine_leaves_behind() {
             &bed,
             source,
             500,
+            &inert,
             &[8],
         ),
-        assert_sim_equals_net("order/fds", &fds, &bed, source, 500, &[8]),
+        assert_sim_equals_net("order/fds", &fds, &bed, source, 500, &inert, &[8]),
     ];
     for out in outcomes {
         let kind = out.report.scheduler;
@@ -331,7 +344,8 @@ fn assert_reshard_row(
     let load = uniform_load(0.06, seed);
     let source = || ReshardSource::new(Adversary::new(&cfg, &bed.map, load), plan.clone());
     let label = format!("reshard/{kind}/{events:?}");
-    let out = assert_sim_equals_net(&label, &proto, &bed, source, rounds, workers);
+    let inert = FaultPlan::default();
+    let out = assert_sim_equals_net(&label, &proto, &bed, source, rounds, &inert, workers);
     let audit = simnet::reshard_audit(&out.chains, &out.committed_log);
     assert_eq!(audit, (0, 0), "{label}: commits lost or doubled");
 }
@@ -351,5 +365,69 @@ fn reshard_rows() {
     // policy inherits it — at every worker count.
     for kind in epoch_hosted_kinds() {
         assert_reshard_row(kind, 4, &[(2, 60)], uniform, 37, 300, &[1, 6, 13]);
+    }
+}
+
+#[test]
+fn faulted_rows() {
+    // Every kind of fault at once: lossy and duplicating links, a shard
+    // crashing mid-run, and a full Byzantine quota (f = 1) — at one
+    // worker, one per shard, and 2s + 1.
+    let plan = FaultPlan {
+        seed: 9,
+        drop_prob: 0.02,
+        dup_prob: 0.01,
+        crashes: vec![(ShardId(5), Round(300))],
+        byz_votes: 1,
+        ..FaultPlan::default()
+    };
+    let workers = [1, 8, 17];
+    let load = uniform_load(0.06, 41);
+    let uniform = bed(8, 3, UniformMetric::new(8));
+    let on_uniform = || Adversary::new(&uniform.sys, &uniform.map, load);
+    let line = bed(8, 3, LineMetric::new(8));
+    let on_line = || Adversary::new(&line.sys, &line.map, load);
+    let (bds, fds) = (
+        bds(SchedulerKind::Bds),
+        FdsProtocol::new(FdsConfig::default(), line.metric.as_ref()),
+    );
+    let outcomes = [
+        assert_sim_equals_net(
+            "faulted/bds/uniform",
+            &bds,
+            &uniform,
+            on_uniform,
+            900,
+            &plan,
+            &workers,
+        ),
+        assert_sim_equals_net(
+            "faulted/bds/line",
+            &bds,
+            &line,
+            on_line,
+            1200,
+            &plan,
+            &workers,
+        ),
+        assert_sim_equals_net(
+            "faulted/fds/line",
+            &fds,
+            &line,
+            on_line,
+            1200,
+            &plan,
+            &workers,
+        ),
+    ];
+    for out in outcomes {
+        let faults = out.report.faults;
+        let kind = out.report.scheduler;
+        assert_eq!(faults.crashes, 1, "{kind}: {faults:?}");
+        assert!(
+            faults.dropped > 0 && faults.duplicated > 0,
+            "{kind}: {faults:?}"
+        );
+        assert!(faults.byz_flips > 0, "{kind}: {faults:?}");
     }
 }

@@ -1,12 +1,13 @@
 //! What tests the networked *host* rather than the protocols it hosts:
 //! determinism with and without faults, the fault plane's counters and
 //! their effect on a run (crash, drop, Byzantine votes, on BDS and FDS),
-//! and the mailbox message plane against the previous generation's
-//! semantics as an executable oracle. That a fault-free networked run
-//! equals the simulator's byte for byte is `conformance_net.rs`'s table.
+//! and the refusal of a fault plan under a fault-free-only description.
+//! That a networked run equals the simulator's byte for byte, faulted or
+//! not, is `conformance_net.rs`'s table; that the threaded hub hands out
+//! what `simnet::Network` does under faults is `hub_stress.rs`'s.
 
 use adversary::{Adversary, AdversaryConfig, StrategyKind};
-use cluster::{GridMetric, LineMetric, RingMetric, ShardMetric, UniformMetric};
+use cluster::{LineMetric, ShardMetric, UniformMetric};
 use runtime::{default_workers, NetOutcome, NetRun};
 use schedulers::bds::{BdsConfig, BdsProtocol};
 use schedulers::fds::{FdsConfig, FdsProtocol};
@@ -175,201 +176,4 @@ fn a_reshard_plan_under_a_fault_plan_is_refused() {
         ..FaultPlan::default()
     };
     net(&proto, &UniformMetric::new(8), 61, 100, &drops);
-}
-
-// ---------------------------------------------------------------------
-// Fault-plane differential: the mailbox hub against the previous
-// generation's semantics — a mutexed global delay queue — reimplemented
-// here as an executable oracle. Same fixed seeds in, the surviving
-// message set and the injected-fault counters must come out identical,
-// on every metric shape. This is what licenses swapping the message
-// plane out from under the fault plane without re-validating the
-// drivers: the plane changed, the semantics did not.
-
-use rand::Rng as _;
-use runtime::{NetHub, NetInbox, ShardPort};
-use sharding_core::rngutil::{seeded_rng, split_seed};
-use simnet::faults::FaultDecision;
-use std::collections::BTreeMap;
-
-/// The old locked message plane, distilled: per-sender sequence numbers,
-/// per-directed-link fault streams, one `BTreeMap` delay queue keyed by
-/// `(deliver_at, to)`, hand-out sorted by `(from, seq)`. Everything the
-/// mutex used to serialize, done single-threaded.
-/// One queued message, `(from, seq, payload)` — sorting the tuple is
-/// exactly the `(from, seq)` hand-out order (payloads are unique).
-type Queued = (u32, u64, u64);
-
-struct LockedOracle {
-    shards: usize,
-    dist: Vec<u64>,
-    seqs: Vec<u64>,
-    links: BTreeMap<(u32, u32), simnet::faults::LinkFaults>,
-    queue: BTreeMap<(u64, u32), Vec<Queued>>,
-    dropped: u64,
-    duplicated: u64,
-}
-
-impl LockedOracle {
-    fn new(metric: &dyn ShardMetric, plan: &FaultPlan) -> Self {
-        let s = metric.shards();
-        let mut links = BTreeMap::new();
-        for from in 0..s as u32 {
-            for to in 0..s as u32 {
-                links.insert((from, to), plan.link(ShardId(from), ShardId(to)));
-            }
-        }
-        LockedOracle {
-            shards: s,
-            dist: (0..s)
-                .flat_map(|a| {
-                    (0..s).map(move |b| (a, b)) // row-major
-                })
-                .map(|(a, b)| metric.distance(ShardId(a as u32), ShardId(b as u32)))
-                .collect(),
-            seqs: vec![0; s],
-            links,
-            queue: BTreeMap::new(),
-            dropped: 0,
-            duplicated: 0,
-        }
-    }
-
-    fn send(&mut self, from: ShardId, to: ShardId, now: u64, payload: u64) {
-        let seq = &mut self.seqs[from.index()];
-        let link = self.links.get_mut(&(from.raw(), to.raw())).unwrap();
-        let deliver_at = now + self.dist[from.index() * self.shards + to.index()].max(1);
-        match link.decide() {
-            FaultDecision::Drop => {
-                *seq += 1;
-                self.dropped += 1;
-            }
-            FaultDecision::Duplicate => {
-                self.duplicated += 1;
-                let bucket = self.queue.entry((deliver_at, to.raw())).or_default();
-                bucket.push((from.raw(), *seq, payload));
-                bucket.push((from.raw(), *seq + 1, payload));
-                *seq += 2;
-            }
-            FaultDecision::Deliver => {
-                self.queue.entry((deliver_at, to.raw())).or_default().push((
-                    from.raw(),
-                    *seq,
-                    payload,
-                ));
-                *seq += 1;
-            }
-        }
-    }
-
-    fn drain(&mut self, round: u64, to: ShardId) -> Vec<Queued> {
-        let mut due = self.queue.remove(&(round, to.raw())).unwrap_or_default();
-        due.sort_unstable();
-        due
-    }
-}
-
-#[test]
-fn fault_plane_matches_locked_oracle_across_metric_shapes() {
-    let shapes: Vec<(&str, Box<dyn ShardMetric>)> = vec![
-        ("line", Box::new(LineMetric::new(8))),
-        ("ring", Box::new(RingMetric::new(8))),
-        ("grid4x2", Box::new(GridMetric::new(4, 2))),
-    ];
-    let plan = FaultPlan {
-        seed: 0xFA_0175,
-        drop_prob: 0.15,
-        dup_prob: 0.10,
-        ..FaultPlan::default()
-    };
-    for (name, metric) in &shapes {
-        let s = metric.shards();
-        let rounds = 150u64;
-        let max_delay = (0..s as u32)
-            .flat_map(|a| (0..s as u32).map(move |b| (a, b)))
-            .map(|(a, b)| metric.distance(ShardId(a), ShardId(b)))
-            .max()
-            .unwrap()
-            .max(1);
-
-        let hub: NetHub<u64> = NetHub::new(metric.as_ref(), |_| 8).unwrap();
-        let mut ports: Vec<ShardPort<u64>> = (0..s)
-            .map(|i| ShardPort::new(&hub, ShardId(i as u32), &plan))
-            .collect();
-        let mut inboxes: Vec<NetInbox<u64>> = (0..s)
-            .map(|i| NetInbox::new(&hub, ShardId(i as u32)))
-            .collect();
-        let mut oracle = LockedOracle::new(metric.as_ref(), &plan);
-
-        // Identical scripted traffic into both planes, drained in
-        // lockstep so the hub side follows its intended usage pattern.
-        let mut rng = seeded_rng(split_seed(0xD1FF, rounds));
-        let mut payload = 0u64;
-        let mut buf = Vec::new();
-        for round in 0..rounds + max_delay {
-            for (to_idx, inbox) in inboxes.iter_mut().enumerate() {
-                inbox.drain_into(round, &mut buf);
-                let hub_due: Vec<Queued> = buf
-                    .drain(..)
-                    .map(|e| (e.from.raw(), e.seq, e.payload))
-                    .collect();
-                let oracle_due = oracle.drain(round, ShardId(to_idx as u32));
-                assert_eq!(
-                    hub_due, oracle_due,
-                    "{name}: surviving set diverged at (round {round}, shard {to_idx})"
-                );
-            }
-            if round < rounds {
-                for (from, port) in ports.iter_mut().enumerate() {
-                    for _ in 0..rng.gen_range(0usize..=2) {
-                        let to = ShardId(rng.gen_range(0..s as u32));
-                        payload += 1;
-                        port.send(to, round, payload);
-                        oracle.send(ShardId(from as u32), to, round, payload);
-                    }
-                }
-            }
-        }
-        assert!(oracle.queue.is_empty(), "{name}: oracle fully drained");
-        drop(ports);
-        let tally = hub.tally();
-        assert_eq!(tally.dropped, oracle.dropped, "{name}: dropped");
-        assert_eq!(tally.duplicated, oracle.duplicated, "{name}: duplicated");
-        assert!(
-            oracle.dropped > 0 && oracle.duplicated > 0,
-            "{name}: the plan must actually fire to prove anything"
-        );
-    }
-}
-
-#[test]
-fn drop_budget_is_honored_per_directed_link_end_to_end() {
-    // One hot link, a tight budget: the hub must stop dropping exactly
-    // where the per-link stream's budget runs out, like the oracle.
-    let metric = UniformMetric::new(2);
-    let plan = FaultPlan {
-        seed: 21,
-        drop_prob: 0.9,
-        drop_budget: 3,
-        ..FaultPlan::default()
-    };
-    let hub: NetHub<u64> = NetHub::new(&metric, |_| 8).unwrap();
-    let mut port = ShardPort::new(&hub, ShardId(0), &plan);
-    let mut inbox = NetInbox::new(&hub, ShardId(1));
-    let mut oracle = LockedOracle::new(&metric, &plan);
-    for i in 0..200u64 {
-        port.send(ShardId(1), i, i);
-        oracle.send(ShardId(0), ShardId(1), i, i);
-    }
-    let mut delivered = 0u64;
-    for round in 1..=201 {
-        let due = inbox.drain(round);
-        let oracle_due = oracle.drain(round, ShardId(1));
-        assert_eq!(due.len(), oracle_due.len(), "round {round}");
-        delivered += due.len() as u64;
-    }
-    drop(port);
-    let tally = hub.tally();
-    assert_eq!(tally.dropped, 3, "budget caps the drops");
-    assert_eq!(delivered, 200 - 3 + tally.duplicated);
 }

@@ -11,18 +11,19 @@
 //!
 //! Shapes cover several (metric, shards, rounds) points: fan-in on 12
 //! threads, the mailbox's worst-case contention (every sender posts to
-//! one destination every round); a faulted ring metric; and 65- and
-//! 130-shard hubs with sparse traffic, where most mailboxes are empty in
-//! most drains and line delays park messages up to 64 rounds deep in the
-//! inbox wheel. A last test races one sender's flag-raising against its
-//! receiver's flag-clearing directly.
+//! one destination every round); faulted ring, line and grid metrics,
+//! and one hot link under a drop budget; and 65- and 130-shard hubs with
+//! sparse traffic, where most mailboxes are empty in most drains and line
+//! delays park messages up to 64 rounds deep in the inbox wheel. A last
+//! test races one sender's flag-raising against its receiver's
+//! flag-clearing directly.
 //!
 //! Seeding: the schedule/jitter seed defaults to a fixed constant and can
 //! be overridden with `BLOCKSHARD_STRESS_SEED=<u64>`, which is how CI's
 //! stress job runs the suite under more than one seed. Any failure
 //! message therefore identifies the exact reproducing universe.
 
-use cluster::{LineMetric, RingMetric, ShardMetric, UniformMetric};
+use cluster::{GridMetric, LineMetric, RingMetric, ShardMetric, UniformMetric};
 use rand::Rng as _;
 use runtime::{NetHub, NetInbox, RoundGate, ShardPort};
 use sharding_core::rngutil::{self, seeded_rng, split_seed};
@@ -203,14 +204,8 @@ fn oracle_run(
             streams[env.to.index()].push((round.raw(), env.from.raw(), env.seq, env.payload));
         }
     }
-    (
-        streams,
-        [
-            net.sent_count(),
-            net.dropped_count(),
-            net.duplicated_count(),
-        ],
-    )
+    let tally = net.tally();
+    (streams, [tally.sent, tally.dropped, tally.duplicated])
 }
 
 /// The full differential: threaded hub vs oracle on every destination's
@@ -291,6 +286,49 @@ fn fault_plane_counters_survive_concurrency() {
         counters[1],
         counters[2]
     );
+}
+
+/// Heavy drops and duplicates where delays differ per link: a line's 1
+/// to 7 rounds and a grid's Manhattan distances.
+#[test]
+fn faulted_line_and_grid_match_oracle() {
+    let plan = FaultPlan {
+        seed: split_seed(stress_seed(), 29),
+        drop_prob: 0.15,
+        dup_prob: 0.10,
+        ..FaultPlan::default()
+    };
+    let shapes: [(&str, &dyn ShardMetric); 2] = [
+        ("line/8x150/faulty", &LineMetric::new(8)),
+        ("grid4x2/8x150/faulty", &GridMetric::new(4, 2)),
+    ];
+    for (label, metric) in shapes {
+        let schedule = random_schedule(split_seed(stress_seed(), 31), 8, 150);
+        let counters = assert_hub_matches_oracle(metric, &plan, &schedule, label);
+        assert!(counters[1] > 0 && counters[2] > 0, "{label}: {counters:?}");
+    }
+}
+
+/// One hot link and a budget of three drops: the link delivers
+/// everything after its third drop, on both planes.
+#[test]
+fn drop_budget_caps_one_hot_link() {
+    let plan = FaultPlan {
+        seed: 21,
+        drop_prob: 0.9,
+        drop_budget: 3,
+        ..FaultPlan::default()
+    };
+    let schedule: Schedule = (0..200)
+        .map(|r| vec![vec![(ShardId(1), r)], Vec::new()])
+        .collect();
+    let counters = assert_hub_matches_oracle(
+        &UniformMetric::new(2),
+        &plan,
+        &schedule,
+        "uniform/2x200/budget",
+    );
+    assert_eq!(counters[..2], [200, 3], "(sent, dropped)");
 }
 
 #[test]

@@ -16,7 +16,7 @@
 //!   the CI shape: the six CSVs it writes are diffed byte-for-byte
 //!   against `crates/scenario/tests/golden/` by the campaign-smoke job,
 //!   and the golden/determinism tests pin them across `--threads
-//!   1/2/8` and (fault-free members) across `engine = sim|net`.
+//!   1/2/8` and across `engine = sim|net`.
 //! * `full` — the same scenarios with rounds overridden to
 //!   [`FULL_ROUNDS`]. The nightly campaign-full workflow runs this
 //!   shape; it is long enough for the fault schedules to matter at
@@ -24,7 +24,7 @@
 //!
 //! Determinism: a campaign is nothing but [`run_scenario`] per member,
 //! so every guarantee the report plane already has (byte-identical
-//! across thread counts, sim ≡ net when fault-free) extends to campaign
+//! across thread counts, sim ≡ net, faulted or not) extends to campaign
 //! output for free.
 
 use crate::cli::{run_scenario, Exit, Flags};

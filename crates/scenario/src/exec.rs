@@ -112,8 +112,8 @@ fn checks(
 /// Runs `proto` on the engine the spec selects, feeding it `source`.
 /// `engine = net` spawns [`default_workers`] threads — one per shard up
 /// to the host's core count — for the duration of the job; `engine =
-/// sim` runs on the calling thread. Fault-free, the two produce the same
-/// bytes.
+/// sim` runs on the calling thread. Both arm the spec's fault plan, and
+/// the two produce the same bytes.
 fn host<P>(
     spec: &JobSpec,
     proto: &P,
@@ -128,6 +128,7 @@ where
     match spec.engine {
         EngineKind::Sim => {
             let mut sim = Sim::host(proto, sys, map, metric);
+            sim.set_faults(&spec.faults);
             if spec.metrics.enabled() {
                 sim.enable_metrics();
             }

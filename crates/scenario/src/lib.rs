@@ -71,7 +71,7 @@
 //! | `name` | scenario name (base only) | — (required) |
 //! | `description` | free text (base only) | `""` |
 //! | `scheduler` | `bds` \| `fds` \| `fcfs` \| `edf` \| `fp` \| `ws` \| `spec` | `bds` |
-//! | `engine` | `sim` \| `net` — the shared-memory simulator or the concurrent networked runtime (fault-free reports are byte-identical; `fcfs` has no networked protocol) | `sim` |
+//! | `engine` | `sim` \| `net` — the shared-memory simulator or the concurrent networked runtime (reports are byte-identical, faulted or not; `fcfs` has no per-shard protocol to host or fault) | `sim` |
 //! | `metric` | `uniform` \| `line` \| `ring` \| `grid:WxH` | `uniform` |
 //! | `shards` | `s ≥ 1` | `64` |
 //! | `accounts` | total shared accounts | = `shards` |
@@ -92,12 +92,12 @@
 //! | `sublayers` | FDS hierarchy sublayers `H2` | `2` |
 //! | `respect-capacity` | `true` \| `false` (FCFS) | `true` |
 //! | `check-order` | verify cross-shard serialization order over the per-shard chains either engine leaves behind (`fcfs` keeps none) | `false` |
-//! | `fault-seed` | seed of the fault plane's ChaCha streams (`engine = net`) | `1` |
-//! | `drop-prob` | per-link message-drop probability `0 ≤ p < 1` (`engine = net`) | `0` |
-//! | `dup-prob` | per-link message-duplication probability, `drop-prob + dup-prob < 1` (`engine = net`) | `0` |
+//! | `fault-seed` | seed of the fault plane's ChaCha streams | `1` |
+//! | `drop-prob` | per-link message-drop probability `0 ≤ p < 1` | `0` |
+//! | `dup-prob` | per-link message-duplication probability, `drop-prob + dup-prob < 1` | `0` |
 //! | `drop-budget` | max drops per directed link | unlimited |
-//! | `crash` | `S@R[; S@R…]` \| `none` — shard `S` crashes at round `R` (`engine = net`) | `none` |
-//! | `byzantine-votes` | Byzantine voters per intra-shard consensus instance, at most `faulty-per-shard` (`engine = net`) | `0` |
+//! | `crash` | `S@R[; S@R…]` \| `none` — shard `S` crashes at round `R` | `none` |
+//! | `byzantine-votes` | Byzantine voters per live shard-round, counted against `faulty-per-shard` (at most that many) | `0` |
 //! | `mempool` | per-home-shard mempool lane capacity `≥ 1`: turns the streaming ingestion plane on (needs `stream`) | off |
 //! | `stream` | `zipf:EXPONENT` \| `shift:PERIOD` — the account distribution the producer streams (needs `mempool`) | — |
 //! | `offered` | transactions offered per round (needs `mempool`) | saturation: 4× the `(ρ, b)`-sustainable rate |

@@ -62,10 +62,10 @@ fn plane(o: &JobOutcome) -> Option<&metrics::MetricsReport> {
 ///
 /// Deliberately **without** an `engine` column: the engine changes how a
 /// job executes, never what it measures, and the headline guarantee is
-/// that fault-free `engine = net` reports are byte-identical to
-/// `engine = sim` — a column recording the engine would break exactly
-/// that equality. The four fault columns are all zero for the simulator
-/// and for fault-free networked runs.
+/// that `engine = net` reports are byte-identical to `engine = sim`,
+/// faulted or not — a column recording the engine would break exactly
+/// that equality. The four fault columns are all zero for fault-free
+/// runs on either engine.
 pub const COLUMNS: &[(&str, CellFn)] = &[
     ("scenario", |o| Cell::text(&o.spec.scenario)),
     ("job", |o| Cell::int(o.spec.index as u64)),

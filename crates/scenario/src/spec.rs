@@ -369,19 +369,17 @@ pub(crate) const RULES: &[Rule] = &[
         })
     }),
     (&["engine", "scheduler"], |j| {
-        (j.engine == EngineKind::Net && !j.scheduler.supports_net()).then(|| {
+        let asks = match (j.engine, j.faults.is_inert()) {
+            (EngineKind::Net, _) => "engine = net",
+            (EngineKind::Sim, false) => "the fault plane",
+            (EngineKind::Sim, true) => return None,
+        };
+        (!j.scheduler.supports_net()).then(|| {
             format!(
-                "engine = net does not support scheduler = {} (fcfs is an idealized \
-                 centralized baseline with no networked protocol)",
+                "{asks} does not support scheduler = {} (fcfs is an idealized \
+                 centralized baseline with no per-shard protocol)",
                 j.scheduler.name()
             )
-        })
-    }),
-    (FAULT_KEYS, |j| {
-        (!j.faults.is_inert() && j.engine != EngineKind::Net).then(|| {
-            "fault keys (drop-prob, dup-prob, crash, byzantine-votes) require \
-             engine = net — the simulator never injects faults"
-                .into()
         })
     }),
     (&["byzantine-votes", "faulty-per-shard"], |j| {
@@ -445,7 +443,7 @@ pub struct JobSpec {
     /// Which scheduler runs the job.
     pub scheduler: SchedulerKind,
     /// Which execution engine runs it: the shared-memory simulator or
-    /// the concurrent networked runtime (fault-free runs of the
+    /// the concurrent networked runtime (runs of the
     /// two are byte-identical, test-enforced).
     pub engine: EngineKind,
     /// Shard metric shape.
@@ -633,18 +631,12 @@ mod tests {
             "scheduler = fcfs\nk = 3\nengine = net\n",
             "does not support scheduler = fcfs",
             4,
-            "engine = net ⇒ scheduler ≠ fcfs",
+            "engine = net or fault keys ⇒ scheduler ≠ fcfs",
         ),
         (
-            "dup-prob = 0.1\nk = 3\n",
-            "require engine = net",
-            2,
-            "fault keys ⇒ engine = net",
-        ),
-        (
-            "engine = net\nbyzantine-votes = 2\nk = 3\n",
+            "byzantine-votes = 2\nk = 3\n",
             "exceeds faulty-per-shard = 1",
-            3,
+            2,
             "byzantine-votes ≤ faulty-per-shard",
         ),
         (
@@ -672,9 +664,9 @@ mod tests {
             "reshard ⇒ epoch-hosted scheduler",
         ),
         (
-            "engine = net\nplacement = vnode\nreshard = +2@100\ncrash = 0@50\n",
+            "placement = vnode\nreshard = +2@100\ncrash = 0@50\n",
             "cannot be combined with fault keys",
-            4,
+            3,
             "reshard ⇒ fault-free",
         ),
     ];

@@ -121,26 +121,33 @@ type Golden = (
 
 /// The `engine = …` rows are the engine-interchangeability guarantee on
 /// checked-in scenarios: the CSV deliberately has no engine column, so a
-/// fault-free job must write the same bytes on either engine — through a
-/// live migration (`scale_*`: table updates, handoffs and re-homing land
-/// on identical rounds) and through the metrics plane (`flash_crowd`:
-/// percentile and utilization columns included). `zoo_quick` and
-/// `firehose_shift` hold both engines' rows in one file.
+/// job must write the same bytes on either engine — through a live
+/// migration (`scale_*`: table updates, handoffs and re-homing land on
+/// identical rounds), through the metrics plane (`flash_crowd`:
+/// percentile and utilization columns included) and under every fault
+/// plan the campaigns use (the five faulted scenarios: drops,
+/// duplicates, crashes and Byzantine votes, fault counters included).
+/// `zoo_quick` and `firehose_shift` hold both engines' rows in one file.
 const GOLDENS: &[Golden] = &[
     ("smoke", Some(500), &[], &[]),
     ("dos_burst", Some(500), &[], &[]),
     ("net_smoke", Some(500), &[], &[]),
     ("net_smoke", Some(500), &[("engine", "sim")], &[]),
     ("net_faults", Some(500), &[], &[]),
+    ("net_faults", Some(500), &[("engine", "sim")], &[]),
     ("zoo_quick", Some(200), &[], &[]),
     ("firehose_shift", Some(120), &[], &[engines_agree]),
     ("firehose_zipf", Some(120), &[], &[]),
     ("flash_crowd", None, &[], &[percentiles_present]),
     ("flash_crowd", None, &[("engine", "sim")], &[]),
     ("gray_partition", None, &[], &[percentiles_present]),
+    ("gray_partition", None, &[("engine", "sim")], &[]),
     ("rolling_crash", None, &[], &[percentiles_present]),
+    ("rolling_crash", None, &[("engine", "sim")], &[]),
     ("byz_ramp", None, &[], &[percentiles_present]),
+    ("byz_ramp", None, &[("engine", "sim")], &[]),
     ("combined_stress", None, &[], &[percentiles_present]),
+    ("combined_stress", None, &[("engine", "sim")], &[]),
     (
         "reshard_churn",
         None,
@@ -262,6 +269,11 @@ fn malformed_inputs_fail_with_context() {
             "does not support scheduler = fcfs",
             Some(3),
         ),
+        (
+            "name = x\ncrash = 0@50\nscheduler = fcfs\n",
+            "the fault plane does not support scheduler = fcfs",
+            Some(3),
+        ),
         ("name = x\nmetric = torus\n", "unknown metric", Some(2)),
         ("name = x\nrho = 1.5\n", "0 < rho <= 1", Some(2)),
         ("name = x\njust-a-line\n", "expected `key = value`", Some(2)),
@@ -314,11 +326,6 @@ fn malformed_inputs_fail_with_context() {
             Some(3),
         ),
         (
-            "name = x\nshards = 4\nk = 2\nrounds = 50\ndrop-prob = 0.1\n",
-            "require engine = net",
-            Some(5),
-        ),
-        (
             "name = x\nmempool = 64\nrounds = 50\n",
             "mempool requires stream",
             Some(2),
@@ -362,4 +369,15 @@ fn malformed_inputs_fail_with_context() {
             assert!(err.to_string().starts_with(&at), "{err}");
         }
     }
+}
+
+/// The fault keys need no engine: a crash on the simulator resolves and
+/// runs, and the report counts it.
+#[test]
+fn a_fault_plan_runs_on_the_simulator() {
+    let text = "name = x\nengine = sim\nshards = 4\nk = 2\nrounds = 120\ncrash = 0@50\n";
+    let jobs = Scenario::parse_str(text, "<sim>").unwrap().jobs().unwrap();
+    let outcome = &run_jobs(&jobs, 1, false)[0];
+    assert_eq!(outcome.report.faults.crashes, 1);
+    assert!(outcome.report.committed > 0);
 }

@@ -54,8 +54,9 @@
 //! crate hosts the same description on worker threads.
 
 use crate::metrics::{MetricsCollector, RunReport, SchedulerKind};
-use crate::node::{CommitEvent, FastMap, FastSet, Lent, Node, Protocol, Seam, Sim, VoteSet};
+use crate::node::{CommitEvent, Lent, Node, Protocol, Seam, Sim};
 use crate::scheduler::{ColoringPolicy, EpochPlan, Scheduler};
+use crate::votes::{FastMap, FastSet, VoteSet};
 use adversary::AdversaryConfig;
 use cluster::{ClusterId, Hierarchy, LineMetric, ShardMetric};
 use conflict::ColoringStrategy;

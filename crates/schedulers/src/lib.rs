@@ -49,6 +49,7 @@ pub mod metrics;
 pub mod node;
 pub mod scheduler;
 pub mod testkit;
+mod votes;
 pub mod zoo;
 
 pub use baseline::{run_fcfs, FcfsConfig, FcfsSim};

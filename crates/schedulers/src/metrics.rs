@@ -165,9 +165,8 @@ pub struct RunReport {
     /// Largest single message payload in (estimated) bytes; the paper
     /// upper-bounds message size by `O(bs)`.
     pub max_message_bytes: u64,
-    /// Faults injected during the run (all zeros for the simulator and
-    /// for fault-free networked runs — the byte-identical guarantee
-    /// depends on that). Set post-`finish` by the networked engine.
+    /// Faults injected during the run (all zeros for fault-free runs).
+    /// Set post-`finish` by the host, from the fault plane's counters.
     pub faults: FaultCounters,
     /// Stability verdict from the queue-length series.
     pub verdict: StabilityVerdict,

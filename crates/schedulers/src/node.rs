@@ -21,27 +21,21 @@
 //! [`simnet::Network`] and the [`MetricsCollector`], stepped in shard
 //! order on the caller's thread ([`BdsSim`](crate::bds::BdsSim) and
 //! [`FdsSim`](crate::fds::FdsSim) are its two instances). `runtime::NetRun`
-//! hosts the same nodes on worker threads over one mailbox per shard and
-//! adds the fault plane. Both run the same code per shard, so fault-free
-//! reports agree byte for byte given two ordering facts: either
-//! transport hands a round's inbox out sorted by `(sender, per-sender
-//! sequence)`, and decisions are booked in `(round, deciding shard,
-//! emission index)` order — here by construction, there by the
-//! runtime's replay.
-//!
-//! Most shard-rounds have nothing to do, so a node tells its host when
-//! it next has work ([`Node::wake`]), and both hosts step a node in a
-//! round only if its inbox is non-empty or the round has reached that
-//! wake round. The contract makes skipping invisible: a step before the
-//! wake round with an empty inbox would have been a no-op.
+//! hosts the same nodes on worker threads over one mailbox per shard.
+//! Both make the same per-shard step, [`step_shard`] — the shard's share
+//! of a fault plan ([`ShardFaults`]) around the node's step, which runs
+//! only with mail or at the node's [`Node::wake`] round — and send
+//! through the same `simnet::Outbound`. So reports agree byte for byte,
+//! faulted or not, given two ordering facts: either transport hands a
+//! round's inbox out sorted by `(sender, per-sender sequence)`, and
+//! decisions are booked in `(round, deciding shard, emission index)`
+//! order — here by construction, there by the runtime's replay.
 
 use crate::metrics::{MetricsCollector, RunReport, RunTotals};
 use crate::scheduler::Scheduler;
 use cluster::ShardMetric;
 use sharding_core::{AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
-use simnet::{LocalChain, Network, ShardLedger};
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use simnet::{FaultCounters, FaultPlan, LocalChain, Network, SendTally, ShardLedger};
 
 /// One commit/abort decision, as the deciding shard saw it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,9 +125,9 @@ pub trait Node {
 }
 
 /// What a host needs to know about a protocol beyond stepping its nodes.
-/// A host consults the description while it builds a run; the two folds
-/// are associated functions that read run-wide constants off a node, so
-/// the simulator retains nothing of the description.
+/// A host consults the description while it builds a run; the rest are
+/// associated functions that read run-wide constants off a node, so the
+/// simulator retains nothing of the description.
 pub trait Protocol {
     /// The per-shard state machine.
     type Node: Node;
@@ -149,9 +143,9 @@ pub trait Protocol {
     /// are pure, so a host may build one or one per shard.
     fn policy(&self, sys: &SystemConfig) -> Box<dyn Scheduler>;
 
-    /// Whether a run of this description is only defined without faults
-    /// (the networked host refuses to arm a fault plan under it).
-    fn fault_free_only(&self) -> bool {
+    /// Whether a run of `node` (any node of it) is only defined without
+    /// faults: both hosts refuse to arm a fault plan under it.
+    fn fault_free_only(_node: &Self::Node) -> bool {
         false
     }
 
@@ -175,85 +169,84 @@ pub trait Protocol {
         Self::Node: 'a;
 }
 
-/// Multiplicative hasher for the nodes' small-integer keys (`TxnId`,
-/// `ShardId`). The default SipHash shows up in the per-round profiles;
-/// these maps are internal (no untrusted keys), so a one-multiply
-/// Fibonacci-style mix is plenty. Deterministic — but no map built on
-/// it is ever iterated for its order anyway.
-#[derive(Default)]
-pub(crate) struct IntHasher(u64);
-
-impl Hasher for IntHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(5) ^ u64::from(b)).wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
+/// One shard's share of a [`FaultPlan`] (the links' share is
+/// `simnet::Outbound`'s): its crash round, its Byzantine quota — counted
+/// against its bound `f`, not executed, since under `n > 3f` no quota
+/// can change a PBFT decision (`simnet::pbft`) — and its counters.
+#[derive(Debug, Clone)]
+pub struct ShardFaults {
+    /// `u64::MAX` for a shard that never crashes.
+    crash_at: u64,
+    flips: u64,
+    /// `crashes` and `byz_flips` so far.
+    counters: FaultCounters,
 }
 
-pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
-pub(crate) type FastSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
-
-/// One vote per destination of a transaction, recorded by the
-/// destination's position in `txn.subs`: a repeated vote (a fault-plane
-/// duplicate) overwrites and never counts twice, so faults may strand a
-/// transaction but never decide it early. Transactions touching at most
-/// 64 shards — all but contrived ones — allocate nothing.
-#[derive(Debug)]
-pub(crate) struct VoteSet {
-    /// `[voted, commit]` bits of subs `0..64`.
-    head: [u64; 2],
-    /// The same pair for each further 64 subs (`k_max` may reach `s`).
-    tail: Vec<[u64; 2]>,
-    missing: usize,
-}
-
-impl VoteSet {
-    pub(crate) fn new(subs: usize) -> Self {
-        VoteSet {
-            head: [0; 2],
-            tail: vec![[0; 2]; subs.saturating_sub(1) / 64],
-            missing: subs,
+impl ShardFaults {
+    /// The share of `shard`, whose PBFT membership declares `faulty`
+    /// Byzantine nodes.
+    pub fn new(plan: &FaultPlan, shard: ShardId, faulty: usize) -> Self {
+        ShardFaults {
+            crash_at: plan.crash_round(shard).map_or(u64::MAX, Round::raw),
+            flips: plan.byz_flips_for(faulty) as u64,
+            counters: FaultCounters::default(),
         }
     }
 
-    /// Records the vote of `txn.subs[pos]`'s shard; true once every
-    /// destination has voted.
-    pub(crate) fn record(&mut self, pos: usize, commit: bool) -> bool {
-        let word = match pos / 64 {
-            0 => &mut self.head,
-            w => &mut self.tail[w - 1],
-        };
-        let bit = 1u64 << (pos % 64);
-        self.missing -= usize::from(word[0] & bit == 0);
-        word[0] |= bit;
-        word[1] = (word[1] & !bit) | (u64::from(commit) << (pos % 64));
-        self.missing == 0
+    /// The shard's part of [`Protocol::record_round`]'s `faults` at
+    /// `round`: `[cumulative Byzantine flips, crashed now]`.
+    pub fn sample(&self, round: u64) -> [u64; 2] {
+        [self.counters.byz_flips, u64::from(round >= self.crash_at)]
     }
 
-    /// Whether every recorded vote is a commit.
-    pub(crate) fn all_commit(&self) -> bool {
-        std::iter::once(&self.head)
-            .chain(&self.tail)
-            .all(|w| w[0] == w[1])
+    /// A run's counters: the shards', plus the links' drops and duplicates.
+    pub fn total<'a>(shards: impl Iterator<Item = &'a Self>, links: SendTally) -> FaultCounters {
+        let mut total = FaultCounters::default();
+        shards.for_each(|s| total.merge(&s.counters));
+        (total.dropped, total.duplicated) = (links.dropped, links.duplicated);
+        total
     }
+}
+
+/// Shard-round `round` of `node`, as both hosts make it (`faults` is
+/// `None` where no plan is armed). From its crash round on a shard drops
+/// its inbox and neither steps nor sends; a live shard counts its quota
+/// and steps `node` if it has mail or has reached [`Node::wake`]. Returns
+/// whether the shard's sample may have changed (an injection, the host's
+/// business, changes it too).
+pub fn step_shard<N: Node>(
+    node: &mut N,
+    faults: Option<&mut ShardFaults>,
+    round: u64,
+    inbox: impl ExactSizeIterator<Item = (ShardId, N::Msg)>,
+    lent: Lent<'_>,
+    seam: &mut impl Seam<N::Msg>,
+) -> bool {
+    let mut changed = false;
+    if let Some(faults) = faults {
+        if round >= faults.crash_at {
+            inbox.for_each(drop);
+            let crash_round = round == faults.crash_at;
+            faults.counters.crashes += u64::from(crash_round);
+            return crash_round;
+        }
+        faults.counters.byz_flips += faults.flips;
+        changed = faults.flips > 0;
+    }
+    if inbox.len() > 0 || round >= node.wake() {
+        node.step(round, inbox, lent, seam);
+        changed = true;
+    }
+    changed
 }
 
 /// The simulator: `s` nodes of protocol `P`, one delay-queue network,
 /// the ledgers, chains and policy it lends out, and the collector
 /// decisions are booked into — everything driven from the caller's
-/// thread, one [`Sim::step`] per round. Fault-free by construction.
+/// thread, one [`Sim::step`] per round. Fault-free unless
+/// [`Sim::set_faults`] arms a plan.
 pub struct Sim<P: Protocol> {
-    pub(crate) nodes: Vec<P::Node>,
+    pub(crate) nodes: Box<[P::Node]>,
     net: Network<<P::Node as Node>::Msg>,
     ledgers: Vec<ShardLedger>,
     chains: Vec<LocalChain>,
@@ -262,6 +255,10 @@ pub struct Sim<P: Protocol> {
     /// Every node's [`Node::sample`] of the last round, taken right
     /// after its step while the node is still in cache.
     samples: Box<[[u64; 4]]>,
+    /// One [`ShardFaults`] per shard once [`Sim::set_faults`] arms a plan;
+    /// until then `Err(f)`, the bound a plan's quota will be counted
+    /// against — so an inert run allocates nothing for faults.
+    faults: Result<Box<[ShardFaults]>, usize>,
     now: Round,
     /// The planning policy lent to whichever node leads.
     policy: Box<dyn Scheduler>,
@@ -308,6 +305,7 @@ impl<P: Protocol> Sim<P> {
             collector: MetricsCollector::new(sys.shards),
             committed_log: Vec::new(),
             samples: vec![[0; 4]; sys.shards].into(),
+            faults: Err(sys.faulty_per_shard),
             now: Round::ZERO,
             policy: proto.policy(sys),
             generated: 0,
@@ -348,13 +346,34 @@ impl<P: Protocol> Sim<P> {
         self.collector.enable_metrics();
     }
 
+    /// Arms `plan` once, before the first step, as `runtime::NetRun`
+    /// does: the links' streams ([`Network::set_faults`]) and each shard's
+    /// [`ShardFaults`]. An inert plan changes nothing. Panics if the plan
+    /// does not fit the system or the protocol is only defined fault-free.
+    pub fn set_faults(&mut self, plan: &FaultPlan) {
+        plan.validate(self.nodes.len()).expect("valid fault plan");
+        if plan.is_inert() {
+            return;
+        }
+        assert!(
+            !P::fault_free_only(&self.nodes[0]),
+            "this protocol description requires a fault-free run"
+        );
+        let Err(faulty) = self.faults else {
+            panic!("a fault plan is armed once")
+        };
+        self.net.set_faults(plan.clone());
+        let ids = (0..self.nodes.len() as u32).map(ShardId);
+        self.faults = Ok(ids.map(|id| ShardFaults::new(plan, id, faulty)).collect());
+    }
+
     /// Executes one round: injects `new_txns` at their home shards, takes
     /// the due messages — already sorted by `(destination, sender,
-    /// sequence)` — and, in shard order, steps each node that has a run
-    /// of them or has reached its [`Node::wake`] round, which is the
-    /// order the threaded host's replay reproduces; then samples every
-    /// node and books the round. The drained delivery buffer goes back
-    /// to the network for a later round's sends.
+    /// sequence)` — and, in shard order, hands each shard its run of them
+    /// through [`step_shard`], which is the order the threaded host's
+    /// replay reproduces; then samples every node and books the round.
+    /// The drained delivery buffer goes back to the network for a later
+    /// round's sends.
     pub fn step(&mut self, new_txns: Vec<Transaction>) {
         self.generated += new_txns.len() as u64;
         for t in new_txns {
@@ -363,38 +382,42 @@ impl<P: Protocol> Sim<P> {
         let now = self.now;
         let mut delivered = self.net.deliver_due(now);
         let mut due = delivered.drain(..);
+        let mut faults = self.faults.as_deref_mut().unwrap_or_default().iter_mut();
         let lent = self.ledgers.iter_mut().zip(&mut self.chains);
         let shards = self.nodes.iter_mut().zip(lent).zip(&mut self.samples);
         for (from, ((node, (ledger, chain)), sample)) in (0u32..).map(ShardId).zip(shards) {
             let mine = due.as_slice().iter().take_while(|e| e.to == from).count();
-            if mine > 0 || now.raw() >= node.wake() {
-                let inbox = due.by_ref().take(mine).map(|e| (e.from, e.payload));
-                let lent = Lent {
-                    ledger,
-                    chain,
-                    policy: self.policy.as_mut(),
-                };
-                let mut seam = SimSeam {
-                    net: &mut self.net,
-                    from,
-                    now,
-                    collector: &mut self.collector,
-                    log: &mut self.committed_log,
-                };
-                node.step(now.raw(), inbox, lent, &mut seam);
-            }
+            let inbox = due.by_ref().take(mine).map(|e| (e.from, e.payload));
+            let lent = Lent {
+                ledger,
+                chain,
+                policy: self.policy.as_mut(),
+            };
+            let mut seam = SimSeam {
+                net: &mut self.net,
+                from,
+                now,
+                collector: &mut self.collector,
+                log: &mut self.committed_log,
+            };
+            step_shard(node, faults.next(), now.raw(), inbox, lent, &mut seam);
             *sample = node.sample();
         }
         drop(due);
         self.net.recycle(delivered);
         self.now = now.next();
+        let faults = self.faults.as_deref().ok().map(|shards| {
+            let samples = shards.iter().map(|s| s.sample(now.raw()));
+            let [flips, down] = samples.fold([0, 0], |[a, b], [x, y]| [a + x, b + y]);
+            (flips, down)
+        });
         let samples = self.samples.iter().copied();
         self.pending = P::record_round(
             &self.nodes[0],
             &mut self.collector,
             now.raw(),
             samples,
-            None,
+            faults,
         );
     }
 
@@ -402,16 +425,20 @@ impl<P: Protocol> Sim<P> {
     /// policy's kind.
     pub fn finish(self) -> RunReport {
         let (epochs, max_epoch_len) = P::epochs(self.nodes.iter(), self.now.raw());
-        self.collector.finish(RunTotals {
+        let links = self.net.tally();
+        let mut report = self.collector.finish(RunTotals {
             scheduler: self.policy.kind(),
             rounds: self.now.raw(),
             generated: self.generated,
             pending_at_end: self.pending,
             epochs,
             max_epoch_len,
-            messages: self.net.sent_count(),
-            max_message_bytes: self.net.max_message_bytes(),
-        })
+            messages: links.sent,
+            max_message_bytes: links.max_bytes,
+        });
+        report.faults =
+            ShardFaults::total(self.faults.as_deref().unwrap_or_default().iter(), links);
+        report
     }
 }
 

@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] describes every fault a run will suffer *before* the
 //! run starts, from one seed: shard crashes pinned to rounds, per-link
 //! message drop/duplication probabilities drawn from a ChaCha stream, and
-//! Byzantine vote flipping inside the per-round PBFT instances. All
+//! a per-round quota of Byzantine voters per shard. All
 //! decisions are pure functions of `(plan, link, per-link message index)`
 //! or `(plan, shard, round)` — never of wall-clock or thread interleaving
 //! — so a faulty run is exactly as reproducible as a fault-free one, even
@@ -26,8 +26,7 @@ use sharding_core::{Round, ShardId};
 /// Counters of the faults actually injected during one run.
 ///
 /// Surfaces in `RunReport` and in the scenario engine's CSV/JSONL
-/// columns; all zeros for fault-free runs (and for the shared-memory
-/// simulator, which never injects faults).
+/// columns; all zeros for fault-free runs, on either engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultCounters {
     /// Shard crashes executed (a shard crashing counts once).
@@ -36,7 +35,8 @@ pub struct FaultCounters {
     pub dropped: u64,
     /// Messages duplicated by the fault plane.
     pub duplicated: u64,
-    /// Byzantine votes injected into intra-shard consensus instances.
+    /// Byzantine votes counted against the shards' fault bounds, one
+    /// quota per live shard-round.
     pub byz_flips: u64,
 }
 
@@ -135,11 +135,6 @@ impl FaultPlan {
             .filter(|(s, _)| *s == shard)
             .map(|(_, r)| *r)
             .min()
-    }
-
-    /// Whether `shard` is crashed at round `now`.
-    pub fn crashed(&self, shard: ShardId, now: Round) -> bool {
-        self.crash_round(shard).is_some_and(|r| now >= r)
     }
 
     /// Byzantine voters to inject into one consensus instance of a shard
@@ -396,9 +391,6 @@ mod tests {
         assert!(!plan.is_inert());
         assert_eq!(plan.crash_round(ShardId(1)), Some(Round(20)));
         assert_eq!(plan.crash_round(ShardId(0)), None);
-        assert!(!plan.crashed(ShardId(1), Round(19)));
-        assert!(plan.crashed(ShardId(1), Round(20)));
-        assert!(!plan.crashed(ShardId(0), Round(99)));
     }
 
     #[test]

@@ -44,8 +44,9 @@ pub struct Envelope<P> {
 pub struct Network<P> {
     /// Messages by delivery round.
     in_flight: Wheel<Envelope<P>>,
-    /// One sending endpoint per shard.
-    senders: Vec<Outbound>,
+    /// One sending endpoint per shard (boxed: the count never changes,
+    /// and every host embedding a network pays for its size).
+    senders: Box<[Outbound]>,
     /// Optional payload sizer for byte accounting (the paper bounds the
     /// worst-case message size by `O(bs)`).
     sizer: Option<fn(&P) -> usize>,
@@ -83,26 +84,6 @@ impl<P> Network<P> {
             total.absorb(sender.tally());
         }
         total
-    }
-
-    /// Messages dropped by the fault plane so far.
-    pub fn dropped_count(&self) -> u64 {
-        self.tally().dropped
-    }
-
-    /// Messages duplicated by the fault plane so far.
-    pub fn duplicated_count(&self) -> u64 {
-        self.tally().duplicated
-    }
-
-    /// Largest single message payload observed (0 when no sizer is set).
-    pub fn max_message_bytes(&self) -> u64 {
-        self.tally().max_bytes
-    }
-
-    /// Total messages sent so far.
-    pub fn sent_count(&self) -> u64 {
-        self.tally().sent
     }
 
     /// Sends `payload` from `from` to `to` at round `now`.
@@ -228,7 +209,7 @@ mod tests {
         let mut n: Network<&'static str> = Network::new(&m);
         n.send_many(ShardId(0), (1..5).map(ShardId), Round(0), "b");
         assert_eq!(n.deliver_due(Round(1)).len(), 4);
-        assert_eq!(n.sent_count(), 4);
+        assert_eq!(n.tally().sent, 4);
     }
 
     #[test]
@@ -243,7 +224,7 @@ mod tests {
         n.send(ShardId(0), ShardId(2), Round(0), vec![0; 300]);
         n.send(ShardId(1), ShardId(2), Round(0), vec![0; 5]);
         assert_eq!(n.tally().bytes, 315);
-        assert_eq!(n.max_message_bytes(), 300);
+        assert_eq!(n.tally().max_bytes, 300);
     }
 
     #[test]
@@ -264,14 +245,17 @@ mod tests {
                 .flat_map(|r| n.deliver_due(Round(r)))
                 .map(|e| e.payload)
                 .collect();
-            (
-                delivered,
-                n.sent_count(),
-                n.dropped_count(),
-                n.duplicated_count(),
-            )
+            (delivered, n.tally())
         };
-        let (delivered, sent, dropped, duplicated) = run();
+        let (
+            delivered,
+            SendTally {
+                sent,
+                dropped,
+                duplicated,
+                ..
+            },
+        ) = run();
         assert_eq!(sent, 200, "sent counts attempts, not survivors");
         assert!(dropped > 0 && duplicated > 0, "{dropped} / {duplicated}");
         assert_eq!(delivered.len() as u64, sent - dropped + duplicated);
@@ -285,7 +269,7 @@ mod tests {
         n.set_faults(crate::faults::FaultPlan::default());
         n.send(ShardId(0), ShardId(1), Round(0), ());
         assert_eq!(n.deliver_due(Round(1)).len(), 1);
-        assert_eq!(n.dropped_count(), 0);
+        assert_eq!(n.tally().dropped, 0);
     }
 
     #[test]

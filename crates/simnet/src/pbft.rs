@@ -5,6 +5,8 @@
 //! (everything resolves within the round), but the quorum arithmetic is
 //! executed for real, so tests can inject Byzantine behaviour and watch
 //! decisions survive (or watch construction be rejected when `n ≤ 3f`).
+//! This is the model, not a run path: since a quota clamped to `f` never
+//! changes a decision, the hosts only count it (`byz_flips`).
 //! (Reliable inter-shard transmission — the cluster-sending protocol the
 //! paper cites — is assumed, not modelled: the fault plane drops and
 //! duplicates whole shard-to-shard messages instead.)
@@ -32,7 +34,6 @@ pub enum ConsensusOutcome {
 /// A shard's PBFT membership: `n` nodes of which at most `f` are Byzantine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PbftShard {
-    shard: ShardId,
     nodes: usize,
     faulty: usize,
 }
@@ -47,26 +48,7 @@ impl PbftShard {
                 faulty,
             });
         }
-        Ok(PbftShard {
-            shard,
-            nodes,
-            faulty,
-        })
-    }
-
-    /// The shard this membership belongs to.
-    pub fn shard(&self) -> ShardId {
-        self.shard
-    }
-
-    /// Total nodes `n`.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// Fault bound `f`.
-    pub fn faulty(&self) -> usize {
-        self.faulty
+        Ok(PbftShard { nodes, faulty })
     }
 
     /// The PBFT quorum size `2f + 1`.
@@ -108,37 +90,13 @@ impl PbftShard {
     /// bit-flipped digest and everyone else honest. `flips` is clamped to
     /// the declared bound `f` — the membership was constructed under
     /// `n > 3f`, so a clamped flip count can never block or hijack the
-    /// decision. This is the entry point the networked engine's fault
-    /// plane drives each round.
+    /// decision. That is why the hosts' fault plane counts the
+    /// `byzantine-votes` quota against `f` rather than running an
+    /// instance per shard-round.
     pub fn decide_with_byzantine(&self, proposal: u64, flips: usize) -> ConsensusOutcome {
-        let flips = flips.min(self.faulty);
-        // The vote multiset has exactly two digests — `proposal` from the
-        // `n - flips` honest nodes, `!proposal` from the flipped ones —
-        // so the generic tally of [`PbftShard::decide`] collapses to one
-        // comparison. This is the networked engine's per-shard per-round
-        // path, so it must not allocate; `debug_assert` pins equivalence
-        // with the generic tally.
-        let honest = self.nodes - flips;
-        let (win_digest, win_count) = if flips > honest || (flips == honest && !proposal < proposal)
-        {
-            (!proposal, flips)
-        } else {
-            (proposal, honest)
-        };
-        let outcome = if win_count >= self.quorum() {
-            ConsensusOutcome::Decided(win_digest)
-        } else {
-            ConsensusOutcome::NoQuorum
-        };
-        #[cfg(debug_assertions)]
-        {
-            let mut votes = vec![Vote::For(proposal); self.nodes];
-            for v in votes.iter_mut().take(flips) {
-                *v = Vote::For(!proposal);
-            }
-            debug_assert_eq!(outcome, self.decide(proposal, &votes));
-        }
-        outcome
+        let mut votes = vec![Vote::For(proposal); self.nodes];
+        votes[..flips.min(self.faulty)].fill(Vote::For(!proposal));
+        self.decide(proposal, &votes)
     }
 }
 

@@ -225,14 +225,14 @@ proptest! {
         for i in 0..messages {
             net.send(ShardId(0), ShardId(1), Round(i as u64), i as u64);
         }
-        prop_assert!(net.dropped_count() <= budget);
+        prop_assert!(net.tally().dropped <= budget);
         let mut delivered = 0u64;
         while let Some(round) = net.next_delivery() {
             delivered += net.deliver_due(round).len() as u64;
         }
         prop_assert_eq!(
             delivered,
-            net.sent_count() - net.dropped_count() + net.duplicated_count()
+            net.tally().sent - net.tally().dropped + net.tally().duplicated
         );
     }
 
