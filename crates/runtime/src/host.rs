@@ -10,11 +10,13 @@
 //! bounded).
 //!
 //! Workers finish a round's shards in no particular order, so decisions
-//! and samples are buffered per shard and merged afterwards (`merge`) in
-//! `(round, shard, emission index)` order — the simulator's booking
-//! order. With the hub's `(sender, sequence)` hand-out that makes a
-//! report byte-identical to the simulator's under the same fault plan,
-//! floating-point means included, for any worker count. Nothing is sized
+//! and samples are buffered per shard and replayed afterwards (`merge`)
+//! in `(round, shard, emission index)` order — the order the simulator
+//! books them in live — into the same run book, a [`MetricsCollector`],
+//! which closes each round and builds the report. With the hub's
+//! `(sender, sequence)` hand-out that makes a report byte-identical to
+//! the simulator's under the same fault plan, floating-point means
+//! included, for any worker count. Nothing is sized
 //! `shards × rounds`: the workload is a `(round, txn)` queue per home
 //! shard, and a shard's samples a run-length log, taken only in a round
 //! that can change them (round 0, an injection, or what [`step_shard`]
@@ -26,11 +28,11 @@ use crate::sync::RoundGate;
 use adversary::RoundSource;
 use cluster::ShardMetric;
 use parking_lot::Mutex;
-use schedulers::metrics::{MetricsCollector, RunReport, RunTotals, SchedulerKind};
+use schedulers::metrics::{MetricsCollector, RunReport};
 use schedulers::node::{step_shard, CommitEvent, Lent, Node, Protocol, Seam, ShardFaults};
 use schedulers::scheduler::Scheduler;
 use sharding_core::{AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
-use simnet::faults::{FaultPlan, SendTally};
+use simnet::faults::FaultPlan;
 use simnet::{LocalChain, ShardLedger};
 
 /// The result of a networked run: the standard report plus the raw
@@ -76,19 +78,6 @@ fn log_sample(log: &mut SampleLog, round: u64, sample: [u64; 6]) {
     if !repeats {
         log.push((round, sample));
     }
-}
-
-/// A finished run before the merge: the shards in shard order, plus the
-/// hub's message-plane tally.
-struct Finished<N> {
-    shards: Vec<Hosted<N>>,
-    kind: SchedulerKind,
-    /// Whether a (non-inert) fault plan was armed.
-    faulty: bool,
-    rounds: u64,
-    generated: u64,
-    /// What the hub's ports sent.
-    tally: SendTally,
 }
 
 /// A node's [`Seam`] onto the hub: sends leave through the shard's port
@@ -160,11 +149,15 @@ impl NetRun<'_> {
         faults.validate(sys.shards).expect("valid fault plan");
         let total = rounds.raw();
 
+        let mut book = MetricsCollector::new(sys.shards);
+        if self.metrics {
+            book.enable_metrics();
+        }
         let mut inject = vec![Vec::new(); sys.shards];
-        let mut generated = 0u64;
         for r in 0..total {
-            for t in source.next_round(Round(r)) {
-                generated += 1;
+            let batch = source.next_round(Round(r));
+            book.book_generated(batch.len() as u64);
+            for t in batch {
                 inject[t.home.index()].push((r, t));
             }
         }
@@ -246,37 +239,39 @@ impl NetRun<'_> {
         let kind = slots[0].lock().policy.kind();
         // Consuming a slot drops its port, flushing the shard's local
         // message tallies into the hub before the counters are read below.
-        let run = Finished {
-            shards: slots.into_iter().map(|s| s.into_inner().out).collect(),
-            kind,
-            faulty: !faults.is_inert(),
-            rounds: total,
-            generated,
-            tally: hub.tally(),
-        };
-        merge::<P>(run, self.metrics)
+        let shards: Vec<_> = slots.into_iter().map(|s| s.into_inner().out).collect();
+        merge::<P>(&shards, !faults.is_inert(), total, &mut book);
+        let epochs = P::epochs(shards.iter().map(|h| &h.node), total);
+        let shard_faults = shards.iter().map(|h| &h.faults);
+        let (report, committed_log) = book.finish(kind, epochs, hub.tally(), shard_faults);
+        let chains: Vec<LocalChain> = shards.into_iter().map(|h| h.chain).collect();
+        NetOutcome {
+            report,
+            committed_log,
+            chains_verified: chains.iter().all(LocalChain::verify),
+            chains,
+        }
     }
 }
 
-/// Merges a finished run into its outcome. Round by round, every shard's
-/// decisions are booked in shard order (the simulator's push order, so
-/// the floating-point means are bit-equal) and its sample log advanced,
-/// then the protocol books the shards' current samples, with the summed
-/// fault samples on a faulty run.
-fn merge<P: Protocol>(run: Finished<P::Node>, metrics: bool) -> NetOutcome {
-    let shards = run.shards;
-    let mut collector = MetricsCollector::new(shards.len());
-    if metrics {
-        collector.enable_metrics();
-    }
-    let mut log = Vec::new();
+/// Replays `rounds` rounds of the finished `shards` into `book`. Round
+/// by round, every shard's decisions are booked in shard order (the
+/// simulator's booking order, so the floating-point means are bit-equal)
+/// and its sample log advanced, then the round is closed over the
+/// shards' current samples, with their fault samples if `faulty` (a
+/// fault plan was armed).
+fn merge<P: Protocol>(
+    shards: &[Hosted<P::Node>],
+    faulty: bool,
+    rounds: u64,
+    book: &mut MetricsCollector,
+) {
     // Per shard: the next event, the next sample entry, the sample in force.
     let mut cursors = vec![(0usize, 0usize, [0u64; 6]); shards.len()];
-    let mut pending = 0;
-    for round in 0..run.rounds {
+    for round in 0..rounds {
         for (shard, (event_at, sample_at, now)) in shards.iter().zip(&mut cursors) {
-            while let Some((_, event)) = shard.events.get(*event_at).filter(|e| e.0 == round) {
-                event.record(&mut collector, &mut log);
+            while let Some(&(_, event)) = shard.events.get(*event_at).filter(|e| e.0 == round) {
+                book.book(event);
                 *event_at += 1;
             }
             if let Some((_, sample)) = shard.samples.get(*sample_at).filter(|e| e.0 == round) {
@@ -284,33 +279,9 @@ fn merge<P: Protocol>(run: Finished<P::Node>, metrics: bool) -> NetOutcome {
                 *sample_at += 1;
             }
         }
-        let faults = run.faulty.then(|| {
-            let byz = cursors.iter().map(|c| c.2[4]).sum();
-            let crashed = cursors.iter().map(|c| c.2[5]).sum();
-            (byz, crashed)
-        });
+        let faults = faulty.then(|| cursors.iter().map(|c| [c.2[4], c.2[5]]));
         let samples = cursors.iter().map(|&(_, _, [a, b, c, d, ..])| [a, b, c, d]);
-        pending = P::record_round(&shards[0].node, &mut collector, round, samples, faults);
-    }
-
-    let (epochs, max_epoch_len) = P::epochs(shards.iter().map(|h| &h.node), run.rounds);
-    let mut report = collector.finish(RunTotals {
-        scheduler: run.kind,
-        rounds: run.rounds,
-        generated: run.generated,
-        pending_at_end: pending,
-        epochs,
-        max_epoch_len,
-        messages: run.tally.sent,
-        max_message_bytes: run.tally.max_bytes,
-    });
-    report.faults = ShardFaults::total(shards.iter().map(|h| &h.faults), run.tally);
-    let chains: Vec<LocalChain> = shards.into_iter().map(|h| h.chain).collect();
-    NetOutcome {
-        report,
-        committed_log: log,
-        chains_verified: chains.iter().all(LocalChain::verify),
-        chains,
+        book.close_round::<P>(&shards[0].node, samples, faults);
     }
 }
 
@@ -319,7 +290,9 @@ mod tests {
     use super::*;
     use cluster::UniformMetric;
     use schedulers::bds::{BdsConfig, BdsNode, BdsProtocol};
+    use schedulers::metrics::SchedulerKind;
     use schedulers::testkit::report_fingerprint;
+    use simnet::faults::SendTally;
 
     const ROUNDS: u64 = 12;
 
@@ -336,9 +309,9 @@ mod tests {
         ]
     }
 
-    /// A finished run of fresh nodes whose sample logs are `encode`d from
-    /// the dense matrix.
-    fn finished(encode: fn(&[[u64; 6]]) -> SampleLog) -> Finished<BdsNode> {
+    /// The shards of a finished run of fresh nodes whose sample logs are
+    /// `encode`d from the dense matrix.
+    fn finished(encode: fn(&[[u64; 6]]) -> SampleLog) -> Vec<Hosted<BdsNode>> {
         let metric = UniformMetric::new(3);
         let proto = BdsProtocol::new(BdsConfig::default(), SchedulerKind::Bds);
         let shards = dense()
@@ -351,14 +324,17 @@ mod tests {
                 samples: encode(&rows),
                 faults: ShardFaults::new(&FaultPlan::default(), id, 1),
             });
-        Finished {
-            shards: shards.collect(),
-            kind: SchedulerKind::Bds,
-            faulty: true,
-            rounds: ROUNDS,
-            generated: 0,
-            tally: SendTally::default(),
-        }
+        shards.collect()
+    }
+
+    /// The report of `shards` merged as a faulty run.
+    fn merged(shards: &[Hosted<BdsNode>]) -> RunReport {
+        let mut book = MetricsCollector::new(3);
+        book.enable_metrics();
+        merge::<BdsProtocol>(shards, true, ROUNDS, &mut book);
+        let faults = shards.iter().map(|h| &h.faults);
+        let kind = SchedulerKind::Bds;
+        book.finish(kind, (0, 0), SendTally::default(), faults).0
     }
 
     #[test]
@@ -370,12 +346,11 @@ mod tests {
             }
             log
         });
-        let lens: Vec<usize> = run_length.shards.iter().map(|h| h.samples.len()).collect();
+        let lens: Vec<usize> = run_length.iter().map(|h| h.samples.len()).collect();
         assert_eq!(lens, [1, ROUNDS as usize, 6], "entries per shard");
         let every_round = finished(|rows| (0..).zip(rows.iter().copied()).collect());
 
-        let got = merge::<BdsProtocol>(run_length, true).report;
-        let want = merge::<BdsProtocol>(every_round, true).report;
+        let (got, want) = (merged(&run_length), merged(&every_round));
         assert_eq!(report_fingerprint(&got), report_fingerprint(&want));
         assert_eq!(got.metrics, want.metrics, "per-epoch timeline");
 

@@ -8,14 +8,16 @@
 //! is a row: a description, a system, a metric, a source, a round count,
 //! a fault plan and the worker counts to try. The rows cover BDS on every
 //! metric shape and shard count, every epoch-hosted zoo kind, FDS on
-//! line/uniform/ring and under bursts, live resharding (scale-out,
-//! scale-in, churn on a line, every hosted kind), FDS behind an ingestion
-//! pipeline, the cross-shard order check on what either engine leaves
-//! behind, and BDS and FDS under drops, duplicates, a crash and Byzantine
-//! votes. Worker-count independence is part of the contract: thread count
-//! is a performance knob, never a semantic one. (`differential.rs` keeps
-//! what tests the networked host alone: determinism, and what each kind
-//! of fault does to a run.)
+//! line/uniform/ring and under bursts, a source that releases its
+//! transactions in clumps (the networked host's inject cursor), live
+//! resharding (scale-out, scale-in, churn on a line, every hosted kind),
+//! FDS behind an ingestion pipeline, the cross-shard order check on what
+//! either engine leaves behind, and BDS and FDS under drops, duplicates,
+//! a crash and Byzantine votes, with the fault counters asserted.
+//! Worker-count independence, and with it determinism, is part of the
+//! contract: thread count is a performance knob, never a semantic one.
+//! (`differential.rs` keeps what each kind of fault does to a networked
+//! run.)
 
 use adversary::{
     Adversary, AdversaryConfig, IngestPipeline, ReshardSource, RoundSource, StrategyKind,
@@ -29,7 +31,7 @@ use schedulers::fds::{FdsConfig, FdsProtocol};
 use schedulers::node::{Node, Protocol, Sim};
 use schedulers::testkit::report_fingerprint;
 use schedulers::{check_cross_shard_order, SchedulerKind};
-use sharding_core::{AccountMap, ReshardPlan, Round, ShardId, SystemConfig};
+use sharding_core::{AccountMap, ReshardPlan, Round, ShardId, SystemConfig, Transaction};
 use simnet::FaultPlan;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -233,6 +235,53 @@ fn fds_rows() {
     let workers = [default_workers(12)];
     let inert = FaultPlan::default();
     assert_sim_equals_net("fds/burst", &proto, &bed, source, 2000, &inert, &workers);
+}
+
+/// Holds the adversary's output back and releases it every fourth round:
+/// three empty rounds, then one that carries several transactions for
+/// the same home shard.
+struct Clumped {
+    inner: Adversary,
+    held: Vec<Transaction>,
+    /// The most transactions one home shard received in one round.
+    widest: usize,
+}
+
+impl RoundSource for Clumped {
+    fn next_round(&mut self, round: Round) -> Vec<Transaction> {
+        self.held.extend(self.inner.next_round(round));
+        if round.raw() % 4 != 3 {
+            return Vec::new();
+        }
+        let mut per_home = [0usize; 8];
+        for t in &self.held {
+            per_home[t.home.index()] += 1;
+        }
+        self.widest = self.widest.max(per_home.into_iter().max().unwrap_or(0));
+        std::mem::take(&mut self.held)
+    }
+}
+
+#[test]
+fn the_inject_cursor_replays_empty_and_crowded_rounds_like_the_simulator() {
+    let bed = bed(8, 3, UniformMetric::new(8));
+    let load = AdversaryConfig {
+        burstiness: 6,
+        ..uniform_load(0.3, 61)
+    };
+    let clumped = || Clumped {
+        inner: Adversary::new(&bed.sys, &bed.map, load),
+        held: Vec::new(),
+        widest: 0,
+    };
+    let mut alone = clumped();
+    for r in 0..600 {
+        alone.next_round(Round(r));
+    }
+    assert!(alone.widest >= 3, "the source must crowd a home shard");
+    let inert = FaultPlan::default();
+    let bds = bds(SchedulerKind::Bds);
+    assert_sim_equals_net("bds/clumped", &bds, &bed, clumped, 600, &inert, &[1, 3]);
 }
 
 #[test]

@@ -1,16 +1,16 @@
-//! What tests the networked *host* rather than the protocols it hosts:
-//! determinism with and without faults, the fault plane's counters and
-//! their effect on a run (crash, drop, Byzantine votes, on BDS and FDS),
-//! and the refusal of a fault plan under a fault-free-only description.
-//! That a networked run equals the simulator's byte for byte, faulted or
-//! not, is `conformance_net.rs`'s table; that the threaded hub hands out
-//! what `simnet::Network` does under faults is `hub_stress.rs`'s.
+//! What each kind of fault does to a networked run — a crash stalls it,
+//! drops strand transactions, a Byzantine quota changes nothing but its
+//! counter — and the refusal of a fault plan under a fault-free-only
+//! description. That a networked run equals the simulator's byte for
+//! byte and does not depend on the worker count, faulted or not, fault
+//! counters included, is `conformance_net.rs`'s table; that the threaded
+//! hub hands out what `simnet::Network` does under faults is
+//! `hub_stress.rs`'s.
 
 use adversary::{Adversary, AdversaryConfig, StrategyKind};
-use cluster::{LineMetric, ShardMetric, UniformMetric};
+use cluster::{ShardMetric, UniformMetric};
 use runtime::{default_workers, NetOutcome, NetRun};
 use schedulers::bds::{BdsConfig, BdsProtocol};
-use schedulers::fds::{FdsConfig, FdsProtocol};
 use schedulers::node::{Node, Protocol};
 use schedulers::testkit::small_system;
 use schedulers::SchedulerKind;
@@ -58,32 +58,6 @@ where
 fn net_bds(seed: u64, rounds: u64, faults: &FaultPlan) -> NetOutcome {
     let proto = BdsProtocol::new(BdsConfig::default(), SchedulerKind::Bds);
     net(&proto, &UniformMetric::new(8), seed, rounds, faults)
-}
-
-/// FDS over a line.
-fn net_fds(seed: u64, rounds: u64, faults: &FaultPlan) -> NetOutcome {
-    let metric = LineMetric::new(8);
-    let proto = FdsProtocol::new(FdsConfig::default(), &metric);
-    net(&proto, &metric, seed, rounds, faults)
-}
-
-#[test]
-fn networked_runs_are_deterministic_with_and_without_faults() {
-    let faulty = FaultPlan {
-        seed: 9,
-        drop_prob: 0.02,
-        dup_prob: 0.01,
-        crashes: vec![(ShardId(3), Round(200))],
-        byz_votes: 1,
-        ..FaultPlan::default()
-    };
-    for plan in [FaultPlan::default(), faulty] {
-        let a = net_bds(41, 700, &plan);
-        let b = net_bds(41, 700, &plan);
-        assert_eq!(a.report.summary(), b.report.summary());
-        assert_eq!(a.committed_log, b.committed_log);
-        assert_eq!(a.report.faults, b.report.faults);
-    }
 }
 
 #[test]
@@ -137,26 +111,6 @@ fn byzantine_votes_are_flipped_but_harmless() {
     assert_eq!(byz.report.faults.byz_flips, 8 * 600);
     assert_eq!(byz.report.summary(), clean.report.summary());
     assert_eq!(byz.committed_log, clean.committed_log);
-}
-
-#[test]
-fn fds_faults_are_deterministic_and_counted() {
-    let plan = FaultPlan {
-        seed: 5,
-        drop_prob: 0.03,
-        dup_prob: 0.02,
-        crashes: vec![(ShardId(2), Round(400))],
-        byz_votes: 1,
-        ..FaultPlan::default()
-    };
-    let a = net_fds(59, 1200, &plan);
-    let b = net_fds(59, 1200, &plan);
-    assert_eq!(a.report.summary(), b.report.summary());
-    assert_eq!(a.report.faults, b.report.faults);
-    assert_eq!(a.report.faults.crashes, 1);
-    assert!(a.report.faults.dropped > 0);
-    assert!(a.report.faults.byz_flips > 0);
-    assert!(a.chains_verified);
 }
 
 /// A live migration hands balances off exactly once, so a description

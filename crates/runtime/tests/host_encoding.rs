@@ -2,19 +2,19 @@
 //! a `shards × rounds` structure: the pre-drained workload (one `(round,
 //! txn)` queue per home shard, injected through a cursor) and the
 //! per-shard sample logs (run-length, carried forward by the merge).
-//! Neither may be observable: the cursor is checked against the
-//! simulator on a source shaped to stress it, the logs under a fault plan
-//! that makes some shards' samples change every round and another's
-//! freeze — at worker counts whose shard ranges differ.
+//! Neither may be observable. The cursor is `conformance_net.rs`'s
+//! clumped-source row, held to the simulator; here are the empty run and
+//! the logs under a fault plan that makes some shards' samples change
+//! every round and another's freeze — at worker counts whose shard
+//! ranges differ, the per-epoch timeline compared field by field.
 
 use adversary::{Adversary, AdversaryConfig, RoundSource, StrategyKind};
 use cluster::UniformMetric;
 use runtime::{NetOutcome, NetRun};
 use schedulers::bds::{BdsConfig, BdsProtocol};
-use schedulers::node::Sim;
 use schedulers::testkit::{report_fingerprint, small_system};
 use schedulers::SchedulerKind;
-use sharding_core::{Round, ShardId, Transaction};
+use sharding_core::{Round, ShardId};
 use simnet::FaultPlan;
 
 fn adversary(rho: f64, seed: u64) -> AdversaryConfig {
@@ -50,68 +50,11 @@ fn net(
     run.run(&bds(), source, Round(rounds))
 }
 
-/// Holds the adversary's output back and releases it every fourth round:
-/// three empty rounds, then one that carries several transactions for
-/// the same home shard.
-struct Clumped {
-    inner: Adversary,
-    held: Vec<Transaction>,
-    /// The most transactions one home shard received in one round.
-    widest: usize,
-}
-
-impl RoundSource for Clumped {
-    fn next_round(&mut self, round: Round) -> Vec<Transaction> {
-        self.held.extend(self.inner.next_round(round));
-        if round.raw() % 4 != 3 {
-            return Vec::new();
-        }
-        let mut per_home = [0usize; 8];
-        for t in &self.held {
-            per_home[t.home.index()] += 1;
-        }
-        self.widest = self.widest.max(per_home.into_iter().max().unwrap_or(0));
-        std::mem::take(&mut self.held)
-    }
-}
-
-fn clumped() -> Clumped {
-    let (sys, map) = small_system();
-    Clumped {
-        inner: Adversary::new(&sys, &map, adversary(0.3, 61)),
-        held: Vec::new(),
-        widest: 0,
-    }
-}
-
-#[test]
-fn the_inject_cursor_replays_empty_and_crowded_rounds_like_the_simulator() {
-    const ROUNDS: u64 = 600;
-    let (sys, map) = small_system();
-    let mut sim = Sim::host(&bds(), &sys, &map, &UniformMetric::new(8));
-    let mut source = clumped();
-    for r in 0..ROUNDS {
-        sim.step(source.next_round(Round(r)));
-    }
-    assert!(source.widest >= 3, "the source must crowd a home shard");
-    let sim_log = sim.committed_log().to_vec();
-    let sim = sim.finish();
-    assert!(sim.committed > 0);
-
-    for workers in [1, 3] {
-        let net = net(&mut clumped(), ROUNDS, &FaultPlan::default(), workers);
-        assert_eq!(report_fingerprint(&net.report), report_fingerprint(&sim));
-        assert_eq!(
-            net.report.queue_series.samples(),
-            sim.queue_series.samples()
-        );
-        assert_eq!(net.committed_log, sim_log);
-    }
-}
-
 #[test]
 fn a_run_of_zero_rounds_is_an_empty_report() {
-    let out = net(&mut clumped(), 0, &FaultPlan::default(), 3);
+    let (sys, map) = small_system();
+    let mut source = Adversary::new(&sys, &map, adversary(0.3, 61));
+    let out = net(&mut source, 0, &FaultPlan::default(), 3);
     assert_eq!((out.report.rounds, out.report.generated), (0, 0));
     assert!(out.report.queue_series.samples().is_empty());
     assert!(out.committed_log.is_empty() && out.chains_verified);

@@ -9,9 +9,11 @@
 //! real distributed protocol could commit — and still goes unstable under
 //! adversarial conflict patterns, which is the point of the comparison.
 
-use crate::metrics::{MetricsCollector, RunReport, RunTotals, SchedulerKind};
+use crate::metrics::{MetricsCollector, RunReport, SchedulerKind};
+use crate::node::CommitEvent;
 use adversary::AdversaryConfig;
 use sharding_core::{AccountMap, Round, SystemConfig, Transaction, TxnId};
+use simnet::SendTally;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
@@ -38,9 +40,6 @@ pub struct FcfsSim {
     shards: u64,
     pending: BTreeMap<TxnId, Transaction>,
     collector: MetricsCollector,
-    committed_log: Vec<(Round, TxnId)>,
-    generated: u64,
-    now: Round,
 }
 
 impl FcfsSim {
@@ -52,15 +51,12 @@ impl FcfsSim {
             shards: sys.shards as u64,
             pending: BTreeMap::new(),
             collector: MetricsCollector::new(sys.shards),
-            committed_log: Vec::new(),
-            generated: 0,
-            now: Round::ZERO,
         }
     }
 
     /// Commit log: (commit round, transaction id) in commit order.
     pub fn committed_log(&self) -> &[(Round, TxnId)] {
-        &self.committed_log
+        self.collector.committed_log()
     }
 
     /// Turns the metrics plane on. FCFS has no epochs, so its timeline is
@@ -72,9 +68,9 @@ impl FcfsSim {
     /// Executes one round: inject `new_txns`, then greedily commit a
     /// maximal conflict-free set in id (FIFO) order.
     pub fn step(&mut self, new_txns: Vec<Transaction>) {
-        let now = self.now;
+        let now = self.collector.now();
+        self.collector.book_generated(new_txns.len() as u64);
         for t in new_txns {
-            self.generated += 1;
             self.pending.insert(t.id, t);
         }
         let mut locked_accounts: BTreeSet<sharding_core::AccountId> = BTreeSet::new();
@@ -101,29 +97,27 @@ impl FcfsSim {
         }
         for id in chosen {
             let t = self.pending.remove(&id).expect("chosen from pending");
-            let home = t.home;
-            self.collector.record_commit(t.generated, now, home);
-            self.committed_log.push((now, id));
+            self.collector.book(CommitEvent {
+                generated: t.generated,
+                commit_round: now,
+                txn: id,
+                home: t.home,
+                committed: true,
+            });
         }
         let pending = self.pending.len() as u64;
         self.collector.sample_pending(pending);
         self.collector.sink.on_round(0, pending, 0, 0, self.shards);
-        self.now = self.now.next();
+        self.collector.end_round(pending);
     }
 
-    /// Finalizes the run into a [`RunReport`].
+    /// Finalizes the run into a [`RunReport`]: no epochs, no messages,
+    /// no faults.
     pub fn finish(self) -> RunReport {
-        let pending_at_end = self.pending.len() as u64;
-        self.collector.finish(RunTotals {
-            scheduler: SchedulerKind::Fcfs,
-            rounds: self.now.raw(),
-            generated: self.generated,
-            pending_at_end,
-            epochs: 0,
-            max_epoch_len: 0,
-            messages: 0,
-            max_message_bytes: 0,
-        })
+        let (kind, links) = (SchedulerKind::Fcfs, SendTally::default());
+        self.collector
+            .finish(kind, (0, 0), links, std::iter::empty())
+            .0
     }
 }
 

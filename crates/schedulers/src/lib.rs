@@ -29,9 +29,18 @@
 //!   fixed-priority, work-stealing greedy, and a speculative scheduler
 //!   that colors a predicted conflict set and repairs mispredictions.
 //!   None carries a stability proof; all are safe and deterministic.
+//! * [`driver`] — the [`RoundDriver`] contract every simulator meets
+//!   (one batch per round, a report at the end) and the `drive` loop the
+//!   `run_*` functions share.
+//! * [`history`] — the cross-shard order check (Section 3: conflicting
+//!   transactions serialize alike in every shard they share) over the
+//!   chains a run leaves behind.
 //! * [`metrics`] — the per-run measurement report shared by all
-//!   schedulers: queue-size series, latency distribution, commit counts,
-//!   epoch statistics, and the stability verdict.
+//!   schedulers (queue-size series, latency distribution, commit counts,
+//!   epoch statistics, the stability verdict) and the run book every host
+//!   keeps, [`MetricsCollector`](metrics::MetricsCollector): it books the
+//!   generated transactions, each decision and each round's samples,
+//!   keeps the commit log, and builds the report.
 //! * [`testkit`] — shared helpers for the conformance harness
 //!   (`tests/conformance.rs` here, `tests/conformance_net.rs` in
 //!   `runtime`): build any registered kind as a round-driven simulation,

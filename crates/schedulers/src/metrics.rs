@@ -1,10 +1,12 @@
-//! Per-run measurement report shared by every scheduler.
+//! Per-run measurement report shared by every scheduler, and the run
+//! book every host keeps to build it.
 
+use crate::node::{CommitEvent, Protocol, ShardFaults};
 use ::metrics::{MetricsReport, MetricsSink};
 use serde::{Deserialize, Serialize};
 use sharding_core::stats::{RunningStats, StabilityDetector, StabilityVerdict, TimeSeries};
-use sharding_core::{Round, ShardId};
-use simnet::FaultCounters;
+use sharding_core::{Round, TxnId};
+use simnet::{FaultCounters, SendTally};
 
 /// Which scheduler produced a report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -165,8 +167,9 @@ pub struct RunReport {
     /// Largest single message payload in (estimated) bytes; the paper
     /// upper-bounds message size by `O(bs)`.
     pub max_message_bytes: u64,
-    /// Faults injected during the run (all zeros for fault-free runs).
-    /// Set post-`finish` by the host, from the fault plane's counters.
+    /// Faults injected during the run (all zeros for fault-free runs):
+    /// the shards' crashes and Byzantine flips, the links' drops and
+    /// duplicates.
     pub faults: FaultCounters,
     /// Stability verdict from the queue-length series.
     pub verdict: StabilityVerdict,
@@ -209,30 +212,10 @@ impl RunReport {
     }
 }
 
-/// What a host knows about a finished run that the collector never saw:
-/// the argument of [`MetricsCollector::finish`], field for field the
-/// [`RunReport`] fields of the same names.
-#[derive(Debug, Clone, Copy)]
-pub struct RunTotals {
-    /// Which scheduler ran.
-    pub scheduler: SchedulerKind,
-    /// Rounds executed.
-    pub rounds: u64,
-    /// Transactions the source generated.
-    pub generated: u64,
-    /// Transactions still pending when the run ended.
-    pub pending_at_end: u64,
-    /// Epochs driven.
-    pub epochs: u64,
-    /// Longest epoch in rounds.
-    pub max_epoch_len: u64,
-    /// Total messages sent between shards.
-    pub messages: u64,
-    /// Largest single message payload in (estimated) bytes.
-    pub max_message_bytes: u64,
-}
-
-/// Incremental collector the scheduler loops feed each round.
+/// The run book every host keeps: the transactions generated, each
+/// decision as it is booked, each round's samples as the round closes,
+/// and the commit log. [`finish`](MetricsCollector::finish) turns it
+/// into the [`RunReport`].
 #[derive(Debug)]
 pub struct MetricsCollector {
     shards: usize,
@@ -242,6 +225,13 @@ pub struct MetricsCollector {
     max_latency: u64,
     committed: u64,
     aborted: u64,
+    /// `(commit round, txn)` of every commit, in booking order.
+    log: Vec<(Round, TxnId)>,
+    generated: u64,
+    /// What the last closed round counted pending.
+    pending: u64,
+    /// Rounds closed, which is the index of the round being booked.
+    rounds: u64,
     /// The metrics-plane seam. Off by default (every hook a no-op); the
     /// scenario executor enables it for `metrics = summary|full` jobs.
     /// Both engines record through this collector — the networked engine
@@ -261,6 +251,10 @@ impl MetricsCollector {
             max_latency: 0,
             committed: 0,
             aborted: 0,
+            log: Vec::new(),
+            generated: 0,
+            pending: 0,
+            rounds: 0,
             sink: MetricsSink::Off,
         }
     }
@@ -287,72 +281,112 @@ impl MetricsCollector {
         self.total_pending_max = self.total_pending_max.max(total_pending);
     }
 
-    /// Records a commit of a transaction homed at `home` with the given
-    /// generation and commit rounds.
-    pub fn record_commit(&mut self, generated: Round, committed: Round, home: ShardId) {
-        let lat = committed.since(generated);
-        self.latency.push(lat as f64);
-        self.max_latency = self.max_latency.max(lat);
-        self.committed += 1;
-        self.sink.on_commit(home.index(), lat);
+    /// Books `n` transactions the source generated.
+    pub fn book_generated(&mut self, n: u64) {
+        self.generated += n;
     }
 
-    /// Records an abort decision.
-    pub fn record_abort(&mut self) {
-        self.aborted += 1;
-        self.sink.on_abort();
+    /// Books one decision: a commit's latency and log entry, or an abort.
+    pub fn book(&mut self, event: CommitEvent) {
+        if event.committed {
+            let lat = event.commit_round.since(event.generated);
+            self.latency.push(lat as f64);
+            self.max_latency = self.max_latency.max(lat);
+            self.committed += 1;
+            self.log.push((event.commit_round, event.txn));
+            self.sink.on_commit(event.home.index(), lat);
+        } else {
+            self.aborted += 1;
+            self.sink.on_abort();
+        }
     }
 
-    /// Commits so far.
-    pub fn committed(&self) -> u64 {
-        self.committed
+    /// Closes the round being booked: `P` books every shard's
+    /// [`Node::sample`](crate::node::Node::sample), in shard order (`node`
+    /// is any node of the run), and on a run with a fault plan armed
+    /// (`faults` is `Some`) the sum of every shard's
+    /// [`ShardFaults::sample`].
+    pub fn close_round<P: Protocol>(
+        &mut self,
+        node: &P::Node,
+        samples: impl Iterator<Item = [u64; 4]>,
+        faults: Option<impl Iterator<Item = [u64; 2]>>,
+    ) {
+        let faults =
+            faults.map(|shards| shards.fold((0, 0), |(flips, down), [f, d]| (flips + f, down + d)));
+        let round = self.rounds;
+        let pending = P::record_round(node, self, round, samples, faults);
+        self.end_round(pending);
     }
 
-    /// Aborts so far.
-    pub fn aborted(&self) -> u64 {
-        self.aborted
+    /// Closes the round being booked with `pending` transactions left,
+    /// for a host whose round is not a [`Protocol`]'s.
+    pub(crate) fn end_round(&mut self, pending: u64) {
+        self.pending = pending;
+        self.rounds += 1;
     }
 
-    /// Finalizes into a [`RunReport`].
-    pub fn finish(self, totals: RunTotals) -> RunReport {
-        let RunTotals {
-            scheduler,
-            rounds,
-            generated,
-            pending_at_end,
-            epochs,
-            max_epoch_len,
-            messages,
-            max_message_bytes,
-        } = totals;
+    /// The round being booked.
+    pub fn now(&self) -> Round {
+        Round(self.rounds)
+    }
+
+    /// What the last closed round counted pending.
+    pub fn pending(&self) -> u64 {
+        self.pending
+    }
+
+    /// `(commit round, txn)` of every commit, in booking order.
+    pub fn committed_log(&self) -> &[(Round, TxnId)] {
+        &self.log
+    }
+
+    /// Finalizes the book into the [`RunReport`] and the commit log, with
+    /// what only the host knows: the policy's kind, the protocol's
+    /// `(epochs, longest epoch)`, what the links sent, and the shards'
+    /// fault shares.
+    pub fn finish<'a>(
+        self,
+        scheduler: SchedulerKind,
+        (epochs, max_epoch_len): (u64, u64),
+        links: SendTally,
+        shards: impl Iterator<Item = &'a ShardFaults>,
+    ) -> (RunReport, Vec<(Round, TxnId)>) {
         let verdict = StabilityDetector::default().classify(&self.queue_series);
         let metrics = self.sink.finish();
-        RunReport {
+        let report = RunReport {
             scheduler,
-            rounds,
-            generated,
+            rounds: self.rounds,
+            generated: self.generated,
             committed: self.committed,
             aborted: self.aborted,
-            pending_at_end,
+            pending_at_end: self.pending,
             avg_queue_per_shard: self.queue_series.mean(),
             max_total_pending: self.total_pending_max,
             avg_latency: self.latency.mean(),
             max_latency: self.max_latency,
             epochs,
             max_epoch_len,
-            messages,
-            max_message_bytes,
-            faults: FaultCounters::default(),
+            messages: links.sent,
+            max_message_bytes: links.max_bytes,
+            faults: ShardFaults::total(shards, links),
             verdict,
             queue_series: self.queue_series,
             metrics,
-        }
+        };
+        (report, self.log)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bds::{BdsConfig, BdsProtocol};
+    use crate::fds::{FdsConfig, FdsProtocol};
+    use crate::node::{step_shard, Lent, Script};
+    use cluster::{LineMetric, UniformMetric};
+    use sharding_core::{AccountMap, ShardId, SystemConfig};
+    use simnet::{FaultPlan, LocalChain, ShardLedger};
 
     #[test]
     fn scheduler_kind_parses_case_insensitively() {
@@ -417,50 +451,166 @@ mod tests {
         }
     }
 
-    fn totals(scheduler: SchedulerKind) -> RunTotals {
-        RunTotals {
-            scheduler,
-            rounds: 0,
-            generated: 0,
-            pending_at_end: 0,
-            epochs: 0,
-            max_epoch_len: 0,
-            messages: 0,
-            max_message_bytes: 0,
-        }
-    }
-
+    /// The booking oracle: three shards' scripted decisions over two
+    /// rounds, booked as both hosts book them — a round's decisions in
+    /// `(shard, emission index)` order, then the round closed over every
+    /// shard's samples — against what the log and the report must say.
+    /// The shards' fault shares are stepped by the hosts' own
+    /// [`step_shard`] under a crash and a Byzantine quota.
     #[test]
     fn collector_aggregates() {
-        let mut c = MetricsCollector::new(4);
-        c.sample_pending(8);
-        c.sample_pending(4);
-        c.record_commit(Round(10), Round(25), ShardId(0));
-        c.record_commit(Round(0), Round(5), ShardId(1));
-        c.record_abort();
-        let r = c.finish(RunTotals {
-            rounds: 2,
-            generated: 3,
-            epochs: 1,
-            max_epoch_len: 2,
-            messages: 10,
-            max_message_bytes: 128,
-            ..totals(SchedulerKind::Bds)
-        });
-        assert_eq!(r.committed, 2);
-        assert_eq!(r.aborted, 1);
+        let sys = SystemConfig {
+            shards: 3,
+            accounts: 3,
+            k_max: 2,
+            nodes_per_shard: 4,
+            faulty_per_shard: 1,
+        };
+        let (map, metric) = (AccountMap::round_robin(&sys), UniformMetric::new(3));
+        let proto = BdsProtocol::new(BdsConfig::default(), SchedulerKind::Bds);
+        // Shard 2 crashes at round 1; a live shard flips one vote a round.
+        let plan = FaultPlan {
+            crashes: vec![(ShardId(2), Round(1))],
+            byz_votes: 1,
+            ..FaultPlan::default()
+        };
+        let ids = || (0..3).map(ShardId);
+        let mut nodes: Vec<_> = ids().map(|id| proto.node(id, &metric)).collect();
+        let mut ledgers: Vec<_> = ids().map(|id| ShardLedger::new(id, &map, 100)).collect();
+        let mut chains: Vec<_> = ids().map(LocalChain::new).collect();
+        let mut faults: Vec<_> = ids().map(|id| ShardFaults::new(&plan, id, 1)).collect();
+        let mut policy = proto.policy(&sys);
+
+        let decision = |txn, generated, commit_round, home, committed| CommitEvent {
+            generated: Round(generated),
+            commit_round: Round(commit_round),
+            txn: TxnId(txn),
+            home: ShardId(home),
+            committed,
+        };
+        // Per round, per shard: the decisions it emits and its sample.
+        let script = [
+            [
+                (
+                    vec![decision(10, 0, 1, 0, true), decision(11, 0, 1, 0, false)],
+                    [4, 0, 3, 0],
+                ),
+                (vec![], [2, 0, 3, 0]),
+                (vec![decision(12, 0, 3, 2, true)], [1, 0, 3, 0]),
+            ],
+            [
+                (vec![decision(13, 1, 5, 0, true)], [3, 1, 3, 0]),
+                (
+                    vec![
+                        decision(14, 1, 11, 1, true),
+                        decision(15, 0, 2, 1, false),
+                        decision(16, 1, 3, 1, true),
+                    ],
+                    [0, 1, 3, 0],
+                ),
+                (vec![], [5, 1, 3, 0]),
+            ],
+        ];
+        let mut book = MetricsCollector::new(3);
+        book.enable_metrics();
+        for (round, shards) in (0..).zip(&script) {
+            book.book_generated(4);
+            let lent = ledgers.iter_mut().zip(&mut chains);
+            let hosted = nodes.iter_mut().zip(&mut faults).zip(lent).zip(shards);
+            for (((node, faults), (ledger, chain)), (decisions, _)) in hosted {
+                let lent = Lent {
+                    ledger,
+                    chain,
+                    policy: policy.as_mut(),
+                };
+                let mut seam = Script::default();
+                step_shard(
+                    node,
+                    Some(faults),
+                    round,
+                    std::iter::empty(),
+                    lent,
+                    &mut seam,
+                );
+                decisions.iter().for_each(|&event| book.book(event));
+            }
+            let samples = shards.iter().map(|&(_, sample)| sample);
+            let shard_faults = faults.iter().map(|f| f.sample(round));
+            book.close_round::<BdsProtocol>(&nodes[0], samples, Some(shard_faults));
+        }
+        let links = SendTally {
+            sent: 40,
+            bytes: 1_000,
+            max_bytes: 96,
+            dropped: 3,
+            duplicated: 2,
+        };
+        let (r, log) = book.finish(SchedulerKind::Bds, (1, 2), links, faults.iter());
+
+        let commits = [(1, 10), (3, 12), (5, 13), (11, 14), (3, 16)];
+        assert_eq!(log, commits.map(|(round, txn)| (Round(round), TxnId(txn))));
+        // Welford's update, left to right. Booking each round's shards in
+        // reverse would feed it 3, 1, 10, 2, 4 and change the last bit.
+        let welford = |lats: [u64; 5]| {
+            let steps = lats.into_iter().zip(1u32..);
+            steps.fold(0.0, |mean: f64, (x, n)| {
+                mean + (x as f64 - mean) / f64::from(n)
+            })
+        };
+        assert_eq!(r.avg_latency.to_bits(), welford([1, 3, 4, 10, 2]).to_bits());
+        assert_ne!(r.avg_latency.to_bits(), welford([3, 1, 10, 2, 4]).to_bits());
+        assert_eq!((r.committed, r.aborted, r.max_latency), (5, 2, 10));
+        assert_eq!((r.rounds, r.generated, r.pending_at_end), (2, 8, 8));
+        assert_eq!(r.queue_series.samples(), [7.0 / 3.0, 8.0 / 3.0]);
         assert_eq!(r.max_total_pending, 8);
-        assert!((r.avg_queue_per_shard - 1.5).abs() < 1e-12);
-        assert!((r.avg_latency - 10.0).abs() < 1e-12);
-        assert_eq!(r.max_latency, 15);
-        assert!((r.resolution_rate() - 1.0).abs() < 1e-12);
+        let shape = (r.epochs, r.max_epoch_len, r.messages, r.max_message_bytes);
+        assert_eq!(shape, (1, 2, 40, 96));
+        // Three flips in round 0, two in round 1 (shard 2 is down).
+        let counters = FaultCounters {
+            crashes: 1,
+            dropped: 3,
+            duplicated: 2,
+            byz_flips: 5,
+        };
+        assert_eq!(r.faults, counters);
+        let timeline = r.metrics.as_ref().expect("metrics on").timeline.clone();
+        let crashed: Vec<u64> = timeline.iter().map(|row| row.crashed_shards_max).collect();
+        assert_eq!(crashed, [0, 1], "one row per epoch");
+        assert_eq!(timeline.iter().map(|row| row.byz_flips).sum::<u64>(), 5);
+        assert!((r.resolution_rate() - 7.0 / 8.0).abs() < 1e-12);
         assert!(r.summary().contains("BDS"));
+    }
+
+    /// `close_round` hands the protocol the index of the round it closes.
+    /// FDS files round `r` under layer-0 epoch `r / E_0`, as
+    /// `FdsProtocol::epochs` counts, so every timeline row must start at
+    /// a round of its own epoch.
+    #[test]
+    fn a_round_closes_under_its_own_index() {
+        let metric = LineMetric::new(4);
+        let proto = FdsProtocol::new(FdsConfig::default(), &metric);
+        let node = proto.node(ShardId(0), &metric);
+        let mut book = MetricsCollector::new(4);
+        book.enable_metrics();
+        for _ in 0..100 {
+            let samples = std::iter::repeat_n([0; 4], 4);
+            book.close_round::<FdsProtocol>(&node, samples, None::<std::iter::Empty<_>>);
+        }
+        let links = SendTally::default();
+        let (r, _) = book.finish(SchedulerKind::Fds, (0, 0), links, std::iter::empty());
+        let timeline = r.metrics.expect("metrics on").timeline;
+        assert!(timeline.len() > 1, "100 rounds span several epochs");
+        let epoch_of = |round| FdsProtocol::epochs(std::iter::once(&node), round).0;
+        for row in timeline {
+            assert_eq!(row.epoch, epoch_of(row.start_round), "{row:?}");
+        }
     }
 
     #[test]
     fn resolution_rate_empty_run() {
         let c = MetricsCollector::new(1);
-        let r = c.finish(totals(SchedulerKind::Fcfs));
+        let kind = SchedulerKind::Fcfs;
+        let (r, _) = c.finish(kind, (0, 0), SendTally::default(), std::iter::empty());
         assert_eq!(r.resolution_rate(), 1.0);
     }
 }

@@ -18,20 +18,23 @@
 //! it and contains no protocol logic.
 //!
 //! Two hosts exist. [`Sim`] is the simulator: `s` nodes, one
-//! [`simnet::Network`] and the [`MetricsCollector`], stepped in shard
-//! order on the caller's thread ([`BdsSim`](crate::bds::BdsSim) and
+//! [`simnet::Network`] and the run book, stepped in shard order on the
+//! caller's thread ([`BdsSim`](crate::bds::BdsSim) and
 //! [`FdsSim`](crate::fds::FdsSim) are its two instances). `runtime::NetRun`
 //! hosts the same nodes on worker threads over one mailbox per shard.
 //! Both make the same per-shard step, [`step_shard`] — the shard's share
 //! of a fault plan ([`ShardFaults`]) around the node's step, which runs
-//! only with mail or at the node's [`Node::wake`] round — and send
-//! through the same `simnet::Outbound`. So reports agree byte for byte,
-//! faulted or not, given two ordering facts: either transport hands a
-//! round's inbox out sorted by `(sender, per-sender sequence)`, and
-//! decisions are booked in `(round, deciding shard, emission index)`
-//! order — here by construction, there by the runtime's replay.
+//! only with mail or at the node's [`Node::wake`] round — send through
+//! the same `simnet::Outbound`, and keep the same book, a
+//! [`MetricsCollector`]: it books each decision, closes each round
+//! through [`Protocol::record_round`] and builds the report. So reports
+//! agree byte for byte, faulted or not, given two ordering facts: either
+//! transport hands a round's inbox out sorted by `(sender, per-sender
+//! sequence)`, and decisions are booked in `(round, deciding shard,
+//! emission index)` order. That order is each host's job: here a decision
+//! is booked the moment it is emitted, there the runtime replays them.
 
-use crate::metrics::{MetricsCollector, RunReport, RunTotals};
+use crate::metrics::{MetricsCollector, RunReport};
 use crate::scheduler::Scheduler;
 use cluster::ShardMetric;
 use sharding_core::{AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
@@ -50,18 +53,6 @@ pub struct CommitEvent {
     pub home: ShardId,
     /// Commit (`true`) or abort.
     pub committed: bool,
-}
-
-impl CommitEvent {
-    /// Books the decision into `collector` and, for a commit, `log`.
-    pub fn record(&self, collector: &mut MetricsCollector, log: &mut Vec<(Round, TxnId)>) {
-        if self.committed {
-            collector.record_commit(self.generated, self.commit_round, self.home);
-            log.push((self.commit_round, self.txn));
-        } else {
-            collector.record_abort();
-        }
-    }
 }
 
 /// Everything a node does to the world outside its shard. The host
@@ -150,11 +141,11 @@ pub trait Protocol {
     }
 
     /// Books round `round`'s [`Node::sample`]s — every shard's, in shard
-    /// order — into `collector` and returns the pending count. `node` is
-    /// any node of the run. `faults` is the fault plane's `(cumulative
-    /// Byzantine flips, shards crashed now)`, or `None` on a run with no
-    /// fault plan armed — where the protocol may assert what only faults
-    /// can break.
+    /// order — into `collector` and returns the pending count; hosts call
+    /// it through [`MetricsCollector::close_round`]. `node` is any node of
+    /// the run. `faults` is the fault plane's `(cumulative Byzantine
+    /// flips, shards crashed now)`, or `None` on a run with no fault plan
+    /// armed — where the protocol may assert what only faults can break.
     fn record_round(
         node: &Self::Node,
         collector: &mut MetricsCollector,
@@ -193,8 +184,9 @@ impl ShardFaults {
         }
     }
 
-    /// The shard's part of [`Protocol::record_round`]'s `faults` at
-    /// `round`: `[cumulative Byzantine flips, crashed now]`.
+    /// The shard's part of the `faults` a host closes round `round` with
+    /// ([`MetricsCollector::close_round`]): `[cumulative Byzantine flips,
+    /// crashed now]`.
     pub fn sample(&self, round: u64) -> [u64; 2] {
         [self.counters.byz_flips, u64::from(round >= self.crash_at)]
     }
@@ -241,17 +233,17 @@ pub fn step_shard<N: Node>(
 }
 
 /// The simulator: `s` nodes of protocol `P`, one delay-queue network,
-/// the ledgers, chains and policy it lends out, and the collector
-/// decisions are booked into — everything driven from the caller's
-/// thread, one [`Sim::step`] per round. Fault-free unless
-/// [`Sim::set_faults`] arms a plan.
+/// the ledgers, chains and policy it lends out, and the run book
+/// decisions are booked into as they are emitted — everything driven
+/// from the caller's thread, one [`Sim::step`] per round. Fault-free
+/// unless [`Sim::set_faults`] arms a plan.
 pub struct Sim<P: Protocol> {
     pub(crate) nodes: Box<[P::Node]>,
     net: Network<<P::Node as Node>::Msg>,
     ledgers: Vec<ShardLedger>,
     chains: Vec<LocalChain>,
+    /// The run book; its round count is the simulator's clock.
     collector: MetricsCollector,
-    committed_log: Vec<(Round, TxnId)>,
     /// Every node's [`Node::sample`] of the last round, taken right
     /// after its step while the node is still in cache.
     samples: Box<[[u64; 4]]>,
@@ -259,22 +251,17 @@ pub struct Sim<P: Protocol> {
     /// until then `Err(f)`, the bound a plan's quota will be counted
     /// against — so an inert run allocates nothing for faults.
     faults: Result<Box<[ShardFaults]>, usize>,
-    now: Round,
     /// The planning policy lent to whichever node leads.
     policy: Box<dyn Scheduler>,
-    generated: u64,
-    /// What the last round's [`Protocol::record_round`] returned.
-    pending: u64,
 }
 
 /// A node's [`Seam`] onto the simulator: sends enter the shared network,
-/// decisions go straight into the collector.
+/// decisions are booked the moment they are emitted.
 struct SimSeam<'a, M> {
     net: &'a mut Network<M>,
     from: ShardId,
     now: Round,
     collector: &'a mut MetricsCollector,
-    log: &'a mut Vec<(Round, TxnId)>,
 }
 
 impl<M: Clone> Seam<M> for SimSeam<'_, M> {
@@ -282,7 +269,7 @@ impl<M: Clone> Seam<M> for SimSeam<'_, M> {
         self.net.send(self.from, to, self.now, msg);
     }
     fn emit(&mut self, event: CommitEvent) {
-        event.record(self.collector, self.log);
+        self.collector.book(event);
     }
 }
 
@@ -303,25 +290,21 @@ impl<P: Protocol> Sim<P> {
                 .collect(),
             chains: ids().map(LocalChain::new).collect(),
             collector: MetricsCollector::new(sys.shards),
-            committed_log: Vec::new(),
             samples: vec![[0; 4]; sys.shards].into(),
             faults: Err(sys.faulty_per_shard),
-            now: Round::ZERO,
             policy: proto.policy(sys),
-            generated: 0,
-            pending: 0,
         }
     }
 
     /// Current round.
     pub fn now(&self) -> Round {
-        self.now
+        self.collector.now()
     }
 
     /// Pending transactions as of the last round, as the protocol counts
     /// them (BDS: the quantity Theorem 2 bounds by `4bs`).
     pub fn total_pending(&self) -> u64 {
-        self.pending
+        self.collector.pending()
     }
 
     /// The local blockchains (one per shard).
@@ -336,7 +319,7 @@ impl<P: Protocol> Sim<P> {
 
     /// Commit log: (commit round, transaction id) in commit order.
     pub fn committed_log(&self) -> &[(Round, TxnId)] {
-        &self.committed_log
+        self.collector.committed_log()
     }
 
     /// Turns the metrics plane on (percentile histogram, per-shard
@@ -371,15 +354,15 @@ impl<P: Protocol> Sim<P> {
     /// the due messages — already sorted by `(destination, sender,
     /// sequence)` — and, in shard order, hands each shard its run of them
     /// through [`step_shard`], which is the order the threaded host's
-    /// replay reproduces; then samples every node and books the round.
+    /// replay reproduces; then samples every node and closes the round.
     /// The drained delivery buffer goes back to the network for a later
     /// round's sends.
     pub fn step(&mut self, new_txns: Vec<Transaction>) {
-        self.generated += new_txns.len() as u64;
+        self.collector.book_generated(new_txns.len() as u64);
         for t in new_txns {
             self.nodes[t.home.index()].inject(t);
         }
-        let now = self.now;
+        let now = self.collector.now();
         let mut delivered = self.net.deliver_due(now);
         let mut due = delivered.drain(..);
         let mut faults = self.faults.as_deref_mut().unwrap_or_default().iter_mut();
@@ -398,47 +381,26 @@ impl<P: Protocol> Sim<P> {
                 from,
                 now,
                 collector: &mut self.collector,
-                log: &mut self.committed_log,
             };
             step_shard(node, faults.next(), now.raw(), inbox, lent, &mut seam);
             *sample = node.sample();
         }
         drop(due);
         self.net.recycle(delivered);
-        self.now = now.next();
-        let faults = self.faults.as_deref().ok().map(|shards| {
-            let samples = shards.iter().map(|s| s.sample(now.raw()));
-            let [flips, down] = samples.fold([0, 0], |[a, b], [x, y]| [a + x, b + y]);
-            (flips, down)
-        });
+        let faults = self.faults.as_deref().ok();
+        let faults = faults.map(|shards| shards.iter().map(|s| s.sample(now.raw())));
         let samples = self.samples.iter().copied();
-        self.pending = P::record_round(
-            &self.nodes[0],
-            &mut self.collector,
-            now.raw(),
-            samples,
-            faults,
-        );
+        self.collector
+            .close_round::<P>(&self.nodes[0], samples, faults);
     }
 
     /// Finalizes the run into a [`RunReport`], reported under the
     /// policy's kind.
     pub fn finish(self) -> RunReport {
-        let (epochs, max_epoch_len) = P::epochs(self.nodes.iter(), self.now.raw());
-        let links = self.net.tally();
-        let mut report = self.collector.finish(RunTotals {
-            scheduler: self.policy.kind(),
-            rounds: self.now.raw(),
-            generated: self.generated,
-            pending_at_end: self.pending,
-            epochs,
-            max_epoch_len,
-            messages: links.sent,
-            max_message_bytes: links.max_bytes,
-        });
-        report.faults =
-            ShardFaults::total(self.faults.as_deref().unwrap_or_default().iter(), links);
-        report
+        let epochs = P::epochs(self.nodes.iter(), self.collector.now().raw());
+        let faults = self.faults.as_deref().unwrap_or_default().iter();
+        let (kind, links) = (self.policy.kind(), self.net.tally());
+        self.collector.finish(kind, epochs, links, faults).0
     }
 }
 
