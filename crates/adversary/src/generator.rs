@@ -3,8 +3,7 @@
 
 use crate::budget::ShardBudgets;
 use crate::strategy::{Proposer, StrategyKind};
-use rand::seq::SliceRandom;
-use rand::Rng as _;
+use rand::{Rng as _, RngCore as _};
 use serde::{Deserialize, Serialize};
 use sharding_core::rngutil::{seeded_rng, split_seed, Rng};
 use sharding_core::{
@@ -169,11 +168,12 @@ impl Adversary {
             // One random account per accessed shard.
             self.scratch.clear();
             for &s in &shards {
-                let account = *self
-                    .map
-                    .accounts_of(s)
-                    .choose(&mut self.rng)
-                    .unwrap_or_else(|| panic!("shard {s} owns no accounts"));
+                let owned = self.map.accounts_of(s);
+                assert!(!owned.is_empty(), "shard {s} owns no accounts");
+                // `SliceRandom::choose`'s draw: one word, reduced modulo
+                // the length.
+                let pick = self.rng.next_u64() % owned.len() as u64;
+                let account = owned.get(pick as usize).expect("pick below len");
                 self.scratch.push(account, s);
             }
             let shape = self.acfg.shape;

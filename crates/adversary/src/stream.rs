@@ -16,8 +16,9 @@
 //! in: the draw, account, shard and part buffers live in the producer and
 //! are reused.
 //!
-//! At millions of accounts every draw misses the cache three times — its
-//! alias column, its `seen` word, its owner — so a transaction's draws
+//! At millions of accounts every draw misses the cache at least twice —
+//! its alias column, its `seen` word, and under a table placement its
+//! owner (round-robin placement is a modulus) — so a transaction's draws
 //! are taken in batches whose misses overlap: a batch consumes its RNG
 //! words first, then resolves them all through the table, then reads all
 //! their owners, and only then runs the duplicate-shard rejection over

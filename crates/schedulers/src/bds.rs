@@ -38,10 +38,11 @@
 use crate::metrics::{MetricsCollector, RunReport, SchedulerKind};
 use crate::node::{CommitEvent, Lent, Node, Protocol, Seam, Sim};
 use crate::scheduler::Scheduler;
-use crate::votes::{FastMap, VoteSet};
+use crate::votes::VoteSet;
 use adversary::AdversaryConfig;
 use cluster::{ShardMetric, UniformMetric};
 use conflict::ColoringStrategy;
+use sharding_core::hash::FastMap;
 use sharding_core::txn::SubTransaction;
 use sharding_core::{
     AccountId, AccountMap, ReshardPlan, Round, ShardId, SystemConfig, Transaction, TxnId,

@@ -56,10 +56,11 @@
 use crate::metrics::{MetricsCollector, RunReport, SchedulerKind};
 use crate::node::{CommitEvent, Lent, Node, Protocol, Seam, Sim};
 use crate::scheduler::{ColoringPolicy, EpochPlan, Scheduler};
-use crate::votes::{FastMap, FastSet, VoteSet};
+use crate::votes::VoteSet;
 use adversary::AdversaryConfig;
 use cluster::{ClusterId, Hierarchy, LineMetric, ShardMetric};
 use conflict::ColoringStrategy;
+use sharding_core::hash::{FastMap, FastSet};
 use sharding_core::txn::SubTransaction;
 use sharding_core::{AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
 use simnet::ShardLedger;

@@ -1,37 +1,6 @@
-//! What a protocol node keeps per transaction in flight: hash maps keyed
-//! by small integers, and one vote per destination. Both nodes use them;
-//! neither host sees them.
-
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Multiplicative hasher for the nodes' small-integer keys (`TxnId`,
-/// `ShardId`). The default SipHash shows up in the per-round profiles;
-/// these maps are internal (no untrusted keys), so a one-multiply
-/// Fibonacci-style mix is plenty. Deterministic — but no map built on
-/// it is ever iterated for its order anyway.
-#[derive(Default)]
-pub(crate) struct IntHasher(u64);
-
-impl Hasher for IntHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(5) ^ u64::from(b)).wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-}
-
-pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
-pub(crate) type FastSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
+//! What a protocol node keeps per transaction in flight: one vote per
+//! destination (its maps are `sharding_core::hash`'s). Both nodes use
+//! it; neither host sees it.
 
 /// One vote per destination of a transaction, recorded by the
 /// destination's position in `txn.subs`: a repeated vote (a fault-plane

@@ -483,7 +483,7 @@ mod tests {
         // so the account never reaches the 2-writer prediction threshold
         // and all conflicts are mispredicted — repair alone must
         // serialize them.
-        let shared = map.accounts_of(ShardId(2))[0];
+        let shared = map.accounts_of(ShardId(2)).first().unwrap();
         let mut batch = vec![];
         let writer = sharding_core::txn::TxnBuilder::new(TxnId(0), ShardId(0), Round::ZERO, &map)
             .update(shared, 1)

@@ -110,18 +110,28 @@ impl SystemConfig {
 /// Placement is fixed for a run: in this model objects never migrate between
 /// shards (this is the key difference from distributed transactional memory
 /// that the paper calls out in Section 2). Nothing mutates a built map, so
-/// its tables are shared: a clone is a reference-count bump, whatever the
-/// size of the universe.
+/// its placement sits behind one `Arc`: a clone is a reference-count bump,
+/// and the map is one pointer wide. Round-robin placement is arithmetic
+/// and stores nothing per account; only `random` and `from_owners` build
+/// tables.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AccountMap {
-    tables: Arc<Tables>,
+    placement: Arc<Placement>,
 }
 
+// `peak_live_mb` is held to the byte and every ledger holds a map.
+const _: () = assert!(std::mem::size_of::<AccountMap>() == std::mem::size_of::<usize>());
+
 #[derive(Debug, PartialEq, Eq)]
-struct Tables {
-    owner: Vec<ShardId>,
-    /// Accounts owned by each shard, in ascending account order.
-    per_shard: Vec<Vec<AccountId>>,
+enum Placement {
+    /// Account `a` lives on shard `a mod shards`.
+    RoundRobin { shards: u64, accounts: u64 },
+    /// An explicit owner per account.
+    Tables {
+        owner: Vec<ShardId>,
+        /// Accounts owned by each shard, in ascending account order.
+        per_shard: Vec<Vec<AccountId>>,
+    },
 }
 
 impl AccountMap {
@@ -129,14 +139,12 @@ impl AccountMap {
     /// With `accounts == shards` this is exactly the paper's simulation
     /// setup of one account per shard.
     pub fn round_robin(cfg: &SystemConfig) -> Self {
-        let mut owner = Vec::with_capacity(cfg.accounts);
-        let mut per_shard = vec![Vec::new(); cfg.shards];
-        for a in 0..cfg.accounts as u64 {
-            let s = ShardId((a % cfg.shards as u64) as u32);
-            owner.push(s);
-            per_shard[s.index()].push(AccountId(a));
+        AccountMap {
+            placement: Arc::new(Placement::RoundRobin {
+                shards: cfg.shards as u64,
+                accounts: cfg.accounts as u64,
+            }),
         }
-        AccountMap::from_tables(owner, per_shard)
     }
 
     /// Random placement (used by the paper's simulation: "generated random,
@@ -152,11 +160,7 @@ impl AccountMap {
             .map(|i| ShardId((i % cfg.shards) as u32))
             .collect();
         slots.shuffle(&mut rng);
-        let mut per_shard = vec![Vec::new(); cfg.shards];
-        for (a, &s) in slots.iter().enumerate() {
-            per_shard[s.index()].push(AccountId(a as u64));
-        }
-        AccountMap::from_tables(slots, per_shard)
+        AccountMap::from_owners(slots, cfg.shards)
     }
 
     /// Builds a map from an explicit per-account owner vector over
@@ -167,54 +171,124 @@ impl AccountMap {
         for (a, &s) in owner.iter().enumerate() {
             per_shard[s.index()].push(AccountId(a as u64));
         }
-        AccountMap::from_tables(owner, per_shard)
-    }
-
-    fn from_tables(owner: Vec<ShardId>, mut per_shard: Vec<Vec<AccountId>>) -> Self {
         // The lists were grown by pushing and now live as long as the
         // last handle does: give the doubling slack back.
         for accounts in &mut per_shard {
             accounts.shrink_to_fit();
         }
         AccountMap {
-            tables: Arc::new(Tables { owner, per_shard }),
+            placement: Arc::new(Placement::Tables { owner, per_shard }),
         }
     }
 
     /// Shard that owns `account`.
     pub fn owner(&self, account: AccountId) -> Result<ShardId> {
-        self.tables
-            .owner
-            .get(account.index())
-            .copied()
-            .ok_or(Error::UnknownAccount(account))
+        match *self.placement {
+            Placement::RoundRobin { shards, accounts } if account.0 < accounts => {
+                Ok(ShardId((account.0 % shards) as u32))
+            }
+            Placement::RoundRobin { .. } => Err(Error::UnknownAccount(account)),
+            Placement::Tables { ref owner, .. } => owner
+                .get(account.index())
+                .copied()
+                .ok_or(Error::UnknownAccount(account)),
+        }
     }
 
     /// Shard that owns `account`, panicking on unknown ids (hot path).
     #[inline]
     pub fn owner_unchecked(&self, account: AccountId) -> ShardId {
-        self.tables.owner[account.index()]
+        match *self.placement {
+            Placement::RoundRobin { shards, accounts } => {
+                assert!(account.0 < accounts, "unknown account {account}");
+                ShardId((account.0 % shards) as u32)
+            }
+            Placement::Tables { ref owner, .. } => owner[account.index()],
+        }
     }
 
     /// Accounts owned by `shard` (ascending order).
-    pub fn accounts_of(&self, shard: ShardId) -> &[AccountId] {
-        self.tables
-            .per_shard
-            .get(shard.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    pub fn accounts_of(&self, shard: ShardId) -> Accounts<'_> {
+        let s = u64::from(shard.0);
+        Accounts(match *self.placement {
+            Placement::RoundRobin { shards, accounts } => Owned::Stride {
+                first: s,
+                step: shards,
+                len: if s < shards && s < accounts {
+                    (accounts - s).div_ceil(shards) as usize
+                } else {
+                    0
+                },
+            },
+            Placement::Tables { ref per_shard, .. } => {
+                Owned::Listed(per_shard.get(shard.index()).map_or(&[], Vec::as_slice))
+            }
+        })
     }
 
     /// Total number of accounts.
     #[inline]
     pub fn len(&self) -> usize {
-        self.tables.owner.len()
+        match *self.placement {
+            Placement::RoundRobin { accounts, .. } => accounts as usize,
+            Placement::Tables { ref owner, .. } => owner.len(),
+        }
     }
 
     /// True when the map holds no accounts.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.tables.owner.is_empty()
+        self.len() == 0
+    }
+}
+
+/// The accounts one shard owns, in ascending order: a stride of the id
+/// space under round-robin placement, a borrowed list otherwise.
+#[derive(Debug, Clone, Copy)]
+pub struct Accounts<'a>(Owned<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum Owned<'a> {
+    Stride { first: u64, step: u64, len: usize },
+    Listed(&'a [AccountId]),
+}
+
+impl<'a> Accounts<'a> {
+    /// Number of accounts.
+    #[inline]
+    pub fn len(&self) -> usize {
+        match self.0 {
+            Owned::Stride { len, .. } => len,
+            Owned::Listed(list) => list.len(),
+        }
+    }
+
+    /// True when the shard owns no account.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `i`-th account in ascending order.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<AccountId> {
+        match self.0 {
+            Owned::Stride { first, step, len } => {
+                (i < len).then(|| AccountId(first + i as u64 * step))
+            }
+            Owned::Listed(list) => list.get(i).copied(),
+        }
+    }
+
+    /// The lowest account, if any.
+    #[inline]
+    pub fn first(&self) -> Option<AccountId> {
+        self.get(0)
+    }
+
+    /// The accounts in ascending order.
+    pub fn iter(self) -> impl Iterator<Item = AccountId> + 'a {
+        (0..self.len()).map(move |i| self.get(i).expect("index below len"))
     }
 }
 
@@ -303,11 +377,45 @@ mod tests {
         let cfg = SystemConfig::tiny();
         let map = AccountMap::random(&cfg, 7);
         for sid in cfg.shard_ids() {
-            for &a in map.accounts_of(sid) {
+            for a in map.accounts_of(sid).iter() {
                 assert_eq!(map.owner(a).unwrap(), sid);
             }
         }
         let total: usize = cfg.shard_ids().map(|s| map.accounts_of(s).len()).sum();
         assert_eq!(total, cfg.accounts);
+    }
+
+    #[test]
+    fn round_robin_is_the_modulus_table_without_the_table() {
+        // Fewer accounts than shards, uneven strides, the paper's shape.
+        for (shards, accounts) in [(1, 1), (4, 8), (5, 2), (3, 11), (7, 100), (64, 64)] {
+            let cfg = SystemConfig {
+                shards,
+                accounts,
+                ..SystemConfig::tiny()
+            };
+            let arithmetic = AccountMap::round_robin(&cfg);
+            let owners = (0..accounts).map(|a| ShardId((a % shards) as u32));
+            let table = AccountMap::from_owners(owners.collect(), shards);
+            assert_eq!(arithmetic.len(), table.len());
+            for a in (0..accounts as u64 + 2).map(AccountId) {
+                assert_eq!(arithmetic.owner(a), table.owner(a), "{a}");
+            }
+            for a in (0..accounts as u64).map(AccountId) {
+                assert_eq!(arithmetic.owner_unchecked(a), table.owner_unchecked(a));
+            }
+            for s in (0..shards as u32 + 1).map(ShardId) {
+                let (got, want) = (arithmetic.accounts_of(s), table.accounts_of(s));
+                assert_eq!(
+                    got.len(),
+                    want.len(),
+                    "{shards} shards, {accounts} accounts, {s}"
+                );
+                assert!(got.iter().eq(want.iter()));
+                for i in 0..=want.len() {
+                    assert_eq!(got.get(i), want.get(i));
+                }
+            }
+        }
     }
 }

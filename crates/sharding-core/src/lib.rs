@@ -12,6 +12,8 @@
 //!   max shards per transaction) and the account→shard placement map.
 //! * [`txn`] — transactions, subtransactions, conditions/actions, and the
 //!   conflict predicate of Section 3 of the paper.
+//! * [`hash`] — the one hasher behind every map keyed by a small integer
+//!   id.
 //! * [`inline`] — the inline-first sequence behind a subtransaction's
 //!   condition and action lists.
 //! * [`bounds`] — closed-form calculators for every bound proved in the
@@ -31,6 +33,7 @@
 pub mod bounds;
 pub mod config;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod inline;
 pub mod rngutil;

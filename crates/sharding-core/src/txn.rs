@@ -397,8 +397,7 @@ impl Transaction {
     ) -> Result<Transaction> {
         let mut b = TxnBuilder::new(id, home, generated, map);
         for &s in shards {
-            let accounts = map.accounts_of(s);
-            let acct = *accounts.first().ok_or(Error::UnknownShard(s))?;
+            let acct = map.accounts_of(s).first().ok_or(Error::UnknownShard(s))?;
             b = b.update(acct, 1);
         }
         b.build()
