@@ -69,6 +69,38 @@ impl std::str::FromStr for WorkloadShape {
     }
 }
 
+impl WorkloadShape {
+    /// The shape's one random draw, taken after the accounts: a
+    /// `Transfers` amount, uniform in `1..=amount_max`. The other shapes
+    /// consume no RNG word and return 0. The first half of shaping a
+    /// transaction; [`TxnScratch::build`] is the second.
+    pub(crate) fn draw_amount(self, rng: &mut Rng) -> u64 {
+        match self {
+            WorkloadShape::Transfers { amount_max } => rng.gen_range(1..=amount_max.max(1)),
+            WorkloadShape::WriteOnly | WorkloadShape::ReadMostly => 0,
+        }
+    }
+}
+
+/// A [`WorkloadShape`] without its parameter: all that building needs
+/// once the shape's draw has been taken.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ShapeTag {
+    WriteOnly,
+    Transfers,
+    ReadMostly,
+}
+
+impl From<WorkloadShape> for ShapeTag {
+    fn from(shape: WorkloadShape) -> ShapeTag {
+        match shape {
+            WorkloadShape::WriteOnly => ShapeTag::WriteOnly,
+            WorkloadShape::Transfers { .. } => ShapeTag::Transfers,
+            WorkloadShape::ReadMostly => ShapeTag::ReadMostly,
+        }
+    }
+}
+
 /// Parameters of the adversarial source.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AdversaryConfig {
@@ -177,19 +209,22 @@ impl Adversary {
                 self.scratch.push(account, s);
             }
             let shape = self.acfg.shape;
-            out.push(self.scratch.shape(shape, &mut self.rng, id, home, round));
+            let amount = shape.draw_amount(&mut self.rng);
+            out.push(self.scratch.build(shape.into(), amount, id, home, round));
         }
         self.generated += out.len() as u64;
         out
     }
 }
 
-/// The buffers a producer reuses from one transaction to the next: the
-/// accounts the next transaction accesses, each with its owning shard,
-/// and the tagged parts handed to [`Transaction::from_parts`] — so a
-/// build allocates only the transaction's own two vectors.
-#[derive(Debug, Default)]
-pub(crate) struct TxnScratch {
+/// The buffers a transaction is built in, reused from one transaction to
+/// the next: the accounts it accesses, each with its owning shard, and
+/// the tagged parts handed to [`Transaction::from_parts`] — so a build
+/// allocates only the transaction's own two vectors. The legacy
+/// [`Adversary`] owns one, and so does the [`Mempool`](crate::Mempool),
+/// which builds an [`Offer`] only when it drains.
+#[derive(Debug, Clone, Default)]
+pub struct TxnScratch {
     accounts: Vec<(ShardId, AccountId)>,
     conditions: Vec<(ShardId, Condition)>,
     actions: Vec<(ShardId, Action)>,
@@ -206,30 +241,17 @@ impl TxnScratch {
         self.accounts.push((shard, account));
     }
 
-    /// How many accounts the next transaction accesses so far.
-    pub(crate) fn len(&self) -> usize {
-        self.accounts.len()
-    }
-
-    /// Shards of the accounts pushed so far, in push order.
-    pub(crate) fn shards(&self) -> impl Iterator<Item = ShardId> + '_ {
-        self.accounts.iter().map(|&(s, _)| s)
-    }
-
-    /// Builds a transaction over the pushed accounts shaped per
-    /// [`WorkloadShape`] — the shaping step shared by the per-round
-    /// [`Adversary`] and the streaming firehose sources
-    /// ([`crate::stream`]), so both emit byte-identical transaction bodies
-    /// for the same account choices.
-    ///
-    /// Consumes RNG draws only for the `Transfers` amount, after the
-    /// caller has picked the accounts (this ordering is load-bearing: it
-    /// keeps the legacy generator's ChaCha stream — and therefore every
-    /// golden report — unchanged).
-    pub(crate) fn shape(
+    /// Builds a transaction over the pushed accounts shaped per `shape`,
+    /// `amount` being the shape's draw ([`WorkloadShape::draw_amount`]).
+    /// The one build step, shared by the per-round [`Adversary`] and the
+    /// mempool's drain, so both emit byte-identical transaction bodies
+    /// for the same draws. Draws nothing: the caller took the amount
+    /// after the accounts (this ordering is load-bearing: it keeps the
+    /// ChaCha streams — and therefore every golden report — unchanged).
+    pub(crate) fn build(
         &mut self,
-        shape: WorkloadShape,
-        rng: &mut Rng,
+        shape: ShapeTag,
+        amount: u64,
         id: TxnId,
         home: ShardId,
         round: Round,
@@ -250,9 +272,8 @@ impl TxnScratch {
             (s, condition)
         };
         match shape {
-            WorkloadShape::WriteOnly => actions.extend(accounts.iter().map(|a| update(a, 1))),
-            WorkloadShape::Transfers { amount_max } => {
-                let amount = rng.gen_range(1..=amount_max.max(1));
+            ShapeTag::WriteOnly => actions.extend(accounts.iter().map(|a| update(a, 1))),
+            ShapeTag::Transfers => {
                 let (payer, payees) = accounts.split_first().expect("non-empty access set");
                 if payees.is_empty() {
                     // Single-shard: a deposit.
@@ -264,7 +285,7 @@ impl TxnScratch {
                     actions.extend(payees.iter().map(|a| update(a, share as i64)));
                 }
             }
-            WorkloadShape::ReadMostly => {
+            ShapeTag::ReadMostly => {
                 let (writer, readers) = accounts.split_first().expect("non-empty access set");
                 actions.push(update(writer, 1));
                 conditions.extend(readers.iter().map(|a| check(a, 0)));
@@ -272,6 +293,126 @@ impl TxnScratch {
         }
         Transaction::from_parts(id, home, round, conditions, actions)
             .expect("non-empty admitted access set")
+    }
+}
+
+/// Draws an [`Offer`] holds in place; a wider one spills to one boxed
+/// slice.
+const INLINE_DRAWS: usize = 8;
+
+/// A drawn transaction that is not built yet: what a streaming producer
+/// offers and the [`Mempool`](crate::Mempool) ranks, holds and evicts.
+/// It carries every random draw the transaction needs — its accounts in
+/// draw order, each with its owning shard, and the shape's amount — so
+/// [`Offer::build`] draws nothing and yields the transaction the
+/// producer would have built on the spot. Up to eight draws it owns no
+/// heap memory, so an offer the pool turns away costs no allocation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Offer {
+    /// The transaction's id.
+    pub id: TxnId,
+    /// The round the offer was drawn in: the transaction's `generated`.
+    pub generated: Round,
+    /// The shape's draw ([`WorkloadShape::draw_amount`]).
+    amount: u64,
+    drawn: Drawn,
+}
+
+// `peak_live_mb`: a saturated pool holds `capacity` offers in every lane.
+const _: () = assert!(std::mem::size_of::<Offer>() <= 128);
+
+/// One drawn account and its owning shard, packed to 12 bytes so the
+/// inline draws take 96.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(C, packed(4))]
+struct Draw {
+    shard: ShardId,
+    account: AccountId,
+}
+
+/// An offer's shape tag and its draws. The tag rides in both variants,
+/// beside the discriminant, where it costs the offer no word of its own.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Drawn {
+    Inline {
+        shape: ShapeTag,
+        len: u8,
+        draws: [Draw; INLINE_DRAWS],
+    },
+    Spilled {
+        shape: ShapeTag,
+        draws: Box<[Draw]>,
+    },
+}
+
+impl Offer {
+    /// An offer of `draws` — `(shard, account)` pairs in draw order, the
+    /// first shard being the home — for a transaction of `shape` whose
+    /// draw was `amount`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `draws` is empty.
+    pub fn new(
+        id: TxnId,
+        generated: Round,
+        shape: WorkloadShape,
+        amount: u64,
+        draws: &[(ShardId, AccountId)],
+    ) -> Offer {
+        assert!(!draws.is_empty(), "an offer draws at least one account");
+        let shape = ShapeTag::from(shape);
+        let pack = |&(shard, account): &(ShardId, AccountId)| Draw { shard, account };
+        let drawn = if draws.len() <= INLINE_DRAWS {
+            let mut inline = [Draw::default(); INLINE_DRAWS];
+            for (slot, draw) in inline.iter_mut().zip(draws) {
+                *slot = pack(draw);
+            }
+            let len = draws.len() as u8;
+            Drawn::Inline {
+                shape,
+                len,
+                draws: inline,
+            }
+        } else {
+            let draws = draws.iter().map(pack).collect();
+            Drawn::Spilled { shape, draws }
+        };
+        Offer {
+            id,
+            generated,
+            amount,
+            drawn,
+        }
+    }
+
+    /// The shape tag and the draws, whichever representation holds them.
+    fn view(&self) -> (ShapeTag, &[Draw]) {
+        match &self.drawn {
+            Drawn::Inline { shape, len, draws } => (*shape, &draws[..usize::from(*len)]),
+            Drawn::Spilled { shape, draws } => (*shape, draws),
+        }
+    }
+
+    /// The shards the transaction accesses, in draw order: what the
+    /// drain charges against the `(ρ, b)` budgets.
+    pub fn shards(&self) -> impl Iterator<Item = ShardId> + Clone + '_ {
+        self.view().1.iter().map(|d| d.shard)
+    }
+
+    /// The home shard, which is the first drawn.
+    pub fn home(&self) -> ShardId {
+        self.view().1[0].shard
+    }
+
+    /// Builds the transaction in `scratch`'s buffers.
+    pub fn build(&self, scratch: &mut TxnScratch) -> Transaction {
+        let (shape, draws) = self.view();
+        scratch.clear();
+        for d in draws {
+            scratch.push(d.account, d.shard);
+        }
+        scratch.build(shape, self.amount, self.id, self.home(), self.generated)
     }
 }
 

@@ -18,11 +18,14 @@
 //!   pairwise-conflict construction from the Theorem 1 lower bound,
 //!   hot-shard pressure, and periodic burst trains.
 //! * [`generator`] — the [`Adversary`] driver that turns strategy proposals
-//!   into admitted [`Transaction`]s with globally unique ids.
+//!   into admitted [`Transaction`]s with globally unique ids, and the
+//!   [`Offer`] draft a streaming producer offers in place of a built
+//!   transaction.
 //! * [`mempool`] — the streaming ingestion plane: a bounded per-home-shard
-//!   priority mempool, the [`RoundSource`] seam the execution engines pull
-//!   batches through, and the [`IngestPipeline`] that puts the leaky
-//!   buckets on the *live* admission path.
+//!   priority mempool of offers, the [`RoundSource`] seam the execution
+//!   engines pull batches through, and the [`IngestPipeline`] that puts
+//!   the leaky buckets on the *live* admission path and builds only what
+//!   they admit.
 //! * [`stream`] — firehose producers that stream Zipf and
 //!   shifting-hotspot account distributions lazily over millions of ids.
 //! * [`reshard`] — the placement-following adapter that re-homes and
@@ -46,7 +49,7 @@ pub mod stream;
 pub mod validate;
 
 pub use budget::ShardBudgets;
-pub use generator::{Adversary, AdversaryConfig, WorkloadShape};
+pub use generator::{Adversary, AdversaryConfig, Offer, TxnScratch, WorkloadShape};
 pub use mempool::{IngestPipeline, Mempool, MempoolStats, RoundSource};
 pub use reshard::ReshardSource;
 pub use strategy::{AliasTable, StrategyKind};

@@ -4,9 +4,15 @@
 //!
 //! # Layout
 //!
+//! The pool holds [`Offer`]s, not transactions: heap-free drafts that
+//! carry every draw a transaction needs. What it allocates per offer is
+//! nothing; a transaction is built once, when it drains, in a
+//! [`TxnScratch`] the pool owns. At saturation nearly every offer is
+//! evicted, so nearly none is ever built.
+//!
 //! The pool keeps one *lane* per home shard. A lane is a bucketed
 //! priority index: 256 fee buckets, each a FIFO deque of the pending
-//! transactions of that fee kept sorted by [`TxnId`], plus a 4-word
+//! offers of that fee kept sorted by [`TxnId`], plus a 4-word
 //! occupancy bitmap so the highest/lowest non-empty bucket is found in a
 //! handful of bit operations. Priority order is **(fee descending, id
 //! ascending)** — higher fees first, FIFO within a fee class (ids are
@@ -24,7 +30,7 @@
 //! compares the newcomer against the lane's current minimum under the
 //! priority order: whichever loses is discarded and counted in
 //! [`MempoolStats::evicted`]. A full lane therefore always retains
-//! exactly the top-`capacity` transactions offered to it.
+//! exactly the top-`capacity` offers made to it.
 //!
 //! # Why drain order is interleaving-independent
 //!
@@ -35,7 +41,7 @@
 //! produced it, and each insert-while-full discards exactly one loser,
 //! so the eviction count depends only on how many offers the lane saw.
 //! Draining pops maxima of that order. Any producer interleaving of the
-//! same offered transactions therefore yields byte-identical drains and
+//! same offers therefore yields byte-identical drains and
 //! stats — the property `tests/mempool_props.rs` pins with arbitrary
 //! permutations, and the reason the ingestion plane preserves the
 //! engine's thread-count and sim/net byte-equality guarantees.
@@ -46,15 +52,16 @@
 //! ([`StreamSource`](crate::stream::StreamSource)), the pool, and the
 //! live `(ρ, b)` budgets ([`ShardBudgets`]): each round it ingests the
 //! round's offers, ticks the buckets, and drains in priority order,
-//! charging every candidate's access set against the buckets. The first
-//! candidate a lane cannot afford blocks the lane for the round
+//! charging every candidate's access set against the buckets and
+//! building only the candidates that pass. The first candidate a lane
+//! cannot afford blocks the lane for the round
 //! (head-of-line deferral, counted in [`MempoolStats::deferred`]) — so
 //! the emission is `(ρ, b)`-conforming *by construction*, exactly like
 //! the legacy [`Adversary`] path, but over transactions that survived
 //! fee-priority backpressure instead of a fixed proposal order.
 
 use crate::budget::ShardBudgets;
-use crate::generator::Adversary;
+use crate::generator::{Adversary, Offer, TxnScratch};
 use serde::{Deserialize, Serialize};
 use sharding_core::{Round, ShardId, Transaction, TxnId};
 use std::cmp::Reverse;
@@ -103,15 +110,15 @@ impl RoundSource for Adversary {
     }
 }
 
-/// A transaction's place in the priority order: the larger rank wins.
+/// An offer's place in the priority order: the larger rank wins.
 type Rank = (u8, Reverse<TxnId>);
 
 /// One home shard's bounded priority lane.
 #[derive(Debug, Clone)]
 struct Lane {
-    /// `buckets[fee]` holds the lane's pending transactions of that fee,
+    /// `buckets[fee]` holds the lane's pending offers of that fee,
     /// ascending by id (FIFO within the fee class).
-    buckets: Vec<VecDeque<Transaction>>,
+    buckets: Vec<VecDeque<Offer>>,
     /// Bit `fee` set ⇔ `buckets[fee]` is non-empty.
     occupied: [u64; 4],
     len: usize,
@@ -150,21 +157,21 @@ impl Lane {
         None
     }
 
-    fn put(&mut self, fee: u8, txn: Transaction) {
-        let rank = (fee, Reverse(txn.id));
+    fn put(&mut self, fee: u8, offer: Offer) {
+        let rank = (fee, Reverse(offer.id));
         self.min = Some(self.min.map_or(rank, |min| min.min(rank)));
         let bucket = &mut self.buckets[fee as usize];
-        if bucket.back().is_none_or(|last| last.id < txn.id) {
-            bucket.push_back(txn);
+        if bucket.back().is_none_or(|last| last.id < offer.id) {
+            bucket.push_back(offer);
         } else {
-            let at = bucket.partition_point(|t| t.id < txn.id);
-            bucket.insert(at, txn);
+            let at = bucket.partition_point(|o| o.id < offer.id);
+            bucket.insert(at, offer);
         }
         self.occupied[fee as usize / 64] |= 1 << (fee % 64);
         self.len += 1;
     }
 
-    /// Book-keeping after one transaction left bucket `fee`.
+    /// Book-keeping after one offer left bucket `fee`.
     fn note_removed(&mut self, fee: usize) {
         if self.buckets[fee].is_empty() {
             self.occupied[fee / 64] &= !(1 << (fee % 64));
@@ -173,33 +180,33 @@ impl Lane {
     }
 
     /// The lane's maximum under (fee desc, id asc), without removing it.
-    fn peek_max(&self) -> Option<&Transaction> {
+    fn peek_max(&self) -> Option<&Offer> {
         self.buckets[self.highest()?].front()
     }
 
     /// Removes the lane's maximum. The minimum only changes when the
     /// two coincide, which leaves the lane empty.
-    fn pop_max(&mut self) -> Transaction {
+    fn pop_max(&mut self) -> Offer {
         let fee = self.highest().expect("non-empty lane");
-        let txn = self.buckets[fee].pop_front().expect("occupied bucket");
+        let offer = self.buckets[fee].pop_front().expect("occupied bucket");
         self.note_removed(fee);
         if self.len == 0 {
             self.min = None;
         }
-        txn
+        offer
     }
 
     /// Removes the lane's minimum and re-reads the cached rank from the
     /// buckets.
-    fn pop_min(&mut self) -> Transaction {
+    fn pop_min(&mut self) -> Offer {
         let fee = self.lowest().expect("non-empty lane");
-        let txn = self.buckets[fee].pop_back().expect("occupied bucket");
+        let offer = self.buckets[fee].pop_back().expect("occupied bucket");
         self.note_removed(fee);
         self.min = self.lowest().map(|fee| {
             let last = self.buckets[fee].back().expect("occupied bucket");
             (fee as u8, Reverse(last.id))
         });
-        txn
+        offer
     }
 }
 
@@ -210,6 +217,8 @@ pub struct Mempool {
     lanes: Vec<Lane>,
     capacity: usize,
     stats: MempoolStats,
+    /// Where `drain` builds each admitted offer.
+    scratch: TxnScratch,
 }
 
 impl Mempool {
@@ -225,26 +234,27 @@ impl Mempool {
             lanes: (0..shards).map(|_| Lane::new()).collect(),
             capacity,
             stats: MempoolStats::default(),
+            scratch: TxnScratch::default(),
         }
     }
 
-    /// Offers `txn` at `fee` to its home-shard lane. A full lane keeps
+    /// Offers `offer` at `fee` to its home-shard lane. A full lane keeps
     /// its top-`capacity` under (fee desc, id asc); the loser is counted
     /// as evicted.
-    pub fn offer(&mut self, fee: u8, txn: Transaction) {
-        let lane = &mut self.lanes[txn.home.index()];
+    pub fn offer(&mut self, fee: u8, offer: Offer) {
+        let lane = &mut self.lanes[offer.home().index()];
         if lane.len < self.capacity {
-            lane.put(fee, txn);
+            lane.put(fee, offer);
             return;
         }
         self.stats.evicted += 1;
-        if Some((fee, Reverse(txn.id))) > lane.min {
+        if Some((fee, Reverse(offer.id))) > lane.min {
             lane.pop_min();
-            lane.put(fee, txn);
+            lane.put(fee, offer);
         }
     }
 
-    /// `(fee, id)` of the lowest-priority transaction resident in
+    /// `(fee, id)` of the lowest-priority offer resident in
     /// `home`'s lane — what an offer to that lane must beat once it is
     /// full.
     pub fn lane_min(&self, home: ShardId) -> Option<(u8, TxnId)> {
@@ -253,7 +263,7 @@ impl Mempool {
             .map(|(fee, Reverse(id))| (fee, id))
     }
 
-    /// Total transactions resident across all lanes.
+    /// Total offers resident across all lanes.
     pub fn depth(&self) -> usize {
         self.lanes.iter().map(|l| l.len).sum()
     }
@@ -266,7 +276,8 @@ impl Mempool {
 
     /// Drains this round's admitted batch: lanes are visited starting at
     /// `round % lanes` (rotating fairness), each popped in priority order
-    /// while `budgets` affords the candidate's access set. The first
+    /// while `budgets` affords the candidate's access set, and each
+    /// admitted candidate is built into its transaction. The first
     /// unaffordable candidate stalls its lane for the round (head-of-line
     /// deferral).
     pub fn drain(&mut self, budgets: &mut ShardBudgets, round: Round) -> Vec<Transaction> {
@@ -274,12 +285,13 @@ impl Mempool {
         let mut out = Vec::new();
         for i in 0..n {
             let lane = &mut self.lanes[(round.0 as usize + i) % n];
-            while let Some(txn) = lane.peek_max() {
-                if !budgets.try_charge(txn.shards()) {
+            while let Some(offer) = lane.peek_max() {
+                if !budgets.try_charge(offer.shards()) {
                     self.stats.deferred += 1;
                     break;
                 }
-                out.push(lane.pop_max());
+                out.push(offer.build(&mut self.scratch));
+                lane.pop_max();
             }
         }
         self.stats.admitted += out.len() as u64;
@@ -322,8 +334,8 @@ impl IngestPipeline {
 
 impl RoundSource for IngestPipeline {
     fn next_round(&mut self, round: Round) -> Vec<Transaction> {
-        for (fee, txn) in self.source.offer_round(round) {
-            self.pool.offer(fee, txn);
+        for (fee, offer) in self.source.offer_round(round) {
+            self.pool.offer(fee, offer);
         }
         self.pool.note_depth();
         self.budgets.tick();
@@ -338,33 +350,22 @@ impl RoundSource for IngestPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sharding_core::{AccountMap, SystemConfig};
+    use crate::WorkloadShape;
+    use sharding_core::AccountId;
 
-    fn tiny() -> (SystemConfig, AccountMap) {
-        let sys = SystemConfig {
-            shards: 4,
-            accounts: 16,
-            k_max: 3,
-            nodes_per_shard: 4,
-            faulty_per_shard: 1,
-        };
-        let map = AccountMap::round_robin(&sys);
-        (sys, map)
-    }
-
-    fn txn(id: u64, home: u32, map: &AccountMap) -> Transaction {
-        Transaction::writing_shards(TxnId(id), ShardId(home), Round::ZERO, map, &[ShardId(home)])
-            .unwrap()
+    /// A write-only offer homed on, and touching only, shard `home`.
+    fn offer(id: u64, home: u32) -> Offer {
+        let draws = [(ShardId(home), AccountId(u64::from(home)))];
+        Offer::new(TxnId(id), Round::ZERO, WorkloadShape::WriteOnly, 0, &draws)
     }
 
     #[test]
     fn pops_by_fee_then_fifo_within_fee() {
-        let (_, map) = tiny();
         let mut pool = Mempool::new(4, 8);
-        pool.offer(1, txn(0, 2, &map));
-        pool.offer(9, txn(1, 2, &map));
-        pool.offer(9, txn(2, 2, &map));
-        pool.offer(3, txn(3, 2, &map));
+        pool.offer(1, offer(0, 2));
+        pool.offer(9, offer(1, 2));
+        pool.offer(9, offer(2, 2));
+        pool.offer(3, offer(3, 2));
         let mut budgets = ShardBudgets::new(4, 1.0, 100);
         budgets.tick();
         let drained = pool.drain(&mut budgets, Round::ZERO);
@@ -376,12 +377,11 @@ mod tests {
 
     #[test]
     fn full_lane_keeps_top_capacity_and_counts_evictions() {
-        let (_, map) = tiny();
         let mut pool = Mempool::new(4, 2);
-        pool.offer(5, txn(0, 1, &map));
-        pool.offer(1, txn(1, 1, &map));
-        pool.offer(7, txn(2, 1, &map)); // evicts fee-1 id 1
-        pool.offer(0, txn(3, 1, &map)); // loses outright
+        pool.offer(5, offer(0, 1));
+        pool.offer(1, offer(1, 1));
+        pool.offer(7, offer(2, 1)); // evicts fee-1 id 1
+        pool.offer(0, offer(3, 1)); // loses outright
         assert_eq!(pool.depth(), 2);
         assert_eq!(pool.stats().evicted, 2);
         let mut budgets = ShardBudgets::new(4, 1.0, 100);
@@ -396,10 +396,9 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_defers_head_of_line() {
-        let (_, map) = tiny();
         let mut pool = Mempool::new(4, 8);
         for i in 0..5 {
-            pool.offer(4, txn(i, 0, &map));
+            pool.offer(4, offer(i, 0));
         }
         // b = 2, ρ small: exactly two charges fit in the first round.
         let mut budgets = ShardBudgets::new(4, 0.01, 2);
@@ -413,10 +412,9 @@ mod tests {
 
     #[test]
     fn depth_high_water_tracks_ingest() {
-        let (_, map) = tiny();
         let mut pool = Mempool::new(4, 8);
-        pool.offer(1, txn(0, 0, &map));
-        pool.offer(1, txn(1, 3, &map));
+        pool.offer(1, offer(0, 0));
+        pool.offer(1, offer(1, 3));
         pool.note_depth();
         assert_eq!(pool.stats().depth_max, 2);
         let mut budgets = ShardBudgets::new(4, 1.0, 100);
@@ -428,10 +426,9 @@ mod tests {
 
     #[test]
     fn drain_rotates_lane_start_by_round() {
-        let (_, map) = tiny();
         let mut pool = Mempool::new(4, 8);
-        pool.offer(5, txn(0, 0, &map));
-        pool.offer(5, txn(1, 1, &map));
+        pool.offer(5, offer(0, 0));
+        pool.offer(5, offer(1, 1));
         let mut budgets = ShardBudgets::new(4, 1.0, 100);
         budgets.tick();
         let ids: Vec<u64> = pool

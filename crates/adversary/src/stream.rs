@@ -11,10 +11,13 @@
 //! What a producer holds per account is the alias table (one packed
 //! 12-byte column an id, Zipf only) and one bit an id for the
 //! distinct-accounts count; the placement map is the caller's, shared by
-//! reference count. What it allocates per offer is the transaction itself
-//! — two heap blocks — and per round the vector the offers are returned
-//! in: the draw, account, shard and part buffers live in the producer and
-//! are reused.
+//! reference count. What it allocates per offer is nothing; a transaction
+//! is built once, when it drains. An [`Offer`] is a heap-free draft of
+//! every draw the transaction needs (up to eight accounts inline), and
+//! the pool builds only what its `(ρ, b)` budgets admit — at saturation
+//! a few percent of what is offered. Per round the producer allocates
+//! the vector the offers are returned in: the draw buffers live in the
+//! producer and are reused.
 //!
 //! At millions of accounts every draw misses the cache at least twice —
 //! its alias column, its `seen` word, and under a table placement its
@@ -34,11 +37,11 @@
 //! networked executor pre-drain the same stream the simulator drains
 //! round by round and stay byte-identical.
 
-use crate::generator::{TxnScratch, WorkloadShape};
+use crate::generator::{Offer, WorkloadShape};
 use crate::strategy::AliasTable;
 use rand::Rng as _;
 use sharding_core::rngutil::{seeded_rng, split_seed, Rng};
-use sharding_core::{AccountId, AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
+use sharding_core::{AccountId, AccountMap, Round, ShardId, SystemConfig, TxnId};
 
 /// Domain-separation tag for the firehose ChaCha stream (distinct from
 /// the legacy generator's `0xADBE`).
@@ -132,7 +135,8 @@ pub struct StreamSource {
     /// account and owning shard. Inline, so a batch touches no heap.
     uniforms: [f64; BATCH],
     draws: [(AccountId, ShardId); BATCH],
-    scratch: TxnScratch,
+    /// The offer being drawn: its accepted `(shard, account)` pairs.
+    picked: Vec<(ShardId, AccountId)>,
 }
 
 impl StreamSource {
@@ -176,7 +180,7 @@ impl StreamSource {
             distinct: 0,
             uniforms: [0.0; BATCH],
             draws: [(AccountId(0), ShardId(0)); BATCH],
-            scratch: TxnScratch::default(),
+            picked: Vec::with_capacity(cfg.k_max),
         }
     }
 
@@ -235,35 +239,33 @@ impl StreamSource {
     /// Streams this round's offers: `offered` transactions, each over
     /// `1..=k` accounts on distinct shards (duplicate-shard draws are
     /// rejected, bounded by `8×width` attempts), homed on its first
-    /// accessed shard, fee drawn uniformly over the 256 classes.
-    pub fn offer_round(&mut self, round: Round) -> Vec<(u8, Transaction)> {
+    /// accessed shard, fee drawn uniformly over the 256 classes, then
+    /// the shape's amount.
+    pub fn offer_round(&mut self, round: Round) -> Vec<(u8, Offer)> {
         let mut out = Vec::with_capacity(self.offered as usize);
         for _ in 0..self.offered {
             let width = self.rng.gen_range(1..=self.cfg.k_max);
-            self.scratch.clear();
+            self.picked.clear();
             let mut attempts = 0;
-            while self.scratch.len() < width && attempts < 8 * width {
+            while self.picked.len() < width && attempts < 8 * width {
                 // Each draw adds at most one account and one attempt, so
                 // neither bound is met before the batch's last draw.
-                let m = (width - self.scratch.len())
+                let m = (width - self.picked.len())
                     .min(8 * width - attempts)
                     .min(BATCH);
                 self.draw_batch(m, round);
                 for &(a, s) in &self.draws[..m] {
-                    if !self.scratch.shards().any(|seen| seen == s) {
-                        self.scratch.push(a, s);
+                    if !self.picked.iter().any(|&(seen, _)| seen == s) {
+                        self.picked.push((s, a));
                     }
                 }
                 attempts += m;
             }
             let fee = self.rng.gen_range(0..256u32) as u8;
+            let amount = self.shape.draw_amount(&mut self.rng);
             let id = TxnId(self.next_id);
             self.next_id += 1;
-            let home = self.scratch.shards().next().expect("width >= 1");
-            let txn = self
-                .scratch
-                .shape(self.shape, &mut self.rng, id, home, round);
-            out.push((fee, txn));
+            out.push((fee, Offer::new(id, round, self.shape, amount, &self.picked)));
         }
         out
     }
@@ -272,6 +274,8 @@ impl StreamSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generator::TxnScratch;
+    use sharding_core::Transaction;
 
     fn small() -> (SystemConfig, AccountMap) {
         let sys = SystemConfig {
@@ -325,21 +329,25 @@ mod tests {
     #[test]
     fn offers_access_distinct_shards_and_match_home() {
         let mut s = source(StreamKind::Zipf { exponent: 0.7 });
+        let mut scratch = TxnScratch::default();
         for r in 0..10 {
-            for (_, t) in s.offer_round(Round(r)) {
-                let shards: Vec<_> = t.shards().collect();
+            for (_, offer) in s.offer_round(Round(r)) {
+                let shards: Vec<_> = offer.shards().collect();
                 let mut dedup = shards.clone();
                 dedup.sort_unstable();
                 dedup.dedup();
                 assert_eq!(shards.len(), dedup.len(), "distinct shards");
+                let t = offer.build(&mut scratch);
+                assert_eq!(t.home, offer.home());
                 assert!(t.validate(4).is_ok());
             }
         }
     }
 
     /// The one-draw-at-a-time `offer_round` that batched draws replaced,
-    /// kept as the oracle they must match word for word. Counts into
-    /// `capped` the transactions that ran out of attempts.
+    /// kept as the oracle they must match word for word. It builds every
+    /// transaction the moment it is drawn. Counts into `capped` the
+    /// transactions that ran out of attempts.
     fn offer_round_one_at_a_time(
         src: &mut StreamSource,
         round: Round,
@@ -347,11 +355,12 @@ mod tests {
     ) -> Vec<(u8, Transaction)> {
         let n = src.cfg.accounts as u64;
         let mut out = Vec::new();
+        let mut scratch = TxnScratch::default();
         for _ in 0..src.offered {
             let width = src.rng.gen_range(1..=src.cfg.k_max);
-            src.scratch.clear();
+            let mut picked: Vec<(ShardId, AccountId)> = Vec::new();
             let mut attempts = 0;
-            while src.scratch.len() < width && attempts < 8 * width {
+            while picked.len() < width && attempts < 8 * width {
                 let idx = match src.kind {
                     StreamKind::Zipf { .. } => {
                         src.alias.as_ref().unwrap().sample(&mut src.rng) as u64
@@ -373,17 +382,22 @@ mod tests {
                 }
                 let a = AccountId(idx);
                 let s = src.map.owner_unchecked(a);
-                if !src.scratch.shards().any(|seen| seen == s) {
-                    src.scratch.push(a, s);
+                if !picked.iter().any(|&(seen, _)| seen == s) {
+                    picked.push((s, a));
                 }
                 attempts += 1;
             }
-            *capped += u32::from(src.scratch.len() < width);
+            *capped += u32::from(picked.len() < width);
             let fee = src.rng.gen_range(0..256u32) as u8;
+            let amount = src.shape.draw_amount(&mut src.rng);
             let id = TxnId(src.next_id);
             src.next_id += 1;
-            let home = src.scratch.shards().next().expect("width >= 1");
-            let txn = src.scratch.shape(src.shape, &mut src.rng, id, home, round);
+            scratch.clear();
+            for &(s, a) in &picked {
+                scratch.push(a, s);
+            }
+            let home = picked[0].0;
+            let txn = scratch.build(src.shape.into(), amount, id, home, round);
             out.push((fee, txn));
         }
         out
@@ -422,9 +436,14 @@ mod tests {
                 for seed in 0..4 {
                     let new = || StreamSource::new(&sys, &map, kind, shape, 0.5, 4, 25, seed);
                     let (mut batched, mut oracle) = (new(), new());
+                    let mut scratch = TxnScratch::default();
                     for r in 0..30 {
                         let want = offer_round_one_at_a_time(&mut oracle, Round(r), &mut capped);
-                        let got = batched.offer_round(Round(r));
+                        let got: Vec<_> = batched
+                            .offer_round(Round(r))
+                            .into_iter()
+                            .map(|(fee, offer)| (fee, offer.build(&mut scratch)))
+                            .collect();
                         assert_eq!(
                             got, want,
                             "{shards}x{accounts} k={k_max} {kind} seed {seed}"

@@ -1,13 +1,16 @@
 //! The ingestion path's allocation budget, counted with this binary's
-//! own global allocator: a transaction is two heap blocks (`subs`,
-//! `accesses`) and nothing else on the way from the producer through the
-//! pool allocates per offer.
+//! own global allocator: drawing a round of offers allocates the vector
+//! they are returned in and nothing else, an offer the pool turns away
+//! allocates nothing, and a transaction — two heap blocks (`subs`,
+//! `accesses`) — is built only when it drains.
 //!
 //! One `#[test]` in the binary, so no other test thread's allocations
 //! are counted.
 
-use adversary::{IngestPipeline, Mempool, RoundSource, StreamKind, StreamSource, WorkloadShape};
-use sharding_core::{AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
+use adversary::{
+    IngestPipeline, Mempool, Offer, RoundSource, StreamKind, StreamSource, WorkloadShape,
+};
+use sharding_core::{AccountId, AccountMap, Round, ShardId, SystemConfig, TxnId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -62,7 +65,7 @@ const OFFERED: u64 = 200;
 const PER_ROUND: u64 = 8;
 
 #[test]
-fn ingestion_allocates_two_blocks_per_offer_and_none_for_a_losing_one() {
+fn ingestion_builds_two_blocks_per_admitted_transaction_and_allocates_nothing_per_offer() {
     let sys = SystemConfig {
         shards: LANES,
         accounts: 4_096,
@@ -73,10 +76,19 @@ fn ingestion_allocates_two_blocks_per_offer_and_none_for_a_losing_one() {
     let map = AccountMap::round_robin(&sys);
     let kind = StreamKind::Zipf { exponent: 0.6 };
     let shape = WorkloadShape::WriteOnly;
-    let source = StreamSource::new(&sys, &map, kind, shape, 0.5, 4, OFFERED, 20);
+    let source = || StreamSource::new(&sys, &map, kind, shape, 0.5, 4, OFFERED, 20);
+
+    // Offers no wider than eight hold their draws inline.
+    let mut stream = source();
+    for r in 0..3 {
+        let (allocs, offers) = allocs_during(|| stream.offer_round(Round(r)));
+        assert_eq!(offers.len() as u64, OFFERED);
+        assert_eq!(allocs, 1, "a round of offers is the returned vector");
+    }
+
     // 200 offers a round into 8 × 32 slots at about 1.6 admissions a
     // round: every lane is full long before the warm-up ends.
-    let mut pipeline = IngestPipeline::new(source, 32);
+    let mut pipeline = IngestPipeline::new(source(), 32);
     for r in 0..100 {
         pipeline.next_round(Round(r));
     }
@@ -84,8 +96,8 @@ fn ingestion_allocates_two_blocks_per_offer_and_none_for_a_losing_one() {
     let rounds = 100;
     let (allocs, admitted) = allocs_during(|| {
         (100..100 + rounds)
-            .map(|r| pipeline.next_round(Round(r)).len())
-            .sum::<usize>()
+            .map(|r| pipeline.next_round(Round(r)).len() as u64)
+            .sum::<u64>()
     });
     let stats = pipeline.stats().expect("pipeline has a pool");
     assert!(admitted > 0, "the drain is exercised");
@@ -93,21 +105,19 @@ fn ingestion_allocates_two_blocks_per_offer_and_none_for_a_losing_one() {
         stats.evicted - warm.evicted >= rounds * OFFERED * 9 / 10,
         "saturated: nearly every offer meets a full lane"
     );
-    let budget = 2 * rounds * OFFERED + PER_ROUND * rounds;
+    let budget = 2 * admitted + PER_ROUND * rounds;
     assert!(
         allocs <= budget,
-        "{allocs} allocations over {rounds} rounds of {OFFERED} offers (budget {budget})"
+        "{allocs} allocations over {rounds} rounds admitting {admitted} (budget {budget})"
     );
 
     // An offer that loses to a full lane is decided on the lane header.
     let mut pool = Mempool::new(1, 2);
-    let txn = |id| {
-        Transaction::writing_shards(TxnId(id), ShardId(0), Round::ZERO, &map, &[ShardId(0)])
-            .unwrap()
-    };
-    pool.offer(9, txn(0));
-    pool.offer(9, txn(1));
-    let loser = txn(2);
+    let draws = [(ShardId(0), AccountId(0))];
+    let offer = |id| Offer::new(TxnId(id), Round::ZERO, shape, 0, &draws);
+    pool.offer(9, offer(0));
+    pool.offer(9, offer(1));
+    let loser = offer(2);
     let (allocs, ()) = allocs_during(|| pool.offer(0, loser));
     assert_eq!(allocs, 0, "a losing offer allocates nothing");
     assert_eq!((pool.depth(), pool.stats().evicted), (2, 1));

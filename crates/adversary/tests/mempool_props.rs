@@ -13,11 +13,18 @@
 //! 3. **Lane vs the ordered-map oracle**: the bucketed deques and the
 //!    cached lane minimum agree, step by step, with one ordered map per
 //!    lane truncated to capacity.
+//! 4. **Deferred build vs the eager oracle**: the pool builds a
+//!    transaction only when it drains; building every offer the moment it
+//!    is offered, into the ordered-map reference, drains the same
+//!    transactions byte for byte with the same counters.
 
-use adversary::{Mempool, MempoolStats, ShardBudgets, StreamKind, StreamSource, WorkloadShape};
+use adversary::{
+    IngestPipeline, Mempool, MempoolStats, Offer, RoundSource, ShardBudgets, StreamKind,
+    StreamSource, TxnScratch, WorkloadShape,
+};
 use proptest::prelude::*;
 use sharding_core::rngutil::seeded_rng;
-use sharding_core::{AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
+use sharding_core::{AccountId, AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
@@ -31,6 +38,22 @@ fn small_sys(shards: usize, accounts: usize) -> (SystemConfig, AccountMap) {
     };
     let map = AccountMap::round_robin(&sys);
     (sys, map)
+}
+
+/// A write-only offer over `shards`, homed on the first. Under the
+/// round-robin placement of `small_sys`, account `s` lives on shard `s`.
+fn writing(id: usize, shards: &[u32]) -> Offer {
+    let draws: Vec<_> = shards
+        .iter()
+        .map(|&s| (ShardId(s), AccountId(u64::from(s))))
+        .collect();
+    Offer::new(
+        TxnId(id as u64),
+        Round::ZERO,
+        WorkloadShape::WriteOnly,
+        0,
+        &draws,
+    )
 }
 
 /// Applies `perm` (a permutation encoded as swap indices) to `items`.
@@ -55,6 +78,14 @@ struct RefPool {
 }
 
 impl RefPool {
+    fn new(lanes: usize, capacity: usize) -> RefPool {
+        RefPool {
+            lanes: vec![BTreeMap::new(); lanes],
+            capacity,
+            stats: MempoolStats::default(),
+        }
+    }
+
     fn offer(&mut self, fee: u8, txn: Transaction) {
         let lane = &mut self.lanes[txn.home.index()];
         lane.insert((Reverse(fee), txn.id), txn);
@@ -69,7 +100,7 @@ impl RefPool {
         Some((fee, id))
     }
 
-    fn drain(&mut self, budgets: &mut ShardBudgets, round: u64) -> Vec<TxnId> {
+    fn drain(&mut self, budgets: &mut ShardBudgets, round: u64) -> Vec<Transaction> {
         let depth = self.lanes.iter().map(|l| l.len() as u64).sum();
         self.stats.depth_max = self.stats.depth_max.max(depth);
         let (n, mut out) = (self.lanes.len(), Vec::new());
@@ -80,7 +111,7 @@ impl RefPool {
                     self.stats.deferred += 1;
                     break;
                 }
-                out.push(head.remove().id);
+                out.push(head.remove());
             }
         }
         self.stats.admitted += out.len() as u64;
@@ -160,29 +191,18 @@ proptest! {
         swaps in proptest::collection::vec(0usize..60, 0..40),
         capacity in 1usize..12,
     ) {
-        let (_, map) = small_sys(3, 12);
-        let offers: Vec<(u8, Transaction)> = fees
+        let offers: Vec<(u8, Offer)> = fees
             .iter()
             .zip(homes.iter().cycle())
             .enumerate()
-            .map(|(i, (&fee, &home))| {
-                let t = Transaction::writing_shards(
-                    TxnId(i as u64),
-                    ShardId(home),
-                    Round::ZERO,
-                    &map,
-                    &[ShardId(home), ShardId((home + 1) % 3)],
-                )
-                .unwrap();
-                (fee, t)
-            })
+            .map(|(i, (&fee, &home))| (fee, writing(i, &[home, (home + 1) % 3])))
             .collect();
         let shuffled = permute(offers.clone(), &swaps);
 
-        let run = |offers: Vec<(u8, Transaction)>| {
+        let run = |offers: Vec<(u8, Offer)>| {
             let mut pool = Mempool::new(3, capacity);
-            for (fee, txn) in offers {
-                pool.offer(fee, txn);
+            for (fee, offer) in offers {
+                pool.offer(fee, offer);
             }
             pool.note_depth();
             // Tight budgets so the deferral path is exercised too.
@@ -208,24 +228,16 @@ proptest! {
         fees in proptest::collection::vec(0u8..8, 1..40),
         swaps in proptest::collection::vec(0usize..40, 0..40),
     ) {
-        let (_, map) = small_sys(2, 8);
-        let offers: Vec<(u8, Transaction)> = fees
+        let offers: Vec<(u8, Offer)> = fees
             .iter()
             .enumerate()
-            .map(|(i, &fee)| {
-                let home = ShardId((i % 2) as u32);
-                let t = Transaction::writing_shards(
-                    TxnId(i as u64), home, Round::ZERO, &map, &[home],
-                )
-                .unwrap();
-                (fee, t)
-            })
+            .map(|(i, &fee)| (fee, writing(i, &[(i % 2) as u32])))
             .collect();
         let shuffled = permute(offers.clone(), &swaps);
 
         let mut pool = Mempool::new(2, 1);
-        for (fee, txn) in shuffled {
-            pool.offer(fee, txn);
+        for (fee, offer) in shuffled {
+            pool.offer(fee, offer);
         }
 
         // Oracle: the per-lane winner under (fee desc, id asc), computed
@@ -233,9 +245,9 @@ proptest! {
         let winner = |lane: u32| -> Option<u64> {
             offers
                 .iter()
-                .filter(|(_, t)| t.home == ShardId(lane))
-                .max_by_key(|(fee, t)| (*fee, std::cmp::Reverse(t.id)))
-                .map(|(_, t)| t.id.0)
+                .filter(|(_, o)| o.home() == ShardId(lane))
+                .max_by_key(|(fee, o)| (*fee, std::cmp::Reverse(o.id)))
+                .map(|(_, o)| o.id.0)
         };
         let expected: Vec<u64> = (0..2).filter_map(winner).collect();
         let retained = expected.len();
@@ -267,21 +279,12 @@ proptest! {
         capacity in 1usize..6,
         swaps in proptest::collection::vec(0usize..40, 0..40),
     ) {
-        let (_, map) = small_sys(1, 4);
-        let offers: Vec<(u8, Transaction)> = (0..n)
-            .map(|i| {
-                let t = Transaction::writing_shards(
-                    TxnId(i as u64), ShardId(0), Round::ZERO, &map, &[ShardId(0)],
-                )
-                .unwrap();
-                (fee, t)
-            })
-            .collect();
+        let offers: Vec<(u8, Offer)> = (0..n).map(|i| (fee, writing(i, &[0]))).collect();
         let shuffled = permute(offers, &swaps);
 
         let mut pool = Mempool::new(1, capacity);
-        for (f, t) in shuffled {
-            pool.offer(f, t);
+        for (f, o) in shuffled {
+            pool.offer(f, o);
         }
         let kept = n.min(capacity);
         prop_assert_eq!(pool.depth(), kept);
@@ -311,44 +314,101 @@ proptest! {
         every in 1usize..12,
     ) {
         const LANES: usize = 2;
-        let (_, map) = small_sys(LANES, 8);
-        let offers: Vec<(u8, Transaction)> = fees
+        let offers: Vec<(u8, Offer)> = fees
             .iter()
             .enumerate()
-            .map(|(i, &fee)| {
-                let home = ShardId((i % LANES) as u32);
-                let t = Transaction::writing_shards(
-                    TxnId(i as u64), home, Round::ZERO, &map, &[home],
-                )
-                .unwrap();
-                (fee, t)
-            })
+            .map(|(i, &fee)| (fee, writing(i, &[(i % LANES) as u32])))
             .collect();
         let capacity = match capacity {
             0 => offers.len(),
             c => c,
         };
         let mut pool = Mempool::new(LANES, capacity);
-        let mut reference = RefPool {
-            lanes: vec![BTreeMap::new(); LANES],
-            capacity,
-            stats: MempoolStats::default(),
-        };
+        let mut reference = RefPool::new(LANES, capacity);
+        let mut scratch = TxnScratch::default();
         let mut budgets = (ShardBudgets::new(LANES, 0.9, 2), ShardBudgets::new(LANES, 0.9, 2));
         let mut round = 0;
-        for (i, (fee, txn)) in permute(offers, &swaps).into_iter().enumerate() {
-            pool.offer(fee, txn.clone());
-            reference.offer(fee, txn);
+        for (i, (fee, offer)) in permute(offers, &swaps).into_iter().enumerate() {
+            reference.offer(fee, offer.build(&mut scratch));
+            pool.offer(fee, offer);
             reference.assert_agrees_with(&pool);
             if (i + 1) % every == 0 {
                 pool.note_depth();
                 budgets.0.tick();
                 budgets.1.tick();
-                let drained: Vec<TxnId> =
-                    pool.drain(&mut budgets.0, Round(round)).iter().map(|t| t.id).collect();
+                let drained = pool.drain(&mut budgets.0, Round(round));
                 prop_assert_eq!(drained, reference.drain(&mut budgets.1, round));
                 reference.assert_agrees_with(&pool);
                 round += 1;
+            }
+        }
+    }
+}
+
+/// The eager ingestion plane the deferred build replaced: every offer is
+/// built the moment it is offered and held, built, in the ordered-map
+/// reference. Returns each round's drained batch, the counters, and how
+/// many offers spilled past the eight inline draws.
+fn eager_drains(
+    mut source: StreamSource,
+    capacity: usize,
+    rounds: u64,
+) -> (Vec<Vec<Transaction>>, MempoolStats, usize) {
+    let (shards, rho, b) = source.budget_params();
+    let mut reference = RefPool::new(shards, capacity);
+    let mut budgets = ShardBudgets::new(shards, rho, b);
+    let mut scratch = TxnScratch::default();
+    let mut spilled = 0;
+    let batches = (0..rounds)
+        .map(|r| {
+            for (fee, offer) in source.offer_round(Round(r)) {
+                spilled += usize::from(offer.shards().count() > 8);
+                reference.offer(fee, offer.build(&mut scratch));
+            }
+            budgets.tick();
+            reference.drain(&mut budgets, r)
+        })
+        .collect();
+    (batches, reference.stats, spilled)
+}
+
+/// The pipeline builds a transaction only when it drains, and drains
+/// what the eager oracle does, byte for byte, with the same counters:
+/// every shape, both stream kinds, and widths up to 3, 8 (the inline
+/// limit) and 12 (spilled drafts).
+#[test]
+fn the_deferred_build_drains_what_the_eager_oracle_does() {
+    let shapes = [
+        WorkloadShape::WriteOnly,
+        WorkloadShape::Transfers { amount_max: 40 },
+        WorkloadShape::ReadMostly,
+    ];
+    let kinds = [
+        StreamKind::Zipf { exponent: 1.1 },
+        StreamKind::Shift { period: 3 },
+    ];
+    for k_max in [3, 8, 12] {
+        let sys = SystemConfig {
+            shards: 16,
+            accounts: 200,
+            k_max,
+            nodes_per_shard: 4,
+            faulty_per_shard: 1,
+        };
+        let map = AccountMap::round_robin(&sys);
+        for shape in shapes {
+            for kind in kinds {
+                for seed in 0..2 {
+                    let source = || StreamSource::new(&sys, &map, kind, shape, 0.5, 3, 24, seed);
+                    let mut lazy = IngestPipeline::new(source(), 6);
+                    let got: Vec<_> = (0..40).map(|r| lazy.next_round(Round(r))).collect();
+                    let (want, stats, spilled) = eager_drains(source(), 6, 40);
+                    let case = format!("k={k_max} {shape} {kind} seed {seed}");
+                    assert!(got.iter().map(Vec::len).sum::<usize>() > 0, "{case}");
+                    assert_eq!(got, want, "{case}");
+                    assert_eq!(lazy.stats(), Some(stats), "{case}");
+                    assert_eq!(spilled > 0, k_max > 8, "{case}");
+                }
             }
         }
     }

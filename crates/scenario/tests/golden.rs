@@ -131,6 +131,7 @@ type Golden = (
 const GOLDENS: &[Golden] = &[
     ("smoke", Some(500), &[], &[]),
     ("dos_burst", Some(500), &[], &[]),
+    ("uneven_round_robin", Some(500), &[], &[]),
     ("net_smoke", Some(500), &[], &[]),
     ("net_smoke", Some(500), &[("engine", "sim")], &[]),
     ("net_faults", Some(500), &[], &[]),
@@ -208,7 +209,7 @@ fn every_checked_in_scenario_parses_and_plans() {
         }
     }
     assert!(
-        count >= 27,
+        count >= 28,
         "expected the shipped scenario set, found {count}"
     );
 }
