@@ -10,19 +10,24 @@
 //! [`TxnScratch`] the pool owns. At saturation nearly every offer is
 //! evicted, so nearly none is ever built.
 //!
-//! The pool keeps one *lane* per home shard. A lane is a bucketed
-//! priority index: 256 fee buckets, each a FIFO deque of the pending
-//! offers of that fee kept sorted by [`TxnId`], plus a 4-word
-//! occupancy bitmap so the highest/lowest non-empty bucket is found in a
-//! handful of bit operations. Priority order is **(fee descending, id
-//! ascending)** — higher fees first, FIFO within a fee class (ids are
-//! assigned in generation order) — so the lane's maximum is the front of
-//! its highest bucket and its minimum the back of its lowest. Ids almost
-//! always arrive ascending, which makes an insert a `push_back`; a deque
-//! keeps its capacity when it empties, so a warm lane allocates nothing.
-//! The lane header caches the minimum's `(fee, id)`: a full lane turns a
-//! losing offer away — the common case under saturation — without
-//! touching a bucket.
+//! The pool keeps one *lane* per home shard. A lane is one slab of at
+//! most `capacity` offer slots, threaded into 256 fee buckets: each
+//! bucket is an intrusive list (`u32` `[prev, next]` links per slot,
+//! `[front, back]` ends per fee) of the pending offers of that fee in
+//! [`TxnId`] order, and a 4-word occupancy bitmap finds the
+//! highest/lowest non-empty bucket in a handful of bit operations.
+//! Priority order is **(fee descending, id ascending)** — higher fees
+//! first, FIFO within a fee class (ids are assigned in generation
+//! order) — so the lane's maximum is the front of its highest bucket and
+//! its minimum the back of its lowest. Ids almost always arrive
+//! ascending, which links an insert at its bucket's back; one that does
+//! not walks back from there. A removed offer's slot joins a free list,
+//! and the slab only grows (doubling, clamped to `capacity`) while the
+//! lane has never been full, so a lane's memory is bounded by what it
+//! can hold — not by how many fee classes its cutoff has passed — and a
+//! warm lane allocates nothing. The lane header caches the minimum's
+//! `(fee, id)`: a full lane turns a losing offer away — the common case
+//! under saturation — without touching the slab.
 //!
 //! # Backpressure
 //!
@@ -65,7 +70,6 @@ use crate::generator::{Adversary, Offer, TxnScratch};
 use serde::{Deserialize, Serialize};
 use sharding_core::{Round, ShardId, Transaction, TxnId};
 use std::cmp::Reverse;
-use std::collections::VecDeque;
 
 /// Number of fee classes (`u8` fees map 1:1 onto buckets).
 const FEE_BUCKETS: usize = 256;
@@ -113,26 +117,48 @@ impl RoundSource for Adversary {
 /// An offer's place in the priority order: the larger rank wins.
 type Rank = (u8, Reverse<TxnId>);
 
-/// One home shard's bounded priority lane.
+/// The link that ends a fee bucket's list (and the free list).
+const NIL: u32 = u32::MAX;
+
+// `peak_live_mb`: a slot is the offer itself — `None` takes the offer's
+// niche, so a full lane is exactly `capacity` × 128 bytes of slab.
+const _: () = assert!(std::mem::size_of::<Option<Offer>>() == 128);
+
+/// One home shard's bounded priority lane: a slab of at most `capacity`
+/// slots threaded into one intrusive list per fee.
 #[derive(Debug, Clone)]
 struct Lane {
-    /// `buckets[fee]` holds the lane's pending offers of that fee,
-    /// ascending by id (FIFO within the fee class).
-    buckets: Vec<VecDeque<Offer>>,
-    /// Bit `fee` set ⇔ `buckets[fee]` is non-empty.
+    /// The resident offers; `None` marks a free slot. Grows on demand,
+    /// never past `capacity`.
+    slots: Vec<Option<Offer>>,
+    /// `links[slot]` = `[prev, next]` within the slot's fee bucket, in
+    /// ascending id order (FIFO within the fee class). A free slot's
+    /// `next` is the next free slot.
+    links: Vec<[u32; 2]>,
+    /// `ends[fee]` = `[front, back]` of that fee's bucket: its lowest
+    /// and highest id, `NIL` when empty.
+    ends: [[u32; 2]; FEE_BUCKETS],
+    /// Head of the free-slot list.
+    free: u32,
+    /// Bit `fee` set ⇔ bucket `fee` is non-empty.
     occupied: [u64; 4],
     len: usize,
+    capacity: usize,
     /// Rank of the lane's minimum — lowest fee, largest id; `None` ⇔
     /// the lane is empty.
     min: Option<Rank>,
 }
 
 impl Lane {
-    fn new() -> Lane {
+    fn new(capacity: usize) -> Lane {
         Lane {
-            buckets: vec![VecDeque::new(); FEE_BUCKETS],
+            slots: Vec::new(),
+            links: Vec::new(),
+            ends: [[NIL; 2]; FEE_BUCKETS],
+            free: NIL,
             occupied: [0; 4],
             len: 0,
+            capacity,
             min: None,
         }
     }
@@ -157,39 +183,97 @@ impl Lane {
         None
     }
 
-    fn put(&mut self, fee: u8, offer: Offer) {
-        let rank = (fee, Reverse(offer.id));
-        self.min = Some(self.min.map_or(rank, |min| min.min(rank)));
-        let bucket = &mut self.buckets[fee as usize];
-        if bucket.back().is_none_or(|last| last.id < offer.id) {
-            bucket.push_back(offer);
-        } else {
-            let at = bucket.partition_point(|o| o.id < offer.id);
-            bucket.insert(at, offer);
+    fn offer_at(&self, slot: u32) -> &Offer {
+        self.slots[slot as usize].as_ref().expect("linked slot")
+    }
+
+    /// A slot for `offer`: the head of the free list, else a new one.
+    /// The slab doubles, clamped to `capacity`, so it never reserves
+    /// past it.
+    fn alloc(&mut self, offer: Offer) -> u32 {
+        if self.free != NIL {
+            let slot = self.free;
+            self.free = self.links[slot as usize][1];
+            self.slots[slot as usize] = Some(offer);
+            return slot;
         }
+        let len = self.slots.len();
+        if len == self.slots.capacity() {
+            let grow = len.max(4).min(self.capacity - len);
+            self.slots.reserve_exact(grow);
+            self.links.reserve_exact(grow);
+        }
+        self.slots.push(Some(offer));
+        self.links.push([NIL; 2]);
+        len as u32
+    }
+
+    fn put(&mut self, fee: u8, offer: Offer) {
+        let id = offer.id;
+        let rank = (fee, Reverse(id));
+        self.min = Some(self.min.map_or(rank, |min| min.min(rank)));
+        let slot = self.alloc(offer);
+        // Ids almost always arrive ascending, so the walk back from the
+        // bucket's back stops at once.
+        let [front, back] = self.ends[fee as usize];
+        let mut prev = back;
+        while prev != NIL && self.offer_at(prev).id > id {
+            prev = self.links[prev as usize][0];
+        }
+        let next = if prev == NIL {
+            front
+        } else {
+            self.links[prev as usize][1]
+        };
+        self.links[slot as usize] = [prev, next];
+        self.set_next(fee as usize, prev, slot);
+        self.set_prev(fee as usize, next, slot);
         self.occupied[fee as usize / 64] |= 1 << (fee % 64);
         self.len += 1;
     }
 
-    /// Book-keeping after one offer left bucket `fee`.
-    fn note_removed(&mut self, fee: usize) {
-        if self.buckets[fee].is_empty() {
+    /// Points `at`'s `next` at `to` in bucket `fee`; a `NIL` `at` is the
+    /// bucket's front end.
+    fn set_next(&mut self, fee: usize, at: u32, to: u32) {
+        match at {
+            NIL => self.ends[fee][0] = to,
+            at => self.links[at as usize][1] = to,
+        }
+    }
+
+    /// Points `at`'s `prev` at `to` in bucket `fee`; a `NIL` `at` is the
+    /// bucket's back end.
+    fn set_prev(&mut self, fee: usize, at: u32, to: u32) {
+        match at {
+            NIL => self.ends[fee][1] = to,
+            at => self.links[at as usize][0] = to,
+        }
+    }
+
+    /// Takes `slot` out of bucket `fee` and onto the free list.
+    fn unlink(&mut self, fee: usize, slot: u32) -> Offer {
+        let [prev, next] = self.links[slot as usize];
+        self.set_next(fee, prev, next);
+        self.set_prev(fee, next, prev);
+        if self.ends[fee][0] == NIL {
             self.occupied[fee / 64] &= !(1 << (fee % 64));
         }
+        self.links[slot as usize][1] = self.free;
+        self.free = slot;
         self.len -= 1;
+        self.slots[slot as usize].take().expect("linked slot")
     }
 
     /// The lane's maximum under (fee desc, id asc), without removing it.
     fn peek_max(&self) -> Option<&Offer> {
-        self.buckets[self.highest()?].front()
+        Some(self.offer_at(self.ends[self.highest()?][0]))
     }
 
     /// Removes the lane's maximum. The minimum only changes when the
     /// two coincide, which leaves the lane empty.
     fn pop_max(&mut self) -> Offer {
         let fee = self.highest().expect("non-empty lane");
-        let offer = self.buckets[fee].pop_front().expect("occupied bucket");
-        self.note_removed(fee);
+        let offer = self.unlink(fee, self.ends[fee][0]);
         if self.len == 0 {
             self.min = None;
         }
@@ -200,10 +284,9 @@ impl Lane {
     /// buckets.
     fn pop_min(&mut self) -> Offer {
         let fee = self.lowest().expect("non-empty lane");
-        let offer = self.buckets[fee].pop_back().expect("occupied bucket");
-        self.note_removed(fee);
+        let offer = self.unlink(fee, self.ends[fee][1]);
         self.min = self.lowest().map(|fee| {
-            let last = self.buckets[fee].back().expect("occupied bucket");
+            let last = self.offer_at(self.ends[fee][1]);
             (fee as u8, Reverse(last.id))
         });
         offer
@@ -215,7 +298,6 @@ impl Lane {
 #[derive(Debug, Clone)]
 pub struct Mempool {
     lanes: Vec<Lane>,
-    capacity: usize,
     stats: MempoolStats,
     /// Where `drain` builds each admitted offer.
     scratch: TxnScratch,
@@ -226,13 +308,17 @@ impl Mempool {
     ///
     /// # Panics
     ///
-    /// Panics when `shards == 0` or `capacity == 0`.
+    /// Panics when `shards == 0`, `capacity == 0`, or `capacity` does
+    /// not fit a `u32` slot index.
     pub fn new(shards: usize, capacity: usize) -> Mempool {
         assert!(shards > 0, "mempool needs at least one lane");
         assert!(capacity > 0, "lane capacity must be positive");
+        assert!(
+            capacity < NIL as usize,
+            "lane capacity must fit a u32 slot index"
+        );
         Mempool {
-            lanes: (0..shards).map(|_| Lane::new()).collect(),
-            capacity,
+            lanes: (0..shards).map(|_| Lane::new(capacity)).collect(),
             stats: MempoolStats::default(),
             scratch: TxnScratch::default(),
         }
@@ -243,7 +329,7 @@ impl Mempool {
     /// as evicted.
     pub fn offer(&mut self, fee: u8, offer: Offer) {
         let lane = &mut self.lanes[offer.home().index()];
-        if lane.len < self.capacity {
+        if lane.len < lane.capacity {
             lane.put(fee, offer);
             return;
         }
@@ -422,6 +508,34 @@ mod tests {
         pool.drain(&mut budgets, Round::ZERO);
         pool.note_depth();
         assert_eq!(pool.stats().depth_max, 2, "high water survives the drain");
+    }
+
+    #[test]
+    fn lane_memory_does_not_depend_on_history() {
+        const CAP: usize = 32;
+        let mut pool = Mempool::new(1, CAP);
+        let mut budgets = ShardBudgets::new(1, 1.0, 4);
+        // 120 × CAP offers whose fees creep upward, so the fee cutoff
+        // rises through most of the 256 buckets. Ids arrive in blocks of
+        // eight reversed, so every eighth offer walks a bucket back.
+        for i in 0..120 * CAP as u64 {
+            let id = i / 8 * 8 + 7 - i % 8;
+            let fee = (i * 256 / (120 * CAP as u64)) as u8 ^ (i % 3) as u8;
+            pool.offer(fee, offer(id, 0));
+            if i % 97 == 0 {
+                budgets.tick();
+                pool.drain(&mut budgets, Round(i));
+            }
+            let lane = &pool.lanes[0];
+            assert!(lane.slots.len() <= CAP && lane.slots.capacity() <= CAP);
+            assert!(lane.links.capacity() <= CAP);
+            assert_eq!(lane.len, lane.slots.iter().flatten().count());
+        }
+        assert!(
+            pool.stats().evicted > 100 * CAP as u64,
+            "the lane saturates"
+        );
+        assert_eq!(pool.lanes[0].slots.capacity(), CAP);
     }
 
     #[test]

@@ -377,6 +377,10 @@ pub(crate) fn zipf_shard_set(cfg: &SystemConfig, cdf: &[f64], rng: &mut Rng) -> 
 /// uniform is scaled by `n`, its integer part picks a column, and its
 /// fractional part chooses between the column's own index and its alias
 /// — both read from the one column, so a draw costs one cache miss.
+/// The build works in place: each column starts as its raw weight
+/// aliased to itself, so [`AliasTable::zipf`] holds no 8-byte weight
+/// per index beside its columns (`peak_live_mb` counts set-up), and
+/// only the two `u32` work stacks of Vose's method are transient.
 /// Per-index probability masses are preserved exactly (up to float
 /// rounding) — see [`AliasTable::masses`], which the property tests
 /// reconcile against the CDF oracle.
@@ -407,25 +411,38 @@ impl AliasTable {
     /// Panics when `weights` is empty, longer than `u32::MAX`, or its sum
     /// is not strictly positive and finite.
     pub fn new(weights: &[f64]) -> AliasTable {
-        assert!(!weights.is_empty(), "alias table over an empty universe");
-        assert!(weights.len() <= u32::MAX as usize, "universe exceeds u32");
+        AliasTable::from_weights(weights.iter().copied())
+    }
+
+    /// Builds the Zipf law `P(i) ∝ 1/(i+1)^exponent` over `n` indices,
+    /// computing each weight straight into its column.
+    pub fn zipf(n: usize, exponent: f64) -> AliasTable {
+        AliasTable::from_weights((0..n).map(|i| 1.0 / ((i + 1) as f64).powf(exponent)))
+    }
+
+    /// Vose's method over `weights`, in place: each column starts as its
+    /// raw weight aliased to itself, so no weight vector is held beside
+    /// the columns.
+    fn from_weights(weights: impl ExactSizeIterator<Item = f64>) -> AliasTable {
         let n = weights.len();
-        let total: f64 = weights.iter().sum();
+        assert!(n > 0, "alias table over an empty universe");
+        assert!(n <= u32::MAX as usize, "universe exceeds u32");
+        let mut cols: Vec<Column> = (0..n as u32)
+            .zip(weights)
+            .map(|(i, w)| Column { prob: w, alias: i })
+            .collect();
+        let total: f64 = cols.iter().map(|c| c.prob).sum();
         assert!(
             total.is_finite() && total > 0.0,
             "weights must sum to a positive finite value"
         );
-        // Vose's method: scale every weight to mean 1, then repeatedly pair an
-        // under-full column with an over-full one so every column holds
-        // exactly unit mass split between its own index and one alias.
+        // Scale every weight to mean 1, then repeatedly pair an under-full
+        // column with an over-full one so every column holds exactly unit
+        // mass split between its own index and one alias.
         let scale = n as f64 / total;
-        let mut cols: Vec<Column> = (0..n as u32)
-            .zip(weights)
-            .map(|(i, &w)| Column {
-                prob: w * scale,
-                alias: i,
-            })
-            .collect();
+        for c in &mut cols {
+            c.prob *= scale;
+        }
         let mut small: Vec<u32> = Vec::new();
         let mut large: Vec<u32> = Vec::new();
         for (i, c) in cols.iter().enumerate() {
@@ -452,14 +469,6 @@ impl AliasTable {
             cols[i as usize].prob = 1.0;
         }
         AliasTable { cols }
-    }
-
-    /// Builds the Zipf law `P(i) ∝ 1/(i+1)^exponent` over `n` indices.
-    pub fn zipf(n: usize, exponent: f64) -> AliasTable {
-        let weights: Vec<f64> = (0..n)
-            .map(|i| 1.0 / ((i + 1) as f64).powf(exponent))
-            .collect();
-        AliasTable::new(&weights)
     }
 
     /// Number of indices in the sampled universe.
@@ -579,6 +588,66 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every column as `(prob bits, alias)`.
+    fn columns(table: &AliasTable) -> Vec<(u64, u32)> {
+        table
+            .cols
+            .iter()
+            .map(|c| ({ c.prob }.to_bits(), c.alias))
+            .collect()
+    }
+
+    /// Vose's method as it was written over a separate weight vector: sum
+    /// the weights in index order, then scale each into its column.
+    fn weight_vector_oracle(weights: &[f64]) -> Vec<(u64, u32)> {
+        let n = weights.len();
+        let total: f64 = weights.iter().sum();
+        let scale = n as f64 / total;
+        let mut mass: Vec<f64> = weights.iter().map(|w| w * scale).collect();
+        let mut fallback: Vec<u32> = (0..n as u32).collect();
+        let (mut small, mut large): (Vec<u32>, Vec<u32>) =
+            (0..n as u32).partition(|&i| mass[i as usize] < 1.0);
+        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+            small.pop();
+            fallback[s as usize] = l;
+            mass[l as usize] -= 1.0 - mass[s as usize];
+            if mass[l as usize] < 1.0 {
+                large.pop();
+                small.push(l);
+            }
+        }
+        for &i in small.iter().chain(large.iter()) {
+            mass[i as usize] = 1.0;
+        }
+        mass.iter().map(|p| p.to_bits()).zip(fallback).collect()
+    }
+
+    #[test]
+    fn the_in_place_zipf_build_is_bit_identical_to_the_weight_vector_build() {
+        for (n, a) in [
+            (1usize, 1.0),
+            (7, 0.0),
+            (64, 0.8),
+            (257, 1.4),
+            (100_000, 0.6),
+        ] {
+            let weights: Vec<f64> = (0..n).map(|i| 1.0 / ((i + 1) as f64).powf(a)).collect();
+            let table = columns(&AliasTable::zipf(n, a));
+            assert!(
+                table == columns(&AliasTable::new(&weights)),
+                "n = {n}, a = {a}"
+            );
+            assert!(table == weight_vector_oracle(&weights), "n = {n}, a = {a}");
+        }
+        // Summed in reverse, these weights would total 1 + 2⁻⁵², not 1.
+        let tiny = f64::EPSILON / 2.0;
+        let weights = [1.0, tiny, tiny];
+        assert_eq!(
+            columns(&AliasTable::new(&weights)),
+            weight_vector_oracle(&weights)
+        );
     }
 
     #[test]

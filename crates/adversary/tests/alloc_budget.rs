@@ -1,8 +1,8 @@
 //! The ingestion path's allocation budget, counted with this binary's
 //! own global allocator: drawing a round of offers allocates the vector
-//! they are returned in and nothing else, an offer the pool turns away
-//! allocates nothing, and a transaction — two heap blocks (`subs`,
-//! `accesses`) — is built only when it drains.
+//! they are returned in and nothing else, an offer a full lane turns
+//! away or keeps allocates nothing, and a transaction — two heap blocks
+//! (`subs`, `accesses`) — is built only when it drains.
 //!
 //! One `#[test]` in the binary, so no other test thread's allocations
 //! are counted.
@@ -60,9 +60,9 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
 const LANES: usize = 8;
 const OFFERED: u64 = 200;
 /// Allocations a round may make whatever it is offered: the offer
-/// vector, the admitted batch growing from empty, and the odd fee bucket
-/// doubling as the lanes' fee cutoff rises.
-const PER_ROUND: u64 = 8;
+/// vector and the admitted batch growing from empty. A warm lane's slab
+/// is full, and an offer it keeps takes the slot of the one it evicts.
+const PER_ROUND: u64 = 3;
 
 #[test]
 fn ingestion_builds_two_blocks_per_admitted_transaction_and_allocates_nothing_per_offer() {
@@ -121,4 +121,12 @@ fn ingestion_builds_two_blocks_per_admitted_transaction_and_allocates_nothing_pe
     let (allocs, ()) = allocs_during(|| pool.offer(0, loser));
     assert_eq!(allocs, 0, "a losing offer allocates nothing");
     assert_eq!((pool.depth(), pool.stats().evicted), (2, 1));
+
+    // An offer that wins evicts the minimum and takes its slot, even in
+    // a fee bucket the lane has never used.
+    let winner = offer(3);
+    let (allocs, ()) = allocs_during(|| pool.offer(200, winner));
+    assert_eq!(allocs, 0, "a winning offer allocates nothing");
+    assert_eq!((pool.depth(), pool.stats().evicted), (2, 2));
+    assert_eq!(pool.lane_min(ShardId(0)), Some((9, TxnId(0))));
 }
