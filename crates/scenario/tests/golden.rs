@@ -1,8 +1,10 @@
 //! Golden-file coverage for the scenario engine. Every pinned run is one
 //! row of [`GOLDENS`] (a checked-in scenario, how it is run, and what its
 //! rows must show beyond matching `tests/golden/<stem>_rounds<N>.csv` byte
-//! for byte); each `tests/golden/X.scenario` of [`PLANS`] must expand to
-//! exactly `tests/golden/X.plan`. After an intentional change,
+//! for byte — and, when a job runs `metrics = full`, its per-epoch
+//! timeline matching `<stem>_rounds<N>.metrics.jsonl`); each
+//! `tests/golden/X.scenario` of [`PLANS`] must expand to exactly
+//! `tests/golden/X.plan`. After an intentional change,
 //!
 //! ```sh
 //! BLESS=1 cargo test -p scenario --test golden
@@ -123,8 +125,9 @@ type Golden = (
 /// checked-in scenarios: the CSV deliberately has no engine column, so a
 /// job must write the same bytes on either engine — through a live
 /// migration (`scale_*`: table updates, handoffs and re-homing land on
-/// identical rounds), through the metrics plane (`flash_crowd`:
-/// percentile and utilization columns included) and under every fault
+/// identical rounds), through the metrics plane (`flash_crowd`, BDS and
+/// FDS: percentile and utilization columns and the per-epoch timeline
+/// included) and under every fault
 /// plan the campaigns use (the five faulted scenarios: drops,
 /// duplicates, crashes and Byzantine votes, fault counters included).
 /// `zoo_quick` and `firehose_shift` hold both engines' rows in one file.
@@ -172,10 +175,15 @@ fn check_golden((stem, rounds, sets, checks): &Golden) -> Result<(), String> {
         .chain(sets.iter().map(|(k, v)| pair(k, v)))
         .collect();
     let jobs = scenario.jobs_with(&overrides).map_err(|e| e.to_string())?;
-    let got = report::csv_string(&run_jobs(&jobs, 2, false));
-    let golden = format!("{stem}_rounds{}.csv", jobs[0].rounds);
+    let outcomes = run_jobs(&jobs, 2, false);
+    let got = report::csv_string(&outcomes);
+    let golden = golden_dir().join(format!("{stem}_rounds{}", jobs[0].rounds));
     // An overridden run is held to its twin's file, never blessed into it.
-    check_against(&golden_dir().join(golden), &got, sets.is_empty())?;
+    check_against(&golden.with_extension("csv"), &got, sets.is_empty())?;
+    if let Some(timeline) = report::metrics_jsonl_string(&outcomes) {
+        let path = golden.with_extension("metrics.jsonl");
+        check_against(&path, &timeline, sets.is_empty())?;
+    }
     let rows: Vec<&str> = got.lines().skip(1).collect();
     checks.iter().try_for_each(|check| check(&rows))
 }
