@@ -9,13 +9,15 @@
 //! averages. The only floats appear at the very edge, when a report
 //! formats `util_min_shard` for humans.
 //!
-//! The [`MetricsSink`] is the seam the schedulers and networked engines
-//! record through. It defaults to [`MetricsSink::Off`], in which state
-//! every hook is an empty match arm — existing goldens stay byte-identical
-//! because nothing is computed, allocated, or formatted.
+//! A run book (`schedulers::metrics::MetricsCollector`) holds a
+//! [`MetricsRecorder`] only when a job turns the plane on: it hands the
+//! recorder each commit and, as it closes a round, the round's
+//! [`RoundRow`] and its own decision totals. Off, there is no recorder, so nothing is
+//! computed, allocated, or formatted and existing goldens stay
+//! byte-identical.
 
 mod hist;
 mod sink;
 
 pub use hist::LatencyHist;
-pub use sink::{EpochRow, MetricsMode, MetricsRecorder, MetricsReport, MetricsSink};
+pub use sink::{EpochRow, MetricsMode, MetricsRecorder, MetricsReport, RoundRow};

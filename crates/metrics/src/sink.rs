@@ -1,4 +1,4 @@
-//! The recording seam and the finished per-run metrics report.
+//! The metrics plane's recorder and the finished per-run metrics report.
 
 use crate::hist::LatencyHist;
 
@@ -6,7 +6,7 @@ use crate::hist::LatencyHist;
 /// key). `Off` is the default and leaves every legacy golden byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MetricsMode {
-    /// No recording at all; every sink hook is a no-op.
+    /// No recording at all: the run book holds no recorder.
     #[default]
     Off,
     /// Histogram + per-shard utilization + epoch timeline recorded;
@@ -83,160 +83,99 @@ pub struct EpochRow {
     pub active_shards: u64,
 }
 
-/// Live recording state behind an enabled sink.
+/// One closed round, as a protocol folds its shards' samples
+/// (`schedulers::node::Protocol::round_row`): the run book takes the
+/// queue series' value and the pending count, the open timeline row the
+/// rest.
+#[derive(Debug, Clone, Copy)]
+pub struct RoundRow {
+    /// The queue series' value (the figures' left-panel quantity).
+    pub queue: f64,
+    /// Transactions pending (the quantity Theorems 2–3 bound).
+    pub pending: u64,
+    /// The round's epoch on the timeline.
+    pub epoch: u64,
+    /// Shards owning placement.
+    pub active: u64,
+}
+
+/// What the metrics plane records beyond the run book: the latency
+/// histogram, commits per home shard and the epoch timeline. The book
+/// (`schedulers::metrics::MetricsCollector`) counts the run's rounds and
+/// decisions; a row's commits, aborts and flips are differences of its
+/// totals.
 #[derive(Debug)]
 pub struct MetricsRecorder {
-    shards: usize,
     hist: LatencyHist,
     per_shard_commits: Vec<u64>,
     timeline: Vec<EpochRow>,
+    /// The open row (`rounds == 0` until the first close).
     cur: EpochRow,
-    have_row: bool,
-    /// Rounds observed so far (`on_round` calls).
-    round: u64,
-    /// Commits/aborts recorded since the last `on_round`, attributed to
-    /// the row that round turns out to belong to (an epoch rollover at
-    /// round `r` must not credit round `r`'s commits to the old epoch).
-    round_commits: u64,
-    round_aborts: u64,
-    byz_prev: u64,
+    /// The book's `[commits, aborts, byz_flips]` at the last close.
+    booked: [u64; 3],
 }
 
 impl MetricsRecorder {
-    fn new(shards: usize) -> Self {
+    /// A recorder for `shards` home shards.
+    pub fn new(shards: usize) -> Self {
         MetricsRecorder {
-            shards,
             hist: LatencyHist::new(),
             per_shard_commits: vec![0; shards],
             timeline: Vec::new(),
             cur: EpochRow::default(),
-            have_row: false,
-            round: 0,
-            round_commits: 0,
-            round_aborts: 0,
-            byz_prev: 0,
+            booked: [0; 3],
         }
     }
 
-    fn on_commit(&mut self, home: usize, latency: u64) {
+    /// Records a commit for home shard `home` with its latency in rounds.
+    pub fn on_commit(&mut self, home: usize, latency: u64) {
         self.hist.record(latency);
-        if home < self.per_shard_commits.len() {
-            self.per_shard_commits[home] += 1;
+        if let Some(commits) = self.per_shard_commits.get_mut(home) {
+            *commits += 1;
         }
-        self.round_commits += 1;
     }
 
-    fn on_round(
-        &mut self,
-        epoch: u64,
-        pending: u64,
-        byz_cum: u64,
-        crashed_shards: u64,
-        active_shards: u64,
-    ) {
-        if self.have_row && epoch != self.cur.epoch {
-            self.timeline.push(self.cur);
-            self.have_row = false;
+    /// Closes round `round` (0-based) as `row`, with `crashed` shards
+    /// down. `totals` is the book's `[commits, aborts, byz_flips]` so far;
+    /// what it gained since the last close belongs to this round's row,
+    /// so a rollover round's decisions land in the new epoch.
+    pub fn close_round(&mut self, round: u64, row: &RoundRow, crashed: u64, totals: [u64; 3]) {
+        if self.cur.rounds > 0 && row.epoch != self.cur.epoch {
+            self.timeline.push(std::mem::take(&mut self.cur));
+            self.cur.start_round = round;
         }
-        if !self.have_row {
-            self.cur = EpochRow {
-                epoch,
-                start_round: self.round,
-                ..EpochRow::default()
-            };
-            self.have_row = true;
-        }
-        self.cur.rounds += 1;
-        self.cur.commits += self.round_commits;
-        self.cur.aborts += self.round_aborts;
-        self.round_commits = 0;
-        self.round_aborts = 0;
-        self.cur.pending_sum += pending;
-        self.cur.pending_max = self.cur.pending_max.max(pending);
-        self.cur.byz_flips += byz_cum - self.byz_prev;
-        self.byz_prev = byz_cum;
-        self.cur.crashed_shards_max = self.cur.crashed_shards_max.max(crashed_shards);
-        self.cur.active_shards = self.cur.active_shards.max(active_shards);
-        self.round += 1;
+        self.credit(totals);
+        let cur = &mut self.cur;
+        cur.epoch = row.epoch;
+        cur.rounds += 1;
+        cur.pending_sum += row.pending;
+        cur.pending_max = cur.pending_max.max(row.pending);
+        cur.crashed_shards_max = cur.crashed_shards_max.max(crashed);
+        cur.active_shards = cur.active_shards.max(row.active);
     }
 
-    fn finish(mut self) -> MetricsReport {
-        // Trailing commits/aborts with no following round sample (e.g. a
-        // scheduler that decides after its last sample) still count.
-        self.cur.commits += self.round_commits;
-        self.cur.aborts += self.round_aborts;
-        if self.have_row {
+    /// Credits the open row with what `totals` gained since the last close.
+    fn credit(&mut self, totals: [u64; 3]) {
+        let [commits, aborts, flips] = std::array::from_fn(|i| totals[i] - self.booked[i]);
+        self.cur.commits += commits;
+        self.cur.aborts += aborts;
+        self.cur.byz_flips += flips;
+        self.booked = totals;
+    }
+
+    /// The report, given the book's final `[commits, aborts]`: decisions
+    /// booked after the last close (a host that decides after its last
+    /// sample) still count, in the last row.
+    pub fn finish(mut self, [commits, aborts]: [u64; 2]) -> MetricsReport {
+        self.credit([commits, aborts, self.booked[2]]);
+        if self.cur.rounds > 0 {
             self.timeline.push(self.cur);
         }
         MetricsReport {
-            shards: self.shards,
+            shards: self.per_shard_commits.len(),
             hist: self.hist,
             per_shard_commits: self.per_shard_commits,
             timeline: self.timeline,
-        }
-    }
-}
-
-/// The recording seam. Engines hold one of these (inside their
-/// `MetricsCollector`) and call the hooks unconditionally; when the sink
-/// is [`MetricsSink::Off`] every hook is an empty match arm, so the
-/// metrics plane costs nothing and changes no bytes.
-#[derive(Debug, Default)]
-pub enum MetricsSink {
-    /// Disabled: all hooks are no-ops.
-    #[default]
-    Off,
-    /// Enabled: hooks feed the boxed recorder.
-    On(Box<MetricsRecorder>),
-}
-
-impl MetricsSink {
-    /// An enabled sink for `shards` home shards.
-    pub fn enabled(shards: usize) -> Self {
-        MetricsSink::On(Box::new(MetricsRecorder::new(shards)))
-    }
-
-    /// Records a commit decided for home shard `home` with the given
-    /// latency in rounds.
-    #[inline]
-    pub fn on_commit(&mut self, home: usize, latency: u64) {
-        if let MetricsSink::On(r) = self {
-            r.on_commit(home, latency);
-        }
-    }
-
-    /// Records an abort decision.
-    #[inline]
-    pub fn on_abort(&mut self) {
-        if let MetricsSink::On(r) = self {
-            r.round_aborts += 1;
-        }
-    }
-
-    /// End-of-round sample: the epoch the engine is in, total pending,
-    /// cumulative Byzantine flips so far, how many shards are currently
-    /// crashed, and how many shards actively own placement (the shard
-    /// count, unless a reshard schedule is live). Must be called exactly
-    /// once per round, after the round's commits/aborts were recorded.
-    #[inline]
-    pub fn on_round(
-        &mut self,
-        epoch: u64,
-        pending: u64,
-        byz_cum: u64,
-        crashed_shards: u64,
-        active_shards: u64,
-    ) {
-        if let MetricsSink::On(r) = self {
-            r.on_round(epoch, pending, byz_cum, crashed_shards, active_shards);
-        }
-    }
-
-    /// Consumes the sink into a report (`None` when the sink was off).
-    pub fn finish(self) -> Option<MetricsReport> {
-        match self {
-            MetricsSink::Off => None,
-            MetricsSink::On(r) => Some(r.finish()),
         }
     }
 }
@@ -306,24 +245,21 @@ mod tests {
     }
 
     #[test]
-    fn off_sink_records_nothing() {
-        let mut s = MetricsSink::Off;
-        s.on_commit(0, 10);
-        s.on_abort();
-        s.on_round(0, 5, 0, 0, 2);
-        assert!(s.finish().is_none());
-    }
-
-    #[test]
     fn rollover_round_commits_belong_to_the_new_epoch() {
-        let mut s = MetricsSink::enabled(2);
+        let row = |pending, epoch, active| RoundRow {
+            queue: 0.0,
+            pending,
+            epoch,
+            active,
+        };
+        let mut r = MetricsRecorder::new(2);
         // Round 0, epoch 0: one commit.
-        s.on_commit(0, 3);
-        s.on_round(0, 4, 0, 0, 2);
+        r.on_commit(0, 3);
+        r.close_round(0, &row(4, 0, 2), 0, [1, 0, 0]);
         // Round 1 rolls into epoch 1; its commit must land in epoch 1.
-        s.on_commit(1, 5);
-        s.on_round(1, 2, 1, 1, 4);
-        let r = s.finish().unwrap();
+        r.on_commit(1, 5);
+        r.close_round(1, &row(2, 1, 4), 1, [2, 0, 1]);
+        let r = r.finish([2, 0]);
         assert_eq!(r.timeline.len(), 2);
         assert_eq!(r.timeline[0].commits, 1);
         assert_eq!(r.timeline[0].byz_flips, 0);
@@ -340,10 +276,16 @@ mod tests {
 
     #[test]
     fn trailing_commits_are_not_lost() {
-        let mut s = MetricsSink::enabled(1);
-        s.on_round(0, 0, 0, 0, 1);
-        s.on_commit(0, 7);
-        let r = s.finish().unwrap();
+        let mut r = MetricsRecorder::new(1);
+        let row = RoundRow {
+            queue: 0.0,
+            pending: 0,
+            epoch: 0,
+            active: 1,
+        };
+        r.close_round(0, &row, 0, [0, 0, 0]);
+        r.on_commit(0, 7);
+        let r = r.finish([1, 0]);
         assert_eq!(r.timeline.len(), 1);
         assert_eq!(r.timeline[0].commits, 1);
     }

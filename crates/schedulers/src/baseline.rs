@@ -11,6 +11,7 @@
 
 use crate::metrics::{MetricsCollector, RunReport, SchedulerKind};
 use crate::node::CommitEvent;
+use ::metrics::RoundRow;
 use adversary::AdversaryConfig;
 use sharding_core::{AccountMap, Round, SystemConfig, Transaction, TxnId};
 use simnet::SendTally;
@@ -106,9 +107,13 @@ impl FcfsSim {
             });
         }
         let pending = self.pending.len() as u64;
-        self.collector.sample_pending(pending);
-        self.collector.sink.on_round(0, pending, 0, 0, self.shards);
-        self.collector.end_round(pending);
+        let row = RoundRow {
+            queue: pending as f64 / self.shards as f64,
+            pending,
+            epoch: 0,
+            active: self.shards,
+        };
+        self.collector.end_round(row, [0, 0]);
     }
 
     /// Finalizes the run into a [`RunReport`]: no epochs, no messages,
@@ -195,6 +200,31 @@ mod tests {
             f.avg_latency,
             b.avg_latency
         );
+    }
+
+    /// FCFS has no epochs: with the plane on, its timeline is one epoch-0
+    /// row holding the whole run, over every shard.
+    #[test]
+    fn the_timeline_is_one_epoch_zero_row() {
+        let (sys, map) = sys();
+        let adv = AdversaryConfig {
+            rho: 0.05,
+            burstiness: 5,
+            strategy: StrategyKind::UniformRandom,
+            seed: 4,
+            ..Default::default()
+        };
+        let mut sim = FcfsSim::new(&sys, FcfsConfig::default());
+        sim.enable_metrics();
+        let r = crate::driver::drive(sim, &sys, &map, &adv, Round(300));
+        let plane = r.metrics.as_ref().expect("metrics on");
+        let shape: Vec<_> = plane
+            .timeline
+            .iter()
+            .map(|row| (row.epoch, row.commits, row.rounds, row.active_shards))
+            .collect();
+        assert_eq!(shape, [(0, r.committed, r.rounds, sys.shards as u64)]);
+        assert!(r.committed > 0 && r.rounds == 300, "{}", r.summary());
     }
 
     #[test]

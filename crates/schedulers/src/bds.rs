@@ -35,10 +35,11 @@
 //! host's transport, so message counts and delivery timing are measured,
 //! not assumed.
 
-use crate::metrics::{MetricsCollector, RunReport, SchedulerKind};
+use crate::metrics::{RunReport, SchedulerKind};
 use crate::node::{CommitEvent, Lent, Node, Protocol, Seam, Sim};
 use crate::scheduler::Scheduler;
 use crate::votes::VoteSet;
+use ::metrics::RoundRow;
 use adversary::AdversaryConfig;
 use cluster::{ShardMetric, UniformMetric};
 use conflict::ColoringStrategy;
@@ -664,28 +665,29 @@ impl Protocol for BdsProtocol {
 
     /// Fault-free every shard observes the same epoch and table at the
     /// same absolute round, so `max` is that common value; under faults
-    /// it is the furthest live view. Returns the total pending count —
-    /// the quantity bounded by `4bs` in Theorem 2.
-    fn record_round(
+    /// it is the furthest live view. Pending is the total — the quantity
+    /// bounded by `4bs` in Theorem 2 — and the queue series records its
+    /// per-shard average (the Figure 2 left-panel quantity).
+    fn round_row(
         _: &BdsNode,
-        collector: &mut MetricsCollector,
         _round: u64,
         samples: impl Iterator<Item = [u64; 4]>,
-        faults: Option<(u64, u64)>,
-    ) -> u64 {
-        let (pending, epoch, active, stranded) = samples.fold((0, 0, 0, 0), |(p, e, a, x), s| {
-            (p + s[0], e.max(s[1]), a.max(s[2]), x + s[3])
-        });
+        faulty: bool,
+    ) -> RoundRow {
+        let (shards, pending, epoch, active, stranded) = samples
+            .fold((0u64, 0, 0, 0, 0), |(n, p, e, a, x), s| {
+                (n + 1, p + s[0], e.max(s[1]), a.max(s[2]), x + s[3])
+            });
         debug_assert!(
-            faults.is_some() || stranded == 0,
+            faulty || stranded == 0,
             "undecided entry survived its epoch without faults"
         );
-        let (byz_flips, crashed) = faults.unwrap_or_default();
-        collector.sample_pending(pending);
-        collector
-            .sink
-            .on_round(epoch, pending, byz_flips, crashed, active);
-        pending
+        RoundRow {
+            queue: pending as f64 / shards as f64,
+            pending,
+            epoch,
+            active,
+        }
     }
 
     /// The furthest view over the nodes (a crashed or desynced shard's

@@ -53,10 +53,11 @@
 //! generic simulator hosting it (see [`crate::node`]), and the `runtime`
 //! crate hosts the same description on worker threads.
 
-use crate::metrics::{MetricsCollector, RunReport, SchedulerKind};
+use crate::metrics::{RunReport, SchedulerKind};
 use crate::node::{CommitEvent, Lent, Node, Protocol, Seam, Sim};
 use crate::scheduler::{ColoringPolicy, EpochPlan, Scheduler};
 use crate::votes::VoteSet;
+use ::metrics::RoundRow;
 use adversary::AdversaryConfig;
 use cluster::{ClusterId, Hierarchy, LineMetric, ShardMetric};
 use conflict::ColoringStrategy;
@@ -633,31 +634,28 @@ impl Protocol for FdsProtocol {
         ))
     }
 
-    /// Returns the outstanding (generated but unresolved) count. The
+    /// Pending is the outstanding (generated but unresolved) count. The
     /// Figure 3 left panel plots the average pending *scheduled*
     /// transactions at cluster leader shards, so the queue series records
     /// the mean leader queue over active leaders. The timeline's epoch is
     /// the layer-0 epoch, `round / E_0`.
-    fn record_round(
+    fn round_row(
         node: &FdsNode,
-        collector: &mut MetricsCollector,
         round: u64,
         samples: impl Iterator<Item = [u64; 4]>,
-        faults: Option<(u64, u64)>,
-    ) -> u64 {
+        _faulty: bool,
+    ) -> RoundRow {
         let (mut shards, mut sum) = (0, [0u64; 4]);
         for s in samples {
             shards += 1;
             sum = std::array::from_fn(|i| sum[i] + s[i]);
         }
-        let outstanding = sum[2].saturating_sub(sum[3]);
-        let leader_avg = sum[0] as f64 / sum[1].max(1) as f64;
-        let (byz_flips, crashed) = faults.unwrap_or_default();
-        collector.sample_queue_value(leader_avg, outstanding);
-        collector
-            .sink
-            .on_round(round / node.e0, outstanding, byz_flips, crashed, shards);
-        outstanding
+        RoundRow {
+            queue: sum[0] as f64 / sum[1].max(1) as f64,
+            pending: sum[2].saturating_sub(sum[3]),
+            epoch: round / node.e0,
+            active: shards,
+        }
     }
 
     /// Layer-0 epochs elapsed, and the top layer's fixed epoch length.

@@ -39,8 +39,10 @@
 //!   schedulers (queue-size series, latency distribution, commit counts,
 //!   epoch statistics, the stability verdict) and the run book every host
 //!   keeps, [`MetricsCollector`](metrics::MetricsCollector): it books the
-//!   generated transactions, each decision and each round's samples,
-//!   keeps the commit log, and builds the report.
+//!   generated transactions and each decision, closes each round on the
+//!   row its protocol folds the shards' samples into (and, with the
+//!   metrics plane on, the round's timeline row), keeps the commit log,
+//!   and builds the report.
 //! * [`testkit`] — shared helpers for the conformance harness
 //!   (`tests/conformance.rs` here, `tests/conformance_net.rs` in
 //!   `runtime`): build any registered kind as a round-driven simulation,

@@ -2,7 +2,7 @@
 //! book every host keeps to build it.
 
 use crate::node::{CommitEvent, Protocol, ShardFaults};
-use ::metrics::{MetricsReport, MetricsSink};
+use ::metrics::{MetricsRecorder, MetricsReport, RoundRow};
 use serde::{Deserialize, Serialize};
 use sharding_core::stats::{RunningStats, StabilityDetector, StabilityVerdict, TimeSeries};
 use sharding_core::{Round, TxnId};
@@ -177,7 +177,7 @@ pub struct RunReport {
     #[serde(skip)]
     pub queue_series: TimeSeries,
     /// Detailed metrics-plane output (log-scale latency quantiles,
-    /// per-shard utilization, epoch timeline) when the sink was enabled;
+    /// per-shard utilization, epoch timeline) when the plane was on;
     /// `None` — the default — leaves every legacy byte untouched.
     #[serde(skip)]
     pub metrics: Option<MetricsReport>,
@@ -213,9 +213,9 @@ impl RunReport {
 }
 
 /// The run book every host keeps: the transactions generated, each
-/// decision as it is booked, each round's samples as the round closes,
-/// and the commit log. [`finish`](MetricsCollector::finish) turns it
-/// into the [`RunReport`].
+/// decision as it is booked, each round as it closes, and the commit
+/// log. [`finish`](MetricsCollector::finish) turns it into the
+/// [`RunReport`].
 #[derive(Debug)]
 pub struct MetricsCollector {
     shards: usize,
@@ -232,12 +232,10 @@ pub struct MetricsCollector {
     pending: u64,
     /// Rounds closed, which is the index of the round being booked.
     rounds: u64,
-    /// The metrics-plane seam. Off by default (every hook a no-op); the
-    /// scenario executor enables it for `metrics = summary|full` jobs.
-    /// Both engines record through this collector — the networked engine
-    /// replays commits in the simulator's global order — so anything the
-    /// sink sees is automatically thread- and engine-byte-deterministic.
-    pub sink: MetricsSink,
+    /// The metrics plane, when [`enable_metrics`](Self::enable_metrics)
+    /// turned it on. It sees only what the book is fed, in booking order,
+    /// so it is as thread- and engine-deterministic as the book.
+    detail: Option<Box<MetricsRecorder>>,
 }
 
 impl MetricsCollector {
@@ -255,30 +253,13 @@ impl MetricsCollector {
             generated: 0,
             pending: 0,
             rounds: 0,
-            sink: MetricsSink::Off,
+            detail: None,
         }
     }
 
     /// Turns the metrics plane on for this run.
     pub fn enable_metrics(&mut self) {
-        self.sink = MetricsSink::enabled(self.shards);
-    }
-
-    /// Samples the total number of pending transactions for this round;
-    /// the queue series records the per-home-shard average (the Figure 2
-    /// left-panel quantity).
-    pub fn sample_pending(&mut self, total_pending: u64) {
-        self.queue_series
-            .push(total_pending as f64 / self.shards as f64);
-        self.total_pending_max = self.total_pending_max.max(total_pending);
-    }
-
-    /// Samples with an explicit queue-series value, for schedulers whose
-    /// figure quantity is not the per-home-shard average (Figure 3's left
-    /// panel plots the average *cluster-leader* schedule-queue size).
-    pub fn sample_queue_value(&mut self, series_value: f64, total_pending: u64) {
-        self.queue_series.push(series_value);
-        self.total_pending_max = self.total_pending_max.max(total_pending);
+        self.detail = Some(Box::new(MetricsRecorder::new(self.shards)));
     }
 
     /// Books `n` transactions the source generated.
@@ -294,35 +275,45 @@ impl MetricsCollector {
             self.max_latency = self.max_latency.max(lat);
             self.committed += 1;
             self.log.push((event.commit_round, event.txn));
-            self.sink.on_commit(event.home.index(), lat);
+            if let Some(detail) = &mut self.detail {
+                detail.on_commit(event.home.index(), lat);
+            }
         } else {
             self.aborted += 1;
-            self.sink.on_abort();
         }
     }
 
-    /// Closes the round being booked: `P` books every shard's
+    /// Closes the round being booked: `P` folds every shard's
     /// [`Node::sample`](crate::node::Node::sample), in shard order (`node`
-    /// is any node of the run), and on a run with a fault plan armed
-    /// (`faults` is `Some`) the sum of every shard's
-    /// [`ShardFaults::sample`].
+    /// is any node of the run), into the round's row; on a run with a
+    /// fault plan armed (`faults` is `Some`) the shards'
+    /// [`ShardFaults::sample`]s are summed.
     pub fn close_round<P: Protocol>(
         &mut self,
         node: &P::Node,
         samples: impl Iterator<Item = [u64; 4]>,
         faults: Option<impl Iterator<Item = [u64; 2]>>,
     ) {
-        let faults =
-            faults.map(|shards| shards.fold((0, 0), |(flips, down), [f, d]| (flips + f, down + d)));
-        let round = self.rounds;
-        let pending = P::record_round(node, self, round, samples, faults);
-        self.end_round(pending);
+        let row = P::round_row(node, self.rounds, samples, faults.is_some());
+        let faults = faults.into_iter().flatten();
+        self.end_round(
+            row,
+            faults.fold([0, 0], |[f, d], [sf, sd]| [f + sf, d + sd]),
+        );
     }
 
-    /// Closes the round being booked with `pending` transactions left,
-    /// for a host whose round is not a [`Protocol`]'s.
-    pub(crate) fn end_round(&mut self, pending: u64) {
-        self.pending = pending;
+    /// Closes the round being booked as `row`, with the fault plane's
+    /// `[cumulative Byzantine flips, shards crashed now]`: the queue
+    /// series, the pending maximum and, when the plane is on, the
+    /// timeline.
+    pub(crate) fn end_round(&mut self, row: RoundRow, [flips, crashed]: [u64; 2]) {
+        self.queue_series.push(row.queue);
+        self.total_pending_max = self.total_pending_max.max(row.pending);
+        if let Some(detail) = &mut self.detail {
+            let totals = [self.committed, self.aborted, flips];
+            detail.close_round(self.rounds, &row, crashed, totals);
+        }
+        self.pending = row.pending;
         self.rounds += 1;
     }
 
@@ -353,7 +344,8 @@ impl MetricsCollector {
         shards: impl Iterator<Item = &'a ShardFaults>,
     ) -> (RunReport, Vec<(Round, TxnId)>) {
         let verdict = StabilityDetector::default().classify(&self.queue_series);
-        let metrics = self.sink.finish();
+        let decided = [self.committed, self.aborted];
+        let metrics = self.detail.map(|detail| detail.finish(decided));
         let report = RunReport {
             scheduler,
             rounds: self.rounds,

@@ -11,8 +11,8 @@
 //! lends for the step ([`Lent`]).
 //!
 //! Everything that differs between the two protocols *outside* a node —
-//! how to build one, what to lend it, how a round's samples become
-//! report rows, what the report calls an epoch — is one [`Protocol`]
+//! how to build one, what to lend it, what a round's samples say about
+//! the round, what the report calls an epoch — is one [`Protocol`]
 //! description, implemented by [`BdsProtocol`](crate::bds::BdsProtocol)
 //! and [`FdsProtocol`](crate::fds::FdsProtocol). A host is generic over
 //! it and contains no protocol logic.
@@ -26,8 +26,9 @@
 //! of a fault plan ([`ShardFaults`]) around the node's step, which runs
 //! only with mail or at the node's [`Node::wake`] round — send through
 //! the same `simnet::Outbound`, and keep the same book, a
-//! [`MetricsCollector`]: it books each decision, closes each round
-//! through [`Protocol::record_round`] and builds the report. So reports
+//! [`MetricsCollector`]: it books each decision, closes each round on
+//! the [`RoundRow`] [`Protocol::round_row`] folds the shards' samples
+//! into, and builds the report. So reports
 //! agree byte for byte, faulted or not, given two ordering facts: either
 //! transport hands a round's inbox out sorted by `(sender, per-sender
 //! sequence)`, and decisions are booked in `(round, deciding shard,
@@ -36,6 +37,7 @@
 
 use crate::metrics::{MetricsCollector, RunReport};
 use crate::scheduler::Scheduler;
+use ::metrics::RoundRow;
 use cluster::ShardMetric;
 use sharding_core::{AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
 use simnet::{FaultCounters, FaultPlan, LocalChain, Network, SendTally, ShardLedger};
@@ -111,7 +113,7 @@ pub trait Node {
     }
 
     /// End-of-round counters, folded over all shards by
-    /// [`Protocol::record_round`].
+    /// [`Protocol::round_row`].
     fn sample(&self) -> [u64; 4];
 }
 
@@ -140,19 +142,17 @@ pub trait Protocol {
         false
     }
 
-    /// Books round `round`'s [`Node::sample`]s — every shard's, in shard
-    /// order — into `collector` and returns the pending count; hosts call
-    /// it through [`MetricsCollector::close_round`]. `node` is any node of
-    /// the run. `faults` is the fault plane's `(cumulative Byzantine
-    /// flips, shards crashed now)`, or `None` on a run with no fault plan
-    /// armed — where the protocol may assert what only faults can break.
-    fn record_round(
+    /// Folds round `round`'s [`Node::sample`]s — every shard's, in shard
+    /// order — into the row [`MetricsCollector::close_round`] closes the
+    /// round on. `node` is any node of the run. `faulty` says a fault plan
+    /// is armed; without one the protocol may assert what only faults can
+    /// break.
+    fn round_row(
         node: &Self::Node,
-        collector: &mut MetricsCollector,
         round: u64,
         samples: impl Iterator<Item = [u64; 4]>,
-        faults: Option<(u64, u64)>,
-    ) -> u64;
+        faulty: bool,
+    ) -> RoundRow;
 
     /// The report's `(epochs, longest epoch)` after `rounds` rounds.
     fn epochs<'a>(nodes: impl Iterator<Item = &'a Self::Node>, rounds: u64) -> (u64, u64)

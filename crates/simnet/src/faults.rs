@@ -1,4 +1,4 @@
-//! Deterministic fault injection for networked executions.
+//! Deterministic fault injection, for either engine.
 //!
 //! A [`FaultPlan`] describes every fault a run will suffer *before* the
 //! run starts, from one seed: shard crashes pinned to rounds, per-link

@@ -11,19 +11,21 @@
 //! * [`blockchain`] — per-shard local ledgers: hash-linked blocks of
 //!   committed subtransactions, with verification. The global blockchain is
 //!   reconstructable as the union of local chains (Section 3).
-//! * [`pbft`] — the intra-shard consensus abstraction. The paper *assumes*
-//!   PBFT completes within one round; we keep that timing assumption but
-//!   actually execute the quorum logic (pre-prepare/prepare/commit vote
-//!   counting under `n > 3f`), so fault-injection tests exercise real
-//!   decisions.
+//! * [`pbft`] — the intra-shard consensus model. The paper *assumes*
+//!   PBFT completes within one round, and so do both engines: no run
+//!   executes an instance. The module's quorum logic (pre-prepare/
+//!   prepare/commit vote counting under `n > 3f`) is unit-tested on its
+//!   own, and shows why a Byzantine quota clamped to `f` never changes a
+//!   decision — which is why a run only counts one.
 //! * [`ledger`] — account balances per shard and commit application,
 //!   including condition checking (the "condition + action" split of the
 //!   paper's subtransactions).
-//! * [`faults`] — the seeded fault plane for networked executions: shard
-//!   crashes pinned to rounds, per-link drop/duplication streams (consumed
-//!   by [`Outbound::send`], which lives there), and Byzantine vote
-//!   flipping for the per-round PBFT instances. Every decision is
-//!   deterministic in the plan's seed, independent of thread interleaving.
+//! * [`faults`] — the seeded fault plane of either engine: shard crashes
+//!   pinned to rounds, per-link drop/duplication streams (consumed by
+//!   [`Outbound::send`], which lives there), and a per-shard quota of
+//!   Byzantine votes, counted against the shard's bound `f`. Every
+//!   decision is deterministic in the plan's seed, independent of thread
+//!   interleaving.
 //!
 //! The [`network`] layer's counters (messages sent, largest payload)
 //! surface in every `RunReport` and therefore in the `messages` /
