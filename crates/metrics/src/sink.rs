@@ -244,14 +244,17 @@ mod tests {
         assert!(MetricsMode::Summary.enabled());
     }
 
-    #[test]
-    fn rollover_round_commits_belong_to_the_new_epoch() {
-        let row = |pending, epoch, active| RoundRow {
+    fn row(pending: u64, epoch: u64, active: u64) -> RoundRow {
+        RoundRow {
             queue: 0.0,
             pending,
             epoch,
             active,
-        };
+        }
+    }
+
+    #[test]
+    fn rollover_round_commits_belong_to_the_new_epoch() {
         let mut r = MetricsRecorder::new(2);
         // Round 0, epoch 0: one commit.
         r.on_commit(0, 3);
@@ -277,13 +280,7 @@ mod tests {
     #[test]
     fn trailing_commits_are_not_lost() {
         let mut r = MetricsRecorder::new(1);
-        let row = RoundRow {
-            queue: 0.0,
-            pending: 0,
-            epoch: 0,
-            active: 1,
-        };
-        r.close_round(0, &row, 0, [0, 0, 0]);
+        r.close_round(0, &row(0, 0, 1), 0, [0, 0, 0]);
         r.on_commit(0, 7);
         let r = r.finish([1, 0]);
         assert_eq!(r.timeline.len(), 1);
