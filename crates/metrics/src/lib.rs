@@ -12,9 +12,9 @@
 //! A run book (`schedulers::metrics::MetricsCollector`) holds a
 //! [`MetricsRecorder`] only when a job turns the plane on: it hands the
 //! recorder each commit and, as it closes a round, the round's
-//! [`RoundRow`] and its own decision totals. Off, there is no recorder, so nothing is
-//! computed, allocated, or formatted and existing goldens stay
-//! byte-identical.
+//! [`RoundRow`] and its own decision totals. Off, there is no recorder,
+//! so nothing is computed, allocated, or formatted and existing goldens
+//! stay byte-identical.
 
 mod hist;
 mod sink;
