@@ -13,7 +13,6 @@ use cluster::ShardMetric;
 use runtime::{default_workers, EngineKind, NetRun};
 use schedulers::baseline::FcfsSim;
 use schedulers::bds::BdsProtocol;
-use schedulers::driver::drive_with;
 use schedulers::fds::FdsProtocol;
 use schedulers::history::check_cross_shard_order;
 use schedulers::node::{Node, Protocol, Sim};
@@ -176,10 +175,12 @@ pub fn run_job(spec: &JobSpec) -> JobOutcome {
             if spec.metrics.enabled() {
                 sim.enable_metrics();
             }
+            for r in 0..spec.rounds {
+                sim.step(source.next_round(Round(r)));
+            }
             // Commits centrally and keeps no per-shard chains: nothing
             // for either check to look at.
-            let report = drive_with(sim, &mut source, Round(spec.rounds));
-            (report, (None, None))
+            (sim.finish(), (None, None))
         }
         SchedulerKind::Fds => {
             let proto = FdsProtocol::new(spec.fds, on.2);

@@ -1,28 +1,26 @@
 //! The paper's figures and bound tables, behind the `blockshard render`
-//! verb: each entry of [`FIGURES`] is a named bundle of checked-in
-//! scenario files (or, for the theorem tables and the frontier, a small
-//! in-crate grid) plus the ASCII rendering the paper's plot or table
-//! becomes. Nothing here measures host time: timing lives in the
-//! standalone `benchmark/` crate.
+//! verb: each entry of [`FIGURES`] plans scenario jobs, runs them on the
+//! scenario executor, and prints the ASCII rendering the paper's plot or
+//! table becomes. The sweep figures (`fig2`, `fig3`, `table_t1`,
+//! `ablations`) load checked-in scenario files through [`run_scenario`],
+//! so they write the raw series as CSV + JSONL like `blockshard run`
+//! does; the theorem tables (`table_t2`, `table_t3`) and `frontier`
+//! build each row or probe from scenario keys over the scenario defaults
+//! (`spec::JobDraft`) and print only to stdout. Nothing here measures host
+//! time: timing lives in the standalone `benchmark/` crate.
 //!
 //! Without `--full` a reduced "quick" shape runs in a few minutes on a
-//! single core; `--full` is the paper-scale run. The scenario-driven
-//! figures (`fig2`, `fig3`, `table_t1`, `ablations`) go through
-//! [`run_scenario`], so they write the raw series as CSV + JSONL like
-//! `blockshard run` does.
+//! single core; `--full` is the paper-scale run.
 
-use crate::cli::{run_scenario, Exit, Flags};
-use crate::exec::JobOutcome;
+use crate::cli::{default_threads, run_scenario, Exit, Flags};
+use crate::exec::{run_job, run_jobs, JobOutcome};
 use crate::parse::Scenario;
 use crate::report;
-use adversary::{Adversary, AdversaryConfig, StrategyKind};
-use cluster::{LineMetric, UniformMetric};
-use schedulers::baseline::{run_fcfs, FcfsConfig};
-use schedulers::bds::{run_bds, run_bds_with_metric, BdsConfig};
-use schedulers::fds::{run_fds, FdsConfig, FdsSim};
-use schedulers::{RunReport, SchedulerKind};
+use crate::spec::{JobDraft, JobSpec};
+use adversary::Adversary;
+use schedulers::SchedulerKind;
 use sharding_core::stats::StabilityVerdict;
-use sharding_core::{bounds, AccountMap, Round, SystemConfig};
+use sharding_core::{bounds, Round, SystemConfig};
 
 /// One renderable figure: its name, what it shows, and the function that
 /// runs and prints it (exit code 1 = a theorem bound was violated).
@@ -276,33 +274,57 @@ fn table_t1(flags: &Flags) -> Exit {
     Ok(0)
 }
 
-/// The `(s, k, b)` system of one theorem-table row, with its round-robin
-/// placement and the single-burst adversary at rate `rho`.
-fn bound_row(
-    s: usize,
-    k: usize,
-    b: u64,
-    rho: f64,
-    rounds: u64,
-) -> (SystemConfig, AccountMap, AdversaryConfig) {
-    let sys = SystemConfig {
-        shards: s,
-        accounts: s,
-        k_max: k,
-        nodes_per_shard: 4,
-        faulty_per_shard: 1,
-    };
-    let adv = AdversaryConfig {
-        rho,
-        burstiness: b,
-        strategy: StrategyKind::SingleBurst {
-            burst_round: rounds / 10,
-        },
-        seed: 7,
-        ..Default::default()
-    };
-    let map = AccountMap::round_robin(&sys);
-    (sys, map, adv)
+/// Resolves one job from space-separated `key=value` assignments over the
+/// scenario defaults: the path a scenario file's lines take.
+fn job(keys: &str) -> Result<JobSpec, String> {
+    let mut draft = JobDraft::default();
+    for assignment in keys.split_whitespace() {
+        let (key, value) = assignment.split_once('=').unwrap_or_default();
+        draft
+            .apply(key, value)
+            .map_err(|e| format!("{key} = {value}: {e}"))?;
+    }
+    draft.resolve("render", 0, Vec::new()).map_err(|(_, e)| e)
+}
+
+/// The `(s, k, b)` of one theorem-table row.
+type Row = (usize, usize, u64);
+
+/// One theorem-table row: `keys` (the scheduler and its metric) on the
+/// `(s, k, b)` system with round-robin placement, under the seed-7
+/// single burst at `rounds / 10` and rate `rho`.
+fn bound_job(keys: &str, (s, k, b): Row, rho: f64, rounds: u64) -> Result<JobSpec, String> {
+    job(&format!(
+        "{keys} shards={s} k={k} b={b} rho={rho} rounds={rounds} placement=round-robin \
+         strategy=single-burst:{} seed=7",
+        rounds / 10
+    ))
+}
+
+/// Runs a table's rows on the flags' worker pool; outcomes come back in
+/// row order.
+fn run_rows(flags: &Flags, jobs: &[JobSpec]) -> Vec<JobOutcome> {
+    let threads = flags.threads.unwrap_or_else(|| default_threads(jobs.len()));
+    run_jobs(jobs, threads, false)
+}
+
+/// The rows of [`table_t2`].
+const T2_ROWS: &[Row] = &[
+    (4, 2, 1),
+    (8, 2, 2),
+    (8, 3, 3),
+    (16, 4, 2),
+    (16, 4, 4),
+    (25, 5, 2),
+    (36, 6, 2),
+    (64, 8, 2),
+];
+
+/// Row `(s, k, b)` of [`table_t2`]: BDS on the uniform metric at its
+/// Theorem 2 rate.
+fn t2_job((s, k, b): Row, rounds: u64) -> Result<JobSpec, String> {
+    let rho = bounds::bds_rate_bound(k, s);
+    bound_job("scheduler=bds metric=uniform", (s, k, b), rho, rounds)
 }
 
 /// **Bound table T2** — Lemma 1 and Theorem 2 (BDS guarantees).
@@ -316,24 +338,15 @@ fn bound_row(
 /// * latency ≤ `36·b·min{k, ⌈√s⌉}`            (Theorem 2)
 fn table_t2(flags: &Flags) -> Exit {
     let rounds = flags.rounds.unwrap_or(6_000);
+    let jobs = T2_ROWS.iter().map(|&row| t2_job(row, rounds));
+    let jobs = jobs.collect::<Result<Vec<_>, _>>()?;
     println!(
         "{:<18} {:>5} {:>9} {:>9} {:>11} {:>11} {:>11} {:>11} {:>6}",
         "(s, k, b)", "rho", "epoch", "τ bound", "pending", "4bs", "latency", "lat bound", "ok"
     );
     let mut all_ok = true;
-    for (s, k, b) in [
-        (4usize, 2usize, 1u64),
-        (8, 2, 2),
-        (8, 3, 3),
-        (16, 4, 2),
-        (16, 4, 4),
-        (25, 5, 2),
-        (36, 6, 2),
-        (64, 8, 2),
-    ] {
-        let rho = bounds::bds_rate_bound(k, s);
-        let (sys, map, adv) = bound_row(s, k, b, rho, rounds);
-        let r = run_bds(&sys, &map, &adv, Round(rounds));
+    for (&(s, k, b), o) in T2_ROWS.iter().zip(&run_rows(flags, &jobs)) {
+        let r = &o.report;
         let tau = bounds::bds_epoch_bound(b, k, s);
         let qb = bounds::bds_queue_bound(b, s);
         let lb = bounds::bds_latency_bound(b, k, s);
@@ -342,7 +355,7 @@ fn table_t2(flags: &Flags) -> Exit {
         println!(
             "{:<18} {:>5.4} {:>9} {:>9} {:>11} {:>11} {:>11} {:>11} {:>6}",
             format!("({s},{k},{b})"),
-            rho,
+            o.spec.adv.rho,
             r.max_epoch_len,
             tau,
             r.max_total_pending,
@@ -367,6 +380,35 @@ fn table_t2(flags: &Flags) -> Exit {
 /// theorem proves existence of *some* positive constant).
 const C1: f64 = 4.0;
 
+/// The rows of [`table_t3`].
+const T3_ROWS: &[Row] = &[(8, 2, 1), (16, 2, 2), (16, 4, 2), (32, 4, 2), (64, 8, 2)];
+
+/// Row `(s, k, b)` of [`table_t3`]: FDS on a line at the Theorem 3 rate
+/// for the worst `d` a line allows, `s - 1`.
+fn t3_job((s, k, b): Row, rounds: u64) -> Result<JobSpec, String> {
+    let rho = bounds::fds_rate_bound(C1, (s - 1) as u64, k, s).clamp(1e-4, 1.0);
+    bound_job("scheduler=fds metric=line", (s, k, b), rho, rounds)
+}
+
+/// The worst home-to-destination distance among the transactions `spec`'s
+/// adversary generates, re-drawn after the run: the adversary is
+/// deterministic in its seed.
+fn access_distance(spec: &JobSpec) -> u64 {
+    let metric = spec.metric.build(spec.sys.shards);
+    let metric = metric.expect("resolve built this metric over these shards");
+    let mut adversary = Adversary::new(&spec.sys, &spec.account_map(), spec.adv);
+    let mut d = 0;
+    for r in 0..spec.rounds {
+        for t in adversary.generate(Round(r)) {
+            d = t
+                .shards()
+                .map(|x| metric.distance(t.home, x))
+                .fold(d, u64::max);
+        }
+    }
+    d
+}
+
 /// **Bound table T3** — Theorem 3 (FDS guarantees).
 ///
 /// For rates `ρ ≤ 1/(c₁·d·log²s)·max{1/k, 1/√s}` (per-shard congestion
@@ -380,29 +422,16 @@ const C1: f64 = 4.0;
 /// constant (see DESIGN.md — the theorem fixes it only up to a constant).
 fn table_t3(flags: &Flags) -> Exit {
     let rounds = flags.rounds.unwrap_or(8_000);
+    let jobs = T3_ROWS.iter().map(|&row| t3_job(row, rounds));
+    let jobs = jobs.collect::<Result<Vec<_>, _>>()?;
     println!(
         "{:<14} {:>8} {:>4} {:>10} {:>10} {:>10} {:>12} {:>6}",
         "(s, k, b)", "rho", "d", "pending", "4bs", "latency", "lat bound", "ok"
     );
     let mut all_ok = true;
-    for (s, k, b) in [
-        (8usize, 2usize, 1u64),
-        (16, 2, 2),
-        (16, 4, 2),
-        (32, 4, 2),
-        (64, 8, 2),
-    ] {
-        let metric = LineMetric::new(s);
-        // Worst possible d on a line is s-1; the admissible rate uses it.
-        let rho = bounds::fds_rate_bound(C1, (s - 1) as u64, k, s).clamp(1e-4, 1.0);
-        let (sys, map, adv) = bound_row(s, k, b, rho, rounds);
-        let mut sim = FdsSim::new(&sys, &map, FdsConfig::default(), &metric);
-        let mut adversary = Adversary::new(&sys, &map, adv);
-        for r in 0..rounds {
-            sim.step(adversary.generate(Round(r)));
-        }
-        let d = sim.max_access_distance().max(1);
-        let report = sim.finish();
+    for (&(s, k, b), o) in T3_ROWS.iter().zip(&run_rows(flags, &jobs)) {
+        let d = access_distance(&o.spec).max(1);
+        let report = &o.report;
         let qb = bounds::fds_queue_bound(b, s);
         let lb = bounds::fds_latency_bound(C1, b, d, k, s);
         let ok = report.max_total_pending <= qb && (report.max_latency as f64) <= lb;
@@ -410,7 +439,7 @@ fn table_t3(flags: &Flags) -> Exit {
         println!(
             "{:<14} {:>8.5} {:>4} {:>10} {:>10} {:>10} {:>12.0} {:>6}",
             format!("({s},{k},{b})"),
-            rho,
+            o.spec.adv.rho,
             d,
             report.max_total_pending,
             qb,
@@ -430,27 +459,51 @@ fn table_t3(flags: &Flags) -> Exit {
     Ok(i32::from(!all_ok))
 }
 
-/// Binary-searches the largest sustainable rho in `[lo, hi]` to 0.01
-/// (0 when even `lo` is not sustained). A rate counts as sustained when
-/// the run resolves ≥ 95% of generated transactions and the stability
-/// detector reports `Stable`.
-fn search(mut lo: f64, mut hi: f64, run: impl Fn(f64) -> RunReport) -> f64 {
-    let sustained = |rho: f64| {
-        let r = run(rho);
-        r.resolution_rate() >= 0.95 && r.verdict == StabilityVerdict::Stable
+/// The rows of [`frontier`]: the label, the keys each probe adds to the
+/// scenario defaults (the paper's system, `placement = random:1`), and
+/// the top of the searched interval.
+const FRONTIER: &[(&str, &str, f64)] = &[
+    ("BDS  (uniform):", "scheduler=bds", 0.5),
+    (
+        "FDS  (line, W=16):",
+        "scheduler=fds metric=line pipeline-window=16",
+        0.5,
+    ),
+    (
+        "FDS  (line, W=4):",
+        "scheduler=fds metric=line pipeline-window=4",
+        0.5,
+    ),
+    ("FCFS (idealized):", "scheduler=fcfs", 0.9),
+];
+
+/// One frontier probe: a row's `keys` under the uniform-random workload
+/// with `b = 100`, seed 5, at rate `rho`.
+fn probe(keys: &str, rho: f64, rounds: u64) -> Result<JobSpec, String> {
+    job(&format!("{keys} b=100 seed=5 rounds={rounds} rho={rho}"))
+}
+
+/// Binary-searches the largest rho in `[lo, hi]` that the probes of a
+/// row's `keys` sustain, to 0.01 (0 when even `lo` is not sustained). A
+/// rate counts as sustained when the run resolves ≥ 95% of generated
+/// transactions and the stability detector reports `Stable`.
+fn search(mut lo: f64, mut hi: f64, keys: &str, rounds: u64) -> Result<f64, String> {
+    let sustained = |rho: f64| -> Result<bool, String> {
+        let r = run_job(&probe(keys, rho, rounds)?).report;
+        Ok(r.resolution_rate() >= 0.95 && r.verdict == StabilityVerdict::Stable)
     };
-    if !sustained(lo) {
-        return 0.0;
+    if !sustained(lo)? {
+        return Ok(0.0);
     }
     while hi - lo > 0.01 {
         let mid = (lo + hi) / 2.0;
-        if sustained(mid) {
+        if sustained(mid)? {
             lo = mid;
         } else {
             hi = mid;
         }
     }
-    lo
+    Ok(lo)
 }
 
 /// Empirical stability frontier: the largest injection rate ρ* each
@@ -459,31 +512,10 @@ fn search(mut lo: f64, mut hi: f64, run: impl Fn(f64) -> RunReport) -> f64 {
 /// maximum transaction generation rate while maintaining system
 /// stability" (Section 1) — this measures exactly that.
 fn frontier(flags: &Flags) -> Exit {
-    let round_count = flags.rounds.unwrap_or(6_000);
+    let rounds = flags.rounds.unwrap_or(6_000);
     let sys = SystemConfig::paper_simulation();
-    let map = AccountMap::random(&sys, 1);
-    let rounds = Round(round_count);
-    let uniform = UniformMetric::new(sys.shards);
-    let line = LineMetric::new(sys.shards);
-    let workload = |rho: f64| AdversaryConfig {
-        rho,
-        burstiness: 100,
-        strategy: StrategyKind::UniformRandom,
-        seed: 5,
-        ..Default::default()
-    };
-    let fds = |window: usize| {
-        let fcfg = FdsConfig {
-            pipeline_window: window,
-            ..FdsConfig::default()
-        };
-        search(0.02, 0.5, |rho| {
-            run_fds(&sys, &map, &workload(rho), rounds, &line, fcfg)
-        })
-    };
-
     println!(
-        "Empirical stability frontier (s=64, k=8, uniform-random workload, {round_count} rounds)\n"
+        "Empirical stability frontier (s=64, k=8, uniform-random workload, {rounds} rounds)\n"
     );
     println!("Theoretical anchors:");
     println!(
@@ -495,21 +527,10 @@ fn frontier(flags: &Flags) -> Exit {
         bounds::bds_rate_bound(sys.k_max, sys.shards)
     );
     println!("  Paper-observed knees                BDS ≈ 0.15, FDS ≈ 0.18\n");
-
-    let bds = search(0.02, 0.5, |rho| {
-        let bcfg = BdsConfig::default();
-        run_bds_with_metric(&sys, &map, &workload(rho), rounds, &uniform, bcfg)
-    });
-    println!("BDS  (uniform):         sustains rho ≈ {bds:.2}");
-    println!("FDS  (line, W=16):      sustains rho ≈ {:.2}", fds(16));
-    println!("FDS  (line, W=4):       sustains rho ≈ {:.2}", fds(4));
-    let fcfs = search(0.02, 0.9, |rho| {
-        let fcfg = FcfsConfig {
-            respect_capacity: true,
-        };
-        run_fcfs(&sys, &map, &workload(rho), rounds, fcfg)
-    });
-    println!("FCFS (idealized):       sustains rho ≈ {fcfs:.2}");
+    for (label, keys, hi) in FRONTIER {
+        let rho = search(0.02, *hi, keys, rounds)?;
+        println!("{label:<24}sustains rho ≈ {rho:.2}");
+    }
     println!(
         "\nExpected ordering: Theorem-2 guarantee < BDS empirical < FCFS ideal, \
          and FDS(W=4) < FDS(W=16). Guarantees are worst-case over all \
@@ -582,7 +603,10 @@ fn ablations(flags: &Flags) -> Exit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::run_jobs;
+    use crate::spec::Placement;
+    use adversary::{AdversaryConfig, StrategyKind, WorkloadShape};
+    use cluster::MetricKind;
+    use sharding_core::{AccountId, AccountMap};
     use std::path::PathBuf;
 
     /// Every figure runs to exit 0 at 200 rounds — which executes the
@@ -604,6 +628,70 @@ mod tests {
             .map(String::from);
             assert_eq!(run(&args), Ok(0), "render {name}");
         }
+    }
+
+    /// A T2 row is the system, placement and adversary `bound_row` built
+    /// by hand before the tables became job plans.
+    #[test]
+    fn a_t2_row_is_its_system_placement_and_single_burst() {
+        let spec = t2_job((16, 4, 4), 6_000).unwrap();
+        let sys = SystemConfig {
+            shards: 16,
+            accounts: 16,
+            k_max: 4,
+            nodes_per_shard: 4,
+            faulty_per_shard: 1,
+        };
+        assert_eq!(spec.system_config(), sys);
+        let owners = |map: &AccountMap| {
+            let accounts = (0..sys.accounts as u64).map(AccountId);
+            accounts.map(|a| map.owner_unchecked(a)).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            owners(&spec.account_map()),
+            owners(&AccountMap::round_robin(&sys))
+        );
+        let adv = AdversaryConfig {
+            rho: bounds::bds_rate_bound(4, 16),
+            burstiness: 4,
+            strategy: StrategyKind::SingleBurst { burst_round: 600 },
+            shape: WorkloadShape::WriteOnly,
+            seed: 7,
+        };
+        assert_eq!(spec.adv, adv);
+        assert_eq!(spec.adv.rho.to_bits(), adv.rho.to_bits());
+        assert_eq!(
+            (spec.scheduler, spec.metric),
+            (SchedulerKind::Bds, MetricKind::Uniform)
+        );
+    }
+
+    /// T3's `d` is measured over the row's own line: the first row's
+    /// worst transaction spans the whole 8-shard line.
+    #[test]
+    fn t3_measures_d_on_the_line() {
+        let spec = t3_job((8, 2, 1), 8_000).unwrap();
+        assert_eq!(spec.metric, MetricKind::Line);
+        assert_eq!(access_distance(&spec), 7);
+    }
+
+    /// Every frontier probe is the paper's system on `random:1` under
+    /// the seed-5, `b = 100` uniform-random workload; the FCFS row
+    /// charges capacity, as the scenario default does.
+    #[test]
+    fn frontier_probes_share_the_workload_and_fcfs_charges_capacity() {
+        for (label, keys, _) in FRONTIER {
+            let spec = probe(keys, 0.25, 6_000).unwrap();
+            assert_eq!(spec.sys, SystemConfig::paper_simulation(), "{label}");
+            assert_eq!(spec.placement, Placement::Random(1), "{label}");
+            let adv = (spec.adv.burstiness, spec.adv.seed, spec.adv.strategy);
+            assert_eq!(adv, (100, 5, StrategyKind::UniformRandom), "{label}");
+            if spec.scheduler == SchedulerKind::Fcfs {
+                assert!(spec.fcfs.respect_capacity, "{label}");
+            }
+        }
+        let fcfs = FRONTIER.iter().filter(|(_, keys, _)| keys.contains("fcfs"));
+        assert_eq!(fcfs.count(), 1);
     }
 
     #[test]

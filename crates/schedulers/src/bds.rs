@@ -732,26 +732,7 @@ pub fn run_bds(
     adv: &AdversaryConfig,
     rounds: Round,
 ) -> RunReport {
-    run_bds_with_metric(
-        sys,
-        map,
-        adv,
-        rounds,
-        &UniformMetric::new(sys.shards),
-        BdsConfig::default(),
-    )
-}
-
-/// Runs BDS with an explicit metric and configuration.
-pub fn run_bds_with_metric(
-    sys: &SystemConfig,
-    map: &AccountMap,
-    adv: &AdversaryConfig,
-    rounds: Round,
-    metric: &dyn ShardMetric,
-    bcfg: BdsConfig,
-) -> RunReport {
-    let sim = BdsSim::with_metric(sys, map, bcfg, metric);
+    let sim = BdsSim::new(sys, map, BdsConfig::default());
     crate::driver::drive(sim, sys, map, adv, rounds)
 }
 
@@ -1590,7 +1571,8 @@ mod tests {
             ..Default::default()
         };
         let metric = cluster::LineMetric::new(sys.shards);
-        let r = run_bds_with_metric(&sys, &map, &adv, Round(3000), &metric, BdsConfig::default());
+        let sim = BdsSim::with_metric(&sys, &map, BdsConfig::default(), &metric);
+        let r = crate::driver::drive(sim, &sys, &map, &adv, Round(3000));
         assert!(r.committed > 0);
         assert!(r.resolution_rate() > 0.8, "{}", r.summary());
     }

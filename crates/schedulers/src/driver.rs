@@ -1,18 +1,17 @@
 //! The round-driver contract of the simulators.
 //!
-//! Every simulator in this crate — the generic protocol host
-//! [`Sim`](crate::node::Sim), the centralized
-//! [`FcfsSim`](crate::baseline::FcfsSim), the conformance kit's
-//! [`AnySim`](crate::testkit::AnySim) — consumes its input the same way:
-//! one batch of generated transactions per round, and a [`RunReport`] at
-//! the end. [`RoundDriver`] names that contract so harness code can
-//! drive any of them generically, and [`drive_with`] is the loop every
-//! `run_*` convenience function shares. (The networked engine is not a
-//! round driver: `runtime::NetRun` pre-drains the same
-//! [`RoundSource`] and runs to completion in one call.)
+//! Both simulators in this crate — the generic protocol host
+//! [`Sim`](crate::node::Sim) and the centralized
+//! [`FcfsSim`](crate::baseline::FcfsSim) — consume their input the same
+//! way: one batch of generated transactions per round, and a
+//! [`RunReport`] at the end. [`RoundDriver`] names that contract, and
+//! [`drive`] is the loop every `run_*` convenience function shares. (The
+//! networked engine is not a round driver: `runtime::NetRun` pre-drains
+//! a [`RoundSource`](adversary::RoundSource) and runs to completion in
+//! one call.)
 
 use crate::metrics::RunReport;
-use adversary::{Adversary, AdversaryConfig, RoundSource};
+use adversary::{Adversary, AdversaryConfig};
 use sharding_core::{AccountMap, Round, SystemConfig, Transaction};
 
 /// A synchronous round-based scheduler execution: feed it one injection
@@ -28,27 +27,15 @@ pub trait RoundDriver {
 /// Drives `driver` for `rounds` rounds against a fresh adversary — the
 /// loop shared by every `run_*` convenience function.
 pub fn drive<D: RoundDriver>(
-    driver: D,
+    mut driver: D,
     sys: &SystemConfig,
     map: &AccountMap,
     adv: &AdversaryConfig,
     rounds: Round,
 ) -> RunReport {
     let mut adversary = Adversary::new(sys, map, *adv);
-    drive_with(driver, &mut adversary, rounds)
-}
-
-/// Drives `driver` for `rounds` rounds, pulling each round's batch from
-/// an arbitrary [`RoundSource`] — the legacy per-round adversary or the
-/// streaming [`IngestPipeline`](adversary::IngestPipeline). [`drive`] is
-/// this loop specialized to a fresh adversary.
-pub fn drive_with<D: RoundDriver>(
-    mut driver: D,
-    source: &mut dyn RoundSource,
-    rounds: Round,
-) -> RunReport {
     for r in 0..rounds.raw() {
-        driver.step(source.next_round(Round(r)));
+        driver.step(adversary.generate(Round(r)));
     }
     driver.finish()
 }

@@ -234,7 +234,6 @@ pub struct FdsNode {
     /// Cumulative injections (as home) and resolutions (as leader).
     injected: u64,
     resolved: u64,
-    max_access_distance: u64,
     /// Memoized [`Hierarchy::home_cluster`] per `(home, x)`: computed at
     /// injection and again at leader arrival, and a pure function of the
     /// fixed hierarchy — outer index home shard, inner access distance.
@@ -271,29 +270,22 @@ impl FdsNode {
             append_buf: Vec::new(),
             injected: 0,
             resolved: 0,
-            max_access_distance: 0,
             keep_buf: Vec::new(),
             due_buf: Vec::new(),
             active: BTreeSet::new(),
         }
     }
 
-    /// Worst access distance among the transactions injected here.
-    pub fn max_access_distance(&self) -> u64 {
-        self.max_access_distance
-    }
-
-    /// The home cluster of `txn` through the per-`(home, x)` memo, plus
-    /// its worst access distance `x`.
-    fn home_cluster_of(&mut self, txn: &Transaction) -> (ClusterId, u64) {
+    /// The home cluster of `txn` through the per-`(home, x)` memo, `x`
+    /// its worst access distance.
+    fn home_cluster_of(&mut self, txn: &Transaction) -> ClusterId {
         let dist = |d| self.hierarchy.distance(txn.home, d);
         let x = txn.shards().map(dist).max().unwrap_or(0);
         let slot = &mut self.home_cluster_cache[txn.home.index()];
         if slot.len() <= x as usize {
             slot.resize(x as usize + 1, None);
         }
-        let cid = *slot[x as usize].get_or_insert_with(|| self.hierarchy.home_cluster(txn.home, x));
-        (cid, x)
+        *slot[x as usize].get_or_insert_with(|| self.hierarchy.home_cluster(txn.home, x))
     }
 
     /// Epoch length of layer `i`.
@@ -450,7 +442,7 @@ impl FdsNode {
     ) {
         match msg {
             Msg::ToLeader { txn } => {
-                let (cid, _) = self.home_cluster_of(&txn);
+                let cid = self.home_cluster_of(&txn);
                 debug_assert_eq!(self.hierarchy.cluster(cid).leader, self.id);
                 self.leaders.entry(cid).or_default().incoming.push(txn);
                 self.active.insert(cid);
@@ -546,8 +538,7 @@ impl Node for FdsNode {
     fn inject(&mut self, txn: Transaction) {
         debug_assert_eq!(txn.home, self.id);
         self.injected += 1;
-        let (cid, x) = self.home_cluster_of(&txn);
-        self.max_access_distance = self.max_access_distance.max(x);
+        let cid = self.home_cluster_of(&txn);
         self.outbox.push((cid, txn));
     }
 
@@ -685,25 +676,6 @@ impl FdsSim {
     pub fn hierarchy(&self) -> &Hierarchy {
         &self.nodes[0].hierarchy
     }
-
-    /// Worst access distance `d` seen so far (for Theorem 3 comparisons).
-    pub fn max_access_distance(&self) -> u64 {
-        let nodes = self.nodes.iter();
-        nodes.map(FdsNode::max_access_distance).max().unwrap_or(0)
-    }
-}
-
-/// Runs FDS for `rounds` rounds against the given adversary over `metric`.
-pub fn run_fds(
-    sys: &SystemConfig,
-    map: &AccountMap,
-    adv: &AdversaryConfig,
-    rounds: Round,
-    metric: &dyn ShardMetric,
-    fcfg: FdsConfig,
-) -> RunReport {
-    let sim = FdsSim::new(sys, map, fcfg, metric);
-    crate::driver::drive(sim, sys, map, adv, rounds)
 }
 
 /// Runs FDS on the paper's Figure 3 topology: shards on a line.
@@ -713,14 +685,9 @@ pub fn run_fds_line(
     adv: &AdversaryConfig,
     rounds: Round,
 ) -> RunReport {
-    run_fds(
-        sys,
-        map,
-        adv,
-        rounds,
-        &LineMetric::new(sys.shards),
-        FdsConfig::default(),
-    )
+    let metric = LineMetric::new(sys.shards);
+    let sim = FdsSim::new(sys, map, FdsConfig::default(), &metric);
+    crate::driver::drive(sim, sys, map, adv, rounds)
 }
 
 #[cfg(test)]
@@ -997,18 +964,15 @@ mod tests {
             ..Default::default()
         };
         let metric = LineMetric::new(sys.shards);
-        let on = run_fds(&sys, &map, &adv, Round(6000), &metric, FdsConfig::default());
-        let off = run_fds(
-            &sys,
-            &map,
-            &adv,
-            Round(6000),
-            &metric,
-            FdsConfig {
-                reschedule: false,
-                ..FdsConfig::default()
-            },
-        );
+        let run = |fcfg| {
+            let sim = FdsSim::new(&sys, &map, fcfg, &metric);
+            crate::driver::drive(sim, &sys, &map, &adv, Round(6000))
+        };
+        let on = run(FdsConfig::default());
+        let off = run(FdsConfig {
+            reschedule: false,
+            ..FdsConfig::default()
+        });
         // Both must make progress; rescheduling must not hurt resolution.
         assert!(on.resolution_rate() > 0.9, "{}", on.summary());
         assert!(off.resolution_rate() > 0.0);
@@ -1026,7 +990,8 @@ mod tests {
             ..Default::default()
         };
         let metric = cluster::UniformMetric::new(sys.shards);
-        let r = run_fds(&sys, &map, &adv, Round(4000), &metric, FdsConfig::default());
+        let sim = FdsSim::new(&sys, &map, FdsConfig::default(), &metric);
+        let r = crate::driver::drive(sim, &sys, &map, &adv, Round(4000));
         assert!(r.resolution_rate() > 0.9, "{}", r.summary());
     }
 

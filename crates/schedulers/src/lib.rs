@@ -29,9 +29,11 @@
 //!   fixed-priority, work-stealing greedy, and a speculative scheduler
 //!   that colors a predicted conflict set and repairs mispredictions.
 //!   None carries a stability proof; all are safe and deterministic.
-//! * [`driver`] — the [`RoundDriver`] contract every simulator meets
-//!   (one batch per round, a report at the end) and the `drive` loop the
-//!   `run_*` functions share.
+//! * [`driver`] — the [`RoundDriver`] contract both simulators meet
+//!   (one batch per round, a report at the end) and the [`drive`] loop
+//!   behind the `run_*` convenience functions (`run_bds`, `run_fds_line`,
+//!   `run_fcfs`). The scenario executor does not use it: it steps a
+//!   simulator itself, from the job's own round source.
 //! * [`history`] — the cross-shard order check (Section 3: conflicting
 //!   transactions serialize alike in every shard they share) over the
 //!   chains a run leaves behind.
@@ -64,9 +66,9 @@ mod votes;
 pub mod zoo;
 
 pub use baseline::{run_fcfs, FcfsConfig, FcfsSim};
-pub use bds::{run_bds, run_bds_with_metric, BdsConfig, BdsSim};
-pub use driver::{drive, drive_with, RoundDriver};
-pub use fds::{run_fds, FdsConfig, FdsSim};
+pub use bds::{run_bds, BdsConfig, BdsSim};
+pub use driver::{drive, RoundDriver};
+pub use fds::{FdsConfig, FdsSim};
 pub use history::{check_cross_shard_order, OrderViolation};
 pub use metrics::{RunReport, SchedulerKind};
 pub use scheduler::{ColoringPolicy, EpochPlan, Scheduler};

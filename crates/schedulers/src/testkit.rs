@@ -15,7 +15,6 @@
 
 use crate::baseline::{FcfsConfig, FcfsSim};
 use crate::bds::{BdsConfig, BdsProtocol, BdsSim};
-use crate::driver::RoundDriver;
 use crate::fds::{FdsConfig, FdsSim};
 use crate::metrics::{RunReport, SchedulerKind};
 use crate::node::Sim;
@@ -77,15 +76,6 @@ impl AnySim {
             AnySim::Fds(s) => Some(s.chains()),
             AnySim::Fcfs(_) => None,
         }
-    }
-}
-
-impl RoundDriver for AnySim {
-    fn step(&mut self, new_txns: Vec<Transaction>) {
-        AnySim::step(self, new_txns);
-    }
-    fn finish(self) -> RunReport {
-        AnySim::finish(self)
     }
 }
 

@@ -71,9 +71,7 @@ pub mod prelude {
     pub use adversary::{AdversaryConfig, StrategyKind, WorkloadShape};
     pub use cluster::{LineMetric, MetricKind, ShardMetric, UniformMetric};
     pub use scenario::{run_jobs, JobOutcome, JobSpec, Scenario};
-    pub use schedulers::{
-        run_bds, run_bds_with_metric, run_fds, BdsConfig, FdsConfig, RunReport, SchedulerKind,
-    };
+    pub use schedulers::{run_bds, BdsConfig, FdsConfig, RunReport, SchedulerKind};
     pub use sharding_core::stats::{StabilityDetector, StabilityVerdict};
     pub use sharding_core::{bounds, AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
 }
