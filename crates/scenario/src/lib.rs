@@ -30,9 +30,10 @@
 //! cross-key rules it was checked against), [`exec`] (the worker pool
 //! and `run_job`), [`report`] (the one column table behind every CSV,
 //! JSONL and stdout rendering), [`cli`] (the one flag parser and the one
-//! load → plan → run → write loop behind every verb), and its two
-//! named-bundle verbs: [`campaign`] (the adversarial scenario family)
-//! and [`render`] (the paper's figures and bound tables).
+//! load → plan → run → write loop behind `run`, `campaign` and the
+//! scenario-backed figures), and its two named-bundle verbs:
+//! [`campaign`] (the adversarial scenario family) and [`render`] (the
+//! paper's figures and bound tables, each a job plan on [`exec`]).
 //!
 //! Determinism: a job's result depends only on its [`JobSpec`] (all
 //! randomness flows from the spec's seeds through ChaCha12), and the

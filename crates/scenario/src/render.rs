@@ -384,7 +384,7 @@ const C1: f64 = 4.0;
 const T3_ROWS: &[Row] = &[(8, 2, 1), (16, 2, 2), (16, 4, 2), (32, 4, 2), (64, 8, 2)];
 
 /// Row `(s, k, b)` of [`table_t3`]: FDS on a line at the Theorem 3 rate
-/// for the worst `d` a line allows, `s - 1`.
+/// for the worst `d` a line allows, `s - 1`, clamped into `[1e-4, 1]`.
 fn t3_job((s, k, b): Row, rounds: u64) -> Result<JobSpec, String> {
     let rho = bounds::fds_rate_bound(C1, (s - 1) as u64, k, s).clamp(1e-4, 1.0);
     bound_job("scheduler=fds metric=line", (s, k, b), rho, rounds)
@@ -630,8 +630,9 @@ mod tests {
         }
     }
 
-    /// A T2 row is the system, placement and adversary `bound_row` built
-    /// by hand before the tables became job plans.
+    /// A T2 row resolves to the `(s, k, b)` system with one account per
+    /// shard on round-robin placement, under the seed-7 single burst at
+    /// `rounds / 10` and Theorem 2's rate, bit for bit.
     #[test]
     fn a_t2_row_is_its_system_placement_and_single_burst() {
         let spec = t2_job((16, 4, 4), 6_000).unwrap();

@@ -95,7 +95,7 @@ mod tests {
     }
 
     #[test]
-    fn generic_drive_matches_run_fds() {
+    fn generic_drive_matches_run_fds_line() {
         let (sys, map, adv) = setup();
         let metric = LineMetric::new(sys.shards);
         let sim = FdsSim::new(&sys, &map, FdsConfig::default(), &metric);
