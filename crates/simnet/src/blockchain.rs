@@ -6,8 +6,19 @@
 //! cites). The paper's algorithms assume one transaction per block but note
 //! they "can be extended to accommodate multiple transactions per block" —
 //! blocks here hold a batch: every subtransaction a shard commits within
-//! one round forms one block ([`LocalChain::append_block`]);
+//! one round forms one block ([`LocalChain::seal`] takes a node's round
+//! buffer, [`LocalChain::append_block`] an owned batch);
 //! [`LocalChain::append`] is the single-subtransaction convenience.
+//!
+//! A chain keeps every block for the whole run, so it pays for its blocks
+//! and not for its growth. A [`Block`] stores only its hash, its round and
+//! its payload, a boxed slice allocated at its exact length: a block's
+//! height is its index and its parent is the previous block's hash, both
+//! derived and both still fed into the hash. Blocks live in pages of
+//! [`PAGE`]: the first page grows by doubling, so a short chain stays
+//! small, and every later page is allocated once at its full size. No
+//! chain ever holds a doubled block array, and its slack is under one
+//! page.
 //!
 //! Hashing is a deterministic non-cryptographic FNV-1a — the simulation
 //! needs link *integrity checking*, not adversarial collision resistance
@@ -17,6 +28,10 @@
 use serde::{Deserialize, Serialize};
 use sharding_core::txn::SubTransaction;
 use sharding_core::{Round, ShardId, TxnId};
+use std::ops::Index;
+
+/// Blocks per page of a [`LocalChain`] (32 KiB of headers).
+pub const PAGE: usize = 1024;
 
 /// A streaming 64-bit FNV-1a state — deterministic across runs and
 /// platforms, and fed field by field so hashing a block copies nothing.
@@ -34,20 +49,20 @@ impl Fnv1a {
     }
 }
 
-/// One block of a local chain.
+/// One block of a local chain. Its height is its index in the chain and
+/// its parent the hash of the block before it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Block {
-    /// Position in the chain (genesis is height 0 and holds no payload).
-    pub height: u64,
-    /// Hash of the previous block.
-    pub parent: u64,
-    /// Hash of this block (over height, parent, payload, round).
+    /// Hash of this block (over height, parent, round, payload).
     pub hash: u64,
-    /// The committed subtransactions (empty only for genesis).
-    pub subs: Vec<SubTransaction>,
     /// Round at which the commit happened.
     pub round: Round,
+    /// The committed subtransactions (empty only for genesis).
+    pub subs: Box<[SubTransaction]>,
 }
+
+// `peak_live_mb` is held to the byte: a chain keeps every block header.
+const _: () = assert!(std::mem::size_of::<Block>() <= 32);
 
 impl Block {
     /// FNV-1a over the little-endian bytes of height, parent, round and
@@ -78,23 +93,22 @@ impl Block {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LocalChain {
     shard: ShardId,
-    blocks: Vec<Block>,
+    /// Every block, genesis first; each page but the last holds [`PAGE`].
+    pages: Vec<Vec<Block>>,
     subs: usize,
 }
 
 impl LocalChain {
     /// A fresh chain for `shard` containing only the genesis block.
     pub fn new(shard: ShardId) -> Self {
-        let genesis_hash = Block::compute_hash(0, 0, &[], Round::ZERO);
+        let genesis = Block {
+            hash: Block::compute_hash(0, 0, &[], Round::ZERO),
+            round: Round::ZERO,
+            subs: Box::new([]),
+        };
         LocalChain {
             shard,
-            blocks: vec![Block {
-                height: 0,
-                parent: 0,
-                hash: genesis_hash,
-                subs: Vec::new(),
-                round: Round::ZERO,
-            }],
+            pages: vec![vec![genesis]],
             subs: 0,
         }
     }
@@ -106,13 +120,27 @@ impl LocalChain {
 
     /// Appends a block holding one committed subtransaction at `round`.
     pub fn append(&mut self, sub: SubTransaction, round: Round) -> &Block {
-        self.append_block(vec![sub], round)
+        self.push(Box::new([sub]), round)
     }
 
     /// Appends one block holding all subtransactions the shard committed
     /// during `round`. Panics on misrouted subtransactions (a scheduler
     /// routing bug) or an empty batch.
     pub fn append_block(&mut self, subs: Vec<SubTransaction>, round: Round) -> &Block {
+        self.push(subs.into_boxed_slice(), round)
+    }
+
+    /// Seals a node's round buffer into one block at `round`, its payload
+    /// allocated at its exact length; the buffer is left empty with its
+    /// capacity, for the next round. Does nothing when the buffer is
+    /// empty (the shard committed nothing this round).
+    pub fn seal(&mut self, buf: &mut Vec<SubTransaction>, round: Round) {
+        if !buf.is_empty() {
+            self.push(buf.drain(..).collect(), round);
+        }
+    }
+
+    fn push(&mut self, subs: Box<[SubTransaction]>, round: Round) -> &Block {
         assert!(
             !subs.is_empty(),
             "blocks must hold at least one subtransaction"
@@ -120,24 +148,26 @@ impl LocalChain {
         for s in &subs {
             assert_eq!(s.dest, self.shard, "subtransaction routed to wrong shard");
         }
-        let parent = self.blocks.last().expect("genesis always present");
-        let height = parent.height + 1;
-        let parent_hash = parent.hash;
-        let hash = Block::compute_hash(height, parent_hash, &subs, round);
+        let height = self.len() as u64 + 1;
+        let parent = self.blocks().last().hash;
+        let hash = Block::compute_hash(height, parent, &subs, round);
         self.subs += subs.len();
-        self.blocks.push(Block {
-            height,
-            parent: parent_hash,
-            hash,
-            subs,
-            round,
-        });
-        self.blocks.last().unwrap()
+        if self.tail().len() >= PAGE {
+            self.pages.push(Vec::with_capacity(PAGE));
+        }
+        let page = self.pages.last_mut().expect("genesis always present");
+        page.push(Block { hash, round, subs });
+        page.last().expect("pushed above")
+    }
+
+    /// The page new blocks go to.
+    fn tail(&self) -> &Vec<Block> {
+        self.pages.last().expect("genesis always present")
     }
 
     /// Number of blocks (excluding genesis).
     pub fn len(&self) -> usize {
-        self.blocks.len() - 1
+        (self.pages.len() - 1) * PAGE + self.tail().len() - 1
     }
 
     /// Total committed subtransactions across all blocks.
@@ -147,39 +177,69 @@ impl LocalChain {
 
     /// True when only genesis exists.
     pub fn is_empty(&self) -> bool {
-        self.blocks.len() == 1
+        self.len() == 0
     }
 
-    /// All blocks including genesis.
-    pub fn blocks(&self) -> &[Block] {
-        &self.blocks
+    /// All blocks including genesis, indexed by height.
+    pub fn blocks(&self) -> Blocks<'_> {
+        Blocks { pages: &self.pages }
     }
 
     /// Committed transaction ids in chain order (block order, then intra-
     /// block order).
     pub fn committed_txns(&self) -> impl Iterator<Item = TxnId> + '_ {
-        self.blocks
-            .iter()
+        self.blocks()
+            .into_iter()
             .flat_map(|b| b.subs.iter().map(|s| s.txn))
     }
 
-    /// Verifies hash links and height continuity for the whole chain.
+    /// Verifies every block's hash over its derived height and parent
+    /// (so a changed, dropped or reordered block breaks it), and that
+    /// only genesis is empty.
     pub fn verify(&self) -> bool {
-        for (i, b) in self.blocks.iter().enumerate() {
-            if b.height != i as u64 {
+        let mut parent = 0;
+        for (height, b) in self.blocks().into_iter().enumerate() {
+            if b.hash != Block::compute_hash(height as u64, parent, &b.subs, b.round) {
                 return false;
             }
-            if b.hash != Block::compute_hash(b.height, b.parent, &b.subs, b.round) {
+            if height > 0 && b.subs.is_empty() {
                 return false;
             }
-            if i > 0 && b.parent != self.blocks[i - 1].hash {
-                return false;
-            }
-            if i > 0 && b.subs.is_empty() {
-                return false;
-            }
+            parent = b.hash;
         }
         true
+    }
+}
+
+/// A chain's blocks, genesis first: indexed by height, iterated in
+/// order.
+#[derive(Debug, Clone, Copy)]
+pub struct Blocks<'a> {
+    pages: &'a [Vec<Block>],
+}
+
+impl<'a> Blocks<'a> {
+    /// The newest block (genesis on a fresh chain).
+    pub fn last(&self) -> &'a Block {
+        let page = self.pages.last().and_then(|p| p.last());
+        page.expect("genesis always present")
+    }
+}
+
+impl Index<usize> for Blocks<'_> {
+    type Output = Block;
+
+    fn index(&self, height: usize) -> &Block {
+        &self.pages[height / PAGE][height % PAGE]
+    }
+}
+
+impl<'a> IntoIterator for Blocks<'a> {
+    type Item = &'a Block;
+    type IntoIter = std::iter::Flatten<std::slice::Iter<'a, Vec<Block>>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.pages.iter().flatten()
     }
 }
 
@@ -283,20 +343,138 @@ mod tests {
         c.append_block(Vec::new(), Round(1));
     }
 
+    /// `c` with its blocks edited as one flat list and paged again.
+    fn relaid(c: &LocalChain, edit: impl FnOnce(&mut Vec<Block>)) -> LocalChain {
+        let mut blocks: Vec<Block> = c.blocks().into_iter().cloned().collect();
+        edit(&mut blocks);
+        LocalChain {
+            pages: blocks.chunks(PAGE).map(<[Block]>::to_vec).collect(),
+            ..c.clone()
+        }
+    }
+
     #[test]
     fn tampering_breaks_verification() {
         let mut c = LocalChain::new(ShardId(0));
         c.append_block(vec![sub(1, 0), sub(2, 0)], Round(1));
-        c.append(sub(3, 0), Round(2));
-        // Tamper with the payload of block 1.
-        let mut tampered = c.clone();
-        tampered.blocks[1].subs[1].actions[0].delta = 999;
-        assert!(!tampered.verify(), "payload change detected");
-        // Tamper with a link.
-        let mut cut = c.clone();
-        cut.blocks[2].parent ^= 1;
-        assert!(!cut.verify(), "broken link detected");
+        for t in 3..7 {
+            c.append(sub(t, 0), Round(t));
+        }
+        assert!(
+            relaid(&c, |_| ()).verify(),
+            "paging the blocks again changes nothing"
+        );
+        let payload = relaid(&c, |b| b[1].subs[1].actions[0].delta = 999);
+        assert!(!payload.verify(), "payload change detected");
+        let round = relaid(&c, |b| b[3].round = Round(b[3].round.raw() + 1));
+        assert!(!round.verify(), "round change detected");
+        let dropped = relaid(&c, |b| drop(b.remove(3)));
+        assert!(!dropped.verify(), "dropped block detected");
+        let swapped = relaid(&c, |b| b.swap(3, 4));
+        assert!(!swapped.verify(), "reordered blocks detected");
         assert!(c.verify(), "original intact");
+    }
+
+    /// One block as the flat layout stored it: height, parent, hash,
+    /// round, payload.
+    type FlatBlock = (u64, u64, u64, Round, Vec<SubTransaction>);
+
+    /// The flat layout's verification: stored heights count up from 0,
+    /// stored parents are the previous hashes, and only genesis is empty.
+    fn flat_verify(flat: &[FlatBlock]) -> bool {
+        flat.iter()
+            .enumerate()
+            .all(|(i, (height, parent, hash, round, subs))| {
+                *height == i as u64
+                    && *hash == Block::compute_hash(*height, *parent, subs, *round)
+                    && (i == 0 || (*parent == flat[i - 1].2 && !subs.is_empty()))
+            })
+    }
+
+    /// The paged chain against the flat one it replaced — every height
+    /// and parent stored, one growing vector — on seeded random blocks of
+    /// one to five subs, at lengths on both sides of each page boundary
+    /// and through all three ways in.
+    #[test]
+    fn paged_chain_matches_the_flat_recipe() {
+        use rand::Rng as _;
+        use sharding_core::txn::Condition;
+        let mut rng = sharding_core::rngutil::seeded_rng(35);
+        let mut next_txn = 0;
+        for blocks in [0, PAGE - 1, PAGE, PAGE + 1, 2 * PAGE + 3] {
+            let mut chain = LocalChain::new(ShardId(4));
+            let genesis = Block::compute_hash(0, 0, &[], Round::ZERO);
+            let mut flat: Vec<FlatBlock> = vec![(0, 0, genesis, Round::ZERO, Vec::new())];
+            let mut buf = Vec::new();
+            let mut round = 0;
+            for i in 0..blocks {
+                round += rng.gen_range(1..4u64);
+                let n = rng.gen_range(1..=5usize);
+                let subs: Vec<SubTransaction> = (0..n)
+                    .map(|_| {
+                        next_txn += 1;
+                        let account = |rng: &mut sharding_core::rngutil::Rng| {
+                            AccountId(rng.gen_range(0..1_000u64))
+                        };
+                        SubTransaction {
+                            txn: TxnId(next_txn),
+                            dest: ShardId(4),
+                            conditions: (0..rng.gen_range(0..2usize))
+                                .map(|_| Condition {
+                                    account: account(&mut rng),
+                                    min_balance: rng.gen_range(0..100u64),
+                                })
+                                .collect::<Vec<_>>()
+                                .into(),
+                            actions: (0..rng.gen_range(1..3usize))
+                                .map(|_| Action {
+                                    account: account(&mut rng),
+                                    delta: rng.gen_range(-50..50i64),
+                                })
+                                .collect::<Vec<_>>()
+                                .into(),
+                        }
+                    })
+                    .collect();
+                let (height, parent) = (flat.len() as u64, flat.last().unwrap().2);
+                let hash = Block::compute_hash(height, parent, &subs, Round(round));
+                flat.push((height, parent, hash, Round(round), subs.clone()));
+                let tip = match (i % 3, n) {
+                    (0, 1) => chain.append(subs[0].clone(), Round(round)).hash,
+                    (0 | 1, _) => chain.append_block(subs, Round(round)).hash,
+                    _ => {
+                        buf.extend(subs);
+                        chain.seal(&mut buf, Round(round));
+                        assert!(buf.is_empty(), "seal takes the whole buffer");
+                        chain.blocks().last().hash
+                    }
+                };
+                assert_eq!(tip, hash, "block {height}");
+            }
+            chain.seal(&mut buf, Round(round + 1));
+            assert_eq!(chain.len(), blocks, "an empty buffer seals nothing");
+            let subs: usize = flat.iter().map(|b| b.4.len()).sum();
+            assert_eq!(chain.sub_count(), subs);
+            assert_eq!(chain.is_empty(), blocks == 0);
+            for (h, (_, _, hash, round, subs)) in flat.iter().enumerate() {
+                let b = &chain.blocks()[h];
+                assert_eq!((b.hash, b.round, &b.subs[..]), (*hash, *round, &subs[..]));
+            }
+            let order: Vec<u64> = chain.blocks().into_iter().map(|b| b.hash).collect();
+            let flat_order: Vec<u64> = flat.iter().map(|b| b.2).collect();
+            assert_eq!(order, flat_order, "block order at length {blocks}");
+            let committed: Vec<TxnId> = chain.committed_txns().collect();
+            let flat_committed: Vec<TxnId> =
+                flat.iter().flat_map(|b| &b.4).map(|s| s.txn).collect();
+            assert_eq!(committed, flat_committed);
+            assert!(chain.verify() && flat_verify(&flat));
+            let (tail, full) = chain.pages.split_last().unwrap();
+            assert!(full.iter().all(|p| p.len() == PAGE && p.capacity() == PAGE));
+            assert!(
+                !tail.is_empty() && tail.capacity() <= PAGE,
+                "slack under a page"
+            );
+        }
     }
 
     #[test]

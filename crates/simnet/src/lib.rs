@@ -9,8 +9,11 @@
 //!   the waiting is a [`wheel`] — both shared with the threaded runtime,
 //!   whose transport differs only in the hand-off.
 //! * [`blockchain`] — per-shard local ledgers: hash-linked blocks of
-//!   committed subtransactions, with verification. The global blockchain is
-//!   reconstructable as the union of local chains (Section 3).
+//!   committed subtransactions, with verification. A block header is 32
+//!   bytes (height and parent are derived) and headers live in fixed
+//!   pages, so a chain pays for its blocks and not for its growth. The
+//!   global blockchain is reconstructable as the union of local chains
+//!   (Section 3).
 //! * [`pbft`] — the intra-shard consensus model. The paper *assumes*
 //!   PBFT completes within one round, and so do both engines: no run
 //!   executes an instance. The module's quorum logic (pre-prepare/
