@@ -179,7 +179,8 @@ impl Adversary {
         self.generated
     }
 
-    /// Generates the transactions injected during `round`.
+    /// Generates the transactions injected during `round`, in a vector of
+    /// exactly their number.
     pub fn generate(&mut self, round: Round) -> Vec<Transaction> {
         self.budgets.tick();
         let proposals = self.proposer.propose(
@@ -189,7 +190,9 @@ impl Adversary {
             round,
             &mut self.rng,
         );
-        let mut out = Vec::new();
+        // One block sized from the proposals: the batch is queued until
+        // it is scheduled, so a push-grown one would keep its slack.
+        let mut out = Vec::with_capacity(proposals.len());
         for shards in proposals {
             if !self.budgets.try_charge(shards.iter().copied()) {
                 continue; // Budget exhausted for some accessed shard: drop.
@@ -213,6 +216,8 @@ impl Adversary {
             out.push(self.scratch.build(shape.into(), amount, id, home, round));
         }
         self.generated += out.len() as u64;
+        // Only a budget drop leaves slack; a full batch is not moved.
+        out.shrink_to_fit();
         out
     }
 }
@@ -611,12 +616,12 @@ mod tests {
         for t in trace.iter().flatten() {
             if t.shard_count() > 1 {
                 saw_multi = true;
-                let conditions: usize = t.subs.iter().map(|s| s.conditions.len()).sum();
+                let conditions: usize = t.subs.iter().map(|s| s.conditions().len()).sum();
                 assert!(conditions >= 1, "multi-shard transfer checks the payer");
                 let debit: i64 = t
                     .subs
                     .iter()
-                    .flat_map(|s| &s.actions)
+                    .flat_map(|s| s.actions())
                     .map(|a| a.delta)
                     .filter(|d| *d < 0)
                     .sum();
@@ -624,6 +629,67 @@ mod tests {
             }
         }
         assert!(saw_multi);
+    }
+
+    /// Every shape draws its accounts from distinct shards, so each sub
+    /// holds one part in place — but a transfer's payer, whose balance
+    /// check and debit share one exact-fit block.
+    #[test]
+    fn every_checked_in_shape_files_inline_subs_but_the_payer() {
+        for shape in [
+            WorkloadShape::WriteOnly,
+            WorkloadShape::ReadMostly,
+            WorkloadShape::Transfers { amount_max: 100 },
+        ] {
+            let acfg = AdversaryConfig {
+                rho: 0.3,
+                burstiness: 10,
+                shape,
+                seed: 5,
+                ..Default::default()
+            };
+            let (_, trace) = run(acfg, 200);
+            let (mut inline, mut payers) = (0, 0);
+            for sub in trace.iter().flatten().flat_map(|t| &t.subs) {
+                let parts = (sub.conditions().len(), sub.actions().len());
+                if parts == (1, 1) {
+                    assert!(matches!(shape, WorkloadShape::Transfers { .. }), "{shape}");
+                    assert_eq!(sub.conditions()[0].account, sub.actions()[0].account);
+                    assert!(sub.actions()[0].delta < 0, "the payer's debit");
+                    assert!(!sub.is_inline());
+                    payers += 1;
+                } else {
+                    assert_eq!(parts.0 + parts.1, 1, "{shape}: {sub:?}");
+                    assert!(sub.is_inline());
+                    inline += 1;
+                }
+            }
+            assert!(inline > 100, "{shape}: {inline} inline subs");
+            let transfers = matches!(shape, WorkloadShape::Transfers { .. });
+            assert_eq!(payers > 0, transfers, "{shape}: {payers} payers");
+        }
+    }
+
+    /// A round's batch is handed over at its exact length, whether the
+    /// budgets admitted every proposal or dropped some.
+    #[test]
+    fn batches_carry_no_spare_capacity() {
+        let cfg = SystemConfig::paper_simulation();
+        let map = AccountMap::round_robin(&cfg);
+        let acfg = AdversaryConfig {
+            rho: 0.5,
+            burstiness: 3,
+            seed: 8,
+            ..Default::default()
+        };
+        let mut adv = Adversary::new(&cfg, &map, acfg);
+        let mut sizes = std::collections::BTreeSet::new();
+        for r in 0..300 {
+            let batch = adv.generate(Round(r));
+            assert_eq!(batch.capacity(), batch.len(), "round {r}");
+            sizes.insert(batch.len());
+        }
+        assert!(sizes.len() > 2, "batch sizes vary: {sizes:?}");
     }
 
     #[test]
@@ -676,8 +742,8 @@ mod tests {
         for t in trace.iter().flatten() {
             t.validate(cfg.k_max).unwrap();
             for sub in &t.subs {
-                assert!(!sub.actions.is_empty(), "every subtransaction writes");
-                for a in &sub.actions {
+                assert!(!sub.actions().is_empty(), "every subtransaction writes");
+                for a in sub.actions() {
                     assert_eq!(map.owner(a.account).unwrap(), sub.dest);
                 }
             }

@@ -105,12 +105,8 @@ mod tests {
             for t in src.next_round(Round(r)) {
                 assert_eq!(t.home, live.owner_unchecked(t.accesses()[0].account));
                 for sub in &t.subs {
-                    for a in sub
-                        .conditions
-                        .iter()
-                        .map(|c| c.account)
-                        .chain(sub.actions.iter().map(|a| a.account))
-                    {
+                    let conditions = sub.conditions().iter().map(|c| c.account);
+                    for a in conditions.chain(sub.actions().iter().map(|a| a.account)) {
                         assert_eq!(sub.dest, live.owner_unchecked(a), "regrouped to the owner");
                     }
                 }

@@ -497,11 +497,9 @@ impl AliasTable {
         let scaled = u * n as f64;
         let col = (scaled as usize).min(n - 1);
         let c = self.cols[col];
-        if scaled - (col as f64) < c.prob {
-            col
-        } else {
-            c.alias as usize
-        }
+        // A select, not a branch: the outcome is a coin flip, and a
+        // mispredict would discard a batch's later column loads.
+        std::hint::select_unpredictable(scaled - (col as f64) < c.prob, col, c.alias as usize)
     }
 
     /// Reconstructs the exact per-index probability mass the table

@@ -14,8 +14,6 @@
 //!   conflict predicate of Section 3 of the paper.
 //! * [`hash`] — the one hasher behind every map keyed by a small integer
 //!   id.
-//! * [`inline`] — the inline-first sequence behind a subtransaction's
-//!   condition and action lists.
 //! * [`bounds`] — closed-form calculators for every bound proved in the
 //!   paper (Theorems 1–3, Lemmas 1–3), used by the experiment harness to
 //!   compare measured values against the paper's guarantees.
@@ -35,7 +33,6 @@ pub mod config;
 pub mod error;
 pub mod hash;
 pub mod ids;
-pub mod inline;
 pub mod rngutil;
 pub mod stats;
 pub mod txn;
@@ -44,6 +41,5 @@ pub mod vnode;
 pub use config::{AccountMap, SystemConfig};
 pub use error::{Error, Result};
 pub use ids::{AccountId, Round, ShardId, TxnId};
-pub use inline::InlineVec;
 pub use txn::{Access, AccessKind, Action, Condition, SubTransaction, Transaction};
 pub use vnode::{ReshardPlan, ReshardVersion, VnodeTable, VNODE_COUNT};

@@ -10,7 +10,6 @@
 use crate::config::AccountMap;
 use crate::error::{Error, Result};
 use crate::ids::{AccountId, Round, ShardId, TxnId};
-use crate::inline::InlineVec;
 use serde::{Deserialize, Serialize};
 
 /// Whether an access reads or writes (updates) the object.
@@ -57,28 +56,155 @@ pub struct Action {
 }
 
 /// The portion of a transaction destined for a single shard.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct SubTransaction {
     /// Parent transaction id.
     pub txn: TxnId,
     /// Destination shard that owns every account referenced below.
     pub dest: ShardId,
-    /// Condition checks (reads) executed on the destination shard.
-    pub conditions: InlineVec<Condition>,
-    /// Main actions (writes) executed on the destination shard.
-    pub actions: InlineVec<Action>,
+    parts: Parts,
 }
 
-// `peak_live_mb` is held to the byte: neither struct may grow.
-const _: () = assert!(std::mem::size_of::<SubTransaction>() <= 64);
+// `peak_live_mb` is held to the byte: neither struct may grow. A chain
+// keeps every sub it commits for the rest of the run.
+const _: () = assert!(std::mem::size_of::<SubTransaction>() <= 40);
 const _: () = assert!(std::mem::size_of::<Transaction>() <= 72);
 
+/// A sub's condition checks and main actions, each kind in filing order.
+/// A lone part of either kind sits in place; anything more is one
+/// exact-fit heap block — except a mix beyond one of each, which no
+/// checked-in shape files and which boxes the two lists together.
+#[derive(Clone, Default)]
+enum Parts {
+    #[default]
+    Empty,
+    Condition(Condition),
+    Action(Action),
+    /// One of each: a transfer's payer (a balance check and a debit).
+    Pair(Box<(Condition, Action)>),
+    Conditions(Box<[Condition]>),
+    Actions(Box<[Action]>),
+    Mixed(Box<Lists>),
+}
+
+/// Both kinds, beyond one of each.
+type Lists = (Box<[Condition]>, Box<[Action]>);
+
+/// `list` followed by `last`, in one exact-fit block.
+fn appended<T: Copy>(list: &[T], last: T) -> Box<[T]> {
+    list.iter().copied().chain([last]).collect()
+}
+
 impl SubTransaction {
+    /// A sub of `txn` for `dest` holding `conditions` and `actions`, each
+    /// in the given order.
+    pub fn new(txn: TxnId, dest: ShardId, conditions: &[Condition], actions: &[Action]) -> Self {
+        let mut sub = SubTransaction {
+            txn,
+            dest,
+            parts: Parts::Empty,
+        };
+        conditions.iter().for_each(|&c| sub.push_condition(c));
+        actions.iter().for_each(|&a| sub.push_action(a));
+        sub
+    }
+
+    /// Condition checks (reads) executed on the destination shard.
+    #[inline]
+    pub fn conditions(&self) -> &[Condition] {
+        match &self.parts {
+            Parts::Condition(c) => std::slice::from_ref(c),
+            Parts::Pair(pair) => std::slice::from_ref(&pair.0),
+            Parts::Conditions(list) => list,
+            Parts::Mixed(lists) => &lists.0,
+            Parts::Empty | Parts::Action(_) | Parts::Actions(_) => &[],
+        }
+    }
+
+    /// Main actions (writes) executed on the destination shard.
+    #[inline]
+    pub fn actions(&self) -> &[Action] {
+        match &self.parts {
+            Parts::Action(a) => std::slice::from_ref(a),
+            Parts::Pair(pair) => std::slice::from_ref(&pair.1),
+            Parts::Actions(list) => list,
+            Parts::Mixed(lists) => &lists.1,
+            Parts::Empty | Parts::Condition(_) | Parts::Conditions(_) => &[],
+        }
+    }
+
+    /// Appends a condition check after the ones already filed.
+    pub fn push_condition(&mut self, c: Condition) {
+        self.parts = match std::mem::take(&mut self.parts) {
+            Parts::Empty => Parts::Condition(c),
+            Parts::Condition(first) => Parts::Conditions(Box::new([first, c])),
+            Parts::Conditions(list) => Parts::Conditions(appended(&list, c)),
+            Parts::Action(a) => Parts::Pair(Box::new((c, a))),
+            Parts::Pair(pair) => {
+                Parts::Mixed(Box::new((Box::new([pair.0, c]), Box::new([pair.1]))))
+            }
+            Parts::Actions(actions) => Parts::Mixed(Box::new((Box::new([c]), actions))),
+            Parts::Mixed(mut lists) => {
+                lists.0 = appended(&lists.0, c);
+                Parts::Mixed(lists)
+            }
+        }
+    }
+
+    /// Appends a main action after the ones already filed.
+    pub fn push_action(&mut self, a: Action) {
+        self.parts = match std::mem::take(&mut self.parts) {
+            Parts::Empty => Parts::Action(a),
+            Parts::Action(first) => Parts::Actions(Box::new([first, a])),
+            Parts::Actions(list) => Parts::Actions(appended(&list, a)),
+            Parts::Condition(c) => Parts::Pair(Box::new((c, a))),
+            Parts::Pair(pair) => {
+                Parts::Mixed(Box::new((Box::new([pair.0]), Box::new([pair.1, a]))))
+            }
+            Parts::Conditions(conditions) => Parts::Mixed(Box::new((conditions, Box::new([a])))),
+            Parts::Mixed(mut lists) => {
+                lists.1 = appended(&lists.1, a);
+                Parts::Mixed(lists)
+            }
+        }
+    }
+
+    /// True when the parts take no heap block of their own.
+    pub fn is_inline(&self) -> bool {
+        matches!(
+            self.parts,
+            Parts::Empty | Parts::Condition(_) | Parts::Action(_)
+        )
+    }
+
     /// Approximate wire size in bytes (id + shard + 16 per condition or
     /// action), used by the message-size accounting that checks the
     /// paper's `O(bs)` message bound.
     pub fn approx_bytes(&self) -> usize {
-        12 + 16 * (self.conditions.len() + self.actions.len())
+        12 + 16 * (self.conditions().len() + self.actions().len())
+    }
+}
+
+/// Equal when id, destination and both part lists are: which form holds
+/// the parts is never observable.
+impl PartialEq for SubTransaction {
+    fn eq(&self, other: &Self) -> bool {
+        (self.txn, self.dest) == (other.txn, other.dest)
+            && self.conditions() == other.conditions()
+            && self.actions() == other.actions()
+    }
+}
+
+impl Eq for SubTransaction {}
+
+impl std::fmt::Debug for SubTransaction {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SubTransaction")
+            .field("txn", &self.txn)
+            .field("dest", &self.dest)
+            .field("conditions", &self.conditions())
+            .field("actions", &self.actions())
+            .finish()
     }
 }
 
@@ -191,13 +317,13 @@ impl Transaction {
         let conditions: Vec<_> = self
             .subs
             .iter()
-            .flat_map(|s| &s.conditions)
+            .flat_map(SubTransaction::conditions)
             .map(|c| (tag(c.account), *c))
             .collect();
         let actions: Vec<_> = self
             .subs
             .iter()
-            .flat_map(|s| &s.actions)
+            .flat_map(SubTransaction::actions)
             .map(|a| (tag(a.account), *a))
             .collect();
         Transaction::from_parts(self.id, self.home, self.generated, &conditions, &actions)
@@ -211,7 +337,11 @@ impl Transaction {
     /// order, so a sub's lists keep the caller's order.
     ///
     /// Costs two allocations — `subs` at its exact length and the access
-    /// list — plus one per sub that holds a second condition or action.
+    /// list — while every sub holds one part, as under each checked-in
+    /// shape (its accounts sit on distinct shards), transfers aside: a
+    /// payer's check and debit take one more. Past that, each part a sub
+    /// receives re-files its kind's list in a new exact-fit block, and
+    /// a sub mixing more than one of each kind boxes its two lists.
     pub fn from_parts(
         id: TxnId,
         home: ShardId,
@@ -235,14 +365,14 @@ impl Transaction {
         let mut subs: Vec<SubTransaction> = Vec::with_capacity(distinct);
         let mut accesses = Vec::with_capacity(parts);
         for &(dest, c) in conditions {
-            sub_for(&mut subs, id, dest).conditions.push(c);
+            sub_for(&mut subs, id, dest).push_condition(c);
             accesses.push(Access {
                 account: c.account,
                 kind: AccessKind::Read,
             });
         }
         for &(dest, a) in actions {
-            sub_for(&mut subs, id, dest).actions.push(a);
+            sub_for(&mut subs, id, dest).push_action(a);
             accesses.push(Access {
                 account: a.account,
                 kind: AccessKind::Write,
@@ -293,13 +423,7 @@ fn sub_for(subs: &mut Vec<SubTransaction>, txn: TxnId, dest: ShardId) -> &mut Su
         .position(|s| s.dest >= dest)
         .unwrap_or(subs.len());
     if subs.get(at).is_none_or(|s| s.dest != dest) {
-        let sub = SubTransaction {
-            txn,
-            dest,
-            conditions: InlineVec::new(),
-            actions: InlineVec::new(),
-        };
-        subs.insert(at, sub);
+        subs.insert(at, SubTransaction::new(txn, dest, &[], &[]));
     }
     &mut subs[at]
 }
@@ -436,8 +560,8 @@ mod tests {
         let shards: Vec<_> = t.shards().collect();
         assert_eq!(shards, vec![ShardId(0), ShardId(1)]);
         let s0 = &t.subs[0];
-        assert_eq!(s0.conditions.len(), 1);
-        assert_eq!(s0.actions.len(), 1);
+        assert_eq!(s0.conditions().len(), 1);
+        assert_eq!(s0.actions().len(), 1);
         t.validate(4).unwrap();
     }
 
@@ -592,8 +716,8 @@ mod tests {
         assert_eq!(r.accesses(), t.accesses());
         assert_eq!(r.shard_count(), 1);
         assert_eq!(r.subs[0].dest, ShardId(2));
-        assert_eq!(r.subs[0].conditions.len(), 1);
-        assert_eq!(r.subs[0].actions.len(), 2);
+        assert_eq!(r.subs[0].conditions().len(), 1);
+        assert_eq!(r.subs[0].actions().len(), 2);
         r.validate(2).unwrap();
     }
 
@@ -607,7 +731,7 @@ mod tests {
             .unwrap();
         assert_eq!(t.accesses().len(), 1);
         // Both actions are still applied even though accesses deduped.
-        assert_eq!(t.subs[0].actions.len(), 2);
+        assert_eq!(t.subs[0].actions().len(), 2);
     }
 
     /// The grouping `from_parts` replaced, kept as the oracle: a tree map
@@ -693,14 +817,68 @@ mod tests {
             assert_eq!(t.subs.len(), per_shard.len());
             for (sub, (dest, (conditions, actions))) in t.subs.iter().zip(&per_shard) {
                 assert_eq!((sub.txn, sub.dest), (t.id, *dest));
-                assert_eq!(&*sub.conditions, conditions.as_slice());
-                assert_eq!(&*sub.actions, actions.as_slice());
+                assert_eq!(sub.conditions(), conditions.as_slice());
+                assert_eq!(sub.actions(), actions.as_slice());
             }
             assert_eq!(t.subs.capacity(), t.subs.len(), "no spare capacity");
             t.validate(5).unwrap();
             let again = t.regrouped(&map);
             assert_eq!(again, t, "regrouping under the producing map");
             assert_eq!(again.subs.capacity(), again.subs.len());
+        }
+    }
+
+    /// Drives a sub and two `Vec`s with the same interleaved pushes
+    /// across every form's boundary; every observable agrees at each
+    /// step, and which form holds the parts is never observable.
+    #[test]
+    fn parts_agree_with_two_vecs_under_any_interleaving() {
+        let mut rng = seeded_rng(20);
+        for case in 0..300u64 {
+            let (txn, dest) = (TxnId(case), ShardId(rng.gen_range(0..4)));
+            let mut sub = SubTransaction::new(txn, dest, &[], &[]);
+            let (mut conditions, mut actions) = (Vec::new(), Vec::new());
+            for _ in 0..rng.gen_range(0..=6) {
+                let account = AccountId(rng.gen_range(0..4));
+                if rng.gen_bool(0.5) {
+                    let c = Condition {
+                        account,
+                        min_balance: rng.gen_range(0..9),
+                    };
+                    sub.push_condition(c);
+                    conditions.push(c);
+                } else {
+                    let a = Action {
+                        account,
+                        delta: rng.gen_range(-9..9),
+                    };
+                    sub.push_action(a);
+                    actions.push(a);
+                }
+                assert_eq!(sub.conditions(), conditions.as_slice());
+                assert_eq!(sub.actions(), actions.as_slice());
+                let parts = conditions.len() + actions.len();
+                assert_eq!(sub.approx_bytes(), 12 + 16 * parts);
+                assert_eq!(sub.is_inline(), parts <= 1);
+                assert_eq!(sub.clone(), sub);
+                // Conditions first, then actions: another push order,
+                // the same lists.
+                let filed = SubTransaction::new(txn, dest, &conditions, &actions);
+                assert_eq!(filed, sub);
+                let shown = format!(
+                    "SubTransaction {{ txn: {txn:?}, dest: {dest:?}, \
+                     conditions: {conditions:?}, actions: {actions:?} }}"
+                );
+                assert_eq!(format!("{sub:?}"), shown);
+                assert_eq!(format!("{filed:?}"), shown);
+                let mut longer = sub.clone();
+                longer.push_action(Action { account, delta: 0 });
+                assert_ne!(longer, sub);
+                assert_ne!(
+                    SubTransaction::new(TxnId(case + 1), dest, &conditions, &actions),
+                    sub
+                );
+            }
         }
     }
 

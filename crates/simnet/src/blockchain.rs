@@ -76,11 +76,11 @@ impl Block {
         for s in subs {
             h.write(&s.txn.raw().to_le_bytes());
             h.write(&s.dest.raw().to_le_bytes());
-            for c in &s.conditions {
+            for c in s.conditions() {
                 h.write(&c.account.raw().to_le_bytes());
                 h.write(&c.min_balance.to_le_bytes());
             }
-            for a in &s.actions {
+            for a in s.actions() {
                 h.write(&a.account.raw().to_le_bytes());
                 h.write(&a.delta.to_le_bytes());
             }
@@ -287,20 +287,15 @@ pub fn reshard_audit(chains: &[LocalChain], committed: &[(Round, TxnId)]) -> (u6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sharding_core::txn::{Action, SubTransaction};
+    use sharding_core::txn::{Action, Condition, SubTransaction, Transaction};
     use sharding_core::AccountId;
 
     fn sub(txn: u64, dest: u32) -> SubTransaction {
-        SubTransaction {
-            txn: TxnId(txn),
-            dest: ShardId(dest),
-            conditions: vec![].into(),
-            actions: vec![Action {
-                account: AccountId(dest as u64),
-                delta: 1,
-            }]
-            .into(),
-        }
+        let action = Action {
+            account: AccountId(dest as u64),
+            delta: 1,
+        };
+        SubTransaction::new(TxnId(txn), ShardId(dest), &[], &[action])
     }
 
     #[test]
@@ -364,7 +359,14 @@ mod tests {
             relaid(&c, |_| ()).verify(),
             "paging the blocks again changes nothing"
         );
-        let payload = relaid(&c, |b| b[1].subs[1].actions[0].delta = 999);
+        let payload = relaid(&c, |b| {
+            let s = &mut b[1].subs[1];
+            let tampered = Action {
+                delta: 999,
+                ..s.actions()[0]
+            };
+            *s = SubTransaction::new(s.txn, s.dest, s.conditions(), &[tampered]);
+        });
         assert!(!payload.verify(), "payload change detected");
         let round = relaid(&c, |b| b[3].round = Round(b[3].round.raw() + 1));
         assert!(!round.verify(), "round change detected");
@@ -416,24 +418,19 @@ mod tests {
                         let account = |rng: &mut sharding_core::rngutil::Rng| {
                             AccountId(rng.gen_range(0..1_000u64))
                         };
-                        SubTransaction {
-                            txn: TxnId(next_txn),
-                            dest: ShardId(4),
-                            conditions: (0..rng.gen_range(0..2usize))
-                                .map(|_| Condition {
-                                    account: account(&mut rng),
-                                    min_balance: rng.gen_range(0..100u64),
-                                })
-                                .collect::<Vec<_>>()
-                                .into(),
-                            actions: (0..rng.gen_range(1..3usize))
-                                .map(|_| Action {
-                                    account: account(&mut rng),
-                                    delta: rng.gen_range(-50..50i64),
-                                })
-                                .collect::<Vec<_>>()
-                                .into(),
-                        }
+                        let conditions: Vec<_> = (0..rng.gen_range(0..2usize))
+                            .map(|_| Condition {
+                                account: account(&mut rng),
+                                min_balance: rng.gen_range(0..100u64),
+                            })
+                            .collect();
+                        let actions: Vec<_> = (0..rng.gen_range(1..3usize))
+                            .map(|_| Action {
+                                account: account(&mut rng),
+                                delta: rng.gen_range(-50..50i64),
+                            })
+                            .collect();
+                        SubTransaction::new(TxnId(next_txn), ShardId(4), &conditions, &actions)
                     })
                     .collect();
                 let (height, parent) = (flat.len() as u64, flat.last().unwrap().2);
@@ -522,23 +519,20 @@ mod tests {
         let mut c = LocalChain::new(ShardId(2));
         assert_eq!(c.blocks()[0].hash, 0xaac3_17d7_003c_2305, "genesis");
         assert_eq!(c.append(sub(7, 2), Round(5)).hash, 0x314d_3509_f940_d8a8);
-        let rich = |txn: u64, n: u64| SubTransaction {
-            txn: TxnId(txn),
-            dest: ShardId(2),
-            conditions: (0..n)
+        let rich = |txn: u64, n: u64| {
+            let conditions: Vec<_> = (0..n)
                 .map(|i| Condition {
                     account: AccountId(10 * txn + i),
                     min_balance: 100 + i,
                 })
-                .collect::<Vec<_>>()
-                .into(),
-            actions: (0..=n)
+                .collect();
+            let actions: Vec<_> = (0..=n)
                 .map(|i| Action {
                     account: AccountId(10 * txn + i),
                     delta: i as i64 - 1,
                 })
-                .collect::<Vec<_>>()
-                .into(),
+                .collect();
+            SubTransaction::new(TxnId(txn), ShardId(2), &conditions, &actions)
         };
         let multi = vec![rich(8, 0), rich(9, 1), rich(u64::MAX / 11, 3)];
         assert_eq!(
@@ -560,5 +554,116 @@ mod tests {
         c.append(sub(1, 0), Round(1));
         c.append(sub(2, 0), Round(1));
         assert_ne!(a, c);
+    }
+
+    /// A sub as two plain lists: the oracle the compact part list is
+    /// held to.
+    struct TwoVecs {
+        txn: TxnId,
+        dest: ShardId,
+        conditions: Vec<Condition>,
+        actions: Vec<Action>,
+    }
+
+    /// `Block::compute_hash`'s recipe, fed from the oracle's lists.
+    fn oracle_hash(height: u64, parent: u64, subs: &[TwoVecs], round: Round) -> u64 {
+        let mut h = Fnv1a::new();
+        h.write(&height.to_le_bytes());
+        h.write(&parent.to_le_bytes());
+        h.write(&round.raw().to_le_bytes());
+        for s in subs {
+            h.write(&s.txn.raw().to_le_bytes());
+            h.write(&s.dest.raw().to_le_bytes());
+            for c in &s.conditions {
+                h.write(&c.account.raw().to_le_bytes());
+                h.write(&c.min_balance.to_le_bytes());
+            }
+            for a in &s.actions {
+                h.write(&a.account.raw().to_le_bytes());
+                h.write(&a.delta.to_le_bytes());
+            }
+        }
+        h.0
+    }
+
+    type Drafts = Vec<(Vec<(u64, u64)>, Vec<(u64, i64)>)>;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Subs filed by `Transaction::from_parts`, with 0–3 conditions
+        /// and 0–3 actions on each of three shards, read, size, compare
+        /// and hash exactly as two plain `Vec`s of the same parts do.
+        #[test]
+        fn part_lists_match_the_two_vec_oracle(
+            drafts in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u64..40, 0u64..100), 0..=3),
+                    proptest::collection::vec((0u64..40, -50i64..50), 0..=3),
+                ),
+                3,
+            ),
+            txn in 0u64..1_000,
+            parent in proptest::any::<u64>(),
+        ) {
+            let drafts: Drafts = drafts;
+            let txn = TxnId(txn);
+            let oracle: Vec<TwoVecs> = drafts
+                .iter()
+                .enumerate()
+                .filter(|(_, (cs, acts))| !cs.is_empty() || !acts.is_empty())
+                .map(|(shard, (cs, acts))| TwoVecs {
+                    txn,
+                    dest: ShardId(shard as u32),
+                    conditions: cs
+                        .iter()
+                        .map(|&(a, min_balance)| Condition { account: AccountId(a), min_balance })
+                        .collect(),
+                    actions: acts
+                        .iter()
+                        .map(|&(a, delta)| Action { account: AccountId(a), delta })
+                        .collect(),
+                })
+                .collect();
+            // File the parts across shards in turn, each shard's in order.
+            let (mut conditions, mut actions) = (Vec::new(), Vec::new());
+            for i in 0..3 {
+                for o in &oracle {
+                    if let Some(&c) = o.conditions.get(i) {
+                        conditions.push((o.dest, c));
+                    }
+                    if let Some(&a) = o.actions.get(i) {
+                        actions.push((o.dest, a));
+                    }
+                }
+            }
+            let built = Transaction::from_parts(txn, ShardId(0), Round(3), &conditions, &actions);
+            if oracle.is_empty() {
+                proptest::prop_assert!(built.is_err());
+                return;
+            }
+            let t = built.unwrap();
+            proptest::prop_assert_eq!(t.subs.len(), oracle.len());
+            let mut bytes = 24;
+            for (sub, o) in t.subs.iter().zip(&oracle) {
+                proptest::prop_assert_eq!((sub.txn, sub.dest), (o.txn, o.dest));
+                proptest::prop_assert_eq!(sub.conditions(), o.conditions.as_slice());
+                proptest::prop_assert_eq!(sub.actions(), o.actions.as_slice());
+                let parts = o.conditions.len() + o.actions.len();
+                proptest::prop_assert_eq!(sub.approx_bytes(), 12 + 16 * parts);
+                bytes += 12 + 16 * parts;
+                let twin = SubTransaction::new(o.txn, o.dest, &o.conditions, &o.actions);
+                proptest::prop_assert_eq!(sub, &twin);
+                let other = SubTransaction::new(o.txn, ShardId(9), &o.conditions, &o.actions);
+                proptest::prop_assert_ne!(sub, &other);
+            }
+            proptest::prop_assert_eq!(t.approx_bytes(), bytes);
+            for height in [1, 1 << 33] {
+                proptest::prop_assert_eq!(
+                    Block::compute_hash(height, parent, &t.subs, Round(7)),
+                    oracle_hash(height, parent, &oracle, Round(7))
+                );
+            }
+        }
     }
 }

@@ -100,7 +100,7 @@ impl ShardLedger {
     /// applicable without underflow when executed in order.
     pub fn check(&self, sub: &SubTransaction) -> bool {
         debug_assert_eq!(sub.dest, self.shard);
-        for c in &sub.conditions {
+        for c in sub.conditions() {
             match self.balance(c.account) {
                 Some(b) if b >= c.min_balance => {}
                 _ => return false,
@@ -118,7 +118,7 @@ impl ShardLedger {
     /// is quadratic in the actions of one sub — a list that is inline
     /// and almost always a single entry.
     pub fn actions_valid(&self, sub: &SubTransaction) -> bool {
-        let actions = &sub.actions[..];
+        let actions = sub.actions();
         actions.iter().enumerate().all(|(i, a)| {
             let Some(base) = self.balance(a.account) else {
                 return false;
@@ -147,7 +147,7 @@ impl ShardLedger {
     pub fn apply(&mut self, sub: &SubTransaction) {
         debug_assert_eq!(sub.dest, self.shard);
         let shard = self.shard;
-        for a in &sub.actions {
+        for a in sub.actions() {
             let b = self
                 .balance_mut(a.account)
                 .unwrap_or_else(|| panic!("account {} not on shard {shard}", a.account));
@@ -190,12 +190,7 @@ mod tests {
     }
 
     fn sub_with(conditions: Vec<Condition>, actions: Vec<Action>) -> SubTransaction {
-        SubTransaction {
-            txn: TxnId(1),
-            dest: ShardId(0),
-            conditions: conditions.into(),
-            actions: actions.into(),
-        }
+        SubTransaction::new(TxnId(1), ShardId(0), &conditions, &actions)
     }
 
     #[test]
@@ -296,7 +291,7 @@ mod tests {
         sub: &SubTransaction,
     ) -> bool {
         let mut scratch: BTreeMap<AccountId, i128> = BTreeMap::new();
-        for a in &sub.actions {
+        for a in sub.actions() {
             let Some(base) = balance(a.account) else {
                 return false;
             };
@@ -423,11 +418,11 @@ mod tests {
 
         fn check(&self, sub: &SubTransaction) -> bool {
             let holds = |c: &Condition| self.balance(c.account).is_some_and(|b| b >= c.min_balance);
-            sub.conditions.iter().all(holds) && actions_valid_oracle(|a| self.balance(a), sub)
+            sub.conditions().iter().all(holds) && actions_valid_oracle(|a| self.balance(a), sub)
         }
 
         fn apply(&mut self, sub: &SubTransaction) {
-            for a in &sub.actions {
+            for a in sub.actions() {
                 let b = self.0.get_mut(&a.account).expect("applied only when valid");
                 *b = (*b as i128 + a.delta as i128) as u64;
             }
@@ -466,16 +461,15 @@ mod tests {
             let mut oracle = TreeLedger::new(shard, &map, 1000);
             for (op, a, b, delta, amount) in ops {
                 let (a, b) = (AccountId(a), AccountId(b));
-                let sub = SubTransaction {
-                    txn: TxnId(1),
-                    dest: shard,
-                    conditions: vec![Condition { account: a, min_balance: amount }].into(),
-                    actions: vec![
+                let sub = SubTransaction::new(
+                    TxnId(1),
+                    shard,
+                    &[Condition { account: a, min_balance: amount }],
+                    &[
                         Action { account: a, delta },
                         Action { account: b, delta: -delta / 2 },
-                    ]
-                    .into(),
-                };
+                    ],
+                );
                 match op {
                     0 => proptest::prop_assert_eq!(ledger.check(&sub), oracle.check(&sub)),
                     1 => {

@@ -293,7 +293,7 @@ fn bds_transfers_conserve_total_balance_and_abort() {
         .iter()
         .flat_map(|c| c.blocks())
         .flat_map(|b| &b.subs)
-        .flat_map(|s| &s.actions)
+        .flat_map(|s| s.actions())
         .map(|a| a.delta)
         .sum();
     let expected = sys.accounts as i64 * initial as i64 + minted;
@@ -348,7 +348,7 @@ fn fds_strict_window_transfers_conserve() {
         .iter()
         .flat_map(|c| c.blocks())
         .flat_map(|b| &b.subs)
-        .flat_map(|s| &s.actions)
+        .flat_map(|s| s.actions())
         .map(|a| a.delta)
         .sum();
     let expected = sys.accounts as i64 * 50 + minted;
