@@ -71,9 +71,9 @@ const _: () = assert!(std::mem::size_of::<SubTransaction>() <= 40);
 const _: () = assert!(std::mem::size_of::<Transaction>() <= 72);
 
 /// A sub's condition checks and main actions, each kind in filing order.
-/// A lone part of either kind sits in place; anything more is one
-/// exact-fit heap block — except a mix beyond one of each, which no
-/// checked-in shape files and which boxes the two lists together.
+/// A lone part of either kind sits in place and one of each is one heap
+/// block; anything more boxes the two lists together, which no
+/// checked-in shape files before regrouping.
 #[derive(Clone, Default)]
 enum Parts {
     #[default]
@@ -82,12 +82,11 @@ enum Parts {
     Action(Action),
     /// One of each: a transfer's payer (a balance check and a debit).
     Pair(Box<(Condition, Action)>),
-    Conditions(Box<[Condition]>),
-    Actions(Box<[Action]>),
-    Mixed(Box<Lists>),
+    /// Two or more parts, not one of each.
+    Lists(Box<Lists>),
 }
 
-/// Both kinds, beyond one of each.
+/// Both kinds' lists; an empty one takes no block.
 type Lists = (Box<[Condition]>, Box<[Action]>);
 
 /// `list` followed by `last`, in one exact-fit block.
@@ -115,9 +114,8 @@ impl SubTransaction {
         match &self.parts {
             Parts::Condition(c) => std::slice::from_ref(c),
             Parts::Pair(pair) => std::slice::from_ref(&pair.0),
-            Parts::Conditions(list) => list,
-            Parts::Mixed(lists) => &lists.0,
-            Parts::Empty | Parts::Action(_) | Parts::Actions(_) => &[],
+            Parts::Lists(lists) => &lists.0,
+            Parts::Empty | Parts::Action(_) => &[],
         }
     }
 
@@ -127,44 +125,39 @@ impl SubTransaction {
         match &self.parts {
             Parts::Action(a) => std::slice::from_ref(a),
             Parts::Pair(pair) => std::slice::from_ref(&pair.1),
-            Parts::Actions(list) => list,
-            Parts::Mixed(lists) => &lists.1,
-            Parts::Empty | Parts::Condition(_) | Parts::Conditions(_) => &[],
+            Parts::Lists(lists) => &lists.1,
+            Parts::Empty | Parts::Condition(_) => &[],
         }
     }
 
     /// Appends a condition check after the ones already filed.
-    pub fn push_condition(&mut self, c: Condition) {
+    fn push_condition(&mut self, c: Condition) {
         self.parts = match std::mem::take(&mut self.parts) {
             Parts::Empty => Parts::Condition(c),
-            Parts::Condition(first) => Parts::Conditions(Box::new([first, c])),
-            Parts::Conditions(list) => Parts::Conditions(appended(&list, c)),
             Parts::Action(a) => Parts::Pair(Box::new((c, a))),
+            Parts::Condition(first) => Parts::Lists(Box::new((Box::new([first, c]), Box::new([])))),
             Parts::Pair(pair) => {
-                Parts::Mixed(Box::new((Box::new([pair.0, c]), Box::new([pair.1]))))
+                Parts::Lists(Box::new((Box::new([pair.0, c]), Box::new([pair.1]))))
             }
-            Parts::Actions(actions) => Parts::Mixed(Box::new((Box::new([c]), actions))),
-            Parts::Mixed(mut lists) => {
+            Parts::Lists(mut lists) => {
                 lists.0 = appended(&lists.0, c);
-                Parts::Mixed(lists)
+                Parts::Lists(lists)
             }
         }
     }
 
     /// Appends a main action after the ones already filed.
-    pub fn push_action(&mut self, a: Action) {
+    fn push_action(&mut self, a: Action) {
         self.parts = match std::mem::take(&mut self.parts) {
             Parts::Empty => Parts::Action(a),
-            Parts::Action(first) => Parts::Actions(Box::new([first, a])),
-            Parts::Actions(list) => Parts::Actions(appended(&list, a)),
             Parts::Condition(c) => Parts::Pair(Box::new((c, a))),
+            Parts::Action(first) => Parts::Lists(Box::new((Box::new([]), Box::new([first, a])))),
             Parts::Pair(pair) => {
-                Parts::Mixed(Box::new((Box::new([pair.0]), Box::new([pair.1, a]))))
+                Parts::Lists(Box::new((Box::new([pair.0]), Box::new([pair.1, a]))))
             }
-            Parts::Conditions(conditions) => Parts::Mixed(Box::new((conditions, Box::new([a])))),
-            Parts::Mixed(mut lists) => {
+            Parts::Lists(mut lists) => {
                 lists.1 = appended(&lists.1, a);
-                Parts::Mixed(lists)
+                Parts::Lists(lists)
             }
         }
     }
@@ -339,9 +332,9 @@ impl Transaction {
     /// Costs two allocations — `subs` at its exact length and the access
     /// list — while every sub holds one part, as under each checked-in
     /// shape (its accounts sit on distinct shards), transfers aside: a
-    /// payer's check and debit take one more. Past that, each part a sub
-    /// receives re-files its kind's list in a new exact-fit block, and
-    /// a sub mixing more than one of each kind boxes its two lists.
+    /// payer's check and debit take one more. Any other sub of two or
+    /// more parts boxes its two lists, and each further part re-files
+    /// its kind's list in a new exact-fit block.
     pub fn from_parts(
         id: TxnId,
         home: ShardId,

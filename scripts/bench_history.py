@@ -6,7 +6,9 @@ object a line, appended, never edited. A line records one side of a
 measurement (a commit) as `benchmark run --out FILE` wrote it, over
 however many seeds were run:
 
-  commit, label, date, nproc, seeds
+  commit, label, date, seeds
+  nproc                                 CPUs this process may run on (what
+                                        `nproc` prints)
   workloads.<name>.runs / .failed       runs folded, failed checks summed
   workloads.<name>.host.<metric>        p25, median and p75 over the runs
                                         (host-time metrics: noisy)
@@ -20,12 +22,12 @@ however many seeds were run:
 
 Usage:
   bench_history.py fold RUNS.json --commit SHA [--label TEXT]
-                   [--compare COMPARE.txt] [--nproc N]
+                   [--compare COMPARE.txt]
       Prints the line; append it with `>> BENCH_history.jsonl`.
-  bench_history.py check [FILE] [--base-ref REV]
-      Exits 1 if a line does not parse or lacks a field, or if FILE as
-      committed at REV is not a prefix of FILE (a line was edited or
-      deleted). FILE defaults to BENCH_history.jsonl.
+  bench_history.py check [--base-ref REV]
+      Exits 1 if a line of BENCH_history.jsonl does not parse or lacks a
+      field, or if the file as committed at REV is not a prefix of it (a
+      line was edited or deleted).
 
 Standard library only.
 """
@@ -40,6 +42,7 @@ import sys
 
 # Measured on the host's clocks; every other end-to-end metric is exact.
 HOST_TIME = ("commits_per_s", "cpu_us_per_round", "setup_s")
+HISTORY = "BENCH_history.jsonl"
 FIELDS = ("commit", "label", "date", "nproc", "seeds", "workloads")
 
 
@@ -95,7 +98,7 @@ def fold(args):
         "commit": args.commit,
         "label": args.label,
         "date": datetime.date.today().isoformat(),
-        "nproc": args.nproc or os.cpu_count(),
+        "nproc": len(os.sched_getaffinity(0)),
         "seeds": seeds,
         "workloads": workloads,
     }
@@ -106,10 +109,10 @@ def fold(args):
 
 def check(args):
     try:
-        with open(args.file, encoding="utf-8") as f:
+        with open(HISTORY, encoding="utf-8") as f:
             lines = f.read().splitlines()
     except OSError as e:
-        sys.exit(f"{args.file}: {e}")
+        sys.exit(f"{HISTORY}: {e}")
     bad = 0
     for n, text in enumerate(lines, 1):
         try:
@@ -122,7 +125,7 @@ def check(args):
             if not isinstance(line["workloads"], dict) or not line["workloads"]:
                 raise ValueError("no workloads")
         except ValueError as e:
-            print(f"{args.file}:{n}: {e}")
+            print(f"{HISTORY}:{n}: {e}")
             bad = 1
     if args.base_ref:
         known = subprocess.run(
@@ -132,7 +135,7 @@ def check(args):
         if known.returncode != 0:
             sys.exit(f"{args.base_ref}: not a commit")
         shown = subprocess.run(
-            ["git", "show", f"{args.base_ref}:{args.file}"],
+            ["git", "show", f"{args.base_ref}:{HISTORY}"],
             capture_output=True,
             text=True,
         )
@@ -143,10 +146,10 @@ def check(args):
                 (i for i, (a, b) in enumerate(zip(base, lines), 1) if a != b),
                 len(lines) + 1,
             )
-            print(f"{args.file}:{changed}: a line at {args.base_ref} was edited or deleted")
+            print(f"{HISTORY}:{changed}: a line at {args.base_ref} was edited or deleted")
             bad = 1
     if not bad:
-        print(f"{args.file}: {len(lines)} lines parse")
+        print(f"{HISTORY}: {len(lines)} lines parse")
     sys.exit(bad)
 
 
@@ -158,10 +161,8 @@ def main():
     p.add_argument("--commit", required=True)
     p.add_argument("--label", default="")
     p.add_argument("--compare")
-    p.add_argument("--nproc", type=int)
     p.set_defaults(run=fold)
     c = verbs.add_parser("check", help="parse the file; with a base, refuse edits")
-    c.add_argument("file", nargs="?", default="BENCH_history.jsonl")
     c.add_argument("--base-ref")
     c.set_defaults(run=check)
     args = parser.parse_args()
