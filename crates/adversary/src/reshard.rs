@@ -52,8 +52,8 @@ impl<S: RoundSource> RoundSource for ReshardSource<S> {
             .into_iter()
             .map(|t| {
                 let mut t = t.regrouped(map);
-                if let Some(first) = t.accesses().first() {
-                    t.home = map.owner_unchecked(first.account);
+                if let Some(first) = t.accounts().min() {
+                    t.home = map.owner_unchecked(first);
                 }
                 t
             })
@@ -103,7 +103,7 @@ mod tests {
             let v = plan.version_at(r);
             let live = &plan.versions[v].map;
             for t in src.next_round(Round(r)) {
-                assert_eq!(t.home, live.owner_unchecked(t.accesses()[0].account));
+                assert_eq!(t.home, live.owner_unchecked(t.accounts().min().unwrap()));
                 for sub in &t.subs {
                     let conditions = sub.conditions().iter().map(|c| c.account);
                     for a in conditions.chain(sub.actions().iter().map(|a| a.account)) {
@@ -150,7 +150,7 @@ mod tests {
                 // Homes follow the owner-of-lowest-account rule; the
                 // grouping is untouched (identity regroup under the
                 // producing map).
-                assert_eq!(y.home, map.owner_unchecked(x.accesses()[0].account));
+                assert_eq!(y.home, map.owner_unchecked(x.accounts().min().unwrap()));
                 assert_eq!(x.subs.len(), y.subs.len());
                 for (sx, sy) in x.subs.iter().zip(&y.subs) {
                     assert_eq!(sx.dest, sy.dest);

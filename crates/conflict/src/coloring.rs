@@ -305,7 +305,8 @@ pub fn greedy_by_accounts_with(txns: &[Transaction], scratch: &mut ColoringScrat
     let mut num_colors = 0u32;
     for t in txns {
         scratch.forbidden.clear();
-        for a in t.accesses() {
+        let accesses = t.accesses();
+        for a in accesses.iter() {
             let idx = scratch.slot(a.account.index());
             if scratch.stamps[idx] == stamp {
                 // Anyone conflicts with earlier writers; a writer also
@@ -327,7 +328,7 @@ pub fn greedy_by_accounts_with(txns: &[Transaction], scratch: &mut ColoringScrat
         }
         colors.push(c);
         num_colors = num_colors.max(c + 1);
-        for a in t.accesses() {
+        for a in accesses {
             let idx = scratch.slot(a.account.index());
             if scratch.stamps[idx] != stamp {
                 scratch.stamps[idx] = stamp;

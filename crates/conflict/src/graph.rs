@@ -36,7 +36,8 @@ impl ConflictGraph {
         let mut entries: Vec<(u64, u32, bool)> = Vec::new();
         let mut max_id = 0u64;
         for (i, t) in txns.iter().enumerate() {
-            let mut iter = t.accesses().iter().peekable();
+            let accesses = t.accesses();
+            let mut iter = accesses.iter().peekable();
             while let Some(first) = iter.next() {
                 let acct = first.account;
                 let mut wrote = first.kind == AccessKind::Write;

@@ -78,16 +78,11 @@ impl FcfsSim {
         let mut busy_shards: BTreeSet<sharding_core::ShardId> = BTreeSet::new();
         let mut chosen = Vec::new();
         for (id, t) in self.pending.iter() {
-            let account_free = t
-                .accesses()
-                .iter()
-                .all(|a| !locked_accounts.contains(&a.account));
+            let account_free = t.accounts().all(|a| !locked_accounts.contains(&a));
             let shard_free =
                 !self.fcfg.respect_capacity || t.shards().all(|s| !busy_shards.contains(&s));
             if account_free && shard_free {
-                for a in t.accesses() {
-                    locked_accounts.insert(a.account);
-                }
+                locked_accounts.extend(t.accounts());
                 if self.fcfg.respect_capacity {
                     for s in t.shards() {
                         busy_shards.insert(s);

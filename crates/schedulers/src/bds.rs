@@ -907,7 +907,10 @@ mod tests {
             let commit = |txn| (ShardId(1), Msg::Decision { txn, commit: true });
             rig.step(1, (0..n).map(TxnId).map(commit).collect());
             let block = rig.chain.blocks().last();
-            assert_eq!(block.subs.len(), n as usize, "one block for the round");
+            let txns: Vec<TxnId> = block.subs.iter().map(|s| s.txn).collect();
+            assert_eq!(txns, (0..n).map(TxnId).collect::<Vec<_>>(), "one block");
+            assert_eq!((rig.chain.len(), block.round), (1, Round(1)));
+            assert!(rig.chain.verify());
         }
     }
 

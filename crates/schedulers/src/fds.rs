@@ -217,8 +217,12 @@ pub struct FdsNode {
     fcfg: FdsConfig,
     hierarchy: Arc<Hierarchy>,
     e0: u64,
-    /// The next multiple of `e0` (a running counter, so no round divides).
+    /// The next multiple of `e0` (a running counter, so no round divides
+    /// unless the node slept past one).
     next_boundary: u64,
+    /// The round this node next has work without mail ([`Node::wake`]),
+    /// set at the end of every step and lowered by an injection.
+    wake: u64,
     /// Transactions homed here, waiting for their layer's next epoch.
     outbox: Vec<(ClusterId, Transaction)>,
     /// Clusters this shard leads, created on first arrival.
@@ -263,6 +267,7 @@ impl FdsNode {
             home_cluster_cache: vec![Vec::new(); hierarchy.num_shards()],
             hierarchy,
             next_boundary: 0,
+            wake: 0,
             outbox: Vec::new(),
             leaders: BTreeMap::new(),
             txn_cluster: FastMap::default(),
@@ -299,6 +304,10 @@ impl FdsNode {
         // Every layer's epoch length is `e0 << layer`, so every epoch
         // boundary is a multiple of `e0`; on the other rounds the
         // partition below would only move every entry to `keep` and back.
+        // Boundaries the node slept through found the outbox empty.
+        if now > self.next_boundary {
+            self.next_boundary = now.next_multiple_of(self.e0);
+        }
         if now != self.next_boundary {
             return;
         }
@@ -433,6 +442,34 @@ impl FdsNode {
         seam.send(dest.leader_of[&txn], Msg::Vote { txn, commit });
     }
 
+    /// The earliest round after `round` at which a step without mail does
+    /// something: the next one while the vote window has room and a
+    /// queued entry is not voted yet; otherwise the next epoch boundary
+    /// while the outbox holds a transaction, or the next coloring moment
+    /// `d_c + m·E_i` of a cluster with work, whichever comes first. Mail
+    /// alone changes the queue, the votes and the active clusters, and an
+    /// injection lowers the wake to the next boundary.
+    fn next_wake(&self, round: u64) -> u64 {
+        let voted = self.dest.voted.len();
+        if voted < self.fcfg.pipeline_window.max(1) && voted < self.dest.sch_qd.len() {
+            return round + 1;
+        }
+        let mut wake = match self.outbox.is_empty() {
+            true => u64::MAX,
+            false => self.next_boundary,
+        };
+        for cid in &self.active {
+            let d_c = self.hierarchy.cluster(*cid).diameter.max(1);
+            let e_i = self.epoch_len(cid.layer);
+            let next = match round.checked_sub(d_c) {
+                Some(past) => d_c + (past / e_i + 1) * e_i,
+                None => d_c,
+            };
+            wake = wake.min(next);
+        }
+        wake
+    }
+
     fn handle<S: Seam<Msg>>(
         &mut self,
         now: u64,
@@ -541,6 +578,7 @@ impl Node for FdsNode {
         self.injected += 1;
         let cid = self.home_cluster_of(&txn);
         self.outbox.push((cid, txn));
+        self.wake = self.wake.min(self.next_boundary);
     }
 
     fn step<S: Seam<Msg>>(
@@ -562,6 +600,11 @@ impl Node for FdsNode {
             self.phase2_color_clusters(round, lent.policy, seam);
         }
         self.vote_head(lent.ledger, seam);
+        self.wake = self.next_wake(round);
+    }
+
+    fn wake(&self) -> u64 {
+        self.wake
     }
 
     /// `[leader-queue total, active leaders, injected, resolved]`, the
@@ -846,8 +889,86 @@ mod tests {
             let confirm = |txn| (ShardId(2), Msg::Confirm { txn, commit: true });
             rig.step(1, (0..n).map(TxnId).map(confirm).collect());
             let block = rig.chain.blocks().last();
-            assert_eq!(block.subs.len(), n as usize, "one block for the round");
+            let txns: Vec<TxnId> = block.subs.iter().map(|s| s.txn).collect();
+            assert_eq!(txns, (0..n).map(TxnId).collect::<Vec<_>>(), "one block");
+            assert_eq!((rig.chain.len(), block.round), (1, Round(1)));
+            assert!(rig.chain.verify());
         }
+    }
+
+    /// The [`Node::wake`] contract on FDS: every node of an eight-shard
+    /// line in two copies, one stepped every round and one only on mail
+    /// or at `round >= wake()`, fed the same injections and the mail the
+    /// every-round copies send, send, emit, seal and sample alike round
+    /// for round — as home, cluster leader and destination, through a
+    /// quiet stretch and a burst.
+    #[test]
+    fn sleeping_until_wake_is_invisible() {
+        let (sys, map) = small_sys();
+        let metric = LineMetric::new(sys.shards);
+        let hierarchy = Arc::new(Hierarchy::build_with_sublayers(&metric, 2));
+        let adv = AdversaryConfig {
+            rho: 0.04,
+            burstiness: 16,
+            strategy: StrategyKind::SingleBurst { burst_round: 900 },
+            seed: 3,
+            ..Default::default()
+        };
+        let mut adversary = Adversary::new(&sys, &map, adv);
+        let ids = || (0..sys.shards as u32).map(ShardId);
+        let rigs = || -> Vec<Rig> { ids().map(|id| Rig::new(id, &map, &hierarchy)).collect() };
+        let (mut every, mut sleepers) = (rigs(), rigs());
+        // Mail by delivery round and destination, in send order.
+        let mut mail: BTreeMap<(u64, ShardId), Vec<(ShardId, Msg)>> = BTreeMap::new();
+        let (mut slept, mut events) = (0, 0);
+        for round in 0..3_000 {
+            for t in adversary.generate(Round(round)) {
+                every[t.home.index()].node.inject(t.clone());
+                sleepers[t.home.index()].node.inject(t);
+            }
+            for id in ids() {
+                let mut inbox = mail.remove(&(round, id)).unwrap_or_default();
+                // Either host hands an inbox out by sender, each sender's
+                // messages in send order.
+                inbox.sort_by_key(|(from, _)| *from);
+                let has_mail = !inbox.is_empty();
+                let (want, sleeper) = (
+                    every[id.index()].step(round, inbox.clone()),
+                    &mut sleepers[id.index()],
+                );
+                let got = if has_mail || round >= sleeper.node.wake() {
+                    sleeper.step(round, inbox)
+                } else {
+                    slept += 1;
+                    Script::default()
+                };
+                let at = format!("shard {id:?}, round {round}");
+                assert_eq!(
+                    format!("{:?}", got.sent),
+                    format!("{:?}", want.sent),
+                    "{at}"
+                );
+                assert_eq!(got.events, want.events, "{at}");
+                assert_eq!(
+                    sleeper.node.sample(),
+                    every[id.index()].node.sample(),
+                    "{at}"
+                );
+                assert_eq!(sleeper.chain.len(), every[id.index()].chain.len(), "{at}");
+                events += want.events.len();
+                for (to, msg) in want.sent {
+                    let due = round + metric.distance(id, to).max(1);
+                    mail.entry((due, to)).or_default().push((id, msg));
+                }
+            }
+        }
+        for (a, b) in every.iter().zip(&sleepers) {
+            assert!(a.chain == b.chain && a.ledger.total() == b.ledger.total());
+        }
+        // The run reached what it is there for.
+        let shard_rounds = 3_000 * sys.shards;
+        assert!(slept > shard_rounds / 2, "slept {slept} of {shard_rounds}");
+        assert!(events > 200, "{events} decisions");
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub fn check_cross_shard_order(
     for chain in chains {
         for t in chain.committed_txns() {
             if let Some(txn) = txns.get(&t) {
-                for a in txn.accesses() {
-                    let bucket = by_account.entry(a.account).or_default();
+                for account in txn.accounts() {
+                    let bucket = by_account.entry(account).or_default();
                     if bucket.last() != Some(&t) {
                         bucket.push(t);
                     }

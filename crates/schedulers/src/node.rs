@@ -163,7 +163,8 @@ pub trait Protocol {
 /// One shard's share of a [`FaultPlan`] (the links' share is
 /// `simnet::Outbound`'s): its crash round, its Byzantine quota — counted
 /// against its bound `f`, not executed, since under `n > 3f` no quota
-/// can change a PBFT decision (`simnet::pbft`) — and its counters.
+/// can change a PBFT decision (DESIGN.md "Restrictions") — and its
+/// counters.
 #[derive(Debug, Clone)]
 pub struct ShardFaults {
     /// `u64::MAX` for a shard that never crashes.

@@ -98,13 +98,7 @@ impl Scheduler for FixedPriorityPolicy {
         let graph = ConflictGraph::build(batch);
         let priority: Vec<u32> = batch
             .iter()
-            .map(|t| {
-                t.accesses()
-                    .iter()
-                    .map(|a| freq[&a.account])
-                    .max()
-                    .unwrap_or(0)
-            })
+            .map(|t| t.accounts().map(|a| freq[&a]).max().unwrap_or(0))
             .collect();
         let mut order: Vec<u32> = (0..batch.len() as u32).collect();
         order.sort_by_key(|&v| {
@@ -262,9 +256,9 @@ impl Scheduler for SpeculativePolicy {
         // Predicted conflict graph: sharing any predicted-hot account.
         let mut by_hot: BTreeMap<sharding_core::AccountId, Vec<u32>> = BTreeMap::new();
         for (v, t) in batch.iter().enumerate() {
-            for a in t.accesses() {
-                if hot.contains(&a.account) {
-                    let bucket = by_hot.entry(a.account).or_default();
+            for account in t.accounts() {
+                if hot.contains(&account) {
+                    let bucket = by_hot.entry(account).or_default();
                     if bucket.last() != Some(&(v as u32)) {
                         bucket.push(v as u32);
                     }

@@ -1,9 +1,9 @@
 //! The commit path's allocation budget, counted with this binary's own
 //! global allocator: once the nodes' buffers are warm, a simulated round
-//! allocates for what the run keeps — a transaction's copy at whoever
-//! schedules it, one exact-fit payload per sealed block — and for the
-//! epoch's plan, and for nothing per vote, per block hash or per
-//! delivery round.
+//! allocates for what the run keeps — a transaction's copy (its `subs`,
+//! the only heap block a transaction owns) at whoever schedules it, and
+//! the chains' pages — and for the epoch's plan, and for nothing per
+//! sealed block, per vote, per block hash or per delivery round.
 //!
 //! One `#[test]` in the binary, so no other test thread's allocations
 //! are counted.
@@ -14,7 +14,7 @@ use schedulers::bds::{BdsConfig, BdsSim};
 use schedulers::fds::{FdsConfig, FdsSim};
 use schedulers::node::{Protocol, Sim};
 use sharding_core::{AccountMap, Round, SystemConfig, Transaction};
-use simnet::LocalChain;
+use simnet::blockchain::PAGE;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -58,10 +58,15 @@ static GLOBAL: Counting = Counting;
 const WARM_UP: u64 = 3_000;
 const ROUNDS: u64 = 3_000;
 
-/// Heap blocks of one transaction copy (`subs`, `accesses`): BDS's
-/// phase 1 clones the home's batch for the leader, an FDS leader keeps a
-/// copy in `sch_ldr` beside the one it colours.
-const PER_COMMIT: u64 = 2;
+/// Heap blocks of one transaction copy (`subs`): BDS's phase 1 clones
+/// the home's batch for the leader, an FDS leader keeps a copy in
+/// `sch_ldr` beside the one it colours.
+const PER_COMMIT: u64 = 1;
+/// Allocations of one chain page: its header list (one block; the first
+/// page's doublings, eight more), its payload's growth steps — each by at
+/// most a quarter, about 30 to fill a page of one-sub blocks — and the
+/// shrink that closes it.
+const PER_PAGE: u64 = 40;
 /// Everything an epoch allocates whatever it commits, spread over its
 /// rounds. BDS (2.3 a round here, epochs of ~16 rounds): the `TxnInfo`
 /// vector of each home with something pending, the leader's buffer
@@ -70,14 +75,15 @@ const PER_COMMIT: u64 = 2;
 const BDS_PER_ROUND: u64 = 3;
 const FDS_PER_ROUND: u64 = 2;
 
-/// `(commits, blocks)` so far.
-fn progress<P: Protocol>(sim: &Sim<P>) -> (u64, u64) {
-    let blocks: usize = sim.chains().iter().map(LocalChain::len).sum();
-    (sim.committed_log().len() as u64, blocks as u64)
+/// Commits so far, and the page each chain's newest block is on.
+fn progress<P: Protocol>(sim: &Sim<P>) -> (u64, Vec<usize>) {
+    let tips = sim.chains().iter().map(|c| c.len() / PAGE).collect();
+    (sim.committed_log().len() as u64, tips)
 }
 
 /// Steps `sim` through `schedule` and holds the rounds after the warm-up
-/// to `2·commits + blocks + per_round·rounds` allocations.
+/// to `commits + PER_PAGE·pages + per_round·rounds` allocations, `pages`
+/// the chain pages the rounds wrote to.
 fn hold_to_budget<P: Protocol>(mut sim: Sim<P>, schedule: Vec<Vec<Transaction>>, per_round: u64) {
     let mut batches = schedule.into_iter();
     for batch in batches.by_ref().take(WARM_UP as usize) {
@@ -89,13 +95,19 @@ fn hold_to_budget<P: Protocol>(mut sim: Sim<P>, schedule: Vec<Vec<Transaction>>,
         sim.step(batch);
     }
     let allocs = ALLOCS.load(Relaxed) - before;
-    let (commits, blocks) = progress(&sim);
-    let (commits, blocks) = (commits - warm.0, blocks - warm.1);
+    let (commits, tips) = progress(&sim);
+    let commits = commits - warm.0;
+    let pages: usize = tips
+        .iter()
+        .zip(&warm.1)
+        .map(|(end, start)| end - start + 1)
+        .sum();
+    let pages = pages as u64;
     assert!(commits > 1_000, "the commit path is exercised");
-    let budget = PER_COMMIT * commits + blocks + per_round * ROUNDS;
+    let budget = PER_COMMIT * commits + PER_PAGE * pages + per_round * ROUNDS;
     assert!(
         allocs <= budget,
-        "{allocs} allocations over {ROUNDS} rounds, {commits} commits and {blocks} blocks \
+        "{allocs} allocations over {ROUNDS} rounds, {commits} commits and {pages} pages \
          (budget {budget})"
     );
 }
@@ -103,7 +115,7 @@ fn hold_to_budget<P: Protocol>(mut sim: Sim<P>, schedule: Vec<Vec<Transaction>>,
 #[test]
 fn a_steady_round_allocates_what_it_keeps_and_its_plan() {
     // One account per shard, so every sub's action list is inline and a
-    // transaction copy is exactly its two blocks.
+    // transaction copy is exactly its one block.
     let sys = SystemConfig {
         shards: 16,
         accounts: 16,

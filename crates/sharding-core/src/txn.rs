@@ -68,7 +68,7 @@ pub struct SubTransaction {
 // `peak_live_mb` is held to the byte: neither struct may grow. A chain
 // keeps every sub it commits for the rest of the run.
 const _: () = assert!(std::mem::size_of::<SubTransaction>() <= 40);
-const _: () = assert!(std::mem::size_of::<Transaction>() <= 72);
+const _: () = assert!(std::mem::size_of::<Transaction>() <= 48);
 
 /// A sub's condition checks and main actions, each kind in filing order.
 /// A lone part of either kind sits in place and one of each is one heap
@@ -205,8 +205,10 @@ impl std::fmt::Debug for SubTransaction {
 ///
 /// Invariants (enforced by [`TxnBuilder`] and checked by `validate`):
 /// * at least one access overall;
-/// * subtransactions target distinct shards, sorted by shard id;
-/// * the pre-computed `accesses` list is sorted by `(account, kind)`.
+/// * subtransactions target distinct shards, sorted by shard id.
+///
+/// A transaction stores its subs and nothing they imply: its access list
+/// is derived on demand ([`Transaction::accesses`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Transaction {
     /// Globally unique id; ids increase in generation order.
@@ -217,8 +219,103 @@ pub struct Transaction {
     pub generated: Round,
     /// Per-destination-shard pieces, sorted by destination shard id.
     pub subs: Vec<SubTransaction>,
-    /// Flattened, sorted access list used for conflict detection.
-    accesses: Vec<Access>,
+}
+
+/// Parts up to which [`Transaction::accesses`] builds its list without a
+/// heap block — more than any checked-in shape has.
+pub const INLINE_ACCESSES: usize = 16;
+
+/// A transaction's accesses, sorted by `(account, kind)` and
+/// deduplicated; read as a slice. Up to [`INLINE_ACCESSES`] parts it is
+/// built in place, on the caller's stack.
+#[derive(Clone)]
+pub struct Accesses {
+    /// The entries in place, when `spilled` is empty: the first `len`.
+    inline: [Access; INLINE_ACCESSES],
+    len: usize,
+    /// Every entry, when there were more parts than `inline` holds.
+    spilled: Vec<Access>,
+}
+
+impl Accesses {
+    /// Sorts and deduplicates `parts`, one access per part.
+    fn of(parts: usize, each: impl Iterator<Item = Access>) -> Accesses {
+        let mut list = Accesses {
+            inline: [Access {
+                account: AccountId(0),
+                kind: AccessKind::Read,
+            }; INLINE_ACCESSES],
+            len: 0,
+            spilled: Vec::new(),
+        };
+        let all = if parts <= INLINE_ACCESSES {
+            list.inline
+                .iter_mut()
+                .zip(each)
+                .for_each(|(slot, a)| *slot = a);
+            &mut list.inline[..parts]
+        } else {
+            list.spilled.extend(each);
+            &mut list.spilled[..]
+        };
+        all.sort_unstable();
+        let mut kept = 0;
+        for i in 0..all.len() {
+            if kept == 0 || all[i] != all[kept - 1] {
+                all[kept] = all[i];
+                kept += 1;
+            }
+        }
+        list.len = kept;
+        list.spilled.truncate(kept);
+        list
+    }
+}
+
+impl std::ops::Deref for Accesses {
+    type Target = [Access];
+
+    fn deref(&self) -> &[Access] {
+        match self.spilled.is_empty() {
+            true => &self.inline[..self.len],
+            false => &self.spilled,
+        }
+    }
+}
+
+impl std::fmt::Debug for Accesses {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl IntoIterator for Accesses {
+    type Item = Access;
+    type IntoIter = AccessIter;
+
+    fn into_iter(self) -> AccessIter {
+        AccessIter {
+            list: self,
+            next: 0,
+        }
+    }
+}
+
+/// An [`Accesses`] list by value, in order.
+#[derive(Debug, Clone)]
+pub struct AccessIter {
+    list: Accesses,
+    next: usize,
+}
+
+impl Iterator for AccessIter {
+    type Item = Access;
+
+    fn next(&mut self) -> Option<Access> {
+        let a = *self.list.get(self.next)?;
+        self.next += 1;
+        Some(a)
+    }
 }
 
 impl Transaction {
@@ -234,10 +331,38 @@ impl Transaction {
         self.subs.iter().map(|s| s.dest)
     }
 
-    /// Sorted flattened access list.
-    #[inline]
-    pub fn accesses(&self) -> &[Access] {
-        &self.accesses
+    /// The access list the conflict relation reads: one `(account,
+    /// kind)` per part — a condition reads, an action writes — sorted and
+    /// deduplicated. Derived from the subs on every call, without a heap
+    /// block up to [`INLINE_ACCESSES`] parts.
+    pub fn accesses(&self) -> Accesses {
+        let parts = self
+            .subs
+            .iter()
+            .map(|s| s.conditions().len() + s.actions().len());
+        let each = self.subs.iter().flat_map(|s| {
+            let read = |c: &Condition| Access {
+                account: c.account,
+                kind: AccessKind::Read,
+            };
+            let write = |a: &Action| Access {
+                account: a.account,
+                kind: AccessKind::Write,
+            };
+            s.conditions()
+                .iter()
+                .map(read)
+                .chain(s.actions().iter().map(write))
+        });
+        Accesses::of(parts.sum(), each)
+    }
+
+    /// The account of every part, sub by sub, repeats kept.
+    pub fn accounts(&self) -> impl Iterator<Item = AccountId> + '_ {
+        self.subs.iter().flat_map(|s| {
+            let reads = s.conditions().iter().map(|c| c.account);
+            reads.chain(s.actions().iter().map(|a| a.account))
+        })
     }
 
     /// Approximate wire size in bytes (header plus all subtransactions).
@@ -251,24 +376,20 @@ impl Transaction {
 
     /// True when the transaction writes `account`.
     pub fn writes(&self, account: AccountId) -> bool {
-        self.accesses
-            .binary_search(&Access {
-                account,
-                kind: AccessKind::Write,
-            })
-            .is_ok()
+        let mut actions = self.subs.iter().flat_map(SubTransaction::actions);
+        actions.any(|a| a.account == account)
     }
 
     /// True when the transaction reads or writes `account`.
     pub fn touches(&self, account: AccountId) -> bool {
-        self.accesses.iter().any(|a| a.account == account)
+        self.accounts().any(|a| a == account)
     }
 
     /// The conflict predicate of Section 3: `self` and `other` conflict iff
     /// they access a common account and at least one of the two accesses is
     /// a write. Linear-time merge over the two sorted access lists.
     pub fn conflicts_with(&self, other: &Transaction) -> bool {
-        let (a, b) = (&self.accesses, &other.accesses);
+        let (a, b) = (&self.accesses(), &other.accesses());
         let (mut i, mut j) = (0usize, 0usize);
         while i < a.len() && j < b.len() {
             match a[i].account.cmp(&b[j].account) {
@@ -329,12 +450,12 @@ impl Transaction {
     /// Conditions are filed first, then actions, each in the given
     /// order, so a sub's lists keep the caller's order.
     ///
-    /// Costs two allocations — `subs` at its exact length and the access
-    /// list — while every sub holds one part, as under each checked-in
-    /// shape (its accounts sit on distinct shards), transfers aside: a
-    /// payer's check and debit take one more. Any other sub of two or
-    /// more parts boxes its two lists, and each further part re-files
-    /// its kind's list in a new exact-fit block.
+    /// Costs one allocation — `subs` at its exact length — while every
+    /// sub holds one part, as under each checked-in shape (its accounts
+    /// sit on distinct shards), transfers aside: a payer's check and debit
+    /// take one more. Any other sub of two or more parts boxes its two
+    /// lists, and each further part re-files its kind's list in a new
+    /// exact-fit block.
     pub fn from_parts(
         id: TxnId,
         home: ShardId,
@@ -342,8 +463,7 @@ impl Transaction {
         conditions: &[(ShardId, Condition)],
         actions: &[(ShardId, Action)],
     ) -> Result<Transaction> {
-        let parts = conditions.len() + actions.len();
-        if parts == 0 {
+        if conditions.is_empty() && actions.is_empty() {
             return Err(Error::EmptyTransaction(id));
         }
         let dests = || {
@@ -356,35 +476,23 @@ impl Transaction {
             .filter(|&(i, d)| !dests().take(i).any(|e| e == d))
             .count();
         let mut subs: Vec<SubTransaction> = Vec::with_capacity(distinct);
-        let mut accesses = Vec::with_capacity(parts);
         for &(dest, c) in conditions {
             sub_for(&mut subs, id, dest).push_condition(c);
-            accesses.push(Access {
-                account: c.account,
-                kind: AccessKind::Read,
-            });
         }
         for &(dest, a) in actions {
             sub_for(&mut subs, id, dest).push_action(a);
-            accesses.push(Access {
-                account: a.account,
-                kind: AccessKind::Write,
-            });
         }
-        accesses.sort_unstable();
-        accesses.dedup();
         Ok(Transaction {
             id,
             home,
             generated,
             subs,
-            accesses,
         })
     }
 
     /// Checks the structural invariants; used by tests and debug assertions.
     pub fn validate(&self, k_max: usize) -> Result<()> {
-        if self.accesses.is_empty() {
+        if self.accounts().next().is_none() {
             return Err(Error::EmptyTransaction(self.id));
         }
         if self.subs.len() > k_max {
@@ -397,11 +505,6 @@ impl Transaction {
         if !self.subs.windows(2).all(|w| w[0].dest < w[1].dest) {
             return Err(Error::InvariantViolation {
                 reason: format!("{}: subtransactions not sorted/distinct by shard", self.id),
-            });
-        }
-        if !self.accesses.windows(2).all(|w| w[0] <= w[1]) {
-            return Err(Error::InvariantViolation {
-                reason: format!("{}: access list not sorted", self.id),
             });
         }
         Ok(())
@@ -706,7 +809,7 @@ mod tests {
         assert_eq!(r.id, t.id);
         assert_eq!(r.home, t.home);
         assert_eq!(r.generated, t.generated);
-        assert_eq!(r.accesses(), t.accesses());
+        assert_eq!(r.accesses()[..], t.accesses()[..]);
         assert_eq!(r.shard_count(), 1);
         assert_eq!(r.subs[0].dest, ShardId(2));
         assert_eq!(r.subs[0].conditions().len(), 1);
@@ -806,7 +909,7 @@ mod tests {
             }
             let t = built.unwrap();
             let (per_shard, accesses) = oracle(&map, &checks, &updates);
-            assert_eq!(t.accesses(), accesses);
+            assert_eq!(&t.accesses()[..], accesses.as_slice());
             assert_eq!(t.subs.len(), per_shard.len());
             for (sub, (dest, (conditions, actions))) in t.subs.iter().zip(&per_shard) {
                 assert_eq!((sub.txn, sub.dest), (t.id, *dest));
@@ -873,6 +976,94 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The access list a transaction stored before it was derived: one
+    /// entry per part, sorted and deduplicated when the transaction was
+    /// built.
+    fn stored_recipe(checks: &[Condition], updates: &[Action]) -> Vec<Access> {
+        let reads = checks.iter().map(|c| Access {
+            account: c.account,
+            kind: AccessKind::Read,
+        });
+        let writes = updates.iter().map(|a| Access {
+            account: a.account,
+            kind: AccessKind::Write,
+        });
+        let mut stored: Vec<Access> = reads.chain(writes).collect();
+        stored.sort_unstable();
+        stored.dedup();
+        stored
+    }
+
+    /// `accesses()`, `writes()`, `touches()` and `conflicts_with()`
+    /// against the stored recipe, on transactions of 1–24 parts over six
+    /// accounts — so one transaction reads and writes an account, parts
+    /// repeat, and the list both fits in place and spills to the heap —
+    /// as built and regrouped under another placement.
+    #[test]
+    fn derived_accesses_match_the_stored_recipe() {
+        let cfg = SystemConfig {
+            shards: 4,
+            accounts: 6,
+            ..SystemConfig::tiny()
+        };
+        let (map, moved) = (AccountMap::random(&cfg, 1), AccountMap::random(&cfg, 2));
+        let mut rng = seeded_rng(39);
+        let (mut spilled, mut read_and_written) = (0, 0);
+        let mut previous: Option<(Transaction, Vec<Access>)> = None;
+        for case in 0..400u64 {
+            let mut b = TxnBuilder::new(TxnId(case), ShardId(0), Round(case), &map);
+            let (mut checks, mut updates) = (Vec::new(), Vec::new());
+            let parts = rng.gen_range(1..=24usize);
+            for _ in 0..parts {
+                let account = AccountId(rng.gen_range(0..6));
+                if rng.gen_bool(0.4) {
+                    checks.push(Condition {
+                        account,
+                        min_balance: 1,
+                    });
+                    b = b.check(account, 1);
+                } else {
+                    updates.push(Action { account, delta: 1 });
+                    b = b.update(account, 1);
+                }
+            }
+            let built = b.build().unwrap();
+            let stored = stored_recipe(&checks, &updates);
+            spilled += usize::from(parts > INLINE_ACCESSES);
+            read_and_written +=
+                usize::from(stored.windows(2).any(|w| w[0].account == w[1].account));
+            for t in [built.regrouped(&moved), built] {
+                assert_eq!(&t.accesses()[..], stored.as_slice(), "case {case}");
+                let by_value: Vec<Access> = t.accesses().into_iter().collect();
+                assert_eq!(by_value, stored, "case {case}");
+                for account in (0..6).map(AccountId) {
+                    let write = Access {
+                        account,
+                        kind: AccessKind::Write,
+                    };
+                    let touched = stored.iter().any(|a| a.account == account);
+                    assert_eq!(t.writes(account), stored.binary_search(&write).is_ok());
+                    assert_eq!(t.touches(account), touched);
+                }
+                if let Some((other, theirs)) = &previous {
+                    let conflict = stored.iter().any(|a| {
+                        theirs.iter().any(|b| {
+                            a.account == b.account
+                                && (a.kind == AccessKind::Write || b.kind == AccessKind::Write)
+                        })
+                    });
+                    assert_eq!(t.conflicts_with(other), conflict, "case {case}");
+                    assert_eq!(other.conflicts_with(&t), conflict, "case {case}");
+                }
+                previous = Some((t, stored.clone()));
+            }
+        }
+        assert!(
+            spilled > 50 && read_and_written > 100,
+            "{spilled} {read_and_written}"
+        );
     }
 
     #[test]

@@ -11,14 +11,18 @@
 //! [`LocalChain::append`] is the single-subtransaction convenience.
 //!
 //! A chain keeps every block for the whole run, so it pays for its blocks
-//! and not for its growth. A [`Block`] stores only its hash, its round and
-//! its payload, a boxed slice allocated at its exact length: a block's
-//! height is its index and its parent is the previous block's hash, both
-//! derived and both still fed into the hash. Blocks live in pages of
-//! [`PAGE`]: the first page grows by doubling, so a short chain stays
-//! small, and every later page is allocated once at its full size. No
-//! chain ever holds a doubled block array, and its slack is under one
-//! page.
+//! and not for its growth. A block stores a 16-byte [`BlockHeader`] — its
+//! hash, its round and where its payload ends — and no heap block of its
+//! own: its height is its index and its parent is the previous block's
+//! hash, both derived and both still fed into the hash. Blocks live in
+//! pages of [`PAGE`] headers, and each page keeps its blocks' subs back to
+//! back in one payload list, a block's subs running from the previous
+//! block's end to its own. The first page's headers grow by doubling, so
+//! a short chain stays small, and every later page's are allocated once
+//! at full size. A payload grows by at most a quarter at a time, and
+//! never to more spare room than 16 bytes a block (what a header saves
+//! over a 32-byte one with a boxed payload); a closed page's payload is
+//! shrunk to fit. [`LocalChain::blocks`] hands out [`BlockRef`] views.
 //!
 //! Hashing is a deterministic non-cryptographic FNV-1a — the simulation
 //! needs link *integrity checking*, not adversarial collision resistance
@@ -30,7 +34,7 @@ use sharding_core::txn::SubTransaction;
 use sharding_core::{Round, ShardId, TxnId};
 use std::ops::Index;
 
-/// Blocks per page of a [`LocalChain`] (32 KiB of headers).
+/// Blocks per page of a [`LocalChain`] (16 KiB of headers).
 pub const PAGE: usize = 1024;
 
 /// A streaming 64-bit FNV-1a state — deterministic across runs and
@@ -49,44 +53,64 @@ impl Fnv1a {
     }
 }
 
-/// One block of a local chain. Its height is its index in the chain and
-/// its parent the hash of the block before it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Block {
+/// FNV-1a over the little-endian bytes of height, parent, round and then,
+/// per sub in order, its id, destination, conditions and actions.
+fn compute_hash(height: u64, parent: u64, round: u64, subs: &[SubTransaction]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(&height.to_le_bytes());
+    h.write(&parent.to_le_bytes());
+    h.write(&round.to_le_bytes());
+    for s in subs {
+        h.write(&s.txn.raw().to_le_bytes());
+        h.write(&s.dest.raw().to_le_bytes());
+        for c in s.conditions() {
+            h.write(&c.account.raw().to_le_bytes());
+            h.write(&c.min_balance.to_le_bytes());
+        }
+        for a in s.actions() {
+            h.write(&a.account.raw().to_le_bytes());
+            h.write(&a.delta.to_le_bytes());
+        }
+    }
+    h.0
+}
+
+/// What a chain stores of one block. Its height is its index in the
+/// chain, its parent the previous block's hash, and its subs run from the
+/// previous block's `end` in its page (0 for a page's first block) to its
+/// own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct BlockHeader {
+    /// Hash of this block (over height, parent, round, payload).
+    pub hash: u64,
+    /// The round, or [`FAR`] for one kept in the chain's `far` list.
+    round: u32,
+    /// One past the block's last sub in its page's payload.
+    end: u32,
+}
+
+// `peak_live_mb` is held to the byte: a chain keeps every block header.
+const _: () = assert!(std::mem::size_of::<BlockHeader>() <= 16);
+
+/// A header's round when the round does not fit in 32 bits.
+const FAR: u32 = u32::MAX;
+
+/// One block as [`LocalChain::blocks`] hands it out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockRef<'a> {
     /// Hash of this block (over height, parent, round, payload).
     pub hash: u64,
     /// Round at which the commit happened.
     pub round: Round,
     /// The committed subtransactions (empty only for genesis).
-    pub subs: Box<[SubTransaction]>,
+    pub subs: &'a [SubTransaction],
 }
 
-// `peak_live_mb` is held to the byte: a chain keeps every block header.
-const _: () = assert!(std::mem::size_of::<Block>() <= 32);
-
-impl Block {
-    /// FNV-1a over the little-endian bytes of height, parent, round and
-    /// then, per sub in order, its id, destination, conditions and
-    /// actions.
-    fn compute_hash(height: u64, parent: u64, subs: &[SubTransaction], round: Round) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write(&height.to_le_bytes());
-        h.write(&parent.to_le_bytes());
-        h.write(&round.raw().to_le_bytes());
-        for s in subs {
-            h.write(&s.txn.raw().to_le_bytes());
-            h.write(&s.dest.raw().to_le_bytes());
-            for c in s.conditions() {
-                h.write(&c.account.raw().to_le_bytes());
-                h.write(&c.min_balance.to_le_bytes());
-            }
-            for a in s.actions() {
-                h.write(&a.account.raw().to_le_bytes());
-                h.write(&a.delta.to_le_bytes());
-            }
-        }
-        h.0
-    }
+/// [`PAGE`] block headers and their blocks' subs, back to back.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+struct Page {
+    headers: Vec<BlockHeader>,
+    payload: Vec<SubTransaction>,
 }
 
 /// A shard's local blockchain.
@@ -94,22 +118,27 @@ impl Block {
 pub struct LocalChain {
     shard: ShardId,
     /// Every block, genesis first; each page but the last holds [`PAGE`].
-    pages: Vec<Vec<Block>>,
-    subs: usize,
+    pages: Vec<Page>,
+    /// `(height, round)` of every block whose round is [`FAR`], by height
+    /// (no simulated run gets there; the hashes are defined for it).
+    far: Vec<(usize, Round)>,
 }
 
 impl LocalChain {
     /// A fresh chain for `shard` containing only the genesis block.
     pub fn new(shard: ShardId) -> Self {
-        let genesis = Block {
-            hash: Block::compute_hash(0, 0, &[], Round::ZERO),
-            round: Round::ZERO,
-            subs: Box::new([]),
+        let genesis = BlockHeader {
+            hash: compute_hash(0, 0, 0, &[]),
+            round: 0,
+            end: 0,
         };
         LocalChain {
             shard,
-            pages: vec![vec![genesis]],
-            subs: 0,
+            pages: vec![Page {
+                headers: vec![genesis],
+                payload: Vec::new(),
+            }],
+            far: Vec::new(),
         }
     }
 
@@ -119,60 +148,99 @@ impl LocalChain {
     }
 
     /// Appends a block holding one committed subtransaction at `round`.
-    pub fn append(&mut self, sub: SubTransaction, round: Round) -> &Block {
-        self.push(Box::new([sub]), round)
+    pub fn append(&mut self, sub: SubTransaction, round: Round) -> BlockRef<'_> {
+        self.push([sub], round)
     }
 
     /// Appends one block holding all subtransactions the shard committed
     /// during `round`. Panics on misrouted subtransactions (a scheduler
     /// routing bug) or an empty batch.
-    pub fn append_block(&mut self, subs: Vec<SubTransaction>, round: Round) -> &Block {
-        self.push(subs.into_boxed_slice(), round)
+    pub fn append_block(&mut self, subs: Vec<SubTransaction>, round: Round) -> BlockRef<'_> {
+        self.push(subs, round)
     }
 
-    /// Seals a node's round buffer into one block at `round`, its payload
-    /// allocated at its exact length; the buffer is left empty with its
+    /// Seals a node's round buffer into one block at `round`, moving its
+    /// subs into the chain's open page; the buffer is left empty with its
     /// capacity, for the next round. Does nothing when the buffer is
     /// empty (the shard committed nothing this round).
     pub fn seal(&mut self, buf: &mut Vec<SubTransaction>, round: Round) {
         if !buf.is_empty() {
-            self.push(buf.drain(..).collect(), round);
+            self.push(buf.drain(..), round);
         }
     }
 
-    fn push(&mut self, subs: Box<[SubTransaction]>, round: Round) -> &Block {
-        assert!(
-            !subs.is_empty(),
-            "blocks must hold at least one subtransaction"
-        );
-        for s in &subs {
-            assert_eq!(s.dest, self.shard, "subtransaction routed to wrong shard");
-        }
-        let height = self.len() as u64 + 1;
+    fn push<I>(&mut self, subs: I, round: Round) -> BlockRef<'_>
+    where
+        I: IntoIterator<Item = SubTransaction>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let subs = subs.into_iter();
+        let n = subs.len();
+        assert!(n > 0, "blocks must hold at least one subtransaction");
+        let height = self.len() + 1;
         let parent = self.blocks().last().hash;
-        let hash = Block::compute_hash(height, parent, &subs, round);
-        self.subs += subs.len();
-        if self.tail().len() >= PAGE {
-            self.pages.push(Vec::with_capacity(PAGE));
+        if self.tail().headers.len() >= PAGE {
+            self.tail_mut().payload.shrink_to_fit();
+            self.pages.push(Page {
+                headers: Vec::with_capacity(PAGE),
+                payload: Vec::new(),
+            });
         }
-        let page = self.pages.last_mut().expect("genesis always present");
-        page.push(Block { hash, round, subs });
-        page.last().expect("pushed above")
+        let shard = self.shard;
+        let page = self.tail_mut();
+        let (start, need) = (page.payload.len(), page.payload.len() + n);
+        if need > page.payload.capacity() {
+            // Spare room is at most a quarter of the payload and at most
+            // the 16 bytes a block that the page's headers save.
+            let saved = 16 * (page.headers.len() + 1) / std::mem::size_of::<SubTransaction>();
+            page.payload.reserve_exact(n + saved.min(need / 4));
+        }
+        for s in subs {
+            assert_eq!(s.dest, shard, "subtransaction routed to wrong shard");
+            page.payload.push(s);
+        }
+        let raw = round.raw();
+        let hash = compute_hash(height as u64, parent, raw, &page.payload[start..]);
+        let end = u32::try_from(page.payload.len()).expect("a page holds under 2^32 subs");
+        let round32 = u32::try_from(raw).ok().filter(|&r| r != FAR).unwrap_or(FAR);
+        page.headers.push(BlockHeader {
+            hash,
+            round: round32,
+            end,
+        });
+        if round32 == FAR {
+            self.far.push((height, round));
+        }
+        self.blocks().last()
     }
 
     /// The page new blocks go to.
-    fn tail(&self) -> &Vec<Block> {
+    fn tail(&self) -> &Page {
         self.pages.last().expect("genesis always present")
+    }
+
+    fn tail_mut(&mut self) -> &mut Page {
+        self.pages.last_mut().expect("genesis always present")
+    }
+
+    /// The round of the block at `height` whose header is `h`; `None` for
+    /// a [`FAR`] round the chain has no record of.
+    fn round_of(&self, height: usize, h: &BlockHeader) -> Option<Round> {
+        if h.round != FAR {
+            return Some(Round(h.round.into()));
+        }
+        let at = self.far.binary_search_by_key(&height, |f| f.0).ok()?;
+        Some(self.far[at].1)
     }
 
     /// Number of blocks (excluding genesis).
     pub fn len(&self) -> usize {
-        (self.pages.len() - 1) * PAGE + self.tail().len() - 1
+        (self.pages.len() - 1) * PAGE + self.tail().headers.len() - 1
     }
 
     /// Total committed subtransactions across all blocks.
     pub fn sub_count(&self) -> usize {
-        self.subs
+        self.pages.iter().map(|p| p.payload.len()).sum()
     }
 
     /// True when only genesis exists.
@@ -180,66 +248,114 @@ impl LocalChain {
         self.len() == 0
     }
 
-    /// All blocks including genesis, indexed by height.
+    /// All blocks including genesis, by height.
     pub fn blocks(&self) -> Blocks<'_> {
-        Blocks { pages: &self.pages }
+        Blocks { chain: self }
     }
 
     /// Committed transaction ids in chain order (block order, then intra-
     /// block order).
     pub fn committed_txns(&self) -> impl Iterator<Item = TxnId> + '_ {
-        self.blocks()
-            .into_iter()
-            .flat_map(|b| b.subs.iter().map(|s| s.txn))
+        self.pages
+            .iter()
+            .flat_map(|p| p.payload.iter().map(|s| s.txn))
     }
 
-    /// Verifies every block's hash over its derived height and parent
-    /// (so a changed, dropped or reordered block breaks it), and that
-    /// only genesis is empty.
+    /// Verifies every block's hash over its derived height, parent and
+    /// payload (so a changed, dropped or reordered block, or a sub moved
+    /// across a block boundary, breaks it), that only genesis is empty,
+    /// and that every sub of a page belongs to one of its blocks.
     pub fn verify(&self) -> bool {
         let mut parent = 0;
-        for (height, b) in self.blocks().into_iter().enumerate() {
-            if b.hash != Block::compute_hash(height as u64, parent, &b.subs, b.round) {
+        for (p, page) in self.pages.iter().enumerate() {
+            let mut start = 0;
+            for (i, h) in page.headers.iter().enumerate() {
+                let height = p * PAGE + i;
+                let end = h.end as usize;
+                let nonempty = start < end || height == 0;
+                let Some(round) = self.round_of(height, h) else {
+                    return false;
+                };
+                let Some(subs) = page.payload.get(start..end).filter(|_| nonempty) else {
+                    return false;
+                };
+                if h.hash != compute_hash(height as u64, parent, round.raw(), subs) {
+                    return false;
+                }
+                (parent, start) = (h.hash, end);
+            }
+            if start != page.payload.len() {
                 return false;
             }
-            if height > 0 && b.subs.is_empty() {
-                return false;
-            }
-            parent = b.hash;
         }
         true
     }
 }
 
-/// A chain's blocks, genesis first: indexed by height, iterated in
-/// order.
+/// A chain's blocks, genesis first: [`get`](Blocks::get) by height,
+/// iterated in order, or indexed by height for the stored header.
 #[derive(Debug, Clone, Copy)]
 pub struct Blocks<'a> {
-    pages: &'a [Vec<Block>],
+    chain: &'a LocalChain,
 }
 
 impl<'a> Blocks<'a> {
+    /// The block at `height`. Panics past the newest block.
+    pub fn get(&self, height: usize) -> BlockRef<'a> {
+        let page = &self.chain.pages[height / PAGE];
+        let i = height % PAGE;
+        let h = &page.headers[i];
+        let start = match i {
+            0 => 0,
+            _ => page.headers[i - 1].end as usize,
+        };
+        BlockRef {
+            hash: h.hash,
+            round: self.chain.round_of(height, h).expect("far round recorded"),
+            subs: &page.payload[start..h.end as usize],
+        }
+    }
+
     /// The newest block (genesis on a fresh chain).
-    pub fn last(&self) -> &'a Block {
-        let page = self.pages.last().and_then(|p| p.last());
-        page.expect("genesis always present")
+    pub fn last(&self) -> BlockRef<'a> {
+        self.get(self.chain.len())
     }
 }
 
 impl Index<usize> for Blocks<'_> {
-    type Output = Block;
+    type Output = BlockHeader;
 
-    fn index(&self, height: usize) -> &Block {
-        &self.pages[height / PAGE][height % PAGE]
+    fn index(&self, height: usize) -> &BlockHeader {
+        &self.chain.pages[height / PAGE].headers[height % PAGE]
     }
 }
 
 impl<'a> IntoIterator for Blocks<'a> {
-    type Item = &'a Block;
-    type IntoIter = std::iter::Flatten<std::slice::Iter<'a, Vec<Block>>>;
+    type Item = BlockRef<'a>;
+    type IntoIter = BlockIter<'a>;
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.pages.iter().flatten()
+    fn into_iter(self) -> BlockIter<'a> {
+        BlockIter {
+            blocks: self,
+            next: 0,
+        }
+    }
+}
+
+/// The blocks of a chain in height order.
+#[derive(Debug, Clone)]
+pub struct BlockIter<'a> {
+    blocks: Blocks<'a>,
+    next: usize,
+}
+
+impl<'a> Iterator for BlockIter<'a> {
+    type Item = BlockRef<'a>;
+
+    fn next(&mut self) -> Option<BlockRef<'a>> {
+        let b = (self.next <= self.blocks.chain.len()).then(|| self.blocks.get(self.next))?;
+        self.next += 1;
+        Some(b)
     }
 }
 
@@ -272,7 +388,7 @@ pub fn reshard_audit(chains: &[LocalChain], committed: &[(Round, TxnId)]) -> (u6
     let mut seen: BTreeSet<(TxnId, ShardId)> = BTreeSet::new();
     for c in chains {
         for b in c.blocks() {
-            for s in &b.subs {
+            for s in b.subs {
                 chain_ids.insert(s.txn);
                 if !seen.insert((s.txn, c.shard())) {
                     dup += 1;
@@ -338,13 +454,46 @@ mod tests {
         c.append_block(Vec::new(), Round(1));
     }
 
-    /// `c` with its blocks edited as one flat list and paged again.
-    fn relaid(c: &LocalChain, edit: impl FnOnce(&mut Vec<Block>)) -> LocalChain {
-        let mut blocks: Vec<Block> = c.blocks().into_iter().cloned().collect();
+    /// One stored block: hash, round, payload.
+    type Stored = (u64, Round, Vec<SubTransaction>);
+
+    /// `c` with its blocks edited as one flat list of stored blocks and
+    /// laid out in pages again, stored hashes kept as they are.
+    fn relaid(c: &LocalChain, edit: impl FnOnce(&mut Vec<Stored>)) -> LocalChain {
+        let mut blocks: Vec<Stored> = c
+            .blocks()
+            .into_iter()
+            .map(|b| (b.hash, b.round, b.subs.to_vec()))
+            .collect();
         edit(&mut blocks);
+        let mut far = Vec::new();
+        let pages = blocks
+            .chunks(PAGE)
+            .enumerate()
+            .map(|(p, chunk)| {
+                let mut page = Page {
+                    headers: Vec::new(),
+                    payload: Vec::new(),
+                };
+                for (i, (hash, round, subs)) in chunk.iter().enumerate() {
+                    page.payload.extend(subs.iter().cloned());
+                    let round32 = u32::try_from(round.raw()).unwrap_or(FAR);
+                    if round32 == FAR {
+                        far.push((p * PAGE + i, *round));
+                    }
+                    page.headers.push(BlockHeader {
+                        hash: *hash,
+                        round: round32,
+                        end: page.payload.len() as u32,
+                    });
+                }
+                page
+            })
+            .collect();
         LocalChain {
-            pages: blocks.chunks(PAGE).map(<[Block]>::to_vec).collect(),
-            ..c.clone()
+            shard: c.shard,
+            pages,
+            far,
         }
     }
 
@@ -355,12 +504,9 @@ mod tests {
         for t in 3..7 {
             c.append(sub(t, 0), Round(t));
         }
-        assert!(
-            relaid(&c, |_| ()).verify(),
-            "paging the blocks again changes nothing"
-        );
+        assert_eq!(relaid(&c, |_| ()), c, "the layout is the stored blocks");
         let payload = relaid(&c, |b| {
-            let s = &mut b[1].subs[1];
+            let s = &mut b[1].2[1];
             let tampered = Action {
                 delta: 999,
                 ..s.actions()[0]
@@ -368,12 +514,40 @@ mod tests {
             *s = SubTransaction::new(s.txn, s.dest, s.conditions(), &[tampered]);
         });
         assert!(!payload.verify(), "payload change detected");
-        let round = relaid(&c, |b| b[3].round = Round(b[3].round.raw() + 1));
+        let round = relaid(&c, |b| b[3].1 = Round(b[3].1.raw() + 1));
         assert!(!round.verify(), "round change detected");
         let dropped = relaid(&c, |b| drop(b.remove(3)));
         assert!(!dropped.verify(), "dropped block detected");
         let swapped = relaid(&c, |b| b.swap(3, 4));
         assert!(!swapped.verify(), "reordered blocks detected");
+        // Block 1 holds subs 1 and 2, block 2 sub 3: the same payload
+        // with the end between them moved either way is another pair of
+        // blocks.
+        for shift in [-1i64, 1] {
+            let mut moved = c.clone();
+            let h = &mut moved.pages[0].headers[1];
+            h.end = (h.end as i64 + shift) as u32;
+            assert_eq!(moved.sub_count(), c.sub_count());
+            assert!(!moved.verify(), "a sub moved across a block boundary");
+        }
+        let moved = relaid(&c, |b| {
+            let s = b[1].2.pop().unwrap();
+            b[2].2.insert(0, s);
+        });
+        assert!(!moved.verify(), "a sub moved into the next block");
+        let empty = relaid(&c, |b| {
+            let (height, parent) = (b.len() as u64, b.last().unwrap().0);
+            b.push((compute_hash(height, parent, 9, &[]), Round(9), Vec::new()));
+        });
+        assert!(!empty.verify(), "an empty block past genesis");
+        let mut orphan = c.clone();
+        orphan.pages[0].payload.push(sub(9, 0));
+        assert!(!orphan.verify(), "a sub in no block");
+        let mut far = c.clone();
+        far.append(sub(7, 0), Round(1 << 40));
+        assert!(far.verify() && far.blocks().last().round == Round(1 << 40));
+        far.far.clear();
+        assert!(!far.verify(), "a far round without its record");
         assert!(c.verify(), "original intact");
     }
 
@@ -388,15 +562,17 @@ mod tests {
             .enumerate()
             .all(|(i, (height, parent, hash, round, subs))| {
                 *height == i as u64
-                    && *hash == Block::compute_hash(*height, *parent, subs, *round)
+                    && *hash == compute_hash(*height, *parent, round.raw(), subs)
                     && (i == 0 || (*parent == flat[i - 1].2 && !subs.is_empty()))
             })
     }
 
-    /// The paged chain against the flat one it replaced — every height
-    /// and parent stored, one growing vector — on seeded random blocks of
-    /// one to five subs, at lengths on both sides of each page boundary
-    /// and through all three ways in.
+    /// The paged chain against the flat one it replaced — every height,
+    /// parent and payload stored per block, one growing vector — on
+    /// seeded random blocks of one to five subs, at lengths on both sides
+    /// of each header and payload page boundary and through all three
+    /// ways in; a payload's spare room stays within a quarter of it and
+    /// within the 16 bytes a block its headers save.
     #[test]
     fn paged_chain_matches_the_flat_recipe() {
         use rand::Rng as _;
@@ -405,7 +581,7 @@ mod tests {
         let mut next_txn = 0;
         for blocks in [0, PAGE - 1, PAGE, PAGE + 1, 2 * PAGE + 3] {
             let mut chain = LocalChain::new(ShardId(4));
-            let genesis = Block::compute_hash(0, 0, &[], Round::ZERO);
+            let genesis = compute_hash(0, 0, 0, &[]);
             let mut flat: Vec<FlatBlock> = vec![(0, 0, genesis, Round::ZERO, Vec::new())];
             let mut buf = Vec::new();
             let mut round = 0;
@@ -434,7 +610,7 @@ mod tests {
                     })
                     .collect();
                 let (height, parent) = (flat.len() as u64, flat.last().unwrap().2);
-                let hash = Block::compute_hash(height, parent, &subs, Round(round));
+                let hash = compute_hash(height, parent, round, &subs);
                 flat.push((height, parent, hash, Round(round), subs.clone()));
                 let tip = match (i % 3, n) {
                     (0, 1) => chain.append(subs[0].clone(), Round(round)).hash,
@@ -447,6 +623,10 @@ mod tests {
                     }
                 };
                 assert_eq!(tip, hash, "block {height}");
+                let open = chain.tail();
+                let spare = open.payload.capacity() - open.payload.len();
+                assert!(spare <= open.payload.len() / 4, "block {height}");
+                assert!(spare * 40 <= 16 * open.headers.len(), "block {height}");
             }
             chain.seal(&mut buf, Round(round + 1));
             assert_eq!(chain.len(), blocks, "an empty buffer seals nothing");
@@ -454,11 +634,17 @@ mod tests {
             assert_eq!(chain.sub_count(), subs);
             assert_eq!(chain.is_empty(), blocks == 0);
             for (h, (_, _, hash, round, subs)) in flat.iter().enumerate() {
-                let b = &chain.blocks()[h];
-                assert_eq!((b.hash, b.round, &b.subs[..]), (*hash, *round, &subs[..]));
+                let b = chain.blocks().get(h);
+                assert_eq!((b.hash, b.round, b.subs), (*hash, *round, &subs[..]));
+                assert_eq!(chain.blocks()[h].hash, *hash);
             }
-            let order: Vec<u64> = chain.blocks().into_iter().map(|b| b.hash).collect();
-            let flat_order: Vec<u64> = flat.iter().map(|b| b.2).collect();
+            let order: Vec<(u64, Round, &[SubTransaction])> = chain
+                .blocks()
+                .into_iter()
+                .map(|b| (b.hash, b.round, b.subs))
+                .collect();
+            let flat_order: Vec<(u64, Round, &[SubTransaction])> =
+                flat.iter().map(|b| (b.2, b.3, &b.4[..])).collect();
             assert_eq!(order, flat_order, "block order at length {blocks}");
             let committed: Vec<TxnId> = chain.committed_txns().collect();
             let flat_committed: Vec<TxnId> =
@@ -466,10 +652,14 @@ mod tests {
             assert_eq!(committed, flat_committed);
             assert!(chain.verify() && flat_verify(&flat));
             let (tail, full) = chain.pages.split_last().unwrap();
-            assert!(full.iter().all(|p| p.len() == PAGE && p.capacity() == PAGE));
+            for p in full {
+                assert!(p.headers.len() == PAGE && p.headers.capacity() == PAGE);
+                let exact = p.payload.capacity() == p.payload.len();
+                assert!(exact, "a closed page's payload is shrunk to fit");
+            }
             assert!(
-                !tail.is_empty() && tail.capacity() <= PAGE,
-                "slack under a page"
+                !tail.headers.is_empty() && tail.headers.capacity() <= PAGE,
+                "header slack under a page"
             );
         }
     }
@@ -565,7 +755,7 @@ mod tests {
         actions: Vec<Action>,
     }
 
-    /// `Block::compute_hash`'s recipe, fed from the oracle's lists.
+    /// `compute_hash`'s recipe, fed from the oracle's lists.
     fn oracle_hash(height: u64, parent: u64, subs: &[TwoVecs], round: Round) -> u64 {
         let mut h = Fnv1a::new();
         h.write(&height.to_le_bytes());
@@ -660,7 +850,7 @@ mod tests {
             proptest::prop_assert_eq!(t.approx_bytes(), bytes);
             for height in [1, 1 << 33] {
                 proptest::prop_assert_eq!(
-                    Block::compute_hash(height, parent, &t.subs, Round(7)),
+                    compute_hash(height, parent, 7, &t.subs),
                     oracle_hash(height, parent, &oracle, Round(7))
                 );
             }

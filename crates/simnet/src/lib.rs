@@ -9,24 +9,22 @@
 //!   the waiting is a [`wheel`] — both shared with the threaded runtime,
 //!   whose transport differs only in the hand-off.
 //! * [`blockchain`] — per-shard local ledgers: hash-linked blocks of
-//!   committed subtransactions, with verification. A block header is 32
-//!   bytes (height and parent are derived) and headers live in fixed
-//!   pages, so a chain pays for its blocks and not for its growth. The
+//!   committed subtransactions, with verification. A block header is 16
+//!   bytes (height, parent and where the payload starts are derived),
+//!   headers live in fixed pages and each page keeps its blocks' subs in
+//!   one list, so a chain pays for its blocks and not for its growth. The
 //!   global blockchain is reconstructable as the union of local chains
 //!   (Section 3).
-//! * [`pbft`] — the intra-shard consensus model. The paper *assumes*
-//!   PBFT completes within one round, and so do both engines: no run
-//!   executes an instance. The module's quorum logic (pre-prepare/
-//!   prepare/commit vote counting under `n > 3f`) is unit-tested on its
-//!   own, and shows why a Byzantine quota clamped to `f` never changes a
-//!   decision — which is why a run only counts one.
 //! * [`ledger`] — account balances per shard and commit application,
 //!   including condition checking (the "condition + action" split of the
 //!   paper's subtransactions).
 //! * [`faults`] — the seeded fault plane of either engine: shard crashes
 //!   pinned to rounds, per-link drop/duplication streams (consumed by
 //!   [`Outbound::send`], which lives there), and a per-shard quota of
-//!   Byzantine votes, counted against the shard's bound `f`. Every
+//!   Byzantine votes, counted against the shard's bound `f` — the paper
+//!   assumes intra-shard PBFT completes within one round, and under
+//!   `n > 3f` no such quota can change a decision (DESIGN.md
+//!   "Restrictions"), so no run executes an instance. Every
 //!   decision is deterministic in the plan's seed, independent of thread
 //!   interleaving.
 //!
@@ -45,12 +43,10 @@ pub mod blockchain;
 pub mod faults;
 pub mod ledger;
 pub mod network;
-pub mod pbft;
 pub mod wheel;
 
-pub use blockchain::{reshard_audit, Block, LocalChain};
+pub use blockchain::{reshard_audit, BlockRef, LocalChain};
 pub use faults::{FaultCounters, FaultDecision, FaultPlan, LinkFaults, Outbound, SendTally};
 pub use ledger::ShardLedger;
 pub use network::{Envelope, Network};
-pub use pbft::{ConsensusOutcome, PbftShard, Vote};
 pub use wheel::Wheel;

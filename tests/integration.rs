@@ -292,7 +292,7 @@ fn bds_transfers_conserve_total_balance_and_abort() {
         .chains()
         .iter()
         .flat_map(|c| c.blocks())
-        .flat_map(|b| &b.subs)
+        .flat_map(|b| b.subs)
         .flat_map(|s| s.actions())
         .map(|a| a.delta)
         .sum();
@@ -347,7 +347,7 @@ fn fds_strict_window_transfers_conserve() {
         .chains()
         .iter()
         .flat_map(|c| c.blocks())
-        .flat_map(|b| &b.subs)
+        .flat_map(|b| b.subs)
         .flat_map(|s| s.actions())
         .map(|a| a.delta)
         .sum();
