@@ -424,15 +424,10 @@ impl FdsNode {
     /// one-subtransaction-per-shard-per-round capacity), and only while
     /// fewer than `W` votes are outstanding.
     fn vote_head<S: Seam<Msg>>(&mut self, ledger: &ShardLedger, seam: &mut S) {
-        let dest = &mut self.dest;
-        // Votes are only cast for queued entries and are removed together
-        // with them on confirmation, so `voted` is a subset of `sch_qd`'s
-        // txns; equal sizes mean the whole queue (or none) is voted.
-        if dest.voted.len() >= self.fcfg.pipeline_window.max(1)
-            || dest.voted.len() == dest.sch_qd.len()
-        {
+        if !self.can_vote() {
             return;
         }
+        let dest = &mut self.dest;
         let unvoted = |s: &&SubTransaction| !dest.voted.contains(&s.txn);
         let Some(sub) = dest.sch_qd.values().find(unvoted) else {
             return;
@@ -440,6 +435,16 @@ impl FdsNode {
         let (txn, commit) = (sub.txn, ledger.check(sub));
         dest.voted.insert(txn);
         seam.send(dest.leader_of[&txn], Msg::Vote { txn, commit });
+    }
+
+    /// Whether the vote window has room and a queued entry is not voted
+    /// yet. Votes are only cast for queued entries and are removed
+    /// together with them on confirmation, so `voted` is a subset of
+    /// `sch_qd`'s txns; equal sizes mean the whole queue (or none) is
+    /// voted.
+    fn can_vote(&self) -> bool {
+        let voted = self.dest.voted.len();
+        voted < self.fcfg.pipeline_window.max(1) && voted < self.dest.sch_qd.len()
     }
 
     /// The earliest round after `round` at which a step without mail does
@@ -450,8 +455,7 @@ impl FdsNode {
     /// alone changes the queue, the votes and the active clusters, and an
     /// injection lowers the wake to the next boundary.
     fn next_wake(&self, round: u64) -> u64 {
-        let voted = self.dest.voted.len();
-        if voted < self.fcfg.pipeline_window.max(1) && voted < self.dest.sch_qd.len() {
+        if self.can_vote() {
             return round + 1;
         }
         let mut wake = match self.outbox.is_empty() {
