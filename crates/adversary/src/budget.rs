@@ -58,12 +58,13 @@ impl ShardBudgets {
 
     /// True when one unit of congestion can be charged to every shard in
     /// `shards` (a candidate transaction's access set).
-    pub fn can_admit(&self, shards: impl IntoIterator<Item = ShardId>) -> bool {
+    pub(crate) fn can_admit(&self, shards: impl IntoIterator<Item = ShardId>) -> bool {
         shards.into_iter().all(|s| self.level[s.index()] >= 1.0)
     }
 
-    /// Charges one unit to every shard in `shards`. Call only after
-    /// [`Self::can_admit`] returned true for the same set.
+    /// Charges one unit to every shard in `shards`. Call only once every
+    /// shard of the set has a unit to give ([`Self::try_charge`] checks
+    /// first).
     pub fn charge(&mut self, shards: impl IntoIterator<Item = ShardId>) {
         for s in shards {
             let l = &mut self.level[s.index()];

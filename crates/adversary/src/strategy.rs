@@ -291,14 +291,14 @@ impl Proposer {
 /// Largest usable `p` for the pairwise construction under `(k, s)`:
 /// transactions have width `p ≤ k`, and `p(p+1)/2` dedicated shards must
 /// exist.
-pub fn pairwise_p(cfg: &SystemConfig) -> usize {
+pub(crate) fn pairwise_p(cfg: &SystemConfig) -> usize {
     let by_s = sharding_core::bounds::max_triangular_p(cfg.shards);
     by_s.min(cfg.k_max).max(1)
 }
 
 /// The access sets of one pairwise-conflict group for parameter `p`:
 /// `p+1` transactions, each of width `p`, every pair sharing a unique shard.
-pub fn pairwise_group(p: usize) -> Vec<Vec<ShardId>> {
+pub(crate) fn pairwise_group(p: usize) -> Vec<Vec<ShardId>> {
     // Assign shard ids to unordered pairs {i,j}, 0 <= i < j <= p, in
     // lexicographic order.
     let mut shard_of_pair = std::collections::BTreeMap::new();

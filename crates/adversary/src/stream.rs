@@ -33,9 +33,9 @@
 //! A producer offers a fixed number of transactions per round, each
 //! tagged with a `u8` fee; the [`IngestPipeline`](crate::IngestPipeline)
 //! in front applies backpressure and `(ρ, b)` admission. Offers are a
-//! pure function of `(seed, round sequence)`, which is what lets the
-//! networked executor pre-drain the same stream the simulator drains
-//! round by round and stay byte-identical.
+//! pure function of `(seed, round sequence)`, so both engines, each
+//! pulling one round at a time, see the same stream and stay
+//! byte-identical.
 
 use crate::generator::{Offer, WorkloadShape};
 use crate::strategy::AliasTable;

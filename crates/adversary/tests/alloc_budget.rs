@@ -1,8 +1,9 @@
 //! The ingestion path's allocation budget, counted with this binary's
 //! own global allocator: drawing a round of offers allocates the vector
 //! they are returned in and nothing else, an offer a full lane turns
-//! away or keeps allocates nothing, and a transaction — two heap blocks
-//! (`subs`, `accesses`) — is built only when it drains.
+//! away or keeps allocates nothing, and a transaction — one heap block,
+//! its `subs` (a write-only sub keeps its one action in place) — is built
+//! only when it drains.
 //!
 //! One `#[test]` in the binary, so no other test thread's allocations
 //! are counted.
@@ -65,7 +66,7 @@ const OFFERED: u64 = 200;
 const PER_ROUND: u64 = 3;
 
 #[test]
-fn ingestion_builds_two_blocks_per_admitted_transaction_and_allocates_nothing_per_offer() {
+fn ingestion_builds_one_block_per_admitted_transaction_and_allocates_nothing_per_offer() {
     let sys = SystemConfig {
         shards: LANES,
         accounts: 4_096,
@@ -105,7 +106,7 @@ fn ingestion_builds_two_blocks_per_admitted_transaction_and_allocates_nothing_pe
         stats.evicted - warm.evicted >= rounds * OFFERED * 9 / 10,
         "saturated: nearly every offer meets a full lane"
     );
-    let budget = 2 * admitted + PER_ROUND * rounds;
+    let budget = admitted + PER_ROUND * rounds;
     assert!(
         allocs <= budget,
         "{allocs} allocations over {rounds} rounds admitting {admitted} (budget {budget})"

@@ -155,7 +155,7 @@ impl Hierarchy {
     }
 
     /// The cluster of `shard` in partition `(layer, sublayer)`.
-    pub fn cluster_of(&self, layer: u32, sublayer: u32, shard: ShardId) -> ClusterId {
+    pub(crate) fn cluster_of(&self, layer: u32, sublayer: u32, shard: ShardId) -> ClusterId {
         let index = self.layers[layer as usize].membership[sublayer as usize][shard.index()];
         ClusterId {
             layer,

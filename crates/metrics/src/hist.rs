@@ -24,7 +24,7 @@ pub const NUM_BUCKETS: usize = 528;
 
 /// Bucket index for a latency value. Total order preserving: `a <= b`
 /// implies `bucket_index(a) <= bucket_index(b)`.
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v < LINEAR_MAX {
         v as usize
     } else {
@@ -36,7 +36,7 @@ pub fn bucket_index(v: u64) -> usize {
 
 /// Largest value that maps into bucket `idx`; this is what quantiles
 /// report, so equal histograms always yield equal percentile bytes.
-pub fn bucket_upper(idx: usize) -> u64 {
+pub(crate) fn bucket_upper(idx: usize) -> u64 {
     debug_assert!(idx < NUM_BUCKETS);
     if idx < LINEAR_MAX as usize {
         idx as u64
@@ -90,7 +90,7 @@ impl LatencyHist {
     /// Records `n` identical observations at once — bulk ingestion for
     /// replay paths and for exercising near-`u64::MAX` totals in tests
     /// without `u64::MAX` loop iterations.
-    pub fn record_n(&mut self, v: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, v: u64, n: u64) {
         self.counts[bucket_index(v)] += n;
         self.total = self
             .total

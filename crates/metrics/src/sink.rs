@@ -211,7 +211,7 @@ impl MetricsReport {
     }
 
     /// Total commits across shards.
-    pub fn commits_total(&self) -> u64 {
+    pub(crate) fn commits_total(&self) -> u64 {
         self.per_shard_commits.iter().sum()
     }
 

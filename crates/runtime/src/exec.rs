@@ -1,41 +1,30 @@
-//! Ownership lockstep executor: each worker thread *owns* a contiguous
-//! range of shards for the whole run and steps them round by round.
+//! Ownership lockstep executor: worker `w` of `W = min(workers, s)` owns
+//! the shards `[w·s/W, (w+1)·s/W)` for the whole run and steps them
+//! round by round; after every round the calling thread closes it.
+//! (DESIGN.md has why a pool of owners replaced a thread per shard and
+//! shard claiming.)
 //!
-//! The thread-per-shard loop ("await my round, run it, complete it")
-//! hard-wires one context switch per shard per round: no thread can pass
-//! the gate until every peer has run, so a host with fewer cores than
-//! shards rotates through **all** shard threads each round (~10µs per
-//! 16-shard round on one core). [`run_lockstep`] keeps [`RoundGate`]'s
-//! per-shard watermarks but runs them from a pool: worker `w` of
-//! `W = min(workers, s)` owns the shards `[w·s/W, (w+1)·s/W)` — sizes
-//! differ by at most one — locks their slots once, and per round waits
-//! until every shard it does *not* own has finished the previous round,
-//! then steps its own in shard order, completing each one's watermark.
-//! A step costs the closure call and one `Release` store; a round, one
-//! scan of the peers' watermarks per worker (none at all at `W = 1`).
-//! With `W ≤ cores` a waiter spins briefly before yielding; beyond that
-//! it yields at once and the scheduler rotates the workers once a round —
-//! only tests ask for that, [`default_workers`] caps at the core count.
-//!
-//! What ownership gives up is work-helping inside a round: a worker that
-//! finishes its range early waits for the laggard instead of taking one
-//! of its shards. What it buys is that nothing is decided per step — no
-//! readiness check, no lock attempt, no scan of shards a peer is running.
+//! Worker 0 is the calling thread, so one worker spawns no thread. A peer
+//! waits until every shard it does *not* own has finished the previous
+//! round, steps its own in shard order, locking each slot for its step
+//! only, and completes their watermarks. Worker 0 holds its own slots'
+//! locks for the whole run: it steps them, waits for every peer to
+//! complete the round, runs the round's `close` over all the slots, and
+//! only then completes its own watermarks — so no shard starts round
+//! `r + 1` before round `r` is closed. With `W ≤ cores` a waiter spins
+//! briefly before yielding; beyond that it yields at once ([`default_workers`]
+//! caps at the core count).
 //!
 //! Correctness is inherited, not re-proven: a shard's rounds execute
 //! sequentially on its one owner, and a round's steps start only once
-//! every watermark has reached it (the worker's own by program order,
-//! the rest by the gate's `Acquire` loads), so the slack-1 drift bound
-//! and the Release/Acquire visibility argument from [`RoundGate`] hold
-//! verbatim. Reports are identical for any worker count because nothing
-//! observable depends on *which thread* executes a round.
-//!
-//! A step that panics must end the run, yet its worker's shards never
-//! reach the round the peers wait on: the unwinding worker poisons the
-//! gate, waiting peers return, and `thread::scope` re-raises.
+//! every watermark has reached it, so the Release/Acquire visibility
+//! argument from [`RoundGate`] holds verbatim, and nothing observable
+//! depends on *which thread* executes a round. A step or close that
+//! panics poisons the gate as it unwinds, waiting workers return, and
+//! `thread::scope` re-raises.
 
 use crate::sync::RoundGate;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
@@ -50,16 +39,7 @@ pub fn default_workers(shards: usize) -> usize {
     shards.min(cores())
 }
 
-/// Drives `slots.len()` shards through `rounds` lockstep rounds on
-/// `workers` threads (clamped to `1..=slots.len()`), each owning a
-/// contiguous range of shards.
-///
-/// `step(ctx, shard, round)` is invoked exactly once per (shard, round)
-/// pair, rounds strictly increasing per shard, always by the same
-/// thread, and only once every shard has completed all earlier rounds —
-/// the schedule a thread-per-shard driver produces, minus the forced
-/// context switches. `gate` must be freshly constructed for
-/// `slots.len()` shards. A panic in `step` ends the run and propagates.
+/// [`run_lockstep_closing`] with nothing to do between rounds.
 pub fn run_lockstep<C, F>(
     gate: &RoundGate,
     slots: &[Mutex<C>],
@@ -70,6 +50,32 @@ pub fn run_lockstep<C, F>(
     C: Send,
     F: Fn(&mut C, usize, u64) + Sync,
 {
+    run_lockstep_closing(gate, slots, rounds, workers, step, |_, _| {});
+}
+
+/// Drives `slots.len()` shards through `rounds` lockstep rounds on
+/// `workers` threads (clamped to `1..=slots.len()`, the calling thread
+/// being one of them), each owning a contiguous range of shards.
+///
+/// `step(ctx, shard, round)` is invoked exactly once per (shard, round)
+/// pair, rounds strictly increasing per shard, always by the same
+/// thread, and only once every shard has completed all earlier rounds
+/// and each has been closed. `close(round, slots)` runs on the calling
+/// thread once every shard has stepped `round`, over every slot in shard
+/// order. `gate` must be freshly constructed for `slots.len()` shards. A
+/// panic in `step` or `close` ends the run and propagates.
+pub fn run_lockstep_closing<C, F, G>(
+    gate: &RoundGate,
+    slots: &[Mutex<C>],
+    rounds: u64,
+    workers: usize,
+    step: F,
+    mut close: G,
+) where
+    C: Send,
+    F: Fn(&mut C, usize, u64) + Sync,
+    G: FnMut(u64, &mut [MutexGuard<'_, C>]),
+{
     let s = slots.len();
     if s == 0 || rounds == 0 {
         return;
@@ -79,23 +85,39 @@ pub fn run_lockstep<C, F>(
     // occupies the core the peer it polls needs (3–8× the round cost on
     // one core).
     let spin_budget = if workers <= cores() { 64 } else { 0 };
+    let range = |w: usize| w * s / workers..(w + 1) * s / workers;
     let step = &step;
     std::thread::scope(|scope| {
-        for w in 0..workers {
+        for own in (1..workers).map(range) {
             scope.spawn(move || {
-                let (lo, hi) = (w * s / workers, (w + 1) * s / workers);
                 let _poison = gate.poison_on_unwind();
-                let mut mine: Vec<_> = slots[lo..hi].iter().map(Mutex::lock).collect();
                 for round in 0..rounds {
-                    if !gate.wait(round, lo..hi, spin_budget) {
+                    if !gate.wait(round, own.clone(), spin_budget) {
                         return;
                     }
-                    for (ctx, shard) in mine.iter_mut().zip(lo..) {
-                        step(ctx, shard, round);
-                        gate.complete(shard, round);
+                    for (slot, shard) in slots[own.clone()].iter().zip(own.clone()) {
+                        step(&mut slot.lock(), shard, round);
                     }
+                    own.clone().for_each(|shard| gate.complete(shard, round));
                 }
             });
+        }
+        let own = range(0);
+        let _poison = gate.poison_on_unwind();
+        let mut held: Vec<_> = slots[own.clone()].iter().map(Mutex::lock).collect();
+        for round in 0..rounds {
+            // The previous round's wait below has seen every peer finish
+            // `round - 1`.
+            for (slot, shard) in held.iter_mut().zip(own.clone()) {
+                step(slot, shard, round);
+            }
+            if !gate.wait(round + 1, own.clone(), spin_budget) {
+                return;
+            }
+            held.extend(slots[own.end..].iter().map(Mutex::lock));
+            close(round, &mut held);
+            held.truncate(own.len());
+            own.clone().for_each(|shard| gate.complete(shard, round));
         }
     });
 }
@@ -126,6 +148,25 @@ mod tests {
         for slot in &slots {
             let seen = slot.lock();
             assert_eq!(*seen, (0..ROUNDS).collect::<Vec<_>>());
+        }
+    }
+
+    /// The close of round `r` sees every shard's step of `r` and none of
+    /// `r + 1`, at every worker count.
+    #[test]
+    fn each_round_closes_between_its_steps_and_the_next() {
+        const SHARDS: usize = 6;
+        const ROUNDS: u64 = 200;
+        for workers in [1, 2, 4, SHARDS] {
+            let gate = RoundGate::new(SHARDS);
+            let slots: Vec<Mutex<u64>> = (0..SHARDS).map(|_| Mutex::new(0)).collect();
+            let mut closed = 0;
+            let close = |round, slots: &mut [MutexGuard<'_, u64>]| {
+                assert!(slots.iter().all(|stepped| **stepped == round + 1));
+                closed += 1;
+            };
+            run_lockstep_closing(&gate, &slots, ROUNDS, workers, |n, _, _| *n += 1, close);
+            assert_eq!(closed, ROUNDS, "{workers} workers");
         }
     }
 

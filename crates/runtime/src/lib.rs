@@ -17,14 +17,16 @@
 //! metric, fault plan, worker count, metrics plane), and
 //! [`NetRun::run`] takes any protocol description and any
 //! [`adversary::RoundSource`]. One slot per shard holds the node and
-//! what it is lent, the shard's [`hub::NetHub`] endpoints, and its
-//! queue of the pre-drained workload; a worker steps the slots of its
-//! range in shard order, round by round, through the same per-shard step
-//! as the simulator (`schedulers::node::step_shard`). What this crate
-//! adds is what is genuinely about the transport — delivery pinned by
-//! per-sender sequence numbers, the round gate, and a replay of the
-//! nodes' buffered decisions in `(round, shard, emission index)` order —
-//! so a networked run produces a `RunReport` **byte-identical** to the
+//! what it is lent, the shard's [`hub::NetHub`] endpoints, and the
+//! decisions it took this round; a worker steps the slots of its range in
+//! shard order, round by round, through the same per-shard step as the
+//! simulator (`schedulers::node::step_shard`), and after each round the
+//! calling thread closes it as the simulator does: it books the round's
+//! decisions in `(shard, emission index)` order, closes the round over
+//! the nodes' samples, and pulls and injects the next round. What this
+//! crate adds is what is genuinely about the transport — delivery pinned
+//! by per-sender sequence numbers and the round gate — so a networked
+//! run produces a `RunReport` **byte-identical** to the
 //! simulator's for the same inputs and fault plan: both ran the same
 //! code, in an order that differs only where it cannot be observed.
 //! `tests/conformance_net.rs` checks that equality field by field,
@@ -77,7 +79,7 @@ pub mod ring;
 pub mod sync;
 
 pub use engine::EngineKind;
-pub use exec::{default_workers, run_lockstep};
+pub use exec::{default_workers, run_lockstep, run_lockstep_closing};
 pub use host::{NetOutcome, NetRun};
 pub use hub::{HubError, NetEnvelope, NetHub, NetInbox, ShardPort};
 pub use netbds::{run_net_fds, run_net_sched, run_net_sched_from};

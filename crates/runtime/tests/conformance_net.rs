@@ -9,11 +9,14 @@
 //! a fault plan and the worker counts to try. The rows cover BDS on every
 //! metric shape and shard count, every epoch-hosted zoo kind, FDS on
 //! line/uniform/ring and under bursts, a source that releases its
-//! transactions in clumps (the networked host's inject cursor), live
-//! resharding (scale-out, scale-in, churn on a line, every hosted kind),
-//! FDS behind an ingestion pipeline, the cross-shard order check on what
-//! either engine leaves behind, and BDS and FDS under drops, duplicates,
-//! a crash and Byzantine votes, with the fault counters asserted.
+//! transactions in clumps, live resharding (scale-out, scale-in, churn on
+//! a line, every hosted kind), FDS behind an ingestion pipeline, the
+//! cross-shard order check on what either engine leaves behind, BDS and
+//! FDS under drops, duplicates, a crash and Byzantine votes, with the
+//! fault counters asserted, and samples that change every round or
+//! freeze. Beside the rows: the empty run, and the round loop itself —
+//! the networked host pulls round `r + 1` from its source only after
+//! every shard has stepped round `r`, and before any steps `r + 1`.
 //! Worker-count independence, and with it determinism, is part of the
 //! contract: thread count is a performance knob, never a semantic one.
 //! (`differential.rs` keeps what each kind of fault does to a networked
@@ -28,13 +31,14 @@ use conflict::ColoringStrategy;
 use runtime::{default_workers, NetOutcome, NetRun};
 use schedulers::bds::{BdsConfig, BdsProtocol};
 use schedulers::fds::{FdsConfig, FdsProtocol};
-use schedulers::node::{Node, Protocol, Sim};
+use schedulers::node::{Lent, Node, Protocol, Seam, Sim};
+use schedulers::scheduler::Scheduler;
 use schedulers::testkit::report_fingerprint;
 use schedulers::{check_cross_shard_order, SchedulerKind};
 use sharding_core::{AccountMap, ReshardPlan, Round, ShardId, SystemConfig, Transaction};
 use simnet::FaultPlan;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Where a row runs.
 struct Bed {
@@ -72,10 +76,10 @@ fn uniform_load(rho: f64, seed: u64) -> AdversaryConfig {
 /// Runs `proto` under `faults` on the simulator and, once per entry of
 /// `workers`, on the networked engine — each over a fresh `source()` —
 /// and asserts the contract: the report equal in every field (floats by
-/// bit pattern, the per-round queue series and the fault counters
-/// included), the commit log round for round, the chains block for
-/// block, every chain verifying. Returns the last networked outcome, by
-/// then equal to the simulator's.
+/// bit pattern, the per-round queue series, the fault counters and the
+/// metrics plane's per-epoch timeline included), the commit log round
+/// for round, the chains block for block, every chain verifying. Returns
+/// the last networked outcome, by then equal to the simulator's.
 fn assert_sim_equals_net<P, S>(
     label: &str,
     proto: &P,
@@ -94,6 +98,7 @@ where
     let (sys, map, metric) = (&bed.sys, &bed.map, bed.metric.as_ref());
     let mut sim = Sim::host(proto, sys, map, metric);
     sim.set_faults(faults);
+    sim.enable_metrics();
     let mut src = source();
     for r in 0..rounds {
         sim.step(src.next_round(Round(r)));
@@ -110,7 +115,7 @@ where
             metric,
             faults,
             workers,
-            metrics: false,
+            metrics: true,
         };
         let net = run.run(proto, &mut source(), Round(rounds));
         let label = format!("{label}, {workers} workers");
@@ -124,6 +129,7 @@ where
             sim.queue_series.samples(),
             "{label}: per-round queue series"
         );
+        assert_eq!(net.report.metrics, sim.metrics, "{label}: timeline");
         assert_eq!(net.committed_log, sim_log, "{label}: commit log");
         assert!(net.chains == sim_chains, "{label}: chains");
         assert!(net.chains_verified, "{label}: chain verification");
@@ -263,7 +269,7 @@ impl RoundSource for Clumped {
 }
 
 #[test]
-fn the_inject_cursor_replays_empty_and_crowded_rounds_like_the_simulator() {
+fn empty_and_crowded_rounds_inject_like_the_simulator() {
     let bed = bed(8, 3, UniformMetric::new(8));
     let load = AdversaryConfig {
         burstiness: 6,
@@ -286,9 +292,9 @@ fn the_inject_cursor_replays_empty_and_crowded_rounds_like_the_simulator() {
 
 #[test]
 fn fds_behind_an_ingest_pipeline() {
-    // The streaming producer and the mempool in front of FDS: the
-    // simulator drains the pipeline live, the networked engine up front,
-    // and both must see the same admitted batches and ingestion counters.
+    // The streaming producer and the mempool in front of FDS: both
+    // engines drain the pipeline a round at a time and must see the same
+    // admitted batches and ingestion counters.
     let bed = bed(8, 3, LineMetric::new(8));
     let pipeline = || {
         let kind = StreamKind::Zipf { exponent: 0.6 };
@@ -478,5 +484,242 @@ fn faulted_rows() {
             "{kind}: {faults:?}"
         );
         assert!(faults.byz_flips > 0, "{kind}: {faults:?}");
+    }
+}
+
+#[test]
+fn samples_that_change_every_round_or_freeze() {
+    // A Byzantine quota makes every live shard's cumulative flip count
+    // change every round; the crashed shard's samples freeze from round
+    // 150 on. One worker and three (ranges of 2, 3 and 3 shards).
+    let plan = FaultPlan {
+        crashes: vec![(ShardId(5), Round(150))],
+        byz_votes: 1,
+        ..FaultPlan::default()
+    };
+    let bed = bed(8, 3, UniformMetric::new(8));
+    let load = AdversaryConfig {
+        burstiness: 6,
+        ..uniform_load(0.06, 67)
+    };
+    let source = || Adversary::new(&bed.sys, &bed.map, load);
+    let bds = bds(SchedulerKind::Bds);
+    let out = assert_sim_equals_net("samples/bds", &bds, &bed, source, 500, &plan, &[1, 3]);
+    // Seven live shards flip one vote a round; the crashed one stops.
+    assert_eq!(out.report.faults.byz_flips, 7 * 500 + 150);
+    assert_eq!(out.report.faults.crashes, 1);
+    let timeline = out.report.metrics.expect("metrics on").timeline;
+    assert_eq!(
+        timeline.iter().map(|row| row.byz_flips).sum::<u64>(),
+        7 * 500 + 150
+    );
+    assert_eq!(
+        timeline.iter().map(|row| row.crashed_shards_max).max(),
+        Some(1)
+    );
+}
+
+/// What the order test sees happen, in the order it happens.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seen {
+    /// The source handed out round `r`.
+    Pull(u64),
+    /// `(shard, round)` stepped.
+    Step(u32, u64),
+}
+
+type SeenLog = Arc<Mutex<Vec<Seen>>>;
+
+/// `P`, with every node step logged.
+struct Logged<P> {
+    inner: P,
+    log: SeenLog,
+}
+
+/// `N`, logging its steps. It asks to be stepped every round (the
+/// default wake): a step before the inner node's wake with an empty inbox
+/// is a no-op, so the run is the inner protocol's.
+struct LoggedNode<N> {
+    inner: N,
+    id: ShardId,
+    log: SeenLog,
+}
+
+impl<N: Node> Node for LoggedNode<N> {
+    type Msg = N::Msg;
+
+    fn msg_bytes(msg: &N::Msg) -> usize {
+        N::msg_bytes(msg)
+    }
+
+    fn inject(&mut self, txn: Transaction) {
+        self.inner.inject(txn);
+    }
+
+    fn step<S: Seam<N::Msg>>(
+        &mut self,
+        round: u64,
+        inbox: impl Iterator<Item = (ShardId, N::Msg)>,
+        lent: Lent<'_>,
+        seam: &mut S,
+    ) {
+        self.log.lock().unwrap().push(Seen::Step(self.id.0, round));
+        self.inner.step(round, inbox, lent, seam);
+    }
+
+    fn sample(&self) -> [u64; 4] {
+        self.inner.sample()
+    }
+}
+
+impl<P: Protocol<Node: 'static>> Protocol for Logged<P> {
+    type Node = LoggedNode<P::Node>;
+
+    fn initial_balance(&self) -> u64 {
+        self.inner.initial_balance()
+    }
+
+    fn node(&self, id: ShardId, metric: &dyn ShardMetric) -> Self::Node {
+        LoggedNode {
+            inner: self.inner.node(id, metric),
+            id,
+            log: self.log.clone(),
+        }
+    }
+
+    fn policy(&self, sys: &SystemConfig) -> Box<dyn Scheduler> {
+        self.inner.policy(sys)
+    }
+
+    fn fault_free_only(node: &Self::Node) -> bool {
+        P::fault_free_only(&node.inner)
+    }
+
+    fn round_row(
+        node: &Self::Node,
+        round: u64,
+        samples: impl Iterator<Item = [u64; 4]>,
+        faulty: bool,
+    ) -> metrics::RoundRow {
+        P::round_row(&node.inner, round, samples, faulty)
+    }
+
+    fn epochs<'a>(nodes: impl Iterator<Item = &'a Self::Node>, rounds: u64) -> (u64, u64)
+    where
+        Self::Node: 'a,
+    {
+        P::epochs(nodes.map(|node| &node.inner), rounds)
+    }
+}
+
+/// A source that logs each round it hands out.
+struct LoggedSource {
+    inner: Adversary,
+    log: SeenLog,
+}
+
+impl RoundSource for LoggedSource {
+    fn next_round(&mut self, round: Round) -> Vec<Transaction> {
+        self.log.lock().unwrap().push(Seen::Pull(round.raw()));
+        self.inner.next_round(round)
+    }
+}
+
+#[test]
+fn each_round_is_pulled_after_every_step_of_the_round_before() {
+    const ROUNDS: u64 = 60;
+    let bed = bed(8, 3, UniformMetric::new(8));
+    let log = SeenLog::default();
+    let proto = Logged {
+        inner: bds(SchedulerKind::Bds),
+        log: log.clone(),
+    };
+    for workers in [1, 2, bed.sys.shards] {
+        for rounds in [0, ROUNDS] {
+            log.lock().unwrap().clear();
+            let mut source = LoggedSource {
+                inner: Adversary::new(&bed.sys, &bed.map, uniform_load(0.08, 53)),
+                log: log.clone(),
+            };
+            let run = NetRun {
+                sys: &bed.sys,
+                map: &bed.map,
+                metric: bed.metric.as_ref(),
+                faults: &FaultPlan::default(),
+                workers,
+                metrics: false,
+            };
+            let out = run.run(&proto, &mut source, Round(rounds));
+            assert!(rounds == 0 || out.report.committed > 0, "{workers} workers");
+            let seen = log.lock().unwrap().clone();
+            let steps = seen.iter().filter(|e| matches!(e, Seen::Step(..))).count();
+            assert_eq!(
+                steps as u64,
+                8 * rounds,
+                "{workers} workers: one step per shard-round"
+            );
+            // Where each round's pull sits, and the span of its steps.
+            let at = |want: Seen| seen.iter().position(|&e| e == want);
+            let steps_of = |r: u64| {
+                let places = seen.iter().enumerate();
+                let mine =
+                    places.filter(move |(_, e)| matches!(e, Seen::Step(_, round) if *round == r));
+                mine.map(|(i, _)| i)
+            };
+            for r in 0..rounds {
+                let pull = at(Seen::Pull(r)).expect("every round is pulled");
+                let first = steps_of(r).min().expect("every round steps");
+                assert!(
+                    pull < first,
+                    "{workers} workers: round {r} stepped before its pull"
+                );
+                if r > 0 {
+                    let last = steps_of(r - 1).max().expect("the round before stepped");
+                    assert!(
+                        last < pull,
+                        "{workers} workers: round {r} pulled before round {} finished",
+                        r - 1
+                    );
+                }
+            }
+            assert_eq!(
+                at(Seen::Pull(rounds)),
+                None,
+                "{workers} workers: a round too many"
+            );
+            let pulls = seen.iter().filter(|e| matches!(e, Seen::Pull(_))).count();
+            assert_eq!(
+                pulls as u64, rounds,
+                "{workers} workers: one pull per round"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_run_of_zero_rounds_is_the_simulators_empty_report() {
+    let bed = bed(8, 3, UniformMetric::new(8));
+    let sim = Sim::host(
+        &bds(SchedulerKind::Bds),
+        &bed.sys,
+        &bed.map,
+        bed.metric.as_ref(),
+    )
+    .finish();
+    for workers in [1, 3] {
+        let run = NetRun {
+            sys: &bed.sys,
+            map: &bed.map,
+            metric: bed.metric.as_ref(),
+            faults: &FaultPlan::default(),
+            workers,
+            metrics: false,
+        };
+        let mut source = Adversary::new(&bed.sys, &bed.map, uniform_load(0.3, 61));
+        let out = run.run(&bds(SchedulerKind::Bds), &mut source, Round(0));
+        assert_eq!(report_fingerprint(&out.report), report_fingerprint(&sim));
+        assert_eq!((out.report.rounds, out.report.generated), (0, 0));
+        assert!(out.report.queue_series.samples().is_empty());
+        assert!(out.committed_log.is_empty() && out.chains_verified);
     }
 }

@@ -1,11 +1,13 @@
 //! What [`runtime::run_lockstep`] promises beyond the lockstep schedule
 //! (`exec_edges.rs` and the executor's unit tests pin that): every shard
 //! is stepped by one thread for the whole run, the threads' ranges are
-//! contiguous and balanced, and a step that panics ends the run instead
-//! of leaving the other workers waiting on its watermark.
+//! contiguous and balanced, and a step or a round's close that panics
+//! ends the run instead of leaving the other workers waiting on its
+//! watermark.
 
 use parking_lot::Mutex;
-use runtime::{run_lockstep, RoundGate};
+use parking_lot::MutexGuard;
+use runtime::{run_lockstep, run_lockstep_closing, RoundGate};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -59,23 +61,37 @@ fn each_worker_owns_one_contiguous_balanced_range() {
     }
 }
 
-/// Runs 4 shards whose step panics at (shard 0, round 3). The run gets
-/// a thread of its own and reports back over a channel, so an executor
-/// that leaves the peers waiting fails this test instead of hanging it.
-fn panicking_step_ends_the_run(workers: usize) {
+/// Runs 4 shards for up to 1 000 rounds, `fail(shard, round)` deciding
+/// where a step panics and `fail(4, round)` where the close of a round
+/// does. The run gets a thread of its own and reports back over a
+/// channel, so an executor that leaves the peers waiting fails this test
+/// instead of hanging it. Returns the hits of the failure and the
+/// furthest round any shard stepped.
+fn panicking_run(
+    workers: usize,
+    fail: impl Fn(usize, u64) -> bool + Send + Sync + 'static,
+) -> (u64, u64) {
     let (done, watchdog) = mpsc::channel();
     let run = std::thread::spawn(move || {
         let gate = RoundGate::new(4);
         let slots: Vec<Mutex<()>> = (0..4).map(|_| Mutex::new(())).collect();
         let (hits, furthest) = (AtomicU64::new(0), AtomicU64::new(0));
+        let fails = |at, round| {
+            if fail(at, round) {
+                hits.fetch_add(1, Ordering::SeqCst);
+                panic!("{at} fails at round {round} (this test expects it)");
+            }
+        };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_lockstep(&gate, &slots, 1_000, workers, |_, shard, round| {
+            let step = |_: &mut (), shard, round| {
                 furthest.fetch_max(round, Ordering::SeqCst);
-                if shard == 0 && round == 3 {
-                    hits.fetch_add(1, Ordering::SeqCst);
-                    panic!("shard 0 fails at round 3 (this test expects it)");
-                }
-            })
+                fails(shard, round);
+            };
+            let close = |round, slots: &mut [MutexGuard<'_, ()>]| {
+                assert_eq!(slots.len(), 4, "the close sees every slot");
+                fails(4, round);
+            };
+            run_lockstep_closing(&gate, &slots, 1_000, workers, step, close)
         }));
         let report = (outcome.is_err(), hits.into_inner(), furthest.into_inner());
         done.send(report).expect("the test is listening");
@@ -84,7 +100,15 @@ fn panicking_step_ends_the_run(workers: usize) {
         .recv_timeout(Duration::from_secs(30))
         .expect("the run hung: peers kept waiting on the panicked worker's watermark");
     run.join().expect("the runner catches the panic");
-    assert!(panicked, "the step's panic must reach the caller");
+    assert!(panicked, "the panic must reach the caller");
+    (hits, furthest)
+}
+
+/// A step that panics at (`shard`, round 3) runs once and ends the run
+/// before any shard steps round 4.
+fn panicking_step_ends_the_run(workers: usize, shard: usize) {
+    let fail = move |at, round| at == shard && round == 3;
+    let (hits, furthest) = panicking_run(workers, fail);
     assert_eq!(hits, 1, "the failing step ran (and reported) once");
     assert_eq!(
         furthest, 3,
@@ -94,10 +118,31 @@ fn panicking_step_ends_the_run(workers: usize) {
 
 #[test]
 fn a_panicking_step_ends_the_run_at_two_workers() {
-    panicking_step_ends_the_run(2);
+    panicking_step_ends_the_run(2, 0);
 }
 
 #[test]
 fn a_panicking_step_ends_the_run_at_three_workers() {
-    panicking_step_ends_the_run(3);
+    panicking_step_ends_the_run(3, 0);
+}
+
+#[test]
+fn a_panicking_peer_step_ends_the_run() {
+    for workers in [2, 4] {
+        panicking_step_ends_the_run(workers, 3);
+    }
+}
+
+/// The close runs on the calling thread between two rounds: a close that
+/// panics after round 3 leaves round 4 unstepped, at any worker count.
+#[test]
+fn a_panicking_close_ends_the_run() {
+    for workers in [1, 2, 4] {
+        let (hits, furthest) = panicking_run(workers, |at, round| at == 4 && round == 3);
+        assert_eq!(hits, 1, "{workers} workers: the failing close ran once");
+        assert_eq!(
+            furthest, 3,
+            "{workers} workers: a shard stepped past the close"
+        );
+    }
 }

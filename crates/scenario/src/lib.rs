@@ -80,7 +80,7 @@
 //! | `nodes-per-shard` | `n_i` | `4` |
 //! | `faulty-per-shard` | `f_i` (needs `n_i > 3·f_i`) | `1` |
 //! | `placement` | `random:SEED` \| `round-robin` \| `vnode` | `random:1` |
-//! | `rounds` | simulated rounds | `8000` |
+//! | `rounds` | simulated rounds, `1 ..= 2^32` | `8000` |
 //! | `rho` | injection rate `0 < ρ ≤ 1` | `0.1` |
 //! | `b` | burstiness `≥ 1` | `1` |
 //! | `strategy` | `uniform` \| `single-burst:R` \| `count-burst:R:C` \| `count-burst:auto` \| `pairwise` \| `hot-shard` \| `burst-train:P` \| `zipf:E` | `uniform` |

@@ -124,7 +124,7 @@ pub const COLUMNS: &[(&str, CellFn)] = &[
 ];
 
 /// The CSV header row (no trailing newline).
-pub fn csv_header() -> String {
+pub(crate) fn csv_header() -> String {
     let names: Vec<&str> = COLUMNS.iter().map(|(name, _)| *name).collect();
     names.join(",")
 }

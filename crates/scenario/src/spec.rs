@@ -351,6 +351,10 @@ pub(crate) const RULES: &[Rule] = &[
     (&["rounds"], |j| {
         (j.rounds == 0).then(|| "rounds must be >= 1".into())
     }),
+    // A chain stores a block's round in 32 bits (`simnet::LocalChain`).
+    (&["rounds"], |j| {
+        (j.rounds > 1 << 32).then(|| format!("rounds must be <= 2^32, got {}", j.rounds))
+    }),
     (&["pipeline-window"], |j| {
         (j.fds.pipeline_window == 0).then(|| "pipeline-window must be >= 1".into())
     }),
@@ -614,6 +618,12 @@ mod tests {
         ("rho = 1.5\n", "0 < rho <= 1, got 1.5", 2, ""),
         ("b = 0\n", "b must be >= 1", 2, ""),
         ("rounds = 0\n", "rounds must be >= 1", 2, ""),
+        (
+            "rounds = 4294967297\n",
+            "rounds must be <= 2^32, got 4294967297",
+            2,
+            "",
+        ),
         (
             "pipeline-window = 0\n",
             "pipeline-window must be >= 1",

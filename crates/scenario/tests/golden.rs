@@ -93,8 +93,8 @@ fn churn_then_control(rows: &[&str]) -> Result<(), String> {
 
 /// `firehose_shift` sweeps `engine = sim, net` over one stream, and the
 /// CSV has no engine column: two rows identical apart from the job index
-/// *are* the proof that the networked runtime pre-drains exactly the
-/// batches the simulator drains live, ingestion counters included.
+/// *are* the proof that the networked runtime pulls exactly the batches
+/// the simulator pulls, ingestion counters included.
 fn engines_agree(rows: &[&str]) -> Result<(), String> {
     let sans_job = |row: &str| {
         let (scenario, rest) = row.split_once(',')?;

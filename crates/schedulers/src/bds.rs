@@ -234,7 +234,7 @@ impl BdsNode {
     }
 
     /// Arms a live-migration schedule; must precede the first step.
-    pub fn set_reshard(&mut self, plan: Arc<ReshardPlan>) {
+    pub(crate) fn set_reshard(&mut self, plan: Arc<ReshardPlan>) {
         assert_eq!(plan.s_max, self.shards(), "provisioned for s_max");
         self.reshard = Some(plan);
     }

@@ -6,9 +6,9 @@
 //! way: one batch of generated transactions per round, and a
 //! [`RunReport`] at the end. [`RoundDriver`] names that contract, and
 //! [`drive`] is the loop every `run_*` convenience function shares. (The
-//! networked engine is not a round driver: `runtime::NetRun` pre-drains
-//! a [`RoundSource`](adversary::RoundSource) and runs to completion in
-//! one call.)
+//! networked engine is not a round driver: `runtime::NetRun` pulls each
+//! round from a [`RoundSource`](adversary::RoundSource) itself, once the
+//! round before has closed, and runs to completion in one call.)
 
 use crate::metrics::RunReport;
 use adversary::{Adversary, AdversaryConfig};

@@ -33,7 +33,8 @@
 //! transport hands a round's inbox out sorted by `(sender, per-sender
 //! sequence)`, and decisions are booked in `(round, deciding shard,
 //! emission index)` order. That order is each host's job: here a decision
-//! is booked the moment it is emitted, there the runtime replays them.
+//! is booked the moment it is emitted, there it waits in its shard's slot
+//! until the round closes, and the close books the shards in order.
 
 use crate::metrics::{MetricsCollector, RunReport};
 use crate::scheduler::Scheduler;
@@ -204,9 +205,7 @@ impl ShardFaults {
 /// Shard-round `round` of `node`, as both hosts make it (`faults` is
 /// `None` where no plan is armed). From its crash round on a shard drops
 /// its inbox and neither steps nor sends; a live shard counts its quota
-/// and steps `node` if it has mail or has reached [`Node::wake`]. Returns
-/// whether the shard's sample may have changed (an injection, the host's
-/// business, changes it too).
+/// and steps `node` if it has mail or has reached [`Node::wake`].
 pub fn step_shard<N: Node>(
     node: &mut N,
     faults: Option<&mut ShardFaults>,
@@ -214,23 +213,18 @@ pub fn step_shard<N: Node>(
     inbox: impl ExactSizeIterator<Item = (ShardId, N::Msg)>,
     lent: Lent<'_>,
     seam: &mut impl Seam<N::Msg>,
-) -> bool {
-    let mut changed = false;
+) {
     if let Some(faults) = faults {
         if round >= faults.crash_at {
             inbox.for_each(drop);
-            let crash_round = round == faults.crash_at;
-            faults.counters.crashes += u64::from(crash_round);
-            return crash_round;
+            faults.counters.crashes += u64::from(round == faults.crash_at);
+            return;
         }
         faults.counters.byz_flips += faults.flips;
-        changed = faults.flips > 0;
     }
     if inbox.len() > 0 || round >= node.wake() {
         node.step(round, inbox, lent, seam);
-        changed = true;
     }
-    changed
 }
 
 /// The simulator: `s` nodes of protocol `P`, one delay-queue network,
@@ -355,7 +349,7 @@ impl<P: Protocol> Sim<P> {
     /// the due messages — already sorted by `(destination, sender,
     /// sequence)` — and, in shard order, hands each shard its run of them
     /// through [`step_shard`], which is the order the threaded host's
-    /// replay reproduces; then samples every node and closes the round.
+    /// close books in; then samples every node and closes the round.
     /// The drained delivery buffer goes back to the network for a later
     /// round's sends.
     pub fn step(&mut self, new_txns: Vec<Transaction>) {

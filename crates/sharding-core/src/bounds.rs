@@ -92,7 +92,7 @@ pub fn bds_latency_bound(b: u64, k: usize, s: usize) -> u64 {
 
 /// `log₂(s)` as used by the FDS hierarchy; at least 1 to avoid degenerate
 /// zero-length epochs for `s = 1, 2`.
-pub fn log2_shards(s: usize) -> f64 {
+pub(crate) fn log2_shards(s: usize) -> f64 {
     (s.max(2) as f64).log2().max(1.0)
 }
 

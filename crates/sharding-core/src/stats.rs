@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Numerically stable running mean/min/max/variance (Welford).
+/// Numerically stable running mean/min/max (Welford).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunningStats {
     count: u64,
@@ -52,15 +52,6 @@ impl RunningStats {
             0.0
         } else {
             self.mean
-        }
-    }
-
-    /// Population variance (0 when fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
         }
     }
 
@@ -146,7 +137,7 @@ impl TimeSeries {
 
     /// Least-squares slope of the series against its index (units per
     /// sample). Positive slope on queue-length series indicates growth.
-    pub fn slope(&self) -> f64 {
+    pub(crate) fn slope(&self) -> f64 {
         let n = self.samples.len();
         if n < 2 {
             return 0.0;
@@ -244,7 +235,6 @@ mod tests {
         }
         assert_eq!(s.count(), 4);
         assert!((s.mean() - 2.5).abs() < 1e-12);
-        assert!((s.variance() - 1.25).abs() < 1e-12);
         assert_eq!(s.min(), Some(1.0));
         assert_eq!(s.max(), Some(4.0));
     }
@@ -253,7 +243,6 @@ mod tests {
     fn running_stats_empty() {
         let s = RunningStats::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), None);
     }
 
@@ -275,7 +264,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), all.count());
         assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub const VNODE_COUNT: usize = 1024;
 /// The vnode an account hashes to. SplitMix64 finalizer: cheap,
 /// stateless, and avalanche-complete, so consecutive account ids
 /// scatter uniformly over the ring.
-pub fn vnode_of(account: AccountId) -> usize {
+pub(crate) fn vnode_of(account: AccountId) -> usize {
     let mut x = account.0;
     x ^= x >> 30;
     x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -69,7 +69,7 @@ impl VnodeTable {
 
     /// The shard owning `account` under this table.
     #[inline]
-    pub fn shard_of(&self, account: AccountId) -> ShardId {
+    pub(crate) fn shard_of(&self, account: AccountId) -> ShardId {
         self.owner[vnode_of(account)]
     }
 
@@ -90,7 +90,7 @@ impl VnodeTable {
     /// change hands; everything else stays put (the consistent-hash
     /// property). Deterministic: vnodes are scanned in ring order and
     /// receivers are filled in ascending shard-id order.
-    pub fn rebalanced(&self, active: &[ShardId]) -> VnodeTable {
+    pub(crate) fn rebalanced(&self, active: &[ShardId]) -> VnodeTable {
         assert!(!active.is_empty(), "rebalance needs at least one shard");
         let fair = VNODE_COUNT / active.len();
         let extra = VNODE_COUNT % active.len();

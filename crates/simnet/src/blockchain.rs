@@ -83,7 +83,7 @@ fn compute_hash(height: u64, parent: u64, round: u64, subs: &[SubTransaction]) -
 pub struct BlockHeader {
     /// Hash of this block (over height, parent, round, payload).
     pub hash: u64,
-    /// The round, or [`FAR`] for one kept in the chain's `far` list.
+    /// The round (a chain panics on one past `u32::MAX`).
     round: u32,
     /// One past the block's last sub in its page's payload.
     end: u32,
@@ -91,9 +91,6 @@ pub struct BlockHeader {
 
 // `peak_live_mb` is held to the byte: a chain keeps every block header.
 const _: () = assert!(std::mem::size_of::<BlockHeader>() <= 16);
-
-/// A header's round when the round does not fit in 32 bits.
-const FAR: u32 = u32::MAX;
 
 /// One block as [`LocalChain::blocks`] hands it out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,9 +116,6 @@ pub struct LocalChain {
     shard: ShardId,
     /// Every block, genesis first; each page but the last holds [`PAGE`].
     pages: Vec<Page>,
-    /// `(height, round)` of every block whose round is [`FAR`], by height
-    /// (no simulated run gets there; the hashes are defined for it).
-    far: Vec<(usize, Round)>,
 }
 
 impl LocalChain {
@@ -138,7 +132,6 @@ impl LocalChain {
                 headers: vec![genesis],
                 payload: Vec::new(),
             }],
-            far: Vec::new(),
         }
     }
 
@@ -148,6 +141,8 @@ impl LocalChain {
     }
 
     /// Appends a block holding one committed subtransaction at `round`.
+    /// Like every append, panics on a round past `u32::MAX` (a scenario
+    /// cannot plan one).
     pub fn append(&mut self, sub: SubTransaction, round: Round) -> BlockRef<'_> {
         self.push([sub], round)
     }
@@ -174,6 +169,7 @@ impl LocalChain {
         I: IntoIterator<Item = SubTransaction>,
         I::IntoIter: ExactSizeIterator,
     {
+        let round = u32::try_from(round.raw()).expect("a chain round fits in 32 bits");
         let subs = subs.into_iter();
         let n = subs.len();
         assert!(n > 0, "blocks must hold at least one subtransaction");
@@ -199,18 +195,9 @@ impl LocalChain {
             assert_eq!(s.dest, shard, "subtransaction routed to wrong shard");
             page.payload.push(s);
         }
-        let raw = round.raw();
-        let hash = compute_hash(height as u64, parent, raw, &page.payload[start..]);
+        let hash = compute_hash(height as u64, parent, round.into(), &page.payload[start..]);
         let end = u32::try_from(page.payload.len()).expect("a page holds under 2^32 subs");
-        let round32 = u32::try_from(raw).unwrap_or(FAR);
-        page.headers.push(BlockHeader {
-            hash,
-            round: round32,
-            end,
-        });
-        if round32 == FAR {
-            self.far.push((height, round));
-        }
+        page.headers.push(BlockHeader { hash, round, end });
         self.blocks().last()
     }
 
@@ -221,16 +208,6 @@ impl LocalChain {
 
     fn tail_mut(&mut self) -> &mut Page {
         self.pages.last_mut().expect("genesis always present")
-    }
-
-    /// The round of the block at `height` whose header is `h`; `None` for
-    /// a [`FAR`] round the chain has no record of.
-    fn round_of(&self, height: usize, h: &BlockHeader) -> Option<Round> {
-        if h.round != FAR {
-            return Some(Round(h.round.into()));
-        }
-        let at = self.far.binary_search_by_key(&height, |f| f.0).ok()?;
-        Some(self.far[at].1)
     }
 
     /// Number of blocks (excluding genesis).
@@ -273,13 +250,10 @@ impl LocalChain {
                 let height = p * PAGE + i;
                 let end = h.end as usize;
                 let nonempty = start < end || height == 0;
-                let Some(round) = self.round_of(height, h) else {
-                    return false;
-                };
                 let Some(subs) = page.payload.get(start..end).filter(|_| nonempty) else {
                     return false;
                 };
-                if h.hash != compute_hash(height as u64, parent, round.raw(), subs) {
+                if h.hash != compute_hash(height as u64, parent, h.round.into(), subs) {
                     return false;
                 }
                 (parent, start) = (h.hash, end);
@@ -311,7 +285,7 @@ impl<'a> Blocks<'a> {
         };
         BlockRef {
             hash: h.hash,
-            round: self.chain.round_of(height, h).expect("far round recorded"),
+            round: Round(h.round.into()),
             subs: &page.payload[start..h.end as usize],
         }
     }
@@ -466,24 +440,18 @@ mod tests {
             .map(|b| (b.hash, b.round, b.subs.to_vec()))
             .collect();
         edit(&mut blocks);
-        let mut far = Vec::new();
         let pages = blocks
             .chunks(PAGE)
-            .enumerate()
-            .map(|(p, chunk)| {
+            .map(|chunk| {
                 let mut page = Page {
                     headers: Vec::new(),
                     payload: Vec::new(),
                 };
-                for (i, (hash, round, subs)) in chunk.iter().enumerate() {
+                for (hash, round, subs) in chunk {
                     page.payload.extend(subs.iter().cloned());
-                    let round32 = u32::try_from(round.raw()).unwrap_or(FAR);
-                    if round32 == FAR {
-                        far.push((p * PAGE + i, *round));
-                    }
                     page.headers.push(BlockHeader {
                         hash: *hash,
-                        round: round32,
+                        round: round.raw() as u32,
                         end: page.payload.len() as u32,
                     });
                 }
@@ -493,7 +461,6 @@ mod tests {
         LocalChain {
             shard: c.shard,
             pages,
-            far,
         }
     }
 
@@ -543,14 +510,18 @@ mod tests {
         let mut orphan = c.clone();
         orphan.pages[0].payload.push(sub(9, 0));
         assert!(!orphan.verify(), "a sub in no block");
-        let mut far = c.clone();
-        far.append(sub(7, 0), Round(u32::MAX.into()));
-        far.append(sub(8, 0), Round(1 << 40));
-        let rounds: Vec<Round> = far.blocks().into_iter().skip(6).map(|b| b.round).collect();
-        assert!(far.verify() && rounds == [Round(u32::MAX.into()), Round(1 << 40)]);
-        far.far.clear();
-        assert!(!far.verify(), "a far round without its record");
+        let mut last = c.clone();
+        last.append(sub(7, 0), Round(u32::MAX.into()));
+        assert_eq!(last.blocks().last().round, Round(u32::MAX.into()));
+        assert!(last.verify(), "the last 32-bit round is an ordinary one");
         assert!(c.verify(), "original intact");
+    }
+
+    #[test]
+    #[should_panic(expected = "fits in 32 bits")]
+    fn a_round_past_32_bits_is_refused() {
+        let mut c = LocalChain::new(ShardId(0));
+        c.append(sub(1, 0), Round(1 << 40));
     }
 
     /// One block as the flat layout stored it: height, parent, hash,
@@ -727,8 +698,9 @@ mod tests {
             SubTransaction::new(TxnId(txn), ShardId(2), &conditions, &actions)
         };
         let multi = vec![rich(8, 0), rich(9, 1), rich(u64::MAX / 11, 3)];
+        // A chain refuses a round past `u32::MAX`; the hash is defined there.
         assert_eq!(
-            c.append_block(multi, Round(1 << 40)).hash,
+            compute_hash(2, 0x314d_3509_f940_d8a8, 1 << 40, &multi),
             0xa712_ee3e_d672_fb2c
         );
         assert!(c.verify());

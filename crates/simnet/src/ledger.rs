@@ -117,7 +117,7 @@ impl ShardLedger {
     /// the actions on it up to `i`, re-summed from the list itself. That
     /// is quadratic in the actions of one sub — a list that is inline
     /// and almost always a single entry.
-    pub fn actions_valid(&self, sub: &SubTransaction) -> bool {
+    pub(crate) fn actions_valid(&self, sub: &SubTransaction) -> bool {
         let actions = sub.actions();
         actions.iter().enumerate().all(|(i, a)| {
             let Some(base) = self.balance(a.account) else {
