@@ -12,8 +12,8 @@
 //! complete the round, runs the round's `close` over all the slots, and
 //! only then completes its own watermarks — so no shard starts round
 //! `r + 1` before round `r` is closed. With `W ≤ cores` a waiter spins
-//! briefly before yielding; beyond that it yields at once ([`default_workers`]
-//! caps at the core count).
+//! briefly before yielding; beyond that it yields at once
+//! ([`default_workers`] caps at the core count).
 //!
 //! Correctness is inherited, not re-proven: a shard's rounds execute
 //! sequentially on its one owner, and a round's steps start only once
