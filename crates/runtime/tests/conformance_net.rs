@@ -520,12 +520,12 @@ fn samples_that_change_every_round_or_freeze() {
 }
 
 /// What the order test sees happen, in the order it happens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Seen {
     /// The source handed out round `r`.
     Pull(u64),
-    /// `(shard, round)` stepped.
-    Step(u32, u64),
+    /// A shard stepped a round.
+    Step { round: u64, shard: u32 },
 }
 
 type SeenLog = Arc<Mutex<Vec<Seen>>>;
@@ -563,7 +563,10 @@ impl<N: Node> Node for LoggedNode<N> {
         lent: Lent<'_>,
         seam: &mut S,
     ) {
-        self.log.lock().unwrap().push(Seen::Step(self.id.0, round));
+        self.log.lock().unwrap().push(Seen::Step {
+            round,
+            shard: self.id.0,
+        });
         self.inner.step(round, inbox, lent, seam);
     }
 
@@ -636,7 +639,6 @@ fn each_round_is_pulled_after_every_step_of_the_round_before() {
     };
     for workers in [1, 2, bed.sys.shards] {
         for rounds in [0, ROUNDS] {
-            log.lock().unwrap().clear();
             let mut source = LoggedSource {
                 inner: Adversary::new(&bed.sys, &bed.map, uniform_load(0.08, 53)),
                 log: log.clone(),
@@ -651,46 +653,23 @@ fn each_round_is_pulled_after_every_step_of_the_round_before() {
             };
             let out = run.run(&proto, &mut source, Round(rounds));
             assert!(rounds == 0 || out.report.committed > 0, "{workers} workers");
-            let seen = log.lock().unwrap().clone();
-            let steps = seen.iter().filter(|e| matches!(e, Seen::Step(..))).count();
-            assert_eq!(
-                steps as u64,
-                8 * rounds,
-                "{workers} workers: one step per shard-round"
-            );
-            // Where each round's pull sits, and the span of its steps.
-            let at = |want: Seen| seen.iter().position(|&e| e == want);
-            let steps_of = |r: u64| {
-                let places = seen.iter().enumerate();
-                let mine =
-                    places.filter(move |(_, e)| matches!(e, Seen::Step(_, round) if *round == r));
-                mine.map(|(i, _)| i)
+            let seen = std::mem::take(&mut *log.lock().unwrap());
+            // Pull(r) before every step of r, every step of r before Pull(r + 1).
+            let order = |e: &Seen| match *e {
+                Seen::Pull(r) => (r, 0),
+                Seen::Step { round, .. } => (round, 1),
             };
-            for r in 0..rounds {
-                let pull = at(Seen::Pull(r)).expect("every round is pulled");
-                let first = steps_of(r).min().expect("every round steps");
-                assert!(
-                    pull < first,
-                    "{workers} workers: round {r} stepped before its pull"
-                );
-                if r > 0 {
-                    let last = steps_of(r - 1).max().expect("the round before stepped");
-                    assert!(
-                        last < pull,
-                        "{workers} workers: round {r} pulled before round {} finished",
-                        r - 1
-                    );
-                }
-            }
-            assert_eq!(
-                at(Seen::Pull(rounds)),
-                None,
-                "{workers} workers: a round too many"
-            );
-            let pulls = seen.iter().filter(|e| matches!(e, Seen::Pull(_))).count();
-            assert_eq!(
-                pulls as u64, rounds,
-                "{workers} workers: one pull per round"
+            assert!(seen.is_sorted_by_key(order), "{workers} workers: {seen:?}");
+            let (pulls, mut steps): (Vec<_>, Vec<_>) =
+                seen.into_iter().partition(|e| matches!(e, Seen::Pull(_)));
+            let each_round: Vec<_> = (0..rounds).map(Seen::Pull).collect();
+            assert_eq!(pulls, each_round, "{workers} workers: one pull per round");
+            steps.sort();
+            let every =
+                (0..rounds).flat_map(|round| (0..8).map(move |shard| Seen::Step { round, shard }));
+            assert!(
+                steps.into_iter().eq(every),
+                "{workers} workers: one step per shard-round"
             );
         }
     }
