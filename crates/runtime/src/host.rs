@@ -2,17 +2,17 @@
 //! transport, once for every protocol.
 //!
 //! [`NetRun::run`] steps the nodes `schedulers::node::Sim` steps, each
-//! shard one [`run_lockstep_closing`] slot: its node, what it lends it,
-//! its share of the fault plan, its [`NetHub`] endpoints and the round's
-//! decisions. A slot's round is [`step_shard`] over its drained inbox (a
-//! crashed shard still drains, so its mailbox stays bounded). Once every
-//! shard has stepped a round, the calling thread closes it as `Sim::step`
-//! does: it books the decisions in shard order into the same run book, a
-//! [`MetricsCollector`], closes the round over every node's sample, and
-//! pulls and injects the next round. With the hub's `(sender, sequence)`
-//! hand-out a report is byte-identical to the simulator's, floating-point
-//! means included, for any worker count. Nothing the host keeps grows
-//! with the run.
+//! shard one [`run_lockstep_closing`] slot: its node, what it lends it, its
+//! share of the fault plan, its [`NetHub`] endpoints, and the round's
+//! decisions and closing sample. A slot's round is [`step_shard`] over its
+//! drained inbox (a crashed shard still drains, so its mailbox stays
+//! bounded), then the node's sample. Once every shard has stepped a round,
+//! the calling thread closes it as `Sim::step` does: it books the decisions
+//! in shard order into the same run book, a [`MetricsCollector`], closes
+//! the round over the samples, and pulls and injects the next round. With
+//! the hub's `(sender, sequence)` hand-out a report is byte-identical to
+//! the simulator's, floating-point means included, for any worker count.
+//! Nothing the host keeps grows with the run.
 
 use crate::exec::run_lockstep_closing;
 use crate::hub::{NetEnvelope, NetHub, NetInbox, ShardPort};
@@ -73,6 +73,8 @@ struct Slot<'h, N: Node> {
     buf: Vec<NetEnvelope<N::Msg>>,
     /// The decisions of the round being run, in emission order.
     events: Vec<CommitEvent>,
+    /// The node's [`Node::sample`] after the round's step.
+    sample: [u64; 4],
 }
 
 /// Pulls round `round` from `source` into `book` and injects it at the
@@ -162,6 +164,7 @@ impl NetRun<'_> {
                     inbox: NetInbox::new(&hub, id),
                     buf: Vec::new(),
                     events: Vec::new(),
+                    sample: [0; 4],
                 })
             })
             .collect();
@@ -191,12 +194,13 @@ impl NetRun<'_> {
             };
             let (node, faults) = (&mut slot.node, Some(&mut slot.faults));
             step_shard(node, faults, round, inbox, lent, &mut seam);
+            slot.sample = slot.node.sample();
         };
         let close = |round, slots: &mut [MutexGuard<'_, Slot<'_, P::Node>>]| {
             for slot in slots.iter_mut() {
                 slot.events.drain(..).for_each(|event| book.book(event));
             }
-            let samples = slots.iter().map(|slot| slot.node.sample());
+            let samples = slots.iter().map(|slot| slot.sample);
             let shard_faults = faulty.then(|| slots.iter().map(|slot| slot.faults.sample(round)));
             book.close_round::<P>(&slots[0].node, samples, shard_faults);
             if round + 1 < total {

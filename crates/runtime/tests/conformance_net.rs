@@ -678,27 +678,39 @@ fn each_round_is_pulled_after_every_step_of_the_round_before() {
 #[test]
 fn a_run_of_zero_rounds_is_the_simulators_empty_report() {
     let bed = bed(8, 3, UniformMetric::new(8));
-    let sim = Sim::host(
-        &bds(SchedulerKind::Bds),
-        &bed.sys,
-        &bed.map,
-        bed.metric.as_ref(),
-    )
-    .finish();
-    for workers in [1, 3] {
-        let run = NetRun {
-            sys: &bed.sys,
-            map: &bed.map,
-            metric: bed.metric.as_ref(),
-            faults: &FaultPlan::default(),
-            workers,
-            metrics: false,
-        };
-        let mut source = Adversary::new(&bed.sys, &bed.map, uniform_load(0.3, 61));
-        let out = run.run(&bds(SchedulerKind::Bds), &mut source, Round(0));
-        assert_eq!(report_fingerprint(&out.report), report_fingerprint(&sim));
-        assert_eq!((out.report.rounds, out.report.generated), (0, 0));
-        assert!(out.report.queue_series.samples().is_empty());
-        assert!(out.committed_log.is_empty() && out.chains_verified);
+    for metrics in [false, true] {
+        let mut sim = Sim::host(
+            &bds(SchedulerKind::Bds),
+            &bed.sys,
+            &bed.map,
+            bed.metric.as_ref(),
+        );
+        if metrics {
+            sim.enable_metrics();
+        }
+        let sim = sim.finish();
+        assert_eq!(sim.metrics.is_some(), metrics);
+        for workers in [1, 3] {
+            let run = NetRun {
+                sys: &bed.sys,
+                map: &bed.map,
+                metric: bed.metric.as_ref(),
+                faults: &FaultPlan::default(),
+                workers,
+                metrics,
+            };
+            let mut source = Adversary::new(&bed.sys, &bed.map, uniform_load(0.3, 61));
+            let out = run.run(&bds(SchedulerKind::Bds), &mut source, Round(0));
+            let label = format!("{workers} workers, metrics {metrics}");
+            assert_eq!(
+                report_fingerprint(&out.report),
+                report_fingerprint(&sim),
+                "{label}"
+            );
+            assert_eq!(out.report.metrics, sim.metrics, "{label}: timeline");
+            assert_eq!((out.report.rounds, out.report.generated), (0, 0));
+            assert!(out.report.queue_series.samples().is_empty());
+            assert!(out.committed_log.is_empty() && out.chains_verified);
+        }
     }
 }

@@ -189,8 +189,9 @@ fn rows_without_job_index(csv: &str) -> Vec<String> {
 fn fds_behind_a_mempool_agrees_across_engines() {
     // Legal since both hosts take any protocol and any source: the
     // streaming producer and the mempool in front of FDS. Both engines
-    // drain the pipeline a round at a time; the CSV has no engine column, so the two rows must be the same bytes,
-    // ingestion counters included.
+    // drain the pipeline a round at a time; the CSV has no engine
+    // column, so the two rows must be the same bytes, ingestion
+    // counters included.
     let text = "name = fds-firehose\nscheduler = fds\nmetric = line\nshards = 8\n\
                 accounts = 4096\nk = 3\nplacement = round-robin\nrounds = 400\nrho = 0.1\n\
                 b = 4\nmempool = 8\nstream = zipf:0.6\noffered = 6\n[grid]\nengine = sim, net\n";
