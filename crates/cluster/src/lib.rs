@@ -6,12 +6,11 @@
 //! The inter-shard network is a weighted clique `G_s`: the weight of edge
 //! `(S_i, S_j)` is the number of rounds a message needs between the two
 //! shards. [`metric`] provides the standard shapes (uniform clique, line,
-//! ring, torus grid, and arbitrary explicit matrices); [`hierarchy`] builds
-//! the layered sparse cover — layers of clusters of geometrically growing
-//! diameter, each layer a small set of shifted partitions (sublayers), each
-//! cluster with a designated leader shard — and answers the *home cluster*
-//! query: the lowest-level cluster containing a transaction's whole
-//! `x`-neighborhood.
+//! ring, and Manhattan grid); [`hierarchy`] builds the layered sparse
+//! cover — layers of clusters of geometrically growing diameter, each
+//! layer a small set of shifted partitions (sublayers), each cluster with
+//! a designated leader shard — and answers the *home cluster* query: the
+//! lowest-level cluster containing a transaction's whole `x`-neighborhood.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,6 +19,4 @@ pub mod hierarchy;
 pub mod metric;
 
 pub use hierarchy::{Cluster, ClusterId, Hierarchy};
-pub use metric::{
-    ExplicitMetric, GridMetric, LineMetric, MetricKind, RingMetric, ShardMetric, UniformMetric,
-};
+pub use metric::{GridMetric, LineMetric, MetricKind, RingMetric, ShardMetric, UniformMetric};

@@ -8,8 +8,7 @@
 use sharding_core::ShardId;
 
 /// A metric on shard ids. Implementations must be symmetric, zero on the
-/// diagonal, and satisfy the triangle inequality (checked for
-/// [`ExplicitMetric`] at construction).
+/// diagonal, and satisfy the triangle inequality.
 pub trait ShardMetric: Send + Sync {
     /// Number of shards `s`.
     fn shards(&self) -> usize;
@@ -37,14 +36,6 @@ pub trait ShardMetric: Send + Sync {
             .filter(|&x| self.distance(center, x) <= q)
             .collect()
     }
-
-    /// Maximum distance from `home` to any shard in `set` (0 for empty).
-    fn eccentricity_to(&self, home: ShardId, set: &[ShardId]) -> u64 {
-        set.iter()
-            .map(|&x| self.distance(home, x))
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// A declarative name for one of the standard metric shapes, the
@@ -53,8 +44,7 @@ pub trait ShardMetric: Send + Sync {
 /// `MetricKind` is to [`ShardMetric`] what a config enum is to a trait
 /// object: parse it from text (`uniform`, `line`, `ring`, `grid:WxH`),
 /// then [`build`](MetricKind::build) the concrete metric for a given
-/// shard count. [`ExplicitMetric`] has no kind — arbitrary matrices
-/// cannot be named by a short string.
+/// shard count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
     /// [`UniformMetric`]: distance 1 between every pair of distinct shards.
@@ -254,51 +244,6 @@ impl ShardMetric for GridMetric {
     }
 }
 
-/// Arbitrary symmetric distance matrix.
-#[derive(Debug, Clone)]
-pub struct ExplicitMetric {
-    s: usize,
-    d: Vec<u64>,
-}
-
-impl ExplicitMetric {
-    /// Builds from a full `s × s` matrix (row-major). Panics unless the
-    /// matrix is symmetric, zero-diagonal, positive off-diagonal, and
-    /// satisfies the triangle inequality.
-    pub fn new(s: usize, matrix: Vec<u64>) -> Self {
-        assert_eq!(matrix.len(), s * s, "matrix must be s×s");
-        for i in 0..s {
-            assert_eq!(matrix[i * s + i], 0, "diagonal must be zero");
-            for j in 0..s {
-                assert_eq!(matrix[i * s + j], matrix[j * s + i], "must be symmetric");
-                if i != j {
-                    assert!(matrix[i * s + j] >= 1, "off-diagonal must be >= 1");
-                }
-            }
-        }
-        for i in 0..s {
-            for j in 0..s {
-                for k in 0..s {
-                    assert!(
-                        matrix[i * s + j] <= matrix[i * s + k] + matrix[k * s + j],
-                        "triangle inequality violated at ({i},{j},{k})"
-                    );
-                }
-            }
-        }
-        ExplicitMetric { s, d: matrix }
-    }
-}
-
-impl ShardMetric for ExplicitMetric {
-    fn shards(&self) -> usize {
-        self.s
-    }
-    fn distance(&self, a: ShardId, b: ShardId) -> u64 {
-        self.d[a.index() * self.s + b.index()]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,27 +321,6 @@ mod tests {
         let ids: Vec<u32> = n.iter().map(|s| s.raw()).collect();
         assert_eq!(ids, vec![2, 3, 4, 5, 6]);
         assert_eq!(m.neighborhood(ShardId(0), 0), vec![ShardId(0)]);
-    }
-
-    #[test]
-    fn explicit_metric_validates() {
-        let m = ExplicitMetric::new(3, vec![0, 1, 2, 1, 0, 1, 2, 1, 0]);
-        check_metric_axioms(&m);
-        assert_eq!(m.diameter(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "triangle")]
-    fn explicit_metric_rejects_triangle_violation() {
-        // d(0,2) = 5 > d(0,1) + d(1,2) = 2.
-        ExplicitMetric::new(3, vec![0, 1, 5, 1, 0, 1, 5, 1, 0]);
-    }
-
-    #[test]
-    fn eccentricity_to_set() {
-        let m = LineMetric::new(10);
-        assert_eq!(m.eccentricity_to(ShardId(0), &[ShardId(3), ShardId(7)]), 7);
-        assert_eq!(m.eccentricity_to(ShardId(0), &[]), 0);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The leader shard in Algorithm 1 (and each cluster leader in Algorithm 2)
 //! builds the conflict graph of the transactions it received. A naive
-//! all-pairs `conflicts_with` scan is `O(m²·k)`; instead we bucket accesses
-//! per account and connect transactions sharing an account with at least
-//! one writer, which is linear in the total access volume plus output size.
+//! all-pairs `conflicts_with` scan is `O(m²·k)`; instead we sort accesses
+//! by account and connect transactions sharing an account with at least
+//! one writer, which costs one sort of the accesses plus the output size.
 
 use sharding_core::txn::{AccessKind, Transaction};
 
@@ -25,16 +25,13 @@ impl ConflictGraph {
     /// Two transactions are adjacent iff they access a common account and at
     /// least one of the two writes it (Section 3 of the paper).
     ///
-    /// Account ids in this system are dense small integers (`0..accounts`),
-    /// so occurrences are grouped with a counting sort over flat arrays —
-    /// no per-account tree nodes, and bucket scans are contiguous. A
-    /// comparison sort backs it up for the (unexpected) sparse-id case so
-    /// a stray huge id cannot allocate a huge table.
+    /// Occurrences are grouped by sorting `(account, txn index, wrote?)`
+    /// entries, so any account id works and no table is sized by the id
+    /// space; within an account, entries stay in txn-index order.
     pub fn build(txns: &[Transaction]) -> Self {
         // Collapse each transaction's sorted access list into one
         // (account, txn index, wrote?) entry per touched account.
         let mut entries: Vec<(u64, u32, bool)> = Vec::new();
-        let mut max_id = 0u64;
         for (i, t) in txns.iter().enumerate() {
             let accesses = t.accesses();
             let mut iter = accesses.iter().peekable();
@@ -48,62 +45,24 @@ impl ConflictGraph {
                     wrote |= next.kind == AccessKind::Write;
                     iter.next();
                 }
-                max_id = max_id.max(acct.raw());
                 entries.push((acct.raw(), i as u32, wrote));
             }
         }
+        entries.sort_unstable();
 
-        // Group entries by account, ascending. Dense path: counting sort
-        // (stable, so per-account order stays txn-index order, exactly like
-        // the insertion order of the old per-account map).
-        let dense = (max_id as usize) < entries.len().saturating_mul(8) + 1024;
-        if dense {
-            let buckets = max_id as usize + 1;
-            let mut starts = vec![0u32; buckets + 1];
-            for &(a, _, _) in &entries {
-                starts[a as usize + 1] += 1;
-            }
-            for b in 0..buckets {
-                starts[b + 1] += starts[b];
-            }
-            let mut slots: Vec<(u32, bool)> = vec![(0, false); entries.len()];
-            let mut cursor = starts.clone();
-            for &(a, i, w) in &entries {
-                let c = &mut cursor[a as usize];
-                slots[*c as usize] = (i, w);
-                *c += 1;
-            }
-            let groups = (0..buckets)
-                .map(|b| &slots[starts[b] as usize..starts[b + 1] as usize])
-                .filter(|g| !g.is_empty());
-            Self::from_account_groups(txns.len(), groups)
-        } else {
-            entries.sort_unstable();
-            let groups: Vec<Vec<(u32, bool)>> = entries
-                .chunk_by(|x, y| x.0 == y.0)
-                .map(|chunk| chunk.iter().map(|&(_, i, w)| (i, w)).collect())
-                .collect();
-            Self::from_account_groups(txns.len(), groups.iter().map(Vec::as_slice))
-        }
-    }
-
-    /// Shared tail of [`ConflictGraph::build`]: turns per-account
-    /// occurrence groups (ascending account order, `(txn index, wrote?)`)
-    /// into the adjacency lists.
-    fn from_account_groups<'a>(n: usize, groups: impl Iterator<Item = &'a [(u32, bool)]>) -> Self {
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); txns.len()];
         let mut writers: Vec<u32> = Vec::new();
-        for occupants in groups {
-            // Writers conflict with everyone in the bucket; readers conflict
+        for occupants in entries.chunk_by(|x, y| x.0 == y.0) {
+            // Writers conflict with everyone on the account; readers conflict
             // only with writers.
             writers.clear();
-            writers.extend(occupants.iter().filter(|(_, w)| *w).map(|(i, _)| *i));
+            writers.extend(occupants.iter().filter(|e| e.2).map(|e| e.1));
             if writers.is_empty() {
                 continue;
             }
-            for &(i, wrote) in occupants {
+            for &(_, i, wrote) in occupants {
                 if wrote {
-                    for &(j, _) in occupants {
+                    for &(_, j, _) in occupants {
                         if j != i {
                             adj[i as usize].push(j);
                         }
@@ -287,10 +246,9 @@ mod tests {
     }
 
     #[test]
-    fn sparse_account_ids_take_the_sort_path_and_match() {
-        // A huge account space with a handful of accesses forces the
-        // comparison-sort fallback; the graph must match the pairwise
-        // predicate exactly like the dense path does.
+    fn sparse_account_ids_match_the_pairwise_predicate() {
+        // A huge account space with a handful of accesses: ids far apart
+        // group like neighbouring ones.
         let cfg = SystemConfig {
             shards: 4,
             accounts: 1_000_000,

@@ -9,7 +9,7 @@
 //! the same round-group.
 //!
 //! * [`graph::ConflictGraph`] — adjacency built in near-linear time by
-//!   bucketing accesses per account, instead of the quadratic all-pairs
+//!   sorting accesses by account, instead of the quadratic all-pairs
 //!   check.
 //! * [`coloring`] — the greedy coloring the paper's simulation uses
 //!   (≤ Δ+1 colors), DSATUR as a higher-quality alternative, and the

@@ -1,14 +1,14 @@
 //! Property tests for the conflict layer: every coloring strategy is
-//! *proper* on arbitrary batches, and [`ConflictGraph::build`]'s two
-//! grouping paths — the counting sort taken for dense account ids and
-//! the comparison-sort fallback for sparse ids — construct the same
-//! graph for the same access structure. The unit suites pin these on
-//! hand-picked shapes; the properties sweep random ones.
+//! *proper* on arbitrary batches, and [`ConflictGraph::build`] is the
+//! all-pairs [`Transaction::conflicts_with`] predicate, computed by one
+//! sort of the accesses, whatever the account ids: dense or sparse, read
+//! or written. The unit suites pin these on hand-picked shapes; the
+//! properties sweep random ones.
 
 use conflict::{color_transactions, ColoringStrategy, ConflictGraph};
 use proptest::prelude::*;
 use sharding_core::txn::TxnBuilder;
-use sharding_core::{AccountId, AccountMap, Round, SystemConfig, Transaction, TxnId};
+use sharding_core::{AccountId, AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
 use std::collections::BTreeSet;
 
 /// Deterministic splitmix-style stream for building batches from a seed.
@@ -51,10 +51,41 @@ fn random_batch(
         .collect()
 }
 
-fn dense_map() -> AccountMap {
+/// `n` transactions, each making 1..=4 accesses to ids drawn from
+/// `spread` ids spaced `accounts / spread` apart, every access a read or a
+/// write at random (an account may be both read and written by one
+/// transaction).
+fn mixed_batch(
+    n: usize,
+    seed: u64,
+    map: &AccountMap,
+    accounts: u64,
+    spread: u64,
+) -> Vec<Transaction> {
+    let mut next = stream(seed);
+    let spread = spread.clamp(1, accounts);
+    (0..n)
+        .map(|i| {
+            let mut b = TxnBuilder::new(TxnId(i as u64), ShardId(0), Round(0), map);
+            for _ in 0..1 + next() % 4 {
+                let a = AccountId((next() % spread) * (accounts / spread).max(1));
+                b = if next() & 1 == 0 {
+                    b.check(a, 0)
+                } else {
+                    b.update(a, 1)
+                };
+            }
+            b.build().expect("every id is below `accounts`")
+        })
+        .collect()
+}
+
+/// Round-robin placement of `accounts` ids over eight shards: 24 is
+/// dense, 200 000 sparse for batches that touch a few dozen ids.
+fn map_over(accounts: usize) -> AccountMap {
     let cfg = SystemConfig {
         shards: 8,
-        accounts: 24,
+        accounts,
         k_max: 3,
         nodes_per_shard: 4,
         faulty_per_shard: 1,
@@ -73,7 +104,7 @@ proptest! {
         seed in any::<u64>(),
         threshold in 1usize..4,
     ) {
-        let map = dense_map();
+        let map = map_over(24);
         let batch = random_batch(n, seed, &map, 24, 8);
         let graph = ConflictGraph::build(&batch);
         for strategy in [
@@ -92,24 +123,15 @@ proptest! {
         }
     }
 
-    /// The counting-sort (dense-id) and comparison-sort (sparse-id)
-    /// grouping paths of `ConflictGraph::build` agree: the same access
-    /// structure, re-homed onto a huge sparse account space, yields an
-    /// isomorphic graph (identical adjacency over transaction indices).
+    /// `ConflictGraph::build` is invariant under relabelling accounts:
+    /// the same access structure, re-homed onto a huge sparse account
+    /// space, yields an identical adjacency over transaction indices.
     #[test]
     fn dense_and_sparse_build_paths_agree(
         n in 1usize..20,
         seed in any::<u64>(),
     ) {
-        let dense = dense_map();
-        let sparse_cfg = SystemConfig {
-            shards: 8,
-            accounts: 200_000,
-            k_max: 3,
-            nodes_per_shard: 4,
-            faulty_per_shard: 1,
-        };
-        let sparse = AccountMap::round_robin(&sparse_cfg);
+        let (dense, sparse) = (map_over(24), map_over(200_000));
         // Same draw sequence over both spaces: account j in the dense
         // batch maps to a widely-spaced id in the sparse one, preserving
         // equality structure (and thus the conflict relation) exactly.
@@ -132,21 +154,47 @@ proptest! {
         }
     }
 
-    /// Coloring the sparse-path graph is still proper — the fallback
-    /// path feeds the same downstream pipeline.
+    /// The graph has an edge exactly where the all-pairs predicate says
+    /// two transactions conflict — reads and writes mixed, over dense
+    /// and sparse ids — and no self-loop.
+    #[test]
+    fn build_matches_the_pairwise_predicate(
+        n in 1usize..24,
+        seed in any::<u64>(),
+        sparse in any::<bool>(),
+        spread in 1u64..24,
+    ) {
+        let accounts = if sparse { 200_000 } else { 24 };
+        let map = map_over(accounts);
+        let batch = mixed_batch(n, seed, &map, accounts as u64, spread);
+        let graph = ConflictGraph::build(&batch);
+        prop_assert_eq!(graph.len(), batch.len());
+        let mut pairs = 0;
+        for i in 0..batch.len() {
+            prop_assert!(!graph.are_adjacent(i, i), "self-loop at {}", i);
+            for j in 0..batch.len() {
+                if i == j {
+                    continue;
+                }
+                let conflict = batch[i].conflicts_with(&batch[j]);
+                prop_assert_eq!(
+                    graph.are_adjacent(i, j),
+                    conflict,
+                    "pair ({}, {}) on n={} seed={} sparse={}", i, j, n, seed, sparse
+                );
+                pairs += usize::from(conflict && i < j);
+            }
+        }
+        prop_assert_eq!(graph.edge_count(), pairs);
+    }
+
+    /// Greedy coloring over sparse ids is proper against the graph.
     #[test]
     fn sparse_path_batches_color_properly(
         n in 1usize..20,
         seed in any::<u64>(),
     ) {
-        let cfg = SystemConfig {
-            shards: 8,
-            accounts: 200_000,
-            k_max: 3,
-            nodes_per_shard: 4,
-            faulty_per_shard: 1,
-        };
-        let map = AccountMap::round_robin(&cfg);
+        let map = map_over(200_000);
         let batch = random_batch(n, seed, &map, 200_000, 16);
         let graph = ConflictGraph::build(&batch);
         let coloring = color_transactions(ColoringStrategy::Greedy, &batch);

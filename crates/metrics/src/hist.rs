@@ -52,9 +52,8 @@ pub(crate) fn bucket_upper(idx: usize) -> u64 {
 
 /// Log-scale latency histogram with `u64` counts.
 ///
-/// Merging is element-wise addition, so it is associative and commutative
-/// and involves no floats — parallel shards can be merged in any grouping
-/// and the quantiles come out byte-identical.
+/// Recording is integer addition into a fixed bucket and involves no
+/// floats, so the same observations give byte-identical quantiles.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHist {
     counts: Vec<u64>,
@@ -87,23 +86,14 @@ impl LatencyHist {
         self.record_n(v, 1);
     }
 
-    /// Records `n` identical observations at once — bulk ingestion for
-    /// replay paths and for exercising near-`u64::MAX` totals in tests
-    /// without `u64::MAX` loop iterations.
+    /// Records `n` identical observations at once, so tests can reach
+    /// near-`u64::MAX` totals without `u64::MAX` loop iterations.
     pub(crate) fn record_n(&mut self, v: u64, n: u64) {
         self.counts[bucket_index(v)] += n;
         self.total = self
             .total
             .checked_add(n)
             .expect("latency histogram total overflowed u64");
-    }
-
-    /// Element-wise merge of another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHist) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
     }
 
     /// Total observations recorded.

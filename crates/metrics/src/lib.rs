@@ -1,10 +1,9 @@
 //! Deterministic observability plane for the blockshard engines.
 //!
-//! Everything in this crate is integer-only on the record/merge path so
-//! that metrics output is byte-identical across worker-thread counts and
+//! Everything in this crate is integer-only on the record path so that
+//! metrics output is byte-identical across worker-thread counts and
 //! across the `sim`/`net` engines: histograms count `u64` latencies into
-//! fixed log-scale buckets (merge = element-wise addition, trivially
-//! associative and commutative), quantiles resolve to exact bucket upper
+//! fixed log-scale buckets, quantiles resolve to exact bucket upper
 //! bounds, and the per-epoch timeline carries raw sums/maxima rather than
 //! averages. The only floats appear at the very edge, when a report
 //! formats `util_min_shard` for humans.

@@ -55,7 +55,7 @@ impl std::str::FromStr for MetricsMode {
 }
 
 /// One closed epoch of the timeline: raw integer sums and maxima only, so
-/// the bytes cannot depend on merge order or float accumulation.
+/// the bytes cannot depend on float accumulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EpochRow {
     /// Epoch number (BDS epoch, FDS layer-0 epoch, 0 for FCFS).

@@ -128,8 +128,8 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// The executor must produce the exact thread-per-shard schedule:
-    /// every (shard, round) once, rounds in order, never ahead of the
-    /// slowest peer by more than the slack the gate allows.
+    /// every (shard, round) once, rounds in order, and no round before
+    /// every shard has stepped the one before.
     #[test]
     fn runs_every_round_in_lockstep() {
         const SHARDS: usize = 8;

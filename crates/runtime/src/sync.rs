@@ -1,25 +1,24 @@
 //! Round synchronization for the shard threads: a watermark gate that
 //! replaces `std::sync::Barrier`.
 //!
-//! The drivers' only ordering requirement is *"every send of round `r-1`
-//! is visible before round `r` is drained"*. A classic barrier enforces
-//! something much stronger — no thread may even **start** round `r`
-//! until all have finished `r-1` — and pays for it with a futex sleep +
-//! wake per thread per round, which profiling showed dominates the
-//! net-engine round cost on small machines (the 16-thread fixture spent
-//! ~75% of its time parking and unparking).
+//! The drivers' ordering requirement is *"every send of round `r-1` is
+//! visible before round `r` is drained"*. A classic barrier meets it with
+//! a futex sleep + wake per thread per round, which profiling showed
+//! dominates the net-engine round cost on small machines (the 16-thread
+//! fixture spent ~75% of its time parking and unparking).
 //!
-//! [`RoundGate`] keeps only the requirement. Each shard owns a
-//! cache-padded watermark `wm[i]` = "rounds shard `i` has completed". To
-//! drain round `r` a thread waits until **all** watermarks reach `r`
-//! (every peer finished `r-1`); after finishing its own round `r` it
-//! stores `r+1` with `Release`. Two consequences:
+//! [`RoundGate`] keeps the barrier's order without the sleep. Each shard
+//! owns a cache-padded watermark `wm[i]` = "rounds shard `i` has
+//! completed". To drain round `r` a thread waits until **all** watermarks
+//! reach `r` (every peer finished `r-1`); after finishing its own round
+//! `r` it stores `r+1` with `Release`. Two consequences:
 //!
-//! * **Slack**: the last thread to finish round `r-1` releases every
-//!   waiter at once, and a released thread may run its round `r` *and*
-//!   begin round `r+1`'s sends before slower peers wake — up to one full
-//!   round of drift. The message plane is indifferent: early sends are
-//!   parked in the inbox wheel until their delivery round.
+//! * **Order**: the last thread to finish round `r-1`
+//!   releases every waiter at once, so no thread starts round `r` before
+//!   every peer finished `r-1`. The executor
+//!   ([`run_lockstep_closing`](crate::run_lockstep_closing)) completes
+//!   worker 0's watermarks only after it has closed the round, so no
+//!   shard steps `r+1` before round `r` is closed either.
 //! * **Visibility**: the `Release` store on `wm[i]` happens after all of
 //!   shard `i`'s round-`r-1` sends, each of which raised its mailbox's
 //!   has-mail flag after its push; the drainer's `Acquire` load therefore

@@ -55,7 +55,7 @@
 
 use crate::metrics::{RunReport, SchedulerKind};
 use crate::node::{CommitEvent, Lent, Node, Protocol, Seam, Sim};
-use crate::scheduler::{ColoringPolicy, EpochPlan, Scheduler};
+use crate::scheduler::{ColoringPolicy, Scheduler};
 use crate::votes::VoteSet;
 use ::metrics::RoundRow;
 use adversary::AdversaryConfig;
@@ -175,13 +175,6 @@ struct LeaderState {
     incoming: Vec<Transaction>,
     /// Scheduled but not yet confirmed transactions.
     sch_ldr: BTreeMap<TxnId, LeaderEntry>,
-    /// Sorted txn ids of the batch behind `last_plan`.
-    last_ids: Vec<TxnId>,
-    /// Cached epoch plan of `last_ids`: a rescheduling epoch with no new
-    /// arrivals and no confirms recolors exactly the same batch, and the
-    /// plan is a pure function of it — reuse instead of re-deriving
-    /// the conflict structure.
-    last_plan: Option<EpochPlan>,
 }
 
 /// Schedule-queue state of one destination shard.
@@ -388,18 +381,7 @@ impl FdsNode {
         targets.sort_by_key(|t| t.id);
         targets.dedup_by_key(|t| t.id);
 
-        // The coloring is a pure function of the (sorted) batch; a
-        // rescheduling epoch with no arrivals and no confirms since the
-        // last coloring reuses the cached result.
-        let unchanged = st.last_plan.is_some()
-            && st.last_ids.len() == targets.len()
-            && st.last_ids.iter().zip(&targets).all(|(id, t)| *id == t.id);
-        if !unchanged {
-            st.last_ids.clear();
-            st.last_ids.extend(targets.iter().map(|t| t.id));
-            st.last_plan = Some(policy.plan_epoch(t_end, &targets));
-        }
-        let plan = st.last_plan.as_ref().expect("planned above");
+        let plan = policy.plan_epoch(t_end, &targets);
         for (v, t) in targets.iter().enumerate() {
             let height = Height {
                 t_end,

@@ -4,7 +4,7 @@
 use crate::node::{CommitEvent, Protocol, ShardFaults};
 use ::metrics::{MetricsRecorder, MetricsReport, RoundRow};
 use serde::{Deserialize, Serialize};
-use sharding_core::stats::{RunningStats, StabilityDetector, StabilityVerdict, TimeSeries};
+use sharding_core::stats::{StabilityDetector, StabilityVerdict, TimeSeries};
 use sharding_core::{Round, TxnId};
 use simnet::{FaultCounters, SendTally};
 
@@ -221,7 +221,8 @@ pub struct MetricsCollector {
     shards: usize,
     queue_series: TimeSeries,
     total_pending_max: u64,
-    latency: RunningStats,
+    /// Running mean of committed latencies, over `committed` commits.
+    latency_mean: f64,
     max_latency: u64,
     committed: u64,
     aborted: u64,
@@ -245,7 +246,7 @@ impl MetricsCollector {
             shards,
             queue_series: TimeSeries::new(),
             total_pending_max: 0,
-            latency: RunningStats::new(),
+            latency_mean: 0.0,
             max_latency: 0,
             committed: 0,
             aborted: 0,
@@ -271,9 +272,9 @@ impl MetricsCollector {
     pub fn book(&mut self, event: CommitEvent) {
         if event.committed {
             let lat = event.commit_round.since(event.generated);
-            self.latency.push(lat as f64);
-            self.max_latency = self.max_latency.max(lat);
             self.committed += 1;
+            self.latency_mean += (lat as f64 - self.latency_mean) / self.committed as f64;
+            self.max_latency = self.max_latency.max(lat);
             self.log.push((event.commit_round, event.txn));
             if let Some(detail) = &mut self.detail {
                 detail.on_commit(event.home.index(), lat);
@@ -355,7 +356,7 @@ impl MetricsCollector {
             pending_at_end: self.pending,
             avg_queue_per_shard: self.queue_series.mean(),
             max_total_pending: self.total_pending_max,
-            avg_latency: self.latency.mean(),
+            avg_latency: self.latency_mean,
             max_latency: self.max_latency,
             epochs,
             max_epoch_len,

@@ -310,6 +310,8 @@ impl Scheduler for SpeculativePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::ColoringPolicy;
+    use conflict::ColoringStrategy;
     use sharding_core::{AccountMap, Round, ShardId, SystemConfig, TxnId};
 
     fn setup() -> (SystemConfig, AccountMap) {
@@ -502,9 +504,22 @@ mod tests {
 
     #[test]
     fn policies_are_pure_functions_of_the_batch() {
-        let (_, map) = setup();
+        let (sys, map) = setup();
         let batch = contended(&map, 6);
-        for mut p in zoo() {
+        // The coloring policies too: an FDS leader replans its whole batch
+        // at every rescheduling epoch, so a plan may depend on nothing else.
+        let coloring = |kind, strategy| -> Box<dyn Scheduler> {
+            Box::new(ColoringPolicy::new(kind, strategy, sys.accounts))
+        };
+        let colorings = [
+            coloring(SchedulerKind::Bds, ColoringStrategy::Greedy),
+            coloring(SchedulerKind::Fds, ColoringStrategy::Dsatur),
+            coloring(
+                SchedulerKind::Fds,
+                ColoringStrategy::HeavyLight { threshold: 2 },
+            ),
+        ];
+        for mut p in zoo().into_iter().chain(colorings) {
             let a = p.plan_epoch(0, &batch);
             let _noise = p.plan_epoch(1, &independent(&map, 5));
             let b = p.plan_epoch(2, &batch);

@@ -17,9 +17,8 @@
 //! * [`bounds`] — closed-form calculators for every bound proved in the
 //!   paper (Theorems 1–3, Lemmas 1–3), used by the experiment harness to
 //!   compare measured values against the paper's guarantees.
-//! * [`stats`] — running statistics, time series, and the
-//!   queue-growth stability detector used to classify runs as
-//!   stable/unstable.
+//! * [`stats`] — the per-round time series and the queue-growth
+//!   stability detector used to classify runs as stable/unstable.
 //! * [`rngutil`] — deterministic seeding helpers (ChaCha12), so that every
 //!   simulation is a pure function of `(config, seed)`.
 //!

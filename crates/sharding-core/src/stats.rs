@@ -1,66 +1,13 @@
-//! Measurement utilities: running statistics, time series, and the
-//! queue-growth stability detector used to classify runs.
+//! Measurement utilities: the per-round time series and the queue-growth
+//! stability detector used to classify runs.
 //!
 //! The paper's evaluation reports *average pending-queue size* and *average
 //! transaction latency* (Figures 2–3) and its theory distinguishes *stable*
 //! (bounded queues) from *unstable* executions. This module provides the
-//! corresponding measurement machinery, deliberately free of any scheduler
-//! knowledge.
+//! queue side of that machinery, deliberately free of any scheduler
+//! knowledge; the run book keeps the latency mean itself.
 
 use serde::{Deserialize, Serialize};
-
-/// Numerically stable running mean/min/max (Welford's mean update).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            count: 0,
-            mean: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        self.mean += (x - self.mean) / self.count as f64;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Minimum observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
 
 /// A per-round sampled series, e.g. total pending queue length each round.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -84,16 +31,6 @@ impl TimeSeries {
         &self.samples
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// Mean of all samples.
     pub fn mean(&self) -> f64 {
         if self.samples.is_empty() {
@@ -101,14 +38,6 @@ impl TimeSeries {
         } else {
             self.samples.iter().sum::<f64>() / self.samples.len() as f64
         }
-    }
-
-    /// Maximum sample.
-    pub fn max(&self) -> f64 {
-        self.samples
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Least-squares slope of the series against its index (units per
@@ -202,25 +131,6 @@ impl StabilityDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn running_stats_basics() {
-        let mut s = RunningStats::new();
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 4);
-        assert!((s.mean() - 2.5).abs() < 1e-12);
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.max(), Some(4.0));
-    }
-
-    #[test]
-    fn running_stats_empty() {
-        let s = RunningStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), None);
-    }
 
     #[test]
     fn slope_of_linear_series() {
