@@ -1,18 +1,17 @@
 //! The threaded host of a [`Protocol`]: what is genuinely about the
 //! transport, once for every protocol.
 //!
-//! [`NetRun::run`] steps the nodes `schedulers::node::Sim` steps, each
-//! shard one [`run_lockstep_closing`] slot: its node, what it lends it, its
-//! share of the fault plan, its [`NetHub`] endpoints, and the round's
-//! decisions and closing sample. A slot's round is [`step_shard`] over its
-//! drained inbox (a crashed shard still drains, so its mailbox stays
-//! bounded), then the node's sample. Once every shard has stepped a round,
-//! the calling thread closes it as `Sim::step` does: it books the decisions
-//! in shard order into the same run book, a [`MetricsCollector`], closes
-//! the round over the samples, and pulls and injects the next round. With
-//! the hub's `(sender, sequence)` hand-out a report is byte-identical to
-//! the simulator's, floating-point means included, for any worker count.
-//! Nothing the host keeps grows with the run.
+//! [`NetRun::run`] builds the [`Shard`]s `schedulers::node::Sim` builds,
+//! with [`Shard::all`], and makes each one [`run_lockstep_closing`] slot
+//! with its chain, policy, [`NetHub`] endpoints and the round's
+//! decisions. A slot's round is [`Shard::step`] over its drained inbox (a
+//! crashed shard still drains, so its mailbox stays bounded). Once every
+//! shard has stepped a round, the calling thread closes it as `Sim::step`
+//! does: it books the decisions in shard order into a [`MetricsCollector`],
+//! closes the round over the shards, and pulls and injects the next
+//! round. With the hub's `(sender, sequence)` hand-out a report is
+//! byte-identical to the simulator's for any worker count. Nothing the
+//! host keeps grows with the run.
 
 use crate::exec::run_lockstep_closing;
 use crate::hub::{NetEnvelope, NetHub, NetInbox, ShardPort};
@@ -21,11 +20,11 @@ use adversary::RoundSource;
 use cluster::ShardMetric;
 use parking_lot::{Mutex, MutexGuard};
 use schedulers::metrics::{MetricsCollector, RunReport};
-use schedulers::node::{step_shard, CommitEvent, Lent, Node, Protocol, Seam, ShardFaults};
+use schedulers::node::{CommitEvent, Node, Protocol, Shard};
 use schedulers::scheduler::Scheduler;
 use sharding_core::{AccountMap, Round, ShardId, SystemConfig, TxnId};
 use simnet::faults::FaultPlan;
-use simnet::{LocalChain, ShardLedger};
+use simnet::LocalChain;
 
 /// The result of a networked run: the standard report plus the raw
 /// commit log for round-for-round cross-validation.
@@ -42,30 +41,10 @@ pub struct NetOutcome {
     pub chains: Vec<LocalChain>,
 }
 
-/// A node's [`Seam`] onto the hub: sends leave through the shard's port
-/// (where the link's fault stream may drop or duplicate them), decisions
-/// wait in the slot for the round's close.
-struct NetSeam<'a, 'h, M> {
-    port: &'a mut ShardPort<'h, M>,
-    round: u64,
-    events: &'a mut Vec<CommitEvent>,
-}
-
-impl<M: Clone> Seam<M> for NetSeam<'_, '_, M> {
-    fn send(&mut self, to: ShardId, msg: M) {
-        self.port.send(to, self.round, msg);
-    }
-    fn emit(&mut self, event: CommitEvent) {
-        self.events.push(event);
-    }
-}
-
 /// One shard of a networked run.
 struct Slot<'h, N: Node> {
-    node: N,
+    shard: Shard<N>,
     chain: LocalChain,
-    ledger: ShardLedger,
-    faults: ShardFaults,
     policy: Box<dyn Scheduler>,
     port: ShardPort<'h, N::Msg>,
     inbox: NetInbox<N::Msg>,
@@ -73,8 +52,6 @@ struct Slot<'h, N: Node> {
     buf: Vec<NetEnvelope<N::Msg>>,
     /// The decisions of the round being run, in emission order.
     events: Vec<CommitEvent>,
-    /// The node's [`Node::sample`] after the round's step.
-    sample: [u64; 4],
 }
 
 /// Pulls round `round` from `source` into `book` and injects it at the
@@ -89,7 +66,7 @@ fn inject<N: Node>(
     let batch = source.next_round(Round(round));
     book.book_generated(batch.len() as u64);
     for t in batch {
-        slots[t.home.index()].node.inject(t);
+        slots[t.home.index()].shard.node.inject(t);
     }
 }
 
@@ -132,17 +109,8 @@ impl NetRun<'_> {
         P::Node: Send,
         <P::Node as Node>::Msg: Send,
     {
-        let NetRun {
-            sys,
-            map,
-            metric,
-            faults,
-            ..
-        } = *self;
-        sys.validate().expect("valid system config");
-        assert_eq!(metric.shards(), sys.shards);
-        faults.validate(sys.shards).expect("valid fault plan");
-        let (total, faulty) = (rounds.raw(), !faults.is_inert());
+        let (sys, metric, plan, total) = (self.sys, self.metric, self.faults, rounds.raw());
+        let (shards, faults) = Shard::all(proto, sys, self.map, metric, plan);
 
         let mut book = MetricsCollector::new(sys.shards);
         if self.metrics {
@@ -151,27 +119,21 @@ impl NetRun<'_> {
         let hub = NetHub::new(metric, <P::Node as Node>::msg_bytes)
             .expect("validated: at least one shard");
         let gate = RoundGate::new(sys.shards);
-        let slots: Vec<Mutex<Slot<'_, P::Node>>> = (0u32..sys.shards as u32)
+        let slots: Vec<Mutex<Slot<'_, P::Node>>> = (0u32..)
             .map(ShardId)
-            .map(|id| {
+            .zip(shards)
+            .map(|(id, shard)| {
                 Mutex::new(Slot {
-                    node: proto.node(id, metric),
+                    shard,
                     chain: LocalChain::new(id),
-                    ledger: ShardLedger::new(id, map, proto.initial_balance()),
-                    faults: ShardFaults::new(faults, id, sys.faulty_per_shard),
                     policy: proto.policy(sys),
-                    port: ShardPort::new(&hub, id, faults),
+                    port: ShardPort::new(&hub, id, plan),
                     inbox: NetInbox::new(&hub, id),
                     buf: Vec::new(),
                     events: Vec::new(),
-                    sample: [0; 4],
                 })
             })
             .collect();
-        assert!(
-            !faulty || !P::fault_free_only(&slots[0].lock().node),
-            "this protocol description requires a fault-free run"
-        );
         if total > 0 {
             let mut all: Vec<_> = slots.iter().map(Mutex::lock).collect();
             inject(source, 0, &mut book, &mut all);
@@ -182,27 +144,15 @@ impl NetRun<'_> {
             // sends; the drain then sees all of them.
             slot.inbox.drain_into(round, &mut slot.buf);
             let inbox = slot.buf.drain(..).map(|env| (env.from, env.payload));
-            let lent = Lent {
-                ledger: &mut slot.ledger,
-                chain: &mut slot.chain,
-                policy: slot.policy.as_mut(),
-            };
-            let mut seam = NetSeam {
-                port: &mut slot.port,
-                round,
-                events: &mut slot.events,
-            };
-            let (node, faults) = (&mut slot.node, Some(&mut slot.faults));
-            step_shard(node, faults, round, inbox, lent, &mut seam);
-            slot.sample = slot.node.sample();
+            let send = |to, msg| slot.port.send(to, round, msg);
+            let emit = |event| slot.events.push(event);
+            let (shard, chain, policy) = (&mut slot.shard, &mut slot.chain, slot.policy.as_mut());
+            shard.step(round, &faults, inbox, chain, policy, (send, emit));
         };
         let close = |round, slots: &mut [MutexGuard<'_, Slot<'_, P::Node>>]| {
-            for slot in slots.iter_mut() {
-                slot.events.drain(..).for_each(|event| book.book(event));
-            }
-            let samples = slots.iter().map(|slot| slot.sample);
-            let shard_faults = faulty.then(|| slots.iter().map(|slot| slot.faults.sample(round)));
-            book.close_round::<P>(&slots[0].node, samples, shard_faults);
+            let events = slots.iter_mut().flat_map(|slot| slot.events.drain(..));
+            events.for_each(|event| book.book(event));
+            book.close_shards::<P>(slots.iter().map(|slot| &slot.shard), &faults);
             if round + 1 < total {
                 inject(source, round + 1, &mut book, slots);
             }
@@ -212,14 +162,15 @@ impl NetRun<'_> {
         // The report carries the policy's kind, as the simulator's does.
         let kind = slots[0].lock().policy.kind();
         // Consuming a slot drops its port, flushing the shard's local
-        // message tallies into the hub before the counters are read below.
-        let (nodes, (chains, shard_faults)): (Vec<_>, (Vec<_>, Vec<_>)) = slots
+        // message tallies into the hub before the counters are read, and
+        // frees its message buffers before the report is built.
+        let (shards, chains): (Vec<_>, Vec<_>) = slots
             .into_iter()
             .map(Mutex::into_inner)
-            .map(|slot| (slot.node, (slot.chain, slot.faults)))
+            .map(|slot| (slot.shard, slot.chain))
             .unzip();
-        let epochs = P::epochs(nodes.iter(), total);
-        let (report, committed_log) = book.finish(kind, epochs, hub.tally(), shard_faults.iter());
+        let (links, shards) = (hub.tally(), shards.iter());
+        let (report, committed_log) = book.finish_shards::<P>(kind, shards, links, &faults);
         NetOutcome {
             report,
             committed_log,

@@ -16,14 +16,13 @@
 //! [`NetRun`] says where and how a run executes (system, placement,
 //! metric, fault plan, worker count, metrics plane), and
 //! [`NetRun::run`] takes any protocol description and any
-//! [`adversary::RoundSource`]. One slot per shard holds the node and
-//! what it is lent, the shard's [`hub::NetHub`] endpoints, and the
-//! decisions it took this round; a worker steps the slots of its range in
-//! shard order, round by round, through the same per-shard step as the
-//! simulator (`schedulers::node::step_shard`), and after each round the
-//! calling thread closes it as the simulator does: it books the round's
-//! decisions in `(shard, emission index)` order, closes the round over
-//! the nodes' samples, and pulls and injects the next round. What this
+//! [`adversary::RoundSource`]. One slot per shard holds the simulator's
+//! `schedulers::node::Shard`, its chain and policy, its [`hub::NetHub`]
+//! endpoints and this round's decisions; a worker steps the slots of its
+//! range in shard order through the same `Shard::step` as the simulator,
+//! and after each round the calling thread closes it as the simulator
+//! does: it books the decisions in `(shard, emission index)` order, closes
+//! the round over the shards, and pulls and injects the next round. What this
 //! crate adds is what is genuinely about the transport — delivery pinned
 //! by per-sender sequence numbers and the round gate — so a networked
 //! run produces a `RunReport` **byte-identical** to the
@@ -34,9 +33,10 @@
 //! protocol description the workspace has, with and without faults.
 //!
 //! The [`simnet::FaultPlan`] fault plane is the same on both engines:
-//! shard crashes and Byzantine quotas in `schedulers::node::ShardFaults`,
-//! per-link drops and duplicates in each sender's [`simnet::Outbound`] —
-//! deterministic in the plan seed, independent of thread interleaving.
+//! shard crashes and Byzantine quotas in the run's
+//! `schedulers::node::RunFaults`, per-link drops and duplicates in each
+//! sender's [`simnet::Outbound`] — deterministic in the plan seed,
+//! independent of thread interleaving.
 //!
 //! The message plane is one mailbox per destination shard — a mutexed
 //! `Vec` and a has-mail flag the sender raises after its push — and

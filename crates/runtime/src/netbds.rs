@@ -1,7 +1,7 @@
 //! The three positional spellings of a networked run that `benchmark/`
 //! calls. Each is one [`NetRun::run`] over a [`BdsProtocol`] or
 //! [`FdsProtocol`] description; new code builds the [`NetRun`] itself.
-//! They go when the benchmark crate switches over (ROADMAP item 8).
+//! They go when the benchmark crate switches over (ROADMAP item 10).
 
 use crate::exec::default_workers;
 use crate::host::{NetOutcome, NetRun};

@@ -96,8 +96,7 @@ where
     S: RoundSource,
 {
     let (sys, map, metric) = (&bed.sys, &bed.map, bed.metric.as_ref());
-    let mut sim = Sim::host(proto, sys, map, metric);
-    sim.set_faults(faults);
+    let mut sim = Sim::host(proto, sys, map, metric, faults);
     sim.enable_metrics();
     let mut src = source();
     for r in 0..rounds {
@@ -684,6 +683,7 @@ fn a_run_of_zero_rounds_is_the_simulators_empty_report() {
             &bed.sys,
             &bed.map,
             bed.metric.as_ref(),
+            &FaultPlan::default(),
         );
         if metrics {
             sim.enable_metrics();

@@ -126,8 +126,7 @@ where
 {
     match spec.engine {
         EngineKind::Sim => {
-            let mut sim = Sim::host(proto, sys, map, metric);
-            sim.set_faults(&spec.faults);
+            let mut sim = Sim::host(proto, sys, map, metric, &spec.faults);
             if spec.metrics.enabled() {
                 sim.enable_metrics();
             }

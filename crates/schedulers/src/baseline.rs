@@ -14,7 +14,7 @@ use crate::node::CommitEvent;
 use ::metrics::RoundRow;
 use adversary::AdversaryConfig;
 use sharding_core::{AccountMap, Round, SystemConfig, Transaction, TxnId};
-use simnet::SendTally;
+use simnet::{FaultCounters, SendTally};
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
@@ -116,7 +116,7 @@ impl FcfsSim {
     pub fn finish(self) -> RunReport {
         let (kind, links) = (SchedulerKind::Fcfs, SendTally::default());
         self.collector
-            .finish(kind, (0, 0), links, std::iter::empty())
+            .finish(kind, (0, 0), links, FaultCounters::default())
             .0
     }
 }

@@ -48,7 +48,7 @@ use sharding_core::txn::SubTransaction;
 use sharding_core::{
     AccountId, AccountMap, ReshardPlan, Round, ShardId, SystemConfig, Transaction, TxnId,
 };
-use simnet::ShardLedger;
+use simnet::{FaultPlan, ShardLedger};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -703,9 +703,9 @@ impl Protocol for BdsProtocol {
 /// Drive it with [`Sim::step`] once per round.
 pub type BdsSim = Sim<BdsProtocol>;
 
-// Boxed by the benchmark, whose `peak_live_mb` is held to the byte: the
-// fault plane took the place of two `Vec`s' capacity words.
-const _: () = assert!(std::mem::size_of::<BdsSim>() <= 360);
+// Boxed by the benchmark, whose `peak_live_mb` is held to the byte; the
+// ledgers and samples live in the shards, the fault plan in one `RunFaults`.
+const _: () = assert!(std::mem::size_of::<BdsSim>() <= 304);
 
 impl BdsSim {
     /// Creates a BDS simulation over the uniform metric.
@@ -722,7 +722,7 @@ impl BdsSim {
         metric: &dyn ShardMetric,
     ) -> Self {
         let proto = BdsProtocol::new(bcfg, SchedulerKind::Bds);
-        Sim::host(&proto, sys, map, metric)
+        Sim::host(&proto, sys, map, metric, &FaultPlan::default())
     }
 }
 
@@ -1368,14 +1368,14 @@ mod tests {
     fn leader_rotates_each_epoch() {
         let (sys, map) = small_sys();
         let mut sim = BdsSim::new(&sys, &map, BdsConfig::default());
-        assert_eq!(sim.nodes[0].leader(), ShardId(0));
+        assert_eq!(sim.shards[0].node.leader(), ShardId(0));
         // Drive a few empty epochs (2 rounds each).
         for _ in 0..6 {
             sim.step(Vec::new());
         }
-        let epoch = sim.nodes[0].epoch();
+        let epoch = sim.shards[0].node.epoch();
         assert!(epoch >= 2);
-        assert_eq!(sim.nodes[0].leader(), ShardId((epoch % 8) as u32));
+        assert_eq!(sim.shards[0].node.leader(), ShardId((epoch % 8) as u32));
         let fixed = BdsConfig {
             rotate_leader: false,
             ..BdsConfig::default()
@@ -1384,7 +1384,7 @@ mod tests {
         for _ in 0..6 {
             sim2.step(Vec::new());
         }
-        assert_eq!(sim2.nodes[0].leader(), ShardId(0));
+        assert_eq!(sim2.shards[0].node.leader(), ShardId(0));
     }
 
     #[test]
@@ -1454,10 +1454,12 @@ mod tests {
     }
 
     /// The source's (initial) system, the version-0 map, the plan, and a
-    /// simulator provisioned for the plan's `s_max` with the plan armed.
+    /// simulator provisioned for the plan's `s_max` with the plan armed,
+    /// under `faults`.
     fn reshard_setup(
         initial: usize,
         events: &[(i64, u64)],
+        faults: &FaultPlan,
     ) -> (SystemConfig, AccountMap, ReshardPlan, BdsSim) {
         let cfg = SystemConfig {
             shards: 1, // overwritten by the plan's s_max
@@ -1480,7 +1482,7 @@ mod tests {
             reshard: Some(Arc::new(plan.clone())),
             ..BdsProtocol::new(BdsConfig::default(), SchedulerKind::Bds)
         };
-        let sim = Sim::host(&proto, &sys, &map, &UniformMetric::new(sys.shards));
+        let sim = Sim::host(&proto, &sys, &map, &UniformMetric::new(sys.shards), faults);
         (src_sys, map, plan, sim)
     }
 
@@ -1489,18 +1491,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires a fault-free run")]
     fn a_reshard_plan_refuses_a_fault_plan() {
-        let (_, _, _, mut sim) = reshard_setup(4, &[(2, 60)]);
-        sim.set_faults(&simnet::FaultPlan::default());
-        sim.set_faults(&simnet::FaultPlan {
+        reshard_setup(4, &[(2, 60)], &FaultPlan::default());
+        let crash = FaultPlan {
             crashes: vec![(ShardId(0), Round(50))],
-            ..simnet::FaultPlan::default()
-        });
+            ..FaultPlan::default()
+        };
+        reshard_setup(4, &[(2, 60)], &crash);
     }
 
     #[test]
     fn live_scale_out_commits_without_loss() {
         use adversary::{ReshardSource, RoundSource};
-        let (src_sys, map, plan, mut sim) = reshard_setup(4, &[(2, 60)]);
+        let (src_sys, map, plan, mut sim) = reshard_setup(4, &[(2, 60)], &FaultPlan::default());
         let adv = AdversaryConfig {
             rho: 0.10,
             burstiness: 4,
@@ -1517,7 +1519,11 @@ mod tests {
         }
         let audit = simnet::reshard_audit(sim.chains(), sim.committed_log());
         assert_eq!(audit, (0, 0), "no commit lost or doubled");
-        assert_eq!(sim.nodes[0].active_shards(), 6, "the +2 event activated");
+        assert_eq!(
+            sim.shards[0].node.active_shards(),
+            6,
+            "the +2 event activated"
+        );
         let joined: usize = sim.chains()[4..].iter().map(|c| c.sub_count()).sum();
         assert!(joined > 0, "joined shards commit after the migration");
         let r = sim.finish();
@@ -1527,7 +1533,7 @@ mod tests {
     #[test]
     fn live_scale_in_commits_without_loss() {
         use adversary::{ReshardSource, RoundSource};
-        let (src_sys, map, plan, mut sim) = reshard_setup(6, &[(-2, 60)]);
+        let (src_sys, map, plan, mut sim) = reshard_setup(6, &[(-2, 60)], &FaultPlan::default());
         let adv = AdversaryConfig {
             rho: 0.10,
             burstiness: 4,
@@ -1541,22 +1547,26 @@ mod tests {
         }
         let audit = simnet::reshard_audit(sim.chains(), sim.committed_log());
         assert_eq!(audit, (0, 0));
-        assert_eq!(sim.nodes[0].active_shards(), 4, "the -2 event activated");
+        assert_eq!(
+            sim.shards[0].node.active_shards(),
+            4,
+            "the -2 event activated"
+        );
         // Departed shards surrendered every account they owned.
-        assert_eq!(sim.ledgers()[4].total(), 0);
-        assert_eq!(sim.ledgers()[5].total(), 0);
+        assert_eq!(sim.ledgers().nth(4).map(ShardLedger::total), Some(0));
+        assert_eq!(sim.ledgers().nth(5).map(ShardLedger::total), Some(0));
         let r = sim.finish();
         assert!(r.committed > 0);
     }
 
     #[test]
     fn handoffs_conserve_total_balance() {
-        let (_, _, _, mut sim) = reshard_setup(4, &[(2, 5), (-3, 9)]);
+        let (_, _, _, mut sim) = reshard_setup(4, &[(2, 5), (-3, 9)], &FaultPlan::default());
         for _ in 0..60 {
             sim.step(Vec::new());
         }
-        assert_eq!(sim.nodes[0].active_shards(), 3);
-        let total: u64 = sim.ledgers().iter().map(|l| l.total()).sum();
+        assert_eq!(sim.shards[0].node.active_shards(), 3);
+        let total: u64 = sim.ledgers().map(|l| l.total()).sum();
         assert_eq!(
             total,
             64 * BdsConfig::default().initial_balance,

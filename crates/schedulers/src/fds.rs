@@ -64,7 +64,7 @@ use conflict::ColoringStrategy;
 use sharding_core::hash::{FastMap, FastSet};
 use sharding_core::txn::SubTransaction;
 use sharding_core::{AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
-use simnet::ShardLedger;
+use simnet::{FaultPlan, ShardLedger};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -696,12 +696,13 @@ impl FdsSim {
         fcfg: FdsConfig,
         metric: &dyn ShardMetric,
     ) -> Self {
-        Sim::host(&FdsProtocol::new(fcfg, metric), sys, map, metric)
+        let proto = FdsProtocol::new(fcfg, metric);
+        Sim::host(&proto, sys, map, metric, &FaultPlan::default())
     }
 
     /// The cluster hierarchy in use.
     pub fn hierarchy(&self) -> &Hierarchy {
-        &self.nodes[0].hierarchy
+        &self.shards[0].node.hierarchy
     }
 }
 
@@ -1117,7 +1118,7 @@ mod tests {
         for r in 0..3000u64 {
             sim.step(a.generate(Round(r)));
         }
-        let total: u64 = sim.ledgers().iter().map(|l| l.total()).sum();
+        let total: u64 = sim.ledgers().map(|l| l.total()).sum();
         let baseline = sys.accounts as u64 * FdsConfig::default().initial_balance;
         let appended: usize = sim.chains().iter().map(|c| c.sub_count()).sum();
         assert_eq!(

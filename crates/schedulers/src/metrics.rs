@@ -1,7 +1,7 @@
 //! Per-run measurement report shared by every scheduler, and the run
 //! book every host keeps to build it.
 
-use crate::node::{CommitEvent, Protocol, ShardFaults};
+use crate::node::{CommitEvent, Protocol, RunFaults, Shard};
 use ::metrics::{MetricsRecorder, MetricsReport, RoundRow};
 use serde::{Deserialize, Serialize};
 use sharding_core::stats::{StabilityDetector, StabilityVerdict, TimeSeries};
@@ -284,23 +284,18 @@ impl MetricsCollector {
         }
     }
 
-    /// Closes the round being booked: `P` folds every shard's
-    /// [`Node::sample`](crate::node::Node::sample), in shard order (`node`
-    /// is any node of the run), into the round's row; on a run with a
-    /// fault plan armed (`faults` is `Some`) the shards'
-    /// [`ShardFaults::sample`]s are summed.
-    pub fn close_round<P: Protocol>(
+    /// Closes the round being booked over every shard of the run, in
+    /// shard order, under the run's `faults`: `P` folds their samples into
+    /// the round's row.
+    pub fn close_shards<'a, P: Protocol<Node: 'a>>(
         &mut self,
-        node: &P::Node,
-        samples: impl Iterator<Item = [u64; 4]>,
-        faults: Option<impl Iterator<Item = [u64; 2]>>,
+        mut shards: impl Iterator<Item = &'a Shard<P::Node>> + Clone,
+        faults: &RunFaults,
     ) {
-        let row = P::round_row(node, self.rounds, samples, faults.is_some());
-        let faults = faults.into_iter().flatten();
-        self.end_round(
-            row,
-            faults.fold([0, 0], |[f, d], [sf, sd]| [f + sf, d + sd]),
-        );
+        let samples = shards.clone().map(|shard| shard.sample);
+        let first = shards.next().expect("a shard");
+        let row = P::round_row(&first.node, self.rounds, samples, faults.live);
+        self.end_round(row, faults.count(self.rounds + 1));
     }
 
     /// Closes the round being booked as `row`, with the fault plane's
@@ -333,16 +328,37 @@ impl MetricsCollector {
         &self.log
     }
 
+    /// [`finish`](Self::finish) over every shard of the run under its
+    /// `faults`: `P::epochs` of the nodes, and what the plan did plus the
+    /// links' drops and duplicates.
+    pub fn finish_shards<'a, P: Protocol<Node: 'a>>(
+        self,
+        scheduler: SchedulerKind,
+        shards: impl Iterator<Item = &'a Shard<P::Node>>,
+        links: SendTally,
+        faults: &RunFaults,
+    ) -> (RunReport, Vec<(Round, TxnId)>) {
+        let epochs = P::epochs(shards.map(|shard| &shard.node), self.rounds);
+        let [byz_flips, crashes] = faults.count(self.rounds);
+        let faults = FaultCounters {
+            crashes,
+            dropped: links.dropped,
+            duplicated: links.duplicated,
+            byz_flips,
+        };
+        self.finish(scheduler, epochs, links, faults)
+    }
+
     /// Finalizes the book into the [`RunReport`] and the commit log, with
     /// what only the host knows: the policy's kind, the protocol's
-    /// `(epochs, longest epoch)`, what the links sent, and the shards'
-    /// fault shares.
-    pub fn finish<'a>(
+    /// `(epochs, longest epoch)`, what the links sent, and the run's fault
+    /// counters.
+    pub fn finish(
         self,
         scheduler: SchedulerKind,
         (epochs, max_epoch_len): (u64, u64),
         links: SendTally,
-        shards: impl Iterator<Item = &'a ShardFaults>,
+        faults: FaultCounters,
     ) -> (RunReport, Vec<(Round, TxnId)>) {
         let verdict = StabilityDetector::default().classify(&self.queue_series);
         let decided = [self.committed, self.aborted];
@@ -362,7 +378,7 @@ impl MetricsCollector {
             max_epoch_len,
             messages: links.sent,
             max_message_bytes: links.max_bytes,
-            faults: ShardFaults::total(shards, links),
+            faults,
             verdict,
             queue_series: self.queue_series,
             metrics,
@@ -374,12 +390,13 @@ impl MetricsCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bds::{BdsConfig, BdsProtocol};
+    use crate::bds::{BdsConfig, BdsNode, BdsProtocol};
     use crate::fds::{FdsConfig, FdsProtocol};
-    use crate::node::{step_shard, Lent, Script};
-    use cluster::{LineMetric, UniformMetric};
-    use sharding_core::{AccountMap, ShardId, SystemConfig};
-    use simnet::{FaultPlan, LocalChain, ShardLedger};
+    use crate::node::{Lent, Node, Seam};
+    use crate::scheduler::Scheduler;
+    use cluster::{LineMetric, ShardMetric, UniformMetric};
+    use sharding_core::{AccountMap, ShardId, SystemConfig, Transaction};
+    use simnet::{FaultPlan, LocalChain};
 
     #[test]
     fn scheduler_kind_parses_case_insensitively() {
@@ -444,12 +461,86 @@ mod tests {
         }
     }
 
+    /// A shard's part: per round, the decisions it emits and its sample.
+    type Part = Vec<(Vec<CommitEvent>, [u64; 4])>;
+
+    /// A node that plays its shard's script: its step at round `r` emits
+    /// `script[r]`'s decisions, and it samples `script[at]`, `at` being
+    /// the round the test last handed it — so a crashed shard, which never
+    /// steps, still counts what it holds. Its rows are folded by the BDS
+    /// node it carries.
+    struct Scripted {
+        script: Part,
+        at: usize,
+        bds: BdsNode,
+    }
+
+    impl Node for Scripted {
+        type Msg = ();
+
+        fn msg_bytes(_: &()) -> usize {
+            0
+        }
+
+        fn inject(&mut self, _: Transaction) {}
+
+        fn step<S: Seam<()>>(
+            &mut self,
+            round: u64,
+            _: impl Iterator<Item = (ShardId, ())>,
+            _: Lent<'_>,
+            seam: &mut S,
+        ) {
+            let decisions = &self.script[round as usize].0;
+            decisions.iter().for_each(|&event| seam.emit(event));
+        }
+
+        fn sample(&self) -> [u64; 4] {
+            self.script[self.at].1
+        }
+    }
+
+    /// Every shard's script, in shard order, played under BDS's policy
+    /// and folded into BDS's rows; the run spans one epoch of two rounds.
+    struct Play(Vec<Part>, BdsProtocol);
+
+    impl Protocol for Play {
+        type Node = Scripted;
+
+        fn initial_balance(&self) -> u64 {
+            100
+        }
+
+        fn node(&self, id: ShardId, metric: &dyn ShardMetric) -> Scripted {
+            let script = self.0[id.index()].clone();
+            let bds = self.1.node(id, metric);
+            Scripted { script, at: 0, bds }
+        }
+
+        fn policy(&self, sys: &SystemConfig) -> Box<dyn Scheduler> {
+            self.1.policy(sys)
+        }
+
+        fn round_row(
+            node: &Scripted,
+            round: u64,
+            samples: impl Iterator<Item = [u64; 4]>,
+            faulty: bool,
+        ) -> RoundRow {
+            BdsProtocol::round_row(&node.bds, round, samples, faulty)
+        }
+
+        fn epochs<'a>(_: impl Iterator<Item = &'a Scripted>, _: u64) -> (u64, u64) {
+            (1, 2)
+        }
+    }
+
     /// The booking oracle: three shards' scripted decisions over two
-    /// rounds, booked as both hosts book them — a round's decisions in
-    /// `(shard, emission index)` order, then the round closed over every
-    /// shard's samples — against what the log and the report must say.
-    /// The shards' fault shares are stepped by the hosts' own
-    /// [`step_shard`] under a crash and a Byzantine quota.
+    /// rounds, each shard stepped by the hosts' own [`Shard::step`] under
+    /// a crash and a Byzantine quota and booked as both hosts book — a
+    /// round's decisions in `(shard, emission index)` order, then the
+    /// round closed over every shard by `close_shards` — against what the
+    /// log and the report must say.
     #[test]
     fn collector_aggregates() {
         let sys = SystemConfig {
@@ -460,19 +551,12 @@ mod tests {
             faulty_per_shard: 1,
         };
         let (map, metric) = (AccountMap::round_robin(&sys), UniformMetric::new(3));
-        let proto = BdsProtocol::new(BdsConfig::default(), SchedulerKind::Bds);
         // Shard 2 crashes at round 1; a live shard flips one vote a round.
         let plan = FaultPlan {
             crashes: vec![(ShardId(2), Round(1))],
             byz_votes: 1,
             ..FaultPlan::default()
         };
-        let ids = || (0..3).map(ShardId);
-        let mut nodes: Vec<_> = ids().map(|id| proto.node(id, &metric)).collect();
-        let mut ledgers: Vec<_> = ids().map(|id| ShardLedger::new(id, &map, 100)).collect();
-        let mut chains: Vec<_> = ids().map(LocalChain::new).collect();
-        let mut faults: Vec<_> = ids().map(|id| ShardFaults::new(&plan, id, 1)).collect();
-        let mut policy = proto.policy(&sys);
 
         let decision = |txn, generated, commit_round, home, committed| CommitEvent {
             generated: Round(generated),
@@ -481,55 +565,50 @@ mod tests {
             home: ShardId(home),
             committed,
         };
-        // Per round, per shard: the decisions it emits and its sample.
-        let script = [
-            [
-                (
-                    vec![decision(10, 0, 1, 0, true), decision(11, 0, 1, 0, false)],
-                    [4, 0, 3, 0],
-                ),
-                (vec![], [2, 0, 3, 0]),
-                (vec![decision(12, 0, 3, 2, true)], [1, 0, 3, 0]),
+        // Per shard, per round: the decisions it emits and its sample.
+        let bds = BdsProtocol::new(BdsConfig::default(), SchedulerKind::Bds);
+        let play = Play(
+            vec![
+                vec![
+                    (
+                        vec![decision(10, 0, 1, 0, true), decision(11, 0, 1, 0, false)],
+                        [4, 0, 3, 0],
+                    ),
+                    (vec![decision(13, 1, 5, 0, true)], [3, 1, 3, 0]),
+                ],
+                vec![
+                    (vec![], [2, 0, 3, 0]),
+                    (
+                        vec![
+                            decision(14, 1, 11, 1, true),
+                            decision(15, 0, 2, 1, false),
+                            decision(16, 1, 3, 1, true),
+                        ],
+                        [0, 1, 3, 0],
+                    ),
+                ],
+                vec![
+                    (vec![decision(12, 0, 3, 2, true)], [1, 0, 3, 0]),
+                    (vec![decision(17, 1, 2, 2, true)], [5, 1, 3, 0]),
+                ],
             ],
-            [
-                (vec![decision(13, 1, 5, 0, true)], [3, 1, 3, 0]),
-                (
-                    vec![
-                        decision(14, 1, 11, 1, true),
-                        decision(15, 0, 2, 1, false),
-                        decision(16, 1, 3, 1, true),
-                    ],
-                    [0, 1, 3, 0],
-                ),
-                (vec![], [5, 1, 3, 0]),
-            ],
-        ];
+            bds,
+        );
+        let (mut shards, faults) = Shard::all(&play, &sys, &map, &metric, &plan);
+        let mut chains: Vec<_> = (0..3).map(ShardId).map(LocalChain::new).collect();
+        let mut policy = play.policy(&sys);
         let mut book = MetricsCollector::new(3);
         book.enable_metrics();
-        for (round, shards) in (0..).zip(&script) {
+        for round in 0..2 {
             book.book_generated(4);
-            let lent = ledgers.iter_mut().zip(&mut chains);
-            let hosted = nodes.iter_mut().zip(&mut faults).zip(lent).zip(shards);
-            for (((node, faults), (ledger, chain)), (decisions, _)) in hosted {
-                let lent = Lent {
-                    ledger,
-                    chain,
-                    policy: policy.as_mut(),
-                };
-                let mut seam = Script::default();
-                step_shard(
-                    node,
-                    Some(faults),
-                    round,
-                    std::iter::empty(),
-                    lent,
-                    &mut seam,
-                );
-                decisions.iter().for_each(|&event| book.book(event));
+            for (shard, chain) in shards.iter_mut().zip(&mut chains) {
+                shard.node.at = round as usize;
+                let send = |_, ()| unreachable!("the script sends nothing");
+                let seam = (send, |event| book.book(event));
+                let (inbox, policy) = (std::iter::empty(), policy.as_mut());
+                shard.step(round, &faults, inbox, chain, policy, seam);
             }
-            let samples = shards.iter().map(|&(_, sample)| sample);
-            let shard_faults = faults.iter().map(|f| f.sample(round));
-            book.close_round::<BdsProtocol>(&nodes[0], samples, Some(shard_faults));
+            book.close_shards::<Play>(shards.iter(), &faults);
         }
         let links = SendTally {
             sent: 40,
@@ -538,8 +617,10 @@ mod tests {
             dropped: 3,
             duplicated: 2,
         };
-        let (r, log) = book.finish(SchedulerKind::Bds, (1, 2), links, faults.iter());
+        let (r, log) =
+            book.finish_shards::<Play>(SchedulerKind::Bds, shards.iter(), links, &faults);
 
+        // Shard 2's round-1 commit of txn 17 is never made: it is down.
         let commits = [(1, 10), (3, 12), (5, 13), (11, 14), (3, 16)];
         assert_eq!(log, commits.map(|(round, txn)| (Round(round), TxnId(txn))));
         // Welford's update, left to right. Booking each round's shards in
@@ -574,26 +655,33 @@ mod tests {
         assert!(r.summary().contains("BDS"));
     }
 
-    /// `close_round` hands the protocol the index of the round it closes.
-    /// FDS files round `r` under layer-0 epoch `r / E_0`, as
+    /// `close_shards` hands the protocol the index of the round it
+    /// closes. FDS files round `r` under layer-0 epoch `r / E_0`, as
     /// `FdsProtocol::epochs` counts, so every timeline row must start at
     /// a round of its own epoch.
     #[test]
     fn a_round_closes_under_its_own_index() {
-        let metric = LineMetric::new(4);
+        let sys = SystemConfig {
+            shards: 4,
+            accounts: 4,
+            k_max: 2,
+            nodes_per_shard: 4,
+            faulty_per_shard: 1,
+        };
+        let (map, metric) = (AccountMap::round_robin(&sys), LineMetric::new(4));
         let proto = FdsProtocol::new(FdsConfig::default(), &metric);
-        let node = proto.node(ShardId(0), &metric);
+        let (shards, faults) = Shard::all(&proto, &sys, &map, &metric, &FaultPlan::default());
         let mut book = MetricsCollector::new(4);
         book.enable_metrics();
         for _ in 0..100 {
-            let samples = std::iter::repeat_n([0; 4], 4);
-            book.close_round::<FdsProtocol>(&node, samples, None::<std::iter::Empty<_>>);
+            book.close_shards::<FdsProtocol>(shards.iter(), &faults);
         }
         let links = SendTally::default();
-        let (r, _) = book.finish(SchedulerKind::Fds, (0, 0), links, std::iter::empty());
+        let (r, _) = book.finish(SchedulerKind::Fds, (0, 0), links, FaultCounters::default());
         let timeline = r.metrics.expect("metrics on").timeline;
         assert!(timeline.len() > 1, "100 rounds span several epochs");
-        let epoch_of = |round| FdsProtocol::epochs(std::iter::once(&node), round).0;
+        let node = &shards[0].node;
+        let epoch_of = |round| FdsProtocol::epochs(std::iter::once(node), round).0;
         for row in timeline {
             assert_eq!(row.epoch, epoch_of(row.start_round), "{row:?}");
         }
@@ -603,7 +691,7 @@ mod tests {
     fn resolution_rate_empty_run() {
         let c = MetricsCollector::new(1);
         let kind = SchedulerKind::Fcfs;
-        let (r, _) = c.finish(kind, (0, 0), SendTally::default(), std::iter::empty());
+        let (r, _) = c.finish(kind, (0, 0), SendTally::default(), FaultCounters::default());
         assert_eq!(r.resolution_rate(), 1.0);
     }
 }

@@ -17,31 +17,27 @@
 //! and [`FdsProtocol`](crate::fds::FdsProtocol). A host is generic over
 //! it and contains no protocol logic.
 //!
-//! Two hosts exist. [`Sim`] is the simulator: `s` nodes, one
-//! [`simnet::Network`] and the run book, stepped in shard order on the
-//! caller's thread ([`BdsSim`](crate::bds::BdsSim) and
-//! [`FdsSim`](crate::fds::FdsSim) are its two instances). `runtime::NetRun`
-//! hosts the same nodes on worker threads over one mailbox per shard.
-//! Both make the same per-shard step, [`step_shard`] — the shard's share
-//! of a fault plan ([`ShardFaults`]) around the node's step, which runs
-//! only with mail or at the node's [`Node::wake`] round — send through
-//! the same `simnet::Outbound`, and keep the same book, a
-//! [`MetricsCollector`]: it books each decision, closes each round on
-//! the [`RoundRow`] [`Protocol::round_row`] folds the shards' samples
-//! into, and builds the report. So reports
-//! agree byte for byte, faulted or not, given two ordering facts: either
-//! transport hands a round's inbox out sorted by `(sender, per-sender
-//! sequence)`, and decisions are booked in `(round, deciding shard,
-//! emission index)` order. That order is each host's job: here a decision
-//! is booked the moment it is emitted, there it waits in its shard's slot
-//! until the round closes, and the close books the shards in order.
+//! Two hosts exist: [`Sim`], the simulator, steps `s` shards in shard
+//! order on the caller's thread over one [`simnet::Network`]
+//! ([`BdsSim`](crate::bds::BdsSim) and [`FdsSim`](crate::fds::FdsSim) are
+//! its two instances); `runtime::NetRun` steps them on worker threads over
+//! one mailbox per shard. Both build their [`Shard`]s with [`Shard::all`],
+//! run each shard-round through [`Shard::step`] (the crash, the node's
+//! step if it has mail or has reached [`Node::wake`], the sample), send
+//! through `simnet::Outbound` and book into one [`MetricsCollector`]. So
+//! reports agree byte for byte, faulted or not, given two ordering facts:
+//! either transport hands a round's inbox out sorted by `(sender,
+//! per-sender sequence)`, and decisions are booked in `(round, deciding
+//! shard, emission index)` order — the simulator books them as they are
+//! emitted, the threaded host from each shard's slot, in shard order, when
+//! the round closes.
 
 use crate::metrics::{MetricsCollector, RunReport};
 use crate::scheduler::Scheduler;
 use ::metrics::RoundRow;
 use cluster::ShardMetric;
 use sharding_core::{AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
-use simnet::{FaultCounters, FaultPlan, LocalChain, Network, SendTally, ShardLedger};
+use simnet::{FaultPlan, LocalChain, Network, ShardLedger};
 
 /// One commit/abort decision, as the deciding shard saw it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,13 +134,13 @@ pub trait Protocol {
     fn policy(&self, sys: &SystemConfig) -> Box<dyn Scheduler>;
 
     /// Whether a run of `node` (any node of it) is only defined without
-    /// faults: both hosts refuse to arm a fault plan under it.
+    /// faults: [`Shard::all`] refuses a live fault plan under it.
     fn fault_free_only(_node: &Self::Node) -> bool {
         false
     }
 
     /// Folds round `round`'s [`Node::sample`]s — every shard's, in shard
-    /// order — into the row [`MetricsCollector::close_round`] closes the
+    /// order — into the row [`MetricsCollector::close_shards`] closes the
     /// round on. `node` is any node of the run. `faulty` says a fault plan
     /// is armed; without one the protocol may assert what only faults can
     /// break.
@@ -161,132 +157,154 @@ pub trait Protocol {
         Self::Node: 'a;
 }
 
-/// One shard's share of a [`FaultPlan`] (the links' share is
-/// `simnet::Outbound`'s): its crash round, its Byzantine quota — counted
-/// against its bound `f`, not executed, since under `n > 3f` no quota
-/// can change a PBFT decision (DESIGN.md "Restrictions") — and its
-/// counters.
-#[derive(Debug, Clone)]
-pub struct ShardFaults {
-    /// `u64::MAX` for a shard that never crashes.
-    crash_at: u64,
+/// One shard of a run, as both hosts keep it: its node and ledger and the
+/// node's last [`Node::sample`]. The host keeps the chain and lends it per
+/// step, and the run's [`RunFaults`] once for every shard.
+pub struct Shard<N> {
+    /// The shard's protocol node.
+    pub node: N,
+    /// The shard's account balances.
+    pub ledger: ShardLedger,
+    /// The node's sample after its last step.
+    pub(crate) sample: [u64; 4],
+}
+
+/// A node's [`Seam`] onto its host: the host's send and emit.
+impl<M, S: FnMut(ShardId, M), E: FnMut(CommitEvent)> Seam<M> for (S, E) {
+    fn send(&mut self, to: ShardId, msg: M) {
+        (self.0)(to, msg);
+    }
+    fn emit(&mut self, event: CommitEvent) {
+        (self.1)(event);
+    }
+}
+
+/// A run's fault plan as its shards live it, kept once per run: each
+/// shard's crash round (none kept for an inert plan) and the Byzantine
+/// quota a live shard counts, not executes, each round (DESIGN.md
+/// "Restrictions": under `n > 3f` no quota changes a PBFT decision).
+pub struct RunFaults {
+    crash_at: Box<[u64]>,
     flips: u64,
-    /// `crashes` and `byz_flips` so far.
-    counters: FaultCounters,
+    /// Whether the plan is live at all.
+    pub(crate) live: bool,
 }
 
-impl ShardFaults {
-    /// The share of `shard`, whose PBFT membership declares `faulty`
-    /// Byzantine nodes.
-    pub fn new(plan: &FaultPlan, shard: ShardId, faulty: usize) -> Self {
-        ShardFaults {
-            crash_at: plan.crash_round(shard).map_or(u64::MAX, Round::raw),
-            flips: plan.byz_flips_for(faulty) as u64,
-            counters: FaultCounters::default(),
-        }
-    }
-
-    /// The shard's part of the `faults` a host closes round `round` with
-    /// ([`MetricsCollector::close_round`]): `[cumulative Byzantine flips,
-    /// crashed now]`.
-    pub fn sample(&self, round: u64) -> [u64; 2] {
-        [self.counters.byz_flips, u64::from(round >= self.crash_at)]
-    }
-
-    /// A run's counters: the shards', plus the links' drops and duplicates.
-    pub fn total<'a>(shards: impl Iterator<Item = &'a Self>, links: SendTally) -> FaultCounters {
-        let mut total = FaultCounters::default();
-        shards.for_each(|s| total.merge(&s.counters));
-        (total.dropped, total.duplicated) = (links.dropped, links.duplicated);
-        total
+impl RunFaults {
+    /// `[Byzantine votes counted, shards crashed]` in the run's first
+    /// `rounds` rounds: a shard counts its quota once a live round, and its
+    /// crash once its crash round has been run.
+    pub(crate) fn count(&self, rounds: u64) -> [u64; 2] {
+        self.crash_at.iter().fold([0, 0], |[f, c], &at| {
+            [f + self.flips * rounds.min(at), c + u64::from(rounds > at)]
+        })
     }
 }
 
-/// Shard-round `round` of `node`, as both hosts make it (`faults` is
-/// `None` where no plan is armed). From its crash round on a shard drops
-/// its inbox and neither steps nor sends; a live shard counts its quota
-/// and steps `node` if it has mail or has reached [`Node::wake`].
-pub fn step_shard<N: Node>(
-    node: &mut N,
-    faults: Option<&mut ShardFaults>,
-    round: u64,
-    inbox: impl ExactSizeIterator<Item = (ShardId, N::Msg)>,
-    lent: Lent<'_>,
-    seam: &mut impl Seam<N::Msg>,
-) {
-    if let Some(faults) = faults {
-        if round >= faults.crash_at {
+impl<N: Node> Shard<N> {
+    /// Every shard of `proto` over `metric`, in shard order, and what
+    /// `plan` does to them. Panics if the system, metric or plan do not
+    /// fit, or if the plan is live and `proto` is only defined fault-free.
+    pub fn all<P: Protocol<Node = N>>(
+        proto: &P,
+        sys: &SystemConfig,
+        map: &AccountMap,
+        metric: &dyn ShardMetric,
+        plan: &FaultPlan,
+    ) -> (Vec<Self>, RunFaults) {
+        sys.validate().expect("valid system config");
+        assert_eq!(metric.shards(), sys.shards);
+        plan.validate(sys.shards).expect("valid fault plan");
+        let shards: Vec<Self> = (0..sys.shards as u32)
+            .map(ShardId)
+            .map(|id| Shard {
+                node: proto.node(id, metric),
+                ledger: ShardLedger::new(id, map, proto.initial_balance()),
+                sample: [0; 4],
+            })
+            .collect();
+        let live = !plan.is_inert();
+        assert!(
+            !live || !P::fault_free_only(&shards[0].node),
+            "this protocol description requires a fault-free run"
+        );
+        let crash = |id| plan.crash_round(id).map_or(u64::MAX, Round::raw);
+        let faults = RunFaults {
+            crash_at: match live {
+                true => (0..sys.shards as u32).map(ShardId).map(crash).collect(),
+                false => Box::default(),
+            },
+            flips: plan.byz_flips_for(sys.faulty_per_shard) as u64,
+            live,
+        };
+        (shards, faults)
+    }
+
+    /// Shard-round `round`, as both hosts make it. From its crash round
+    /// under `faults` on the shard drops its inbox and neither steps nor
+    /// sends; a live shard steps its node — lent `chain` and `policy`,
+    /// sending and reporting through the host's `(send, emit)` — if it has
+    /// mail or has reached [`Node::wake`]. Either way the node is sampled.
+    pub fn step(
+        &mut self,
+        round: u64,
+        faults: &RunFaults,
+        inbox: impl ExactSizeIterator<Item = (ShardId, N::Msg)>,
+        chain: &mut LocalChain,
+        policy: &mut dyn Scheduler,
+        mut seam: (impl FnMut(ShardId, N::Msg), impl FnMut(CommitEvent)),
+    ) {
+        let crash_at = faults.crash_at.get(self.ledger.shard().index());
+        if round >= *crash_at.unwrap_or(&u64::MAX) {
             inbox.for_each(drop);
-            faults.counters.crashes += u64::from(round == faults.crash_at);
-            return;
+        } else if inbox.len() > 0 || round >= self.node.wake() {
+            let lent = Lent {
+                ledger: &mut self.ledger,
+                chain,
+                policy,
+            };
+            self.node.step(round, inbox, lent, &mut seam);
         }
-        faults.counters.byz_flips += faults.flips;
-    }
-    if inbox.len() > 0 || round >= node.wake() {
-        node.step(round, inbox, lent, seam);
+        self.sample = self.node.sample();
     }
 }
 
-/// The simulator: `s` nodes of protocol `P`, one delay-queue network,
-/// the ledgers, chains and policy it lends out, and the run book
+/// The simulator: `s` [`Shard`]s of protocol `P` and their chains, one
+/// delay-queue network, the policy it lends out, and the run book
 /// decisions are booked into as they are emitted — everything driven
-/// from the caller's thread, one [`Sim::step`] per round. Fault-free
-/// unless [`Sim::set_faults`] arms a plan.
+/// from the caller's thread, one [`Sim::step`] per round.
 pub struct Sim<P: Protocol> {
-    pub(crate) nodes: Box<[P::Node]>,
+    pub(crate) shards: Box<[Shard<P::Node>]>,
+    faults: RunFaults,
     net: Network<<P::Node as Node>::Msg>,
-    ledgers: Vec<ShardLedger>,
     chains: Vec<LocalChain>,
     /// The run book; its round count is the simulator's clock.
     collector: MetricsCollector,
-    /// Every node's [`Node::sample`] of the last round, taken right
-    /// after its step while the node is still in cache.
-    samples: Box<[[u64; 4]]>,
-    /// One [`ShardFaults`] per shard once [`Sim::set_faults`] arms a plan;
-    /// until then `Err(f)`, the bound a plan's quota will be counted
-    /// against — so an inert run allocates nothing for faults.
-    faults: Result<Box<[ShardFaults]>, usize>,
     /// The planning policy lent to whichever node leads.
     policy: Box<dyn Scheduler>,
 }
 
-/// A node's [`Seam`] onto the simulator: sends enter the shared network,
-/// decisions are booked the moment they are emitted.
-struct SimSeam<'a, M> {
-    net: &'a mut Network<M>,
-    from: ShardId,
-    now: Round,
-    collector: &'a mut MetricsCollector,
-}
-
-impl<M: Clone> Seam<M> for SimSeam<'_, M> {
-    fn send(&mut self, to: ShardId, msg: M) {
-        self.net.send(self.from, to, self.now, msg);
-    }
-    fn emit(&mut self, event: CommitEvent) {
-        self.collector.book(event);
-    }
-}
-
 impl<P: Protocol> Sim<P> {
-    /// Hosts `proto` over `metric`: one node, ledger and chain per
-    /// shard, one shared policy.
-    pub fn host(proto: &P, sys: &SystemConfig, map: &AccountMap, metric: &dyn ShardMetric) -> Self {
-        sys.validate().expect("valid system config");
-        assert_eq!(metric.shards(), sys.shards);
-        let ids = || (0..sys.shards as u32).map(ShardId);
+    /// Hosts `proto` over `metric` under `plan` ([`FaultPlan::default`] is
+    /// inert): one [`Shard`] and chain per shard, one shared policy.
+    pub fn host(
+        proto: &P,
+        sys: &SystemConfig,
+        map: &AccountMap,
+        metric: &dyn ShardMetric,
+        plan: &FaultPlan,
+    ) -> Self {
+        let (shards, faults) = Shard::all(proto, sys, map, metric, plan);
+        let chains = (0..sys.shards as u32).map(ShardId).map(LocalChain::new);
         let mut net = Network::new(metric);
         net.set_sizer(<P::Node as Node>::msg_bytes);
+        net.set_faults(plan.clone());
         Sim {
-            nodes: ids().map(|id| proto.node(id, metric)).collect(),
+            shards: shards.into(),
+            faults,
             net,
-            ledgers: ids()
-                .map(|id| ShardLedger::new(id, map, proto.initial_balance()))
-                .collect(),
-            chains: ids().map(LocalChain::new).collect(),
+            chains: chains.collect(),
             collector: MetricsCollector::new(sys.shards),
-            samples: vec![[0; 4]; sys.shards].into(),
-            faults: Err(sys.faulty_per_shard),
             policy: proto.policy(sys),
         }
     }
@@ -307,9 +325,9 @@ impl<P: Protocol> Sim<P> {
         &self.chains
     }
 
-    /// The shard ledgers.
-    pub fn ledgers(&self) -> &[ShardLedger] {
-        &self.ledgers
+    /// The shard ledgers, in shard order.
+    pub fn ledgers(&self) -> impl Iterator<Item = &ShardLedger> {
+        self.shards.iter().map(|shard| &shard.ledger)
     }
 
     /// Commit log: (commit round, transaction id) in commit order.
@@ -324,78 +342,42 @@ impl<P: Protocol> Sim<P> {
         self.collector.enable_metrics();
     }
 
-    /// Arms `plan` once, before the first step, as `runtime::NetRun`
-    /// does: the links' streams ([`Network::set_faults`]) and each shard's
-    /// [`ShardFaults`]. An inert plan changes nothing. Panics if the plan
-    /// does not fit the system or the protocol is only defined fault-free.
-    pub fn set_faults(&mut self, plan: &FaultPlan) {
-        plan.validate(self.nodes.len()).expect("valid fault plan");
-        if plan.is_inert() {
-            return;
-        }
-        assert!(
-            !P::fault_free_only(&self.nodes[0]),
-            "this protocol description requires a fault-free run"
-        );
-        let Err(faulty) = self.faults else {
-            panic!("a fault plan is armed once")
-        };
-        self.net.set_faults(plan.clone());
-        let ids = (0..self.nodes.len() as u32).map(ShardId);
-        self.faults = Ok(ids.map(|id| ShardFaults::new(plan, id, faulty)).collect());
-    }
-
-    /// Executes one round: injects `new_txns` at their home shards, takes
-    /// the due messages — already sorted by `(destination, sender,
-    /// sequence)` — and, in shard order, hands each shard its run of them
-    /// through [`step_shard`], which is the order the threaded host's
-    /// close books in; then samples every node and closes the round.
-    /// The drained delivery buffer goes back to the network for a later
-    /// round's sends.
+    /// Executes one round: injects `new_txns` at their home shards, hands
+    /// each shard, in shard order, its run of the due messages (sorted by
+    /// `(destination, sender, sequence)`) through [`Shard::step`], booking
+    /// each decision as it is emitted, and closes the round. The drained
+    /// delivery buffer goes back to the network for later sends.
     pub fn step(&mut self, new_txns: Vec<Transaction>) {
         self.collector.book_generated(new_txns.len() as u64);
         for t in new_txns {
-            self.nodes[t.home.index()].inject(t);
+            self.shards[t.home.index()].node.inject(t);
         }
         let now = self.collector.now();
         let mut delivered = self.net.deliver_due(now);
         let mut due = delivered.drain(..);
-        let mut faults = self.faults.as_deref_mut().unwrap_or_default().iter_mut();
-        let lent = self.ledgers.iter_mut().zip(&mut self.chains);
-        let shards = self.nodes.iter_mut().zip(lent).zip(&mut self.samples);
-        for (from, ((node, (ledger, chain)), sample)) in (0u32..).map(ShardId).zip(shards) {
+        let shards = self.shards.iter_mut().zip(&mut self.chains);
+        for (from, (shard, chain)) in (0u32..).map(ShardId).zip(shards) {
             let mine = due.as_slice().iter().take_while(|e| e.to == from).count();
             let inbox = due.by_ref().take(mine).map(|e| (e.from, e.payload));
-            let lent = Lent {
-                ledger,
-                chain,
-                policy: self.policy.as_mut(),
-            };
-            let mut seam = SimSeam {
-                net: &mut self.net,
-                from,
-                now,
-                collector: &mut self.collector,
-            };
-            step_shard(node, faults.next(), now.raw(), inbox, lent, &mut seam);
-            *sample = node.sample();
+            let send = |to, msg| self.net.send(from, to, now, msg);
+            let emit = |event| self.collector.book(event);
+            let (faults, policy) = (&self.faults, self.policy.as_mut());
+            shard.step(now.raw(), faults, inbox, chain, policy, (send, emit));
         }
         drop(due);
         self.net.recycle(delivered);
-        let faults = self.faults.as_deref().ok();
-        let faults = faults.map(|shards| shards.iter().map(|s| s.sample(now.raw())));
-        let samples = self.samples.iter().copied();
         self.collector
-            .close_round::<P>(&self.nodes[0], samples, faults);
+            .close_shards::<P>(self.shards.iter(), &self.faults);
     }
 
     /// Finalizes the run into a [`RunReport`], reported under the
     /// policy's kind.
     pub fn finish(self) -> RunReport {
-        let epochs = P::epochs(self.nodes.iter(), self.collector.now().raw());
-        let faults = self.faults.as_deref().unwrap_or_default().iter();
         let (kind, links) = (self.policy.kind(), self.net.tally());
-        self.collector.finish(kind, epochs, links, faults).0
+        let shards = self.shards.iter();
+        self.collector
+            .finish_shards::<P>(kind, shards, links, &self.faults)
+            .0
     }
 }
 

@@ -22,7 +22,7 @@ use adversary::{Adversary, AdversaryConfig, StrategyKind};
 use cluster::UniformMetric;
 use sharding_core::txn::TxnBuilder;
 use sharding_core::{AccountId, AccountMap, Round, SystemConfig, Transaction, TxnId};
-use simnet::LocalChain;
+use simnet::{FaultPlan, LocalChain};
 
 /// Any registered scheduler as a round-driven simulation over the
 /// uniform metric, built by [`make_sim`]. FDS runs with the strict
@@ -98,7 +98,8 @@ pub fn make_sim(kind: SchedulerKind, sys: &SystemConfig, map: &AccountMap) -> An
         SchedulerKind::Fcfs => AnySim::Fcfs(Box::new(FcfsSim::new(sys, FcfsConfig::default()))),
         hosted => {
             let proto = BdsProtocol::new(BdsConfig::default(), hosted);
-            AnySim::EpochHost(Box::new(Sim::host(&proto, sys, map, &metric)))
+            let sim = Sim::host(&proto, sys, map, &metric, &FaultPlan::default());
+            AnySim::EpochHost(Box::new(sim))
         }
     }
 }

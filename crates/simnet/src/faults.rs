@@ -40,17 +40,6 @@ pub struct FaultCounters {
     pub byz_flips: u64,
 }
 
-impl FaultCounters {
-    /// Accumulates another counter set (used when merging per-shard
-    /// tallies of a threaded run).
-    pub fn merge(&mut self, other: &FaultCounters) {
-        self.crashes += other.crashes;
-        self.dropped += other.dropped;
-        self.duplicated += other.duplicated;
-        self.byz_flips += other.byz_flips;
-    }
-}
-
 /// The full, seeded fault schedule of one run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
@@ -518,30 +507,5 @@ mod tests {
         for to in [2, 3] {
             assert_eq!(seen.iter().filter(|e| e.0 == to).count(), 200 - 3);
         }
-    }
-
-    #[test]
-    fn counters_merge() {
-        let mut a = FaultCounters {
-            crashes: 1,
-            dropped: 2,
-            duplicated: 3,
-            byz_flips: 4,
-        };
-        a.merge(&FaultCounters {
-            crashes: 10,
-            dropped: 20,
-            duplicated: 30,
-            byz_flips: 40,
-        });
-        assert_eq!(
-            a,
-            FaultCounters {
-                crashes: 11,
-                dropped: 22,
-                duplicated: 33,
-                byz_flips: 44,
-            }
-        );
     }
 }

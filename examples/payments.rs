@@ -67,7 +67,7 @@ fn main() {
         sim.step(Vec::new());
     }
 
-    let total: u64 = sim.ledgers().iter().map(|l| l.total()).sum();
+    let total: u64 = sim.ledgers().map(|l| l.total()).sum();
     let expected = sys.accounts as u64 * initial;
     for c in sim.chains() {
         assert!(c.verify(), "chain of {} must verify", c.shard());

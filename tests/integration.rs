@@ -284,7 +284,7 @@ fn bds_transfers_conserve_total_balance_and_abort() {
     for c in sim.chains() {
         assert!(c.verify());
     }
-    let total: u64 = sim.ledgers().iter().map(|l| l.total()).sum();
+    let total: u64 = sim.ledgers().map(|l| l.total()).sum();
     // Transfers move money between accounts; single-shard "deposits" mint
     // amount once. Reconstruct expected total from the chains: every
     // committed action's delta sums to (total - initial supply).
@@ -342,7 +342,7 @@ fn fds_strict_window_transfers_conserve() {
     for c in sim.chains() {
         assert!(c.verify());
     }
-    let total: u64 = sim.ledgers().iter().map(|l| l.total()).sum();
+    let total: u64 = sim.ledgers().map(|l| l.total()).sum();
     let minted: i64 = sim
         .chains()
         .iter()

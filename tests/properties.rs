@@ -53,20 +53,6 @@ fn build_txns(sys: &SystemConfig, sets: &[Vec<u32>]) -> (AccountMap, Vec<Transac
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The conflict graph matches the pairwise predicate exactly.
-    #[test]
-    fn conflict_graph_matches_predicate((sys, sets) in arb_system().prop_flat_map(arb_txns)) {
-        let (_, txns) = build_txns(&sys, &sets);
-        let g = ConflictGraph::build(&txns);
-        for i in 0..txns.len() {
-            for j in 0..txns.len() {
-                if i != j {
-                    prop_assert_eq!(g.are_adjacent(i, j), txns[i].conflicts_with(&txns[j]));
-                }
-            }
-        }
-    }
-
     /// Greedy and DSATUR always produce proper colorings within Δ+1.
     #[test]
     fn colorings_proper_and_bounded((sys, sets) in arb_system().prop_flat_map(arb_txns)) {
