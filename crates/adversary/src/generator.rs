@@ -3,7 +3,7 @@
 
 use crate::budget::ShardBudgets;
 use crate::strategy::{Proposer, StrategyKind};
-use rand::{Rng as _, RngCore as _};
+use rand::{Rng as _, RngCore};
 use serde::{Deserialize, Serialize};
 use sharding_core::rngutil::{seeded_rng, split_seed, Rng};
 use sharding_core::{
@@ -74,7 +74,7 @@ impl WorkloadShape {
     /// `Transfers` amount, uniform in `1..=amount_max`. The other shapes
     /// consume no RNG word and return 0. The first half of shaping a
     /// transaction; [`TxnScratch::build`] is the second.
-    pub(crate) fn draw_amount(self, rng: &mut Rng) -> u64 {
+    pub(crate) fn draw_amount(self, rng: &mut impl RngCore) -> u64 {
         match self {
             WorkloadShape::Transfers { amount_max } => rng.gen_range(1..=amount_max.max(1)),
             WorkloadShape::WriteOnly | WorkloadShape::ReadMostly => 0,

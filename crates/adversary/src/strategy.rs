@@ -372,24 +372,49 @@ pub(crate) fn zipf_shard_set(cfg: &SystemConfig, cdf: &[f64], rng: &mut Rng) -> 
 /// from shard counts (dozens) to account universes (millions).
 ///
 /// The CDF sampler pays `O(log n)` per draw and stays exact; the alias
-/// table pays `O(n)` once at build time (one packed 12-byte column per
-/// entry) and then a single uniform from the ChaCha stream per draw: the
-/// uniform is scaled by `n`, its integer part picks a column, and its
-/// fractional part chooses between the column's own index and its alias
-/// — both read from the one column, so a draw costs one cache miss.
-/// The build works in place: each column starts as its raw weight
-/// aliased to itself, so [`AliasTable::zipf`] holds no 8-byte weight
-/// per index beside its columns (`peak_live_mb` counts set-up), and
-/// only the two `u32` work stacks of Vose's method are transient.
-/// Per-index probability masses are preserved exactly (up to float
-/// rounding) — see [`AliasTable::masses`], which the property tests
-/// reconcile against the CDF oracle.
+/// table pays `O(n)` once at build time and then a single uniform from
+/// the ChaCha stream per draw: the uniform is scaled by `n`, its integer
+/// part picks a column, and its fractional part chooses between the
+/// column's own index and its alias — both read from the one 8-byte
+/// column, so a draw costs one cache miss.
+///
+/// A column is one `u64`. Let `b` be the bits that hold `n − 1` and
+/// `F = min(63 − b, 52)`: a column keeps its alias in its low `b` bits
+/// and `P = ⌈prob·2^F⌉` (at most `2^F`, so `F + 1` bits) above them, and
+/// a pick keeps its column when `frac < P·2^−F`. That is the exact test
+/// `frac < prob` for every uniform a column can see. A uniform is
+/// `m·2^−53`, so `scaled = u·n` is a float in `[col, col + 1)` whose last
+/// bit is worth at least `2^(⌊log₂ col⌋ − 52)`, and `frac = scaled − col`
+/// is exact and a multiple of that bit: for `col ≥ 2^(52−F)` it is some
+/// `j·2^−F`, and `j·2^−F < prob ⟺ j < ⌈prob·2^F⌉`. The first `2^(52−F)`
+/// columns, whose fractions are finer, keep their exact `(f64, u32)` in
+/// a small head as well: 1 024 columns at two million accounts, column 0
+/// alone up to 2 048.
+///
+/// The build works in place over the one `u64` a column: a pending
+/// column holds its scaled weight's `f64` bits and is aliased to itself,
+/// and it is packed once its share is final — when Vose's method pops it
+/// as small, or when it is left over with unit mass. Beside the columns
+/// live only the head and Vose's two `u32` stacks, each sized exactly by
+/// a counting pass (neither grows: a step pops a small column before it
+/// pushes one), so [`AliasTable::zipf`] peaks at `12n` bytes plus the
+/// head and keeps `8n` plus the head (`peak_live_mb` counts set-up).
+/// Per-index probability masses are preserved up to float rounding and
+/// the `2^−F` quantum — see [`AliasTable::masses`], which the property
+/// tests reconcile against the CDF oracle.
 #[derive(Debug, Clone)]
 pub struct AliasTable {
-    cols: Vec<Column>,
+    /// One packed column an index: `P << alias_bits | alias`.
+    cols: Box<[u64]>,
+    /// The first `2^(52−F)` columns, exactly as Vose's method leaves them.
+    head: Box<[Column]>,
+    /// `b`: the low bits of a column that hold its alias.
+    alias_bits: u32,
+    /// `2^F`: the units a packed threshold `P` counts in.
+    units: f64,
 }
 
-/// One alias-table column: what [`AliasTable::pick`] reads, side by side.
+/// One exact head column: what [`AliasTable::pick`] reads, side by side.
 #[derive(Debug, Clone, Copy)]
 #[repr(C, packed)]
 struct Column {
@@ -399,8 +424,8 @@ struct Column {
     alias: u32,
 }
 
-// `peak_live_mb` is held to the byte: a column is its 8 + 4 bytes, with
-// no padding.
+// `peak_live_mb` is held to the byte: a head column is its 8 + 4 bytes,
+// with no padding.
 const _: () = assert!(std::mem::size_of::<Column>() == 12);
 
 impl AliasTable {
@@ -420,55 +445,97 @@ impl AliasTable {
         AliasTable::from_weights((0..n).map(|i| 1.0 / ((i + 1) as f64).powf(exponent)))
     }
 
-    /// Vose's method over `weights`, in place: each column starts as its
-    /// raw weight aliased to itself, so no weight vector is held beside
-    /// the columns.
+    /// Vose's method over `weights`, in place (see the type's docs).
     fn from_weights(weights: impl ExactSizeIterator<Item = f64>) -> AliasTable {
         let n = weights.len();
         assert!(n > 0, "alias table over an empty universe");
         assert!(n <= u32::MAX as usize, "universe exceeds u32");
-        let mut cols: Vec<Column> = (0..n as u32)
-            .zip(weights)
-            .map(|(i, w)| Column { prob: w, alias: i })
-            .collect();
-        let total: f64 = cols.iter().map(|c| c.prob).sum();
+        let cols: Box<[u64]> = weights.map(f64::to_bits).collect();
+        let total: f64 = cols.iter().map(|&c| f64::from_bits(c)).sum();
         assert!(
             total.is_finite() && total > 0.0,
             "weights must sum to a positive finite value"
         );
+        let alias_bits = u64::BITS - (n as u64 - 1).leading_zeros();
+        let frac_bits = (63 - alias_bits).min(52);
+        let head = Column {
+            prob: 0.0,
+            alias: 0,
+        };
+        let mut table = AliasTable {
+            cols,
+            head: vec![head; n.min(1 << (52 - frac_bits))].into_boxed_slice(),
+            alias_bits,
+            units: (1u64 << frac_bits) as f64,
+        };
         // Scale every weight to mean 1, then repeatedly pair an under-full
         // column with an over-full one so every column holds exactly unit
         // mass split between its own index and one alias.
         let scale = n as f64 / total;
-        for c in &mut cols {
-            c.prob *= scale;
+        let mut smalls = 0;
+        for c in table.cols.iter_mut() {
+            let prob = f64::from_bits(*c) * scale;
+            smalls += usize::from(prob < 1.0);
+            *c = prob.to_bits();
         }
-        let mut small: Vec<u32> = Vec::new();
-        let mut large: Vec<u32> = Vec::new();
-        for (i, c) in cols.iter().enumerate() {
-            if c.prob < 1.0 {
-                small.push(i as u32);
+        let mut small: Vec<u32> = Vec::with_capacity(smalls);
+        let mut large: Vec<u32> = Vec::with_capacity(n - smalls);
+        for (i, &c) in (0..n as u32).zip(table.cols.iter()) {
+            if f64::from_bits(c) < 1.0 {
+                small.push(i);
             } else {
-                large.push(i as u32);
+                large.push(i);
             }
         }
+        let pending = |table: &AliasTable, i: u32| f64::from_bits(table.cols[i as usize]);
         while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
             small.pop();
-            cols[s as usize].alias = l;
+            let prob = pending(&table, s);
+            table.settle(s, prob, l);
             // The large column donates what the small one lacks.
-            let lacks = 1.0 - cols[s as usize].prob;
-            cols[l as usize].prob -= lacks;
-            if cols[l as usize].prob < 1.0 {
+            let left = pending(&table, l) - (1.0 - prob);
+            table.cols[l as usize] = left.to_bits();
+            if left < 1.0 {
                 large.pop();
                 small.push(l);
             }
         }
         // Float rounding can strand residents of either stack; they hold
         // (numerically) unit mass, so they alias to themselves.
-        for &i in small.iter().chain(large.iter()) {
-            cols[i as usize].prob = 1.0;
+        for &i in small.iter().chain(&large) {
+            table.settle(i, 1.0, i);
         }
-        AliasTable { cols }
+        table
+    }
+
+    /// Packs column `i`, whose share is final, and keeps it exactly too
+    /// when it lies in the head.
+    fn settle(&mut self, i: u32, prob: f64, alias: u32) {
+        // `⌈prob·2^F⌉` without a call to `ceil`: `prob·2^F ≤ 2^52` is
+        // exact, and so is its integer part.
+        let scaled = prob * self.units;
+        let whole = scaled as i64;
+        let threshold = (whole + i64::from(whole as f64 != scaled)) as u64;
+        self.cols[i as usize] = threshold << self.alias_bits | u64::from(alias);
+        if let Some(c) = self.head.get_mut(i as usize) {
+            *c = Column { prob, alias };
+        }
+    }
+
+    /// Column `col`'s acceptance threshold in units of `2^−F` and its
+    /// alias: `prob·2^F` in the head, `P` beyond it. Scaling by a power
+    /// of two is exact, so a pick may compare `frac·2^F` with it.
+    #[inline]
+    fn column(&self, col: usize) -> (f64, usize) {
+        match self.head.get(col) {
+            Some(c) => (c.prob * self.units, c.alias as usize),
+            None => {
+                let c = self.cols[col];
+                let alias = c & ((1 << self.alias_bits) - 1);
+                // `P ≤ 2^52` converts exactly through the signed type.
+                ((c >> self.alias_bits) as i64 as f64, alias as usize)
+            }
+        }
     }
 
     /// Number of indices in the sampled universe.
@@ -496,23 +563,26 @@ impl AliasTable {
         let n = self.cols.len();
         let scaled = u * n as f64;
         let col = (scaled as usize).min(n - 1);
-        let c = self.cols[col];
+        let (threshold, alias) = self.column(col);
+        let frac = (scaled - col as f64) * self.units;
         // A select, not a branch: the outcome is a coin flip, and a
-        // mispredict would discard a batch's later column loads.
-        std::hint::select_unpredictable(scaled - (col as f64) < c.prob, col, c.alias as usize)
+        // mispredict would discard the column loads queued behind it.
+        std::hint::select_unpredictable(frac < threshold, col, alias)
     }
 
-    /// Reconstructs the exact per-index probability mass the table
-    /// realizes: column `i` contributes `prob[i]/n` to index `i` and
-    /// `(1−prob[i])/n` to `alias[i]`. Used by tests to reconcile the
-    /// table against the pre-materialized CDF oracle.
+    /// Reconstructs the per-index probability mass the table realizes:
+    /// column `i` contributes `prob[i]/n` to index `i` and `(1−prob[i])/n`
+    /// to `alias[i]`, with `prob[i] = P·2^−F` beyond the head. Used by
+    /// tests to reconcile the table against the pre-materialized CDF
+    /// oracle.
     pub fn masses(&self) -> Vec<f64> {
         let n = self.cols.len();
         let mut mass = vec![0.0; n];
-        for (i, c) in self.cols.iter().enumerate() {
-            let (p, a) = (c.prob, c.alias);
+        for i in 0..n {
+            let (threshold, a) = self.column(i);
+            let p = threshold / self.units;
             mass[i] += p / n as f64;
-            mass[a as usize] += (1.0 - p) / n as f64;
+            mass[a] += (1.0 - p) / n as f64;
         }
         mass
     }
@@ -588,17 +658,9 @@ mod tests {
         }
     }
 
-    /// Every column as `(prob bits, alias)`.
-    fn columns(table: &AliasTable) -> Vec<(u64, u32)> {
-        table
-            .cols
-            .iter()
-            .map(|c| ({ c.prob }.to_bits(), c.alias))
-            .collect()
-    }
-
-    /// Vose's method as it was written over a separate weight vector: sum
-    /// the weights in index order, then scale each into its column.
+    /// Vose's method as it was written over a separate weight vector and
+    /// two parallel arrays: sum the weights in index order, then scale
+    /// each into its column. Every column as `(prob bits, alias)`.
     fn weight_vector_oracle(weights: &[f64]) -> Vec<(u64, u32)> {
         let n = weights.len();
         let total: f64 = weights.iter().sum();
@@ -622,6 +684,51 @@ mod tests {
         mass.iter().map(|p| p.to_bits()).zip(fallback).collect()
     }
 
+    /// The head length and `F` of a table over `n` indices, as the type's
+    /// docs define them.
+    fn layout(n: usize) -> (usize, u32) {
+        let bits = u64::BITS - (n as u64 - 1).leading_zeros();
+        let frac_bits = (63 - bits).min(52);
+        (n.min(1 << (52 - frac_bits)), frac_bits)
+    }
+
+    /// A table as its head's `(prob bits, alias)` and every later column's
+    /// decoded `(P, alias)`.
+    type Decoded = (Vec<(u64, u32)>, Vec<(u64, u32)>);
+
+    fn decoded(table: &AliasTable) -> Decoded {
+        let (head, frac_bits) = layout(table.len());
+        assert_eq!(table.head.len(), head);
+        assert_eq!(table.units, (1u64 << frac_bits) as f64);
+        let mask = (1u64 << table.alias_bits) - 1;
+        (
+            table
+                .head
+                .iter()
+                .map(|c| ({ c.prob }.to_bits(), c.alias))
+                .collect(),
+            table.cols[head..]
+                .iter()
+                .map(|&c| (c >> table.alias_bits, (c & mask) as u32))
+                .collect(),
+        )
+    }
+
+    /// What a table must decode to whose exact columns are `oracle`'s: the
+    /// head verbatim, `P = ⌈prob·2^F⌉` beyond it.
+    fn packed(oracle: &[(u64, u32)]) -> Decoded {
+        let (head, frac_bits) = layout(oracle.len());
+        let scale = (1u64 << frac_bits) as f64;
+        let threshold = |p: u64| (f64::from_bits(p) * scale).ceil() as u64;
+        (
+            oracle[..head].to_vec(),
+            oracle[head..]
+                .iter()
+                .map(|&(p, a)| (threshold(p), a))
+                .collect(),
+        )
+    }
+
     #[test]
     fn the_in_place_zipf_build_is_bit_identical_to_the_weight_vector_build() {
         for (n, a) in [
@@ -632,20 +739,109 @@ mod tests {
             (100_000, 0.6),
         ] {
             let weights: Vec<f64> = (0..n).map(|i| 1.0 / ((i + 1) as f64).powf(a)).collect();
-            let table = columns(&AliasTable::zipf(n, a));
+            let table = decoded(&AliasTable::zipf(n, a));
             assert!(
-                table == columns(&AliasTable::new(&weights)),
+                table == decoded(&AliasTable::new(&weights)),
                 "n = {n}, a = {a}"
             );
-            assert!(table == weight_vector_oracle(&weights), "n = {n}, a = {a}");
+            assert!(
+                table == packed(&weight_vector_oracle(&weights)),
+                "n = {n}, a = {a}"
+            );
         }
-        // Summed in reverse, these weights would total 1 + 2⁻⁵², not 1.
+        // Summed in reverse, these weights would total 1.25 + 2⁻⁵², not
+        // 1.25, and column 0, a head column, would keep another `prob`.
         let tiny = f64::EPSILON / 2.0;
-        let weights = [1.0, tiny, tiny];
+        let weights = [0.25, 1.0, tiny, tiny];
         assert_eq!(
-            columns(&AliasTable::new(&weights)),
-            weight_vector_oracle(&weights)
+            decoded(&AliasTable::new(&weights)),
+            packed(&weight_vector_oracle(&weights))
         );
+    }
+
+    /// A packed pick is the exact pick wherever the exact test
+    /// `frac < prob` can flip: for every head column and ten thousand
+    /// sampled later ones, at the column's first uniform and on both
+    /// sides of the first uniform the test rejects, found by bisection
+    /// over the 53-bit uniforms `m·2^−53`; and at both ends of `[0, 1)`.
+    #[test]
+    fn packed_picks_equal_the_exact_picks_at_every_threshold() {
+        const M: u64 = 1 << 53;
+        let uniform = |m: u64| m as f64 / M as f64;
+        /// The first `m` in `lo..hi` where `holds`, true up to it, fails.
+        fn first_failing(mut lo: u64, mut hi: u64, holds: impl Fn(u64) -> bool) -> u64 {
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if holds(mid) {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            lo
+        }
+        for n in [
+            1usize,
+            7,
+            64,
+            1024,
+            1025,
+            1_200_000,
+            2_000_000,
+            1 << 21,
+            (1 << 21) + 1,
+        ] {
+            let (head, _) = layout(n);
+            let mut rng = seeded_rng(n as u64);
+            let cols: Vec<usize> = if n - head <= 10_000 {
+                (0..n).collect()
+            } else {
+                (0..=head)
+                    .chain([n - 1])
+                    .chain((0..10_000).map(|_| rng.gen_range(head..n)))
+                    .collect()
+            };
+            for a in [0.0, 0.6, 0.8, 1.5] {
+                let weights: Vec<f64> = (0..n).map(|i| 1.0 / ((i + 1) as f64).powf(a)).collect();
+                let oracle = weight_vector_oracle(&weights);
+                drop(weights);
+                let table = AliasTable::zipf(n, a);
+                let scaled = |m: u64| uniform(m) * n as f64;
+                let col_of = |m: u64| (scaled(m) as usize).min(n - 1);
+                let keeps = |m: u64| {
+                    let col = col_of(m);
+                    scaled(m) - (col as f64) < f64::from_bits(oracle[col].0)
+                };
+                let exact = |m: u64| {
+                    let col = col_of(m);
+                    if keeps(m) {
+                        col
+                    } else {
+                        oracle[col].1 as usize
+                    }
+                };
+                let check = |m: u64| {
+                    assert_eq!(
+                        table.pick(uniform(m)),
+                        exact(m),
+                        "n = {n}, a = {a}, m = {m}"
+                    );
+                };
+                check(0);
+                check(M - 1);
+                for &c in &cols {
+                    let start = first_failing(0, M, |m| col_of(m) < c);
+                    let end = first_failing(start, M, |m| col_of(m) <= c);
+                    let flip = first_failing(start, end, keeps);
+                    check(start);
+                    for m in [flip.saturating_sub(1), flip, flip + 1] {
+                        if m < M {
+                            check(m);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,27 +8,31 @@
 //! table at all: a hot window sweeps the universe and each draw is a
 //! bounded uniform.
 //!
-//! What a producer holds per account is the alias table (one packed
-//! 12-byte column an id, Zipf only) and one bit an id for the
+//! What a producer holds per account is the alias table (one 8-byte
+//! column an id, Zipf only) and one bit an id for the
 //! distinct-accounts count; the placement map is the caller's, shared by
 //! reference count. What it allocates per offer is nothing; a transaction
 //! is built once, when it drains. An [`Offer`] is a heap-free draft of
 //! every draw the transaction needs (up to eight accounts inline), and
 //! the pool builds only what its `(ρ, b)` budgets admit — at saturation
 //! a few percent of what is offered. Per round the producer allocates
-//! the vector the offers are returned in: the draw buffers live in the
-//! producer and are reused.
+//! the vector the offers are returned in: the word window and the
+//! draft's account list live in the producer and are reused.
 //!
-//! At millions of accounts every draw misses the cache at least twice —
-//! its alias column, its `seen` word, and under a table placement its
-//! owner (round-robin placement is a modulus) — so a transaction's draws
-//! are taken in batches whose misses overlap: a batch consumes its RNG
-//! words first, then resolves them all through the table, then reads all
-//! their owners, and only then runs the duplicate-shard rejection over
-//! them in order. A batch is sized so that neither bound of the
-//! one-at-a-time rejection loop (the transaction's width, `8×width`
-//! attempts) can be met before its last draw, so it consumes exactly the
-//! RNG words that loop would, and the offers are the same bytes.
+//! At millions of accounts a Zipf draw misses the cache on its alias
+//! column. A producer reads its ChaCha stream through a look-ahead
+//! window of whole `u64` words, and once a transaction's width is read
+//! it knows that the next `width` words are draws: it resolves them
+//! through the table in one pass, whose column loads overlap, before
+//! the duplicate-shard rejection runs over them in order (a draw past
+//! them, after a rejection, resolves its own word). Every other read —
+//! the width, the fee, the amount, a shift stream's coin and offsets —
+//! takes the window's words themselves, in stream order, so a
+//! transaction consumes exactly the words the one-at-a-time loop does,
+//! and the offers are the same bytes. Only words known to be draws are
+//! resolved: widths and fees are about half of a Zipf stream's words,
+//! and a column load for each of them costs more than the wider overlap
+//! saves.
 //!
 //! A producer offers a fixed number of transactions per round, each
 //! tagged with a `u8` fee; the [`IngestPipeline`](crate::IngestPipeline)
@@ -39,7 +43,7 @@
 
 use crate::generator::{Offer, WorkloadShape};
 use crate::strategy::AliasTable;
-use rand::Rng as _;
+use rand::{Rng as _, RngCore};
 use sharding_core::rngutil::{seeded_rng, split_seed, Rng};
 use sharding_core::{AccountId, AccountMap, Round, ShardId, SystemConfig, TxnId};
 
@@ -47,8 +51,9 @@ use sharding_core::{AccountId, AccountMap, Round, ShardId, SystemConfig, TxnId};
 /// the legacy generator's `0xADBE`).
 const STREAM_TAG: u64 = 0xF12E;
 
-/// Most draws one batch takes; a wider transaction takes several.
-const BATCH: usize = 8;
+/// Words the look-ahead window holds: about seven transactions' worth
+/// at `k = 8`, and at least one transaction's draws up to `k = 64`.
+const WINDOW: usize = 64;
 
 /// Which account distribution a [`StreamSource`] streams.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,19 +129,90 @@ pub struct StreamSource {
     burstiness: u64,
     /// Transactions offered per round.
     offered: u64,
-    rng: Rng,
-    /// Lazily built for [`StreamKind::Zipf`].
-    alias: Option<AliasTable>,
+    words: Window,
     next_id: u64,
     /// One bit per account id: set once the id has been streamed.
     seen: Vec<u64>,
     distinct: u64,
-    /// The batch in flight: a Zipf batch's uniforms, then every draw's
-    /// account and owning shard. Inline, so a batch touches no heap.
-    uniforms: [f64; BATCH],
-    draws: [(AccountId, ShardId); BATCH],
     /// The offer being drawn: its accepted `(shard, account)` pairs.
     picked: Vec<(ShardId, AccountId)>,
+}
+
+/// The ChaCha stream, handed out a word at a time from a look-ahead
+/// window (see the [module docs](self)): [`Window::draw`] for a Zipf
+/// draw, [`RngCore::next_u64`] — and so every `rand::Rng` method — for
+/// anything else. Each word is handed out once, in stream order;
+/// [`Window::resolve`] only looks ahead.
+struct Window {
+    rng: Rng,
+    /// The Zipf table ([`StreamKind::Zipf`] only).
+    table: Option<AliasTable>,
+    words: [u64; WINDOW],
+    /// `picks[i]`: the index `words[i]` resolves to through the table,
+    /// for `next ≤ i < resolved`.
+    picks: [u32; WINDOW],
+    /// The next word to hand out.
+    next: usize,
+    /// The end of the resolved words; never below `next`.
+    resolved: usize,
+}
+
+impl Window {
+    /// Makes sure the next `count ≤ WINDOW` words are in the window: when
+    /// they are not, slides the unread words to its front and fills the
+    /// rest off the stream.
+    fn hold(&mut self, count: usize) {
+        if self.next + count > WINDOW {
+            let kept = WINDOW - self.next;
+            self.words.copy_within(self.next.., 0);
+            self.picks.copy_within(self.next.., 0);
+            let rng = &mut self.rng;
+            self.words[kept..].fill_with(|| rng.next_u64());
+            self.resolved -= self.next;
+            self.next = 0;
+        }
+    }
+
+    /// Resolves the next `count` words through the table in one pass,
+    /// whose column loads overlap: the caller will draw them all.
+    fn resolve(&mut self, count: usize) {
+        let count = count.min(WINDOW);
+        self.hold(count);
+        let table = self.table.as_ref().expect("a zipf stream");
+        let end = self.next + count;
+        for slot in self.resolved..end {
+            self.picks[slot] = table.pick(uniform(self.words[slot])) as u32;
+        }
+        self.resolved = self.resolved.max(end);
+    }
+
+    /// A Zipf draw: the account the next word resolves to.
+    fn draw(&mut self) -> AccountId {
+        if self.resolved == self.next {
+            self.resolve(1);
+        }
+        self.next += 1;
+        AccountId(u64::from(self.picks[self.next - 1]))
+    }
+}
+
+impl RngCore for Window {
+    fn next_u32(&mut self) -> u32 {
+        unreachable!("the firehose stream is read in whole words")
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.hold(1);
+        self.next += 1;
+        self.resolved = self.resolved.max(self.next);
+        self.words[self.next - 1]
+    }
+}
+
+/// The uniform in `[0, 1)` that `Rng::gen::<f64>` makes of a word: its
+/// top 53 bits.
+fn uniform(word: u64) -> f64 {
+    (word >> 11) as i64 as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 impl StreamSource {
@@ -161,7 +237,7 @@ impl StreamSource {
     ) -> StreamSource {
         cfg.validate().expect("valid system config");
         assert!(offered > 0, "offered rate must be positive");
-        let alias = match kind {
+        let table = match kind {
             StreamKind::Zipf { exponent } => Some(AliasTable::zipf(cfg.accounts, exponent)),
             StreamKind::Shift { .. } => None,
         };
@@ -173,13 +249,17 @@ impl StreamSource {
             rho,
             burstiness,
             offered,
-            rng: seeded_rng(split_seed(seed, STREAM_TAG)),
-            alias,
+            words: Window {
+                rng: seeded_rng(split_seed(seed, STREAM_TAG)),
+                table,
+                words: [0; WINDOW],
+                picks: [0; WINDOW],
+                next: WINDOW,
+                resolved: WINDOW,
+            },
             next_id: 0,
             seen: vec![0u64; cfg.accounts.div_ceil(64)],
             distinct: 0,
-            uniforms: [0.0; BATCH],
-            draws: [(AccountId(0), ShardId(0)); BATCH],
             picked: Vec::with_capacity(cfg.k_max),
         }
     }
@@ -195,45 +275,26 @@ impl StreamSource {
         self.distinct
     }
 
-    /// Draws the next `m ≤ BATCH` accounts into `draws[..m]`, each with
-    /// its owner, and marks them streamed — in passes, so that the
-    /// batch's cache misses overlap instead of queueing behind one
-    /// another: (a) every RNG word, in the order the draws consume them;
-    /// (b) every alias-table column (Zipf); (c) every `seen` word and
+    /// Draws one account, marks it streamed and returns it with its
     /// owner.
-    fn draw_batch(&mut self, m: usize, round: Round) {
-        let n = self.cfg.accounts as u64;
-        let rng = &mut self.rng;
-        let draws = &mut self.draws[..m];
-        match self.kind {
-            StreamKind::Zipf { .. } => {
-                let table = self.alias.as_ref().expect("zipf table");
-                let uniforms = &mut self.uniforms[..m];
-                uniforms.fill_with(|| rng.gen());
-                for ((account, _), &u) in draws.iter_mut().zip(uniforms.iter()) {
-                    *account = AccountId(table.pick(u) as u64);
-                }
-            }
+    fn draw(&mut self, round: Round) -> (AccountId, ShardId) {
+        let account = match self.kind {
+            StreamKind::Zipf { .. } => self.words.draw(),
             StreamKind::Shift { period } => {
-                let window = (n / 64).max(1);
-                let start = (round.0 / period).wrapping_mul(window) % n;
-                for (account, _) in draws.iter_mut() {
-                    let idx = if rng.gen_bool(0.9) {
-                        (start + rng.gen_range(0..window)) % n
-                    } else {
-                        rng.gen_range(0..n)
-                    };
-                    *account = AccountId(idx);
-                }
+                let n = self.cfg.accounts as u64;
+                let hot = (n / 64).max(1);
+                let start = (round.0 / period).wrapping_mul(hot) % n;
+                AccountId(if self.words.gen_bool(0.9) {
+                    (start + self.words.gen_range(0..hot)) % n
+                } else {
+                    self.words.gen_range(0..n)
+                })
             }
-        }
-        for (account, shard) in draws {
-            let idx = account.0;
-            let (w, bit) = ((idx / 64) as usize, 1u64 << (idx % 64));
-            self.distinct += u64::from(self.seen[w] & bit == 0);
-            self.seen[w] |= bit;
-            *shard = self.map.owner_unchecked(*account);
-        }
+        };
+        let (w, bit) = ((account.0 / 64) as usize, 1u64 << (account.0 % 64));
+        self.distinct += u64::from(self.seen[w] & bit == 0);
+        self.seen[w] |= bit;
+        (account, self.map.owner_unchecked(account))
     }
 
     /// Streams this round's offers: `offered` transactions, each over
@@ -244,25 +305,23 @@ impl StreamSource {
     pub fn offer_round(&mut self, round: Round) -> Vec<(u8, Offer)> {
         let mut out = Vec::with_capacity(self.offered as usize);
         for _ in 0..self.offered {
-            let width = self.rng.gen_range(1..=self.cfg.k_max);
+            let width = self.words.gen_range(1..=self.cfg.k_max);
+            if self.words.table.is_some() {
+                // A transaction draws at least `width` accounts.
+                self.words.resolve(width);
+            }
             self.picked.clear();
-            let mut attempts = 0;
-            while self.picked.len() < width && attempts < 8 * width {
-                // Each draw adds at most one account and one attempt, so
-                // neither bound is met before the batch's last draw.
-                let m = (width - self.picked.len())
-                    .min(8 * width - attempts)
-                    .min(BATCH);
-                self.draw_batch(m, round);
-                for &(a, s) in &self.draws[..m] {
-                    if !self.picked.iter().any(|&(seen, _)| seen == s) {
-                        self.picked.push((s, a));
+            for _ in 0..8 * width {
+                let (a, s) = self.draw(round);
+                if !self.picked.iter().any(|&(seen, _)| seen == s) {
+                    self.picked.push((s, a));
+                    if self.picked.len() == width {
+                        break;
                     }
                 }
-                attempts += m;
             }
-            let fee = self.rng.gen_range(0..256u32) as u8;
-            let amount = self.shape.draw_amount(&mut self.rng);
+            let fee = self.words.gen_range(0..256u32) as u8;
+            let amount = self.shape.draw_amount(&mut self.words);
             let id = TxnId(self.next_id);
             self.next_id += 1;
             out.push((fee, Offer::new(id, round, self.shape, amount, &self.picked)));
@@ -344,34 +403,34 @@ mod tests {
         }
     }
 
-    /// The one-draw-at-a-time `offer_round` that batched draws replaced,
-    /// kept as the oracle they must match word for word. It builds every
-    /// transaction the moment it is drawn. Counts into `capped` the
-    /// transactions that ran out of attempts.
+    /// The one-draw-at-a-time `offer_round` that the look-ahead window
+    /// replaced, kept as the oracle it must match word for word: it reads
+    /// `src`'s ChaCha stream directly, never through the window, and
+    /// builds every transaction the moment it is drawn. Counts into
+    /// `capped` the transactions that ran out of attempts.
     fn offer_round_one_at_a_time(
         src: &mut StreamSource,
         round: Round,
         capped: &mut u32,
     ) -> Vec<(u8, Transaction)> {
         let n = src.cfg.accounts as u64;
+        let rng = &mut src.words.rng;
         let mut out = Vec::new();
         let mut scratch = TxnScratch::default();
         for _ in 0..src.offered {
-            let width = src.rng.gen_range(1..=src.cfg.k_max);
+            let width = rng.gen_range(1..=src.cfg.k_max);
             let mut picked: Vec<(ShardId, AccountId)> = Vec::new();
             let mut attempts = 0;
             while picked.len() < width && attempts < 8 * width {
                 let idx = match src.kind {
-                    StreamKind::Zipf { .. } => {
-                        src.alias.as_ref().unwrap().sample(&mut src.rng) as u64
-                    }
+                    StreamKind::Zipf { .. } => src.words.table.as_ref().unwrap().sample(rng) as u64,
                     StreamKind::Shift { period } => {
                         let window = (n / 64).max(1);
                         let start = (round.0 / period).wrapping_mul(window) % n;
-                        if src.rng.gen_bool(0.9) {
-                            (start + src.rng.gen_range(0..window)) % n
+                        if rng.gen_bool(0.9) {
+                            (start + rng.gen_range(0..window)) % n
                         } else {
-                            src.rng.gen_range(0..n)
+                            rng.gen_range(0..n)
                         }
                     }
                 };
@@ -388,8 +447,8 @@ mod tests {
                 attempts += 1;
             }
             *capped += u32::from(picked.len() < width);
-            let fee = src.rng.gen_range(0..256u32) as u8;
-            let amount = src.shape.draw_amount(&mut src.rng);
+            let fee = rng.gen_range(0..256u32) as u8;
+            let amount = src.shape.draw_amount(rng);
             let id = TxnId(src.next_id);
             src.next_id += 1;
             scratch.clear();
@@ -405,12 +464,12 @@ mod tests {
 
     #[test]
     fn batched_draws_match_the_one_at_a_time_oracle() {
-        use rand::RngCore as _;
         // (shards, accounts, k_max, shape): two shards make every second
         // draw of a width-2 transaction a likely duplicate; eight shards
         // over sixteen skewed accounts make width-8 transactions run out
-        // of attempts; widths up to 12 take more than one batch; the last
-        // is `small()` with the one shape that draws after the accounts.
+        // of attempts; widths up to 12 resolve up to twelve draws ahead;
+        // the last is `small()` with the one shape that draws after the
+        // accounts.
         let systems = [
             (2, 64, 2, WorkloadShape::WriteOnly),
             (8, 16, 8, WorkloadShape::WriteOnly),
@@ -435,11 +494,11 @@ mod tests {
                 let mut capped = 0;
                 for seed in 0..4 {
                     let new = || StreamSource::new(&sys, &map, kind, shape, 0.5, 4, 25, seed);
-                    let (mut batched, mut oracle) = (new(), new());
+                    let (mut windowed, mut oracle) = (new(), new());
                     let mut scratch = TxnScratch::default();
                     for r in 0..30 {
                         let want = offer_round_one_at_a_time(&mut oracle, Round(r), &mut capped);
-                        let got: Vec<_> = batched
+                        let got: Vec<_> = windowed
                             .offer_round(Round(r))
                             .into_iter()
                             .map(|(fee, offer)| (fee, offer.build(&mut scratch)))
@@ -449,8 +508,9 @@ mod tests {
                             "{shards}x{accounts} k={k_max} {kind} seed {seed}"
                         );
                     }
-                    assert_eq!(batched.distinct_accounts(), oracle.distinct_accounts());
-                    assert_eq!(batched.rng.next_u64(), oracle.rng.next_u64());
+                    assert_eq!(windowed.distinct_accounts(), oracle.distinct_accounts());
+                    // The next word the window hands out is the stream's.
+                    assert_eq!(windowed.words.next_u64(), oracle.words.rng.next_u64());
                 }
                 if (shards, k_max) == (8, 8) {
                     assert!(capped > 0, "{kind}: the 8·width cap never bound");
