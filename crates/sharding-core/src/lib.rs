@@ -40,5 +40,5 @@ pub mod vnode;
 pub use config::{AccountMap, SystemConfig};
 pub use error::{Error, Result};
 pub use ids::{AccountId, Round, ShardId, TxnId};
-pub use txn::{Access, AccessKind, Action, Condition, SubTransaction, Transaction};
+pub use txn::{Access, AccessKind, Action, CommittedSub, Condition, SubTransaction, Transaction};
 pub use vnode::{ReshardPlan, ReshardVersion, VnodeTable, VNODE_COUNT};

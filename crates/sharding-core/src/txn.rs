@@ -56,7 +56,7 @@ pub struct Action {
 }
 
 /// The portion of a transaction destined for a single shard.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SubTransaction {
     /// Parent transaction id.
     pub txn: TxnId,
@@ -65,15 +65,27 @@ pub struct SubTransaction {
     parts: Parts,
 }
 
-// `peak_live_mb` is held to the byte: neither struct may grow. A chain
-// keeps every sub it commits for the rest of the run.
+/// A sub as its destination's chain keeps it: the id and the parts. The
+/// destination is the chain's own shard, so it is not stored again.
+#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CommittedSub {
+    /// Parent transaction id.
+    pub txn: TxnId,
+    parts: Parts,
+}
+
+// `peak_live_mb` is held to the byte: none of these may grow. A chain
+// keeps every sub it commits, as a `CommittedSub`, for the rest of the
+// run; a `Transaction` and its subs live as long as its schedule does.
 const _: () = assert!(std::mem::size_of::<SubTransaction>() <= 40);
+const _: () = assert!(std::mem::size_of::<CommittedSub>() <= 32);
 const _: () = assert!(std::mem::size_of::<Transaction>() <= 48);
 
 /// A sub's condition checks and main actions, each kind in filing order.
 /// A lone part of either kind sits in place and one of each is one heap
 /// block; anything more boxes the two lists together, which no
-/// checked-in shape files before regrouping.
+/// checked-in shape files before regrouping. Equal when both lists are:
+/// which form holds the parts is never observable.
 #[derive(Clone, Default)]
 enum Parts {
     #[default]
@@ -94,6 +106,36 @@ fn appended<T: Copy>(list: &[T], last: T) -> Box<[T]> {
     list.iter().copied().chain([last]).collect()
 }
 
+impl Parts {
+    #[inline]
+    fn conditions(&self) -> &[Condition] {
+        match self {
+            Parts::Condition(c) => std::slice::from_ref(c),
+            Parts::Pair(pair) => std::slice::from_ref(&pair.0),
+            Parts::Lists(lists) => &lists.0,
+            Parts::Empty | Parts::Action(_) => &[],
+        }
+    }
+
+    #[inline]
+    fn actions(&self) -> &[Action] {
+        match self {
+            Parts::Action(a) => std::slice::from_ref(a),
+            Parts::Pair(pair) => std::slice::from_ref(&pair.1),
+            Parts::Lists(lists) => &lists.1,
+            Parts::Empty | Parts::Condition(_) => &[],
+        }
+    }
+}
+
+impl PartialEq for Parts {
+    fn eq(&self, other: &Self) -> bool {
+        self.conditions() == other.conditions() && self.actions() == other.actions()
+    }
+}
+
+impl Eq for Parts {}
+
 impl SubTransaction {
     /// A sub of `txn` for `dest` holding `conditions` and `actions`, each
     /// in the given order.
@@ -111,22 +153,20 @@ impl SubTransaction {
     /// Condition checks (reads) executed on the destination shard.
     #[inline]
     pub fn conditions(&self) -> &[Condition] {
-        match &self.parts {
-            Parts::Condition(c) => std::slice::from_ref(c),
-            Parts::Pair(pair) => std::slice::from_ref(&pair.0),
-            Parts::Lists(lists) => &lists.0,
-            Parts::Empty | Parts::Action(_) => &[],
-        }
+        self.parts.conditions()
     }
 
     /// Main actions (writes) executed on the destination shard.
     #[inline]
     pub fn actions(&self) -> &[Action] {
-        match &self.parts {
-            Parts::Action(a) => std::slice::from_ref(a),
-            Parts::Pair(pair) => std::slice::from_ref(&pair.1),
-            Parts::Lists(lists) => &lists.1,
-            Parts::Empty | Parts::Condition(_) => &[],
+        self.parts.actions()
+    }
+
+    /// The sub as `dest`'s chain keeps it: the id and the parts, moved.
+    pub fn into_committed(self) -> CommittedSub {
+        CommittedSub {
+            txn: self.txn,
+            parts: self.parts,
         }
     }
 
@@ -178,23 +218,35 @@ impl SubTransaction {
     }
 }
 
-/// Equal when id, destination and both part lists are: which form holds
-/// the parts is never observable.
-impl PartialEq for SubTransaction {
-    fn eq(&self, other: &Self) -> bool {
-        (self.txn, self.dest) == (other.txn, other.dest)
-            && self.conditions() == other.conditions()
-            && self.actions() == other.actions()
-    }
-}
-
-impl Eq for SubTransaction {}
-
 impl std::fmt::Debug for SubTransaction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SubTransaction")
             .field("txn", &self.txn)
             .field("dest", &self.dest)
+            .field("conditions", &self.conditions())
+            .field("actions", &self.actions())
+            .finish()
+    }
+}
+
+impl CommittedSub {
+    /// Condition checks (reads) the chain's shard executed.
+    #[inline]
+    pub fn conditions(&self) -> &[Condition] {
+        self.parts.conditions()
+    }
+
+    /// Main actions (writes) the chain's shard executed.
+    #[inline]
+    pub fn actions(&self) -> &[Action] {
+        self.parts.actions()
+    }
+}
+
+impl std::fmt::Debug for CommittedSub {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CommittedSub")
+            .field("txn", &self.txn)
             .field("conditions", &self.conditions())
             .field("actions", &self.actions())
             .finish()
@@ -967,6 +1019,19 @@ mod tests {
                 );
                 assert_eq!(format!("{sub:?}"), shown);
                 assert_eq!(format!("{filed:?}"), shown);
+                // A chain keeps the id and both lists, and no destination.
+                let kept = sub.clone().into_committed();
+                assert_eq!(kept.txn, txn);
+                assert_eq!(kept.conditions(), conditions.as_slice());
+                assert_eq!(kept.actions(), actions.as_slice());
+                assert_eq!(kept, filed.clone().into_committed());
+                assert_eq!(
+                    format!("{kept:?}"),
+                    format!(
+                        "CommittedSub {{ txn: {txn:?}, conditions: {conditions:?}, \
+                         actions: {actions:?} }}"
+                    )
+                );
                 let mut longer = sub.clone();
                 longer.push_action(Action { account, delta: 0 });
                 assert_ne!(longer, sub);

@@ -17,12 +17,15 @@
 //! hash, both derived and both still fed into the hash. Blocks live in
 //! pages of [`PAGE`] headers, and each page keeps its blocks' subs back to
 //! back in one payload list, a block's subs running from the previous
-//! block's end to its own. The first page's headers grow by doubling, so
-//! a short chain stays small, and every later page's are allocated once
-//! at full size. A payload grows by at most a quarter at a time, and
-//! never to more spare room than 16 bytes a block (what a header saves
-//! over a 32-byte one with a boxed payload); a closed page's payload is
-//! shrunk to fit. [`LocalChain::blocks`] hands out [`BlockRef`] views.
+//! block's end to its own. The payload holds each sub as a 32-byte
+//! [`CommittedSub`], its id and parts: every sub a chain commits is
+//! destined for the chain's own shard, so the destination is not stored
+//! again, and the hash is fed the chain's shard in its place. The first
+//! page's headers grow by doubling, so a short chain stays small, and
+//! every later page's are allocated once at full size. A payload grows by
+//! at most a quarter at a time, and never to more spare room than 16
+//! bytes a block, one header's size; a closed page's payload is shrunk to
+//! fit. [`LocalChain::blocks`] hands out [`BlockRef`] views.
 //!
 //! Hashing is a deterministic non-cryptographic FNV-1a — the simulation
 //! needs link *integrity checking*, not adversarial collision resistance
@@ -30,7 +33,7 @@
 //! break run reproducibility).
 
 use serde::{Deserialize, Serialize};
-use sharding_core::txn::SubTransaction;
+use sharding_core::txn::{CommittedSub, SubTransaction};
 use sharding_core::{Round, ShardId, TxnId};
 use std::ops::Index;
 
@@ -54,15 +57,23 @@ impl Fnv1a {
 }
 
 /// FNV-1a over the little-endian bytes of height, parent, round and then,
-/// per sub in order, its id, destination, conditions and actions.
-fn compute_hash(height: u64, parent: u64, round: u64, subs: &[SubTransaction]) -> u64 {
+/// per sub in order, its id, destination, conditions and actions. Every
+/// sub of `shard`'s chain is destined for `shard`, so that is the
+/// destination hashed.
+fn compute_hash(
+    height: u64,
+    parent: u64,
+    round: u64,
+    shard: ShardId,
+    subs: &[CommittedSub],
+) -> u64 {
     let mut h = Fnv1a::new();
     h.write(&height.to_le_bytes());
     h.write(&parent.to_le_bytes());
     h.write(&round.to_le_bytes());
     for s in subs {
         h.write(&s.txn.raw().to_le_bytes());
-        h.write(&s.dest.raw().to_le_bytes());
+        h.write(&shard.raw().to_le_bytes());
         for c in s.conditions() {
             h.write(&c.account.raw().to_le_bytes());
             h.write(&c.min_balance.to_le_bytes());
@@ -100,14 +111,14 @@ pub struct BlockRef<'a> {
     /// Round at which the commit happened.
     pub round: Round,
     /// The committed subtransactions (empty only for genesis).
-    pub subs: &'a [SubTransaction],
+    pub subs: &'a [CommittedSub],
 }
 
 /// [`PAGE`] block headers and their blocks' subs, back to back.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct Page {
     headers: Vec<BlockHeader>,
-    payload: Vec<SubTransaction>,
+    payload: Vec<CommittedSub>,
 }
 
 /// A shard's local blockchain.
@@ -122,7 +133,7 @@ impl LocalChain {
     /// A fresh chain for `shard` containing only the genesis block.
     pub fn new(shard: ShardId) -> Self {
         let genesis = BlockHeader {
-            hash: compute_hash(0, 0, 0, &[]),
+            hash: compute_hash(0, 0, 0, shard, &[]),
             round: 0,
             end: 0,
         };
@@ -187,15 +198,16 @@ impl LocalChain {
         let (start, need) = (page.payload.len(), page.payload.len() + n);
         if need > page.payload.capacity() {
             // Spare room is at most a quarter of the payload and at most
-            // the 16 bytes a block that the page's headers save.
-            let saved = 16 * (page.headers.len() + 1) / std::mem::size_of::<SubTransaction>();
+            // 16 bytes a block.
+            let saved = 16 * (page.headers.len() + 1) / std::mem::size_of::<CommittedSub>();
             page.payload.reserve_exact(n + saved.min(need / 4));
         }
         for s in subs {
             assert_eq!(s.dest, shard, "subtransaction routed to wrong shard");
-            page.payload.push(s);
+            page.payload.push(s.into_committed());
         }
-        let hash = compute_hash(height as u64, parent, round.into(), &page.payload[start..]);
+        let payload = &page.payload[start..];
+        let hash = compute_hash(height as u64, parent, round.into(), shard, payload);
         let end = u32::try_from(page.payload.len()).expect("a page holds under 2^32 subs");
         page.headers.push(BlockHeader { hash, round, end });
         self.blocks().last()
@@ -253,7 +265,7 @@ impl LocalChain {
                 let Some(subs) = page.payload.get(start..end).filter(|_| nonempty) else {
                     return false;
                 };
-                if h.hash != compute_hash(height as u64, parent, h.round.into(), subs) {
+                if h.hash != compute_hash(height as u64, parent, h.round.into(), self.shard, subs) {
                     return false;
                 }
                 (parent, start) = (h.hash, end);
@@ -379,6 +391,7 @@ mod tests {
     use super::*;
     use sharding_core::txn::{Action, Condition, SubTransaction, Transaction};
     use sharding_core::AccountId;
+    use std::mem::size_of;
 
     fn sub(txn: u64, dest: u32) -> SubTransaction {
         let action = Action {
@@ -429,7 +442,7 @@ mod tests {
     }
 
     /// One stored block: hash, round, payload.
-    type Stored = (u64, Round, Vec<SubTransaction>);
+    type Stored = (u64, Round, Vec<CommittedSub>);
 
     /// `c` with its blocks edited as one flat list of stored blocks and
     /// laid out in pages again, stored hashes kept as they are.
@@ -478,7 +491,8 @@ mod tests {
                 delta: 999,
                 ..s.actions()[0]
             };
-            *s = SubTransaction::new(s.txn, s.dest, s.conditions(), &[tampered]);
+            *s = SubTransaction::new(s.txn, ShardId(0), s.conditions(), &[tampered])
+                .into_committed();
         });
         assert!(!payload.verify(), "payload change detected");
         let round = relaid(&c, |b| b[3].1 = Round(b[3].1.raw() + 1));
@@ -504,11 +518,12 @@ mod tests {
         assert!(!moved.verify(), "a sub moved into the next block");
         let empty = relaid(&c, |b| {
             let (height, parent) = (b.len() as u64, b.last().unwrap().0);
-            b.push((compute_hash(height, parent, 9, &[]), Round(9), Vec::new()));
+            let hash = compute_hash(height, parent, 9, ShardId(0), &[]);
+            b.push((hash, Round(9), Vec::new()));
         });
         assert!(!empty.verify(), "an empty block past genesis");
         let mut orphan = c.clone();
-        orphan.pages[0].payload.push(sub(9, 0));
+        orphan.pages[0].payload.push(sub(9, 0).into_committed());
         assert!(!orphan.verify(), "a sub in no block");
         let mut last = c.clone();
         last.append(sub(7, 0), Round(u32::MAX.into()));
@@ -525,8 +540,55 @@ mod tests {
     }
 
     /// One block as the flat layout stored it: height, parent, hash,
-    /// round, payload.
+    /// round, payload — whole subs, each with its own destination.
     type FlatBlock = (u64, u64, u64, Round, Vec<SubTransaction>);
+
+    /// The hash as a chain computed it while it stored whole subs: FNV-1a
+    /// over height, parent, round and, per sub, its id, its own
+    /// destination, its conditions and its actions.
+    fn stored_hash<'a>(
+        height: u64,
+        parent: u64,
+        round: u64,
+        subs: impl IntoIterator<Item = (TxnId, ShardId, &'a [Condition], &'a [Action])>,
+    ) -> u64 {
+        let mut h = Fnv1a::new();
+        h.write(&height.to_le_bytes());
+        h.write(&parent.to_le_bytes());
+        h.write(&round.to_le_bytes());
+        for (txn, dest, conditions, actions) in subs {
+            h.write(&txn.raw().to_le_bytes());
+            h.write(&dest.raw().to_le_bytes());
+            for c in conditions {
+                h.write(&c.account.raw().to_le_bytes());
+                h.write(&c.min_balance.to_le_bytes());
+            }
+            for a in actions {
+                h.write(&a.account.raw().to_le_bytes());
+                h.write(&a.delta.to_le_bytes());
+            }
+        }
+        h.0
+    }
+
+    /// [`stored_hash`] of whole subs.
+    fn flat_hash(height: u64, parent: u64, round: u64, subs: &[SubTransaction]) -> u64 {
+        let whole = subs
+            .iter()
+            .map(|s| (s.txn, s.dest, s.conditions(), s.actions()));
+        stored_hash(height, parent, round, whole)
+    }
+
+    /// True when `kept` is `flat` as `shard`'s chain keeps it: each sub's
+    /// id and parts in order, and every sub destined for `shard`.
+    fn kept_as(kept: &[CommittedSub], flat: &[SubTransaction], shard: ShardId) -> bool {
+        kept.len() == flat.len()
+            && kept.iter().zip(flat).all(|(k, f)| {
+                (k.txn, shard) == (f.txn, f.dest)
+                    && k.conditions() == f.conditions()
+                    && k.actions() == f.actions()
+            })
+    }
 
     /// The flat layout's verification: stored heights count up from 0,
     /// stored parents are the previous hashes, and only genesis is empty.
@@ -535,26 +597,28 @@ mod tests {
             .enumerate()
             .all(|(i, (height, parent, hash, round, subs))| {
                 *height == i as u64
-                    && *hash == compute_hash(*height, *parent, round.raw(), subs)
+                    && *hash == flat_hash(*height, *parent, round.raw(), subs)
                     && (i == 0 || (*parent == flat[i - 1].2 && !subs.is_empty()))
             })
     }
 
     /// The paged chain against the flat one it replaced — every height,
-    /// parent and payload stored per block, one growing vector — on
-    /// seeded random blocks of one to five subs, at lengths on both sides
-    /// of each header and payload page boundary and through all three
-    /// ways in; a payload's spare room stays within a quarter of it and
-    /// within the 16 bytes a block its headers save.
+    /// parent and whole sub stored per block, one growing vector, hashed
+    /// by the recipe of that layout — on seeded random blocks of one to
+    /// five subs, at lengths on both sides of each header and payload
+    /// page boundary and through all three ways in. A payload's spare
+    /// room stays within a quarter of it and within 16 bytes a block, and
+    /// each growth takes the whole of that room.
     #[test]
     fn paged_chain_matches_the_flat_recipe() {
         use rand::Rng as _;
-        use sharding_core::txn::Condition;
         let mut rng = sharding_core::rngutil::seeded_rng(35);
         let mut next_txn = 0;
+        let (shard, kept) = (ShardId(4), size_of::<CommittedSub>());
+        let mut growths = 0;
         for blocks in [0, PAGE - 1, PAGE, PAGE + 1, 2 * PAGE + 3] {
-            let mut chain = LocalChain::new(ShardId(4));
-            let genesis = compute_hash(0, 0, 0, &[]);
+            let mut chain = LocalChain::new(shard);
+            let genesis = flat_hash(0, 0, 0, &[]);
             let mut flat: Vec<FlatBlock> = vec![(0, 0, genesis, Round::ZERO, Vec::new())];
             let mut buf = Vec::new();
             let mut round = 0;
@@ -579,12 +643,13 @@ mod tests {
                                 delta: rng.gen_range(-50..50i64),
                             })
                             .collect();
-                        SubTransaction::new(TxnId(next_txn), ShardId(4), &conditions, &actions)
+                        SubTransaction::new(TxnId(next_txn), shard, &conditions, &actions)
                     })
                     .collect();
                 let (height, parent) = (flat.len() as u64, flat.last().unwrap().2);
-                let hash = compute_hash(height, parent, round, &subs);
+                let hash = flat_hash(height, parent, round, &subs);
                 flat.push((height, parent, hash, Round(round), subs.clone()));
+                let before = (chain.pages.len(), chain.tail().payload.capacity());
                 let tip = match (i % 3, n) {
                     (0, 1) => chain.append(subs[0].clone(), Round(round)).hash,
                     (0 | 1, _) => chain.append_block(subs, Round(round)).hash,
@@ -599,7 +664,12 @@ mod tests {
                 let open = chain.tail();
                 let spare = open.payload.capacity() - open.payload.len();
                 assert!(spare <= open.payload.len() / 4, "block {height}");
-                assert!(spare * 40 <= 16 * open.headers.len(), "block {height}");
+                assert!(spare * kept <= 16 * open.headers.len(), "block {height}");
+                if before != (chain.pages.len(), open.payload.capacity()) {
+                    let room = (16 * open.headers.len() / kept).min(open.payload.len() / 4);
+                    assert_eq!(spare, room, "block {height} grew by all its room");
+                    growths += 1;
+                }
             }
             chain.seal(&mut buf, Round(round + 1));
             assert_eq!(chain.len(), blocks, "an empty buffer seals nothing");
@@ -608,17 +678,16 @@ mod tests {
             assert_eq!(chain.is_empty(), blocks == 0);
             for (h, (_, _, hash, round, subs)) in flat.iter().enumerate() {
                 let b = chain.blocks().get(h);
-                assert_eq!((b.hash, b.round, b.subs), (*hash, *round, &subs[..]));
+                assert_eq!((b.hash, b.round), (*hash, *round), "block {h}");
+                assert!(kept_as(b.subs, subs, shard), "block {h}");
                 assert_eq!(chain.blocks()[h].hash, *hash);
             }
-            let order: Vec<(u64, Round, &[SubTransaction])> = chain
-                .blocks()
-                .into_iter()
-                .map(|b| (b.hash, b.round, b.subs))
-                .collect();
-            let flat_order: Vec<(u64, Round, &[SubTransaction])> =
-                flat.iter().map(|b| (b.2, b.3, &b.4[..])).collect();
-            assert_eq!(order, flat_order, "block order at length {blocks}");
+            let order: Vec<BlockRef<'_>> = chain.blocks().into_iter().collect();
+            assert_eq!(order.len(), flat.len(), "block count at length {blocks}");
+            for (b, (_, _, hash, round, subs)) in order.iter().zip(&flat) {
+                let same = (b.hash, b.round) == (*hash, *round) && kept_as(b.subs, subs, shard);
+                assert!(same, "block order at length {blocks}");
+            }
             let committed: Vec<TxnId> = chain.committed_txns().collect();
             let flat_committed: Vec<TxnId> =
                 flat.iter().flat_map(|b| &b.4).map(|s| s.txn).collect();
@@ -635,6 +704,7 @@ mod tests {
                 "header slack under a page"
             );
         }
+        assert!(growths > 100, "{growths} payload growths");
     }
 
     #[test]
@@ -697,10 +767,11 @@ mod tests {
                 .collect();
             SubTransaction::new(TxnId(txn), ShardId(2), &conditions, &actions)
         };
-        let multi = vec![rich(8, 0), rich(9, 1), rich(u64::MAX / 11, 3)];
+        let multi =
+            [rich(8, 0), rich(9, 1), rich(u64::MAX / 11, 3)].map(SubTransaction::into_committed);
         // A chain refuses a round past `u32::MAX`; the hash is defined there.
         assert_eq!(
-            compute_hash(2, 0x314d_3509_f940_d8a8, 1 << 40, &multi),
+            compute_hash(2, 0x314d_3509_f940_d8a8, 1 << 40, ShardId(2), &multi),
             0xa712_ee3e_d672_fb2c
         );
         assert!(c.verify());
@@ -727,27 +798,6 @@ mod tests {
         dest: ShardId,
         conditions: Vec<Condition>,
         actions: Vec<Action>,
-    }
-
-    /// `compute_hash`'s recipe, fed from the oracle's lists.
-    fn oracle_hash(height: u64, parent: u64, subs: &[TwoVecs], round: Round) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write(&height.to_le_bytes());
-        h.write(&parent.to_le_bytes());
-        h.write(&round.raw().to_le_bytes());
-        for s in subs {
-            h.write(&s.txn.raw().to_le_bytes());
-            h.write(&s.dest.raw().to_le_bytes());
-            for c in &s.conditions {
-                h.write(&c.account.raw().to_le_bytes());
-                h.write(&c.min_balance.to_le_bytes());
-            }
-            for a in &s.actions {
-                h.write(&a.account.raw().to_le_bytes());
-                h.write(&a.delta.to_le_bytes());
-            }
-        }
-        h.0
     }
 
     type Drafts = Vec<(Vec<(u64, u64)>, Vec<(u64, i64)>)>;
@@ -822,11 +872,17 @@ mod tests {
                 proptest::prop_assert_ne!(sub, &other);
             }
             proptest::prop_assert_eq!(t.approx_bytes(), bytes);
-            for height in [1, 1 << 33] {
-                proptest::prop_assert_eq!(
-                    compute_hash(height, parent, 7, &t.subs),
-                    oracle_hash(height, parent, &oracle, Round(7))
-                );
+            // Each sub as its destination's chain hashes a block of it,
+            // against the whole-sub recipe fed from the oracle's lists.
+            for (sub, o) in t.subs.iter().zip(&oracle) {
+                let kept = [sub.clone().into_committed()];
+                let whole = [(o.txn, o.dest, &o.conditions[..], &o.actions[..])];
+                for height in [1, 1 << 33] {
+                    proptest::prop_assert_eq!(
+                        compute_hash(height, parent, 7, sub.dest, &kept),
+                        stored_hash(height, parent, 7, whole)
+                    );
+                }
             }
         }
     }
