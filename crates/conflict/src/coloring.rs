@@ -14,8 +14,9 @@
 //!   color, light ones are greedily colored among themselves.
 
 use crate::graph::ConflictGraph;
+use sharding_core::hash::FastMap;
 use sharding_core::txn::Transaction;
-use std::collections::HashMap;
+use sharding_core::AccountId;
 
 /// Which coloring algorithm a scheduler should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -188,13 +189,15 @@ impl ColorSet {
 
 /// Reusable working memory for [`greedy_by_accounts_with`].
 ///
-/// The per-account color sets are dense arrays indexed by
-/// `AccountId::index()` (account ids in this system are `0..accounts`),
-/// with an epoch stamp per account so starting a new batch is O(1): a
-/// stale entry is cleared lazily the first time the new batch touches
-/// that account. Schedulers keep one scratch per simulation and color
-/// every epoch through it, eliminating all per-epoch map allocations
-/// from the coloring hot path.
+/// The per-account color sets are arrays indexed by a slot, with an
+/// epoch stamp per slot so starting a new batch is O(1): a stale entry
+/// is cleared lazily the first time the new batch touches that slot. Up
+/// to [`DENSE_LIMIT`] accounts a slot is `AccountId::index()` (account
+/// ids in this system are `0..accounts`); past it each batch numbers
+/// the accounts it touches `0, 1, …` in first-touch order, so the
+/// arrays hold as many slots as the largest batch touched, not every
+/// account ever colored. Schedulers keep one scratch per simulation and
+/// color every epoch through it; a warm scratch allocates nothing.
 #[derive(Debug, Default, Clone)]
 pub struct ColoringScratch {
     /// Batch counter; entries whose stamp is older belong to a previous
@@ -208,22 +211,21 @@ pub struct ColoringScratch {
     readers: Vec<ColorSet>,
     /// Forbidden-color accumulator for the transaction being colored.
     forbidden: Vec<u64>,
-    /// First-touch interning of account index → dense slot, engaged for
-    /// universes past [`DENSE_LIMIT`]. `None` means slots *are* account
-    /// indices (the dense fast path, byte-for-byte the historical
-    /// behavior).
-    intern: Option<HashMap<usize, u32>>,
+    /// The current batch's first-touch slots, engaged for universes past
+    /// [`DENSE_LIMIT`] and emptied (capacity kept) when a batch starts.
+    /// `None` means slots *are* account indices (the dense fast path).
+    intern: Option<FastMap<AccountId, u32>>,
 }
 
 /// Account-universe size beyond which [`ColoringScratch::with_accounts`]
-/// interns touched accounts instead of pre-sizing dense arrays. The
+/// interns a batch's accounts instead of pre-sizing dense arrays. The
 /// dense layout costs ~56 bytes per account *per scratch* — and the
 /// networked engine holds one scratch per shard — so pre-sizing a
 /// million-account firehose universe would cost gigabytes for accounts
-/// a coloring batch never touches. Interned mode grows with the set of
-/// accounts actually seen; colorings are identical in both modes (slots
-/// are just renamed account identities).
-const DENSE_LIMIT: usize = 1 << 19;
+/// a coloring batch never touches. Interned mode grows with the largest
+/// batch; colorings are identical in both modes (slots are just renamed
+/// account identities, and a batch only compares its own).
+pub const DENSE_LIMIT: usize = 1 << 19;
 
 impl ColoringScratch {
     /// Creates an empty scratch; it grows to fit the account space on
@@ -233,12 +235,12 @@ impl ColoringScratch {
     }
 
     /// Creates a scratch pre-sized for accounts `0..accounts` (dense),
-    /// or lazily interned when the universe exceeds the crate-private
-    /// `DENSE_LIMIT` (see its comment above for the space argument).
+    /// or interned batch by batch when the universe exceeds
+    /// [`DENSE_LIMIT`] (see its comment for the space argument).
     pub fn with_accounts(accounts: usize) -> Self {
         if accounts > DENSE_LIMIT {
             return ColoringScratch {
-                intern: Some(HashMap::new()),
+                intern: Some(FastMap::default()),
                 ..Self::default()
             };
         }
@@ -261,22 +263,18 @@ impl ColoringScratch {
         }
     }
 
-    /// Dense slot of account index `idx`: the identity in dense mode,
-    /// the first-touch intern slot otherwise.
-    fn slot(&mut self, idx: usize) -> usize {
+    /// Slot of `account`: its index in dense mode, else its first-touch
+    /// number in the current batch. A slot an earlier batch used keeps
+    /// that batch's stamp, so its first touch now clears it.
+    fn slot(&mut self, account: AccountId) -> usize {
         let Some(map) = &mut self.intern else {
-            self.ensure(idx);
-            return idx;
+            self.ensure(account.index());
+            return account.index();
         };
-        if let Some(&s) = map.get(&idx) {
-            return s as usize;
-        }
-        let next = self.stamps.len();
-        map.insert(idx, next as u32);
-        self.stamps.push(0);
-        self.writers.push(ColorSet::default());
-        self.readers.push(ColorSet::default());
-        next
+        let next = map.len() as u32;
+        let slot = *map.entry(account).or_insert(next) as usize;
+        self.ensure(slot);
+        slot
     }
 }
 
@@ -301,13 +299,16 @@ pub fn greedy_by_accounts_with(txns: &[Transaction], scratch: &mut ColoringScrat
 
     scratch.stamp += 1;
     let stamp = scratch.stamp;
+    if let Some(map) = &mut scratch.intern {
+        map.clear();
+    }
     let mut colors = Vec::with_capacity(txns.len());
     let mut num_colors = 0u32;
     for t in txns {
         scratch.forbidden.clear();
         let accesses = t.accesses();
         for a in accesses.iter() {
-            let idx = scratch.slot(a.account.index());
+            let idx = scratch.slot(a.account);
             if scratch.stamps[idx] == stamp {
                 // Anyone conflicts with earlier writers; a writer also
                 // conflicts with earlier readers.
@@ -329,7 +330,7 @@ pub fn greedy_by_accounts_with(txns: &[Transaction], scratch: &mut ColoringScrat
         colors.push(c);
         num_colors = num_colors.max(c + 1);
         for a in accesses {
-            let idx = scratch.slot(a.account.index());
+            let idx = scratch.slot(a.account);
             if scratch.stamps[idx] != stamp {
                 scratch.stamps[idx] = stamp;
                 scratch.writers[idx].words.clear();
@@ -486,13 +487,18 @@ mod tests {
     #[test]
     fn interned_scratch_colors_identically_to_dense() {
         // The firehose path hands `with_accounts` universes past
-        // DENSE_LIMIT; the interned scratch must produce the exact
-        // colorings of the dense one, batch after batch (stamp reset
-        // included), even for sparse re-homed account ids.
+        // DENSE_LIMIT. Batch after batch, the interned scratch must give
+        // the dense scratch's colorings and a fresh scratch's, with reads
+        // and writes mixed: on batches that share half their accounts
+        // with the batch before (those accounts get new slots) and on
+        // batches of fresh accounts (whose slots an earlier batch used,
+        // and whose stale colors must not leak).
+        use sharding_core::txn::TxnBuilder;
+        use sharding_core::AccountId;
         let sys = SystemConfig {
             shards: 8,
-            accounts: 64,
-            k_max: 3,
+            accounts: 4096,
+            k_max: 8,
             nodes_per_shard: 4,
             faulty_per_shard: 1,
         };
@@ -501,25 +507,34 @@ mod tests {
         let mut interned = ColoringScratch::with_accounts(DENSE_LIMIT + 1);
         assert!(interned.intern.is_some() && dense.intern.is_none());
         let mut rng = seeded_rng(31);
-        for batch_no in 0..12u64 {
+        let mut base = 0u64;
+        for batch_no in 0..40u64 {
+            // Each batch draws from 24 ids: an odd batch's window
+            // overlaps the previous one by 12, an even batch's is new.
+            base += if batch_no % 2 == 1 { 12 } else { 48 };
             let txns: Vec<Transaction> = (0..20)
                 .map(|i| {
-                    let a = rng.gen_range(0..8u32);
-                    let b = rng.gen_range(0..8u32);
-                    Transaction::writing_shards(
-                        TxnId(batch_no * 100 + i),
-                        ShardId(a),
-                        Round(batch_no),
-                        &map,
-                        &[ShardId(a), ShardId(b)],
-                    )
-                    .unwrap()
+                    let id = TxnId(batch_no * 100 + i);
+                    let mut b = TxnBuilder::new(id, ShardId(0), Round(batch_no), &map);
+                    for _ in 0..rng.gen_range(1..=4) {
+                        let a = AccountId(base + rng.gen_range(0..24u64));
+                        b = if rng.gen_bool(0.5) {
+                            b.check(a, 0)
+                        } else {
+                            b.update(a, 1)
+                        };
+                    }
+                    b.build().unwrap()
                 })
                 .collect();
             let d = greedy_by_accounts_with(&txns, &mut dense);
             let s = greedy_by_accounts_with(&txns, &mut interned);
-            assert_eq!(d.colors(), s.colors(), "batch {batch_no}");
-            assert_eq!(d.num_colors(), s.num_colors());
+            assert_eq!(s, d, "batch {batch_no}: interned against dense");
+            assert_eq!(
+                s,
+                greedy_by_accounts(&txns),
+                "batch {batch_no}: against fresh"
+            );
         }
     }
 
